@@ -11,12 +11,14 @@
 package main_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"dbtoaster/internal/bench"
 	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/engine"
+	"dbtoaster/internal/types"
 	"dbtoaster/internal/workload"
 )
 
@@ -51,22 +53,9 @@ func runCell(b *testing.B, query string, sys bench.System) {
 // prefix, then events from a rotating window are applied b.N times. allocs/op
 // is the per-event allocation count of the executor hot path.
 func benchEval(b *testing.B, query string, mode engine.ExecMode) {
-	spec, ok := workload.Get(query)
-	if !ok {
-		b.Fatalf("unknown query %s", query)
-	}
-	prog, err := compiler.Compile(spec.Query, spec.Catalog, compiler.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := engine.New(prog)
+	eng := benchEngine(b, query, nil)
 	eng.SetExecMode(mode)
-	for name, data := range spec.Statics() {
-		eng.LoadStatic(name, data)
-	}
-	if err := eng.Init(); err != nil {
-		b.Fatal(err)
-	}
+	spec, _ := workload.Get(query)
 	events := spec.Stream(0.2, 1)
 	warm := len(events) / 2
 	for _, ev := range events[:warm] {
@@ -100,6 +89,96 @@ func BenchmarkEvalInterp(b *testing.B) {
 func BenchmarkEvalCompiled(b *testing.B) {
 	for _, q := range evalQueries {
 		b.Run(q, func(b *testing.B) { benchEval(b, q, engine.ExecCompiled) })
+	}
+}
+
+// --- Planned statements: re-evaluation tails and nested-aggregate deltas -----
+
+// benchEngine compiles the query in DBToaster mode and applies the events.
+func benchEngine(b *testing.B, query string, events []engine.Event) *engine.Engine {
+	spec, ok := workload.Get(query)
+	if !ok {
+		b.Fatalf("unknown query %s", query)
+	}
+	prog, err := compiler.Compile(spec.Query, spec.Catalog, compiler.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := engine.New(prog)
+	for name, data := range spec.Statics() {
+		eng.LoadStatic(name, data)
+	}
+	if err := eng.Init(); err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.ApplyBatch(engine.NewBatch(events)); err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
+// BenchmarkReevalTail times one re-evaluation of an order-book query over a
+// book of the given number of bids and of asks, all at distinct prices: every
+// iteration places or cancels one bid, which runs the trigger's "Q := …" tail
+// once (the increments beside it are point updates). ns/tail against the book
+// size is the tail's complexity; docs/architecture.md, "Statement planning",
+// says what it should be.
+func BenchmarkReevalTail(b *testing.B) {
+	order := func(i int) types.Tuple {
+		return types.Tuple{types.Int(int64(i)), types.Int(int64(i)), types.Int(int64(i % 10)),
+			types.Int(int64(10000 + i)), types.Int(int64(1 + i%1000))}
+	}
+	for _, q := range []string{"VWAP", "MST", "PSP"} {
+		for _, book := range []int{64, 256, 1024} {
+			b.Run(fmt.Sprintf("%s/book=%d", q, book), func(b *testing.B) {
+				events := make([]engine.Event, 0, 2*book)
+				for i := 0; i < book; i++ {
+					events = append(events,
+						engine.Event{Relation: "BIDS", Insert: true, Tuple: order(i)},
+						engine.Event{Relation: "ASKS", Insert: true, Tuple: order(i)})
+				}
+				eng := benchEngine(b, q, events)
+				extra := engine.Event{Relation: "BIDS", Tuple: order(book)}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					extra.Insert = i%2 == 0
+					if err := eng.Apply(extra); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tail")
+			})
+		}
+	}
+}
+
+// BenchmarkNestedDelta times LINEITEM events on the two queries whose delta
+// goes through an equality-correlated nested aggregate: every iteration
+// cancels and re-places one line item of a warmed engine.
+func BenchmarkNestedDelta(b *testing.B) {
+	for _, q := range []string{"Q17a", "Q18a"} {
+		b.Run(q, func(b *testing.B) {
+			spec, _ := workload.Get(q)
+			events := spec.Stream(0.2, 1)
+			eng := benchEngine(b, q, events)
+			var items []engine.Event
+			for _, ev := range events {
+				if ev.Relation == "LINEITEM" && ev.Insert {
+					items = append(items, ev)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := items[i%len(items)]
+				for _, insert := range []bool{false, true} {
+					ev.Insert = insert
+					if err := eng.Apply(ev); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/event")
+		})
 	}
 }
 

@@ -172,3 +172,49 @@ func TestProgramPrintingMentionsEveryMap(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedDeltaProbesSlice compiles Q17a's shape and checks what the
+// slice-restricted lift delta buys and what it must not cost: every statement
+// of the L triggers probes its maps on the trigger's pk (no statement loops
+// over a map keyed on pk), no base table had to be materialized because a
+// nested query's variable leaked into the outer query, and no map joins P
+// with L any more.
+func TestNestedDeltaProbesSlice(t *testing.T) {
+	cat := catalog.New().Add("P", "PK", "BRAND").Add("L", "OK", "PK", "QTY")
+	q := Query{Name: "Q", Expr: agca.SumOver(nil, agca.Mul(
+		agca.R("P", "pk", "brand"),
+		agca.R("L", "ok", "pk", "qty"),
+		agca.LiftE("sq", agca.SumOver(nil, agca.Mul(agca.R("L", "ok2", "pk", "qty2"), agca.V("qty2")))),
+		agca.Lt(agca.Mul(agca.C(2), agca.V("qty")), agca.V("sq")),
+		agca.V("qty")))}
+	prog, err := Compile(q, cat, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := prog.String()
+	if strings.Contains(text, "BASE_") {
+		t.Fatalf("a base table was materialized:\n%s", text)
+	}
+	for _, m := range prog.Maps {
+		if m.Name != "Q" && len(agca.Relations(m.Definition)) > 1 {
+			t.Errorf("map %s still joins relations: %s", m.Name, agca.String(m.Definition))
+		}
+	}
+	for _, insert := range []bool{true, false} {
+		trig, _ := prog.TriggerFor("L", insert)
+		for _, s := range trig.Stmts {
+			agca.Walk(s.RHS, func(x agca.Expr) {
+				ref, ok := x.(agca.MapRef)
+				if !ok {
+					return
+				}
+				for _, k := range ref.Keys {
+					if k == "pk" || k == "ok2" || k == "qty2" {
+						t.Errorf("%s: statement scans %s instead of probing it on the trigger's pk: %s",
+							trig.Key(), agca.String(ref), s.String())
+					}
+				}
+			})
+		}
+	}
+}

@@ -51,6 +51,7 @@ func (c *compileState) emitIncremental(def *trigger.MapDef, ev delta.Event, mono
 
 	rhs := opt.Rebuild(dedupStrings(gb), neg, newFactors)
 	rhs = opt.Simplify(rhs)
+	rhs = opt.Factorize(rhs, argSet, targetKeys)
 	rhs = opt.NormalizeOrder(rhs, argSet)
 
 	// Every target key must have a value at execution time: either a trigger
@@ -88,6 +89,7 @@ func (c *compileState) emitReevaluation(def *trigger.MapDef, ev delta.Event) err
 		return err
 	}
 	rhs = opt.Simplify(rhs)
+	rhs = opt.Factorize(rhs, agca.VarSet{}, def.Keys)
 	rhs = opt.NormalizeOrder(rhs, agca.VarSet{})
 	c.addStatement(ev, trigger.Statement{
 		TargetMap:  def.Name,

@@ -11,6 +11,7 @@ package delta
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"dbtoaster/internal/agca"
 )
@@ -72,10 +73,33 @@ var ErrNonIncremental = errors.New("delta: expression is not incrementally maint
 // It returns ErrNonIncremental when e (restricted to the parts affected by
 // the event) cannot be incrementalized.
 func Apply(e agca.Expr, ev Event) (agca.Expr, error) {
-	return deltaExpr(e, ev)
+	return deltaExpr(e, ev, nil)
 }
 
-func deltaExpr(e agca.Expr, ev Event) (agca.Expr, error) {
+// context is the chain of products an expression sits in: at each level the
+// product's factors and the position of the one holding the expression.
+type context struct {
+	outer   *context
+	factors []agca.Expr
+	self    int
+}
+
+// binds reports whether the context binds v: some sibling factor of an
+// enclosing product outputs it. A nested aggregate is correlated with the
+// outer query exactly on the variables of its body that its context binds.
+func (c *context) binds(v string) bool {
+	for ; c != nil; c = c.outer {
+		for i, f := range c.factors {
+			if i != c.self && agca.OutputVars(f, agca.VarSet{}).Contains(v) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// deltaExpr computes ∆ev(e) for an expression in the context outer.
+func deltaExpr(e agca.Expr, ev Event, outer *context) (agca.Expr, error) {
 	switch n := e.(type) {
 	case agca.Const, agca.Var, agca.Cmp, agca.Func, agca.MapRef:
 		return agca.Zero, nil
@@ -102,7 +126,7 @@ func deltaExpr(e agca.Expr, ev Event) (agca.Expr, error) {
 		return out, nil
 
 	case agca.Neg:
-		d, err := deltaExpr(n.E, ev)
+		d, err := deltaExpr(n.E, ev, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +135,7 @@ func deltaExpr(e agca.Expr, ev Event) (agca.Expr, error) {
 	case agca.Sum:
 		terms := make([]agca.Expr, 0, len(n.Terms))
 		for _, t := range n.Terms {
-			d, err := deltaExpr(t, ev)
+			d, err := deltaExpr(t, ev, outer)
 			if err != nil {
 				return nil, err
 			}
@@ -120,10 +144,10 @@ func deltaExpr(e agca.Expr, ev Event) (agca.Expr, error) {
 		return agca.Add(terms...), nil
 
 	case agca.Prod:
-		return deltaProd(n.Factors, ev)
+		return deltaProd(n.Factors, ev, outer)
 
 	case agca.AggSum:
-		d, err := deltaExpr(n.E, ev)
+		d, err := deltaExpr(n.E, ev, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -133,14 +157,30 @@ func deltaExpr(e agca.Expr, ev Event) (agca.Expr, error) {
 		if !agca.UsesRelation(n.E, ev.Relation) {
 			return agca.Zero, nil
 		}
-		d, err := deltaExpr(n.E, ev)
+		d, err := deltaExpr(n.E, ev, outer)
 		if err != nil {
 			return nil, err
 		}
-		// ∆(x := Q) = (x := Q + ∆Q) − (x := Q)
+		// ∆(x := Q) = Dom(∆Q) * ((x := Q + ∆Q) − (x := Q)): the two lifts
+		// cancel wherever ∆Q is empty, so the delta is restricted to the slice
+		// of correlation bindings ∆Q imposes. Unification then turns the outer
+		// query's scan into a probe of that slice. Only correlation variables
+		// may be bound out here; the nested query's own variables stay inside.
 		newLift := agca.Lift{Var: n.Var, E: agca.Add(agca.Clone(n.E), d)}
 		oldLift := agca.Lift{Var: n.Var, E: agca.Clone(n.E)}
-		return agca.Subtract(newLift, oldLift), nil
+		dom, _ := domain(d, ev)
+		var slice []string
+		for v := range dom {
+			if outer.binds(v) {
+				slice = append(slice, v)
+			}
+		}
+		sort.Strings(slice)
+		factors := make([]agca.Expr, 0, len(slice)+1)
+		for _, v := range slice {
+			factors = append(factors, agca.Lift{Var: v, E: agca.Var{Name: dom[v]}})
+		}
+		return agca.Mul(append(factors, agca.Subtract(newLift, oldLift))...), nil
 
 	case agca.Exists:
 		if !agca.UsesRelation(n.E, ev.Relation) {
@@ -160,26 +200,33 @@ func deltaExpr(e agca.Expr, ev Event) (agca.Expr, error) {
 }
 
 // deltaProd applies the product rule
-// ∆(Q1*Q2) = ∆Q1*Q2 + Q1*∆Q2 + ∆Q1*∆Q2, folded over the factor list.
-func deltaProd(factors []agca.Expr, ev Event) (agca.Expr, error) {
+// ∆(Q1*Q2) = ∆Q1*Q2 + Q1*∆Q2 + ∆Q1*∆Q2, folded over the factor list. Each
+// factor's delta has its siblings as context.
+func deltaProd(factors []agca.Expr, ev Event, outer *context) (agca.Expr, error) {
+	deltas := make([]agca.Expr, len(factors))
+	ctx := &context{outer: outer, factors: factors}
+	for i, f := range factors {
+		ctx.self = i
+		d, err := deltaExpr(f, ev, ctx)
+		if err != nil {
+			return nil, err
+		}
+		deltas[i] = d
+	}
+	return foldProductRule(factors, deltas), nil
+}
+
+func foldProductRule(factors, deltas []agca.Expr) agca.Expr {
 	if len(factors) == 0 {
-		return agca.Zero, nil
+		return agca.Zero
 	}
 	if len(factors) == 1 {
-		return deltaExpr(factors[0], ev)
+		return deltas[0]
 	}
-	head := factors[0]
+	head, dHead := factors[0], deltas[0]
 	rest := factors[1:]
-
-	dHead, err := deltaExpr(head, ev)
-	if err != nil {
-		return nil, err
-	}
 	restExpr := agca.Mul(append([]agca.Expr(nil), rest...)...)
-	dRest, err := deltaProd(rest, ev)
-	if err != nil {
-		return nil, err
-	}
+	dRest := foldProductRule(rest, deltas[1:])
 
 	var terms []agca.Expr
 	if !agca.IsZero(dHead) {
@@ -192,9 +239,64 @@ func deltaProd(factors []agca.Expr, ev Event) (agca.Expr, error) {
 		terms = append(terms, agca.Mul(agca.Clone(dHead), agca.Clone(dRest)))
 	}
 	if len(terms) == 0 {
-		return agca.Zero, nil
+		return agca.Zero
 	}
-	return agca.Add(terms...), nil
+	return agca.Add(terms...)
+}
+
+// domain returns the bindings (v := trigger argument) that every non-zero
+// term of the delta query d multiplies in, as a map from v to the argument;
+// zero reports that d is identically zero (it then imposes every binding).
+func domain(d agca.Expr, ev Event) (dom map[string]string, zero bool) {
+	switch n := d.(type) {
+	case agca.Const:
+		return nil, agca.IsZero(n)
+	case agca.Lift:
+		if a, ok := n.E.(agca.Var); ok {
+			for _, arg := range ev.Args {
+				if arg == a.Name {
+					return map[string]string{n.Var: arg}, false
+				}
+			}
+		}
+		return nil, false
+	case agca.Neg:
+		return domain(n.E, ev)
+	case agca.AggSum:
+		return domain(n.E, ev)
+	case agca.Prod:
+		dom = map[string]string{}
+		for _, f := range n.Factors {
+			fd, fz := domain(f, ev)
+			if fz {
+				return nil, true
+			}
+			for v, a := range fd {
+				dom[v] = a
+			}
+		}
+		return dom, false
+	case agca.Sum:
+		zero = true
+		for _, t := range n.Terms {
+			td, tz := domain(t, ev)
+			if tz {
+				continue
+			}
+			if zero {
+				dom, zero = td, false
+				continue
+			}
+			for v, a := range dom {
+				if td[v] != a {
+					delete(dom, v)
+				}
+			}
+		}
+		return dom, zero
+	default:
+		return nil, false
+	}
 }
 
 // IsIncremental reports whether e can be incrementally maintained with

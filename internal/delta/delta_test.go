@@ -244,3 +244,75 @@ func TestDeltaRandomizedProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestLiftDeltaRestrictedToSlice pins the slice restriction of the lift rule
+// on Q17a's shape: an insert into L changes the nested aggregate for one pk
+// only, so the delta binds pk — the correlation variable — to the trigger
+// argument outside the lift, and nothing else: the nested query's own
+// variables (ok2, qty2) must not leak into the outer query.
+func TestLiftDeltaRestrictedToSlice(t *testing.T) {
+	nested := agca.SumOver(nil, agca.Mul(agca.R("L", "ok2", "pk", "qty2"), agca.V("qty2")))
+	q := agca.SumOver(nil, agca.Mul(
+		agca.R("P", "pk"),
+		agca.R("L", "ok", "pk", "qty"),
+		agca.LiftE("sq", nested),
+		agca.Lt(agca.Mul(agca.C(2), agca.V("qty")), agca.V("sq")),
+		agca.V("qty")))
+
+	ev := InsertEvent("L", "L_OK_t", "L_PK_t", "L_QTY_t")
+	d, err := Apply(agca.LiftE("sq", nested), ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.(agca.Sum); !ok {
+		t.Fatalf("an uncorrelated lift has no slice to restrict to: %s", agca.String(d))
+	}
+	// With no outer L atom to bind pk, the restriction is all the delta binds.
+	d, err = Apply(agca.SumOver(nil, agca.Mul(agca.R("P", "pk"), agca.LiftE("sq", nested), agca.V("sq"))), ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bindings to trigger arguments outside every nested aggregate.
+	outer := map[string]bool{}
+	var walk func(e agca.Expr)
+	walk = func(e agca.Expr) {
+		switch n := e.(type) {
+		case agca.Lift:
+			if _, isArg := n.E.(agca.Var); isArg {
+				outer[n.Var] = true
+			}
+		case agca.Sum:
+			for _, x := range n.Terms {
+				walk(x)
+			}
+		case agca.Prod:
+			for _, x := range n.Factors {
+				walk(x)
+			}
+		case agca.Neg:
+			walk(n.E)
+		case agca.AggSum:
+			walk(n.E)
+		}
+	}
+	walk(d)
+	if len(outer) != 1 || !outer["pk"] {
+		t.Errorf("delta binds %v outside the lift, want exactly pk (not the nested query's ok2, qty2): %s", outer, agca.String(d))
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 25; trial++ {
+		p := gmr.New(types.Schema{"PK"})
+		l := gmr.New(types.Schema{"OK", "PK", "QTY"})
+		for i := 0; i < 6; i++ {
+			p.Add(it(int64(rng.Intn(3))), 1)
+			l.Add(it(int64(i), int64(rng.Intn(3)), int64(1+rng.Intn(9))), 1)
+		}
+		db := agca.MapDB{"P": p, "L": l}
+		checkDeltaCorrect(t, q, db, "L", it(int64(10+trial), int64(rng.Intn(4)), int64(1+rng.Intn(9))), true)
+		var victim types.Tuple
+		l.Foreach(func(tu types.Tuple, _ float64) { victim = tu.Clone() })
+		checkDeltaCorrect(t, q, db, "L", victim, false)
+		checkDeltaCorrect(t, q, db, "P", it(int64(rng.Intn(3))), rng.Intn(2) == 0)
+	}
+}

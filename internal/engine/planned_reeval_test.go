@@ -1,0 +1,324 @@
+package engine_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"dbtoaster/internal/agca"
+	"dbtoaster/internal/compiler"
+	"dbtoaster/internal/engine"
+	"dbtoaster/internal/gmr"
+	"dbtoaster/internal/trigger"
+	"dbtoaster/internal/types"
+	"dbtoaster/internal/wal"
+	"dbtoaster/internal/workload"
+)
+
+// plannedQueries are the queries whose statements the compiler's planning
+// rules rewrite (loop-invariant scheduling, factorised re-evaluation,
+// slice-restricted nested deltas, sorted range-sums) or whose shapes sit right
+// next to the ones they match, each with a partner that shares its triggers in
+// a CompileSet engine.
+var plannedQueries = []struct{ name, partner string }{
+	{"VWAP", "MST"}, {"MST", "PSP"}, {"PSP", "AXF"}, {"AXF", "BSV"}, {"BSP", "VWAP"}, {"BSV", "BSP"},
+	{"Q4", "Q18a"}, {"Q17a", "Q3"}, {"Q18a", "Q17a"}, {"Q22a", "Q4"},
+}
+
+// sawtoothBook is an order-book stream that fills, drains to an empty book by
+// cancelling in mirrored order, refills and drains again in random order. A
+// handful of prices (duplicates; the same price as an Int and as a Float, and
+// half steps between) and a handful of volumes put rows exactly on the
+// thresholds of VWAP/MST (a quarter of the book's volume above a price: four
+// equal volumes) and PSP (a ten-thousandth of the book's volume: 1 against
+// 9 999).
+func sawtoothBook(rng *rand.Rand, fill int) []engine.Event {
+	volumes := []int64{10, 10, 10, 30, 1, 9999}
+	id := int64(0)
+	order := func() engine.Event {
+		id++
+		price := types.Value(types.Int(int64(100 + rng.Intn(5))))
+		switch rng.Intn(4) {
+		case 0:
+			price = types.Float(price.AsFloat())
+		case 1:
+			price = types.Float(price.AsFloat() + 0.5)
+		}
+		rel := "BIDS"
+		if rng.Intn(2) == 0 {
+			rel = "ASKS"
+		}
+		return engine.Event{Relation: rel, Insert: true, Tuple: types.Tuple{
+			types.Int(id), types.Int(id), types.Int(int64(rng.Intn(3))), price,
+			types.Int(volumes[rng.Intn(len(volumes))]),
+		}}
+	}
+	var events []engine.Event
+	for round := 0; round < 2; round++ {
+		var live []engine.Event
+		for i := 0; i < fill; i++ {
+			live = append(live, order())
+		}
+		events = append(events, live...)
+		if round == 1 {
+			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		}
+		for i := len(live) - 1; i >= 0; i-- {
+			events = append(events, engine.Event{Relation: live[i].Relation, Tuple: live[i].Tuple})
+		}
+	}
+	return events
+}
+
+// sawtoothOf mirrors a prefix of the spec's own stream: every event, then
+// their inverses in reverse order, so the views fill and drain to zero.
+func sawtoothOf(spec workload.Spec, n int) []engine.Event {
+	events := spec.Stream(0.1, 3)
+	if len(events) > n {
+		events = events[:n]
+	}
+	for i := len(events) - 1; i >= 0; i-- {
+		events = append(events, engine.Event{Relation: events[i].Relation, Insert: !events[i].Insert, Tuple: events[i].Tuple})
+	}
+	return events
+}
+
+// TestPlannedReevalEquivalence holds the planned statements against every
+// other way the stack has of computing the same views. At every event of a
+// sawtooth stream: the compiled engine ≡ the interpreter (every view) ≡
+// agca.Eval of the query over base relations the test accumulates itself;
+// then sequential ≡ batched at 1/7/64/256-event windows on one and two shards,
+// ≡ a CompileSet engine shared with a partner query, ≡ an engine recovered
+// from a write-ahead log killed at a random byte.
+func TestPlannedReevalEquivalence(t *testing.T) {
+	for qi, q := range plannedQueries {
+		t.Run(q.name, func(t *testing.T) {
+			spec := mustSpec(t, q.name)
+			var events []engine.Event
+			if spec.Group == "finance" {
+				events = sawtoothBook(rand.New(rand.NewSource(int64(qi)+41)), 14)
+			} else {
+				events = sawtoothOf(spec, 60)
+			}
+
+			base := agca.MapDB{}
+			for _, r := range spec.Catalog.Relations() {
+				base[r.Name] = gmr.New(types.Schema(r.Columns))
+			}
+			for name, data := range spec.Statics() {
+				base[name] = data
+			}
+			compiled := newEngineFor(t, spec, compiler.ModeDBToaster)
+			interp := newEngineFor(t, spec, compiler.ModeDBToaster)
+			interp.SetExecMode(engine.ExecInterp)
+			ms, err := workload.Combine([]string{q.name, q.partner})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := newSharedEngine(t, ms)
+
+			// after[i] is the query result after i events.
+			after := []*gmr.GMR{compiled.Result().Clone()}
+			for i, ev := range events {
+				for _, eng := range []*engine.Engine{compiled, interp, shared} {
+					if err := eng.Apply(ev); err != nil {
+						t.Fatalf("event %d %+v: %v", i, ev, err)
+					}
+				}
+				mult := 1.0
+				if !ev.Insert {
+					mult = -1
+				}
+				base[ev.Relation].Add(ev.Tuple, mult)
+				want := agca.Eval(spec.Query.Expr, base, types.Env{})
+				if got := compiled.Result(); !equalIgnoringSchema(want, got) {
+					t.Fatalf("after event %d %+v: compiled engine left the reference\nagca.Eval: %v\ncompiled:  %v", i, ev, want, got)
+				}
+				compareViews(t, fmt.Sprintf("after event %d", i), interp, compiled)
+				if got, _ := shared.ResultFor(q.name); !equalIgnoringSchema(want, got) {
+					t.Fatalf("after event %d: engine shared with %s left the reference\nagca.Eval: %v\nshared:    %v", i, q.partner, want, got)
+				}
+				if t.Failed() {
+					t.FailNow()
+				}
+				after = append(after, compiled.Result().Clone())
+			}
+			if last := after[len(after)-1]; !last.IsEmpty() {
+				t.Fatalf("the sawtooth did not drain the result to zero: %v", last)
+			}
+
+			for _, window := range []int{1, 7, 64, 256} {
+				for _, shards := range []int{1, 2} {
+					solo := newEngineFor(t, spec, compiler.ModeDBToaster)
+					both := newSharedEngine(t, ms)
+					solo.SetShards(shards)
+					both.SetShards(shards)
+					for start := 0; start < len(events); start += window {
+						end := min(start+window, len(events))
+						label := fmt.Sprintf("window=%d shards=%d events [%d,%d)", window, shards, start, end)
+						if err := solo.ApplyBatch(engine.NewBatch(events[start:end])); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if err := both.ApplyBatch(engine.NewBatch(events[start:end])); err != nil {
+							t.Fatalf("%s, shared with %s: %v", label, q.partner, err)
+						}
+						if got := solo.Result(); !equalIgnoringSchema(after[end], got) {
+							t.Fatalf("%s: batched left sequential\nsequential: %v\nbatched:    %v", label, after[end], got)
+						}
+						if got, _ := both.ResultFor(q.name); !equalIgnoringSchema(after[end], got) {
+							t.Fatalf("%s, shared with %s: batched left sequential\nsequential: %v\nbatched:    %v", label, q.partner, after[end], got)
+						}
+					}
+					compareViews(t, fmt.Sprintf("window=%d shards=%d", window, shards), compiled, solo)
+				}
+			}
+
+			rng := rand.New(rand.NewSource(int64(qi)*7907 + 11))
+			units := commitSchedule(rng, len(events))
+			run := func(kill int64) (*wal.FaultFS, int64) {
+				ffs := wal.NewFaultFS()
+				eng := newEngineFor(t, spec, compiler.ModeDBToaster)
+				eng.SetShards(1)
+				if err := eng.SetDurability(engine.DurabilityOptions{
+					Dir: recoveryWalDir, FS: ffs, Sync: wal.SyncEachCommit,
+					CheckpointEvery: recoveryCkptEvery, SynchronousCheckpoints: true,
+					DeltaCheckpoints: true, RebaseEvery: 2,
+				}); err != nil {
+					t.Fatalf("set durability: %v", err)
+				}
+				if kill > 0 {
+					ffs.KillAfter(kill)
+				}
+				off := 0
+				for _, u := range units {
+					if err := applyUnit(eng, events, off, u); err != nil {
+						if kill == 0 {
+							t.Fatalf("durable apply at %d: %v", off, err)
+						}
+						break
+					}
+					off += u.n
+				}
+				clone := ffs.CrashClone()
+				_ = eng.CloseDurability() // reaps the logger; late writes fail against the dead filesystem
+				return clone, ffs.BytesWritten()
+			}
+			_, total := run(0)
+			crashed, _ := run(1 + rng.Int63n(total))
+			rec := newEngineFor(t, spec, compiler.ModeDBToaster)
+			rec.SetShards(1)
+			stats, err := rec.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: crashed})
+			if err != nil {
+				t.Fatalf("recover after kill: %v", err)
+			}
+			requireByteEqual(t, "crash recovery", referenceAt(t, spec, events, units, stats.NextLSN), rec)
+		})
+	}
+}
+
+// countingDB counts the entries a statement visits: a whole relation per scan
+// (and per sorted snapshot built from one), and every entry a probe delivers.
+type countingDB struct {
+	eng     *engine.Engine
+	visited int
+}
+
+func (c *countingDB) Relation(name string) *gmr.GMR {
+	g := c.eng.Relation(name)
+	c.visited += g.Len()
+	return g
+}
+
+func (c *countingDB) ProbeEach(name string, cols []int, vals []types.Value, fn func(gmr.Entry)) {
+	c.eng.ProbeEach(name, cols, vals, func(e gmr.Entry) {
+		c.visited++
+		fn(e)
+	})
+}
+
+// triggerVisits runs the compiled statements of one trigger (all of them, or
+// only the replacements) for the event tuple and returns the entries visited.
+func triggerVisits(t *testing.T, eng *engine.Engine, relation string, tuple types.Tuple, onlyReplace bool) int {
+	t.Helper()
+	trig, ok := eng.Program().TriggerFor(relation, true)
+	if !ok {
+		t.Fatalf("no insert trigger on %s", relation)
+	}
+	db := &countingDB{eng: eng}
+	for i := range trig.Stmts {
+		s := &trig.Stmts[i]
+		if onlyReplace && s.Kind != trigger.StmtReplace {
+			continue
+		}
+		x, err := s.Executor(trig.Args)
+		if err != nil {
+			t.Fatalf("statement %s does not compile: %v", s, err)
+		}
+		if err := x.Run(db, tuple, gmr.New(types.Schema(s.TargetKeys))); err != nil {
+			t.Fatalf("statement %s: %v", s, err)
+		}
+	}
+	return db.visited
+}
+
+// TestPlannedReevalComplexity pins what the planning rules are for. Doubling
+// the order book may raise the entries one MST, PSP or VWAP re-evaluation
+// visits by at most ~2.5x (unplanned: 8x for MST's bid x ask x book loops, 4x
+// for the other two), and the entries a Q17a LINEITEM event visits do not
+// depend on how many parts and line items there are (unplanned: two scans of
+// the PART x LINEITEM map).
+func TestPlannedReevalComplexity(t *testing.T) {
+	order := func(i int) types.Tuple {
+		return types.Tuple{types.Int(int64(i)), types.Int(int64(i)), types.Int(int64(i % 7)),
+			types.Int(int64(1000 + i)), types.Int(int64(1 + i))}
+	}
+	for _, name := range []string{"VWAP", "MST", "PSP"} {
+		eng := newEngineFor(t, mustSpec(t, name), compiler.ModeDBToaster)
+		fill := func(from, to int) {
+			var events []engine.Event
+			for i := from; i < to; i++ {
+				events = append(events,
+					engine.Event{Relation: "BIDS", Insert: true, Tuple: order(i)},
+					engine.Event{Relation: "ASKS", Insert: true, Tuple: order(i)})
+			}
+			if err := eng.ApplyBatch(engine.NewBatch(events)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fill(0, 64)
+		small := triggerVisits(t, eng, "BIDS", order(0), true)
+		fill(64, 128)
+		large := triggerVisits(t, eng, "BIDS", order(0), true)
+		t.Logf("%s tail visits %d entries at 64 orders a side, %d at 128", name, small, large)
+		if small == 0 || float64(large) > 2.5*float64(small) {
+			t.Errorf("%s: doubling the book raised the entries a re-evaluation visits from %d to %d (> 2.5x)", name, small, large)
+		}
+	}
+
+	eng := newEngineFor(t, mustSpec(t, "Q17a"), compiler.ModeDBToaster)
+	lineitem := func(ok, pk int) types.Tuple {
+		return types.Tuple{types.Int(int64(ok)), types.Int(int64(pk)), types.Int(1), types.Int(int64(1 + ok%40)),
+			types.Float(100), types.Float(0), types.Str("N"), types.Int(19950101), types.Int(19950102), types.Int(19950103), types.Str("AIR")}
+	}
+	fill := func(from, to int) {
+		for pk := from; pk < to; pk++ {
+			part := types.Tuple{types.Int(int64(pk)), types.Str("Brand#1"), types.Str("T"), types.Int(1)}
+			if err := eng.Apply(engine.Event{Relation: "PART", Insert: true, Tuple: part}); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 4; k++ {
+				if err := eng.Apply(engine.Event{Relation: "LINEITEM", Insert: true, Tuple: lineitem(pk*4+k, pk)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	fill(0, 50)
+	small := triggerVisits(t, eng, "LINEITEM", lineitem(1000000, 7), false)
+	fill(50, 100)
+	large := triggerVisits(t, eng, "LINEITEM", lineitem(1000000, 7), false)
+	t.Logf("Q17a LINEITEM event visits %d entries at 50 parts, %d at 100", small, large)
+	if small == 0 || large != small {
+		t.Errorf("Q17a: a LINEITEM event visits %d entries at 50 parts and %d at 100; it must not depend on the number of parts", small, large)
+	}
+}

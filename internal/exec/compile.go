@@ -30,6 +30,7 @@ type compiler struct {
 	slots    map[string]int
 	valSizes []int
 	nScratch int
+	nRanges  int
 	// prefills are constant values written into a machine's vals buffers at
 	// machine creation (constant function arguments); the closures never
 	// overwrite those positions.
@@ -84,6 +85,7 @@ func CompileStatement(rhs agca.Expr, targetKeys []string, args []string) (x *Exe
 		nRegs:    len(c.slots),
 		valSizes: c.valSizes,
 		nScratch: c.nScratch,
+		nRanges:  c.nRanges,
 		keySlots: keySlots,
 		prefills: c.prefills,
 	}, nil
@@ -527,21 +529,29 @@ func (c *compiler) compileScalar(e agca.Expr, bound agca.VarSet) scalar {
 			return types.Int(0)
 		}
 	default:
-		// Relational fallback: all output variables must be statically bound
-		// (they then act as filters), and the value is the multiplicity total.
-		for _, v := range agca.OutputVars(e, bound) {
-			if !bound[v] {
-				compilePanic("scalar subquery with statically unbound output variable %q", v)
-			}
+		if rs, ok := c.compileRangeSum(e, bound); ok {
+			return rs
 		}
-		run := c.compile(e, bound, func(m *machine, mult float64) { m.scalarAcc += mult })
-		return func(m *machine) types.Value {
-			saved := m.scalarAcc
-			m.scalarAcc = 0
-			run(m, 1)
-			total := m.scalarAcc
-			m.scalarAcc = saved
-			return types.Float(total)
+		return c.compileSubquery(e, bound)
+	}
+}
+
+// compileSubquery lowers a relational expression in scalar position: all of
+// its output variables must be statically bound (they then act as filters),
+// and the value is the multiplicity total.
+func (c *compiler) compileSubquery(e agca.Expr, bound agca.VarSet) scalar {
+	for _, v := range agca.OutputVars(e, bound) {
+		if !bound[v] {
+			compilePanic("scalar subquery with statically unbound output variable %q", v)
 		}
+	}
+	run := c.compile(e, bound, func(m *machine, mult float64) { m.scalarAcc += mult })
+	return func(m *machine) types.Value {
+		saved := m.scalarAcc
+		m.scalarAcc = 0
+		run(m, 1)
+		total := m.scalarAcc
+		m.scalarAcc = saved
+		return types.Float(total)
 	}
 }

@@ -58,6 +58,9 @@ type machine struct {
 	// the flat tables are Reset (retaining arena and probe-table capacity)
 	// after use, so steady-state materialization allocates nothing.
 	scratch []*gmr.GMR
+	// ranges holds one sorted snapshot per range-sum site (rangesum.go), built
+	// on a site's first evaluation in a run and dropped when the run ends.
+	ranges []rangeSum
 	// keyBuf is the shared key-encoding buffer. Uses never span a downstream
 	// call: every node builds its key, consumes it, and returns before pushing
 	// rows further, so one buffer serves all nodes of the pipeline.
@@ -87,6 +90,7 @@ type Executor struct {
 	nRegs    int
 	valSizes []int
 	nScratch int
+	nRanges  int
 	keySlots []int
 	prefills []prefill
 	pool     sync.Pool
@@ -105,6 +109,7 @@ func (x *Executor) newMachine() *machine {
 		regs:     make([]types.Value, x.nRegs),
 		vals:     make([][]types.Value, len(x.valSizes)),
 		scratch:  make([]*gmr.GMR, x.nScratch),
+		ranges:   make([]rangeSum, x.nRanges),
 		keyBuf:   make([]byte, 0, 64),
 		keyTuple: make(types.Tuple, len(x.keySlots)),
 	}
@@ -120,9 +125,13 @@ func (x *Executor) newMachine() *machine {
 // Run executes the compiled statement: args is the event tuple (one value per
 // trigger argument, in trigger-argument order), db provides the relations and
 // materialized maps the statement reads, and every result row is added into
-// acc keyed by the statement's target keys. Semantic errors (the interpreter's
-// *agca.EvalError panics) are returned as errors. Run is safe for concurrent
-// use; each call draws a pooled machine.
+// acc keyed by the statement's target keys. acc must not be a relation the
+// statement reads: rows are emitted while the pipeline is still scanning, and a
+// range-sum site's sorted snapshot (rangesum.go) is taken once per run. (The
+// engine emits straight into a view only when the right-hand side does not
+// read it.) Semantic errors (the interpreter's *agca.EvalError panics) are
+// returned as errors. Run is safe for concurrent use; each call draws a pooled
+// machine.
 func (x *Executor) Run(db agca.Database, args types.Tuple, acc Accum) error {
 	m, _ := x.pool.Get().(*machine)
 	if m == nil {
@@ -153,6 +162,9 @@ func (x *Executor) runWith(m *machine, db agca.Database, args types.Tuple, acc A
 	copy(m.regs[:x.nArgs], args)
 	defer func() {
 		m.db, m.each, m.acc = nil, nil, nil
+		for i := range m.ranges {
+			m.ranges[i] = rangeSum{}
+		}
 		if r := recover(); r != nil {
 			// A panic mid-pipeline can leave materialization scratch tables
 			// partially filled (their nodes reset them only on normal exit);

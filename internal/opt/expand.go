@@ -107,90 +107,3 @@ func Rebuild(groupBy []string, negated bool, factors []agca.Expr) agca.Expr {
 	}
 	return e
 }
-
-// Factorize reverses polynomial expansion for the common-term case (paper
-// §5.1 rule 2 applied right-to-left): terms of a sum that differ only by a
-// constant multiplier are merged into a single term with a folded
-// coefficient. It is applied after a materialization decision has been made,
-// where expanded form is no longer required.
-func Factorize(e agca.Expr) agca.Expr {
-	s, ok := e.(agca.Sum)
-	if !ok {
-		return e
-	}
-	type bucket struct {
-		expr  agca.Expr
-		coeff float64
-	}
-	var order []string
-	buckets := map[string]*bucket{}
-	for _, t := range s.Terms {
-		coeff, body := splitCoefficient(t)
-		key := agca.String(body)
-		b, seen := buckets[key]
-		if !seen {
-			b = &bucket{expr: body}
-			buckets[key] = b
-			order = append(order, key)
-		}
-		b.coeff += coeff
-	}
-	var terms []agca.Expr
-	for _, k := range order {
-		b := buckets[k]
-		if b.coeff == 0 {
-			continue
-		}
-		if b.coeff == 1 {
-			terms = append(terms, b.expr)
-			continue
-		}
-		terms = append(terms, Simplify(agca.Mul(agca.CF(b.coeff), b.expr)))
-	}
-	switch len(terms) {
-	case 0:
-		return agca.Zero
-	case 1:
-		return terms[0]
-	default:
-		return agca.Sum{Terms: terms}
-	}
-}
-
-// splitCoefficient separates a leading numeric constant (and negations) from
-// the rest of a monomial.
-func splitCoefficient(e agca.Expr) (float64, agca.Expr) {
-	coeff := 1.0
-	cur := e
-	for {
-		switch n := cur.(type) {
-		case agca.Neg:
-			coeff = -coeff
-			cur = n.E
-		case agca.Const:
-			if n.V.IsNumeric() {
-				return coeff * n.V.AsFloat(), agca.One
-			}
-			return coeff, cur
-		case agca.Prod:
-			rest := make([]agca.Expr, 0, len(n.Factors))
-			for _, f := range n.Factors {
-				if c, ok := f.(agca.Const); ok && c.V.IsNumeric() {
-					coeff *= c.V.AsFloat()
-					continue
-				}
-				rest = append(rest, f)
-			}
-			switch len(rest) {
-			case 0:
-				return coeff, agca.One
-			case 1:
-				return coeff, rest[0]
-			default:
-				return coeff, agca.Prod{Factors: rest}
-			}
-		default:
-			return coeff, cur
-		}
-	}
-}

@@ -125,23 +125,6 @@ func TestFactorsAndRebuild(t *testing.T) {
 	}
 }
 
-func TestFactorize(t *testing.T) {
-	// 2*R(A) + 3*R(A) -> 5*R(A)
-	e := agca.Sum{Terms: []agca.Expr{
-		agca.Mul(agca.C(2), agca.R("R", "A")),
-		agca.Mul(agca.C(3), agca.R("R", "A")),
-	}}
-	got := Factorize(e)
-	if agca.String(Simplify(got)) != "(5 * R(A))" {
-		t.Fatalf("Factorize = %s", agca.String(got))
-	}
-	// R(A) - R(A) -> 0
-	e2 := agca.Sum{Terms: []agca.Expr{agca.R("R", "A"), agca.Neg{E: agca.R("R", "A")}}}
-	if !agca.IsZero(Factorize(e2)) {
-		t.Fatalf("Factorize(R - R) = %s", agca.String(Factorize(e2)))
-	}
-}
-
 func TestUnifyJoinEquality(t *testing.T) {
 	// R(a,b) * S(c,d) * (b = c) should become a natural join on one variable.
 	factors := []agca.Expr{
@@ -315,6 +298,144 @@ func TestNormalizeOrderPreservesSemantics(t *testing.T) {
 		want := agca.Eval(ref, db, types.Env{})
 		if !gmr.Equal(got, want, 1e-9) {
 			t.Fatalf("NormalizeOrder changed semantics:\n got %v\nwant %v", got, want)
+		}
+	}
+}
+
+func TestOrderFactorsHoistsReadyLifts(t *testing.T) {
+	// The MST tail's shape: sq1 depends on nothing and sq2 only on a_price, so
+	// sq1 runs before any loop opens and sq2 as soon as M6 has bound a_price,
+	// before the M5 loop opens — not in the innermost body.
+	factors := []agca.Expr{
+		agca.MapRef{Name: "M6", Keys: []string{"a_price"}},
+		agca.MapRef{Name: "M5", Keys: []string{"b_broker", "b_price"}},
+		agca.LiftE("sq1", agca.MapRef{Name: "M1"}),
+		agca.LiftE("sq2", agca.SumOver(nil, agca.Mul(
+			agca.MapRef{Name: "M2", Keys: []string{"a3_price"}},
+			agca.Gt(agca.V("a3_price"), agca.V("a_price"))))),
+		agca.Gt(agca.Mul(agca.CF(0.25), agca.V("sq1")), agca.V("sq2")),
+	}
+	got := agca.String(agca.Mul(OrderFactors(factors, agca.VarSet{})...))
+	want := "((sq1 := M1[]) * M6[a_price] * (sq2 := Sum[]((M2[a3_price] * {a3_price > a_price}))) * {(0.25 * sq1) > sq2} * M5[b_broker,b_price])"
+	if got != want {
+		t.Fatalf("order = %s\n want   %s", got, want)
+	}
+}
+
+// TestOrderFactorsLiftWaitsForCorrelatedSibling pins the guard of
+// loop-invariant scheduling on the delta statements of Q4, Q17a and Q18a: the
+// nested aggregate "sq1 := Sum[](M1[k]) + …" has no *input* variable — with k
+// unbound it is evaluable, as the total over every k — yet it means the lookup
+// correlated on the k of the pending atom, so it must not be hoisted over it.
+func TestOrderFactorsLiftWaitsForCorrelatedSibling(t *testing.T) {
+	m1 := gmr.New(types.Schema{"K"})
+	m2 := gmr.New(types.Schema{"K", "G"})
+	for k := int64(0); k < 6; k++ {
+		m1.Add(it(k), float64(k*40))
+		m2.Add(it(k, k%3), float64(k+1))
+	}
+	db := agca.MapDB{"M1": m1, "M2": m2}
+	env := types.Env{"K_t": types.Int(4), "QTY_t": types.Int(70)}
+	bound := agca.NewVarSet("K_t", "QTY_t")
+	atom := agca.MapRef{Name: "M2", Keys: []string{"k", "g"}}
+	old := agca.SumOver(nil, agca.MapRef{Name: "M1", Keys: []string{"k"}})
+	cases := []struct {
+		name         string
+		groupBy      []string
+		atom, filter agca.Expr
+		lift         agca.Lift
+	}{
+		{"Q4", []string{"g"}, atom, agca.Gt(agca.V("sq1"), agca.C(0)), agca.Lift{Var: "sq1", E: old}},
+		{"Q17a", nil, atom, agca.Lt(agca.Mul(agca.C(20), agca.V("g")), agca.V("sq1")),
+			agca.Lift{Var: "sq1", E: agca.Add(old, agca.SumOver(nil, agca.Mul(agca.LiftE("k", agca.V("K_t")), agca.V("QTY_t"))))}},
+		{"Q18a", []string{"g"}, atom, agca.Lt(agca.C(100), agca.V("sq1")), agca.Lift{Var: "sq1", E: old}},
+	}
+	for _, c := range cases {
+		// Reference: the atom binds k before the lift reads it.
+		want := agca.Eval(agca.SumOver(c.groupBy, agca.Mul(c.atom, c.lift, c.filter)), db, env)
+		got := NormalizeOrder(agca.SumOver(c.groupBy, agca.Mul(c.lift, c.filter, c.atom)), bound)
+		first := got.(agca.AggSum).E.(agca.Prod).Factors[0]
+		if _, isLift := first.(agca.Lift); isLift {
+			t.Errorf("%s: correlated lift hoisted over the atom that binds k: %s", c.name, agca.String(got))
+		}
+		if res := agca.Eval(got, db, env); !gmr.Equal(res, want, 1e-9) {
+			t.Errorf("%s: %s\n got %v\nwant %v", c.name, agca.String(got), res, want)
+		}
+	}
+}
+
+func TestFactorize(t *testing.T) {
+	a := agca.MapRef{Name: "A", Keys: []string{"k", "x"}}
+	b := agca.MapRef{Name: "B", Keys: []string{"y"}}
+	filter := agca.Gt(agca.V("y"), agca.V("t"))
+	cases := []struct {
+		name string
+		in   agca.Expr
+		keep []string
+		want string
+	}{
+		{"independent loop is summed on its own",
+			agca.SumOver([]string{"k"}, agca.Mul(a, b, filter)), nil,
+			"Sum[k]((A[k,x] * (c1 := Sum[]((B[y] * {y > t}))) * c1))"},
+		{"a closed lift is a cut point, not a link",
+			agca.SumOver([]string{"k"}, agca.Mul(agca.LiftE("s", agca.MapRef{Name: "T"}), a, agca.Gt(agca.V("x"), agca.V("s")), b, agca.Gt(agca.V("y"), agca.V("s")))), nil,
+			"Sum[k](((s := T[]) * A[k,x] * {x > s} * (c1 := Sum[]((B[y] * {y > s}))) * c1))"},
+		{"every group without exports is summed",
+			agca.SumOver([]string{}, agca.Mul(a, b)), nil,
+			"Sum[](((c1 := Sum[](A[k,x])) * c1 * (c2 := Sum[](B[y])) * c2))"},
+		{"an unbound target key is an export",
+			agca.SumOver([]string{}, agca.Mul(a, b)), []string{"y"},
+			"Sum[](((c1 := Sum[](A[k,x])) * c1 * B[y]))"},
+		{"a bound group-by variable is still an export",
+			agca.SumOver([]string{"t"}, agca.Mul(agca.MapRef{Name: "A", Keys: []string{"t", "x"}}, b)), nil,
+			"Sum[t]((A[t,x] * (c1 := Sum[](B[y])) * c1))"},
+		{"shared variable: one group, unchanged",
+			agca.SumOver([]string{"k"}, agca.Mul(a, agca.MapRef{Name: "B", Keys: []string{"x"}})), nil,
+			"Sum[k]((A[k,x] * B[x]))"},
+		{"a probe is not a loop",
+			agca.SumOver([]string{"k"}, agca.Mul(a, agca.MapRef{Name: "B", Keys: []string{"t"}})), nil,
+			"Sum[k]((A[k,x] * B[t]))"},
+		{"fresh names avoid the statement's variables",
+			agca.SumOver([]string{"c1"}, agca.Mul(agca.MapRef{Name: "A", Keys: []string{"c1"}}, b)), nil,
+			"Sum[c1]((A[c1] * (c2 := Sum[](B[y])) * c2))"},
+	}
+	for _, c := range cases {
+		got := Factorize(c.in, agca.NewVarSet("t"), c.keep)
+		if agca.String(got) != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, agca.String(got), c.want)
+		}
+		if again := Factorize(c.in, agca.NewVarSet("t"), c.keep); agca.String(again) != agca.String(got) {
+			t.Errorf("%s: not deterministic: %s vs %s", c.name, agca.String(again), agca.String(got))
+		}
+	}
+}
+
+func TestFactorizePreservesSemantics(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	q := agca.Add(
+		agca.SumOver([]string{"k"}, agca.Mul(
+			agca.MapRef{Name: "A", Keys: []string{"k", "x"}},
+			agca.MapRef{Name: "B", Keys: []string{"y"}},
+			agca.LiftE("s", agca.MapRef{Name: "T"}),
+			agca.LiftE("above", agca.SumOver(nil, agca.Mul(agca.MapRef{Name: "B", Keys: []string{"y2"}}, agca.Gt(agca.V("y2"), agca.V("y"))))),
+			agca.Gt(agca.V("s"), agca.V("above")),
+			agca.V("x"))),
+		agca.Neg{E: agca.SumOver([]string{"k"}, agca.Mul(
+			agca.MapRef{Name: "A", Keys: []string{"k", "x"}},
+			agca.MapRef{Name: "B", Keys: []string{"y"}},
+			agca.V("y")))})
+	for trial := 0; trial < 20; trial++ {
+		a := gmr.New(types.Schema{"K", "X"})
+		b := gmr.New(types.Schema{"Y"})
+		for i := 0; i < rng.Intn(7); i++ {
+			a.Add(it(int64(rng.Intn(3)), int64(rng.Intn(5))), float64(1+rng.Intn(3)))
+			b.Add(it(int64(rng.Intn(5))), float64(1+rng.Intn(3)))
+		}
+		db := agca.MapDB{"A": a, "B": b, "T": gmr.NewScalar(float64(rng.Intn(8)))}
+		want := agca.Eval(NormalizeOrder(q, agca.VarSet{}), db, types.Env{})
+		planned := NormalizeOrder(Factorize(q, agca.VarSet{}, []string{"k"}), agca.VarSet{})
+		if got := agca.Eval(planned, db, types.Env{}); !gmr.Equal(got, want, 1e-9) {
+			t.Fatalf("trial %d: %s\n got %v\nwant %v", trial, agca.String(planned), got, want)
 		}
 	}
 }

@@ -6,9 +6,11 @@ import (
 
 // OrderFactors reorders the factors of a monomial so that the interpreter's
 // left-to-right sideways-binding evaluation is both correct (no factor is
-// evaluated before its parameters are bound) and efficient (cheap binding
-// factors and filters run before joins, relation atoms are probed with as
-// many bound keys as possible).
+// evaluated before its parameters are bound) and efficient: cheap bindings
+// and filters run first, then fully-bound lookups, then nested aggregates
+// whose inputs are bound — loop-invariant scheduling: a lift is evaluated
+// before, not inside, any loop it does not depend on — and only then the atoms
+// that open a loop, probed with as many bound keys as possible.
 func OrderFactors(factors []agca.Expr, bound agca.VarSet) []agca.Expr {
 	remaining := make([]agca.Expr, len(factors))
 	copy(remaining, factors)
@@ -19,12 +21,10 @@ func OrderFactors(factors []agca.Expr, bound agca.VarSet) []agca.Expr {
 		best, bestScore := -1, -1
 		for i, f := range remaining {
 			score, ok := factorScore(f, cur)
-			if !ok {
+			if !ok || score <= bestScore || score == nestedScore && awaitsSibling(remaining, i, cur) {
 				continue
 			}
-			if score > bestScore {
-				best, bestScore = i, score
-			}
+			best, bestScore = i, score
 		}
 		if best < 0 {
 			// No factor is fully parameterized; fall back to the original
@@ -41,24 +41,52 @@ func OrderFactors(factors []agca.Expr, bound agca.VarSet) []agca.Expr {
 	return out
 }
 
+// nestedScore is the score of a ready scalar-context factor (lift, comparison,
+// division, function) that holds a nested query: below the fully-bound
+// lookups, above every atom that opens a loop.
+const nestedScore = 70
+
+// awaitsSibling reports whether the nested query inside the scalar-context
+// factor remaining[i] mentions a variable that a pending sibling still has to
+// bind. Such a variable is not an *input* of the factor — "sq := Sum[](M[k])"
+// is evaluable with k unbound, summing over every k — but the query means the
+// correlated lookup, so the factor must wait for the sibling that produces k.
+func awaitsSibling(remaining []agca.Expr, i int, cur agca.VarSet) bool {
+	vars := agca.AllVars(remaining[i])
+	for j, f := range remaining {
+		if j == i {
+			continue
+		}
+		for _, v := range agca.OutputVars(f, cur) {
+			if vars[v] && !cur[v] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // factorScore rates a factor for scheduling under the current bound set. The
 // boolean is false when the factor's parameters are not yet bound.
 func factorScore(f agca.Expr, bound agca.VarSet) (int, bool) {
 	inputsReady := len(agca.InputVars(f, bound)) == 0
 	switch n := f.(type) {
-	case agca.Lift:
-		if !inputsReady || !scalarOperandsBound(n.E, bound) {
+	case agca.Lift, agca.Cmp, agca.Var, agca.Const, agca.Func, agca.Div:
+		if !inputsReady {
 			return 0, false
 		}
-		if agca.HasRelOrMap(n.E) {
-			return 10, true // nested aggregate: evaluable but not free
-		}
-		return 100, true // cheap binding (constant / trigger argument)
-	case agca.Cmp, agca.Var, agca.Const, agca.Func, agca.Div:
-		if !inputsReady || !scalarOperandsBound(f, bound) {
+		ready, nested := scalarOperandsBound(f, bound)
+		_, isLift := f.(agca.Lift)
+		switch {
+		case !ready:
 			return 0, false
+		case nested:
+			return nestedScore, true // not free, but cheaper outside a loop
+		case isLift:
+			return 100, true // cheap binding (constant / trigger argument)
+		default:
+			return 90, true // filters and value factors prune early
 		}
-		return 90, true // filters and value factors prune early
 	case agca.Rel, agca.MapRef:
 		// Atoms are always evaluable; prefer those with more bound keys.
 		var keys []string
@@ -86,13 +114,15 @@ func factorScore(f agca.Expr, bound agca.VarSet) (int, bool) {
 }
 
 // scalarOperandsBound reports whether a factor used in scalar context (a
-// comparison, division, function, or lift body) can be evaluated under the
-// given bound set: any correlated subquery among its operands must have all
-// of its output variables bound, because its value is the multiplicity of the
-// single consistent group.
-func scalarOperandsBound(f agca.Expr, bound agca.VarSet) bool {
+// comparison, division, function, or lift) can be evaluated under the given
+// bound set: any correlated subquery among its operands must have all of its
+// output variables bound, because its value is the multiplicity of the single
+// consistent group. nested reports whether any operand holds such a subquery.
+func scalarOperandsBound(f agca.Expr, bound agca.VarSet) (ready, nested bool) {
 	var operands []agca.Expr
 	switch n := f.(type) {
+	case agca.Lift:
+		operands = []agca.Expr{n.E}
 	case agca.Cmp:
 		operands = []agca.Expr{n.L, n.R}
 	case agca.Div:
@@ -106,13 +136,14 @@ func scalarOperandsBound(f agca.Expr, bound agca.VarSet) bool {
 		if !agca.HasRelOrMap(op) {
 			continue
 		}
+		nested = true
 		for _, v := range agca.OutputVars(op, bound) {
 			if !bound[v] {
-				return false
+				return false, true
 			}
 		}
 	}
-	return true
+	return true, nested
 }
 
 // NormalizeOrder applies OrderFactors to every product in the expression,

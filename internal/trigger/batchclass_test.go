@@ -43,64 +43,41 @@ func vwapProgram() *Program {
 	}
 }
 
-func TestRelationBatchClass(t *testing.T) {
-	// Pure commuting increments classify as before.
-	p := testProgram()
-	if got := p.RelationBatchClass("R"); got != BatchCommute {
-		t.Fatalf("RelationBatchClass(R) = %v, want BatchCommute", got)
+func TestRelationBatchSplitRejections(t *testing.T) {
+	rejected := func(t *testing.T, what string, p *Program) {
+		t.Helper()
+		if class, seq := p.RelationBatchSplit("B"); class != BatchNone || seq != nil {
+			t.Fatalf("%s: split = (%v, %v), want (BatchNone, nil)", what, class, seq)
+		}
 	}
-	if got := p.RelationBatchClass("T"); got != BatchNone {
-		t.Fatalf("RelationBatchClass(T) = %v, want BatchNone", got)
-	}
-
-	// The VWAP shape earns the re-evaluation-tail class.
-	p = vwapProgram()
-	if got := p.RelationBatchClass("B"); got != BatchReevalTail {
-		t.Fatalf("RelationBatchClass(B) = %v, want BatchReevalTail", got)
-	}
-	if p.RelationBatchable("B") {
-		t.Fatal("a re-evaluation tail must not report plain batchable")
-	}
-}
-
-func TestRelationBatchClassRejections(t *testing.T) {
 	// A replacement whose RHS mentions a trigger argument depends on which
 	// event runs it.
 	p := vwapProgram()
 	last := len(p.Triggers[0].Stmts) - 1
 	p.Triggers[0].Stmts[last].RHS = agca.V("p")
-	if got := p.RelationBatchClass("B"); got != BatchNone {
-		t.Fatalf("argument-reading replacement: class = %v, want BatchNone", got)
-	}
+	rejected(t, "argument-reading replacement", p)
 
 	// An increment after the replacement breaks the prefix/tail split.
 	p = vwapProgram()
 	stmts := p.Triggers[0].Stmts
 	stmts[1], stmts[2] = stmts[2], stmts[1]
-	if got := p.RelationBatchClass("B"); got != BatchNone {
-		t.Fatalf("increment after replacement: class = %v, want BatchNone", got)
-	}
+	rejected(t, "increment after replacement", p)
 
 	// An increment reading a replaced map would observe stale tails
 	// mid-window.
 	p = vwapProgram()
 	p.Triggers[0].Stmts[0].RHS = agca.MapRef{Name: "VWAP"}
-	if got := p.RelationBatchClass("B"); got != BatchNone {
-		t.Fatalf("increment reading replaced map: class = %v, want BatchNone", got)
-	}
+	rejected(t, "increment reading replaced map", p)
 
 	// Diverging tails across the insert and delete triggers.
 	p = vwapProgram()
 	p.Triggers[1].Stmts[last].RHS = agca.MapRef{Name: "SUMV"}
-	if got := p.RelationBatchClass("B"); got != BatchNone {
-		t.Fatalf("diverging tails: class = %v, want BatchNone", got)
-	}
+	rejected(t, "diverging tails", p)
 }
 
 // mergedProgram extends the VWAP shape with a second query's statements the
 // way CompileSet merges triggers: BSV reads AUX, which the same trigger
-// maintains — a conflict that sinks whole-trigger classification but must
-// only sink its own closure under the statement-level split.
+// maintains — a conflict that must only sink its own closure.
 func mergedProgram() *Program {
 	p := vwapProgram()
 	for ti := range p.Triggers {
@@ -118,7 +95,8 @@ func mergedProgram() *Program {
 }
 
 func TestRelationBatchSplit(t *testing.T) {
-	// No conflicts: empty closure, class as before.
+	// The VWAP shape — commuting increments, then an argument-independent
+	// replacement — earns the re-evaluation-tail class with an empty closure.
 	p := vwapProgram()
 	class, seq := p.RelationBatchSplit("B")
 	if class != BatchReevalTail || len(seq) != 0 {
@@ -129,9 +107,6 @@ func TestRelationBatchSplit(t *testing.T) {
 	// the conflicting statement and the maintenance of the map it reads —
 	// in both directions — while the clean statements stay batchable.
 	p = mergedProgram()
-	if got := p.RelationBatchClass("B"); got != BatchNone {
-		t.Fatalf("whole-trigger class = %v, want BatchNone (conflict present)", got)
-	}
 	class, seq = p.RelationBatchSplit("B")
 	if class != BatchReevalTail {
 		t.Fatalf("split class = %v, want BatchReevalTail", class)

@@ -269,37 +269,21 @@ const (
 	BatchReevalTail
 )
 
-// RelationBatchable reports whether the triggers of relation commute across a
-// window of events on that relation (class BatchCommute). Kept as the
-// boolean entry point; RelationBatchClass is the full classification.
-func (p *Program) RelationBatchable(relation string) bool {
-	return p.RelationBatchClass(relation) == BatchCommute
-}
-
-// RelationBatchClass classifies the triggers of relation for batched
-// execution. BatchCommute requires increments only, none reading a map that
-// any trigger of the relation writes (including the base relation itself — a
-// statement scanning it must not batch with its updates). BatchReevalTail
-// additionally allows a trailing run of StmtReplace statements per trigger
-// when (a) every replacement RHS mentions no trigger argument, so the tail
-// computes the same result regardless of which event runs it, (b) no
-// increment reads a replaced map (otherwise mid-window events would observe
-// stale tails), and (c) insert and delete triggers carry identical tails, so
-// the window can run any one of them. Everything else is BatchNone.
-func (p *Program) RelationBatchClass(relation string) BatchClass {
-	class, seq := p.RelationBatchSplit(relation)
-	if len(seq) > 0 {
-		// Whole-trigger semantics: any conflicting statement sinks the class.
-		return BatchNone
-	}
-	return class
-}
-
-// RelationBatchSplit refines RelationBatchClass to statement granularity.
-// In a merged multi-query program one query's conflicting statements would
-// otherwise sink the whole relation to BatchNone for every query sharing the
-// trigger; the split instead isolates the conflict closure and lets the rest
-// of the trigger batch.
+// RelationBatchSplit classifies the triggers of relation for batched
+// execution, at statement granularity.
+//
+// BatchCommute requires increments only; BatchReevalTail additionally allows
+// a trailing run of StmtReplace statements per trigger when (a) every
+// replacement RHS mentions no trigger argument, so the tail computes the same
+// result regardless of which event runs it, and (b) insert and delete
+// triggers carry identical tails, so the window can run any one of them.
+//
+// An increment that reads a map the relation's triggers write (including the
+// base relation itself — a statement scanning it must not batch with its
+// updates) does not commute with the window. In a merged multi-query program
+// such a statement of one query would otherwise sink the whole relation to
+// BatchNone for every query sharing the trigger; the split instead isolates
+// the conflict closure and lets the rest of the trigger batch.
 //
 // It returns the batch class together with, per trigger key, the sorted
 // indices of the increment statements that must run per-event: every

@@ -63,37 +63,42 @@ func TestEventWriteSet(t *testing.T) {
 	}
 }
 
-func TestRelationBatchable(t *testing.T) {
+func TestRelationBatchSplitCommuting(t *testing.T) {
 	p := testProgram()
 	for _, rel := range []string{"R", "S"} {
-		if !p.RelationBatchable(rel) {
-			t.Fatalf("%s should be batchable: reads and writes are disjoint", rel)
+		if class, seq := p.RelationBatchSplit(rel); class != BatchCommute || len(seq) != 0 {
+			t.Fatalf("%s: split = (%v, %v), want (BatchCommute, none): reads and writes are disjoint", rel, class, seq)
 		}
 	}
-	if p.RelationBatchable("T") {
-		t.Fatal("relation without triggers must not be batchable")
+	if class, seq := p.RelationBatchSplit("T"); class != BatchNone || seq != nil {
+		t.Fatalf("relation without triggers: split = (%v, %v), want (BatchNone, nil)", class, seq)
 	}
 }
 
-func TestRelationBatchableConflicts(t *testing.T) {
-	// A trigger whose statement reads a map the same event window writes.
+func TestRelationBatchSplitConflicts(t *testing.T) {
+	// A statement reading a map the same event window writes replays per
+	// event, together with the statement maintaining that map.
 	p := testProgram()
 	p.Triggers[0].Stmts[0].RHS = agca.Mul(agca.V("v"), agca.MapRef{Name: "MR", Keys: []string{"a"}})
-	if p.RelationBatchable("R") {
-		t.Fatal("read/write overlap on MR must disable batching for R")
+	class, seq := p.RelationBatchSplit("R")
+	if class != BatchCommute || !reflect.DeepEqual(seq, map[string][]int{"+R": {0, 1}}) {
+		t.Fatalf("read/write overlap on MR: split = (%v, %v), want (BatchCommute, +R:[0 1])", class, seq)
 	}
 
-	// A replacement statement forces sequential order.
+	// A replacement statement that reads a trigger argument forces sequential
+	// order for the whole relation.
 	p = testProgram()
 	p.Triggers[0].Stmts[1].Kind = StmtReplace
-	if p.RelationBatchable("R") {
-		t.Fatal("replacement statements must disable batching")
+	if class, seq := p.RelationBatchSplit("R"); class != BatchNone || seq != nil {
+		t.Fatalf("argument-reading replacement: split = (%v, %v), want (BatchNone, nil)", class, seq)
 	}
 
-	// A statement that scans the updated base relation itself.
+	// A statement that scans the updated base relation itself must not batch
+	// with its updates.
 	p = testProgram()
 	p.Triggers[0].Stmts[0].RHS = agca.R("R", "a", "v")
-	if p.RelationBatchable("R") {
-		t.Fatal("reading the updated relation must disable batching")
+	class, seq = p.RelationBatchSplit("R")
+	if class != BatchCommute || !reflect.DeepEqual(seq, map[string][]int{"+R": {0}}) {
+		t.Fatalf("reading the updated relation: split = (%v, %v), want (BatchCommute, +R:[0])", class, seq)
 	}
 }

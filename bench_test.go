@@ -46,52 +46,6 @@ func runCell(b *testing.B, query string, sys bench.System) {
 	b.ReportMetric(float64(last.MemBytes)/1024, "viewKB")
 }
 
-// --- Compiled executors vs the interpreter, per-event hot path --------------
-
-// benchEval measures the steady-state per-event cost of Apply for one query
-// under the given statement executors: the engine is warmed on a stream
-// prefix, then events from a rotating window are applied b.N times. allocs/op
-// is the per-event allocation count of the executor hot path.
-func benchEval(b *testing.B, query string, mode engine.ExecMode) {
-	eng := benchEngine(b, query, nil)
-	eng.SetExecMode(mode)
-	spec, _ := workload.Get(query)
-	events := spec.Stream(0.2, 1)
-	warm := len(events) / 2
-	for _, ev := range events[:warm] {
-		if err := eng.Apply(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-	window := events[warm:]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.Apply(window[i%len(window)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// evalQueries is the per-event executor comparison set: the batch-sweep
-// TPC-H queries plus one query per non-TPCH workload group.
-var evalQueries = []string{"Q1", "Q3", "Q6", "Q11a", "Q12", "VWAP", "MDDB1"}
-
-// BenchmarkEvalInterp is the tree-walking interpreter baseline.
-func BenchmarkEvalInterp(b *testing.B) {
-	for _, q := range evalQueries {
-		b.Run(q, func(b *testing.B) { benchEval(b, q, engine.ExecInterp) })
-	}
-}
-
-// BenchmarkEvalCompiled runs the same per-event workload through the
-// compiled closure executors (internal/exec).
-func BenchmarkEvalCompiled(b *testing.B) {
-	for _, q := range evalQueries {
-		b.Run(q, func(b *testing.B) { benchEval(b, q, engine.ExecCompiled) })
-	}
-}
-
 // --- Planned statements: re-evaluation tails and nested-aggregate deltas -----
 
 // benchEngine compiles the query in DBToaster mode and applies the events.
@@ -182,18 +136,6 @@ func BenchmarkNestedDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkExecSweep logs the full interpreter-vs-compiled refresh-rate
-// table (the exec_throughput experiment).
-func BenchmarkExecSweep(b *testing.B) {
-	opts := benchOpts()
-	var table string
-	for i := 0; i < b.N; i++ {
-		results := bench.ExecSweep([]string{"Q1", "Q3", "Q6", "Q11a", "Q12"}, opts)
-		table = bench.FormatExecTable(results)
-	}
-	b.Log("\nStatement executors (DBToaster refreshes per second):\n" + table)
-}
-
 // --- Figure 6 / Figure 7: per-query refresh rates for every system ---------
 
 func BenchmarkFig7TPCHQ1DBToaster(b *testing.B)      { runCell(b, "Q1", bench.Systems[3]) }
@@ -223,22 +165,6 @@ func BenchmarkFig7FullTable(b *testing.B) {
 		table = bench.FormatRefreshTable(results)
 	}
 	b.Log("\nFigure 7 (view refreshes per second):\n" + table)
-}
-
-// --- Batched execution: refresh rate by batch size --------------------------
-
-// BenchmarkBatchSweep measures the shard-parallel batch pipeline against the
-// one-trigger-per-event baseline (batch size 1) for a representative set of
-// TPC-H queries in DBToaster mode.
-func BenchmarkBatchSweep(b *testing.B) {
-	sizes := []int{1, 16, 256}
-	opts := benchOpts()
-	var table string
-	for i := 0; i < b.N; i++ {
-		results := bench.BatchSweep([]string{"Q1", "Q3", "Q6", "Q11a", "Q12"}, sizes, opts)
-		table = bench.FormatBatchTable(results, sizes)
-	}
-	b.Log("\nBatched execution (DBToaster refreshes per second):\n" + table)
 }
 
 // --- Figures 8-10: refresh-rate and memory traces over the stream ----------

@@ -1,70 +1,52 @@
 // Command dbtbench runs the paper's experiments from the command line: the
 // Figure 6/7 refresh-rate matrix, the Figure 8-10 traces, the Figure 11
-// scaling series, the Figure 2 compilation table, and the engine-layer
-// experiments added since (batch pipeline, executors, serving, durability).
+// scaling series and the Figure 2 compilation table. This stack's own
+// performance claims are measured by benchmark/run.sh (BENCHMARK.json), not
+// here.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"dbtoaster/internal/bench"
 	"dbtoaster/internal/compiler"
-	"dbtoaster/internal/engine"
 	"dbtoaster/internal/workload"
 )
 
+const experiments = "fig6_7 | fig8_traces | fig9_traces | fig10_traces | fig11_scaling | fig2_features"
+
 func main() {
-	// Single exit point: every error path returns through run, so deferred
-	// cleanups (WAL closes, temp directories) actually execute.
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "dbtbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dbtbench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "fig6_7", "fig6_7 | fig8_traces | fig9_traces | fig10_traces | fig11_scaling | fig2_features | batch_throughput | batch_scaling | exec_throughput | gmr_memory | read_freshness | read_fanout | wal_overhead | recovery_time | ckpt_delta | mqo")
+	experiment := fs.String("experiment", "fig6_7", experiments)
 	queries := fs.String("queries", "", "comma-separated query names (default: all for the experiment)")
 	scale := fs.Float64("scale", 0.25, "stream scale factor")
 	budget := fs.Duration("budget", 2*time.Second, "per-cell time budget")
 	seed := fs.Int64("seed", 1, "stream generator seed")
-	batch := fs.Int("batch", 1, "events per batch window (>1 uses the shard-parallel batch pipeline)")
-	shards := fs.Int("shards", 0, "shard workers for batched execution (0 = GOMAXPROCS)")
-	execFlag := fs.String("exec", "compiled", "statement executors: compiled | interp | verify")
-	readers := fs.Int("readers", 2, "concurrent snapshot readers (read_freshness experiment)")
-	subsFlag := fs.String("subs", "1,64,1024", "comma-separated TCP subscriber counts for read_fanout (a subs=0 baseline and a slow-client cell are always added)")
-	guard := fs.String("guard", "", "comma-separated queries the batch_scaling guard enforces (empty = report only)")
-	walFlag := fs.String("wal", "", "log directory for the durability experiments (empty = per-cell temp dirs; \"mem\" = in-memory filesystem for wal_overhead, isolating the software path from the device)")
-	ckptEvery := fs.Uint64("ckpt-every", 0, "checkpoint interval in events for recovery_time (0 = sweep log-only, coarse and fine)")
-	sizesFlag := fs.String("sizes", "", "comma-separated query-set sizes for the mqo experiment (default 1,4,9,18)")
-	jsonOut := fs.String("json", "", "write the mqo experiment results as JSON to this path (the BENCH_mqo.json artifact)")
+	// A bad flag is reported once, by the caller, on one line.
+	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(out)
+			fs.Usage()
+			return nil
+		}
+		return fmt.Errorf("%w (experiments: %s)", err, experiments)
 	}
 
-	// SIGINT/SIGTERM: flush and close any armed write-ahead logs, then exit —
-	// an interrupted benchmark must not leave a log dying mid-write.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		bench.Shutdown()
-		fmt.Fprintf(os.Stderr, "dbtbench: interrupted (%v), write-ahead logs closed\n", s)
-		os.Exit(130)
-	}()
-
-	execMode, err := engine.ParseExecMode(*execFlag)
-	if err != nil {
-		return err
-	}
-	opts := bench.Options{Scale: *scale, Seed: *seed, Budget: *budget, BatchSize: *batch, Shards: *shards, Exec: execMode}
+	opts := bench.Options{Scale: *scale, Seed: *seed, Budget: *budget}
 	pick := func(def []string) []string {
 		if *queries == "" {
 			return def
@@ -75,8 +57,8 @@ func run(args []string) error {
 	switch *experiment {
 	case "fig6_7":
 		results := bench.RunAll(pick(workload.Names("")), opts)
-		fmt.Println("Figure 6/7 — view refreshes per second:")
-		fmt.Print(bench.FormatRefreshTable(results))
+		fmt.Fprintln(out, "Figure 6/7 — view refreshes per second:")
+		fmt.Fprint(out, bench.FormatRefreshTable(results))
 	case "fig8_traces", "fig9_traces", "fig10_traces":
 		defaults := map[string][]string{
 			"fig8_traces":  {"Q1", "Q3", "Q11a"},
@@ -93,7 +75,7 @@ func run(args []string) error {
 				if err != nil {
 					return fmt.Errorf("%s/%s: %w", q, sys.Name, err)
 				}
-				fmt.Print(bench.FormatTrace(q, sys.Name, points))
+				fmt.Fprint(out, bench.FormatTrace(q, sys.Name, points))
 			}
 		}
 	case "fig11_scaling":
@@ -107,121 +89,17 @@ func run(args []string) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", q, err)
 			}
-			fmt.Print(bench.FormatScaling(q, points))
-		}
-	case "batch_throughput":
-		sizes := []int{1, 16, 256}
-		results := bench.BatchSweep(pick(workload.Names("tpch")), sizes, opts)
-		fmt.Println("Batched execution — DBToaster refreshes per second by batch size:")
-		fmt.Print(bench.FormatBatchTable(results, sizes))
-	case "batch_scaling":
-		shardCounts := []int{1, 2, 4, 8}
-		results := bench.BatchScaling(pick([]string{"Q1", "Q6", "VWAP", "Q3", "Q12"}), shardCounts, opts)
-		fmt.Println("Columnar batch pipeline — events/s: row path baseline vs columnar by shard count:")
-		fmt.Print(bench.FormatBatchScalingTable(results, shardCounts))
-		if *guard != "" {
-			if err := bench.CheckBatchScaling(results, strings.Split(*guard, ","), shardCounts[len(shardCounts)-1]); err != nil {
-				return err
-			}
-			fmt.Printf("batch scaling guard passed for %s\n", *guard)
-		}
-	case "exec_throughput":
-		results := bench.ExecSweep(pick(workload.Names("")), opts)
-		fmt.Println("Statement executors — DBToaster refreshes per second, interpreter vs compiled:")
-		fmt.Print(bench.FormatExecTable(results))
-	case "read_freshness":
-		results := bench.ReadFreshness(pick([]string{"Q1", "Q3", "Q6", "VWAP"}), []int{1, 4}, *readers, opts)
-		fmt.Println("Serving layer — write throughput vs reader QPS and snapshot staleness (DBToaster, batched replay):")
-		fmt.Print(bench.FormatFreshnessTable(results))
-	case "read_fanout":
-		var subCounts []int
-		for _, s := range strings.Split(*subsFlag, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n < 1 {
-				return fmt.Errorf("bad -subs entry %q", s)
-			}
-			subCounts = append(subCounts, n)
-		}
-		results := bench.ReadFanout(pick([]string{"Q1", "Q3", "VWAP"}), subCounts, opts)
-		fmt.Println("Networked fan-out — writer throughput and subscriber staleness vs TCP subscriber count (DBToaster, batched replay):")
-		fmt.Print(bench.FormatFanoutTable(results))
-		if *guard != "" {
-			if err := bench.CheckFanout(results, strings.Split(*guard, ","), subCounts[len(subCounts)-1]); err != nil {
-				return err
-			}
-			fmt.Printf("fanout guard passed for %s\n", *guard)
-		}
-	case "gmr_memory":
-		results := bench.MemoryProfile(pick([]string{"Q1", "Q3", "Q6", "Q12", "Q18a", "VWAP", "MDDB1"}), opts)
-		fmt.Println("GMR storage — flat-store view accounting vs runtime heap (compiled replay):")
-		fmt.Print(bench.FormatMemoryTable(results))
-	case "wal_overhead":
-		results := bench.WalOverhead(pick([]string{"Q1", "Q6", "VWAP"}), opts, *walFlag)
-		medium := "real disk"
-		if *walFlag == "mem" {
-			medium = "in-memory fs"
-		}
-		fmt.Printf("Write-ahead log — batched events/s memory-only vs logged, by sync policy (log-only, %s):\n", medium)
-		fmt.Print(bench.FormatWalTable(results))
-	case "recovery_time":
-		sweep := []uint64{0, 50000, 10000}
-		if *ckptEvery > 0 {
-			sweep = []uint64{*ckptEvery}
-		}
-		results := bench.RecoveryTime(pick([]string{"Q1", "Q6", "VWAP"}), sweep, opts, *walFlag)
-		fmt.Println("Recovery — durable replay then crash-free recovery, by checkpoint interval (0 = log only):")
-		fmt.Print(bench.FormatRecoveryTable(results))
-		for _, r := range results {
-			if r.Err != nil {
-				return fmt.Errorf("recovery_time %s ckpt=%d: %w", r.Query, r.CkptEvery, r.Err)
-			}
-		}
-	case "ckpt_delta":
-		results := bench.CkptDelta(pick([]string{"Q3", "Q4", "Q10", "Q12"}), opts, *walFlag)
-		fmt.Println("Incremental checkpoints — steady-state checkpoint bytes under hot-key churn, full images vs delta chains:")
-		fmt.Print(bench.FormatCkptDeltaTable(results))
-		for _, r := range results {
-			if r.Err != nil {
-				return fmt.Errorf("ckpt_delta %s %s: %w", r.Query, r.Mode, r.Err)
-			}
-		}
-	case "mqo":
-		order := pick(bench.MQOOrder)
-		sizes := bench.MQOSizes
-		if *sizesFlag != "" {
-			sizes = nil
-			for _, s := range strings.Split(*sizesFlag, ",") {
-				var n int
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n < 1 {
-					return fmt.Errorf("bad -sizes entry %q", s)
-				}
-				sizes = append(sizes, n)
-			}
-		}
-		modes := []compiler.Mode{compiler.ModeDBToaster, compiler.ModeIVM}
-		results := bench.MQO(sizes, modes, order, opts)
-		fmt.Println("Multi-query optimization — hash-consed shared engine vs one engine per query:")
-		fmt.Print(bench.FormatMQOTable(results))
-		for _, r := range results {
-			if r.Err != nil {
-				return fmt.Errorf("mqo %s k=%d: %w", r.Mode, r.SetSize, r.Err)
-			}
-		}
-		if *jsonOut != "" {
-			if err := bench.WriteMQOJSON(*jsonOut, results, opts); err != nil {
-				return err
-			}
-			fmt.Printf("results written to %s\n", *jsonOut)
+			fmt.Fprint(out, bench.FormatScaling(q, points))
 		}
 	case "fig2_features":
 		infos, err := bench.CompileAll()
 		if err != nil {
 			return err
 		}
-		fmt.Println("Figure 2 — workload features and compiled program shape:")
-		fmt.Print(bench.FormatCompileTable(infos))
+		fmt.Fprintln(out, "Figure 2 — workload features and compiled program shape:")
+		fmt.Fprint(out, bench.FormatCompileTable(infos))
 	default:
-		return fmt.Errorf("unknown experiment %q", *experiment)
+		return fmt.Errorf("unknown experiment %q (experiments: %s)", *experiment, experiments)
 	}
 	return nil
 }

@@ -7,11 +7,8 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dbtoaster/internal/agca"
@@ -51,37 +48,21 @@ type Result struct {
 
 // Options control a benchmark run.
 type Options struct {
-	Scale     float64         // stream scale factor (1.0 = default size)
-	Seed      int64           // stream generator seed
-	MaxEvents int             // 0 = whole stream
-	Budget    time.Duration   // per-cell wall-clock budget (0 = unlimited), like the paper's replay timeout
-	BatchSize int             // events per ApplyBatch window (<= 1 replays one event at a time)
-	Shards    int             // shard workers for batched execution (0 = engine default)
-	Exec      engine.ExecMode // statement executors: compiled closures (default), interpreter, or verify
-	RowPath   bool            // disable the columnar block path inside batched windows
-}
-
-// DefaultOptions returns a configuration suitable for quick local runs.
-func DefaultOptions() Options {
-	return Options{Scale: 0.25, Seed: 1, Budget: 2 * time.Second}
+	Scale     float64       // stream scale factor (1.0 = default size)
+	Seed      int64         // stream generator seed
+	MaxEvents int           // 0 = whole stream
+	Budget    time.Duration // per-cell wall-clock budget (0 = unlimited), like the paper's replay timeout
 }
 
 // setup compiles the query in the given mode, loads statics, initializes
-// the engine under opts and materializes the (possibly truncated) event
-// stream — the common scaffolding of every replay-based experiment.
+// the engine and materializes the (possibly truncated) event stream — the
+// common scaffolding of every replay-based experiment.
 func setup(spec workload.Spec, mode compiler.Mode, opts Options) (*engine.Engine, []engine.Event, error) {
 	prog, err := compiler.Compile(spec.Query, spec.Catalog, compiler.OptionsFor(mode))
 	if err != nil {
 		return nil, nil, err
 	}
 	eng := engine.New(prog)
-	eng.SetExecMode(opts.Exec)
-	if opts.RowPath {
-		eng.SetColumnar(false)
-	}
-	if opts.Shards > 0 {
-		eng.SetShards(opts.Shards)
-	}
 	for name, data := range spec.Statics() {
 		eng.LoadStatic(name, data)
 	}
@@ -112,35 +93,18 @@ func Run(spec workload.Spec, sys System, opts Options) Result {
 		deadline = start.Add(opts.Budget)
 	}
 	processed := 0
-	if opts.BatchSize > 1 {
-		// Batched replay: the stream is cut into windows and each window is
-		// applied through the engine's shard-parallel batch pipeline. The
-		// budget is checked per window.
-		for _, batch := range workload.Batches(events, opts.BatchSize) {
-			if err := eng.ApplyBatch(engine.NewBatch(batch)); err != nil {
-				res.Err = fmt.Errorf("events %d..%d: %w", processed, processed+len(batch)-1, err)
-				return res
-			}
-			processed += len(batch)
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				res.TimedOut = true
-				break
-			}
+	for i, ev := range events {
+		if err := eng.Apply(ev); err != nil {
+			res.Err = fmt.Errorf("event %d: %w", i, err)
+			return res
 		}
-	} else {
-		for i, ev := range events {
-			if err := eng.Apply(ev); err != nil {
-				res.Err = fmt.Errorf("event %d: %w", i, err)
-				return res
-			}
-			processed++
-			// The budget is checked after every event: a single expensive
-			// update (the MST worst case) must not blow through the cell's
-			// time budget.
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				res.TimedOut = true
-				break
-			}
+		processed++
+		// The budget is checked after every event: a single expensive
+		// update (the MST worst case) must not blow through the cell's
+		// time budget.
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			res.TimedOut = true
+			break
 		}
 	}
 	res.Events = processed
@@ -199,564 +163,6 @@ func FormatRefreshTable(results []Result) string {
 			}
 		}
 		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// BatchSweep replays every query in DBToaster mode at each batch size and
-// reports the sustained refresh rate per cell, measuring (rather than
-// asserting) the speedup of the batched execution pipeline. Batch size 1 is
-// the paper's one-trigger-per-event baseline.
-func BatchSweep(queries []string, sizes []int, opts Options) []Result {
-	var out []Result
-	for _, q := range queries {
-		spec, ok := workload.Get(q)
-		if !ok {
-			for _, n := range sizes {
-				out = append(out, Result{Query: q, System: fmt.Sprintf("batch=%d", n),
-					Err: fmt.Errorf("unknown query %q", q)})
-			}
-			continue
-		}
-		for _, n := range sizes {
-			o := opts
-			o.BatchSize = n
-			r := Run(spec, System{"DBToaster", compiler.ModeDBToaster}, o)
-			r.System = fmt.Sprintf("batch=%d", n)
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// FormatBatchTable renders the batch sweep: one row per query, one column
-// per batch size, entries in view refreshes per second, plus the speedup of
-// the largest batch size over batch size 1.
-func FormatBatchTable(results []Result, sizes []int) string {
-	byQuery := map[string]map[string]Result{}
-	var queries []string
-	for _, r := range results {
-		if byQuery[r.Query] == nil {
-			byQuery[r.Query] = map[string]Result{}
-			queries = append(queries, r.Query)
-		}
-		byQuery[r.Query][r.System] = r
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s", "Query")
-	for _, n := range sizes {
-		fmt.Fprintf(&b, " %12s", fmt.Sprintf("batch=%d", n))
-	}
-	fmt.Fprintf(&b, " %9s\n", "speedup")
-	for _, q := range queries {
-		fmt.Fprintf(&b, "%-10s", q)
-		base, last := 0.0, 0.0
-		lastOK := false
-		for i, n := range sizes {
-			r := byQuery[q][fmt.Sprintf("batch=%d", n)]
-			if r.Err != nil {
-				fmt.Fprintf(&b, " %12s", "error")
-				lastOK = false
-				continue
-			}
-			fmt.Fprintf(&b, " %12.1f", r.RefreshRate)
-			if i == 0 {
-				base = r.RefreshRate
-			}
-			last = r.RefreshRate
-			lastOK = true
-		}
-		// The speedup is largest-batch over batch-size-1; print it only when
-		// the largest batch size actually produced a rate.
-		if base > 0 && lastOK {
-			fmt.Fprintf(&b, " %8.2fx", last/base)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// BatchScaling measures the columnar batch pipeline: each query is replayed
-// through ApplyBatch in DBToaster mode, once on the row-at-a-time path at one
-// shard (the pre-columnar baseline) and then on the columnar block path at
-// each shard count. The batch size defaults to 256 when unset — large enough
-// that every window clears the parallelism gate at the largest shard count.
-// Unlike Run, each cell cycles its stream until the budget expires, so short
-// generated streams still produce a stable rate instead of a few-millisecond
-// wall-clock sample (multiplicities keep accumulating, which is fine for a
-// throughput experiment).
-func BatchScaling(queries []string, shardCounts []int, opts Options) []Result {
-	if opts.BatchSize <= 1 {
-		opts.BatchSize = 256
-	}
-	cell := func(spec workload.Spec, o Options, system string) Result {
-		res := Result{Query: spec.Name, System: system}
-		eng, events, err := setup(spec, compiler.ModeDBToaster, o)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		res.NumMaps = len(eng.Program().Maps)
-		batches := workload.Batches(events, o.BatchSize)
-		start := time.Now()
-		deadline := time.Time{}
-		if o.Budget > 0 {
-			deadline = start.Add(o.Budget)
-		}
-	replay:
-		for {
-			for _, batch := range batches {
-				if err := eng.ApplyBatch(engine.NewBatch(batch)); err != nil {
-					res.Err = fmt.Errorf("events %d..%d: %w", res.Events, res.Events+len(batch)-1, err)
-					break replay
-				}
-				res.Events += len(batch)
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					res.TimedOut = true
-					break replay
-				}
-			}
-			if deadline.IsZero() {
-				break
-			}
-		}
-		res.Elapsed = time.Since(start)
-		if res.Elapsed > 0 {
-			res.RefreshRate = float64(res.Events) / res.Elapsed.Seconds()
-		}
-		res.MemBytes = eng.MemoryBytes()
-		return res
-	}
-	var out []Result
-	for _, q := range queries {
-		spec, ok := workload.Get(q)
-		if !ok {
-			out = append(out, Result{Query: q, System: "row@1",
-				Err: fmt.Errorf("unknown query %q", q)})
-			continue
-		}
-		o := opts
-		o.RowPath = true
-		o.Shards = 1
-		out = append(out, cell(spec, o, "row@1"))
-		for _, s := range shardCounts {
-			o := opts
-			o.RowPath = false
-			o.Shards = s
-			out = append(out, cell(spec, o, fmt.Sprintf("col@%d", s)))
-		}
-	}
-	return out
-}
-
-// FormatBatchScalingTable renders the batch_scaling experiment: one row per
-// query, the row-path baseline, the columnar rate at each shard count, the
-// single-shard columnar speedup over the row path, and the scaling of the
-// largest shard count over one shard.
-func FormatBatchScalingTable(results []Result, shardCounts []int) string {
-	byQuery := map[string]map[string]Result{}
-	var queries []string
-	for _, r := range results {
-		if byQuery[r.Query] == nil {
-			byQuery[r.Query] = map[string]Result{}
-			queries = append(queries, r.Query)
-		}
-		byQuery[r.Query][r.System] = r
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %12s", "Query", "row@1")
-	for _, s := range shardCounts {
-		fmt.Fprintf(&b, " %12s", fmt.Sprintf("col@%d", s))
-	}
-	fmt.Fprintf(&b, " %9s %9s\n", "colx", "scaling")
-	maxShards := shardCounts[len(shardCounts)-1]
-	for _, q := range queries {
-		cells := byQuery[q]
-		fmt.Fprintf(&b, "%-10s", q)
-		print := func(r Result) {
-			if r.Err != nil {
-				fmt.Fprintf(&b, " %12s", "error")
-			} else {
-				fmt.Fprintf(&b, " %12.1f", r.RefreshRate)
-			}
-		}
-		print(cells["row@1"])
-		for _, s := range shardCounts {
-			print(cells[fmt.Sprintf("col@%d", s)])
-		}
-		row, col1 := cells["row@1"], cells["col@1"]
-		top := cells[fmt.Sprintf("col@%d", maxShards)]
-		if row.Err == nil && col1.Err == nil && row.RefreshRate > 0 {
-			fmt.Fprintf(&b, " %8.2fx", col1.RefreshRate/row.RefreshRate)
-		} else {
-			fmt.Fprintf(&b, " %9s", "-")
-		}
-		if col1.Err == nil && top.Err == nil && col1.RefreshRate > 0 {
-			fmt.Fprintf(&b, " %8.2fx", top.RefreshRate/col1.RefreshRate)
-		} else {
-			fmt.Fprintf(&b, " %9s", "-")
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// CheckBatchScaling enforces the CI guard over a BatchScaling run. On hosts
-// with at least four CPUs, the columnar path at maxShards must sustain at
-// least twice its one-shard rate for every guarded query. On smaller hosts
-// real shard scaling is physically impossible (the workers time-slice one
-// core), so the guard only rejects collapse: the maxShards rate falling
-// below 0.75x the one-shard rate would mean the partitioned merge costs more
-// than it can ever win back.
-func CheckBatchScaling(results []Result, queries []string, maxShards int) error {
-	byQuery := map[string]map[string]Result{}
-	for _, r := range results {
-		if byQuery[r.Query] == nil {
-			byQuery[r.Query] = map[string]Result{}
-		}
-		byQuery[r.Query][r.System] = r
-	}
-	min, why := 0.75, "no-collapse floor"
-	if runtime.NumCPU() >= 4 {
-		min, why = 2.0, "parallel speedup floor"
-	}
-	for _, q := range queries {
-		cells := byQuery[q]
-		if cells == nil {
-			return fmt.Errorf("batch scaling guard: no results for %s", q)
-		}
-		base := cells["col@1"]
-		top := cells[fmt.Sprintf("col@%d", maxShards)]
-		if base.Err != nil {
-			return fmt.Errorf("batch scaling guard: %s col@1: %w", q, base.Err)
-		}
-		if top.Err != nil {
-			return fmt.Errorf("batch scaling guard: %s col@%d: %w", q, maxShards, top.Err)
-		}
-		if base.RefreshRate <= 0 {
-			return fmt.Errorf("batch scaling guard: %s col@1 measured no throughput", q)
-		}
-		ratio := top.RefreshRate / base.RefreshRate
-		if ratio < min {
-			return fmt.Errorf("batch scaling guard: %s col@%d/col@1 = %.2fx, below the %.2fx %s (NumCPU=%d)",
-				q, maxShards, ratio, min, why, runtime.NumCPU())
-		}
-	}
-	return nil
-}
-
-// ExecSweep replays every query in DBToaster mode under both statement
-// executors — the tree-walking interpreter and the compiled closure
-// executors — at the given batch size and reports the sustained refresh rate
-// per cell, measuring the speedup of the compilation layer.
-func ExecSweep(queries []string, opts Options) []Result {
-	var out []Result
-	for _, q := range queries {
-		spec, ok := workload.Get(q)
-		if !ok {
-			for _, mode := range []engine.ExecMode{engine.ExecInterp, engine.ExecCompiled} {
-				out = append(out, Result{Query: q, System: "exec=" + mode.String(),
-					Err: fmt.Errorf("unknown query %q", q)})
-			}
-			continue
-		}
-		for _, mode := range []engine.ExecMode{engine.ExecInterp, engine.ExecCompiled} {
-			o := opts
-			o.Exec = mode
-			r := Run(spec, System{"DBToaster", compiler.ModeDBToaster}, o)
-			r.System = "exec=" + mode.String()
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// FormatExecTable renders the exec sweep: one row per query, the interpreted
-// and compiled refresh rates, and the compiled/interp speedup.
-func FormatExecTable(results []Result) string {
-	byQuery := map[string]map[string]Result{}
-	var queries []string
-	for _, r := range results {
-		if byQuery[r.Query] == nil {
-			byQuery[r.Query] = map[string]Result{}
-			queries = append(queries, r.Query)
-		}
-		byQuery[r.Query][r.System] = r
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %12s %12s %9s\n", "Query", "interp", "compiled", "speedup")
-	for _, q := range queries {
-		ri := byQuery[q]["exec=interp"]
-		rc := byQuery[q]["exec=compiled"]
-		fmt.Fprintf(&b, "%-10s", q)
-		for _, r := range []Result{ri, rc} {
-			if r.Err != nil {
-				fmt.Fprintf(&b, " %12s", "error")
-			} else {
-				fmt.Fprintf(&b, " %12.1f", r.RefreshRate)
-			}
-		}
-		if ri.Err == nil && rc.Err == nil && ri.RefreshRate > 0 {
-			fmt.Fprintf(&b, " %8.2fx", rc.RefreshRate/ri.RefreshRate)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// MemoryResult is one row of the gmr_memory experiment: the engine's own
-// view accounting (exact arena/slot/index byte counts from the flat store)
-// against the Go runtime's heap numbers around the same replay.
-type MemoryResult struct {
-	Query      string
-	Events     int
-	ViewBytes  int    // engine.MemoryBytes: flat-store arena accounting + index postings
-	HeapBefore uint64 // runtime HeapAlloc after warmup GC, before the replay
-	HeapAfter  uint64 // runtime HeapAlloc after the replay and a GC
-	AllocBytes uint64 // TotalAlloc delta over the replay (allocation churn)
-	Err        error
-}
-
-// MemoryProfile replays each query in DBToaster mode (compiled executors)
-// and reports the engine's view memory accounting next to runtime.MemStats
-// taken before and after the replay. The comparison keeps MemSize honest:
-// the flat store's self-reported bytes should track the live heap the replay
-// leaves behind.
-func MemoryProfile(queries []string, opts Options) []MemoryResult {
-	var out []MemoryResult
-	for _, q := range queries {
-		res := MemoryResult{Query: q}
-		spec, ok := workload.Get(q)
-		if !ok {
-			res.Err = fmt.Errorf("unknown query %q", q)
-			out = append(out, res)
-			continue
-		}
-		eng, events, err := setup(spec, compiler.ModeDBToaster, opts)
-		if err != nil {
-			res.Err = err
-			out = append(out, res)
-			continue
-		}
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		res.HeapBefore = ms.HeapAlloc
-		allocBefore := ms.TotalAlloc
-		deadline := time.Time{}
-		if opts.Budget > 0 {
-			deadline = time.Now().Add(opts.Budget)
-		}
-		for i, ev := range events {
-			if err := eng.Apply(ev); err != nil {
-				res.Err = fmt.Errorf("event %d: %w", i, err)
-				break
-			}
-			res.Events++
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				break
-			}
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		res.HeapAfter = ms.HeapAlloc
-		res.AllocBytes = ms.TotalAlloc - allocBefore
-		res.ViewBytes = eng.MemoryBytes()
-		out = append(out, res)
-	}
-	return out
-}
-
-// FormatMemoryTable renders the gmr_memory experiment.
-func FormatMemoryTable(results []MemoryResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %9s %12s %12s %12s %14s\n",
-		"Query", "events", "viewKB", "heapPreKB", "heapPostKB", "allocKB/event")
-	for _, r := range results {
-		if r.Err != nil {
-			fmt.Fprintf(&b, "%-10s %9s error: %v\n", r.Query, "-", r.Err)
-			continue
-		}
-		perEvent := 0.0
-		if r.Events > 0 {
-			perEvent = float64(r.AllocBytes) / 1024 / float64(r.Events)
-		}
-		fmt.Fprintf(&b, "%-10s %9d %12.1f %12.1f %12.1f %14.3f\n",
-			r.Query, r.Events, float64(r.ViewBytes)/1024,
-			float64(r.HeapBefore)/1024, float64(r.HeapAfter)/1024, perEvent)
-	}
-	return b.String()
-}
-
-// FreshnessResult is one row of the read_freshness experiment: write
-// throughput and reader-observed staleness while snapshot readers and a
-// change-stream subscriber run concurrently with batched maintenance.
-type FreshnessResult struct {
-	Query        string
-	Shards       int
-	Events       int     // events the writer replayed
-	WriteRate    float64 // events/s sustained by the writer with serving active
-	ReadQPS      float64 // snapshot acquisitions (each scanning the result) per second, summed over readers
-	AvgStaleness float64 // mean events the acquired snapshot lagged the live engine
-	MaxStaleness uint64
-	SubBatches   int // change batches the subscriber received
-	SubCoalesced int // publications folded into later batches by backpressure
-	Err          error
-}
-
-// ReadFreshness measures the serving layer: for each query and shard count,
-// a writer replays the stream through ApplyBatch while `readers` goroutines
-// continuously Acquire the current snapshot and scan the result view, and a
-// subscriber consumes the result change stream. It reports the write rate,
-// the aggregate read rate, and snapshot staleness in events — the freshness
-// a dashboard consumer actually observes.
-func ReadFreshness(queries []string, shardCounts []int, readers int, opts Options) []FreshnessResult {
-	if readers < 1 {
-		readers = 1
-	}
-	batchSize := opts.BatchSize
-	if batchSize <= 1 {
-		batchSize = 256
-	}
-	var out []FreshnessResult
-	for _, q := range queries {
-		for _, shards := range shardCounts {
-			res := FreshnessResult{Query: q, Shards: shards}
-			spec, ok := workload.Get(q)
-			if !ok {
-				res.Err = fmt.Errorf("unknown query %q", q)
-				out = append(out, res)
-				continue
-			}
-			o := opts
-			o.Shards = shards
-			eng, events, err := setup(spec, compiler.ModeDBToaster, o)
-			if err != nil {
-				res.Err = err
-				out = append(out, res)
-				continue
-			}
-
-			// Serving topology is set up before the writer starts (the first
-			// Acquire/Subscribe flips the engine into serving mode).
-			sub, err := eng.Subscribe("", engine.SubscribeOptions{Buffer: 64})
-			if err != nil {
-				res.Err = err
-				out = append(out, res)
-				continue
-			}
-			var subBatches, subCoalesced int
-			var subWG sync.WaitGroup
-			subWG.Add(1)
-			go func() {
-				defer subWG.Done()
-				for cb := range sub.C {
-					subBatches++
-					subCoalesced += cb.Coalesced
-				}
-			}()
-
-			var (
-				done     = make(chan struct{})
-				readerWG sync.WaitGroup
-				reads    atomic.Uint64
-				staleSum atomic.Uint64
-				staleMax atomic.Uint64
-			)
-			eng.Acquire()
-			for r := 0; r < readers; r++ {
-				readerWG.Add(1)
-				go func() {
-					defer readerWG.Done()
-					for {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						s := eng.Acquire()
-						_ = s.Result().Len()
-						stale := eng.Events() - s.Events()
-						reads.Add(1)
-						staleSum.Add(stale)
-						for {
-							old := staleMax.Load()
-							if stale <= old || staleMax.CompareAndSwap(old, stale) {
-								break
-							}
-						}
-						// Yield between reads so the experiment interleaves
-						// readers with the writer even on a single core
-						// (spinning on the cached-snapshot fast path would
-						// otherwise starve whichever side lost the core).
-						runtime.Gosched()
-					}
-				}()
-			}
-
-			start := time.Now()
-			deadline := time.Time{}
-			if opts.Budget > 0 {
-				deadline = start.Add(opts.Budget)
-			}
-			// The stream is cycled until the budget expires so the serving
-			// side is measured against a continuously busy writer even when
-			// the generated stream is short (multiplicities keep
-			// accumulating, which is fine for a throughput experiment).
-			batches := workload.Batches(events, batchSize)
-			processed := 0
-		replay:
-			for {
-				for _, batch := range batches {
-					if err := eng.ApplyBatch(engine.NewBatch(batch)); err != nil {
-						res.Err = fmt.Errorf("events %d..%d: %w", processed, processed+len(batch)-1, err)
-						break replay
-					}
-					processed += len(batch)
-					if !deadline.IsZero() && time.Now().After(deadline) {
-						break replay
-					}
-				}
-				if deadline.IsZero() {
-					break
-				}
-			}
-			elapsed := time.Since(start)
-			close(done)
-			readerWG.Wait()
-			sub.Cancel()
-			subWG.Wait()
-
-			res.Events = processed
-			if elapsed > 0 {
-				res.WriteRate = float64(processed) / elapsed.Seconds()
-				res.ReadQPS = float64(reads.Load()) / elapsed.Seconds()
-			}
-			if n := reads.Load(); n > 0 {
-				res.AvgStaleness = float64(staleSum.Load()) / float64(n)
-			}
-			res.MaxStaleness = staleMax.Load()
-			res.SubBatches = subBatches
-			res.SubCoalesced = subCoalesced
-			out = append(out, res)
-		}
-	}
-	return out
-}
-
-// FormatFreshnessTable renders the read_freshness experiment.
-func FormatFreshnessTable(results []FreshnessResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %7s %9s %12s %12s %11s %11s %9s %10s\n",
-		"Query", "shards", "events", "writes/s", "reads/s", "avg-stale", "max-stale", "batches", "coalesced")
-	for _, r := range results {
-		if r.Err != nil {
-			fmt.Fprintf(&b, "%-8s %7d error: %v\n", r.Query, r.Shards, r.Err)
-			continue
-		}
-		fmt.Fprintf(&b, "%-8s %7d %9d %12.0f %12.0f %11.1f %11d %9d %10d\n",
-			r.Query, r.Shards, r.Events, r.WriteRate, r.ReadQPS,
-			r.AvgStaleness, r.MaxStaleness, r.SubBatches, r.SubCoalesced)
 	}
 	return b.String()
 }

@@ -305,10 +305,7 @@ func (e *Engine) applyBatchGroups(b *Batch, serve bool) error {
 			// paper's generated engines drop them.
 			continue
 		}
-		if plan.class == trigger.BatchNone || e.execMode == ExecVerify {
-			// ExecVerify cross-checks executors on the sequential path, so
-			// batches degrade to verified per-event execution rather than
-			// silently skipping the comparison.
+		if plan.class == trigger.BatchNone {
 			for i := range g.events {
 				if err := e.applyPlanned(plan, &g.events[i], serve); err != nil {
 					return err
@@ -321,19 +318,6 @@ func (e *Engine) applyBatchGroups(b *Batch, serve bool) error {
 		}
 	}
 	return nil
-}
-
-// ApplyEvents is a convenience wrapper: group the events into a Batch and
-// apply it.
-func (e *Engine) ApplyEvents(events []Event) error {
-	return e.ApplyBatch(NewBatch(events))
-}
-
-// deltaAcc is the accumulator the interpreted batch fallbacks emit into;
-// both a plain delta GMR (the verify path) and the batched path's
-// range-partitioned store satisfy it.
-type deltaAcc interface {
-	Add(t types.Tuple, m float64) float64
 }
 
 // workerDeltas accumulates, per target view, one worker's summed delta of
@@ -816,7 +800,7 @@ func splitChunks(total, n int) [][2]int {
 // through the interpreter and accumulates the resulting target-key deltas.
 // It mirrors the key binding semantics of the sequential execute path: keys
 // bound by the trigger environment win over result columns of the same name.
-func (e *Engine) stmtDelta(sp *stmtPlan, env types.Env, tuple types.Tuple, acc deltaAcc) error {
+func (e *Engine) stmtDelta(sp *stmtPlan, env types.Env, tuple types.Tuple, acc *gmr.Ranged) error {
 	res := agca.Eval(sp.stmt.RHS, e, env)
 	schema := res.Schema()
 	cols := make([]int, len(sp.keyArg))

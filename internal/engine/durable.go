@@ -412,8 +412,8 @@ type RecoveryStats struct {
 	// from (0 with HadCheckpoint false means replay from an empty engine).
 	CheckpointLSN uint64
 	HadCheckpoint bool
-	// ChainLength is the number of links composed (1 for a plain base or a
-	// legacy checkpoint; 0 without a checkpoint).
+	// ChainLength is the number of links composed (1 for a plain base; 0
+	// without a checkpoint).
 	ChainLength int
 	// ReplayedEvents is the number of events re-executed from the log tail.
 	ReplayedEvents uint64
@@ -547,7 +547,3 @@ func (e *Engine) loadChain(chain []*wal.ChainCheckpoint) error {
 	e.adminGen.Add(1)
 	return nil
 }
-
-// DurabilityArmed reports whether the engine currently tees writes through a
-// log.
-func (e *Engine) DurabilityArmed() bool { return e.dur != nil }

@@ -85,8 +85,7 @@ type Engine struct {
 	plans    map[string]*relationPlan
 	lastRel  string
 	lastPlan *relationPlan
-	// execMode selects compiled executors, the interpreter, or the
-	// run-both-and-compare equivalence check.
+	// execMode selects compiled executors or the interpreter.
 	execMode ExecMode
 	// columnar enables lowering batched windows to columnar blocks (the
 	// default); when off, batched groups run the compiled row executors
@@ -113,43 +112,10 @@ const (
 	// ExecInterp forces the tree-walking AGCA interpreter for every
 	// statement.
 	ExecInterp
-	// ExecVerify is the equivalence escape hatch: every compiled statement
-	// runs through both executors and execution errors out if their deltas
-	// diverge. ApplyBatch degrades to per-event Apply under this mode so the
-	// comparison always happens.
-	ExecVerify
 )
 
-// String names the mode as spelled by dbtbench's -exec flag.
-func (m ExecMode) String() string {
-	switch m {
-	case ExecCompiled:
-		return "compiled"
-	case ExecInterp:
-		return "interp"
-	case ExecVerify:
-		return "verify"
-	default:
-		return fmt.Sprintf("ExecMode(%d)", int(m))
-	}
-}
-
-// ParseExecMode parses the -exec flag spelling of a mode.
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "compiled", "":
-		return ExecCompiled, nil
-	case "interp":
-		return ExecInterp, nil
-	case "verify":
-		return ExecVerify, nil
-	default:
-		return ExecCompiled, fmt.Errorf("unknown exec mode %q (want compiled|interp|verify)", s)
-	}
-}
-
-// SetExecMode switches between compiled executors and the interpreter (and
-// the verify escape hatch). Cached plans are rebuilt on next use.
+// SetExecMode switches between compiled executors and the interpreter.
+// Cached plans are rebuilt on next use.
 func (e *Engine) SetExecMode(m ExecMode) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -157,9 +123,6 @@ func (e *Engine) SetExecMode(m ExecMode) {
 	e.plans = map[string]*relationPlan{}
 	e.lastRel, e.lastPlan = "", nil
 }
-
-// ExecMode returns the current execution mode.
-func (e *Engine) ExecMode() ExecMode { return e.execMode }
 
 // SetColumnar toggles the columnar block path inside batched windows (on by
 // default). When off, batched groups keep the grouped/sharded structure but
@@ -172,9 +135,6 @@ func (e *Engine) SetColumnar(on bool) {
 	e.plans = map[string]*relationPlan{}
 	e.lastRel, e.lastPlan = "", nil
 }
-
-// Columnar reports whether the columnar block path is enabled.
-func (e *Engine) Columnar() bool { return e.columnar }
 
 // ExecStats reports, across the relation plans built so far, how many
 // statements run compiled and how many fell back to the interpreter.
@@ -240,9 +200,6 @@ func (e *Engine) SetShards(n int) {
 	e.shards = n
 	e.mu.Unlock()
 }
-
-// Shards returns the configured shard worker count.
-func (e *Engine) Shards() int { return e.shards }
 
 // Program returns the compiled program the engine runs.
 func (e *Engine) Program() *trigger.Program { return e.prog }
@@ -460,9 +417,6 @@ func (e *Engine) executeStmt(sp *stmtPlan, tuple types.Tuple, args []string, env
 		}
 		return e.execute(sp.stmt, *env, cap)
 	}
-	if e.execMode == ExecVerify {
-		return e.verifyStmt(sp, tuple, args, env, cap)
-	}
 	if sp.directEmit && cap == nil {
 		return sp.exec.RunCached(&sp.cache, e, tuple, sp.target)
 	}
@@ -491,54 +445,6 @@ func (e *Engine) executeStmt(sp *stmtPlan, tuple types.Tuple, args []string, env
 	sp.target.MergeDelta(sp.scratch)
 	if cap != nil {
 		cap.MergeInto(sp.scratch, 1)
-	}
-	return nil
-}
-
-// verifyStmt is the ExecVerify escape hatch: the statement's delta is
-// computed by both the compiled executor and the interpreter and the two must
-// agree before the (compiled) delta is applied.
-func (e *Engine) verifyStmt(sp *stmtPlan, tuple types.Tuple, args []string, env *types.Env, cap *gmr.GMR) error {
-	schema := types.Schema(sp.target.Keys())
-	compiled := gmr.New(schema)
-	if err := sp.exec.RunCached(&sp.cache, e, tuple, compiled); err != nil {
-		return err
-	}
-	if *env == nil {
-		*env = make(types.Env, len(args))
-		for i, a := range args {
-			(*env)[a] = tuple[i]
-		}
-	}
-	interp := gmr.New(schema)
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if ee, ok := r.(*agca.EvalError); ok {
-					err = ee
-					return
-				}
-				panic(r)
-			}
-		}()
-		return e.stmtDelta(sp, *env, tuple, interp)
-	}()
-	if err != nil {
-		return err
-	}
-	if !gmr.Equal(compiled, interp, 1e-9) {
-		return fmt.Errorf("exec verify: compiled and interpreted deltas diverge\ncompiled:    %v\ninterpreted: %v",
-			compiled, interp)
-	}
-	if sp.stmt.Kind == trigger.StmtReplace {
-		if cap != nil {
-			cap.MergeInto(sp.target.Data(), -1)
-		}
-		sp.target.Clear()
-	}
-	sp.target.MergeDelta(compiled)
-	if cap != nil {
-		cap.MergeInto(compiled, 1)
 	}
 	return nil
 }

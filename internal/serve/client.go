@@ -85,16 +85,15 @@ type Client struct {
 	closed chan struct{}
 	done   chan struct{}
 
-	mu         sync.Mutex
-	conn       net.Conn
-	state      *gmr.GMR
-	events     uint64
-	seeded     bool
-	view       string
-	keys       []string
-	mode       ResumeMode
-	reconnects int
-	err        error
+	mu     sync.Mutex
+	conn   net.Conn
+	state  *gmr.GMR
+	events uint64
+	seeded bool
+	view   string
+	keys   []string
+	mode   ResumeMode
+	err    error
 }
 
 // Dial connects to a server's stream address and subscribes to the query
@@ -236,9 +235,6 @@ func (c *Client) redial() (net.Conn, *bufio.Reader) {
 		c.mu.Unlock()
 		conn, br, ack, err := c.connect(resume)
 		if err == nil {
-			c.mu.Lock()
-			c.reconnects++
-			c.mu.Unlock()
 			c.acceptAck(conn, ack)
 			return conn, br
 		}
@@ -352,13 +348,6 @@ func (c *Client) Mode() ResumeMode {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.mode
-}
-
-// Reconnects counts successful resubscriptions since Dial.
-func (c *Client) Reconnects() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reconnects
 }
 
 // Result returns a copy of the local materialized result. The copy is

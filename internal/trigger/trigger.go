@@ -212,16 +212,6 @@ func (p *Program) MapQueryCounts() map[string]int {
 	return out
 }
 
-// MapByName returns the definition of the named map.
-func (p *Program) MapByName(name string) (MapDef, bool) {
-	for _, m := range p.Maps {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return MapDef{}, false
-}
-
 // TriggerFor returns the trigger for the given event, if any.
 func (p *Program) TriggerFor(relation string, insert bool) (Trigger, bool) {
 	for _, t := range p.Triggers {

@@ -8,9 +8,9 @@ import (
 )
 
 // Chain checkpoints make checkpoint cost proportional to what changed: a
-// *base* file (`ckpt-<%016x LSN>.base`) holds a full image of every view —
-// exactly what a legacy `.ckpt` held — while a *delta* file
-// (`ckpt-<%016x LSN>-<%016x parent LSN>.delta`) holds, per view, either an
+// *base* file (`ckpt-<%016x LSN>.base`) holds a full image of every view,
+// while a *delta* file (`ckpt-<%016x LSN>-<%016x parent LSN>.delta`) holds,
+// per view, either an
 // incremental flat-store delta against the view's image at the parent
 // checkpoint or (for views whose dirty fraction crossed the threshold) a
 // fresh full image. Recovery composes the chain base-first — full images
@@ -33,13 +33,14 @@ import (
 //
 // The parent LSN is redundantly encoded in the delta's file name so that
 // garbage collection can compute chain reachability from a directory listing
-// alone, without opening (possibly corrupt) files. Write atomicity is the
-// same temp + sync + rename protocol as legacy checkpoints, and damage
-// handling is the same: a head whose chain fails validation anywhere —
-// CRC, structure, a missing or unreadable parent — is skipped whole and
-// recovery falls back to the next older head. Legacy `.ckpt` files
-// participate as single-link base chains, so directories written by older
-// builds recover unchanged.
+// alone, without opening (possibly corrupt) files. A link is written to a
+// temporary name, synced, then renamed into place, so a crash mid-write
+// leaves at worst a stale temp file and never a half-visible checkpoint
+// under the real name. The CRC catches the remaining failure shapes (a torn
+// temp rename on a filesystem without atomic-rename durability, or silent
+// media corruption): a head whose chain fails validation anywhere — CRC,
+// structure, a missing or unreadable parent — is skipped whole and recovery
+// falls back to the next older head.
 
 const (
 	chainMagic   = "DBTCKPT2"
@@ -243,48 +244,36 @@ func decodeChainCheckpoint(data []byte) (*ChainCheckpoint, error) {
 	return c, nil
 }
 
-// chainEntry is one checkpoint file recognized in a directory listing: a new
-// base or delta link, or a legacy single-image checkpoint.
+// chainEntry is one checkpoint file recognized in a directory listing.
 type chainEntry struct {
 	name   string
 	lsn    uint64
 	parent uint64 // delta links only
-	kind   int    // ckptFileDelta < ckptFileLegacy < ckptFileBase
+	base   bool
 }
 
-const (
-	// Preference order among files at the same LSN (a forced checkpoint at an
-	// unchanged LSN can legitimately publish a base next to an older file):
-	// a base is self-sufficient, a legacy file is a complete image, a delta
-	// needs its chain — so heads and parents resolve base first.
-	ckptFileDelta = iota
-	ckptFileLegacy
-	ckptFileBase
-)
-
 // chainEntries parses a directory listing into recognized checkpoint files,
-// sorted by (LSN, preference) ascending — iterate backwards for newest-first
-// head candidates.
+// sorted by LSN ascending — iterate backwards for newest-first head
+// candidates. A forced checkpoint at an unchanged LSN can legitimately
+// publish a base next to an older delta: the base is self-sufficient where
+// the delta needs its chain, so it sorts after the delta and heads and
+// parents resolve base first.
 func chainEntries(names []string) []chainEntry {
 	var out []chainEntry
 	for _, n := range names {
 		if lsn, ok := parseLSNName(n, "ckpt-", ".base"); ok {
-			out = append(out, chainEntry{name: n, lsn: lsn, kind: ckptFileBase})
-			continue
-		}
-		if lsn, ok := parseLSNName(n, "ckpt-", ".ckpt"); ok {
-			out = append(out, chainEntry{name: n, lsn: lsn, kind: ckptFileLegacy})
+			out = append(out, chainEntry{name: n, lsn: lsn, base: true})
 			continue
 		}
 		if lsn, parent, ok := parseDeltaName(n); ok && parent < lsn {
-			out = append(out, chainEntry{name: n, lsn: lsn, parent: parent, kind: ckptFileDelta})
+			out = append(out, chainEntry{name: n, lsn: lsn, parent: parent})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].lsn != out[j].lsn {
 			return out[i].lsn < out[j].lsn
 		}
-		return out[i].kind < out[j].kind
+		return !out[i].base && out[j].base
 	})
 	return out
 }
@@ -320,12 +309,12 @@ func parseHex16(s string) (uint64, bool) {
 	return v, true
 }
 
-// findParent locates the entry a delta should chain to: the most preferred
-// file at exactly the parent LSN.
+// findParent locates the entry a delta should chain to: the file at exactly
+// the parent LSN, a base before a delta.
 func findParent(entries []chainEntry, lsn uint64) (chainEntry, bool) {
 	best := -1
 	for i := range entries {
-		if entries[i].lsn == lsn && (best < 0 || entries[i].kind > entries[best].kind) {
+		if entries[i].lsn == lsn && (best < 0 || entries[i].base) {
 			best = i
 		}
 	}
@@ -335,8 +324,8 @@ func findParent(entries []chainEntry, lsn uint64) (chainEntry, bool) {
 	return entries[best], true
 }
 
-// readChainEntry decodes one checkpoint file (of any vintage) into a chain
-// link, memoizing by file name so overlapping chains read each file once.
+// readChainEntry decodes one checkpoint file into a chain link, memoizing by
+// file name so overlapping chains read each file once.
 func readChainEntry(fs FS, dir string, e chainEntry, cache map[string]*ChainCheckpoint) (*ChainCheckpoint, error) {
 	if c, ok := cache[e.name]; ok {
 		if c == nil {
@@ -344,27 +333,12 @@ func readChainEntry(fs FS, dir string, e chainEntry, cache map[string]*ChainChec
 		}
 		return c, nil
 	}
-	var c *ChainCheckpoint
-	var err error
-	if e.kind == ckptFileLegacy {
-		var legacy *Checkpoint
-		legacy, err = ReadCheckpoint(fs, dir, e.name)
-		if err == nil {
-			c = &ChainCheckpoint{LSN: legacy.LSN, Base: true, EngineEvents: legacy.EngineEvents}
-			for _, v := range legacy.Views {
-				c.Views = append(c.Views, ViewPayload{Name: v.Name, Data: v.Data})
-			}
-		}
-	} else {
-		c, err = ReadChainCheckpoint(fs, dir, e.name)
-		if err == nil {
-			// The name is the GC layer's metadata; a file whose contents
-			// disagree with its name is damage.
-			if c.LSN != e.lsn || c.Base != (e.kind == ckptFileBase) || (!c.Base && c.ParentLSN != e.parent) {
-				err = fmt.Errorf("checkpoint contents disagree with file name")
-				c = nil
-			}
-		}
+	c, err := ReadChainCheckpoint(fs, dir, e.name)
+	// The name is the GC layer's metadata; a file whose contents disagree
+	// with its name is damage.
+	if err == nil && (c.LSN != e.lsn || c.Base != e.base || (!c.Base && c.ParentLSN != e.parent)) {
+		err = fmt.Errorf("checkpoint contents disagree with file name")
+		c = nil
 	}
 	cache[e.name] = c
 	return c, err
@@ -426,7 +400,7 @@ func chainKeep(entries []chainEntry) (keep map[string]bool, oldestHead uint64) {
 				break
 			}
 			keep[cur.name] = true
-			if cur.kind != ckptFileDelta {
+			if cur.base {
 				break
 			}
 			parent, ok := findParent(entries, cur.parent)

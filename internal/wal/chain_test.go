@@ -30,9 +30,8 @@ func deltaLink(lsn, parent uint64, payload string) *ChainCheckpoint {
 }
 
 // TestChainRoundTrip writes a base plus two delta links and checks that Scan
-// returns the chain base-first with payloads and flags intact, and that the
-// legacy Checkpoint projection is absent for a multi-link chain. The wal
-// layer treats payload bytes as opaque — composing them is the engine's job.
+// returns the chain base-first with payloads and flags intact. The wal layer
+// treats payload bytes as opaque — composing them is the engine's job.
 func TestChainRoundTrip(t *testing.T) {
 	fs := NewFaultFS()
 	if err := fs.MkdirAll("d"); err != nil {
@@ -64,52 +63,8 @@ func TestChainRoundTrip(t *testing.T) {
 	if !rec.Chain[2].Views[0].Delta {
 		t.Fatal("head payload not marked delta")
 	}
-	if rec.Checkpoint != nil {
-		t.Fatal("legacy Checkpoint projection set for a multi-link chain")
-	}
 	if len(rec.SkippedCheckpoints) != 0 {
 		t.Fatalf("unexpected skips: %v", rec.SkippedCheckpoints)
-	}
-}
-
-// TestChainSingleBaseProjection pins the compatibility surface: a chain that
-// is one all-full base also appears as a legacy Checkpoint.
-func TestChainSingleBaseProjection(t *testing.T) {
-	fs := NewFaultFS()
-	if err := fs.MkdirAll("d"); err != nil {
-		t.Fatal(err)
-	}
-	mustWriteChain(t, fs, "d", baseLink(7, "img"))
-	rec, err := Scan(fs, "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Checkpoint == nil || rec.Checkpoint.LSN != 7 || string(rec.Checkpoint.Views[0].Data) != "img" {
-		t.Fatalf("legacy projection missing or wrong: %+v", rec.Checkpoint)
-	}
-}
-
-// TestChainLegacyParent chains a delta onto a legacy `.ckpt` file: old
-// directories must keep working as chain bases without rewriting.
-func TestChainLegacyParent(t *testing.T) {
-	fs := NewFaultFS()
-	if err := fs.MkdirAll("d"); err != nil {
-		t.Fatal(err)
-	}
-	legacy := &Checkpoint{LSN: 10, EngineEvents: 10, Views: []ViewImage{{Name: "V", Data: []byte("full-10")}}}
-	if _, err := WriteCheckpoint(fs, "d", legacy); err != nil {
-		t.Fatal(err)
-	}
-	mustWriteChain(t, fs, "d", deltaLink(25, 10, "delta-25"))
-	rec, err := Scan(fs, "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Chain) != 2 || !rec.Chain[0].Base || rec.Chain[0].LSN != 10 || rec.Chain[1].LSN != 25 {
-		t.Fatalf("unexpected chain: %+v", rec.Chain)
-	}
-	if got := string(rec.Chain[0].Views[0].Data); got != "full-10" {
-		t.Fatalf("legacy base payload %q", got)
 	}
 }
 
@@ -197,7 +152,9 @@ func TestChainFallback(t *testing.T) {
 // TestChainGCRetention pins chain-aware GC: the chains rooted at the two
 // newest head LSNs survive whole (however old their bases), everything else
 // — older chains, bypassed deltas — is removed, and the returned LSN is the
-// older retained head (the segment-retention floor).
+// older retained head (the segment-retention floor). A file that is not a
+// chain link — here a `.ckpt` image of a format this package no longer reads,
+// named above every head — is neither a head candidate nor GC's to remove.
 func TestChainGCRetention(t *testing.T) {
 	fs := NewFaultFS()
 	if err := fs.MkdirAll("d"); err != nil {
@@ -208,6 +165,12 @@ func TestChainGCRetention(t *testing.T) {
 	mustWriteChain(t, fs, "d", deltaLink(20, 10, "delta-20"))
 	mustWriteChain(t, fs, "d", deltaLink(30, 20, "delta-30"))
 	mustWriteChain(t, fs, "d", deltaLink(40, 30, "delta-40"))
+	const stray = "ckpt-0000000000000032.ckpt"
+	f, err := fs.Create(join("d", stray))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	oldest, err := GC(fs, "d")
 	if err != nil {
@@ -229,6 +192,7 @@ func TestChainGCRetention(t *testing.T) {
 		chainDeltaName(20, 10): true,
 		chainDeltaName(30, 20): true,
 		chainDeltaName(40, 30): true,
+		stray:                  true,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after GC: %v, want %v", got, want)
@@ -238,8 +202,8 @@ func TestChainGCRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Chain) != 4 || rec.Chain[3].LSN != 40 {
-		t.Fatalf("post-GC chain: %+v", rec.Chain)
+	if len(rec.Chain) != 4 || rec.Chain[3].LSN != 40 || len(rec.SkippedCheckpoints) != 0 {
+		t.Fatalf("post-GC chain: %+v, skipped %v", rec.Chain, rec.SkippedCheckpoints)
 	}
 }
 

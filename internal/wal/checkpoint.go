@@ -1,177 +1,22 @@
 package wal
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
+import "fmt"
 
-// Checkpoint files (`ckpt-<%016x LSN>.ckpt`) hold one atomic snapshot of all
-// view stores:
-//
-//	magic "DBTCKPT1", u8 version
-//	u64 LSN            (logged events reflected in the snapshot)
-//	u64 engine events  (the engine's trigger-handled event counter, restored
-//	                    verbatim so Events() survives recovery)
-//	u32 view count
-//	per view: u16 name length, name bytes, u64 image length, flat-store image
-//	u32 CRC-32C over everything above
-//
-// A checkpoint is written to a temporary name, synced, then renamed into
-// place, so a crash mid-write leaves at worst a stale temp file and never a
-// half-visible checkpoint under the real name. The CRC catches the remaining
-// failure shapes (a torn temp rename on a filesystem without atomic-rename
-// durability, or silent media corruption); a checkpoint that fails its CRC or
-// any structural check is skipped and recovery falls back to the next older
-// one.
-
-const (
-	ckptMagic   = "DBTCKPT1"
-	ckptVersion = 1
-	// keepCheckpoints is how many checkpoints the garbage collector retains.
-	// Keeping two means a checkpoint corrupted in place never strands
-	// recovery: the log segments needed to replay from the previous one are
-	// retained with it.
-	keepCheckpoints = 2
-)
-
-// ViewImage is one view's serialized flat store.
-type ViewImage struct {
-	Name string
-	Data []byte
-}
-
-// Checkpoint is a decoded checkpoint: the replay cut point plus every view's
-// flat-store image.
-type Checkpoint struct {
-	// LSN is the number of logged events whose effects the images reflect;
-	// replay resumes at this LSN.
-	LSN uint64
-	// EngineEvents restores the engine's processed-event counter.
-	EngineEvents uint64
-	Views        []ViewImage
-}
-
-func (c *Checkpoint) append(dst []byte) []byte {
-	dst = append(dst, ckptMagic...)
-	dst = append(dst, ckptVersion)
-	dst = binary.LittleEndian.AppendUint64(dst, c.LSN)
-	dst = binary.LittleEndian.AppendUint64(dst, c.EngineEvents)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Views)))
-	for i := range c.Views {
-		v := &c.Views[i]
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.Name)))
-		dst = append(dst, v.Name...)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(v.Data)))
-		dst = append(dst, v.Data...)
-	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst, crcTable))
-}
-
-// WriteCheckpoint atomically publishes c into dir and returns the checkpoint
-// file name. It does not garbage-collect; see GC.
-func WriteCheckpoint(fs FS, dir string, c *Checkpoint) (string, error) {
-	if fs == nil {
-		fs = DiskFS()
-	}
-	name := checkpointName(c.LSN)
-	tmp := name + ".tmp"
-	f, err := fs.Create(join(dir, tmp))
-	if err != nil {
-		return "", fmt.Errorf("wal: create checkpoint temp: %w", err)
-	}
-	if _, err := f.Write(c.append(nil)); err != nil {
-		f.Close()
-		return "", fmt.Errorf("wal: write checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return "", fmt.Errorf("wal: sync checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("wal: close checkpoint: %w", err)
-	}
-	if err := fs.Rename(join(dir, tmp), join(dir, name)); err != nil {
-		return "", fmt.Errorf("wal: publish checkpoint: %w", err)
-	}
-	return name, nil
-}
-
-// ReadCheckpoint loads and fully validates one checkpoint file. Damage of any
-// kind — truncation, bit flips, structural nonsense — returns a diagnostic
-// error and no checkpoint.
-func ReadCheckpoint(fs FS, dir, name string) (*Checkpoint, error) {
-	if fs == nil {
-		fs = DiskFS()
-	}
-	data, err := fs.ReadFile(join(dir, name))
-	if err != nil {
-		return nil, err
-	}
-	return decodeCheckpoint(data)
-}
-
-func decodeCheckpoint(data []byte) (*Checkpoint, error) {
-	const minLen = len(ckptMagic) + 1 + 8 + 8 + 4 + 4
-	if len(data) < minLen {
-		return nil, fmt.Errorf("checkpoint truncated (%d bytes)", len(data))
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("checkpoint CRC mismatch (stored %#x, computed %#x)", want, got)
-	}
-	if string(body[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("bad checkpoint magic %q", body[:len(ckptMagic)])
-	}
-	pos := len(ckptMagic)
-	if body[pos] != ckptVersion {
-		return nil, fmt.Errorf("unsupported checkpoint version %d", body[pos])
-	}
-	pos++
-	c := &Checkpoint{
-		LSN:          binary.LittleEndian.Uint64(body[pos:]),
-		EngineEvents: binary.LittleEndian.Uint64(body[pos+8:]),
-	}
-	nViews := int(binary.LittleEndian.Uint32(body[pos+16:]))
-	pos += 20
-	if nViews < 0 || nViews > len(body) {
-		return nil, fmt.Errorf("implausible view count %d", nViews)
-	}
-	c.Views = make([]ViewImage, 0, nViews)
-	for i := 0; i < nViews; i++ {
-		if len(body)-pos < 2 {
-			return nil, fmt.Errorf("view %d: truncated name length", i)
-		}
-		nameLen := int(binary.LittleEndian.Uint16(body[pos:]))
-		pos += 2
-		if len(body)-pos < nameLen+8 {
-			return nil, fmt.Errorf("view %d: truncated name or image length", i)
-		}
-		name := string(body[pos : pos+nameLen])
-		pos += nameLen
-		imgLen := binary.LittleEndian.Uint64(body[pos:])
-		pos += 8
-		if imgLen > uint64(len(body)-pos) {
-			return nil, fmt.Errorf("view %s: image length %d exceeds remaining %d bytes", name, imgLen, len(body)-pos)
-		}
-		c.Views = append(c.Views, ViewImage{Name: name, Data: body[pos : pos+int(imgLen)]})
-		pos += int(imgLen)
-	}
-	if pos != len(body) {
-		return nil, fmt.Errorf("%d trailing bytes in checkpoint", len(body)-pos)
-	}
-	return c, nil
-}
+// keepCheckpoints is how many checkpoints the garbage collector retains.
+// Keeping two means a checkpoint corrupted in place never strands recovery:
+// the log segments needed to replay from the previous one are retained with
+// it.
+const keepCheckpoints = 2
 
 // GC removes checkpoint files unreachable from the chains rooted at the
 // newest keepCheckpoints head LSNs, plus the stale temp files of interrupted
 // checkpoint writes. Reachability follows the parent links encoded in delta
 // file names, so a retained delta head keeps its whole chain back to its
-// base; legacy `.ckpt` files are single-link chains. Segment retention is the
-// log's job (Log.RemoveSegmentsBelow with the oldest retained head's LSN,
-// which GC returns — replay from that head needs no earlier segment, however
-// old its chain's base is). Best-effort: removal errors are returned but the
-// state is usable regardless — recovery tolerates extra files.
+// base. Segment retention is the log's job (Log.RemoveSegmentsBelow with the
+// oldest retained head's LSN, which GC returns — replay from that head needs
+// no earlier segment, however old its chain's base is). Best-effort: removal
+// errors are returned but the state is usable regardless — recovery tolerates
+// extra files.
 func GC(fs FS, dir string) (oldestRetained uint64, err error) {
 	if fs == nil {
 		fs = DiskFS()
@@ -206,10 +51,6 @@ type Recovered struct {
 	// when recovery starts from an empty engine. Recovery installs the base's
 	// full images, patches each delta link in order, then replays Records.
 	Chain []*ChainCheckpoint
-	// Checkpoint is the legacy single-image projection, populated only when
-	// the chain is one all-full base link (which every legacy `.ckpt` and
-	// every `.base` head without deltas is); nil otherwise.
-	Checkpoint *Checkpoint
 	// Records is the committed log tail after the checkpoint, in LSN order.
 	Records []Record
 	// NextLSN is where the writer resumes.
@@ -227,9 +68,9 @@ type Recovered struct {
 
 // Scan reads a log directory and reconstructs the recovery plan: the newest
 // checkpoint chain that validates whole — head candidates are tried newest
-// LSN first (preferring a base over a delta over a legacy file at the same
-// LSN is handled by chain entry ordering), and a chain broken anywhere (CRC,
-// structure, missing parent) is skipped in favor of the next older head —
+// LSN first (a base before a delta at the same LSN, by chain entry
+// ordering), and a chain broken anywhere (CRC, structure, missing parent) is
+// skipped in favor of the next older head —
 // plus the contiguous committed record tail after the chain head. A record
 // that fails validation with valid records after it means corruption and
 // fails the scan; a failure with nothing but garbage after it is a torn tail
@@ -260,14 +101,6 @@ func Scan(fs FS, dir string) (*Recovered, error) {
 	base := uint64(0)
 	if len(out.Chain) > 0 {
 		base = out.Chain[len(out.Chain)-1].LSN
-		if len(out.Chain) == 1 {
-			c := out.Chain[0]
-			legacy := &Checkpoint{LSN: c.LSN, EngineEvents: c.EngineEvents}
-			for _, v := range c.Views {
-				legacy.Views = append(legacy.Views, ViewImage{Name: v.Name, Data: v.Data})
-			}
-			out.Checkpoint = legacy
-		}
 	}
 
 	segs := segmentLSNs(names)

@@ -10,27 +10,30 @@ import (
 	"dbtoaster/internal/types"
 )
 
-func testCheckpoint(lsn uint64) *Checkpoint {
+func testCheckpoint(lsn uint64) *ChainCheckpoint {
 	g := gmr.New(types.Schema{"a", "b"})
 	for i := 0; i < 50; i++ {
 		g.Add(types.Tuple{types.Int(int64(i % 17)), types.Str(fmt.Sprintf("k%d", i))}, float64(i)+0.25)
 	}
-	return &Checkpoint{
+	return &ChainCheckpoint{
 		LSN:          lsn,
+		Base:         true,
 		EngineEvents: lsn - 1,
-		Views: []ViewImage{
+		Views: []ViewPayload{
 			{Name: "Q", Data: g.AppendFlat(nil)},
 			{Name: "EMPTY", Data: gmr.New(types.Schema{"x"}).AppendFlat(nil)},
 		},
 	}
 }
 
-func ckptEqual(a, b *Checkpoint) bool {
-	if a.LSN != b.LSN || a.EngineEvents != b.EngineEvents || len(a.Views) != len(b.Views) {
+func ckptEqual(a, b *ChainCheckpoint) bool {
+	if a.LSN != b.LSN || a.ParentLSN != b.ParentLSN || a.Base != b.Base ||
+		a.EngineEvents != b.EngineEvents || len(a.Views) != len(b.Views) {
 		return false
 	}
 	for i := range a.Views {
-		if a.Views[i].Name != b.Views[i].Name || !bytes.Equal(a.Views[i].Data, b.Views[i].Data) {
+		if a.Views[i].Name != b.Views[i].Name || a.Views[i].Delta != b.Views[i].Delta ||
+			!bytes.Equal(a.Views[i].Data, b.Views[i].Data) {
 			return false
 		}
 	}
@@ -43,11 +46,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	fs := NewFaultFS()
 	fs.MkdirAll("d")
 	want := testCheckpoint(42)
-	name, err := WriteCheckpoint(fs, "d", want)
+	name, _, err := WriteChainCheckpoint(fs, "d", want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCheckpoint(fs, "d", name)
+	got, err := ReadChainCheckpoint(fs, "d", name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointDamageRejected(t *testing.T) {
 	img := testCheckpoint(7).append(nil)
 	for n := 0; n < len(img); n++ {
-		if c, err := decodeCheckpoint(img[:n]); err == nil {
+		if c, err := decodeChainCheckpoint(img[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted: %+v", n, c)
 		}
 	}
@@ -73,7 +76,7 @@ func TestCheckpointDamageRejected(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		mut := append([]byte(nil), img...)
 		mut[rng.Intn(len(mut))] ^= 1 << uint(rng.Intn(8))
-		if c, err := decodeCheckpoint(mut); err == nil && ckptEqual(c, testCheckpoint(7)) == false {
+		if c, err := decodeChainCheckpoint(mut); err == nil && ckptEqual(c, testCheckpoint(7)) == false {
 			t.Fatal("bit flip accepted with altered content")
 		}
 	}
@@ -90,10 +93,8 @@ func TestCheckpointFallback(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustAppend(t, l, false, []Event{testEvent(i)})
 	}
-	if _, err := WriteCheckpoint(fs, "d", testCheckpoint(5)); err != nil {
-		t.Fatal(err)
-	}
-	newest, err := WriteCheckpoint(fs, "d", testCheckpoint(10))
+	mustWriteChain(t, fs, "d", testCheckpoint(5))
+	newest, _, err := WriteChainCheckpoint(fs, "d", testCheckpoint(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +106,8 @@ func TestCheckpointFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Checkpoint == nil || rec.Checkpoint.LSN != 5 {
-		t.Fatalf("fallback checkpoint: %+v", rec.Checkpoint)
+	if len(rec.Chain) != 1 || rec.Chain[0].LSN != 5 {
+		t.Fatalf("fallback checkpoint: %+v", rec.Chain)
 	}
 	if len(rec.SkippedCheckpoints) != 1 {
 		t.Fatalf("skipped checkpoints: %v", rec.SkippedCheckpoints)
@@ -129,7 +130,7 @@ func TestCheckpointTornWriteInvisible(t *testing.T) {
 		mustAppend(t, l, false, []Event{testEvent(i)})
 	}
 	fs.KillAfter(100)
-	if _, err := WriteCheckpoint(fs, "d", testCheckpoint(4)); err == nil {
+	if _, _, err := WriteChainCheckpoint(fs, "d", testCheckpoint(4)); err == nil {
 		t.Fatal("torn checkpoint write succeeded")
 	}
 	fs.Crash()
@@ -137,8 +138,8 @@ func TestCheckpointTornWriteInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Checkpoint != nil {
-		t.Fatalf("torn checkpoint visible: %+v", rec.Checkpoint)
+	if len(rec.Chain) != 0 {
+		t.Fatalf("torn checkpoint visible: %+v", rec.Chain)
 	}
 	if len(rec.Records) != 4 {
 		t.Fatalf("log tail lost: %d records", len(rec.Records))
@@ -160,9 +161,7 @@ func TestGCRetention(t *testing.T) {
 		if err := l.Rotate(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := WriteCheckpoint(fs, "d", testCheckpoint(uint64(ckptAt))); err != nil {
-			t.Fatal(err)
-		}
+		mustWriteChain(t, fs, "d", testCheckpoint(uint64(ckptAt)))
 		oldest, err := GC(fs, "d")
 		if err != nil {
 			t.Fatal(err)
@@ -193,7 +192,7 @@ func TestGCRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Checkpoint == nil || rec.Checkpoint.LSN != 20 || rec.NextLSN != 20 {
+	if len(rec.Chain) != 1 || rec.Chain[0].LSN != 20 || rec.NextLSN != 20 {
 		t.Fatalf("post-GC scan: %+v", rec)
 	}
 }

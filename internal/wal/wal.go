@@ -12,9 +12,8 @@
 // since the parent checkpoint, so steady-state checkpoint cost tracks the
 // change rate rather than the store size. Recovery loads the newest chain
 // that validates whole (falling back to an older head if any link is
-// damaged; legacy single-file `ckpt-<LSN>.ckpt` checkpoints still load) and
-// replays the log tail after the head, truncating a torn tail while treating
-// a bad record with valid records after it as corruption. The
+// damaged) and replays the log tail after the head, truncating a torn tail
+// while treating a bad record with valid records after it as corruption. The
 // crash-consistency contract and formats are documented in
 // docs/durability.md; FaultFS is the in-process crash harness the recovery
 // property tests inject through.
@@ -57,20 +56,6 @@ func (p SyncPolicy) String() string {
 		return "none"
 	default:
 		return fmt.Sprintf("SyncPolicy(%d)", int(p))
-	}
-}
-
-// ParseSyncPolicy parses the string forms used by command-line flags.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "commit":
-		return SyncEachCommit, nil
-	case "interval":
-		return SyncInterval, nil
-	case "none":
-		return SyncNone, nil
-	default:
-		return 0, fmt.Errorf("unknown sync policy %q (want commit, interval or none)", s)
 	}
 }
 
@@ -210,8 +195,6 @@ func Open(opts Options, nextLSN uint64) (*Log, error) {
 }
 
 func segmentName(first uint64) string { return fmt.Sprintf("wal-%016x.log", first) }
-
-func checkpointName(lsn uint64) string { return fmt.Sprintf("ckpt-%016x.ckpt", lsn) }
 
 // openSegment starts the named segment. Called by the constructor and — for
 // the async policies — by the logger goroutine on rotation; under
@@ -623,17 +606,6 @@ func segmentLSNs(names []string) []named {
 	var out []named
 	for _, n := range names {
 		if lsn, ok := parseLSNName(n, "wal-", ".log"); ok {
-			out = append(out, named{n, lsn})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].lsn < out[j].lsn })
-	return out
-}
-
-func checkpointLSNs(names []string) []named {
-	var out []named
-	for _, n := range names {
-		if lsn, ok := parseLSNName(n, "ckpt-", ".ckpt"); ok {
 			out = append(out, named{n, lsn})
 		}
 	}

@@ -64,7 +64,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Checkpoint != nil || rec.TruncatedTail {
+	if rec.Chain != nil || rec.TruncatedTail {
 		t.Fatalf("unexpected checkpoint/truncation: %+v", rec)
 	}
 	if rec.NextLSN != lsn {
@@ -303,7 +303,7 @@ func TestScanEmptyDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Checkpoint != nil || len(rec.Records) != 0 || rec.NextLSN != 0 {
+	if rec.Chain != nil || len(rec.Records) != 0 || rec.NextLSN != 0 {
 		t.Fatalf("fresh scan: %+v", rec)
 	}
 }

@@ -57,12 +57,6 @@ func Batches(events []engine.Event, n int) [][]engine.Event {
 	return out
 }
 
-// StreamBatches generates the spec's stream and cuts it into event windows
-// of the given size, ready for engine.ApplyBatch.
-func (s Spec) StreamBatches(scale float64, seed int64, batchSize int) [][]engine.Event {
-	return Batches(s.Stream(scale, seed), batchSize)
-}
-
 var registry = map[string]Spec{}
 
 // Register adds a workload spec; it is called from the init functions of the

@@ -177,7 +177,4 @@ func TestBatchesPartitionTheStream(t *testing.T) {
 			t.Fatalf("n=%d: batches cover %d of %d events", n, total, len(events))
 		}
 	}
-	if got := spec.StreamBatches(0.1, 1, 7); len(got) != len(Batches(events, 7)) {
-		t.Fatalf("StreamBatches disagrees with Batches")
-	}
 }

@@ -188,13 +188,20 @@ func (e *Engine) LogNextLSN() uint64 {
 	return e.dur.log.NextLSN()
 }
 
-// applyDurable is Apply with the write-ahead tee: log first (per the sync
-// policy), execute second, then checkpoint if due. An append error means the
+// applyDurable is Apply with the write-ahead tee: check, log (per the sync
+// policy), execute, then checkpoint if due. An event its trigger rejects is
+// never logged, so it cannot fail a later Recover; an append error means the
 // event was not committed and is not executed.
 func (e *Engine) applyDurable(ev Event) error {
 	d := e.dur
 	if err := d.takeErr(); err != nil {
 		return fmt.Errorf("engine: checkpoint failed: %w", err)
+	}
+	plan := e.planFor(ev.Relation)
+	if plan != nil {
+		if err := checkEvent(plan.triggerFor(&ev), &ev); err != nil {
+			return err
+		}
 	}
 	d.evBuf = append(d.evBuf[:0], wal.Event{Relation: ev.Relation, Insert: ev.Insert, Tuple: ev.Tuple})
 	if _, err := d.log.Append(false, d.evBuf); err != nil {
@@ -204,7 +211,7 @@ func (e *Engine) applyDurable(ev Event) error {
 		if err := e.applyServing(ev); err != nil {
 			return err
 		}
-	} else if plan := e.planFor(ev.Relation); plan != nil {
+	} else if plan != nil {
 		if err := e.applyPlanned(plan, &ev, false); err != nil {
 			return err
 		}
@@ -212,20 +219,18 @@ func (e *Engine) applyDurable(ev Event) error {
 	return d.maybeCheckpoint(e)
 }
 
-// applyBatchDurable is ApplyBatch's write-ahead tee: the whole window is one
-// record and (under per-commit sync) one fsync — group commit at batch
-// granularity. Events are logged in the batch's grouped order, which NewBatch
-// regenerates identically on replay.
+// applyBatchDurable is ApplyBatch's write-ahead tee for a checked window: the
+// whole window is one record and (under per-commit sync) one fsync — group
+// commit at batch granularity. Events are logged in the batch's grouped
+// order, which NewBatch regenerates identically on replay.
 func (e *Engine) applyBatchDurable(b *Batch) error {
 	d := e.dur
 	if err := d.takeErr(); err != nil {
 		return fmt.Errorf("engine: checkpoint failed: %w", err)
 	}
 	d.evBuf = d.evBuf[:0]
-	for gi := range b.groups {
-		for _, ev := range b.groups[gi].events {
-			d.evBuf = append(d.evBuf, wal.Event{Relation: ev.Relation, Insert: ev.Insert, Tuple: ev.Tuple})
-		}
+	for _, ev := range b.events {
+		d.evBuf = append(d.evBuf, wal.Event{Relation: ev.Relation, Insert: ev.Insert, Tuple: ev.Tuple})
 	}
 	if _, err := d.log.Append(true, d.evBuf); err != nil {
 		return err
@@ -433,10 +438,10 @@ type RecoveryStats struct {
 // fails with an error and the engine must be considered unusable.
 //
 // Call it on a fresh engine, after LoadStatic/Init and after configuring the
-// execution mode, shard count and columnar setting the original run used —
-// replay re-executes triggers, so recovered state is byte-equal to the
-// original only under the original execution configuration. Arm durability
-// again afterwards with SetDurability to resume logging.
+// execution mode the original run used — replay re-executes triggers, so
+// recovered state is byte-equal to the original only under the original
+// execution configuration. Arm durability again afterwards with
+// SetDurability to resume logging.
 func (e *Engine) Recover(o DurabilityOptions) (*RecoveryStats, error) {
 	if e.dur != nil {
 		return nil, fmt.Errorf("engine: recover with durability armed")

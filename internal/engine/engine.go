@@ -14,7 +14,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -26,11 +25,12 @@ import (
 
 // Engine is an in-memory view maintenance runtime for one compiled trigger
 // program. Single events are applied with Apply; windows of events can be
-// applied with ApplyBatch, which computes commuting per-trigger deltas once
-// per window and spreads independent view updates over shard workers. The
-// write side must be driven from one goroutine (Apply and ApplyBatch are not
-// safe to call concurrently with each other); readers use Acquire and
-// Subscribe, which are safe concurrently with the write side.
+// applied with ApplyBatch, which runs every event through the same per-event
+// plan, grouped by relation, and amortises only deferrable re-evaluation
+// tails, logging and publication over the window. The write side must be
+// driven from one goroutine (Apply and ApplyBatch are not safe to call
+// concurrently with each other); readers use Acquire and Subscribe, which are
+// safe concurrently with the write side.
 type Engine struct {
 	prog    *trigger.Program
 	views   map[string]*View
@@ -75,22 +75,15 @@ type Engine struct {
 	subs      map[string][]*Subscription
 	capture   map[string]*gmr.GMR
 	capturing bool
-	// shards is the size of the worker pool ApplyBatch uses; views are
-	// partitioned across workers by name hash.
-	shards int
-	// plans caches the per-relation execution plans (conflict analysis plus
-	// per-statement compiled executors and fast paths), built lazily on first
-	// use and shared by Apply and ApplyBatch; lastRel/lastPlan are a
+	// plans caches the per-relation execution plans (batch class plus
+	// per-statement compiled executors), built lazily on first use and
+	// shared by Apply and ApplyBatch; lastRel/lastPlan are a
 	// one-entry lookup cache over it.
 	plans    map[string]*relationPlan
 	lastRel  string
 	lastPlan *relationPlan
 	// execMode selects compiled executors or the interpreter.
 	execMode ExecMode
-	// columnar enables lowering batched windows to columnar blocks (the
-	// default); when off, batched groups run the compiled row executors
-	// event by event.
-	columnar bool
 	// dur is the armed durability state (durable.go): non-nil after
 	// SetDurability, at which point Apply/ApplyBatch tee events through the
 	// write-ahead log before executing them. Written from the writer
@@ -124,17 +117,10 @@ func (e *Engine) SetExecMode(m ExecMode) {
 	e.lastRel, e.lastPlan = "", nil
 }
 
-// SetColumnar toggles the columnar block path inside batched windows (on by
-// default). When off, batched groups keep the grouped/sharded structure but
-// evaluate every statement row-at-a-time — the fallback the block path is
-// measured against. Cached plans are rebuilt on next use.
-func (e *Engine) SetColumnar(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.columnar = on
-	e.plans = map[string]*relationPlan{}
-	e.lastRel, e.lastPlan = "", nil
-}
+// SetColumnar is a no-op, kept so existing callers build: ApplyBatch runs
+// every event through the per-event compiled plan, so there is no columnar
+// window path to switch on or off.
+func (e *Engine) SetColumnar(on bool) {}
 
 // ExecStats reports, across the relation plans built so far, how many
 // statements run compiled and how many fell back to the interpreter.
@@ -175,9 +161,7 @@ func New(prog *trigger.Program) *Engine {
 		views:    make(map[string]*View, len(prog.Maps)),
 		statics:  map[string]*View{},
 		triggers: map[string]*trigger.Trigger{},
-		shards:   runtime.GOMAXPROCS(0),
 		plans:    map[string]*relationPlan{},
-		columnar: true,
 	}
 	for i := range prog.Maps {
 		m := prog.Maps[i]
@@ -190,16 +174,9 @@ func New(prog *trigger.Program) *Engine {
 	return e
 }
 
-// SetShards configures the number of shard workers ApplyBatch uses for
-// conflict-free groups (minimum 1; the default is GOMAXPROCS).
-func (e *Engine) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.mu.Lock()
-	e.shards = n
-	e.mu.Unlock()
-}
+// SetShards is a no-op, kept so existing callers build: ApplyBatch runs on
+// the driving goroutine and starts no workers.
+func (e *Engine) SetShards(n int) {}
 
 // Program returns the compiled program the engine runs.
 func (e *Engine) Program() *trigger.Program { return e.prog }
@@ -326,7 +303,7 @@ func (e *Engine) Apply(ev Event) error {
 		// are ignored, like events the paper's generated engines drop.
 		return nil
 	}
-	// The body below mirrors applyPlanned (the batch/serving paths' shared
+	// The body below mirrors applyPlanned (the serving and durable paths'
 	// helper) with the serving branches resolved away: Apply is the per-event
 	// hot loop of every single-threaded replay, and the extra call layer is
 	// measurable there.
@@ -369,31 +346,19 @@ func (e *Engine) applyServing(ev Event) error {
 // (serve true), callers hold e.mu and publish the epoch afterwards. Apply's
 // unobserved fast path mirrors this body — keep the two in sync.
 func (e *Engine) applyPlanned(plan *relationPlan, ev *Event, serve bool) error {
-	tp := plan.delete
-	if ev.Insert {
-		tp = plan.insert
-	}
+	tp := plan.triggerFor(ev)
 	if tp == nil {
 		return nil
 	}
-	if len(tp.trig.Args) != len(ev.Tuple) {
-		return fmt.Errorf("engine: event on %s carries %d values, trigger expects %d",
-			ev.Relation, len(ev.Tuple), len(tp.trig.Args))
+	if err := checkEvent(tp, ev); err != nil {
+		return err
 	}
 	if serve {
 		e.events.Add(1)
 	} else {
 		e.eventsPlain++
 	}
-	// The interpreter environment is built lazily, only when some statement
-	// actually falls back to it.
-	var env types.Env
-	for si := range tp.stmts {
-		if err := e.executeStmt(&tp.stmts[si], ev.Tuple, tp.trig.Args, &env); err != nil {
-			return fmt.Errorf("engine: %s: statement %q: %w", tp.trig.Key(), tp.stmts[si].stmt.String(), err)
-		}
-	}
-	return nil
+	return e.runStmts(tp, tp.stmts, ev.Tuple)
 }
 
 // executeStmt runs one statement of the sequential path. Compiled increments

@@ -69,3 +69,20 @@ func TestCompiledApplyAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestNewBatchAllocs pins NewBatch at a constant number of allocations per
+// window, however many events and relations it carries: the Batch and its
+// grouped copy of the events.
+func TestNewBatchAllocs(t *testing.T) {
+	events := mustSpec(t, "Q3").Stream(0.2, 1)
+	if len(events) < 256 {
+		t.Fatalf("stream too short: %d events", len(events))
+	}
+	window := events[len(events)-256:]
+	if got := engine.NewBatch(window).Len(); got != 256 {
+		t.Fatalf("NewBatch kept %d of 256 events", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { engine.NewBatch(window) }); allocs > 2 {
+		t.Errorf("NewBatch allocates %.1f times per 256-event window, want <= 2", allocs)
+	}
+}

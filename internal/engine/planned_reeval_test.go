@@ -87,9 +87,9 @@ func sawtoothOf(spec workload.Spec, n int) []engine.Event {
 // other way the stack has of computing the same views. At every event of a
 // sawtooth stream: the compiled engine ≡ the interpreter (every view) ≡
 // agca.Eval of the query over base relations the test accumulates itself;
-// then sequential ≡ batched at 1/7/64/256-event windows on one and two shards,
-// ≡ a CompileSet engine shared with a partner query, ≡ an engine recovered
-// from a write-ahead log killed at a random byte.
+// then sequential ≡ batched at 1/7/64/256-event windows, ≡ a CompileSet
+// engine shared with a partner query, ≡ an engine recovered from a
+// write-ahead log killed at a random byte.
 func TestPlannedReevalEquivalence(t *testing.T) {
 	for qi, q := range plannedQueries {
 		t.Run(q.name, func(t *testing.T) {
@@ -148,29 +148,25 @@ func TestPlannedReevalEquivalence(t *testing.T) {
 			}
 
 			for _, window := range []int{1, 7, 64, 256} {
-				for _, shards := range []int{1, 2} {
-					solo := newEngineFor(t, spec, compiler.ModeDBToaster)
-					both := newSharedEngine(t, ms)
-					solo.SetShards(shards)
-					both.SetShards(shards)
-					for start := 0; start < len(events); start += window {
-						end := min(start+window, len(events))
-						label := fmt.Sprintf("window=%d shards=%d events [%d,%d)", window, shards, start, end)
-						if err := solo.ApplyBatch(engine.NewBatch(events[start:end])); err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if err := both.ApplyBatch(engine.NewBatch(events[start:end])); err != nil {
-							t.Fatalf("%s, shared with %s: %v", label, q.partner, err)
-						}
-						if got := solo.Result(); !equalIgnoringSchema(after[end], got) {
-							t.Fatalf("%s: batched left sequential\nsequential: %v\nbatched:    %v", label, after[end], got)
-						}
-						if got, _ := both.ResultFor(q.name); !equalIgnoringSchema(after[end], got) {
-							t.Fatalf("%s, shared with %s: batched left sequential\nsequential: %v\nbatched:    %v", label, q.partner, after[end], got)
-						}
+				solo := newEngineFor(t, spec, compiler.ModeDBToaster)
+				both := newSharedEngine(t, ms)
+				for start := 0; start < len(events); start += window {
+					end := min(start+window, len(events))
+					label := fmt.Sprintf("window=%d events [%d,%d)", window, start, end)
+					if err := solo.ApplyBatch(engine.NewBatch(events[start:end])); err != nil {
+						t.Fatalf("%s: %v", label, err)
 					}
-					compareViews(t, fmt.Sprintf("window=%d shards=%d", window, shards), compiled, solo)
+					if err := both.ApplyBatch(engine.NewBatch(events[start:end])); err != nil {
+						t.Fatalf("%s, shared with %s: %v", label, q.partner, err)
+					}
+					if got := solo.Result(); !equalIgnoringSchema(after[end], got) {
+						t.Fatalf("%s: batched left sequential\nsequential: %v\nbatched:    %v", label, after[end], got)
+					}
+					if got, _ := both.ResultFor(q.name); !equalIgnoringSchema(after[end], got) {
+						t.Fatalf("%s, shared with %s: batched left sequential\nsequential: %v\nbatched:    %v", label, q.partner, after[end], got)
+					}
 				}
+				compareViews(t, fmt.Sprintf("window=%d", window), compiled, solo)
 			}
 
 			rng := rand.New(rand.NewSource(int64(qi)*7907 + 11))
@@ -178,7 +174,6 @@ func TestPlannedReevalEquivalence(t *testing.T) {
 			run := func(kill int64) (*wal.FaultFS, int64) {
 				ffs := wal.NewFaultFS()
 				eng := newEngineFor(t, spec, compiler.ModeDBToaster)
-				eng.SetShards(1)
 				if err := eng.SetDurability(engine.DurabilityOptions{
 					Dir: recoveryWalDir, FS: ffs, Sync: wal.SyncEachCommit,
 					CheckpointEvery: recoveryCkptEvery, SynchronousCheckpoints: true,
@@ -206,7 +201,6 @@ func TestPlannedReevalEquivalence(t *testing.T) {
 			_, total := run(0)
 			crashed, _ := run(1 + rng.Int63n(total))
 			rec := newEngineFor(t, spec, compiler.ModeDBToaster)
-			rec.SetShards(1)
 			stats, err := rec.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: crashed})
 			if err != nil {
 				t.Fatalf("recover after kill: %v", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -71,7 +72,6 @@ func applyUnit(eng *engine.Engine, events []engine.Event, off int, u commitUnit)
 func referenceAt(t *testing.T, spec workload.Spec, events []engine.Event, units []commitUnit, committed uint64) *engine.Engine {
 	t.Helper()
 	ref := newEngineFor(t, spec, compiler.ModeDBToaster)
-	ref.SetShards(1)
 	off := 0
 	for _, u := range units {
 		if uint64(off) == committed {
@@ -129,7 +129,6 @@ func TestCrashRecovery(t *testing.T) {
 			// writes included) and pins clean-shutdown recovery.
 			ffs := wal.NewFaultFS()
 			eng := newEngineFor(t, spec, compiler.ModeDBToaster)
-			eng.SetShards(1)
 			if err := eng.SetDurability(engine.DurabilityOptions{
 				Dir: recoveryWalDir, FS: ffs, Sync: wal.SyncEachCommit,
 				CheckpointEvery: recoveryCkptEvery, SynchronousCheckpoints: true,
@@ -149,7 +148,6 @@ func TestCrashRecovery(t *testing.T) {
 			totalBytes := ffs.BytesWritten()
 
 			clean := newEngineFor(t, spec, compiler.ModeDBToaster)
-			clean.SetShards(1)
 			stats, err := clean.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs.CrashClone()})
 			if err != nil {
 				t.Fatalf("clean-shutdown recovery: %v", err)
@@ -187,7 +185,6 @@ func TestCrashRecovery(t *testing.T) {
 					ffs := wal.NewFaultFS()
 					dopts.FS = ffs
 					eng := newEngineFor(t, spec, compiler.ModeDBToaster)
-					eng.SetShards(1)
 					if err := eng.SetDurability(dopts); err != nil {
 						t.Fatalf("set durability: %v", err)
 					}
@@ -213,7 +210,6 @@ func TestCrashRecovery(t *testing.T) {
 					_ = eng.CloseDurability()
 
 					rec := newEngineFor(t, spec, compiler.ModeDBToaster)
-					rec.SetShards(1)
 					stats, err := rec.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: clone})
 					if err != nil {
 						t.Fatalf("recover after kill: %v", err)
@@ -249,7 +245,6 @@ func TestCrashRecovery(t *testing.T) {
 					requireByteEqual(t, "post-recovery stream", ref, rec)
 
 					final := newEngineFor(t, spec, compiler.ModeDBToaster)
-					final.SetShards(1)
 					stats2, err := final.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: clone.CrashClone()})
 					if err != nil {
 						t.Fatalf("second recovery: %v", err)
@@ -294,7 +289,6 @@ func TestDeltaCheckpointKillPoints(t *testing.T) {
 	// base and delta links, so at least one .delta file must exist).
 	ffs := wal.NewFaultFS()
 	eng := newEngineFor(t, spec, compiler.ModeDBToaster)
-	eng.SetShards(1)
 	if err := eng.SetDurability(dopts(ffs)); err != nil {
 		t.Fatalf("set durability: %v", err)
 	}
@@ -331,7 +325,6 @@ func TestDeltaCheckpointKillPoints(t *testing.T) {
 			trng := rand.New(rand.NewSource(int64(k)*7919 + 1))
 			ffs := wal.NewFaultFS()
 			eng := newEngineFor(t, spec, compiler.ModeDBToaster)
-			eng.SetShards(1)
 			if err := eng.SetDurability(dopts(ffs)); err != nil {
 				t.Fatalf("set durability: %v", err)
 			}
@@ -352,7 +345,6 @@ func TestDeltaCheckpointKillPoints(t *testing.T) {
 			_ = eng.CloseDurability()
 
 			rec := newEngineFor(t, spec, compiler.ModeDBToaster)
-			rec.SetShards(1)
 			stats, err := rec.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: clone})
 			if err != nil {
 				t.Fatalf("recover after kill at %d bytes: %v", budget, err)
@@ -364,6 +356,95 @@ func TestDeltaCheckpointKillPoints(t *testing.T) {
 			requireByteEqual(t, "delta kill-point recovery", ref, rec)
 		})
 	}
+}
+
+// viewBytes is every view's flat-store image, keyed by view name.
+func viewBytes(eng *engine.Engine) map[string]string {
+	out := map[string]string{}
+	for name := range eng.ViewSizes() {
+		out[name] = string(eng.View(name).Data().AppendFlat(nil))
+	}
+	return out
+}
+
+// TestRejectedEventLeavesNoTrace pins that an event its trigger rejects (here:
+// the wrong arity) is caught before its commit unit is logged or any of it
+// runs. A window whose bad event follows good events of two relations, and a
+// bad single Apply, both fail with no view, Events count or log position
+// changed, on a memory-only and on a durable engine; the log stays
+// recoverable, byte-equal to a reference that never saw the rejected units.
+func TestRejectedEventLeavesNoTrace(t *testing.T) {
+	spec := mustSpec(t, "Q3")
+	events := spec.Stream(0.1, 1)
+	var prefix, good []engine.Event
+	for i, ev := range events {
+		if i < 100 {
+			prefix = append(prefix, ev)
+		} else if ev.Insert && (ev.Relation == "ORDERS" && len(good) == 0 || ev.Relation == "LINEITEM" && len(good) == 1) {
+			good = append(good, ev)
+		}
+	}
+	if len(good) != 2 {
+		t.Fatalf("stream has no ORDERS then LINEITEM insert after the prefix")
+	}
+	bad := engine.Event{Relation: "LINEITEM", Insert: true, Tuple: good[1].Tuple[:1]}
+
+	ref := newEngineFor(t, spec, compiler.ModeDBToaster)
+	mem := newEngineFor(t, spec, compiler.ModeDBToaster)
+	dur := newEngineFor(t, spec, compiler.ModeDBToaster)
+	ffs := wal.NewFaultFS()
+	if err := dur.SetDurability(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs, Sync: wal.SyncEachCommit}); err != nil {
+		t.Fatalf("set durability: %v", err)
+	}
+	for _, eng := range []*engine.Engine{ref, mem, dur} {
+		if err := eng.ApplyBatch(engine.NewBatch(prefix)); err != nil {
+			t.Fatalf("prefix: %v", err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		eng  *engine.Engine
+	}{{"memory-only", mem}, {"durable", dur}} {
+		views, n, lsn := viewBytes(tc.eng), tc.eng.Events(), tc.eng.LogNextLSN()
+		unchanged := func(what string) {
+			if got := viewBytes(tc.eng); !reflect.DeepEqual(got, views) {
+				t.Errorf("%s: %s changed the views", tc.name, what)
+			}
+			if got := tc.eng.Events(); got != n {
+				t.Errorf("%s: %s moved Events from %d to %d", tc.name, what, n, got)
+			}
+			if got := tc.eng.LogNextLSN(); got != lsn {
+				t.Errorf("%s: %s moved the log from LSN %d to %d", tc.name, what, lsn, got)
+			}
+		}
+		if err := tc.eng.ApplyBatch(engine.NewBatch([]engine.Event{good[0], good[1], bad})); err == nil {
+			t.Errorf("%s: window with a bad event accepted", tc.name)
+		}
+		unchanged("the rejected window")
+		if err := tc.eng.Apply(bad); err == nil {
+			t.Errorf("%s: bad event accepted", tc.name)
+		}
+		unchanged("the rejected event")
+	}
+	for _, eng := range []*engine.Engine{ref, mem, dur} {
+		if err := eng.ApplyBatch(engine.NewBatch(good)); err != nil {
+			t.Fatalf("after the rejections: %v", err)
+		}
+	}
+	requireByteEqual(t, "memory-only", ref, mem)
+	requireByteEqual(t, "durable", ref, dur)
+	if err := dur.CloseDurability(); err != nil {
+		t.Fatalf("close durability: %v", err)
+	}
+	rec := newEngineFor(t, spec, compiler.ModeDBToaster)
+	stats, err := rec.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs.CrashClone()})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if want := uint64(len(prefix) + len(good)); stats.NextLSN != want {
+		t.Errorf("recovered NextLSN %d, want %d", stats.NextLSN, want)
+	}
+	requireByteEqual(t, "recovered", ref, rec)
 }
 
 // TestDurabilityMisuse pins the guard rails: double arming, recovering into a

@@ -14,8 +14,8 @@ import (
 
 // TestServeConcurrentWithMaintenance is the serving layer's core guarantee,
 // exercised for every workload query under the race detector (the CI race
-// step runs it with -race): while a writer replays the stream through the
-// shard-parallel batch pipeline, concurrent readers acquire snapshots and
+// step runs it with -race): while a writer replays the stream through
+// ApplyBatch windows, concurrent readers acquire snapshots and
 // scan them, and subscribers consume the result change stream. Afterwards
 // every sampled snapshot must equal a sequential replay of the same stream
 // truncated to the snapshot's event count (cross-view, not just the result),
@@ -35,7 +35,6 @@ func TestServeConcurrentWithMaintenance(t *testing.T) {
 			batches := workload.Batches(events, batchSize)
 
 			eng := newEngineFor(t, spec, compiler.ModeDBToaster)
-			eng.SetShards(3)
 
 			// Subscriber 1: big enough buffer that nothing ever coalesces —
 			// its copy must track the result exactly.

@@ -129,7 +129,6 @@ func resultCopy(eng *engine.Engine) *gmr.GMR {
 func TestSubscribeStream(t *testing.T) {
 	spec := mustSpec(t, "Q1")
 	eng := newEngineFor(t, spec, compiler.ModeDBToaster)
-	eng.SetShards(2)
 	events := spec.Stream(0.1, 1)
 	if len(events) > 200 {
 		events = events[:200]

@@ -130,13 +130,12 @@ func TestSharedMapsEquivalence(t *testing.T) {
 	})
 }
 
-// TestSharedBatchedEquivalence drives the merged 18-query engine through the
-// batched pipeline and asserts, window by window, that every query's result
+// TestSharedBatchedEquivalence drives the merged 18-query engine through
+// ApplyBatch windows and asserts, window by window, that every query's result
 // matches per-event application of the same combined stream. The merged
-// triggers exercise the statement-level batch split: one query's conflict
-// closure (Q17a's old-value reads on LINEITEM, the BSP/BSV statements on
-// BIDS) replays per-event inside the window while the other queries'
-// statements batch.
+// triggers mix deferred replacement tails (VWAP, MST, PSP) with other
+// queries' increments that read maps the window writes (Q17a's old-value
+// reads on LINEITEM, the BSP/BSV statements on BIDS).
 func TestSharedBatchedEquivalence(t *testing.T) {
 	ms, err := workload.Combine(workload.Names(""))
 	if err != nil {

@@ -10,10 +10,9 @@ import (
 // This file implements the engine's change-stream serving layer: consumers
 // subscribe to a materialized view and receive its changes pushed as
 // ChangeBatch values, instead of polling snapshots. The write side captures,
-// for every subscribed view, the net delta of each published epoch — on the
-// batched path straight from the per-view deltas the shard pipeline already
-// computes, on the sequential path by teeing statement emission — and flushes
-// it to subscribers at publication time.
+// for every subscribed view, the net delta of each published epoch — by
+// teeing statement emission, on Apply and ApplyBatch alike — and flushes it
+// to subscribers at publication time.
 //
 // Backpressure policy: delivery never blocks the writer. Each subscription
 // has a bounded channel; when it is full the epoch's delta is not dropped but

@@ -16,9 +16,9 @@ import (
 // so probing dereferences the dense slot slice instead of a nested map and
 // index maintenance never copies tuples.
 //
-// Probe is safe for concurrent use (the batch pipeline's shard workers read
-// views in parallel while computing deltas); Add, AddProjected, MergeDelta
-// and Clear are not, and must not run concurrently with Probe.
+// Probe is safe for concurrent use (snapshot readers probe the static tables
+// they share with the writer); Add, AddProjected, MergeDelta and Clear are
+// not, and must not run concurrently with Probe.
 type View struct {
 	name string
 	keys []string

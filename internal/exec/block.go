@@ -7,9 +7,9 @@ import (
 )
 
 // Block is a columnar batch of event tuples: the struct-of-arrays form the
-// block executors run over. The engine transposes each commutative
-// per-relation event group into one Block per direction (insert/delete) and
-// hands hash-range chunks of it to the workers.
+// block executors run over, one Block per trigger (relation and direction).
+// The engine runs every event through the row executors and builds no
+// Blocks; the block lowering is kept for callers that measure it.
 //
 // Rows are kept as aliased tuples (no copy) so generic fallbacks and key
 // emission can read them directly; Seal additionally extracts one dense typed
@@ -75,8 +75,7 @@ func (b *Block) Row(i int) types.Tuple { return b.rows[i] }
 // values all share one of the int/float/string kinds gets a dense typed
 // slice; mixed, bool or null columns stay generic (read via the row tuples).
 // Sealing is idempotent and only worth the pass when a block executor will
-// run over the block — the engine skips it when every statement in the group
-// fell back to the row path.
+// run over the block.
 func (b *Block) Seal() { b.SealUsed(nil) }
 
 // SealUsed seals only the columns marked in used (every column when used is

@@ -104,17 +104,30 @@ type MachineCache struct {
 	m *machine
 }
 
+// newMachine allocates a machine for the executor. The registers, the
+// emission key and every probe-value buffer share one backing array, and the
+// key buffer grows on first use: the engine keeps a machine per statement, so
+// their size is part of every engine's resident heap.
 func (x *Executor) newMachine() *machine {
+	n := x.nRegs + len(x.keySlots)
+	for _, s := range x.valSizes {
+		n += s
+	}
+	backing := make([]types.Value, n)
+	take := func(s int) []types.Value {
+		v := backing[:s:s]
+		backing = backing[s:]
+		return v
+	}
 	m := &machine{
-		regs:     make([]types.Value, x.nRegs),
+		regs:     take(x.nRegs),
+		keyTuple: take(len(x.keySlots)),
 		vals:     make([][]types.Value, len(x.valSizes)),
 		scratch:  make([]*gmr.GMR, x.nScratch),
 		ranges:   make([]rangeSum, x.nRanges),
-		keyBuf:   make([]byte, 0, 64),
-		keyTuple: make(types.Tuple, len(x.keySlots)),
 	}
-	for i, n := range x.valSizes {
-		m.vals[i] = make([]types.Value, n)
+	for i, s := range x.valSizes {
+		m.vals[i] = take(s)
 	}
 	for _, p := range x.prefills {
 		m.vals[p.valsID][p.idx] = p.val

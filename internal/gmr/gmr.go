@@ -262,6 +262,23 @@ func (g *GMR) GetEncoded(key []byte) float64 {
 	return 0
 }
 
+// HashKey returns the 64-bit hash of a canonical key encoding (the bytes
+// produced by types.Tuple.AppendKey). It is the function every GMR uses
+// internally, exposed so bulk callers can hash a block of keys in one tight
+// pass and probe with the hashes (GetEncodedHashed).
+func HashKey(key []byte) uint64 { return hashKey(key) }
+
+// GetEncodedHashed is GetEncoded with the key's hash supplied by the caller.
+func (g *GMR) GetEncodedHashed(h uint64, key []byte) float64 {
+	if g.live == 0 {
+		return 0
+	}
+	if _, id, ok := g.find(h, key); ok {
+		return g.slots[id].mult
+	}
+	return 0
+}
+
 // LookupEncoded returns the entry stored under the encoded key, if any,
 // without allocating. The tuple aliases the store.
 func (g *GMR) LookupEncoded(key []byte) (Entry, bool) {

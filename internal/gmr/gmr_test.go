@@ -334,3 +334,23 @@ func TestForeachSlotIdsStable(t *testing.T) {
 		t.Fatalf("ForeachSlot visited %d entries, want 50", seen)
 	}
 }
+
+func TestHashedEntryPointsRoundTrip(t *testing.T) {
+	g := New(types.Schema{"a", "b"})
+	tup := types.Tuple{types.Int(7), types.Str("x")}
+	key := tup.AppendKey(nil)
+	h := HashKey(key)
+
+	g.AddEncoded(key, tup, 2.5)
+	if got := g.GetEncodedHashed(h, key); got != 2.5 {
+		t.Fatalf("GetEncodedHashed = %g, want 2.5", got)
+	}
+	// The hashed entry point must agree with the plain one.
+	if got := g.GetEncoded(key); got != 2.5 {
+		t.Fatalf("GetEncoded = %g, want 2.5", got)
+	}
+	g.AddEncoded(key, tup, -2.5)
+	if got := g.GetEncodedHashed(h, key); got != 0 {
+		t.Fatalf("GetEncodedHashed after removal = %g, want 0", got)
+	}
+}

@@ -46,8 +46,8 @@ func vwapProgram() *Program {
 func TestRelationBatchSplitRejections(t *testing.T) {
 	rejected := func(t *testing.T, what string, p *Program) {
 		t.Helper()
-		if class, seq := p.RelationBatchSplit("B"); class != BatchNone || seq != nil {
-			t.Fatalf("%s: split = (%v, %v), want (BatchNone, nil)", what, class, seq)
+		if class := p.RelationBatchSplit("B"); class != BatchNone {
+			t.Fatalf("%s: class = %v, want BatchNone", what, class)
 		}
 	}
 	// A replacement whose RHS mentions a trigger argument depends on which
@@ -63,8 +63,8 @@ func TestRelationBatchSplitRejections(t *testing.T) {
 	stmts[1], stmts[2] = stmts[2], stmts[1]
 	rejected(t, "increment after replacement", p)
 
-	// An increment reading a replaced map would observe stale tails
-	// mid-window.
+	// An increment reading a replaced map would observe the deferred tail
+	// stale for every event but the first.
 	p = vwapProgram()
 	p.Triggers[0].Stmts[0].RHS = agca.MapRef{Name: "VWAP"}
 	rejected(t, "increment reading replaced map", p)
@@ -77,7 +77,7 @@ func TestRelationBatchSplitRejections(t *testing.T) {
 
 // mergedProgram extends the VWAP shape with a second query's statements the
 // way CompileSet merges triggers: BSV reads AUX, which the same trigger
-// maintains — a conflict that must only sink its own closure.
+// maintains.
 func mergedProgram() *Program {
 	p := vwapProgram()
 	for ti := range p.Triggers {
@@ -95,37 +95,25 @@ func mergedProgram() *Program {
 }
 
 func TestRelationBatchSplit(t *testing.T) {
-	// The VWAP shape — commuting increments, then an argument-independent
-	// replacement — earns the re-evaluation-tail class with an empty closure.
-	p := vwapProgram()
-	class, seq := p.RelationBatchSplit("B")
-	if class != BatchReevalTail || len(seq) != 0 {
-		t.Fatalf("clean program: split = (%v, %v), want (BatchReevalTail, none)", class, seq)
+	// The VWAP shape — increments, then an argument-independent replacement —
+	// earns the deferred tail.
+	if class := vwapProgram().RelationBatchSplit("B"); class != BatchReevalTail {
+		t.Fatalf("clean program: class = %v, want BatchReevalTail", class)
 	}
 
-	// A merged trigger with one query's conflict: the closure holds exactly
-	// the conflicting statement and the maintenance of the map it reads —
-	// in both directions — while the clean statements stay batchable.
-	p = mergedProgram()
-	class, seq = p.RelationBatchSplit("B")
-	if class != BatchReevalTail {
-		t.Fatalf("split class = %v, want BatchReevalTail", class)
-	}
-	for _, key := range []string{"+B", "-B"} {
-		got := seq[key]
-		if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-			t.Fatalf("seq[%s] = %v, want [2 3] (BSV and AUX, not SUMPV/SUMV)", key, got)
-		}
+	// One query's increments reading a map the window writes do not sink the
+	// relation: increments run per event in stream order either way.
+	if class := mergedProgram().RelationBatchSplit("B"); class != BatchReevalTail {
+		t.Fatalf("merged program: class = %v, want BatchReevalTail", class)
 	}
 
-	// A closure statement reading a replaced map cannot keep per-event
-	// semantics against a once-per-window tail: whole relation falls back.
-	p = mergedProgram()
+	// An increment of either direction reading a replaced map would see the
+	// deferred tail stale: the whole relation runs per event.
+	p := mergedProgram()
 	for ti := range p.Triggers {
 		p.Triggers[ti].Stmts[2].RHS = agca.Mul(agca.V("v"), agca.MapRef{Name: "VWAP"})
 	}
-	class, seq = p.RelationBatchSplit("B")
-	if class != BatchNone || seq != nil {
-		t.Fatalf("closure reads replaced map: split = (%v, %v), want (BatchNone, nil)", class, seq)
+	if class := p.RelationBatchSplit("B"); class != BatchNone {
+		t.Fatalf("increment reads replaced map: class = %v, want BatchNone", class)
 	}
 }

@@ -6,6 +6,7 @@ package trigger
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,7 +45,7 @@ type Statement struct {
 	compileTried bool
 
 	// blockCompiled caches the columnar block executor the same way (or the
-	// error that keeps the statement row-at-a-time within batched windows).
+	// error that says the statement's shape does not block-lower).
 	blockCompiled *exec.BlockExecutor
 	blockErr      error
 	blockTried    bool
@@ -65,9 +66,9 @@ func (s *Statement) Executor(args []string) (*exec.Executor, error) {
 // BlockExecutor returns the columnar block executor for the statement under
 // the given trigger arguments, compiling on first call. A non-nil error means
 // the statement's shape is not block-lowerable (it binds variables per row or
-// emits keys that are not trigger arguments) and batched windows should run
-// it row-at-a-time. Like Executor, compilation is lazy and unsynchronized:
-// call from the engine's driving goroutine.
+// emits keys that are not trigger arguments). The engine runs every event
+// through Executor and never calls this; it serves callers measuring the block
+// lowering. Like Executor, compilation is lazy and unsynchronized.
 func (s *Statement) BlockExecutor(args []string) (*exec.BlockExecutor, error) {
 	if !s.blockTried {
 		s.blockTried = true
@@ -86,9 +87,7 @@ func (s Statement) String() string {
 }
 
 // ReadSet returns the names of every relation and materialized map the
-// statement's right-hand side reads, sorted and without duplicates. The
-// engine's batch scheduler uses read sets (against EventWriteSet) to decide
-// whether the statements of an event window commute.
+// statement's right-hand side reads, sorted and without duplicates.
 func (s *Statement) ReadSet() []string {
 	set := map[string]bool{}
 	for _, r := range agca.Relations(s.RHS) {
@@ -238,74 +237,44 @@ func (p *Program) EventWriteSet(relation string) map[string]bool {
 }
 
 // BatchClass classifies how a window of events on one relation may execute.
+// Every event of a window runs its trigger's increments in stream order, as
+// Apply would; the class only says whether the replacement tail must run per
+// event too.
 type BatchClass uint8
 
 const (
-	// BatchNone: the triggers do not commute; the engine replays the window
-	// sequentially, one trigger per event (the paper's exact semantics).
+	// BatchNone: every event runs its whole trigger (the paper's exact
+	// one-trigger-per-event semantics). Relations without a replacement
+	// tail, or whose tail cannot be deferred, get this class.
 	BatchNone BatchClass = iota
-	// BatchCommute: every statement is an increment and no statement reads a
-	// map the window writes, so per-event deltas depend only on the
-	// pre-window state and can be computed in any order and summed.
-	BatchCommute
-	// BatchReevalTail: the triggers are a commuting increment prefix followed
-	// by argument-independent replacement statements. The increments batch
-	// like BatchCommute; the replacement tail is idempotent in the event (its
-	// right-hand sides mention no trigger arguments, so every event's tail
-	// recomputes the same maps from the same inputs) and runs once per window
-	// after the merged increments — exactly the state the last sequential
-	// tail would have seen. VWAP's trailing "VWAP[] := ..." re-evaluation is
-	// the motivating shape.
+	// BatchReevalTail: the triggers end in a replacement tail that runs once,
+	// after the window's last event, instead of once per event. The tail is
+	// idempotent in the event (its right-hand sides mention no trigger
+	// argument, so every event's tail recomputes the same maps from the same
+	// inputs) and nothing earlier in the window reads what it replaces, so one
+	// run on the post-window state leaves exactly what the last per-event
+	// tail would have. VWAP's trailing "VWAP[] := ..." re-evaluation is the
+	// motivating shape.
 	BatchReevalTail
 )
 
-// RelationBatchSplit classifies the triggers of relation for batched
-// execution, at statement granularity.
+// RelationBatchSplit classifies the triggers of relation for windowed
+// execution. It returns BatchReevalTail when the triggers carry a replacement
+// tail that may be deferred to the end of a window:
 //
-// BatchCommute requires increments only; BatchReevalTail additionally allows
-// a trailing run of StmtReplace statements per trigger when (a) every
-// replacement RHS mentions no trigger argument, so the tail computes the same
-// result regardless of which event runs it, and (b) insert and delete
-// triggers carry identical tails, so the window can run any one of them.
+//   - no replacement RHS mentions a trigger argument;
+//   - the insert and delete triggers carry identical tails, so the window can
+//     run either one;
+//   - no increment follows a replacement, so the tail is a suffix;
+//   - no increment reads a map the tail replaces — it would observe the tail
+//     stale for every event but the first.
 //
-// An increment that reads a map the relation's triggers write (including the
-// base relation itself — a statement scanning it must not batch with its
-// updates) does not commute with the window. In a merged multi-query program
-// such a statement of one query would otherwise sink the whole relation to
-// BatchNone for every query sharing the trigger; the split instead isolates
-// the conflict closure and lets the rest of the trigger batch.
-//
-// It returns the batch class together with, per trigger key, the sorted
-// indices of the increment statements that must run per-event: every
-// increment reading a map the relation's triggers write, closed under
-// "maintains a map a sequential statement reads" across both directions.
-// Statements outside the closure read only maps no statement of the window
-// touches, so their per-event deltas depend solely on the pre-window state
-// and batch exactly as in a BatchCommute group; the closure replays with
-// per-event semantics. The two sets share no maps — the closure's reads pull
-// their writers in, and a batchable statement by construction reads nothing
-// the window writes — so the phases commute.
-//
-// The hard rejections keep the whole relation on the sequential path
-// (BatchNone, nil map): a replacement reading a trigger argument, an
-// increment after a replacement, diverging insert/delete tails, and a
-// closure statement reading a replaced map (its per-event evaluation would
-// observe the once-per-window tail stale).
-func (p *Program) RelationBatchSplit(relation string) (BatchClass, map[string][]int) {
-	writes := p.EventWriteSet(relation)
-	if len(writes) == 0 {
-		return BatchNone, nil
-	}
-	writes[relation] = true
-	hasReplace := false
+// Anything else, including a relation without triggers or without
+// replacements, is BatchNone.
+func (p *Program) RelationBatchSplit(relation string) BatchClass {
 	var tails [][]string // rendered replacement tail of each trigger
 	replaced := map[string]bool{}
-	type incRef struct {
-		key string
-		idx int
-		s   *Statement
-	}
-	var incs []incRef
+	var incs []*Statement
 	for ti := range p.Triggers {
 		t := &p.Triggers[ti]
 		if t.Relation != relation {
@@ -314,90 +283,40 @@ func (p *Program) RelationBatchSplit(relation string) (BatchClass, map[string][]
 		var tail []string
 		for si := range t.Stmts {
 			s := &t.Stmts[si]
-			if s.Kind == StmtReplace {
-				hasReplace = true
-				// The tail may read anything (it runs on the final window
-				// state, like the last sequential re-evaluation would), but
-				// it must not depend on the triggering event.
-				vars := agca.AllVars(s.RHS)
-				for _, a := range t.Args {
-					if vars[a] {
-						return BatchNone, nil
-					}
+			if s.Kind == StmtIncrement {
+				if len(tail) > 0 {
+					return BatchNone
 				}
-				replaced[s.TargetMap] = true
-				tail = append(tail, s.String())
+				incs = append(incs, s)
 				continue
 			}
-			if len(tail) > 0 {
-				// An increment after a replacement breaks the prefix/tail
-				// split (SortStatements never produces this order).
-				return BatchNone, nil
+			vars := agca.AllVars(s.RHS)
+			for _, a := range t.Args {
+				if vars[a] {
+					return BatchNone
+				}
 			}
-			incs = append(incs, incRef{key: t.Key(), idx: si, s: s})
+			replaced[s.TargetMap] = true
+			tail = append(tail, s.String())
 		}
 		tails = append(tails, tail)
 	}
-	if hasReplace {
-		for _, tl := range tails[1:] {
-			if len(tl) != len(tails[0]) {
-				return BatchNone, nil
-			}
-			for i := range tl {
-				if tl[i] != tails[0][i] {
-					return BatchNone, nil
-				}
-			}
+	if len(replaced) == 0 {
+		return BatchNone
+	}
+	for _, tl := range tails[1:] {
+		if !slices.Equal(tl, tails[0]) {
+			return BatchNone
 		}
 	}
-	// Seed the closure with every increment that reads a map the window
-	// writes, then grow it: a map a sequential statement reads must itself be
-	// maintained sequentially, in either direction's trigger.
-	seq := make([]bool, len(incs))
-	for i, r := range incs {
-		for _, m := range r.s.ReadSet() {
-			if writes[m] {
-				seq[i] = true
-				break
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		seqReads := map[string]bool{}
-		for i, r := range incs {
-			if seq[i] {
-				for _, m := range r.s.ReadSet() {
-					seqReads[m] = true
-				}
-			}
-		}
-		for i, r := range incs {
-			if !seq[i] && seqReads[r.s.TargetMap] {
-				seq[i] = true
-				changed = true
-			}
-		}
-	}
-	var out map[string][]int
-	for i, r := range incs {
-		if !seq[i] {
-			continue
-		}
-		for _, m := range r.s.ReadSet() {
+	for _, s := range incs {
+		for _, m := range s.ReadSet() {
 			if replaced[m] {
-				return BatchNone, nil
+				return BatchNone
 			}
 		}
-		if out == nil {
-			out = map[string][]int{}
-		}
-		out[r.key] = append(out[r.key], r.idx)
 	}
-	if hasReplace {
-		return BatchReevalTail, out
-	}
-	return BatchCommute, out
+	return BatchReevalTail
 }
 
 // SortStatements orders every trigger's statements for correct execution:

@@ -64,41 +64,49 @@ func TestEventWriteSet(t *testing.T) {
 }
 
 func TestRelationBatchSplitCommuting(t *testing.T) {
+	// Increments always run per event, in stream order: a relation without a
+	// replacement tail has nothing to defer.
 	p := testProgram()
-	for _, rel := range []string{"R", "S"} {
-		if class, seq := p.RelationBatchSplit(rel); class != BatchCommute || len(seq) != 0 {
-			t.Fatalf("%s: split = (%v, %v), want (BatchCommute, none): reads and writes are disjoint", rel, class, seq)
+	for _, rel := range []string{"R", "S", "T"} {
+		if class := p.RelationBatchSplit(rel); class != BatchNone {
+			t.Fatalf("%s: class = %v, want BatchNone", rel, class)
 		}
-	}
-	if class, seq := p.RelationBatchSplit("T"); class != BatchNone || seq != nil {
-		t.Fatalf("relation without triggers: split = (%v, %v), want (BatchNone, nil)", class, seq)
 	}
 }
 
+// withTail appends to R's trigger a replacement recomputing a total from MR,
+// which R's own increments maintain.
+func withTail(p *Program) *Program {
+	p.Triggers[0].Stmts = append(p.Triggers[0].Stmts, Statement{TargetMap: "TOT", Kind: StmtReplace,
+		RHS: agca.SumOver(nil, agca.MapRef{Name: "MR", Keys: []string{"x"}})})
+	p.Maps = append(p.Maps, MapDef{Name: "TOT"})
+	return p
+}
+
 func TestRelationBatchSplitConflicts(t *testing.T) {
-	// A statement reading a map the same event window writes replays per
-	// event, together with the statement maintaining that map.
-	p := testProgram()
-	p.Triggers[0].Stmts[0].RHS = agca.Mul(agca.V("v"), agca.MapRef{Name: "MR", Keys: []string{"a"}})
-	class, seq := p.RelationBatchSplit("R")
-	if class != BatchCommute || !reflect.DeepEqual(seq, map[string][]int{"+R": {0, 1}}) {
-		t.Fatalf("read/write overlap on MR: split = (%v, %v), want (BatchCommute, +R:[0 1])", class, seq)
+	if class := withTail(testProgram()).RelationBatchSplit("R"); class != BatchReevalTail {
+		t.Fatalf("argument-free tail: class = %v, want BatchReevalTail", class)
 	}
 
-	// A replacement statement that reads a trigger argument forces sequential
-	// order for the whole relation.
+	// An increment reading a map the same window writes no longer matters:
+	// every event's increments see the state the events before it left.
+	p := withTail(testProgram())
+	p.Triggers[0].Stmts[0].RHS = agca.Mul(agca.V("v"), agca.MapRef{Name: "MR", Keys: []string{"a"}})
+	if class := p.RelationBatchSplit("R"); class != BatchReevalTail {
+		t.Fatalf("read/write overlap on MR: class = %v, want BatchReevalTail", class)
+	}
+
+	// Nor does an increment scanning the updated base relation itself.
+	p = withTail(testProgram())
+	p.Triggers[0].Stmts[0].RHS = agca.R("R", "a", "v")
+	if class := p.RelationBatchSplit("R"); class != BatchReevalTail {
+		t.Fatalf("reading the updated relation: class = %v, want BatchReevalTail", class)
+	}
+
+	// A replacement that reads a trigger argument runs per event.
 	p = testProgram()
 	p.Triggers[0].Stmts[1].Kind = StmtReplace
-	if class, seq := p.RelationBatchSplit("R"); class != BatchNone || seq != nil {
-		t.Fatalf("argument-reading replacement: split = (%v, %v), want (BatchNone, nil)", class, seq)
-	}
-
-	// A statement that scans the updated base relation itself must not batch
-	// with its updates.
-	p = testProgram()
-	p.Triggers[0].Stmts[0].RHS = agca.R("R", "a", "v")
-	class, seq = p.RelationBatchSplit("R")
-	if class != BatchCommute || !reflect.DeepEqual(seq, map[string][]int{"+R": {0}}) {
-		t.Fatalf("reading the updated relation: split = (%v, %v), want (BatchCommute, +R:[0])", class, seq)
+	if class := p.RelationBatchSplit("R"); class != BatchNone {
+		t.Fatalf("argument-reading replacement: class = %v, want BatchNone", class)
 	}
 }

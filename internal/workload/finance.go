@@ -36,14 +36,12 @@ func financeStream(scale float64, seed int64) []engine.Event {
 		rel string
 		t   types.Tuple
 	}
-	var lives []live
+	var lives liveSet[live]
 	events := make([]engine.Event, 0, n)
 	bidPrice, askPrice := 10000.0, 10010.0
 	for i := 0; i < n; i++ {
-		if len(lives) > 50 && rng.Intn(3) == 0 {
-			j := rng.Intn(len(lives))
-			l := lives[j]
-			lives = append(lives[:j], lives[j+1:]...)
+		if lives.Len() > 50 && rng.Intn(3) == 0 {
+			l := lives.Remove(rng.Intn(lives.Len()))
 			events = append(events, engine.Event{Relation: l.rel, Insert: false, Tuple: l.t})
 			continue
 		}
@@ -62,7 +60,7 @@ func financeStream(scale float64, seed int64) []engine.Event {
 			types.Int(int64(price)),              // price
 			types.Int(int64(1 + rng.Intn(1000))), // volume
 		}
-		lives = append(lives, live{rel: rel, t: t})
+		lives.Add(live{rel: rel, t: t})
 		events = append(events, engine.Event{Relation: rel, Insert: true, Tuple: t})
 	}
 	return events

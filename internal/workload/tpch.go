@@ -287,8 +287,7 @@ func tpchStream(scale float64, seed int64) []engine.Event {
 	}
 
 	// Fact stream with working-set control.
-	type liveRow struct{ t types.Tuple }
-	var liveOrders, liveLines []liveRow
+	var liveOrders, liveLines liveSet[types.Tuple]
 	nextOK := 0
 	for len(events) < n {
 		r := rng.Float64()
@@ -299,14 +298,14 @@ func tpchStream(scale float64, seed int64) []engine.Event {
 			nextOK++
 			t := types.Tuple{types.Int(int64(ok)), types.Int(int64(rng.Intn(nCust))),
 				randDate(rng, 1992, 1998), types.Str(tpchPrios[rng.Intn(len(tpchPrios))])}
-			liveOrders = append(liveOrders, liveRow{t})
+			liveOrders.Add(t)
 			events = append(events, engine.Event{Relation: "ORDERS", Insert: true, Tuple: t})
 		case r < 0.72:
 			// New line item for a live order.
-			if len(liveOrders) == 0 {
+			if liveOrders.Len() == 0 {
 				continue
 			}
-			ok := liveOrders[rng.Intn(len(liveOrders))].t[0]
+			ok := liveOrders.At(rng.Intn(liveOrders.Len()))[0]
 			ship := randDate(rng, 1992, 1998)
 			commit := randDate(rng, 1992, 1998)
 			receipt := randDate(rng, 1992, 1998)
@@ -314,17 +313,13 @@ func tpchStream(scale float64, seed int64) []engine.Event {
 				types.Int(int64(1 + rng.Intn(50))), types.Int(int64(100 + rng.Intn(9900))),
 				types.Int(int64(rng.Intn(11))), types.Str(tpchFlags[rng.Intn(len(tpchFlags))]),
 				ship, commit, receipt, types.Str(tpchModes[rng.Intn(len(tpchModes))])}
-			liveLines = append(liveLines, liveRow{t})
+			liveLines.Add(t)
 			events = append(events, engine.Event{Relation: "LINEITEM", Insert: true, Tuple: t})
-		case r < 0.86 && len(liveLines) > int(float64(tpchLineLive)*scaleDim(scale)):
-			i := rng.Intn(len(liveLines))
-			t := liveLines[i].t
-			liveLines = append(liveLines[:i], liveLines[i+1:]...)
+		case r < 0.86 && liveLines.Len() > int(float64(tpchLineLive)*scaleDim(scale)):
+			t := liveLines.Remove(rng.Intn(liveLines.Len()))
 			events = append(events, engine.Event{Relation: "LINEITEM", Insert: false, Tuple: t})
-		case len(liveOrders) > int(float64(tpchOrdersLive)*scaleDim(scale)):
-			i := rng.Intn(len(liveOrders))
-			t := liveOrders[i].t
-			liveOrders = append(liveOrders[:i], liveOrders[i+1:]...)
+		case liveOrders.Len() > int(float64(tpchOrdersLive)*scaleDim(scale)):
+			t := liveOrders.Remove(rng.Intn(liveOrders.Len()))
 			events = append(events, engine.Event{Relation: "ORDERS", Insert: false, Tuple: t})
 		}
 	}

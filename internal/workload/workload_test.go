@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"dbtoaster/internal/agca"
@@ -175,6 +177,50 @@ func TestBatchesPartitionTheStream(t *testing.T) {
 		}
 		if total != len(events) {
 			t.Fatalf("n=%d: batches cover %d of %d events", n, total, len(events))
+		}
+	}
+}
+
+// TestStreamsPinned pins every generator's output byte for byte at a few
+// (scale, seed) points: the benchmark's inputs, the goldens and the
+// correctness gates all depend on the streams, so a generator change must not
+// move a single event.
+func TestStreamsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		query  string
+		scale  float64
+		seed   int64
+		sha256 string
+	}{
+		{"Q1", 0.1, 1, "24ccf3d3876c1f3a5804e89a5340a5a6707b8b0b6bae0a02e1f2d22c9ab245ff"},
+		{"Q1", 1, 1, "d075ece0dfb6a2bf1f6fb1b99fbc15b1e3ea6359b64ca53928ea0984435d75de"},
+		{"Q1", 4, 7, "058db121755ac5f633c7c281bc9b53e49f3595246e65ec9a867bd8aa7382969f"},
+		{"Q1", 16, 3, "e482f8e48d4a62f9e16e58d9b08afd32b23140fd3fd71505ed234d664d4f71fb"},
+		{"VWAP", 0.1, 1, "7f6adf698643a5cd8f6bb7578fc027b81fb827bdb11fb7bddd73a104238aad0e"},
+		{"VWAP", 1, 1, "31d6dcf25af21577a17ee5f2b39a60513920096fefbe8e0f954b655b9914650d"},
+		{"VWAP", 4, 7, "97b48e1e185791ef9ac2869bd49b92c14c4a9467b228fbbd973324899e5fc82d"},
+		{"VWAP", 16, 3, "44f2bc02223a2af496a4410a9ed419321a4911430e6cf6d1e248e1be6ebf1c5d"},
+		{"MDDB1", 0.1, 1, "45b6a0c5e925a3eba9bd51e48164f1061d7d9c6b369942cd315bbf00775ca4d2"},
+		{"MDDB1", 1, 1, "7df23357167d8a79735d14e6153b4beb44b1992c3df263749947b1a6c5c68816"},
+		{"MDDB1", 4, 7, "bf73fda3da34766ac2be9644d38deec055e0405d1afd2a5f09f176813107674e"},
+	} {
+		spec, ok := Get(tc.query)
+		if !ok {
+			t.Fatalf("unknown query %s", tc.query)
+		}
+		h := sha256.New()
+		var buf []byte
+		for _, ev := range spec.Stream(tc.scale, tc.seed) {
+			buf = append(buf[:0], ev.Relation...)
+			if ev.Insert {
+				buf = append(buf, '+')
+			} else {
+				buf = append(buf, '-')
+			}
+			h.Write(ev.Tuple.AppendKey(buf))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.sha256 {
+			t.Errorf("%s (%s) stream at scale %v seed %d: sha256 %s, want %s", tc.query, spec.Group, tc.scale, tc.seed, got, tc.sha256)
 		}
 	}
 }

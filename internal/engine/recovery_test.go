@@ -447,6 +447,55 @@ func TestRejectedEventLeavesNoTrace(t *testing.T) {
 	requireByteEqual(t, "recovered", ref, rec)
 }
 
+// TestAppendFailureIsSticky pins the log's sticky-failure contract at the
+// engine: under per-commit sync a torn append fails its Apply, the next
+// durable Apply — on a disk that has recovered meanwhile — returns the same
+// failure instead of writing past the tear, neither event reaches a view, and
+// Recover rebuilds exactly the views at the last committed event.
+func TestAppendFailureIsSticky(t *testing.T) {
+	spec := mustSpec(t, "Q3")
+	events := spec.Stream(0.1, 1)
+	const committed = 120
+	if len(events) < committed+2 {
+		t.Fatalf("stream too short: %d events", len(events))
+	}
+	ref := newEngineFor(t, spec, compiler.ModeDBToaster)
+	eng := newEngineFor(t, spec, compiler.ModeDBToaster)
+	ffs := wal.NewFaultFS()
+	if err := eng.SetDurability(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs, Sync: wal.SyncEachCommit}); err != nil {
+		t.Fatalf("set durability: %v", err)
+	}
+	for _, ev := range events[:committed] {
+		for _, e := range []*engine.Engine{ref, eng} {
+			if err := e.Apply(ev); err != nil {
+				t.Fatalf("apply: %v", err)
+			}
+		}
+	}
+	ffs.KillAfter(5)
+	if err := eng.Apply(events[committed]); err == nil {
+		t.Fatal("Apply with a torn log append succeeded")
+	}
+	ffs.KillAfter(1 << 40)
+	if err := eng.Apply(events[committed+1]); err == nil || !strings.Contains(err.Error(), "logger failed") {
+		t.Fatalf("Apply after the torn append: %v, want the sticky log failure", err)
+	}
+	requireByteEqual(t, "after the failures", ref, eng)
+	if err := eng.CloseDurability(); err == nil {
+		t.Error("CloseDurability reported no failure")
+	}
+	// Recover from the files as they stand, torn bytes included.
+	rec := newEngineFor(t, spec, compiler.ModeDBToaster)
+	stats, err := rec.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if stats.NextLSN != committed || !stats.TruncatedTail {
+		t.Errorf("recovered to LSN %d (torn tail %v), want %d with the tear truncated", stats.NextLSN, stats.TruncatedTail, committed)
+	}
+	requireByteEqual(t, "recovered", ref, rec)
+}
+
 // TestDurabilityMisuse pins the guard rails: double arming, recovering into a
 // dirty or armed engine, and checkpointing without durability all fail loudly
 // instead of corrupting state.

@@ -12,16 +12,19 @@ import (
 // ChangeBatch values, instead of polling snapshots. The write side captures,
 // for every subscribed view, the net delta of each published epoch — by
 // teeing statement emission, on Apply and ApplyBatch alike — and flushes it
-// to subscribers at publication time.
+// to subscribers at publication time: the delta's entries are built once and
+// every subscriber's Mailbox gets the same immutable slice.
 //
-// Backpressure policy: delivery never blocks the writer. Each subscription
-// has a bounded channel; when it is full the epoch's delta is not dropped but
-// coalesced — merged (GMR ring addition) into the subscription's pending
-// delta and delivered with the next publication that finds room, with
-// ChangeBatch.Coalesced counting the publications folded in. Coalescing is
-// lossless for state (per-key multiplicities sum) and lossy only for the
-// intermediate epochs a slow consumer would not have kept up with anyway.
-// Deltas that cancel out to zero are not delivered.
+// Backpressure policy (Mailbox): delivery never blocks the sender. Each
+// mailbox has a bounded channel; when it is full the epoch's delta is not
+// dropped but coalesced — merged (GMR ring addition) into the mailbox's
+// pending delta and delivered with the next publication (or Flush) that finds
+// room, with ChangeBatch.Coalesced counting the publications that found the
+// channel full. Coalescing is lossless for state (per-key multiplicities
+// sum) and lossy only for the intermediate epochs a slow consumer would not
+// have kept up with anyway. Deltas that cancel out to zero are not delivered.
+// The serving tier's fan-out hub gives each remote client stream a Mailbox
+// too, so both streams share one queue and one meaning of Coalesced.
 
 // ChangeBatch is one push notification on a view subscription: the net
 // change of the subscribed view between two published epochs (or, for the
@@ -37,8 +40,8 @@ type ChangeBatch struct {
 	// Initial marks the catch-up batch: Entries is the view's state at
 	// subscription time, not a delta.
 	Initial bool
-	// Coalesced counts earlier publications merged into this batch because
-	// the subscriber's channel was full when they were flushed.
+	// Coalesced counts the publications merged into this batch that found the
+	// subscriber's channel full; a batch delivered on the first try has 0.
 	Coalesced int
 	// Entries is the delta (or initial state): tuples with the multiplicity
 	// change to add to the consumer's copy. Entries are immutable.
@@ -64,24 +67,120 @@ type SubscribeOptions struct {
 	ResumeFrom *uint64
 }
 
-// Subscription is one consumer's handle on a view's change stream. Receive
-// from C; Cancel closes it. The zero epoch-ordering guarantee: batches arrive
-// in strictly increasing Epoch order, and after the catch-up batch, applying
-// every batch's Entries to the consumer's copy reproduces the view at each
-// delivered epoch.
-type Subscription struct {
-	// C delivers the change batches. It is closed by Cancel.
+// Mailbox is a bounded, losslessly coalescing queue of ChangeBatch values
+// with one sender: Push offers a publication, Flush retries a pending
+// coalesced delta, Close flushes what fits and closes C. Push, Flush and
+// Close belong to the sender — the engine's writer for a Subscription, the
+// fan-out hub goroutine for a remote client stream — and must not run
+// concurrently; consumers only receive from C.
+type Mailbox struct {
+	// C delivers the change batches. It is closed by Close.
 	C <-chan ChangeBatch
 
-	e    *Engine
 	view string
 	ch   chan ChangeBatch
-	// pending accumulates deltas that could not be delivered (channel full);
-	// coalesced counts the publications folded into it. Both are guarded by
-	// the engine's writer lock.
+	// pending accumulates publications that found ch full; coalesced counts
+	// them.
 	pending   *gmr.GMR
 	coalesced int
-	done      bool
+	closed    bool
+	// Running totals for stats: batches delivered, publications coalesced.
+	delivered, coalescedTotal uint64
+}
+
+// NewMailbox returns an empty mailbox for a view with the given key schema,
+// whose channel holds buffer batches (minimum 1).
+func NewMailbox(view string, keys []string, buffer int) *Mailbox {
+	m := &Mailbox{
+		view:    view,
+		ch:      make(chan ChangeBatch, max(buffer, 1)),
+		pending: gmr.New(types.Schema(keys)),
+	}
+	m.C = m.ch
+	return m
+}
+
+// Push offers one publication: entries (shared and immutable — every
+// mailbox of the view may hold the same slice) bring the consumer up to
+// events. With nothing pending and room in the channel the slice is sent as
+// is; otherwise it is merged into the pending delta, which is delivered now if
+// the channel has room and coalesces (counted) if not.
+func (m *Mailbox) Push(entries []gmr.Entry, events uint64) {
+	if m.closed {
+		return
+	}
+	if m.pending.IsEmpty() {
+		select {
+		case m.ch <- ChangeBatch{View: m.view, Events: events, Entries: entries}:
+			m.delivered++
+			return
+		default:
+		}
+	}
+	for _, e := range entries {
+		m.pending.Add(e.Tuple, e.Mult)
+	}
+	if !m.Flush(events) {
+		m.coalesced++
+		m.coalescedTotal++
+	}
+}
+
+// Flush tries to deliver the pending delta without blocking and reports
+// whether nothing is left pending. A backlog that cancelled out to zero is
+// dropped — the consumer's state is already correct.
+func (m *Mailbox) Flush(events uint64) bool {
+	if m.closed || m.pending.IsEmpty() {
+		m.coalesced = 0
+		return true
+	}
+	if len(m.ch) == cap(m.ch) {
+		// Full: keep coalescing without building (and throwing away) the
+		// sorted entries of the whole backlog. The sender is the only writer
+		// to ch, so a stale read at worst coalesces one extra publication.
+		return false
+	}
+	select {
+	case m.ch <- ChangeBatch{View: m.view, Events: events, Coalesced: m.coalesced, Entries: m.pending.Entries()}:
+		// Entries shares the (immutable) tuples; Reset recycles only the
+		// pending store's own structures, so the delivered batch stays valid.
+		m.pending.Reset()
+		m.coalesced = 0
+		m.delivered++
+		return true
+	default:
+		return false
+	}
+}
+
+// Close flushes the pending delta if the channel has room (a consumer that
+// drained before the close therefore converges to the final state; otherwise
+// the delta is discarded) and closes C. Later calls do nothing.
+func (m *Mailbox) Close(events uint64) {
+	if m.closed {
+		return
+	}
+	m.Flush(events)
+	m.closed = true
+	close(m.ch)
+}
+
+// Totals returns the batches delivered and the publications coalesced over
+// the mailbox's life.
+func (m *Mailbox) Totals() (delivered, coalesced uint64) {
+	return m.delivered, m.coalescedTotal
+}
+
+// Subscription is one consumer's handle on a view's change stream: a Mailbox
+// the engine's writer pushes every publication of the view into (under the
+// writer lock — the promoted Push, Flush and Close are the writer's, not the
+// consumer's). Receive from C; Cancel closes it. Batches arrive in strictly
+// increasing Events order, and after the catch-up batch, applying every
+// batch's Entries to the consumer's copy reproduces the view at each
+// delivered epoch.
+type Subscription struct {
+	*Mailbox
+	e *Engine
 }
 
 // Subscribe registers a consumer for the named view's change stream ("" means
@@ -108,13 +207,7 @@ func (e *Engine) Subscribe(view string, opts SubscribeOptions) (*Subscription, e
 	if buf < 1 {
 		buf = 16
 	}
-	sub := &Subscription{
-		e:       e,
-		view:    view,
-		ch:      make(chan ChangeBatch, buf),
-		pending: gmr.New(types.Schema(v.Keys())),
-	}
-	sub.C = sub.ch
+	sub := &Subscription{Mailbox: NewMailbox(view, v.Keys(), buf), e: e}
 	skipInitial := opts.SkipInitial
 	if opts.ResumeFrom != nil && *opts.ResumeFrom == e.events.Load() {
 		skipInitial = true
@@ -147,18 +240,12 @@ func (e *Engine) Subscribe(view string, opts SubscribeOptions) (*Subscription, e
 // retried because the writer went idle) is flushed into the channel first if
 // there is room — a consumer that drains before cancelling therefore always
 // converges to the final state; if the channel is still full, the pending
-// delta is discarded. Safe to call at any time, once.
+// delta is discarded. Safe to call at any time, any number of times.
 func (s *Subscription) Cancel() {
 	e := s.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if s.done {
-		return
-	}
-	s.done = true
-	if !s.pending.IsEmpty() {
-		s.push(nil, e.events.Load())
-	}
+	s.Close(e.events.Load())
 	list := e.subs[s.view]
 	for i, sub := range list {
 		if sub == s {
@@ -173,7 +260,6 @@ func (s *Subscription) Cancel() {
 	} else {
 		e.subs[s.view] = list
 	}
-	close(s.ch)
 }
 
 // Subscribers reports the number of active subscriptions per view.
@@ -187,51 +273,19 @@ func (e *Engine) Subscribers() map[string]int {
 	return out
 }
 
-// flushSubscribersLocked delivers the epoch's captured per-view deltas.
-// Callers hold e.mu (it runs inside publishLocked, on the writer).
+// flushSubscribersLocked delivers the epoch's captured per-view deltas: each
+// changed view's entries are built once and pushed to every subscriber's
+// mailbox. Callers hold e.mu (it runs inside publishLocked, on the writer).
 func (e *Engine) flushSubscribersLocked(events uint64) {
 	for view, delta := range e.capture {
 		if delta.IsEmpty() {
 			continue
 		}
+		entries := delta.Entries()
 		for _, sub := range e.subs[view] {
-			sub.push(delta, events)
+			sub.Push(entries, events)
 		}
 		delta.Reset()
-	}
-}
-
-// push merges the epoch's delta into the subscription's pending delta and
-// tries to deliver it without blocking; a full channel leaves it coalesced
-// for the next publication.
-func (s *Subscription) push(delta *gmr.GMR, events uint64) {
-	s.pending.MergeInto(delta, 1)
-	if s.pending.IsEmpty() {
-		// The backlog cancelled out to zero — nothing to deliver.
-		s.coalesced = 0
-		return
-	}
-	if len(s.ch) == cap(s.ch) {
-		// Channel full: coalesce without building (and throwing away) the
-		// sorted entries of the whole backlog. The writer is the only
-		// sender and holds e.mu, so a stale read here at worst coalesces
-		// one extra epoch.
-		s.coalesced++
-		return
-	}
-	select {
-	case s.ch <- ChangeBatch{
-		View:      s.view,
-		Events:    events,
-		Coalesced: s.coalesced,
-		Entries:   s.pending.Entries(),
-	}:
-		// Entries shares the (immutable) tuples; Reset recycles only the
-		// pending store's own structures, so the delivered batch stays valid.
-		s.pending.Reset()
-		s.coalesced = 0
-	default:
-		s.coalesced++
 	}
 }
 

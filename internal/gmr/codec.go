@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"dbtoaster/internal/frame"
 	"dbtoaster/internal/types"
 )
 
@@ -31,8 +32,9 @@ import (
 // arena, the probe table is verified cell-by-cell against the slots, and
 // every live slot must be findable through the loaded table. A truncated or
 // bit-flipped image produces an error (and no partially initialized GMR),
-// never a panic. Integrity against silent corruption of the byte stream
-// itself (CRCs) is the caller's layer — see package wal.
+// never a panic; the header and sections are read through internal/frame's
+// bounds-checked Reader. Integrity against silent corruption of the byte
+// stream itself (CRCs) is the caller's layer — see package wal.
 
 const (
 	flatVersion   = 1
@@ -50,8 +52,7 @@ func (g *GMR) AppendFlat(dst []byte) []byte {
 	dst = append(dst, flatVersion)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(g.schema)))
 	for _, col := range g.schema {
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(col)))
-		dst = append(dst, col...)
+		dst = frame.AppendStr16(dst, col)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(g.live))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(g.slots)))
@@ -81,133 +82,55 @@ func (g *GMR) AppendFlat(dst []byte) []byte {
 	return dst
 }
 
-// flatReader is a bounds-checked cursor over a serialized flat store.
-type flatReader struct {
-	b   []byte
-	pos int
-}
-
-func (r *flatReader) take(n int) ([]byte, error) {
-	if n < 0 || len(r.b)-r.pos < n {
-		return nil, fmt.Errorf("truncated at offset %d (need %d bytes, have %d)", r.pos, n, len(r.b)-r.pos)
-	}
-	out := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return out, nil
-}
-
-func (r *flatReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *flatReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *flatReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
 // LoadFlat reconstructs a GMR from an AppendFlat serialization. The entire
 // input must be consumed; structural damage of any kind is reported as an
 // error with the failing offset or slot, and no partially loaded store is
 // ever returned.
 func LoadFlat(data []byte) (*GMR, error) {
-	r := &flatReader{b: data}
-	magic, err := r.take(len(flatMagic))
-	if err != nil {
+	r := frame.NewReader(data)
+	magic := r.Bytes(len(flatMagic), "magic")
+	ver := r.U8("version")
+	ncols := r.U16("column count")
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if string(magic) != flatMagic {
 		return nil, fmt.Errorf("bad magic %q", magic)
 	}
-	ver, err := r.take(1)
-	if err != nil {
-		return nil, err
+	if ver != flatVersion {
+		return nil, fmt.Errorf("unsupported flat-store version %d", ver)
 	}
-	if ver[0] != flatVersion {
-		return nil, fmt.Errorf("unsupported flat-store version %d", ver[0])
-	}
-	ncols, err := r.u16()
-	if err != nil {
-		return nil, err
+	if int(ncols)*2 > r.Remaining() {
+		return nil, fmt.Errorf("column count %d exceeds input size", ncols)
 	}
 	schema := make(types.Schema, ncols)
 	for i := range schema {
-		n, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		col, err := r.take(int(n))
-		if err != nil {
-			return nil, err
-		}
-		schema[i] = string(col)
+		schema[i] = r.Str16("column name")
 	}
-	live, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	nSlots, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	nFree, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	nIndex, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	arenaLen, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	deadKey, err := r.u64()
-	if err != nil {
+	live := r.U32("live count")
+	nSlots := r.U32("slot count")
+	nFree := r.U32("free-list length")
+	nIndex := r.U32("probe table size")
+	arenaLen := r.U64("arena length")
+	deadKey := r.U64("dead-key byte count")
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if arenaLen > uint64(len(data)) {
 		return nil, fmt.Errorf("arena length %d exceeds input size %d", arenaLen, len(data))
 	}
-	arena, err := r.take(int(arenaLen))
-	if err != nil {
-		return nil, err
-	}
-	slotBytesTotal := int(nSlots) * flatSlotBytes
 	if nSlots > uint32(len(data)/flatSlotBytes+1) {
 		return nil, fmt.Errorf("slot count %d exceeds input size", nSlots)
-	}
-	slotBuf, err := r.take(slotBytesTotal)
-	if err != nil {
-		return nil, err
-	}
-	freeBuf, err := r.take(int(nFree) * 4)
-	if err != nil {
-		return nil, err
 	}
 	if nIndex > uint32(len(data)/8+1) {
 		return nil, fmt.Errorf("probe table size %d exceeds input size", nIndex)
 	}
-	indexBuf, err := r.take(int(nIndex) * 8)
-	if err != nil {
+	arena := r.Bytes(int(arenaLen), "arena")
+	slotBuf := r.Bytes(int(nSlots)*flatSlotBytes, "slot records")
+	freeBuf := r.Bytes(int(nFree)*4, "free list")
+	indexBuf := r.Bytes(int(nIndex)*8, "probe table")
+	if err := r.Done("flat store"); err != nil {
 		return nil, err
-	}
-	if r.pos != len(data) {
-		return nil, fmt.Errorf("%d trailing bytes after flat store", len(data)-r.pos)
 	}
 	if nIndex != 0 && (nIndex < minIndexSize || nIndex&(nIndex-1) != 0) {
 		return nil, fmt.Errorf("probe table size %d is not a power of two >= %d", nIndex, minIndexSize)

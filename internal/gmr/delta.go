@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"dbtoaster/internal/frame"
 	"dbtoaster/internal/types"
 )
 
@@ -173,117 +174,58 @@ func (g *GMR) ApplyFlatDelta(data []byte) error {
 	if g.flags&flagSealed != 0 {
 		return fmt.Errorf("gmr: ApplyFlatDelta on a frozen snapshot")
 	}
-	r := &flatReader{b: data}
-	magic, err := r.take(len(deltaMagic))
-	if err != nil {
-		return err
-	}
-	if string(magic) != deltaMagic {
+	r := frame.NewReader(data)
+	magic := r.Bytes(len(deltaMagic), "delta magic")
+	ver := r.U8("delta version")
+	ncols := r.U16("column count")
+	live := r.U32("live count")
+	nSlots := r.U32("slot count")
+	baseSlots := r.U32("base slot count")
+	nFree := r.U32("free-list length")
+	nIndex := r.U32("probe table size")
+	arenaLen := r.U64("arena length")
+	baseArenaLen := r.U64("base arena length")
+	deadKey := r.U64("dead-key byte count")
+	switch {
+	case r.Err() != nil:
+		return r.Err()
+	case string(magic) != deltaMagic:
 		return fmt.Errorf("bad delta magic %q", magic)
-	}
-	ver, err := r.take(1)
-	if err != nil {
-		return err
-	}
-	if ver[0] != deltaVersion {
-		return fmt.Errorf("unsupported delta version %d", ver[0])
-	}
-	ncols, err := r.u16()
-	if err != nil {
-		return err
-	}
-	if int(ncols) != len(g.schema) {
+	case ver != deltaVersion:
+		return fmt.Errorf("unsupported delta version %d", ver)
+	case int(ncols) != len(g.schema):
 		return fmt.Errorf("delta schema has %d columns, store has %d", ncols, len(g.schema))
-	}
-	live, err := r.u32()
-	if err != nil {
-		return err
-	}
-	nSlots, err := r.u32()
-	if err != nil {
-		return err
-	}
-	baseSlots, err := r.u32()
-	if err != nil {
-		return err
-	}
-	nFree, err := r.u32()
-	if err != nil {
-		return err
-	}
-	nIndex, err := r.u32()
-	if err != nil {
-		return err
-	}
-	arenaLen, err := r.u64()
-	if err != nil {
-		return err
-	}
-	baseArenaLen, err := r.u64()
-	if err != nil {
-		return err
-	}
-	deadKey, err := r.u64()
-	if err != nil {
-		return err
-	}
-	if int(baseSlots) != len(g.slots) {
+	case int(baseSlots) != len(g.slots):
 		return fmt.Errorf("delta base has %d slots, store has %d", baseSlots, len(g.slots))
-	}
-	if baseArenaLen != uint64(len(g.arena)) {
+	case baseArenaLen != uint64(len(g.arena)):
 		return fmt.Errorf("delta base arena is %d bytes, store arena is %d", baseArenaLen, len(g.arena))
-	}
-	if int(nIndex) != len(g.index) {
+	case int(nIndex) != len(g.index):
 		return fmt.Errorf("delta probe table has %d cells, store has %d", nIndex, len(g.index))
-	}
-	if arenaLen < baseArenaLen {
+	case arenaLen < baseArenaLen:
 		return fmt.Errorf("delta arena length %d below base arena length %d", arenaLen, baseArenaLen)
-	}
-	if nSlots < baseSlots {
+	case nSlots < baseSlots:
 		return fmt.Errorf("delta slot count %d below base slot count %d", nSlots, baseSlots)
-	}
-	if live > nSlots {
+	case live > nSlots:
 		return fmt.Errorf("live count %d exceeds slot count %d", live, nSlots)
-	}
-	if deadKey > arenaLen {
+	case deadKey > arenaLen:
 		return fmt.Errorf("dead-key byte count %d exceeds arena size %d", deadKey, arenaLen)
+	case arenaLen-baseArenaLen > uint64(len(data)):
+		return fmt.Errorf("arena suffix length %d exceeds input size %d", arenaLen-baseArenaLen, len(data))
 	}
-	suffixLen := arenaLen - baseArenaLen
-	if suffixLen > uint64(len(data)) {
-		return fmt.Errorf("arena suffix length %d exceeds input size %d", suffixLen, len(data))
-	}
-	suffix, err := r.take(int(suffixLen))
-	if err != nil {
-		return err
-	}
-	nDirty, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if nDirty > nSlots {
+	suffix := r.Bytes(int(arenaLen-baseArenaLen), "arena suffix")
+	nDirty := r.U32("dirty slot count")
+	if r.Err() == nil && nDirty > nSlots {
 		return fmt.Errorf("dirty slot count %d exceeds slot count %d", nDirty, nSlots)
 	}
-	dirtyBuf, err := r.take(int(nDirty) * (4 + flatSlotBytes))
-	if err != nil {
-		return err
-	}
-	freeBuf, err := r.take(int(nFree) * 4)
-	if err != nil {
-		return err
-	}
-	nCells, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if nCells > nIndex {
+	dirtyBuf := r.Bytes(int(nDirty)*(4+flatSlotBytes), "dirty slot records")
+	freeBuf := r.Bytes(int(nFree)*4, "free list")
+	nCells := r.U32("dirty cell count")
+	if r.Err() == nil && nCells > nIndex {
 		return fmt.Errorf("dirty cell count %d exceeds probe table size %d", nCells, nIndex)
 	}
-	cellBuf, err := r.take(int(nCells) * 12)
-	if err != nil {
+	cellBuf := r.Bytes(int(nCells)*12, "dirty cells")
+	if err := r.Done("delta"); err != nil {
 		return err
-	}
-	if r.pos != len(data) {
-		return fmt.Errorf("%d trailing bytes after delta", len(data)-r.pos)
 	}
 	// Every slot appended since the base must be covered by a dirty record
 	// (new slots are dirty by definition), so the growth is bounded by the

@@ -21,20 +21,13 @@ type ClientOptions struct {
 	// exactly the signal the server's backpressure needs: the server then
 	// coalesces this client's deltas without stalling the writer or peers.
 	Buffer int
-	// Reconnect makes the client redial after a connection failure or a
-	// server drain, resubscribing with its resume token (the events position
-	// of its local copy). The server answers with the cheapest sufficient
-	// catch-up: nothing (current), a merged delta (still inside the
-	// retention window), or a snapshot that resets the local copy.
-	Reconnect bool
-	// ResumeFrom, when non-nil, is the resume token for the FIRST dial —
-	// a consumer resuming its own persisted copy.
+	// ResumeFrom, when non-nil, is the resume token to subscribe with: the
+	// events position a local copy already reflects — Events() of an earlier
+	// client whose connection ended, or a consumer's own persisted copy. The
+	// server answers with the cheapest sufficient catch-up: nothing
+	// (current), a merged delta (still inside the retention window), or a
+	// snapshot that resets the copy.
 	ResumeFrom *uint64
-	// BackoffMin/BackoffMax bound the reconnect backoff
-	// (defaults 50ms and 2s).
-	BackoffMin, BackoffMax time.Duration
-	// DialTimeout bounds each dial attempt (default 5s).
-	DialTimeout time.Duration
 }
 
 func (o ClientOptions) buffer() int {
@@ -44,55 +37,35 @@ func (o ClientOptions) buffer() int {
 	return o.Buffer
 }
 
-func (o ClientOptions) backoffMin() time.Duration {
-	if o.BackoffMin <= 0 {
-		return 50 * time.Millisecond
-	}
-	return o.BackoffMin
-}
-
-func (o ClientOptions) backoffMax() time.Duration {
-	if o.BackoffMax <= 0 {
-		return 2 * time.Second
-	}
-	return o.BackoffMax
-}
-
-func (o ClientOptions) dialTimeout() time.Duration {
-	if o.DialTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return o.DialTimeout
-}
+// dialTimeout bounds the dial and the wait for the subscription ack.
+const dialTimeout = 5 * time.Second
 
 // Client is one query's remote change-stream consumer: it dials a server's
 // stream address, subscribes, maintains a local materialized copy of the
 // result from the catch-up state and every delta, and forwards each decoded
-// batch on C. With Reconnect set it survives connection loss by redialing
-// with its resume token.
+// batch on C. A client serves one connection; to survive its loss, Dial
+// again with ResumeFrom set to this client's Events().
 type Client struct {
 	// C delivers every decoded batch in stream order: catch-up chunks
 	// (Initial, the first with Reset), resume deltas (Resumed), and regular
-	// deltas. It is closed when the client stops (Close, a fatal server
-	// error, or a disconnect with Reconnect off). Err reports why.
+	// deltas. It is closed when the stream ends (Close, a server drain, a
+	// fatal server error, or a lost connection). Err reports why.
 	C <-chan Batch
 
-	addr  string
-	query string
-	opts  ClientOptions
+	conn      net.Conn
+	view      string
+	keys      []string
+	mode      ResumeMode
+	ch        chan Batch
+	closed    chan struct{}
+	closeOnce sync.Once
+	done      chan struct{}
 
-	ch     chan Batch
-	closed chan struct{}
-	done   chan struct{}
-
+	// The local copy, its position and why the stream ended, written by the
+	// reader goroutine.
 	mu     sync.Mutex
-	conn   net.Conn
 	state  *gmr.GMR
 	events uint64
-	seeded bool
-	view   string
-	keys   []string
-	mode   ResumeMode
 	err    error
 }
 
@@ -101,158 +74,93 @@ type Client struct {
 // rejection (unknown query, version mismatch) surfaces here — and the
 // catch-up plus all subsequent batches arrive on C from a background reader.
 func Dial(addr, query string, opts ClientOptions) (*Client, error) {
-	c := &Client{
-		addr:   addr,
-		query:  query,
-		opts:   opts,
-		ch:     make(chan Batch, opts.buffer()),
-		closed: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	c.C = c.ch
-	conn, br, ack, err := c.connect(opts.ResumeFrom)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	c.acceptAck(conn, ack)
-	go c.run(conn, br)
+	br, ack, err := subscribe(conn, query, opts.ResumeFrom)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	c := &Client{
+		ch:     make(chan Batch, opts.buffer()),
+		closed: make(chan struct{}),
+		done:   make(chan struct{}),
+		conn:   conn,
+		state:  gmr.New(types.Schema(ack.Keys)),
+		view:   ack.View,
+		keys:   ack.Keys,
+		mode:   ack.Mode,
+	}
+	c.C = c.ch
+	if ack.Mode == ResumeCurrent {
+		// Nothing follows; the caller's copy is current.
+		c.events = ack.Events
+	}
+	go c.run(br)
 	return c, nil
 }
 
-// connect dials, sends the hello, and waits for the subscription ack.
-func (c *Client) connect(resume *uint64) (net.Conn, *bufio.Reader, *SubAck, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.dialTimeout())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	hello := Hello{Version: ProtocolVersion, Query: c.query}
+// subscribe sends the hello and waits for the subscription ack.
+func subscribe(conn net.Conn, query string, resume *uint64) (*bufio.Reader, *SubAck, error) {
+	hello := Hello{Version: ProtocolVersion, Query: query}
 	if resume != nil {
 		hello.Resume = true
 		hello.ResumeEvents = *resume
 	}
 	if _, err := conn.Write(AppendHello(nil, hello)); err != nil {
-		conn.Close()
-		return nil, nil, nil, fmt.Errorf("serve: hello: %w", err)
+		return nil, nil, fmt.Errorf("serve: hello: %w", err)
 	}
 	br := bufio.NewReaderSize(conn, 1<<16)
-	conn.SetReadDeadline(time.Now().Add(c.opts.dialTimeout()))
+	conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	frame, err := ReadFrame(br, nil)
 	if err != nil {
-		conn.Close()
-		return nil, nil, nil, fmt.Errorf("serve: reading subscription ack: %w", err)
+		return nil, nil, fmt.Errorf("serve: reading subscription ack: %w", err)
 	}
 	conn.SetReadDeadline(time.Time{})
 	msg, _, err := DecodeFrame(frame)
 	if err != nil {
-		conn.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	switch m := msg.(type) {
 	case *SubAck:
-		return conn, br, m, nil
+		return br, m, nil
 	case *ErrorFrame:
-		conn.Close()
-		return nil, nil, nil, fmt.Errorf("serve: server rejected subscription: %s", m.Msg)
+		return nil, nil, fmt.Errorf("serve: server rejected subscription: %s", m.Msg)
 	case *Bye:
-		conn.Close()
-		return nil, nil, nil, fmt.Errorf("serve: server is draining")
+		return nil, nil, fmt.Errorf("serve: server is draining")
 	default:
-		conn.Close()
-		return nil, nil, nil, fmt.Errorf("serve: unexpected %T before subscription ack", msg)
+		return nil, nil, fmt.Errorf("serve: unexpected %T before subscription ack", msg)
 	}
 }
 
-// acceptAck installs a new connection's subscription state.
-func (c *Client) acceptAck(conn net.Conn, ack *SubAck) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.conn = conn
-	// Close may have run between the dial and this install: it closed the
-	// previous conn under mu, so close this one here and let the reader see
-	// the error immediately.
-	select {
-	case <-c.closed:
-		conn.Close()
-	default:
-	}
-	c.view = ack.View
-	c.keys = ack.Keys
-	c.mode = ack.Mode
-	if c.state == nil {
-		c.state = gmr.New(types.Schema(ack.Keys))
-	}
-	if ack.Mode == ResumeCurrent || ack.Mode == ResumeDelta {
-		// Nothing (or only a delta) follows; the local copy stands.
-		c.seeded = true
-	}
-	if ack.Mode == ResumeCurrent {
-		c.events = ack.Events
-	}
-}
-
-// run is the client's reader loop, spanning reconnects.
-func (c *Client) run(conn net.Conn, br *bufio.Reader) {
+// run is the client's reader loop; it records why the stream ended unless
+// Close ended it.
+func (c *Client) run(br *bufio.Reader) {
 	defer close(c.done)
 	defer close(c.ch)
+	err := c.readLoop(br)
+	c.conn.Close()
+	select {
+	case <-c.closed:
+	default:
+		if err != nil {
+			c.fail(err)
+		}
+	}
+}
+
+// readLoop decodes frames until the stream ends. A nil return is a graceful
+// end (Bye, or Close); anything else is the transport or protocol error.
+func (c *Client) readLoop(br *bufio.Reader) error {
 	var buf []byte
 	for {
-		err := c.readLoop(conn, br, &buf)
-		conn.Close()
-		select {
-		case <-c.closed:
-			return
-		default:
-		}
-		if err != nil && !c.opts.Reconnect {
-			c.fail(err)
-			return
-		}
-		if err == nil && !c.opts.Reconnect {
-			// Server drain without reconnect: a clean end of stream.
-			return
-		}
-		if conn, br = c.redial(); conn == nil {
-			return
-		}
-	}
-}
-
-// redial reconnects with backoff until it succeeds or the client closes.
-func (c *Client) redial() (net.Conn, *bufio.Reader) {
-	backoff := c.opts.backoffMin()
-	for {
-		select {
-		case <-c.closed:
-			return nil, nil
-		case <-time.After(backoff):
-		}
-		var resume *uint64
-		c.mu.Lock()
-		if c.seeded {
-			ev := c.events
-			resume = &ev
-		}
-		c.mu.Unlock()
-		conn, br, ack, err := c.connect(resume)
-		if err == nil {
-			c.acceptAck(conn, ack)
-			return conn, br
-		}
-		if backoff *= 2; backoff > c.opts.backoffMax() {
-			backoff = c.opts.backoffMax()
-		}
-	}
-}
-
-// readLoop decodes frames from one connection until it ends. A nil return
-// is a graceful end (Bye); anything else is the transport or protocol error.
-func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, buf *[]byte) error {
-	for {
-		frame, err := ReadFrame(br, *buf)
+		frame, err := ReadFrame(br, buf)
 		if err != nil {
 			return err
 		}
-		*buf = frame
+		buf = frame
 		msg, _, err := DecodeFrame(frame)
 		if err != nil {
 			return err
@@ -286,7 +194,6 @@ func (c *Client) apply(b *Batch) {
 		c.state.Add(e.Tuple, e.Mult)
 	}
 	c.events = b.Events
-	c.seeded = true
 }
 
 // fail records a terminal error.
@@ -298,19 +205,10 @@ func (c *Client) fail(err error) {
 
 // Close stops the client and waits for the reader to exit; C is closed.
 func (c *Client) Close() {
-	c.mu.Lock()
-	select {
-	case <-c.closed:
-		c.mu.Unlock()
-		<-c.done
-		return
-	default:
-	}
-	close(c.closed)
-	if c.conn != nil {
+	c.closeOnce.Do(func() {
+		close(c.closed)
 		c.conn.Close()
-	}
-	c.mu.Unlock()
+	})
 	<-c.done
 }
 
@@ -329,26 +227,14 @@ func (c *Client) Events() uint64 {
 	return c.events
 }
 
-// View and Keys describe the subscribed result view (valid after Dial).
-func (c *Client) View() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.view
-}
+// View returns the subscribed result view's name.
+func (c *Client) View() string { return c.view }
 
 // Keys returns the result view's key schema.
-func (c *Client) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.keys
-}
+func (c *Client) Keys() []string { return c.keys }
 
-// Mode returns the resume mode of the most recent subscription ack.
-func (c *Client) Mode() ResumeMode {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mode
-}
+// Mode returns how the server answered the subscription's resume token.
+func (c *Client) Mode() ResumeMode { return c.mode }
 
 // Result returns a copy of the local materialized result. The copy is
 // consistent with the batches delivered on C so far only if the caller has
@@ -357,9 +243,6 @@ func (c *Client) Mode() ResumeMode {
 func (c *Client) Result() *gmr.GMR {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.state == nil {
-		return gmr.New(nil)
-	}
 	return c.state.Clone()
 }
 
@@ -368,9 +251,6 @@ func (c *Client) Result() *gmr.GMR {
 func (c *Client) ResultEquals(entries []gmr.Entry) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.state == nil {
-		return len(entries) == 0
-	}
 	return entriesEqual(c.state.Entries(), entries)
 }
 

@@ -13,34 +13,35 @@ import (
 // view (seeded from the subscription's catch-up batch and advanced by every
 // delta), so attaching a client at any moment yields catch-up state that is
 // gap-free consistent with the deltas that follow — without ever touching
-// the engine again. It also retains a bounded window of recent per-epoch
+// the engine again. It also retains the last retainPublications per-epoch
 // deltas, so a reconnecting client whose resume token is still covered
 // receives one merged delta instead of a full snapshot.
 //
-// Backpressure mirrors the engine's subscription contract: each client has a
-// bounded buffer; when it is full the delta is coalesced (merged, per-key
-// multiplicities summing) into the client's pending delta and delivered with
-// the next delta that finds room. Coalescing is lossless for state and never
-// blocks the hub — a slow client cannot stall the writer, the hub, or its
-// peers. On the fast path (empty pending, room in the buffer) all clients
-// share the engine's immutable entries slice, so fan-out to N clients costs
-// N channel sends, not N copies of the delta.
+// Each client stream is an engine.Mailbox, the queue behind an in-process
+// subscription, with the hub goroutine as its one sender: a full buffer
+// coalesces the delta losslessly into the client's pending delta, never
+// blocking the hub — a slow client cannot stall the writer, the hub, or its
+// peers — and on the fast path every client receives the engine's immutable
+// entries slice itself, so fan-out to N clients costs N channel sends, not N
+// copies of the delta.
+
+const (
+	// hubBuffer is the hub's own engine-subscription buffer: deep enough
+	// that a hub busy fanning out (or serving an attach) rarely makes the
+	// writer coalesce, which would merge publications every client and the
+	// retention window would otherwise see one by one.
+	hubBuffer = 256
+	// retainPublications is how many recent publications a hub keeps for
+	// merged-delta resumes.
+	retainPublications = 64
+	// chunkEntries caps the entries per catch-up frame.
+	chunkEntries = 4096
+)
 
 // retained is one retained publication: the delta covering (from, to].
 type retained struct {
 	from, to uint64
 	entries  []gmr.Entry
-}
-
-// streamClient is one attached client stream. All fields are owned by the
-// hub goroutine; the connection's writer goroutine only receives from out.
-type streamClient struct {
-	out chan Batch
-	// pending accumulates coalesced deltas while out is full.
-	pending   *gmr.GMR
-	coalesced uint32
-	delivered uint64
-	coalTotal uint64
 }
 
 // hubReq is a request executed on the hub goroutine (attach, detach, stats),
@@ -54,10 +55,8 @@ type hub struct {
 	state     *gmr.GMR
 	events    uint64
 	retain    []retained
-	retainCap int
 	clientBuf int
-	chunk     int
-	clients   map[*streamClient]bool
+	clients   map[*engine.Mailbox]bool
 	reqs      chan hubReq
 	stopped   chan struct{}
 }
@@ -67,7 +66,7 @@ type hub struct {
 // observes a fully seeded hub. Must be called where engine.Subscribe is safe
 // (server construction, per the serving-mode contract).
 func newHub(eng *engine.Engine, view string, opts Options) (*hub, error) {
-	sub, err := eng.Subscribe(view, engine.SubscribeOptions{Buffer: opts.hubBuffer()})
+	sub, err := eng.Subscribe(view, engine.SubscribeOptions{Buffer: hubBuffer})
 	if err != nil {
 		return nil, err
 	}
@@ -77,10 +76,8 @@ func newHub(eng *engine.Engine, view string, opts Options) (*hub, error) {
 		keys:      keys,
 		sub:       sub,
 		state:     gmr.New(types.Schema(keys)),
-		retainCap: opts.retain(),
 		clientBuf: opts.clientBuffer(),
-		chunk:     opts.chunkEntries(),
-		clients:   map[*streamClient]bool{},
+		clients:   map[*engine.Mailbox]bool{},
 		reqs:      make(chan hubReq),
 		stopped:   make(chan struct{}),
 	}
@@ -101,7 +98,7 @@ func newHub(eng *engine.Engine, view string, opts Options) (*hub, error) {
 // deltas, so a client that stalled and recovered converges even when the
 // writer goes quiescent (a push-driven flush alone would strand the pending
 // delta until the next publication). It exits when the engine subscription
-// is cancelled (the server's drain path), closing every client buffer.
+// is cancelled (the server's drain path), closing every client stream.
 func (h *hub) loop() {
 	defer close(h.stopped)
 	tick := time.NewTicker(idleFlushInterval)
@@ -110,13 +107,15 @@ func (h *hub) loop() {
 		select {
 		case cb, ok := <-h.sub.C:
 			if !ok {
-				h.closeClients()
+				for c := range h.clients {
+					c.Close(h.events)
+				}
 				return
 			}
 			h.apply(cb)
 		case <-tick.C:
 			for c := range h.clients {
-				c.tryFlush(h.events)
+				c.Flush(h.events)
 			}
 		case req := <-h.reqs:
 			req(h)
@@ -135,74 +134,22 @@ func (h *hub) apply(cb engine.ChangeBatch) {
 	for _, e := range cb.Entries {
 		h.state.Add(e.Tuple, e.Mult)
 	}
-	from := h.events
+	if len(h.retain) == retainPublications {
+		copy(h.retain, h.retain[1:])
+		h.retain = h.retain[:retainPublications-1]
+	}
+	h.retain = append(h.retain, retained{from: h.events, to: cb.Events, entries: cb.Entries})
 	h.events = cb.Events
-	if h.retainCap > 0 {
-		if len(h.retain) == h.retainCap {
-			copy(h.retain, h.retain[1:])
-			h.retain = h.retain[:h.retainCap-1]
-		}
-		h.retain = append(h.retain, retained{from: from, to: cb.Events, entries: cb.Entries})
-	}
 	for c := range h.clients {
-		c.push(cb.Entries, cb.Events)
+		c.Push(cb.Entries, cb.Events)
 	}
-}
-
-// push delivers one delta to a client, coalescing on a full buffer. Fast
-// path: nothing pending and room in the buffer — the immutable entries slice
-// is shared across all fast-path clients.
-func (c *streamClient) push(entries []gmr.Entry, events uint64) {
-	if c.pending.IsEmpty() && c.coalesced == 0 {
-		select {
-		case c.out <- Batch{Events: events, Entries: entries}:
-			c.delivered++
-			return
-		default:
-		}
-	}
-	for _, e := range entries {
-		c.pending.Add(e.Tuple, e.Mult)
-	}
-	c.coalesced++
-	c.coalTotal++
-	c.tryFlush(events)
-}
-
-// tryFlush attempts to deliver the pending coalesced delta without blocking.
-// A backlog that cancelled out to zero is dropped (the client's state is
-// already correct); otherwise it stays pending for the next publication.
-func (c *streamClient) tryFlush(events uint64) {
-	if c.pending.IsEmpty() {
-		c.coalesced = 0
-		return
-	}
-	select {
-	case c.out <- Batch{Events: events, Coalesced: c.coalesced, Entries: c.pending.Entries()}:
-		// Entries shares the immutable tuples; Reset recycles only the
-		// pending store's own structures, so the delivered batch stays valid.
-		c.pending.Reset()
-		c.coalesced = 0
-		c.delivered++
-	default:
-	}
-}
-
-// closeClients flushes what it can and closes every client buffer; the
-// connection writers then run their end-of-stream path (Bye on drain).
-func (h *hub) closeClients() {
-	for c := range h.clients {
-		c.tryFlush(h.events)
-		close(c.out)
-	}
-	h.clients = map[*streamClient]bool{}
 }
 
 // attachResp is the hub's answer to a client attach: the chosen resume mode,
 // the position the stream starts at, and the catch-up batches the connection
 // must write before draining the client buffer.
 type attachResp struct {
-	c       *streamClient
+	c       *engine.Mailbox
 	mode    ResumeMode
 	events  uint64
 	catchup []Batch
@@ -234,10 +181,7 @@ func (h *hub) do(req hubReq) bool {
 func (h *hub) attach(resume *uint64) (attachResp, bool) {
 	var resp attachResp
 	ok := h.do(func(h *hub) {
-		c := &streamClient{
-			out:     make(chan Batch, h.clientBuf),
-			pending: gmr.New(types.Schema(h.keys)),
-		}
+		c := engine.NewMailbox(h.view, h.keys, h.clientBuf)
 		resp = attachResp{c: c, events: h.events}
 		switch {
 		case resume != nil && *resume == h.events:
@@ -283,15 +227,15 @@ func (h *hub) mergeSince(token uint64, resp *attachResp) bool {
 }
 
 // stateChunks cuts the hub's materialized state into catch-up batches of at
-// most chunk entries; the first carries the reset flag. An empty view still
-// yields one (empty) reset batch so the client learns its position.
+// most chunkEntries entries; the first carries the reset flag. An empty view
+// still yields one (empty) reset batch so the client learns its position.
 func (h *hub) stateChunks() []Batch {
 	entries := h.state.Entries()
 	var out []Batch
 	for first := true; first || len(entries) > 0; first = false {
 		n := len(entries)
-		if n > h.chunk {
-			n = h.chunk
+		if n > chunkEntries {
+			n = chunkEntries
 		}
 		out = append(out, Batch{
 			Events:  h.events,
@@ -304,20 +248,20 @@ func (h *hub) stateChunks() []Batch {
 	return out
 }
 
-// detach removes a client and closes its buffer (flushing a pending delta
-// into it first if there is room, mirroring engine.Subscription.Cancel).
-func (h *hub) detach(c *streamClient) {
+// detach removes a client and closes its stream (flushing a pending delta
+// into it first if there is room, as engine.Subscription.Cancel does).
+func (h *hub) detach(c *engine.Mailbox) {
 	h.do(func(h *hub) {
-		if !h.clients[c] {
-			return
+		if h.clients[c] {
+			delete(h.clients, c)
+			c.Close(h.events)
 		}
-		delete(h.clients, c)
-		c.tryFlush(h.events)
-		close(c.out)
 	})
 }
 
-// HubStats reports one view's fan-out counters.
+// HubStats reports one view's fan-out counters. Delivered and Coalesced sum
+// over the attached clients' streams: batches delivered, and publications
+// that found a client's buffer full (engine.Mailbox.Totals).
 type HubStats struct {
 	View      string `json:"view"`
 	Clients   int    `json:"clients"`
@@ -335,8 +279,9 @@ func (h *hub) statsNow() HubStats {
 		st.Events = h.events
 		st.Retained = len(h.retain)
 		for c := range h.clients {
-			st.Delivered += c.delivered
-			st.Coalesced += c.coalTotal
+			delivered, coalesced := c.Totals()
+			st.Delivered += delivered
+			st.Coalesced += coalesced
 		}
 	}) {
 		st.Events = h.events

@@ -382,6 +382,71 @@ func TestSlowClient(t *testing.T) {
 	}
 }
 
+// TestHubCoalesced pins one meaning of Coalesced on both streams: a stalled
+// 1-slot client stream, driven through the sequence TestSubscribeCoalesce
+// (package engine) drives through an in-process subscription, reports the
+// same count — the two publications that found its buffer full, not the one
+// that then delivered them. Reading the first batch and applying the fourth
+// publication happen inside one hub request, so the hub's idle flush cannot
+// slip in between.
+func TestHubCoalesced(t *testing.T) {
+	spec, ok := workload.Get("Q1")
+	if !ok {
+		t.Fatal("no Q1")
+	}
+	eng := newServedEngine(t, spec)
+	view := eng.Program().ResultMap
+	h, err := newHub(eng, view, Options{ClientBuffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.shutdown()
+	resp, ok := h.attach(nil)
+	if !ok {
+		t.Fatal("hub stopped")
+	}
+	local := gmr.New(types.Schema(eng.View(view).Keys()))
+	for _, b := range resp.catchup {
+		local = applyWireBatch(local, eng.View(view).Keys(), &b)
+	}
+	// Every window below changes Q1, so each is one publication.
+	batches := workload.Batches(spec.Stream(0.1, 1)[20:140], 20)
+	for i := 0; i < 3; i++ {
+		if err := eng.ApplyBatch(engine.NewBatch(batches[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the hub to take three publications", 10*time.Second, func() bool {
+		return h.statsNow().Events == eng.Events()
+	})
+	var first, second engine.ChangeBatch
+	var applyErr error
+	h.do(func(h *hub) {
+		first = <-resp.c.C // publication 1; frees the slot
+		if applyErr = eng.ApplyBatch(engine.NewBatch(batches[3])); applyErr == nil {
+			h.apply(<-h.sub.C) // publication 4 delivers 2+3+4
+			second = <-resp.c.C
+		}
+	})
+	if applyErr != nil {
+		t.Fatal(applyErr)
+	}
+	if first.Coalesced != 0 || second.Coalesced != 2 {
+		t.Fatalf("Coalesced = %d then %d, want 0 then 2 (publications 2 and 3 found the buffer full)", first.Coalesced, second.Coalesced)
+	}
+	if st := h.statsNow(); st.Coalesced != 2 || st.Delivered != 2 {
+		t.Fatalf("hub stats: %d coalesced, %d delivered, want 2 and 2", st.Coalesced, st.Delivered)
+	}
+	for _, cb := range []engine.ChangeBatch{first, second} {
+		for _, e := range cb.Entries {
+			local.Add(e.Tuple, e.Mult)
+		}
+	}
+	if want := eng.Result(); !gmr.Equal(local, want, 1e-9) {
+		t.Fatalf("coalesced delivery lost state:\n got  %v\n want %v", local, want)
+	}
+}
+
 // TestServeResumeModes drives all three resume answers through real
 // connections: a current token attaches with nothing to send, a token inside
 // the retention window gets one merged delta equal to the true state
@@ -392,7 +457,7 @@ func TestServeResumeModes(t *testing.T) {
 		t.Fatal("no Q1")
 	}
 	eng := newServedEngine(t, spec)
-	srv, err := New(eng, Options{SnapshotAddr: "-", Retain: 64})
+	srv, err := New(eng, Options{SnapshotAddr: "-"})
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}

@@ -32,14 +32,6 @@ type Options struct {
 	// (default 16, minimum 1): the slack a client gets before its deltas
 	// coalesce.
 	ClientBuffer int
-	// Retain is the per-view count of recent publications kept for
-	// merged-delta resumes (default 64; negative disables retention, so
-	// every reconnect falls back to a full snapshot).
-	Retain int
-	// HubBuffer is the hub's engine-subscription buffer (default 256).
-	HubBuffer int
-	// ChunkEntries caps the entries per catch-up frame (default 4096).
-	ChunkEntries int
 	// WriteBuffer, when positive, shrinks each stream connection's socket
 	// write buffer — tests use it to make a stalled reader back up onto the
 	// server quickly.
@@ -55,30 +47,6 @@ func (o Options) clientBuffer() int {
 		return 16
 	}
 	return o.ClientBuffer
-}
-
-func (o Options) retain() int {
-	if o.Retain < 0 {
-		return 0
-	}
-	if o.Retain == 0 {
-		return 64
-	}
-	return o.Retain
-}
-
-func (o Options) hubBuffer() int {
-	if o.HubBuffer < 1 {
-		return 256
-	}
-	return o.HubBuffer
-}
-
-func (o Options) chunkEntries() int {
-	if o.ChunkEntries < 1 {
-		return 4096
-	}
-	return o.ChunkEntries
 }
 
 // QueryInfo is one registered query: its result view and key schema.
@@ -367,12 +335,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := bw.Flush(); err != nil {
 		return
 	}
-	for b := range resp.c.out {
-		scratch = AppendBatch(scratch[:0], b)
+	for cb := range resp.c.C {
+		scratch = AppendBatch(scratch[:0], Batch{Events: cb.Events, Coalesced: uint32(cb.Coalesced), Entries: cb.Entries})
 		if _, err := bw.Write(scratch); err != nil {
 			return
 		}
-		if len(resp.c.out) == 0 {
+		if len(resp.c.C) == 0 {
 			if err := bw.Flush(); err != nil {
 				return
 			}

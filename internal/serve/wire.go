@@ -1,35 +1,34 @@
 // Package serve is the networked serving tier: it exposes a maintained
 // engine's query results to remote consumers across a process boundary.
 // Snapshot reads are served over HTTP/JSON, each response pinned to one
-// engine.Acquire() epoch; change streams are served over a length-prefixed
-// binary TCP protocol whose frames reuse the write-ahead log's kind-exact
-// value codec, so a remote subscriber reassembles the exact tuples an
-// in-process engine.Subscribe() consumer would see. A per-view fan-out hub
-// multiplexes one engine subscription onto any number of client streams with
-// per-client bounded buffers and the engine's lossless coalescing
-// backpressure: a slow client coalesces, it never stalls the writer or its
-// peers (see fanout.go); serve.Client is the matching consumer with
-// catch-up state and resubscribe-on-reconnect resume tokens (client.go).
+// engine.Acquire() epoch; change streams are served over a binary TCP
+// protocol framed by internal/frame, whose kind-exact value codec lets a
+// remote subscriber reassemble the exact tuples an in-process
+// engine.Subscribe() consumer would see. A per-view fan-out hub multiplexes
+// one engine subscription onto any number of client streams, each an
+// engine.Mailbox — the same bounded, losslessly coalescing queue behind an
+// in-process subscription: a slow client coalesces, it never stalls the
+// writer or its peers (see fanout.go). serve.Client is the matching consumer
+// with catch-up state and a resume token; a consumer that lost its
+// connection dials again with that token (client.go).
 package serve
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 
+	"dbtoaster/internal/frame"
 	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/types"
-	"dbtoaster/internal/wal"
 )
 
-// The wire protocol frames every message as
+// The wire protocol frames every message as one internal/frame frame,
 //
 //	[u32 payload length][u32 CRC-32C of payload][payload]
 //
-// (little-endian, the WAL's record framing) with the payload
+// (little-endian, the same framing as a log record) with the payload
 //
 //	u8 kind, then kind-specific fields.
 //
@@ -42,12 +41,12 @@ import (
 //	                          per key u16 length + name
 //	batch  (server → client)  u64 events, u8 flags (reset|initial|resumed),
 //	                          u32 coalesced, u32 entry count, per entry
-//	                          u16 arity, arity kind-exact values (the WAL
-//	                          value codec), f64 multiplicity bits
+//	                          u16 arity, arity kind-exact values
+//	                          (frame.AppendValue), f64 multiplicity bits
 //	error  (server → client)  u16 message length + message
 //	bye    (server → client)  u8 reason
 //
-// Tuple values ride the WAL's kind-exact encoding (wal.AppendValue), not the
+// Tuple values ride the kind-exact encoding (frame.AppendValue), not the
 // canonical key encoding: a remote consumer must reassemble tuples
 // bit-identical to the in-process change stream, and the key encoding
 // deliberately collapses value kinds that Compare equal.
@@ -66,15 +65,12 @@ const (
 	frameError = 4
 	frameBye   = 5
 
-	frameHeaderBytes = 8       // payload length + CRC
-	maxFrameBytes    = 1 << 26 // sanity cap on a single frame's payload (64 MiB)
+	maxFrameBytes = 1 << 26 // sanity cap on a single frame's payload (64 MiB)
 
 	flagReset   = 1 << 0
 	flagInitial = 1 << 1
 	flagResumed = 1 << 2
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ResumeMode says how the server answered a subscription's resume token.
 type ResumeMode uint8
@@ -146,8 +142,10 @@ type Batch struct {
 	Initial bool
 	// Resumed marks the merged-delta answer to a resume token.
 	Resumed bool
-	// Coalesced counts publications folded into this batch because the
-	// client's buffer was full when they were flushed.
+	// Coalesced counts the publications merged into this batch that found
+	// the client's buffer full (engine.ChangeBatch.Coalesced); a batch
+	// delivered on the first try has 0. A Resumed batch instead counts the
+	// retained publications merged into it beyond the first.
 	Coalesced uint32
 	// Entries are the tuples with their multiplicity change (or, for
 	// Initial frames, absolute multiplicity).
@@ -167,55 +165,36 @@ type Bye struct {
 	Reason byte
 }
 
-// appendFrameHeader reserves the header at the end of dst and returns the
-// extended slice plus the header's offset; finishFrame backpatches it.
-func appendFrameHeader(dst []byte) ([]byte, int) {
-	start := len(dst)
-	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0), start
-}
-
-func finishFrame(dst []byte, start int) []byte {
-	payload := dst[start+frameHeaderBytes:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
-	return dst
-}
-
-func appendString16(dst []byte, s string) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
 // AppendHello appends a framed Hello to dst.
 func AppendHello(dst []byte, h Hello) []byte {
-	dst, start := appendFrameHeader(dst)
+	dst, start := frame.Begin(dst)
 	dst = append(dst, frameHello, h.Version)
-	dst = appendString16(dst, h.Query)
+	dst = frame.AppendStr16(dst, h.Query)
 	if h.Resume {
 		dst = append(dst, 1)
 		dst = binary.LittleEndian.AppendUint64(dst, h.ResumeEvents)
 	} else {
 		dst = append(dst, 0)
 	}
-	return finishFrame(dst, start)
+	return frame.End(dst, start)
 }
 
 // AppendSubAck appends a framed SubAck to dst.
 func AppendSubAck(dst []byte, a SubAck) []byte {
-	dst, start := appendFrameHeader(dst)
+	dst, start := frame.Begin(dst)
 	dst = append(dst, frameAck, a.Version, byte(a.Mode))
 	dst = binary.LittleEndian.AppendUint64(dst, a.Events)
-	dst = appendString16(dst, a.View)
+	dst = frame.AppendStr16(dst, a.View)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(a.Keys)))
 	for _, k := range a.Keys {
-		dst = appendString16(dst, k)
+		dst = frame.AppendStr16(dst, k)
 	}
-	return finishFrame(dst, start)
+	return frame.End(dst, start)
 }
 
 // AppendBatch appends a framed Batch to dst.
 func AppendBatch(dst []byte, b Batch) []byte {
-	dst, start := appendFrameHeader(dst)
+	dst, start := frame.Begin(dst)
 	dst = append(dst, frameBatch)
 	dst = binary.LittleEndian.AppendUint64(dst, b.Events)
 	var flags byte
@@ -234,26 +213,26 @@ func AppendBatch(dst []byte, b Batch) []byte {
 	for _, e := range b.Entries {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(e.Tuple)))
 		for _, v := range e.Tuple {
-			dst = wal.AppendValue(dst, v)
+			dst = frame.AppendValue(dst, v)
 		}
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Mult))
 	}
-	return finishFrame(dst, start)
+	return frame.End(dst, start)
 }
 
 // AppendError appends a framed ErrorFrame to dst.
 func AppendError(dst []byte, e ErrorFrame) []byte {
-	dst, start := appendFrameHeader(dst)
+	dst, start := frame.Begin(dst)
 	dst = append(dst, frameError)
-	dst = appendString16(dst, e.Msg)
-	return finishFrame(dst, start)
+	dst = frame.AppendStr16(dst, e.Msg)
+	return frame.End(dst, start)
 }
 
 // AppendBye appends a framed Bye to dst.
 func AppendBye(dst []byte, b Bye) []byte {
-	dst, start := appendFrameHeader(dst)
+	dst, start := frame.Begin(dst)
 	dst = append(dst, frameBye, b.Reason)
-	return finishFrame(dst, start)
+	return frame.End(dst, start)
 }
 
 // DecodeFrame parses the frame at the front of b: it validates the header
@@ -263,230 +242,104 @@ func AppendBye(dst []byte, b Bye) []byte {
 // exceed the payload, trailing bytes — is an error with a diagnostic; the
 // decoder never panics and never allocates from an unvalidated count.
 func DecodeFrame(b []byte) (msg any, n int, err error) {
-	if len(b) < frameHeaderBytes {
-		return nil, 0, fmt.Errorf("serve: truncated frame header (%d bytes)", len(b))
+	payload, n, err := frame.Decode(b, maxFrameBytes)
+	if err == nil {
+		msg, err = decodePayload(payload)
 	}
-	length := int(binary.LittleEndian.Uint32(b))
-	if length <= 0 || length > maxFrameBytes {
-		return nil, 0, fmt.Errorf("serve: implausible frame length %d", length)
-	}
-	if len(b) < frameHeaderBytes+length {
-		return nil, 0, fmt.Errorf("serve: truncated frame payload (want %d bytes, have %d)", length, len(b)-frameHeaderBytes)
-	}
-	payload := b[frameHeaderBytes : frameHeaderBytes+length]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(b[4:]); got != want {
-		return nil, 0, fmt.Errorf("serve: frame CRC mismatch (stored %#x, computed %#x)", want, got)
-	}
-	msg, err = decodePayload(payload)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("serve: %w", err)
 	}
-	return msg, frameHeaderBytes + length, nil
-}
-
-// decoder walks a frame payload with bounds-checked reads.
-type decoder struct {
-	b   []byte
-	pos int
-}
-
-func (d *decoder) remaining() int { return len(d.b) - d.pos }
-
-func (d *decoder) u8(what string) (byte, error) {
-	if d.remaining() < 1 {
-		return 0, fmt.Errorf("serve: truncated %s", what)
-	}
-	v := d.b[d.pos]
-	d.pos++
-	return v, nil
-}
-
-func (d *decoder) u16(what string) (uint16, error) {
-	if d.remaining() < 2 {
-		return 0, fmt.Errorf("serve: truncated %s", what)
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.pos:])
-	d.pos += 2
-	return v, nil
-}
-
-func (d *decoder) u32(what string) (uint32, error) {
-	if d.remaining() < 4 {
-		return 0, fmt.Errorf("serve: truncated %s", what)
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.pos:])
-	d.pos += 4
-	return v, nil
-}
-
-func (d *decoder) u64(what string) (uint64, error) {
-	if d.remaining() < 8 {
-		return 0, fmt.Errorf("serve: truncated %s", what)
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.pos:])
-	d.pos += 8
-	return v, nil
-}
-
-func (d *decoder) str16(what string) (string, error) {
-	n, err := d.u16(what + " length")
-	if err != nil {
-		return "", err
-	}
-	if d.remaining() < int(n) {
-		return "", fmt.Errorf("serve: truncated %s (%d bytes)", what, n)
-	}
-	s := string(d.b[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s, nil
-}
-
-func (d *decoder) finish(kind string) error {
-	if d.pos != len(d.b) {
-		return fmt.Errorf("serve: %d trailing bytes in %s frame", len(d.b)-d.pos, kind)
-	}
-	return nil
+	return msg, n, nil
 }
 
 func decodePayload(p []byte) (any, error) {
-	d := &decoder{b: p}
-	kind, err := d.u8("frame kind")
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
+	d := frame.NewReader(p)
+	switch kind := d.U8("frame kind"); kind {
 	case frameHello:
-		h := &Hello{}
-		if h.Version, err = d.u8("hello version"); err != nil {
-			return nil, err
-		}
-		if h.Query, err = d.str16("hello query"); err != nil {
-			return nil, err
-		}
-		has, err := d.u8("hello resume flag")
-		if err != nil {
-			return nil, err
-		}
-		if has > 1 {
-			return nil, fmt.Errorf("serve: bad hello resume flag %d", has)
-		}
-		if has == 1 {
+		h := &Hello{Version: d.U8("hello version"), Query: d.Str16("hello query")}
+		switch has := d.U8("hello resume flag"); {
+		case d.Err() != nil:
+		case has > 1:
+			return nil, fmt.Errorf("bad hello resume flag %d", has)
+		case has == 1:
 			h.Resume = true
-			if h.ResumeEvents, err = d.u64("hello resume token"); err != nil {
-				return nil, err
-			}
+			h.ResumeEvents = d.U64("hello resume token")
 		}
-		return h, d.finish("hello")
+		return h, d.Done("hello frame")
 	case frameAck:
-		a := &SubAck{}
-		if a.Version, err = d.u8("ack version"); err != nil {
-			return nil, err
-		}
-		mode, err := d.u8("ack resume mode")
-		if err != nil {
-			return nil, err
-		}
-		if mode > uint8(ResumeCurrent) {
-			return nil, fmt.Errorf("serve: unknown resume mode %d", mode)
-		}
+		a := &SubAck{Version: d.U8("ack version")}
+		mode := d.U8("ack resume mode")
 		a.Mode = ResumeMode(mode)
-		if a.Events, err = d.u64("ack events"); err != nil {
-			return nil, err
-		}
-		if a.View, err = d.str16("ack view"); err != nil {
-			return nil, err
-		}
-		nKeys, err := d.u16("ack key count")
-		if err != nil {
-			return nil, err
-		}
-		// Every key needs at least its 2-byte length, so the count is
-		// validated against the remaining payload before sizing the slice.
-		if int(nKeys)*2 > d.remaining() {
-			return nil, fmt.Errorf("serve: ack key count %d exceeds payload", nKeys)
+		a.Events = d.U64("ack events")
+		a.View = d.Str16("ack view")
+		nKeys := d.U16("ack key count")
+		switch {
+		case d.Err() != nil:
+			return nil, d.Err()
+		case mode > uint8(ResumeCurrent):
+			return nil, fmt.Errorf("unknown resume mode %d", mode)
+		case int(nKeys)*2 > d.Remaining():
+			// Every key needs at least its 2-byte length.
+			return nil, fmt.Errorf("ack key count %d exceeds payload", nKeys)
 		}
 		if nKeys > 0 {
 			a.Keys = make([]string, 0, nKeys)
 		}
 		for i := 0; i < int(nKeys); i++ {
-			k, err := d.str16("ack key")
-			if err != nil {
-				return nil, fmt.Errorf("%w (key %d)", err, i)
-			}
-			a.Keys = append(a.Keys, k)
+			a.Keys = append(a.Keys, d.Str16("ack key"))
 		}
-		return a, d.finish("ack")
+		return a, d.Done("ack frame")
 	case frameBatch:
-		b := &Batch{}
-		if b.Events, err = d.u64("batch events"); err != nil {
-			return nil, err
-		}
-		flags, err := d.u8("batch flags")
-		if err != nil {
-			return nil, err
-		}
-		if flags&^(flagReset|flagInitial|flagResumed) != 0 {
-			return nil, fmt.Errorf("serve: unknown batch flags %#x", flags)
-		}
+		b := &Batch{Events: d.U64("batch events")}
+		flags := d.U8("batch flags")
 		b.Reset = flags&flagReset != 0
 		b.Initial = flags&flagInitial != 0
 		b.Resumed = flags&flagResumed != 0
-		if b.Coalesced, err = d.u32("batch coalesced"); err != nil {
-			return nil, err
-		}
-		nEntries, err := d.u32("batch entry count")
-		if err != nil {
-			return nil, err
-		}
-		// An entry is at least arity (2) + multiplicity (8) bytes.
-		if int64(nEntries)*10 > int64(d.remaining()) {
-			return nil, fmt.Errorf("serve: batch entry count %d exceeds payload", nEntries)
+		b.Coalesced = d.U32("batch coalesced")
+		nEntries := d.U32("batch entry count")
+		switch {
+		case d.Err() != nil:
+			return nil, d.Err()
+		case flags&^(flagReset|flagInitial|flagResumed) != 0:
+			return nil, fmt.Errorf("unknown batch flags %#x", flags)
+		case int64(nEntries)*10 > int64(d.Remaining()):
+			// An entry is at least arity (2) + multiplicity (8) bytes.
+			return nil, fmt.Errorf("batch entry count %d exceeds payload", nEntries)
 		}
 		if nEntries > 0 {
 			b.Entries = make([]gmr.Entry, 0, nEntries)
 		}
 		for i := 0; i < int(nEntries); i++ {
-			arity, err := d.u16("entry arity")
-			if err != nil {
-				return nil, fmt.Errorf("%w (entry %d)", err, i)
-			}
+			arity := int(d.U16("entry arity"))
 			var tup types.Tuple
 			if arity > 0 {
 				// A value is at least one tag byte.
-				if int(arity) > d.remaining() {
-					return nil, fmt.Errorf("serve: entry %d arity %d exceeds payload", i, arity)
+				if arity > d.Remaining() {
+					return nil, fmt.Errorf("entry %d arity %d exceeds payload", i, arity)
 				}
 				tup = make(types.Tuple, 0, arity)
-				for j := 0; j < int(arity); j++ {
-					v, n, err := wal.DecodeValue(d.b[d.pos:])
-					if err != nil {
-						return nil, fmt.Errorf("serve: entry %d value %d: %w", i, j, err)
+				for j := 0; j < arity; j++ {
+					tup = append(tup, d.Value("value"))
+					if err := d.Err(); err != nil {
+						return nil, fmt.Errorf("entry %d value %d: %w", i, j, err)
 					}
-					tup = append(tup, v)
-					d.pos += n
 				}
 			}
-			bits, err := d.u64("entry multiplicity")
-			if err != nil {
-				return nil, fmt.Errorf("%w (entry %d)", err, i)
+			mult := d.U64("entry multiplicity")
+			if err := d.Err(); err != nil {
+				return nil, fmt.Errorf("entry %d: %w", i, err)
 			}
-			b.Entries = append(b.Entries, gmr.Entry{Tuple: tup, Mult: math.Float64frombits(bits)})
+			b.Entries = append(b.Entries, gmr.Entry{Tuple: tup, Mult: math.Float64frombits(mult)})
 		}
-		return b, d.finish("batch")
+		return b, d.Done("batch frame")
 	case frameError:
-		e := &ErrorFrame{}
-		if e.Msg, err = d.str16("error message"); err != nil {
-			return nil, err
-		}
-		return e, d.finish("error")
+		e := &ErrorFrame{Msg: d.Str16("error message")}
+		return e, d.Done("error frame")
 	case frameBye:
-		b := &Bye{}
-		if b.Reason, err = d.u8("bye reason"); err != nil {
-			return nil, err
-		}
-		return b, d.finish("bye")
+		b := &Bye{Reason: d.U8("bye reason")}
+		return b, d.Done("bye frame")
 	default:
-		return nil, fmt.Errorf("serve: unknown frame kind %d", kind)
+		return nil, fmt.Errorf("unknown frame kind %d", kind)
 	}
 }
 
@@ -495,26 +348,5 @@ func decodePayload(p []byte) (any, error) {
 // The length is validated before the payload is read, so a corrupt header
 // cannot force an oversized allocation.
 func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
-	if cap(buf) < frameHeaderBytes {
-		buf = make([]byte, frameHeaderBytes, 4096)
-	}
-	buf = buf[:frameHeaderBytes]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	length := int(binary.LittleEndian.Uint32(buf))
-	if length <= 0 || length > maxFrameBytes {
-		return nil, fmt.Errorf("serve: implausible frame length %d", length)
-	}
-	total := frameHeaderBytes + length
-	if cap(buf) < total {
-		grown := make([]byte, total)
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = buf[:total]
-	if _, err := io.ReadFull(r, buf[frameHeaderBytes:]); err != nil {
-		return nil, fmt.Errorf("serve: short frame payload: %w", err)
-	}
-	return buf, nil
+	return frame.Read(r, buf, maxFrameBytes)
 }

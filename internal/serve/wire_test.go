@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"dbtoaster/internal/frame"
 	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/types"
 )
@@ -133,10 +133,8 @@ func TestDecodeFrameBitFlips(t *testing.T) {
 // reframe wraps a raw payload in a valid header (correct length and CRC), so
 // adversarial payload shapes get past the outer checks.
 func reframe(payload []byte) []byte {
-	frame := make([]byte, frameHeaderBytes, frameHeaderBytes+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	return append(frame, payload...)
+	dst, start := frame.Begin(nil)
+	return frame.End(append(dst, payload...), start)
 }
 
 // TestDecodeFrameAdversarial feeds hand-crafted hostile frames — CRC-valid
@@ -159,7 +157,7 @@ func TestDecodeFrameAdversarial(t *testing.T) {
 		wantErr string
 	}{
 		{"empty", nil, "truncated frame header"},
-		{"zero length", reframe(nil)[:frameHeaderBytes], "implausible frame length"},
+		{"zero length", reframe(nil)[:frame.HeaderBytes], "implausible frame length"},
 		{"oversized length", cat(u32(maxFrameBytes+1), u32(0)), "implausible frame length"},
 		{"unknown kind", reframe([]byte{99}), "unknown frame kind"},
 		{"hello bad resume flag", reframe(cat([]byte{frameHello, 1}, u16(1), []byte{'q', 2})), "bad hello resume flag"},
@@ -219,7 +217,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	// A few shapes the generators would take a while to find.
 	f.Add([]byte{})
-	f.Add(make([]byte, frameHeaderBytes))
+	f.Add(make([]byte, frame.HeaderBytes))
 	f.Add(encodeMessage(f, sampleMessages()[4])[:11])
 	f.Add(reframe([]byte{frameBatch, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}))
 	f.Fuzz(func(t *testing.T, data []byte) {

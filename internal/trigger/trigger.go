@@ -104,9 +104,6 @@ func (s *Statement) ReadSet() []string {
 	return out
 }
 
-// WriteSet returns the names written by the statement (its target map).
-func (s *Statement) WriteSet() []string { return []string{s.TargetMap} }
-
 // Trigger is the maintenance code executed when one tuple is inserted into or
 // deleted from Relation. Args names the trigger variables bound to the
 // tuple's column values.
@@ -219,21 +216,6 @@ func (p *Program) TriggerFor(relation string, insert bool) (Trigger, bool) {
 		}
 	}
 	return Trigger{}, false
-}
-
-// EventWriteSet returns the union of the target maps written by the insert
-// and delete triggers of relation.
-func (p *Program) EventWriteSet(relation string) map[string]bool {
-	out := map[string]bool{}
-	for _, t := range p.Triggers {
-		if t.Relation != relation {
-			continue
-		}
-		for _, s := range t.Stmts {
-			out[s.TargetMap] = true
-		}
-	}
-	return out
 }
 
 // BatchClass classifies how a window of events on one relation may execute.

@@ -49,18 +49,6 @@ func TestStatementReadWriteSets(t *testing.T) {
 	if got := s.ReadSet(); !reflect.DeepEqual(got, []string{"MS"}) {
 		t.Fatalf("ReadSet = %v, want [MS]", got)
 	}
-	if got := s.WriteSet(); !reflect.DeepEqual(got, []string{"Q"}) {
-		t.Fatalf("WriteSet = %v, want [Q]", got)
-	}
-}
-
-func TestEventWriteSet(t *testing.T) {
-	p := testProgram()
-	got := p.EventWriteSet("R")
-	want := map[string]bool{"Q": true, "MR": true}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("EventWriteSet(R) = %v, want %v", got, want)
-	}
 }
 
 func TestRelationBatchSplitCommuting(t *testing.T) {

@@ -3,8 +3,9 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sort"
+
+	"dbtoaster/internal/frame"
 )
 
 // Chain checkpoints make checkpoint cost proportional to what changed: a
@@ -25,7 +26,7 @@ import (
 //	per view: u16 name length, name bytes,
 //	          u8 payload kind (0 full image, 1 delta),
 //	          u64 payload length, payload bytes
-//	u32 CRC-32C over everything above
+//	u32 CRC-32C over everything above (frame.Checksum)
 //
 // Every link lists every view — a view untouched since the parent appears
 // with an empty (pure header) delta payload — so the chain's view set is
@@ -102,8 +103,7 @@ func (c *ChainCheckpoint) append(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Views)))
 	for i := range c.Views {
 		v := &c.Views[i]
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.Name)))
-		dst = append(dst, v.Name...)
+		dst = frame.AppendStr16(dst, v.Name)
 		if v.Delta {
 			dst = append(dst, 1)
 		} else {
@@ -112,7 +112,7 @@ func (c *ChainCheckpoint) append(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(v.Data)))
 		dst = append(dst, v.Data...)
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst, crcTable))
+	return binary.LittleEndian.AppendUint32(dst, frame.Checksum(dst))
 }
 
 // WriteChainCheckpoint atomically publishes one chain link into dir and
@@ -170,76 +170,57 @@ func ReadChainCheckpoint(fs FS, dir, name string) (*ChainCheckpoint, error) {
 }
 
 func decodeChainCheckpoint(data []byte) (*ChainCheckpoint, error) {
-	const minLen = len(chainMagic) + 1 + 1 + 8 + 8 + 8 + 4 + 4
-	if len(data) < minLen {
+	if len(data) < len(chainMagic)+4 {
 		return nil, fmt.Errorf("checkpoint truncated (%d bytes)", len(data))
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(tail); got != want {
+	if got, want := frame.Checksum(body), binary.LittleEndian.Uint32(tail); got != want {
 		return nil, fmt.Errorf("checkpoint CRC mismatch (stored %#x, computed %#x)", want, got)
 	}
-	if string(body[:len(chainMagic)]) != chainMagic {
-		return nil, fmt.Errorf("bad checkpoint magic %q", body[:len(chainMagic)])
+	r := frame.NewReader(body)
+	magic := r.Bytes(len(chainMagic), "checkpoint magic")
+	version := r.U8("checkpoint version")
+	kind := r.U8("checkpoint kind")
+	c := &ChainCheckpoint{
+		Base:         kind == chainKindBase,
+		LSN:          r.U64("LSN"),
+		ParentLSN:    r.U64("parent LSN"),
+		EngineEvents: r.U64("engine events"),
 	}
-	pos := len(chainMagic)
-	if body[pos] != chainVersion {
-		return nil, fmt.Errorf("unsupported checkpoint version %d", body[pos])
-	}
-	pos++
-	c := &ChainCheckpoint{}
-	switch body[pos] {
-	case chainKindBase:
-		c.Base = true
-	case chainKindDelta:
-	default:
-		return nil, fmt.Errorf("unknown checkpoint kind %d", body[pos])
-	}
-	pos++
-	c.LSN = binary.LittleEndian.Uint64(body[pos:])
-	c.ParentLSN = binary.LittleEndian.Uint64(body[pos+8:])
-	c.EngineEvents = binary.LittleEndian.Uint64(body[pos+16:])
-	nViews := int(binary.LittleEndian.Uint32(body[pos+24:]))
-	pos += 28
-	if !c.Base && c.ParentLSN >= c.LSN {
+	nViews := r.U32("view count")
+	switch {
+	case r.Err() != nil:
+		return nil, r.Err()
+	case string(magic) != chainMagic:
+		return nil, fmt.Errorf("bad checkpoint magic %q", magic)
+	case version != chainVersion:
+		return nil, fmt.Errorf("unsupported checkpoint version %d", version)
+	case kind != chainKindBase && kind != chainKindDelta:
+		return nil, fmt.Errorf("unknown checkpoint kind %d", kind)
+	case !c.Base && c.ParentLSN >= c.LSN:
 		return nil, fmt.Errorf("delta parent LSN %d not below LSN %d", c.ParentLSN, c.LSN)
-	}
-	if nViews < 0 || nViews > len(body) {
+	case int64(nViews) > int64(r.Remaining()):
 		return nil, fmt.Errorf("implausible view count %d", nViews)
 	}
 	c.Views = make([]ViewPayload, 0, nViews)
-	for i := 0; i < nViews; i++ {
-		if len(body)-pos < 2 {
-			return nil, fmt.Errorf("view %d: truncated name length", i)
-		}
-		nameLen := int(binary.LittleEndian.Uint16(body[pos:]))
-		pos += 2
-		if len(body)-pos < nameLen+9 {
-			return nil, fmt.Errorf("view %d: truncated name or payload header", i)
-		}
-		name := string(body[pos : pos+nameLen])
-		pos += nameLen
-		var delta bool
-		switch body[pos] {
-		case 0:
-		case 1:
-			delta = true
-		default:
-			return nil, fmt.Errorf("view %s: bad payload kind %d", name, body[pos])
-		}
-		if delta && c.Base {
+	for i := 0; i < int(nViews); i++ {
+		name := r.Str16("view name")
+		payloadKind := r.U8("payload kind")
+		n := r.U64("payload length")
+		switch {
+		case r.Err() != nil:
+			return nil, fmt.Errorf("view %d: %w", i, r.Err())
+		case payloadKind > 1:
+			return nil, fmt.Errorf("view %s: bad payload kind %d", name, payloadKind)
+		case payloadKind == 1 && c.Base:
 			return nil, fmt.Errorf("view %s: delta payload inside base checkpoint", name)
+		case n > uint64(r.Remaining()):
+			return nil, fmt.Errorf("view %s: payload length %d exceeds remaining %d bytes", name, n, r.Remaining())
 		}
-		pos++
-		dataLen := binary.LittleEndian.Uint64(body[pos:])
-		pos += 8
-		if dataLen > uint64(len(body)-pos) {
-			return nil, fmt.Errorf("view %s: payload length %d exceeds remaining %d bytes", name, dataLen, len(body)-pos)
-		}
-		c.Views = append(c.Views, ViewPayload{Name: name, Delta: delta, Data: body[pos : pos+int(dataLen)]})
-		pos += int(dataLen)
+		c.Views = append(c.Views, ViewPayload{Name: name, Delta: payloadKind == 1, Data: r.Bytes(int(n), "view payload")})
 	}
-	if pos != len(body) {
-		return nil, fmt.Errorf("%d trailing bytes in checkpoint", len(body)-pos)
+	if err := r.Done("checkpoint"); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

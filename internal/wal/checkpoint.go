@@ -1,6 +1,10 @@
 package wal
 
-import "fmt"
+import (
+	"fmt"
+
+	"dbtoaster/internal/frame"
+)
 
 // keepCheckpoints is how many checkpoints the garbage collector retains.
 // Keeping two means a checkpoint corrupted in place never strands recovery:
@@ -203,7 +207,7 @@ func (r *Recovered) RepairTail(fs FS, dir string) error {
 // as proof that the preceding failure was corruption rather than a crash
 // point.
 func nextValidRecord(data []byte, from int) int {
-	for off := from; off+recHeaderBytes <= len(data); off++ {
+	for off := from; off+frame.HeaderBytes <= len(data); off++ {
 		if _, _, err := decodeRecord(data[off:]); err == nil {
 			return off
 		}

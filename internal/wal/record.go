@@ -3,14 +3,13 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 
+	"dbtoaster/internal/frame"
 	"dbtoaster/internal/types"
 )
 
 // Log records frame one committed unit each — a single Apply event or a whole
-// ApplyBatch window — as
+// ApplyBatch window — as one internal/frame frame,
 //
 //	[u32 payload length][u32 CRC-32C of payload][payload]
 //
@@ -23,11 +22,10 @@ import (
 //	per event: u16 relation length, relation bytes, u8 insert flag,
 //	           u16 arity, values
 //
-// Values keep their exact runtime kind (tag byte + kind-specific payload),
-// not the canonical key encoding: replay must re-execute triggers with
-// bit-identical inputs for recovered state to be byte-equal to an
-// uninterrupted run, and the canonical encoding deliberately collapses
-// value kinds that Compare equal.
+// Values keep their exact runtime kind (frame.AppendValue), not the canonical
+// key encoding: replay must re-execute triggers with bit-identical inputs for
+// recovered state to be byte-equal to an uninterrupted run, and the canonical
+// encoding deliberately collapses value kinds that Compare equal.
 //
 // The record kind matters for the same reason: events applied one at a time
 // and events applied as a batch take different execution paths (and different
@@ -57,87 +55,12 @@ const (
 	recEvent = 1
 	recBatch = 2
 
-	recHeaderBytes = 8       // length + CRC
 	maxRecordBytes = 1 << 30 // sanity cap on a single record's payload
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-const (
-	valNull   = 0
-	valInt    = 1
-	valFloat  = 2
-	valString = 3
-	valBool   = 4
-)
-
-func appendValue(dst []byte, v types.Value) []byte {
-	switch v.Kind() {
-	case types.KindNull:
-		return append(dst, valNull)
-	case types.KindInt:
-		dst = append(dst, valInt)
-		return binary.LittleEndian.AppendUint64(dst, uint64(v.AsInt()))
-	case types.KindFloat:
-		dst = append(dst, valFloat)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.AsFloat()))
-	case types.KindString:
-		s := v.AsString()
-		dst = append(dst, valString)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
-		return append(dst, s...)
-	case types.KindBool:
-		dst = append(dst, valBool)
-		if v.AsBool() {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
-	default:
-		// Unreachable for real values; encode as null rather than panic.
-		return append(dst, valNull)
-	}
-}
-
-func decodeValue(b []byte) (types.Value, int, error) {
-	if len(b) == 0 {
-		return types.Value{}, 0, fmt.Errorf("truncated value")
-	}
-	switch b[0] {
-	case valNull:
-		return types.Null(), 1, nil
-	case valInt:
-		if len(b) < 9 {
-			return types.Value{}, 0, fmt.Errorf("truncated int value")
-		}
-		return types.Int(int64(binary.LittleEndian.Uint64(b[1:]))), 9, nil
-	case valFloat:
-		if len(b) < 9 {
-			return types.Value{}, 0, fmt.Errorf("truncated float value")
-		}
-		return types.Float(math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))), 9, nil
-	case valString:
-		if len(b) < 5 {
-			return types.Value{}, 0, fmt.Errorf("truncated string length")
-		}
-		n := int(binary.LittleEndian.Uint32(b[1:]))
-		if n < 0 || len(b) < 5+n {
-			return types.Value{}, 0, fmt.Errorf("truncated string value (%d bytes)", n)
-		}
-		return types.Str(string(b[5 : 5+n])), 5 + n, nil
-	case valBool:
-		if len(b) < 2 {
-			return types.Value{}, 0, fmt.Errorf("truncated bool value")
-		}
-		return types.Bool(b[1] != 0), 2, nil
-	default:
-		return types.Value{}, 0, fmt.Errorf("unknown value tag %d", b[0])
-	}
-}
-
 // appendRecord frames events as one record and appends it to dst.
 func appendRecord(dst []byte, batch bool, first uint64, events []Event) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length + CRC backpatched below
+	dst, start := frame.Begin(dst)
 	kind := byte(recEvent)
 	if batch {
 		kind = recBatch
@@ -147,8 +70,7 @@ func appendRecord(dst []byte, batch bool, first uint64, events []Event) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(events)))
 	for i := range events {
 		ev := &events[i]
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ev.Relation)))
-		dst = append(dst, ev.Relation...)
+		dst = frame.AppendStr16(dst, ev.Relation)
 		if ev.Insert {
 			dst = append(dst, 1)
 		} else {
@@ -156,13 +78,10 @@ func appendRecord(dst []byte, batch bool, first uint64, events []Event) []byte {
 		}
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ev.Tuple)))
 		for _, v := range ev.Tuple {
-			dst = appendValue(dst, v)
+			dst = frame.AppendValue(dst, v)
 		}
 	}
-	payload := dst[start+recHeaderBytes:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
-	return dst
+	return frame.End(dst, start)
 }
 
 // decodeRecord parses the record at the start of b. It returns the decoded
@@ -170,79 +89,52 @@ func appendRecord(dst []byte, batch bool, first uint64, events []Event) []byte {
 // malformed payload — is an error; the caller decides whether that error
 // means corruption or a clean torn tail based on where in the log it sits.
 func decodeRecord(b []byte) (Record, int, error) {
-	if len(b) < recHeaderBytes {
-		return Record{}, 0, fmt.Errorf("truncated record header (%d bytes)", len(b))
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if n <= 0 || n > maxRecordBytes {
-		return Record{}, 0, fmt.Errorf("implausible record length %d", n)
-	}
-	if len(b) < recHeaderBytes+n {
-		return Record{}, 0, fmt.Errorf("truncated record payload (want %d bytes, have %d)", n, len(b)-recHeaderBytes)
-	}
-	payload := b[recHeaderBytes : recHeaderBytes+n]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(b[4:]); got != want {
-		return Record{}, 0, fmt.Errorf("record CRC mismatch (stored %#x, computed %#x)", want, got)
+	payload, n, err := frame.Decode(b, maxRecordBytes)
+	if err != nil {
+		return Record{}, 0, err
 	}
 	rec, err := decodePayload(payload)
 	if err != nil {
 		return Record{}, 0, err
 	}
-	return rec, recHeaderBytes + n, nil
+	return rec, n, nil
 }
 
 func decodePayload(p []byte) (Record, error) {
-	var rec Record
-	if len(p) < 13 {
-		return rec, fmt.Errorf("record payload too short (%d bytes)", len(p))
-	}
-	switch p[0] {
-	case recEvent:
-	case recBatch:
-		rec.Batch = true
-	default:
-		return rec, fmt.Errorf("unknown record kind %d", p[0])
-	}
-	rec.First = binary.LittleEndian.Uint64(p[1:])
-	nEvents := int(binary.LittleEndian.Uint32(p[9:]))
-	pos := 13
-	if !rec.Batch && nEvents != 1 {
+	r := frame.NewReader(p)
+	kind := r.U8("record kind")
+	rec := Record{Batch: kind == recBatch, First: r.U64("first LSN")}
+	nEvents := r.U32("event count")
+	switch {
+	case r.Err() != nil:
+		return rec, r.Err()
+	case kind != recEvent && kind != recBatch:
+		return rec, fmt.Errorf("unknown record kind %d", kind)
+	case !rec.Batch && nEvents != 1:
 		return rec, fmt.Errorf("event record carries %d events", nEvents)
-	}
-	if nEvents < 0 || nEvents > len(p) {
+	case int64(nEvents) > int64(r.Remaining()):
 		return rec, fmt.Errorf("implausible event count %d", nEvents)
 	}
 	rec.Events = make([]Event, 0, nEvents)
-	for i := 0; i < nEvents; i++ {
-		if len(p)-pos < 2 {
-			return rec, fmt.Errorf("event %d: truncated relation length", i)
+	for i := 0; i < int(nEvents); i++ {
+		ev := Event{Relation: r.Str16("relation"), Insert: r.U8("insert flag") != 0}
+		arity := int(r.U16("arity"))
+		if err := r.Err(); err != nil {
+			return rec, fmt.Errorf("event %d: %w", i, err)
 		}
-		relLen := int(binary.LittleEndian.Uint16(p[pos:]))
-		pos += 2
-		if len(p)-pos < relLen+3 {
-			return rec, fmt.Errorf("event %d: truncated relation or header", i)
+		if arity > r.Remaining() {
+			return rec, fmt.Errorf("event %d: arity %d exceeds the record", i, arity)
 		}
-		ev := Event{Relation: string(p[pos : pos+relLen])}
-		pos += relLen
-		ev.Insert = p[pos] != 0
-		pos++
-		arity := int(binary.LittleEndian.Uint16(p[pos:]))
-		pos += 2
 		if arity > 0 {
 			ev.Tuple = make(types.Tuple, 0, arity)
 			for j := 0; j < arity; j++ {
-				v, n, err := decodeValue(p[pos:])
-				if err != nil {
+				ev.Tuple = append(ev.Tuple, r.Value("value"))
+				if err := r.Err(); err != nil {
 					return rec, fmt.Errorf("event %d value %d: %w", i, j, err)
 				}
-				ev.Tuple = append(ev.Tuple, v)
-				pos += n
 			}
 		}
 		rec.Events = append(rec.Events, ev)
 	}
-	if pos != len(p) {
-		return rec, fmt.Errorf("%d trailing bytes in record payload", len(p)-pos)
-	}
-	return rec, nil
+	return rec, r.Done("record payload")
 }

@@ -78,35 +78,37 @@ const defaultSyncInterval = 10 * time.Millisecond
 const logQueueDepth = 256
 
 // logTask is one unit of work for the logger goroutine: a record to encode
-// and write, or (events nil) a barrier — sync the segment, optionally swap to
-// a new one, and reply.
+// and write, or (events nil) a barrier.
 type logTask struct {
-	// Record task (events non-nil): one commit unit to encode and write.
+	// Record task (events non-nil): one commit unit to encode and write —
+	// and, under SyncEachCommit, to sync before replying.
 	batch  bool
 	first  uint64
 	events []Event
 
 	// Barrier tasks (events nil), in precedence order: closeSeg syncs and
 	// closes the segment and stops the logger; rotateTo syncs, closes and
-	// opens the named segment; sync flushes unsynced writes. reply, when
-	// non-nil, receives the barrier's error after everything enqueued before
-	// it has been handled.
-	sync     bool
+	// opens the named segment; otherwise the task syncs unsynced writes.
 	rotateTo string
 	closeSeg bool
-	reply    chan error
+
+	// reply, when non-nil, receives the task's error once everything enqueued
+	// before it has been handled.
+	reply chan error
 }
 
 // Log is the write side of the event log. One goroutine appends (the engine's
-// writer). Under SyncEachCommit the append path is synchronous — the record
-// is on disk when Append returns, which is that policy's whole point. Under
-// SyncInterval and SyncNone, Append only stamps LSNs and hands the commit
-// unit to the logger goroutine, which encodes and writes in enqueue order —
-// the classic group-commit log buffer: serialization and I/O overlap with
-// execution, durability lags by at most the queue plus (for SyncInterval) the
-// sync interval, and the durable log is always an ordered prefix of the
-// committed units. Write failures park in syncErr and surface on the next
-// Append.
+// writer); every policy hands each commit unit to the logger goroutine, which
+// encodes and writes records in enqueue (= LSN) order and owns the segment
+// handle. Under SyncEachCommit Append waits for the logger to write and fsync
+// the record — it is on disk when Append returns, which is that policy's
+// whole point. Under SyncInterval and SyncNone Append only stamps LSNs and
+// enqueues the unit — the classic group-commit log buffer: serialization and
+// I/O overlap with execution, durability lags by at most the queue plus (for
+// SyncInterval) the sync interval. The first write, sync or rotation failure
+// poisons the log under every policy: the durable log stays an ordered prefix
+// of the committed units, and the failure surfaces on every later Append,
+// Sync, Rotate and Close.
 type Log struct {
 	fs       FS
 	dir      string
@@ -116,7 +118,7 @@ type Log struct {
 	mu      sync.Mutex
 	nextLSN uint64
 	closed  bool
-	syncErr error // sticky logger/sync failure, surfaced on next Append
+	syncErr error // sticky logger failure, surfaced on every later call
 
 	// Checkpoint observability (NoteCheckpoint/Stats), under mu. Background
 	// checkpoint failures used to surface only on the next Append; these let
@@ -138,18 +140,14 @@ type Log struct {
 	// create/rename and deletes from a stale view of the directory.
 	dirMu sync.Mutex
 
-	// Synchronous-path state (SyncEachCommit); owned by the logger goroutine
-	// for the async policies, where the queue's barrier tasks serialize all
-	// access.
+	// The segment, owned by the logger goroutine once Open has started it.
 	seg      File
 	segName  string
-	buf      []byte
 	unsynced bool
 
-	queue chan logTask // nil under SyncEachCommit
-
-	stop chan struct{}
-	wg   sync.WaitGroup
+	queue chan logTask
+	stop  chan struct{}
+	wg    sync.WaitGroup
 }
 
 // Open creates (or reuses) dir and starts a fresh segment at nextLSN.
@@ -177,16 +175,14 @@ func Open(opts Options, nextLSN uint64) (*Log, error) {
 		policy:   opts.Policy,
 		interval: interval,
 		nextLSN:  nextLSN,
+		queue:    make(chan logTask, logQueueDepth),
 		stop:     make(chan struct{}),
 	}
 	if err := l.openSegment(segmentName(l.nextLSN)); err != nil {
 		return nil, err
 	}
-	if l.policy != SyncEachCommit {
-		l.queue = make(chan logTask, logQueueDepth)
-		l.wg.Add(1)
-		go l.logger()
-	}
+	l.wg.Add(1)
+	go l.logger()
 	if l.policy == SyncInterval {
 		l.wg.Add(1)
 		go l.syncLoop()
@@ -196,9 +192,8 @@ func Open(opts Options, nextLSN uint64) (*Log, error) {
 
 func segmentName(first uint64) string { return fmt.Sprintf("wal-%016x.log", first) }
 
-// openSegment starts the named segment. Called by the constructor and — for
-// the async policies — by the logger goroutine on rotation; under
-// SyncEachCommit the caller holds l.mu.
+// openSegment starts the named segment. Called by Open and by the logger
+// goroutine on rotation.
 func (l *Log) openSegment(name string) error {
 	l.dirMu.Lock()
 	f, err := l.fs.Create(join(l.dir, name))
@@ -211,7 +206,7 @@ func (l *Log) openSegment(name string) error {
 	return nil
 }
 
-// fail parks the first failure for the writer's next Append to surface.
+// fail parks the first failure; every later call surfaces it.
 func (l *Log) fail(err error) {
 	l.mu.Lock()
 	if l.syncErr == nil {
@@ -226,8 +221,8 @@ func (l *Log) sticky() error {
 	return l.syncErr
 }
 
-// syncSeg flushes the segment if it has unsynced writes. Logger-goroutine
-// state under the async policies; called under l.mu for SyncEachCommit.
+// syncSeg flushes the segment if it has unsynced writes. Logger goroutine
+// only.
 func (l *Log) syncSeg() error {
 	if !l.unsynced {
 		return nil
@@ -239,70 +234,74 @@ func (l *Log) syncSeg() error {
 	return nil
 }
 
-// logger owns the segment handle under the async policies: it encodes and
-// writes records in enqueue (= LSN) order and executes barrier tasks. After a
-// failed record write the segment tail is torn, so subsequent records are
-// dropped rather than written after the tear — the durable log stays a clean
-// prefix of the committed units and the failure surfaces on the writer's next
-// Append. Barriers always reply, even when poisoned, so Sync/Rotate/Close
-// never hang.
+// logger owns the segment handle: it encodes and writes records in enqueue
+// (= LSN) order and executes barrier tasks. Its first failure poisons the
+// log — a failed record write leaves the segment tail torn, so nothing may be
+// written, synced past or rotated away from after it: later records are
+// dropped, later syncs and rotations skipped, and every task's reply carries
+// the failure. The durable log therefore stays a clean prefix of the
+// committed units ending at most in one torn record, which recovery truncates.
+// Replies are always sent, so Append, Sync, Rotate and Close never hang.
 func (l *Log) logger() {
 	defer l.wg.Done()
 	var buf []byte
 	for task := range l.queue {
+		err := l.sticky()
 		switch {
 		case task.events != nil:
-			if l.sticky() != nil {
-				continue
+			if err != nil {
+				break
 			}
 			buf = appendRecord(buf[:0], task.batch, task.first, task.events)
-			if _, err := l.seg.Write(buf); err != nil {
-				l.fail(fmt.Errorf("wal: append: %w", err))
-				continue
+			if _, werr := l.seg.Write(buf); werr != nil {
+				err = fmt.Errorf("wal: append: %w", werr)
+				break
 			}
 			l.appendedBytes.Add(int64(len(buf)))
 			l.unsynced = true
+			if l.policy == SyncEachCommit {
+				err = l.syncSeg()
+			}
 		case task.closeSeg:
-			err := l.syncSeg()
-			if cerr := l.seg.Close(); err == nil && cerr != nil {
-				err = fmt.Errorf("wal: close segment %s: %w", l.segName, cerr)
+			cerr := l.syncSeg()
+			if xerr := l.seg.Close(); cerr == nil && xerr != nil {
+				cerr = fmt.Errorf("wal: close segment %s: %w", l.segName, xerr)
 			}
-			if serr := l.sticky(); serr != nil {
-				err = serr
-			}
-			task.reply <- err
-			return
-		case task.rotateTo != "":
-			err := l.syncSeg()
 			if err == nil {
-				if cerr := l.seg.Close(); cerr != nil {
-					err = fmt.Errorf("wal: close segment %s: %w", l.segName, cerr)
+				err = cerr
+			}
+		case err != nil:
+			// A poisoned log neither syncs past its torn tail nor rotates
+			// away from it (a torn record in a non-final segment would read
+			// as mid-log corruption).
+		case task.rotateTo != "":
+			if err = l.syncSeg(); err == nil {
+				if xerr := l.seg.Close(); xerr != nil {
+					err = fmt.Errorf("wal: close segment %s: %w", l.segName, xerr)
 				} else {
 					err = l.openSegment(task.rotateTo)
 				}
 			}
-			if err != nil {
-				l.fail(err)
-			}
-			if serr := l.sticky(); serr != nil {
-				err = serr
-			}
-			task.reply <- err
-		case task.sync:
-			err := l.syncSeg()
-			if task.reply == nil {
-				// Interval-timer tick: park the failure instead of replying.
-				if err != nil {
-					l.fail(err)
-				}
-				continue
-			}
-			if serr := l.sticky(); serr != nil {
-				err = serr
-			}
+		default:
+			err = l.syncSeg()
+		}
+		if err != nil {
+			l.fail(err)
+		}
+		if task.reply != nil {
 			task.reply <- err
 		}
+		if task.closeSeg {
+			return
+		}
 	}
+}
+
+// await hands a task to the logger and waits for its reply.
+func (l *Log) await(task logTask) error {
+	task.reply = make(chan error, 1)
+	l.queue <- task
+	return <-task.reply
 }
 
 // syncLoop is the SyncInterval group-commit timer: each tick enqueues a sync
@@ -318,7 +317,7 @@ func (l *Log) syncLoop() {
 			return
 		case <-t.C:
 			select {
-			case l.queue <- logTask{sync: true}:
+			case l.queue <- logTask{}:
 			default:
 			}
 		}
@@ -335,12 +334,12 @@ func (l *Log) NextLSN() uint64 {
 // Append frames events as one commit unit and commits it to the log, returning
 // the record's first LSN. Under SyncEachCommit the record is written and
 // fsynced before Append returns; on error the LSN counter is unchanged and
-// nothing was committed — the caller must not execute the events. Under
-// SyncInterval and SyncNone the unit is handed to the logger goroutine:
-// Append assigns LSNs and returns once the copy is enqueued, the record
-// reaches disk asynchronously in LSN order, and a failed write surfaces on a
-// subsequent Append, Sync, Rotate or Close — losing the queued suffix in a
-// crash is the same contract as losing an unsynced tail.
+// nothing was committed — the caller must not execute the events — and the
+// log is poisoned. Under SyncInterval and SyncNone the unit is handed to the
+// logger goroutine: Append assigns LSNs and returns once the copy is
+// enqueued, the record reaches disk asynchronously in LSN order, and a failed
+// write surfaces on a subsequent Append, Sync, Rotate or Close — losing the
+// queued suffix in a crash is the same contract as losing an unsynced tail.
 func (l *Log) Append(batch bool, events []Event) (uint64, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -352,80 +351,54 @@ func (l *Log) Append(batch bool, events []Event) (uint64, error) {
 		return 0, fmt.Errorf("wal: logger failed: %w", err)
 	}
 	first := l.nextLSN
-	if len(events) == 0 {
-		l.mu.Unlock()
-		return first, nil
-	}
-	if l.queue == nil {
-		defer l.mu.Unlock()
-		l.buf = appendRecord(l.buf[:0], batch, first, events)
-		if _, err := l.seg.Write(l.buf); err != nil {
-			// A short write leaves a torn record at the segment tail; recovery
-			// truncates it. The events were never committed.
-			return 0, fmt.Errorf("wal: append: %w", err)
-		}
-		l.appendedBytes.Add(int64(len(l.buf)))
-		l.unsynced = true
-		if err := l.seg.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: sync: %w", err)
-		}
-		l.unsynced = false
-		l.nextLSN = first + uint64(len(events))
-		return first, nil
-	}
 	l.nextLSN = first + uint64(len(events))
 	l.mu.Unlock()
-	// The caller reuses its events slice across commits, so the logger gets a
-	// copy — that copy (plus the channel send) is the writer thread's whole
-	// per-commit cost; encoding and I/O happen on the logger.
-	l.queue <- logTask{batch: batch, first: first, events: append([]Event(nil), events...)}
+	switch {
+	case len(events) == 0:
+	case l.policy != SyncEachCommit:
+		// The caller reuses its events slice across commits, so the logger
+		// gets a copy — that copy (plus the channel send) is the writer
+		// thread's whole per-commit cost; encoding and I/O happen on the
+		// logger.
+		l.queue <- logTask{batch: batch, first: first, events: append([]Event(nil), events...)}
+	default:
+		if err := l.await(logTask{batch: batch, first: first, events: events}); err != nil {
+			l.mu.Lock()
+			l.nextLSN = first
+			l.mu.Unlock()
+			return 0, err
+		}
+	}
 	return first, nil
 }
 
 // Sync forces everything appended so far to durable storage.
 func (l *Log) Sync() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if l.isClosed() {
 		return fmt.Errorf("wal: sync on closed log")
 	}
-	if l.queue == nil {
-		defer l.mu.Unlock()
-		return l.syncSeg()
-	}
-	l.mu.Unlock()
-	reply := make(chan error, 1)
-	l.queue <- logTask{sync: true, reply: reply}
-	return <-reply
+	return l.await(logTask{})
 }
 
 // Rotate syncs and closes the current segment and starts a new one at the
 // current LSN. The checkpointer rotates at its snapshot LSN so that segment
 // boundaries align with checkpoint boundaries and whole segments become
-// garbage-collectable. Under the async policies this is a barrier: every
-// record appended before the rotation is durable in the old segment when
-// Rotate returns.
+// garbage-collectable. It is a barrier: every record appended before the
+// rotation is durable in the old segment when Rotate returns.
 func (l *Log) Rotate() error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	closed, name := l.closed, segmentName(l.nextLSN)
+	l.mu.Unlock()
+	if closed {
 		return fmt.Errorf("wal: rotate on closed log")
 	}
-	name := segmentName(l.nextLSN)
-	if l.queue == nil {
-		defer l.mu.Unlock()
-		if err := l.syncSeg(); err != nil {
-			return err
-		}
-		if err := l.seg.Close(); err != nil {
-			return fmt.Errorf("wal: close segment %s: %w", l.segName, err)
-		}
-		return l.openSegment(name)
-	}
-	l.mu.Unlock()
-	reply := make(chan error, 1)
-	l.queue <- logTask{rotateTo: name, reply: reply}
-	return <-reply
+	return l.await(logTask{rotateTo: name})
+}
+
+func (l *Log) isClosed() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closed
 }
 
 // RemoveSegmentsBelow garbage-collects segments whose every record carries an
@@ -457,38 +430,18 @@ func (l *Log) removeSegmentsBelowLocked(lsn uint64) error {
 }
 
 // GC garbage-collects the log's directory as one serialized unit: checkpoint
-// files unreachable from the newest retained chains (see the package GC
-// function), then the segments wholly covered by the oldest retained head.
-// Holding dirMu across both steps means a concurrent Rotate cannot interleave
-// a segment create between the listing and the removals.
+// files unreachable from the newest retained chains (the package GC), then
+// the segments wholly covered by the oldest retained head. Holding dirMu
+// across both steps means a concurrent Rotate cannot interleave a segment
+// create between the listing and the removals.
 func (l *Log) GC() (oldestRetained uint64, err error) {
 	l.dirMu.Lock()
 	defer l.dirMu.Unlock()
-	names, err := l.fs.List(l.dir)
-	if err != nil {
-		return 0, fmt.Errorf("wal: list %s: %w", l.dir, err)
-	}
-	entries := chainEntries(names)
-	keep, oldestHead := chainKeep(entries)
-	for _, e := range entries {
-		if keep[e.name] {
-			continue
-		}
-		if rerr := l.fs.Remove(join(l.dir, e.name)); rerr != nil && err == nil {
-			err = rerr
-		}
-	}
-	for _, n := range names {
-		if len(n) > 4 && n[len(n)-4:] == ".tmp" {
-			if rerr := l.fs.Remove(join(l.dir, n)); rerr != nil && err == nil {
-				err = rerr
-			}
-		}
-	}
-	if serr := l.removeSegmentsBelowLocked(oldestHead); serr != nil && err == nil {
+	oldestRetained, err = GC(l.fs, l.dir)
+	if serr := l.removeSegmentsBelowLocked(oldestRetained); err == nil {
 		err = serr
 	}
-	return oldestHead, err
+	return oldestRetained, err
 }
 
 // Stats is a point-in-time snapshot of the log's observable counters,
@@ -553,8 +506,8 @@ func (l *Log) NoteCheckpoint(lsn uint64, bytes int, chainLen int, err error) {
 }
 
 // Close drains the pipeline, syncs and closes the log. It reports the first
-// failure the logger parked, so a write error under the async policies is
-// never silently dropped at shutdown.
+// failure the logger parked, so a write error is never silently dropped at
+// shutdown.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -564,20 +517,8 @@ func (l *Log) Close() error {
 	l.closed = true
 	l.mu.Unlock()
 	close(l.stop)
-	if l.queue != nil {
-		reply := make(chan error, 1)
-		l.queue <- logTask{closeSeg: true, reply: reply}
-		err := <-reply
-		l.wg.Wait()
-		return err
-	}
+	err := l.await(logTask{closeSeg: true})
 	l.wg.Wait()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.syncSeg()
-	if cerr := l.seg.Close(); err == nil {
-		err = cerr
-	}
 	return err
 }
 

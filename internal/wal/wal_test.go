@@ -147,9 +147,9 @@ func TestSyncPolicies(t *testing.T) {
 		t.Fatalf("none: %d syncs on append path", got)
 	}
 	// A crash before any sync loses everything — that is the policy's
-	// contract.
-	fs2.Crash()
-	rec, err := Scan(fs2, "d")
+	// contract. CrashClone keeps only durable bytes, however far the logger
+	// has got with the queued records.
+	rec, err := Scan(fs2.CrashClone(), "d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +188,50 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	if len(rec.Records) != 5 || rec.NextLSN != 5 {
 		t.Fatalf("recovered %d records to LSN %d, want 5 to 5", len(rec.Records), rec.NextLSN)
+	}
+}
+
+// TestTransientAppendFailureIsSticky tears one append and then lets the disk
+// recover: under every policy the log must stay poisoned — the later append,
+// Sync and Close all report the failure — and the directory must recover to
+// exactly the records committed before the tear, its torn tail truncated. A
+// log that wrote on past the tear would leave a valid record after damage,
+// which Scan rightly refuses as corruption.
+func TestTransientAppendFailureIsSticky(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncEachCommit, SyncInterval, SyncNone} {
+		t.Run(policy.String(), func(t *testing.T) {
+			fs := NewFaultFS()
+			l, err := Open(Options{Dir: "d", FS: fs, Policy: policy}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				mustAppend(t, l, false, []Event{testEvent(i)})
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			fs.KillAfter(5)
+			l.Append(false, []Event{testEvent(3)}) // tears; async policies report it later
+			if err := l.Sync(); err == nil {
+				t.Error("Sync after a torn append succeeded")
+			}
+			fs.KillAfter(1 << 40)
+			if _, err := l.Append(false, []Event{testEvent(4)}); err == nil {
+				t.Error("Append after a torn append succeeded")
+			}
+			if err := l.Close(); err == nil {
+				t.Error("Close after a torn append reported no failure")
+			}
+			rec, err := Scan(fs, "d")
+			if err != nil {
+				t.Fatalf("scan: %v", err)
+			}
+			if !rec.TruncatedTail || len(rec.Records) != 3 || rec.NextLSN != 3 {
+				t.Fatalf("recovered %d records to LSN %d (torn tail %v), want 3 to 3 with the tear truncated",
+					len(rec.Records), rec.NextLSN, rec.TruncatedTail)
+			}
+		})
 	}
 }
 

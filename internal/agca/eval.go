@@ -25,11 +25,24 @@ type Prober interface {
 	Probe(name string, cols []int, vals []types.Value) []gmr.Entry
 }
 
-// EachProber is the allocation-free variant of Prober used by the compiled
-// executors: instead of materializing a slice of matching entries it invokes
-// fn for each one. Implementations must not retain vals beyond the call.
-type EachProber interface {
-	ProbeEach(name string, cols []int, vals []types.Value, fn func(gmr.Entry))
+// Binder is the probe path of the compiled executors: a Database that
+// implements it resolves an access path for (name, probe columns) once, and
+// every later probe through the returned Handle skips that resolution.
+// Implementations must be comparable (pointer types): an executor machine
+// keeps its handles only while it runs against the same Binder. They may
+// retain cols, which callers never mutate.
+type Binder interface {
+	Bind(name string, cols []int) Handle
+}
+
+// Handle is one bound access path: the entries of one relation whose columns
+// at the bound positions, encoded with types.Tuple.AppendKey, equal key.
+type Handle interface {
+	// Probe returns the store holding the matching entries and their slot ids
+	// (gmr.GMR.SlotEntry). Both stay valid while the store is not mutated; a
+	// one-entry result may be handle state that the next Probe rewrites, so
+	// read each id before probing the same handle again.
+	Probe(key []byte) (*gmr.GMR, []int32)
 }
 
 // MapDB is a trivial Database backed by a Go map; handy for tests and for the

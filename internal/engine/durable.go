@@ -543,10 +543,7 @@ func (e *Engine) loadChain(chain []*wal.ChainCheckpoint) error {
 	// All links validated and composed; install atomically so a bad
 	// checkpoint never leaves a half-replaced engine.
 	for name, g := range loaded {
-		v := e.views[name]
-		v.data = g
-		v.frozen = nil
-		v.indexes = map[uint64]*secondaryIndex{}
+		e.views[name].install(g)
 	}
 	e.eventsPlain = chain[len(chain)-1].EngineEvents
 	e.adminGen.Add(1)

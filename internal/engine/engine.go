@@ -14,6 +14,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -35,6 +36,9 @@ type Engine struct {
 	prog    *trigger.Program
 	views   map[string]*View
 	statics map[string]*View
+	// handles holds the bound probe paths (Bind), one per name and column
+	// list.
+	handles map[string]*viewHandle
 	// triggers indexed by event key for O(1) dispatch.
 	triggers map[string]*trigger.Trigger
 	// mu serializes the write side (Apply/ApplyBatch/Init/LoadStatic) with
@@ -160,6 +164,7 @@ func New(prog *trigger.Program) *Engine {
 		prog:     prog,
 		views:    make(map[string]*View, len(prog.Maps)),
 		statics:  map[string]*View{},
+		handles:  map[string]*viewHandle{},
 		triggers: map[string]*trigger.Trigger{},
 		plans:    map[string]*relationPlan{},
 	}
@@ -193,6 +198,9 @@ func (e *Engine) LoadStatic(name string, data *gmr.GMR) {
 	statics := make(map[string]*View, len(e.statics)+1)
 	for n, v := range e.statics {
 		statics[n] = v
+	}
+	if old := statics[name]; old != nil {
+		old.gen.Add(1) // handles bound to the replaced table re-resolve
 	}
 	statics[name] = newStaticView(name, data)
 	e.statics = statics
@@ -241,38 +249,47 @@ func (e *Engine) Init() error {
 // statements resolve to materialized views, and names not backed by a view
 // resolve to static tables (or an empty relation).
 func (e *Engine) Relation(name string) *gmr.GMR {
-	if v, ok := e.views[name]; ok {
+	if v := e.lookup(name); v != nil {
 		return v.Data()
-	}
-	if s, ok := e.statics[name]; ok {
-		return s.Data()
 	}
 	return gmr.New(nil)
 }
 
-// Probe implements agca.Prober with per-view secondary indexes; static
-// tables share the same index machinery.
-func (e *Engine) Probe(name string, cols []int, vals []types.Value) []gmr.Entry {
+// lookup resolves a name the way Relation does: a materialized view first,
+// then a static table; nil when neither exists.
+func (e *Engine) lookup(name string) *View {
 	if v, ok := e.views[name]; ok {
-		return v.Probe(cols, vals)
+		return v
 	}
-	if s, ok := e.statics[name]; ok {
-		return s.Probe(cols, vals)
+	return e.statics[name]
+}
+
+// Probe implements agca.Prober, the interpreter's probe path, with per-view
+// secondary indexes; static tables share the same index machinery.
+func (e *Engine) Probe(name string, cols []int, vals []types.Value) []gmr.Entry {
+	if v := e.lookup(name); v != nil {
+		return v.Probe(cols, vals)
 	}
 	return nil
 }
 
-// ProbeEach implements agca.EachProber, the allocation-free probe path the
-// compiled executors use: matching entries are streamed to fn instead of
-// being collected into a slice.
-func (e *Engine) ProbeEach(name string, cols []int, vals []types.Value, fn func(gmr.Entry)) {
-	if v, ok := e.views[name]; ok {
-		v.ProbeEach(cols, vals, fn)
-		return
+// Bind implements agca.Binder, the compiled executors' probe path: the
+// handle resolves the name and the column list to a view and its secondary
+// index once, so a probe through it only encodes, looks up and visits. The
+// engine keeps one handle per (name, columns), shared by every statement. It
+// belongs to the write side, like Apply.
+func (e *Engine) Bind(name string, cols []int) agca.Handle {
+	key := []byte(name)
+	for _, c := range cols {
+		key = strconv.AppendInt(append(key, '|'), int64(c), 10)
 	}
-	if s, ok := e.statics[name]; ok {
-		s.ProbeEach(cols, vals, fn)
+	h := e.handles[string(key)]
+	if h == nil {
+		h = &viewHandle{e: e, name: name, cols: cols}
+		h.resolve(e.lookup(name))
+		e.handles[string(key)] = h
 	}
+	return h
 }
 
 // Event is one single-tuple update of the input stream.

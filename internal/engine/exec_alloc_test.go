@@ -42,8 +42,9 @@ func applyAllocsPerEvent(t *testing.T, query string, mode engine.ExecMode) float
 // TestCompiledApplyAllocs asserts the allocation-lean property of the
 // compiled per-event hot path: at least a 50% allocs/op reduction against the
 // interpreter on every measured query, and an (almost) allocation-free steady
-// state for the simple aggregate queries, where every map touch goes through
-// reused key buffers.
+// state, where every map touch goes through reused key buffers and every
+// probe through a handle bound once — a probe that allocates fails the joins
+// and nested aggregates below.
 func TestCompiledApplyAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		query string
@@ -54,7 +55,11 @@ func TestCompiledApplyAllocs(t *testing.T) {
 		{"Q1", 1},
 		{"Q6", 1},
 		{"Q12", 1},
-		{"Q3", 16},
+		{"Q3", 1},
+		{"Q10", 1},
+		{"Q17a", 1},
+		{"Q18a", 2},
+		{"AXF", 1},
 		{"VWAP", 8},
 	} {
 		interp := applyAllocsPerEvent(t, tc.query, engine.ExecInterp)

@@ -211,7 +211,8 @@ func TestPlannedReevalEquivalence(t *testing.T) {
 }
 
 // countingDB counts the entries a statement visits: a whole relation per scan
-// (and per sorted snapshot built from one), and every entry a probe delivers.
+// (and per sorted snapshot built from one), and every entry a probe through
+// one of its handles delivers.
 type countingDB struct {
 	eng     *engine.Engine
 	visited int
@@ -223,11 +224,19 @@ func (c *countingDB) Relation(name string) *gmr.GMR {
 	return g
 }
 
-func (c *countingDB) ProbeEach(name string, cols []int, vals []types.Value, fn func(gmr.Entry)) {
-	c.eng.ProbeEach(name, cols, vals, func(e gmr.Entry) {
-		c.visited++
-		fn(e)
-	})
+func (c *countingDB) Bind(name string, cols []int) agca.Handle {
+	return countingHandle{db: c, h: c.eng.Bind(name, cols)}
+}
+
+type countingHandle struct {
+	db *countingDB
+	h  agca.Handle
+}
+
+func (h countingHandle) Probe(key []byte) (*gmr.GMR, []int32) {
+	g, ids := h.h.Probe(key)
+	h.db.visited += len(ids)
+	return g, ids
 }
 
 // triggerVisits runs the compiled statements of one trigger (all of them, or
@@ -260,12 +269,15 @@ func triggerVisits(t *testing.T, eng *engine.Engine, relation string, tuple type
 // visits by at most ~2.5x (unplanned: 8x for MST's bid x ask x book loops, 4x
 // for the other two), and the entries a Q17a LINEITEM event visits do not
 // depend on how many parts and line items there are (unplanned: two scans of
-// the PART x LINEITEM map).
+// the PART x LINEITEM map). The counts are also pinned exactly: how a probe is
+// dispatched must not change what it visits, so only a change to the plans
+// themselves moves them.
 func TestPlannedReevalComplexity(t *testing.T) {
 	order := func(i int) types.Tuple {
 		return types.Tuple{types.Int(int64(i)), types.Int(int64(i)), types.Int(int64(i % 7)),
 			types.Int(int64(1000 + i)), types.Int(int64(1 + i))}
 	}
+	exact := map[string][2]int{"VWAP": {129, 257}, "MST": {516, 1028}, "PSP": {260, 516}, "Q17a": {18, 18}}
 	for _, name := range []string{"VWAP", "MST", "PSP"} {
 		eng := newEngineFor(t, mustSpec(t, name), compiler.ModeDBToaster)
 		fill := func(from, to int) {
@@ -286,6 +298,9 @@ func TestPlannedReevalComplexity(t *testing.T) {
 		t.Logf("%s tail visits %d entries at 64 orders a side, %d at 128", name, small, large)
 		if small == 0 || float64(large) > 2.5*float64(small) {
 			t.Errorf("%s: doubling the book raised the entries a re-evaluation visits from %d to %d (> 2.5x)", name, small, large)
+		}
+		if got := [2]int{small, large}; got != exact[name] {
+			t.Errorf("%s: a re-evaluation visits %v entries, pinned at %v", name, got, exact[name])
 		}
 	}
 
@@ -314,5 +329,8 @@ func TestPlannedReevalComplexity(t *testing.T) {
 	t.Logf("Q17a LINEITEM event visits %d entries at 50 parts, %d at 100", small, large)
 	if small == 0 || large != small {
 		t.Errorf("Q17a: a LINEITEM event visits %d entries at 50 parts and %d at 100; it must not depend on the number of parts", small, large)
+	}
+	if got := [2]int{small, large}; got != exact["Q17a"] {
+		t.Errorf("Q17a: a LINEITEM event visits %v entries, pinned at %v", got, exact["Q17a"])
 	}
 }

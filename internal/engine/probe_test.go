@@ -1,0 +1,251 @@
+package engine_test
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"dbtoaster/internal/agca"
+	"dbtoaster/internal/compiler"
+	"dbtoaster/internal/engine"
+	"dbtoaster/internal/exec"
+	"dbtoaster/internal/gmr"
+	"dbtoaster/internal/sql"
+	"dbtoaster/internal/trigger"
+	"dbtoaster/internal/types"
+	"dbtoaster/internal/wal"
+)
+
+// reevalProgram is a hand-built program whose every R event re-evaluates V
+// from the base-table map RB, so V is cleared and refilled per event; the
+// static table T sits beside it.
+func reevalProgram() *trigger.Program {
+	reeval := trigger.Statement{TargetMap: "V", TargetKeys: []string{"a", "b"}, Kind: trigger.StmtReplace,
+		RHS: agca.MapRef{Name: "RB", Keys: []string{"a", "b"}}}
+	trig := func(insert bool, mult int64) trigger.Trigger {
+		return trigger.Trigger{Relation: "R", Insert: insert, Args: []string{"A_t", "B_t"}, Stmts: []trigger.Statement{
+			{TargetMap: "RB", TargetKeys: []string{"A_t", "B_t"}, RHS: agca.C(mult), Depth: 1},
+			reeval,
+		}}
+	}
+	return &trigger.Program{
+		QueryName: "V", ResultMap: "V", ResultKeys: []string{"a", "b"},
+		Maps: []trigger.MapDef{
+			{Name: "V", Keys: []string{"a", "b"}, Definition: agca.R("R", "a", "b")},
+			{Name: "RB", Keys: []string{"a", "b"}, Definition: agca.R("R", "a", "b"), Depth: 1, IsBaseTable: true, BaseRel: "R"},
+		},
+		Triggers:        []trigger.Trigger{trig(true, 1), trig(false, -1)},
+		Relations:       map[string][]string{"R": {"A", "B"}},
+		StaticRelations: []string{"T"},
+	}
+}
+
+func staticT(cs ...int64) *gmr.GMR {
+	g := gmr.New(types.Schema{"A", "C"})
+	for a := int64(1); a <= 3; a++ {
+		for _, c := range cs {
+			g.Add(types.Tuple{types.Int(a), types.Int(c * a)}, 1)
+		}
+	}
+	return g
+}
+
+func newReevalEngine(t *testing.T) *engine.Engine {
+	t.Helper()
+	eng := engine.New(reevalProgram())
+	eng.LoadStatic("T", staticT(10, 20))
+	if err := eng.Init(); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+func rEvents(insert bool, from, to int) []engine.Event {
+	var out []engine.Event
+	for i := from; i < to; i++ {
+		out = append(out, engine.Event{Relation: "R", Insert: insert, Tuple: types.Tuple{types.Int(int64(1 + i%3)), types.Int(int64(i))}})
+	}
+	return out
+}
+
+func applyAll(t *testing.T, eng *engine.Engine, events []engine.Event) {
+	t.Helper()
+	for _, ev := range events {
+		if err := eng.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBoundHandlesFollowInvalidation runs one compiled statement whose two
+// atoms probe partial keys — V[a,b] and the static T(a,c) on a — through the
+// pooled Run, and holds every result to agca.Eval over the same database
+// after each way a bound handle can go stale: V cleared and refilled by its
+// re-evaluation, a checkpoint's stores installed by Recover, T replaced by
+// LoadStatic, and the executor alternating between the engine and snapshots.
+func TestBoundHandlesFollowInvalidation(t *testing.T) {
+	rhs := agca.Mul(agca.MapRef{Name: "V", Keys: []string{"a", "b"}}, agca.R("T", "a", "c"))
+	x, err := exec.CompileStatement(rhs, []string{"b", "c"}, []string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, db agca.Database) {
+		t.Helper()
+		for a := int64(1); a <= 3; a++ {
+			got := gmr.New(types.Schema{"b", "c"})
+			if err := x.Run(db, types.Tuple{types.Int(a)}, got); err != nil {
+				t.Fatalf("%s, a=%d: %v", label, a, err)
+			}
+			want := agca.Eval(rhs, db, types.Env{"a": types.Int(a)})
+			if !want.IsEmpty() {
+				want = gmr.Project(want, got.Schema()) // drop the bound a
+			}
+			if !equalIgnoringSchema(want, got) {
+				t.Fatalf("%s, a=%d: compiled probe left agca.Eval\nagca.Eval: %v\ncompiled:  %v", label, a, want, got)
+			}
+		}
+	}
+
+	eng := newReevalEngine(t)
+	applyAll(t, eng, rEvents(true, 0, 9))
+	check("bound", eng)
+	applyAll(t, eng, rEvents(true, 9, 15))
+	check("after re-evaluations refilled V", eng)
+	applyAll(t, eng, rEvents(false, 2, 7))
+	check("after re-evaluations drained V", eng)
+
+	eng.LoadStatic("T", staticT(30))
+	check("after LoadStatic replaced T", eng)
+
+	ffs := wal.NewFaultFS()
+	src := newReevalEngine(t)
+	if err := src.SetDurability(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs, SynchronousCheckpoints: true}); err != nil {
+		t.Fatal(err)
+	}
+	applyAll(t, src, rEvents(true, 0, 12))
+	if err := src.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	rec := newReevalEngine(t)
+	check("fresh", rec)
+	stats, err := rec.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.HadCheckpoint || stats.ReplayedEvents != 0 {
+		t.Fatalf("recovery replayed %d events (checkpoint: %v); want the checkpoint's stores alone", stats.ReplayedEvents, stats.HadCheckpoint)
+	}
+	check("after Recover installed the checkpoint", rec)
+
+	for round := 0; round < 4; round++ {
+		snap := eng.Acquire()
+		applyAll(t, eng, rEvents(round%2 == 0, 20+round, 24+round))
+		check(fmt.Sprintf("round %d, snapshot", round), snap)
+		check(fmt.Sprintf("round %d, engine", round), eng)
+		check(fmt.Sprintf("round %d, snapshot again", round), snap)
+	}
+
+	// Readers bind their own handles on a pinned snapshot while the writer
+	// replaces the static table they probe and keeps re-evaluating V.
+	snap := eng.Acquire()
+	want := gmr.New(types.Schema{"b", "c"})
+	if err := x.Run(snap, types.Tuple{types.Int(1)}, want); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				got := gmr.New(types.Schema{"b", "c"})
+				if err := x.Run(snap, types.Tuple{types.Int(1)}, got); err != nil || !gmr.Equal(want, got, 0) {
+					t.Errorf("concurrent snapshot reader: %v\nwant %v\ngot  %v", err, want, got)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		eng.LoadStatic("T", staticT(int64(40+i)))
+		applyAll(t, eng, rEvents(true, 30+i, 31+i))
+	}
+	wg.Wait()
+	check("after concurrent readers", eng)
+}
+
+// TestProbeBeyondColumn63 compiles a query whose map is probed on a column
+// past position 63 (M1[C0..C65, S_K_t] probed on S_K_t) and replays it
+// compiled and interpreted against agca.Eval: an index is identified by its
+// column list, so no column position is out of range.
+func TestProbeBeyondColumn63(t *testing.T) {
+	cols := make([]string, 70)
+	for i := range cols {
+		cols[i] = fmt.Sprintf("C%d int", i)
+	}
+	group := make([]string, 66)
+	for i := range group {
+		group[i] = fmt.Sprintf("w.C%d", i)
+	}
+	src := fmt.Sprintf("CREATE STREAM W (%s);\nCREATE STREAM S (K int, V int);\n"+
+		"SELECT %s, SUM(s.V) FROM W w, S s WHERE w.C66 = s.K GROUP BY %s;",
+		strings.Join(cols, ", "), strings.Join(group, ", "), strings.Join(group, ", "))
+	script, err := sql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := script.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := script.Queries("WIDE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compiler.Compile(compiler.Query{Name: "WIDE", Expr: qs[0].Expr}, cat, compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []engine.Event
+	for i := 0; i < 12; i++ {
+		w := make(types.Tuple, 70)
+		for c := range w {
+			w[c] = types.Int(int64(i*c) % 5)
+		}
+		w[66] = types.Int(int64(i % 3))
+		events = append(events,
+			engine.Event{Relation: "W", Insert: true, Tuple: w},
+			engine.Event{Relation: "S", Insert: i%4 != 3, Tuple: types.Tuple{types.Int(int64(i % 3)), types.Int(int64(1 + i))}})
+	}
+	for _, mode := range []engine.ExecMode{engine.ExecCompiled, engine.ExecInterp} {
+		eng := engine.New(prog)
+		eng.SetExecMode(mode)
+		if err := eng.Init(); err != nil {
+			t.Fatal(err)
+		}
+		base := agca.MapDB{}
+		for _, r := range cat.Relations() {
+			base[r.Name] = gmr.New(types.Schema(r.Columns))
+		}
+		for i, ev := range events {
+			if err := eng.Apply(ev); err != nil {
+				t.Fatalf("mode %d, event %d: %v", mode, i, err)
+			}
+			mult := 1.0
+			if !ev.Insert {
+				mult = -1
+			}
+			base[ev.Relation].Add(ev.Tuple, mult)
+			if want, got := agca.Eval(qs[0].Expr, base, types.Env{}), eng.Result(); !equalIgnoringSchema(want, got) {
+				t.Fatalf("mode %d, after event %d: engine left agca.Eval\nagca.Eval: %v\nengine:    %v", mode, i, want, got)
+			}
+		}
+		if st := eng.ExecStats(); mode == engine.ExecCompiled && st.InterpStmts != 0 {
+			t.Errorf("%d statements fell back to the interpreter", st.InterpStmts)
+		}
+	}
+}

@@ -17,7 +17,7 @@ import (
 // and holding a snapshot costs the writer one slot/probe-table copy per view
 // it subsequently mutates.
 //
-// A Snapshot implements agca.Database (and the Prober/EachProber fast paths),
+// A Snapshot implements agca.Database (and the Prober and Binder probe paths),
 // so ad-hoc AGCA expressions can be evaluated against a pinned epoch with
 // Eval while the engine keeps processing updates.
 type Snapshot struct {
@@ -130,57 +130,44 @@ func (s *Snapshot) Relation(name string) *gmr.GMR {
 // table and fall back to a scan for partial bindings — snapshots serve
 // consumers, which overwhelmingly read whole results or point-look them up.
 func (s *Snapshot) Probe(name string, cols []int, vals []types.Value) []gmr.Entry {
-	if g, ok := s.views[name]; ok {
-		var out []gmr.Entry
-		probeFrozen(g, cols, vals, func(e gmr.Entry) { out = append(out, e) })
-		return out
-	}
-	if st, ok := s.statics[name]; ok {
-		return st.Probe(cols, vals)
-	}
-	return nil
-}
-
-// ProbeEach implements agca.EachProber, streaming matches instead of
-// collecting them.
-func (s *Snapshot) ProbeEach(name string, cols []int, vals []types.Value, fn func(gmr.Entry)) {
-	if g, ok := s.views[name]; ok {
-		probeFrozen(g, cols, vals, fn)
-		return
-	}
-	if st, ok := s.statics[name]; ok {
-		st.ProbeEach(cols, vals, fn)
-	}
-}
-
-// probeFrozen answers a probe against a frozen store: a fully-bound in-order
-// probe is a primary hash lookup, anything else scans the live slots.
-func probeFrozen(g *gmr.GMR, cols []int, vals []types.Value, fn func(gmr.Entry)) {
-	schema := g.Schema()
-	if len(cols) == len(schema) {
-		inOrder := true
-		for i, c := range cols {
-			if c != i {
-				inOrder = false
-				break
-			}
+	g, ok := s.views[name]
+	if !ok {
+		if st, ok := s.statics[name]; ok {
+			return st.Probe(cols, vals)
 		}
-		if inOrder {
-			var kb [96]byte
-			if e, ok := g.LookupEncoded(types.Tuple(vals).AppendKey(kb[:0])); ok {
-				fn(e)
-			}
-			return
-		}
+		return nil
 	}
+	if fullInOrder(cols, len(g.Schema())) {
+		var kb [96]byte
+		if e, ok := g.LookupEncoded(types.Tuple(vals).AppendKey(kb[:0])); ok {
+			return []gmr.Entry{e}
+		}
+		return nil
+	}
+	var out []gmr.Entry
 	g.Foreach(func(t types.Tuple, m float64) {
 		for i, c := range cols {
 			if !t[c].Equal(vals[i]) {
 				return
 			}
 		}
-		fn(gmr.Entry{Tuple: t, Mult: m})
+		out = append(out, gmr.Entry{Tuple: t, Mult: m})
 	})
+	return out
+}
+
+// Bind implements agca.Binder. Every call returns a new handle bound once to
+// the pinned state — a static table and its shared, lazily built secondary
+// index, or a frozen view and an index of the handle's own (frozen stores
+// carry none) — so concurrent readers share no mutable handle state.
+func (s *Snapshot) Bind(name string, cols []int) agca.Handle {
+	h := &viewHandle{name: name, cols: cols}
+	if g, ok := s.views[name]; ok {
+		h.resolve(newStaticView(name, g))
+	} else {
+		h.resolve(s.statics[name])
+	}
+	return h
 }
 
 // Eval evaluates an ad-hoc AGCA expression against the snapshot — a

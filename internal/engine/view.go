@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/types"
@@ -14,23 +16,28 @@ import (
 // probe with (the role Boost Multi-Index plays in the paper's C++ backend).
 // A secondary index stores postings of stable slot ids into the flat store,
 // so probing dereferences the dense slot slice instead of a nested map and
-// index maintenance never copies tuples.
+// index maintenance never copies tuples. An index is identified by its
+// column list, in the order the probe binds the columns.
 //
-// Probe is safe for concurrent use (snapshot readers probe the static tables
-// they share with the writer); Add, AddProjected, MergeDelta and Clear are
-// not, and must not run concurrently with Probe.
+// Probe and binding a handle are safe for concurrent use (snapshot readers
+// probe the static tables they share with the writer); Add, AddProjected,
+// MergeDelta and Clear are not, and must not run concurrently with them.
 type View struct {
 	name string
 	keys []string
 	data *gmr.GMR
-	// mu guards the indexes map so that concurrent probes can share lazily
-	// built indexes (probes take the read lock; the one-time build takes the
-	// write lock). Index contents are only mutated by Add/MergeDelta, which
-	// never overlap with probes. The map is keyed by the probe columns'
-	// position bitmask — probe plans always list columns in ascending
-	// position order, so the mask is canonical.
+	// mu guards indexes so that concurrent probes can share lazily built
+	// indexes (lookups take the read lock; the one-time build takes the write
+	// lock). Index contents are only mutated by Add/MergeDelta, which never
+	// overlap with probes.
 	mu      sync.RWMutex
-	indexes map[uint64]*secondaryIndex
+	indexes []*secondaryIndex
+	// gen moves whenever the indexes are dropped or the store is replaced
+	// (Clear, recovery's install) and when LoadStatic replaces this view as
+	// a static table; an engine handle bound at another generation
+	// re-resolves instead of reading a dropped index. It is atomic because a
+	// replaced static table may still be bound by snapshot readers.
+	gen atomic.Uint64
 	// keyBuf is the scratch key-encoding buffer of the mutating entry points
 	// (mutations are single-goroutine by contract).
 	keyBuf []byte
@@ -61,22 +68,21 @@ type posting struct {
 // NewView creates an empty view with the given key variable names.
 func NewView(name string, keys []string) *View {
 	return &View{
-		name:    name,
-		keys:    append([]string(nil), keys...),
-		data:    gmr.New(types.Schema(keys)),
-		indexes: map[uint64]*secondaryIndex{},
+		name: name,
+		keys: append([]string(nil), keys...),
+		data: gmr.New(types.Schema(keys)),
 	}
 }
 
-// newStaticView wraps an already loaded GMR (a static relation) in a View so
-// that probes against it get the same lazily built secondary indexes as the
-// maintained views. The GMR is adopted, not copied.
+// newStaticView wraps an already loaded GMR (a static relation, or a frozen
+// store a snapshot handle probes) in a View so that probes against it get the
+// same lazily built secondary indexes as the maintained views. The GMR is
+// adopted, not copied.
 func newStaticView(name string, data *gmr.GMR) *View {
 	return &View{
-		name:    name,
-		keys:    append([]string(nil), data.Schema()...),
-		data:    data,
-		indexes: map[uint64]*secondaryIndex{},
+		name: name,
+		keys: append([]string(nil), data.Schema()...),
+		data: data,
 	}
 }
 
@@ -232,15 +238,31 @@ func (v *View) AddProjected(schema types.Schema, t types.Tuple, mult float64, ke
 func (v *View) Clear() {
 	v.frozen = nil
 	v.data.Clear()
-	v.indexes = map[uint64]*secondaryIndex{}
+	v.dropIndexes()
+}
+
+// install replaces the view's store with a recovered one.
+func (v *View) install(data *gmr.GMR) {
+	v.data = data
+	v.frozen = nil
+	v.dropIndexes()
+}
+
+// dropIndexes forgets every secondary index (they are rebuilt lazily) and
+// moves the generation, so bound handles stop reading the dropped ones.
+func (v *View) dropIndexes() {
+	clear(v.indexes)
+	v.indexes = v.indexes[:0]
+	v.gen.Add(1)
 }
 
 // Probe returns the entries whose columns at the given positions equal the
-// given values. A fully-bound probe is a direct primary lookup; partial
-// probes use (and lazily build) a secondary index.
+// given values: the interpreter's agca.Prober path. A fully-bound probe is a
+// direct primary lookup; partial probes use (and lazily build) a secondary
+// index.
 func (v *View) Probe(cols []int, vals []types.Value) []gmr.Entry {
 	var kb [96]byte
-	if v.fullInOrder(cols) {
+	if fullInOrder(cols, len(v.keys)) {
 		m := v.data.GetEncoded(types.Tuple(vals).AppendKey(kb[:0]))
 		if m == 0 {
 			return nil
@@ -259,36 +281,10 @@ func (v *View) Probe(cols []int, vals []types.Value) []gmr.Entry {
 	return out
 }
 
-// ProbeEach is the allocation-free variant of Probe used by the compiled
-// executors: matching entries are passed to fn instead of being collected
-// into a slice. Entry tuples alias the store. Like Probe it is safe for
-// concurrent use; fn must not mutate the view.
-func (v *View) ProbeEach(cols []int, vals []types.Value, fn func(gmr.Entry)) {
-	var kb [96]byte
-	if v.fullInOrder(cols) {
-		// Fully bound in-order probe: direct primary lookup.
-		if e, ok := v.data.LookupEncoded(types.Tuple(vals).AppendKey(kb[:0])); ok {
-			fn(e)
-		}
-		return
-	}
-	idx := v.index(cols)
-	// The posting is resolved before iteration, so fn may reuse vals; fn must
-	// not mutate this view (removing or inserting entries would move the
-	// posting under the iteration).
-	p := idx.buckets[string(types.Tuple(vals).AppendKey(kb[:0]))]
-	if p == nil {
-		return
-	}
-	for _, id := range p.ids {
-		fn(v.data.SlotEntry(id))
-	}
-}
-
-// fullInOrder reports whether cols is exactly 0..len(keys)-1, i.e. the probe
+// fullInOrder reports whether cols is exactly 0..arity-1, i.e. the probe
 // binds the full primary key in key order.
-func (v *View) fullInOrder(cols []int) bool {
-	if len(cols) != len(v.keys) {
+func fullInOrder(cols []int, arity int) bool {
+	if len(cols) != arity {
 		return false
 	}
 	for i, c := range cols {
@@ -300,23 +296,22 @@ func (v *View) fullInOrder(cols []int) bool {
 }
 
 // index returns (building if necessary) the secondary index on the given
-// column positions. Concurrent probes serialize only on the read lock and
-// the one-time build.
+// column list. Concurrent callers serialize only on the read lock and the
+// one-time build.
 func (v *View) index(cols []int) *secondaryIndex {
-	sig := signature(cols)
 	v.mu.RLock()
-	idx, ok := v.indexes[sig]
+	idx := v.findIndex(cols)
 	v.mu.RUnlock()
-	if ok {
+	if idx != nil {
 		return idx
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if idx, ok := v.indexes[sig]; ok {
+	if idx := v.findIndex(cols); idx != nil {
 		return idx
 	}
 	idx = &secondaryIndex{
-		cols:    append([]int(nil), cols...),
+		cols:    slices.Clone(cols),
 		buckets: map[string]*posting{},
 		sub:     make(types.Tuple, len(cols)),
 	}
@@ -329,8 +324,17 @@ func (v *View) index(cols []int) *secondaryIndex {
 		}
 		p.ids = append(p.ids, id)
 	})
-	v.indexes[sig] = idx
+	v.indexes = append(v.indexes, idx)
 	return idx
+}
+
+func (v *View) findIndex(cols []int) *secondaryIndex {
+	for _, idx := range v.indexes {
+		if slices.Equal(idx.cols, cols) {
+			return idx
+		}
+	}
+	return nil
 }
 
 // bucketKey encodes the index's column subset of t into the index's scratch
@@ -344,25 +348,55 @@ func (idx *secondaryIndex) bucketKey(t types.Tuple) []byte {
 	return idx.keyBuf
 }
 
-// signature packs ascending column positions into a bitmask. Probe plans
-// (both the compiled executors' and the interpreter's) list bound columns in
-// ascending position order, so the mask identifies the column set uniquely;
-// the order is asserted because an out-of-order caller would otherwise
-// silently probe an index whose bucket-key encoding disagrees with its vals.
-func signature(cols []int) uint64 {
-	var mask uint64
-	prev := -1
-	for _, c := range cols {
-		if c >= 64 {
-			panic("engine: probe column position beyond 63")
-		}
-		if c <= prev {
-			panic("engine: probe columns must be in ascending position order")
-		}
-		prev = c
-		mask |= 1 << uint(c)
+// viewHandle is a bound probe path (agca.Handle): the view a name resolves to
+// and, unless the probe binds the full key in order, the view's secondary
+// index on the probe columns. An engine handle (e non-nil) is shared by every
+// statement that probes the same name on the same columns; it re-resolves
+// when its view's generation moves on, and on every probe while the name
+// resolves to nothing. A snapshot handle is bound once to immutable state.
+type viewHandle struct {
+	e    *Engine
+	name string
+	cols []int
+	v    *View
+	idx  *secondaryIndex
+	gen  uint64
+	// one holds a primary-key probe's single hit.
+	one [1]int32
+}
+
+func (h *viewHandle) resolve(v *View) {
+	h.v, h.idx = v, nil
+	if v == nil {
+		return
 	}
-	return mask
+	h.gen = v.gen.Load()
+	if !fullInOrder(h.cols, len(v.keys)) {
+		h.idx = v.index(h.cols)
+	}
+}
+
+// Probe implements agca.Handle.
+func (h *viewHandle) Probe(key []byte) (*gmr.GMR, []int32) {
+	if h.e != nil && (h.v == nil || h.gen != h.v.gen.Load()) {
+		h.resolve(h.e.lookup(h.name))
+	}
+	v := h.v
+	if v == nil {
+		return nil, nil
+	}
+	if h.idx == nil {
+		id, ok := v.data.LookupSlot(key)
+		if !ok {
+			return nil, nil
+		}
+		h.one[0] = id
+		return v.data, h.one[:]
+	}
+	if p := h.idx.buckets[string(key)]; p != nil {
+		return v.data, p.ids
+	}
+	return nil, nil
 }
 
 // MemSize estimates the bytes held by the view including secondary indexes.

@@ -31,6 +31,7 @@ type compiler struct {
 	valSizes []int
 	nScratch int
 	nRanges  int
+	nHandles int
 	// prefills are constant values written into a machine's vals buffers at
 	// machine creation (constant function arguments); the closures never
 	// overwrite those positions.
@@ -86,6 +87,7 @@ func CompileStatement(rhs agca.Expr, targetKeys []string, args []string) (x *Exe
 		valSizes: c.valSizes,
 		nScratch: c.nScratch,
 		nRanges:  c.nRanges,
+		nHandles: c.nHandles,
 		keySlots: keySlots,
 		prefills: c.prefills,
 	}, nil
@@ -237,74 +239,103 @@ func (c *compiler) boundSlot(name string, bound agca.VarSet) int {
 	return c.slot(name)
 }
 
-// compileAtom lowers a relation atom or map reference. Bound positions become
-// the probe plan (columns and value slots resolved now), unbound variables
-// become slot writes, and repeated unbound variables become equality checks —
-// all decided at compile time.
+// atom is a compiled relation atom or map reference. Bound positions become
+// the probe (columns, and the slots whose values encode its key), unbound
+// variables become slot writes, and repeated unbound variables become
+// equality checks — all decided at compile time.
+type atom struct {
+	name       string
+	arity      int
+	probeCols  []int // bound positions, ascending
+	probeSlots []int // the slot probed with at each probe column
+	writeSlots []int // unbound first occurrences: slot <- tuple[writePos]
+	writePos   []int
+	eqFirst    []int // repeated unbound: tuple[eqFirst] == tuple[eqLater]
+	eqLater    []int
+	// handle is the atom's index into machine.handles, or -1 when no
+	// position is bound.
+	handle int
+	next   node
+}
+
 func (c *compiler) compileAtom(name string, vars []string, bound agca.VarSet, next node) node {
-	arity := len(vars)
-	var probeCols, probeSlots []int // bound positions and the slots probed with
-	var writeSlots, writePos []int  // unbound first occurrences: slot <- tuple[pos]
-	var eqFirst, eqLater []int      // repeated unbound: tuple[eqFirst] == tuple[eqLater]
+	a := &atom{name: name, arity: len(vars), handle: -1, next: next}
 	firstPos := map[string]int{}
 	for i, v := range vars {
 		if bound[v] {
-			probeCols = append(probeCols, i)
-			probeSlots = append(probeSlots, c.slot(v))
+			a.probeCols = append(a.probeCols, i)
+			a.probeSlots = append(a.probeSlots, c.slot(v))
 			continue
 		}
 		if j, ok := firstPos[v]; ok {
-			eqFirst = append(eqFirst, j)
-			eqLater = append(eqLater, i)
+			a.eqFirst = append(a.eqFirst, j)
+			a.eqLater = append(a.eqLater, i)
 			continue
 		}
 		firstPos[v] = i
-		writeSlots = append(writeSlots, c.slot(v))
-		writePos = append(writePos, i)
+		a.writeSlots = append(a.writeSlots, c.slot(v))
+		a.writePos = append(a.writePos, i)
 	}
-	valsID := len(c.valSizes)
-	c.valSizes = append(c.valSizes, len(probeCols))
-
-	row := func(m *machine, t types.Tuple, rowMult, mult float64) {
-		if len(t) != arity {
-			panic(&agca.EvalError{Msg: fmt.Sprintf(
-				"relation %q arity mismatch: tuple has %d columns, atom has %d variables", name, len(t), arity)})
-		}
-		for i := range eqFirst {
-			if !t[eqFirst[i]].Equal(t[eqLater[i]]) {
-				return
-			}
-		}
-		for i, s := range writeSlots {
-			m.regs[s] = t[writePos[i]]
-		}
-		next(m, mult*rowMult)
+	if len(a.probeCols) > 0 {
+		a.handle = c.nHandles
+		c.nHandles++
 	}
+	return a.run
+}
 
-	return func(m *machine, mult float64) {
-		if len(probeCols) > 0 && m.each != nil {
-			vals := m.vals[valsID]
-			for i, s := range probeSlots {
-				vals[i] = m.regs[s]
-			}
-			m.each.ProbeEach(name, probeCols, vals, func(e gmr.Entry) {
-				row(m, e.Tuple, e.Mult, mult)
-			})
-			return
+// run probes through the machine's bound handle: the first run against a
+// database binds it, every later one encodes the key from the registers and
+// visits the bucket's slots. Databases that do not bind, and atoms with no
+// bound position, scan the relation and filter on the bound positions.
+func (a *atom) run(m *machine, mult float64) {
+	if a.handle >= 0 && m.binder != nil {
+		h := m.handles[a.handle]
+		if h == nil {
+			h = m.binder.Bind(a.name, a.probeCols)
+			m.handles[a.handle] = h
 		}
-		// Scan fallback (databases without index probing, or no bound
-		// columns): filter on the bound positions in place.
-		m.db.Relation(name).Foreach(func(t types.Tuple, rowMult float64) {
-			if len(t) == arity {
-				for i, col := range probeCols {
-					if !m.regs[probeSlots[i]].Equal(t[col]) {
-						return
-					}
+		key := m.keyBuf[:0]
+		for i, s := range a.probeSlots {
+			if i > 0 {
+				key = append(key, '|')
+			}
+			key = m.regs[s].EncodeKey(key)
+		}
+		m.keyBuf = key
+		g, ids := h.Probe(key)
+		for _, id := range ids {
+			e := g.SlotEntry(id)
+			a.row(m, e.Tuple, mult*e.Mult)
+		}
+		return
+	}
+	m.db.Relation(a.name).Foreach(func(t types.Tuple, rowMult float64) {
+		if len(t) == a.arity {
+			for i, col := range a.probeCols {
+				if !m.regs[a.probeSlots[i]].Equal(t[col]) {
+					return
 				}
 			}
-			row(m, t, rowMult, mult)
-		})
+		}
+		a.row(m, t, mult*rowMult)
+	})
+}
+
+// row binds one matching tuple's unbound variables and pushes it on.
+func (a *atom) row(m *machine, t types.Tuple, mult float64) {
+	if len(t) != a.arity {
+		panic(&agca.EvalError{Msg: fmt.Sprintf(
+			"relation %q arity mismatch: tuple has %d columns, atom has %d variables", a.name, len(t), a.arity)})
 	}
+	for i := range a.eqFirst {
+		if !t[a.eqFirst[i]].Equal(t[a.eqLater[i]]) {
+			return
+		}
+	}
+	for i, s := range a.writeSlots {
+		m.regs[s] = t[a.writePos[i]]
+	}
+	a.next(m, mult)
 }
 
 // compileSum lowers bag union: every term runs over the same incoming row.

@@ -4,8 +4,9 @@
 //
 // A statement is compiled once into a static pipeline of node closures over a
 // small register machine: every variable gets a fixed slot, relation and map
-// atoms resolve their schema positions and probe plans at compile time,
-// constants, comparisons and lifted scalars fold into scalar closures with no
+// atoms resolve their schema positions and probe columns at compile time and
+// bind their access path (agca.Binder) on a machine's first run, constants,
+// comparisons and lifted scalars fold into scalar closures with no
 // intermediate GMRs, and results are emitted as keyed adds into a
 // caller-supplied accumulator through a reused key buffer. The pipeline is
 // push-based with sideways information passing, mirroring the interpreter's
@@ -52,7 +53,7 @@ type scalar func(m *machine) types.Value
 // (each run draws its own machine).
 type machine struct {
 	regs []types.Value
-	// vals holds one probe-value buffer per relation/map atom.
+	// vals holds one value buffer per function call and Exists node.
 	vals [][]types.Value
 	// scratch holds one lazily created materialization GMR per Exists node;
 	// the flat tables are Reset (retaining arena and probe-table capacity)
@@ -70,9 +71,15 @@ type machine struct {
 	// subqueries save and restore it.
 	scalarAcc float64
 
-	db   agca.Database
-	each agca.EachProber
-	acc  Accum
+	db  agca.Database
+	acc Accum
+	// binder is the database the handles were bound against (nil when the
+	// run's database does not bind); handles[i] is the i-th probing atom's
+	// handle, nil until that atom first runs. Both outlive a run, so a
+	// machine reused against the same database binds each atom once; a run
+	// against another database drops them.
+	binder  agca.Binder
+	handles []agca.Handle
 }
 
 // prefill is a constant written into a machine's vals buffer at machine
@@ -91,6 +98,7 @@ type Executor struct {
 	valSizes []int
 	nScratch int
 	nRanges  int
+	nHandles int
 	keySlots []int
 	prefills []prefill
 	pool     sync.Pool
@@ -125,6 +133,7 @@ func (x *Executor) newMachine() *machine {
 		vals:     make([][]types.Value, len(x.valSizes)),
 		scratch:  make([]*gmr.GMR, x.nScratch),
 		ranges:   make([]rangeSum, x.nRanges),
+		handles:  make([]agca.Handle, x.nHandles),
 	}
 	for i, s := range x.valSizes {
 		m.vals[i] = take(s)
@@ -143,8 +152,9 @@ func (x *Executor) newMachine() *machine {
 // range-sum site's sorted snapshot (rangesum.go) is taken once per run. (The
 // engine emits straight into a view only when the right-hand side does not
 // read it.) Semantic errors (the interpreter's *agca.EvalError panics) are
-// returned as errors. Run is safe for concurrent use; each call draws a pooled
-// machine.
+// returned as errors. Run is safe for concurrent use as far as db is (an
+// engine belongs to its write side; a snapshot takes any number of readers);
+// each call draws a pooled machine.
 func (x *Executor) Run(db agca.Database, args types.Tuple, acc Accum) error {
 	m, _ := x.pool.Get().(*machine)
 	if m == nil {
@@ -169,12 +179,17 @@ func (x *Executor) runWith(m *machine, db agca.Database, args types.Tuple, acc A
 		return fmt.Errorf("exec: event carries %d values, executor expects %d", len(args), x.nArgs)
 	}
 	m.db = db
-	m.each, _ = db.(agca.EachProber)
+	if x.nHandles > 0 {
+		if b, _ := db.(agca.Binder); b != m.binder {
+			m.binder = b
+			clear(m.handles)
+		}
+	}
 	m.acc = acc
 	// Trigger arguments occupy slots 0..nArgs-1 by construction.
 	copy(m.regs[:x.nArgs], args)
 	defer func() {
-		m.db, m.each, m.acc = nil, nil, nil
+		m.db, m.acc = nil, nil
 		for i := range m.ranges {
 			m.ranges[i] = rangeSum{}
 		}

@@ -282,13 +282,20 @@ func (g *GMR) GetEncodedHashed(h uint64, key []byte) float64 {
 // LookupEncoded returns the entry stored under the encoded key, if any,
 // without allocating. The tuple aliases the store.
 func (g *GMR) LookupEncoded(key []byte) (Entry, bool) {
-	if g.live == 0 {
-		return Entry{}, false
-	}
-	if _, id, ok := g.find(hashKey(key), key); ok {
+	if id, ok := g.LookupSlot(key); ok {
 		return g.SlotEntry(id), true
 	}
 	return Entry{}, false
+}
+
+// LookupSlot returns the slot id of the entry stored under the encoded key,
+// if any, without allocating.
+func (g *GMR) LookupSlot(key []byte) (int32, bool) {
+	if g.live == 0 {
+		return 0, false
+	}
+	_, id, ok := g.find(hashKey(key), key)
+	return id, ok
 }
 
 // Entries returns the entries of the GMR sorted by canonical key; the order

@@ -21,6 +21,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -354,7 +355,8 @@ func (c *compileState) maintain(def *trigger.MapDef, ev delta.Event) error {
 		return c.emitReevaluation(def, ev)
 	}
 
-	d, err := delta.Apply(def.Definition, ev)
+	fresh := freeOfArgs(def, ev.Args)
+	d, err := delta.Apply(fresh.Definition, ev)
 	if err != nil {
 		// Not incrementally maintainable: fall back to re-evaluation.
 		return c.emitReevaluation(def, ev)
@@ -363,13 +365,67 @@ func (c *compileState) maintain(def *trigger.MapDef, ev delta.Event) error {
 	if agca.IsZero(d) {
 		return nil
 	}
-	monomials := opt.ExpandPolynomial(d)
-	for _, m := range monomials {
-		if err := c.emitIncremental(def, ev, m); err != nil {
+	for _, m := range c.expand(d) {
+		if err := c.emitIncremental(fresh, ev, m); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// The two value-sum rules are always on; the switches exist so that a test
+// can turn one off and name the rule a failing query depends on.
+var (
+	// keepValueSums leaves value sums factored in the monomials of deltas
+	// and definitions (opt.ExpandPolynomial, guarded by valueSumsStayWhole).
+	keepValueSums = true
+	// mergeAccessPaths merges the increments of one trigger that share an
+	// access path (mergeIncrements).
+	mergeAccessPaths = true
+)
+
+// expand splits a delta or definition into the monomials the compiler turns
+// into statements and maps.
+func (c *compileState) expand(e agca.Expr) []agca.Expr {
+	if keepValueSums {
+		return opt.ExpandPolynomial(e)
+	}
+	return opt.ExpandFully(e)
+}
+
+// freeOfArgs returns def with every variable spelled like one of the trigger
+// arguments renamed to a fresh name, in its definition and its keys (the
+// statement's target keys), or def itself when nothing collides. A
+// self-join's maps are keyed by variables named after the trigger arguments
+// of their own relation (M1[R0_A_t] := Sum[R0_A_t](R0(a, R0_A_t))); when such
+// a map is maintained on R0's own events, the argument R0_A_t that the delta
+// binds to another column must not capture its key.
+func freeOfArgs(def *trigger.MapDef, args []string) *trigger.MapDef {
+	vars := agca.AllVars(def.Definition)
+	subst := map[string]string{}
+	for _, a := range args {
+		if !vars[a] {
+			continue
+		}
+		name := a + "_k"
+		for vars[name] || slices.Contains(args, name) {
+			name += "_k"
+		}
+		subst[a] = name
+	}
+	if len(subst) == 0 {
+		return def
+	}
+	out := *def
+	out.Definition = agca.RenameVars(def.Definition, subst)
+	out.Keys = make([]string, len(def.Keys))
+	for i, k := range def.Keys {
+		out.Keys[i] = k
+		if to, ok := subst[k]; ok {
+			out.Keys[i] = to
+		}
+	}
+	return &out
 }
 
 type strategy int
@@ -589,7 +645,11 @@ func (c *compileState) assemble() (*trigger.Program, error) {
 			})
 		}
 	}
+	if !depthOrdered(prog) {
+		recomputeDepths(prog)
+	}
 	prog.SortStatements()
+	mergeIncrements(prog)
 
 	// Per-query map attribution: the maps a query depends on are those
 	// reachable from its result map through the statements' map references

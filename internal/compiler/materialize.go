@@ -31,6 +31,14 @@ func (c *compileState) emitIncremental(def *trigger.MapDef, ev delta.Event, mono
 		targetKeys = ures.ApplyToAll(targetKeys)
 		gb = ures.ApplyToAll(gb)
 	}
+	if !c.valueSumsStayWhole(factors, argSet) {
+		for _, m := range opt.ExpandFully(monomial) {
+			if err := c.emitIncremental(def, ev, m); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
 	needed := agca.NewVarSet(targetKeys...)
 	needed.AddAll(gb)
@@ -51,6 +59,9 @@ func (c *compileState) emitIncremental(def *trigger.MapDef, ev delta.Event, mono
 
 	rhs := opt.Rebuild(dedupStrings(gb), neg, newFactors)
 	rhs = opt.Simplify(rhs)
+	if agca.IsZero(rhs) {
+		return nil // e.g. a self-comparison {t < t} left by unification
+	}
 	rhs = opt.Factorize(rhs, argSet, targetKeys)
 	rhs = opt.NormalizeOrder(rhs, argSet)
 
@@ -127,18 +138,24 @@ func (c *compileState) materializeQueryExpr(e agca.Expr, protectKeys []string, e
 		protect[v] = true
 	}
 
-	monomials := opt.ExpandPolynomial(e)
-	if len(monomials) == 0 {
+	pending := c.expand(e)
+	if len(pending) == 0 {
 		return agca.Zero, nil
 	}
-	terms := make([]agca.Expr, 0, len(monomials))
-	for _, m := range monomials {
+	terms := make([]agca.Expr, 0, len(pending))
+	for len(pending) > 0 {
+		m := pending[0]
+		pending = pending[1:]
 		gb, neg, factors := opt.Factors(m)
 		localProtect := protect.Clone()
 		localProtect.AddAll(gb)
 
 		ures := opt.UnifyMonomial(factors, localProtect, bound)
 		factors = ures.Factors
+		if !c.valueSumsStayWhole(factors, bound) {
+			pending = append(opt.ExpandFully(m), pending...)
+			continue
+		}
 		gb = ures.ApplyToAll(gb)
 
 		// Output variables that were unified away but are required by the
@@ -327,46 +344,12 @@ func (c *compileState) materializeFactors(factors []agca.Expr, bound, needed agc
 		}
 	}
 
-	// Group relation atoms into connected components of the join graph,
-	// treating bound variables (trigger arguments, correlation variables) as
-	// cut points: sharing only a bound variable does not connect two atoms,
-	// which is what lets the paper decompose deltas into independent pieces.
-	var atomIdx []int
-	for i, cl := range classes {
-		if cl == classAtom {
-			atomIdx = append(atomIdx, i)
-		}
-	}
-	parent := map[int]int{}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	for _, i := range atomIdx {
-		parent[i] = i
-	}
-	if c.opts.Mode == ModeNaive {
-		for i := 1; i < len(atomIdx); i++ {
-			union(atomIdx[0], atomIdx[i])
-		}
-	} else {
-		for x := 0; x < len(atomIdx); x++ {
-			for y := x + 1; y < len(atomIdx); y++ {
-				i, j := atomIdx[x], atomIdx[y]
-				if sharesFreeVar(factors[i], factors[j], bound) {
-					union(i, j)
-				}
-			}
-		}
-	}
+	rootOf := c.joinComponents(factors, bound)
 	components := map[int][]int{}
-	for _, i := range atomIdx {
-		r := find(i)
-		components[r] = append(components[r], i)
+	for i := range factors {
+		if r, ok := rootOf[i]; ok {
+			components[r] = append(components[r], i)
+		}
 	}
 
 	// Attach value factors whose variables are fully produced by a single
@@ -464,7 +447,7 @@ func (c *compileState) materializeFactors(factors []agca.Expr, bound, needed agc
 		case classSpecial:
 			out = append(out, specials[i])
 		case classAtom:
-			root := find(i)
+			root := rootOf[i]
 			if emittedComponent[root] {
 				continue
 			}
@@ -478,6 +461,90 @@ func (c *compileState) materializeFactors(factors []agca.Expr, bound, needed agc
 		}
 	}
 	return out, nil
+}
+
+// joinComponents groups the relation atoms among factors into connected
+// components of the join graph and returns each atom's component root, keyed
+// by factor position. Bound variables (trigger arguments, correlation
+// variables) are cut points: sharing only a bound variable does not connect
+// two atoms, which is what lets the paper decompose deltas into independent
+// pieces. Naive mode puts every atom into one component.
+func (c *compileState) joinComponents(factors []agca.Expr, bound agca.VarSet) map[int]int {
+	parent := map[int]int{}
+	var atomIdx []int
+	for i, f := range factors {
+		if _, ok := f.(agca.Rel); ok {
+			atomIdx = append(atomIdx, i)
+			parent[i] = i
+		}
+	}
+	var find func(int) int
+	find = func(x int) int {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
+		}
+		return parent[x]
+	}
+	for x := 0; x < len(atomIdx); x++ {
+		for y := x + 1; y < len(atomIdx); y++ {
+			i, j := atomIdx[x], atomIdx[y]
+			if c.opts.Mode == ModeNaive || sharesFreeVar(factors[i], factors[j], bound) {
+				parent[find(i)] = find(j)
+			}
+		}
+	}
+	for _, i := range atomIdx {
+		parent[i] = find(i)
+	}
+	return parent
+}
+
+// valueSumsStayWhole is the guard of value-sum factoring, applied to the
+// unified factors of one monomial: a value-sum factor (opt.IsValueSum) may
+// stay one factor only when every variable it mentions is bound (it is then a
+// per-event scalar), or when none is and one relational component produces
+// them all (it is then pushed into that component's map, whose keys it leaves
+// alone). Any other value sum would put its variables on some map's keys —
+// SUM(a.VOLUME - b.VOLUME) would widen AXF's M1[broker,b_price] by b_volume —
+// so its monomial is expanded into value-sum-free monomials instead.
+func (c *compileState) valueSumsStayWhole(factors []agca.Expr, bound agca.VarSet) bool {
+	var rootOf map[int]int
+	for _, f := range factors {
+		if !opt.IsValueSum(f) {
+			continue
+		}
+		vars := agca.AllVars(f)
+		unbound := 0
+		for v := range vars {
+			if !bound[v] {
+				unbound++
+			}
+		}
+		if unbound == 0 {
+			continue
+		}
+		if unbound < len(vars) || c.opts.Mode == ModeNaive {
+			return false
+		}
+		if rootOf == nil {
+			rootOf = c.joinComponents(factors, bound)
+		}
+		root := -1
+		for v := range vars {
+			producer := -1
+			for i, r := range rootOf {
+				if agca.OutputVars(factors[i], agca.VarSet{}).Contains(v) {
+					producer = r
+					break
+				}
+			}
+			if producer < 0 || root >= 0 && producer != root {
+				return false
+			}
+			root = producer
+		}
+	}
+	return true
 }
 
 // materializeComponent registers (or reuses) the auxiliary view for one

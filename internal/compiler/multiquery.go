@@ -36,10 +36,36 @@ func CompileSet(queries []Query, cat *catalog.Catalog, opts Options) (*trigger.P
 	// first, which may disagree with where another query's statements read it.
 	// Recompute depths globally so that within every merged trigger each
 	// statement still reads the pre-update values of the deeper maps it
-	// depends on, then re-sort under the new depths.
+	// depends on, then re-sort under the new depths and merge the increments
+	// that now share an access path across queries.
 	recomputeDepths(prog)
 	prog.SortStatements()
+	mergeIncrements(prog)
 	return prog, NewShareReport(prog), nil
+}
+
+// depthOrdered reports whether, within every trigger, each statement reads
+// only maps that the trigger updates at a strictly greater depth. A single
+// query's compilation can break this when a map registered at one depth is
+// reused from a deeper one (a self-join's maps read each other); assemble
+// then recomputes the depths.
+func depthOrdered(p *trigger.Program) bool {
+	for _, t := range p.Triggers {
+		shallowest := map[string]int{}
+		for _, s := range t.Stmts {
+			if d, ok := shallowest[s.TargetMap]; !ok || s.Depth < d {
+				shallowest[s.TargetMap] = s.Depth
+			}
+		}
+		for _, s := range t.Stmts {
+			for _, r := range agca.MapRefs(s.RHS) {
+				if d, ok := shallowest[r]; ok && r != s.TargetMap && d <= s.Depth {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // recomputeDepths reassigns map depths as the longest read-dependency path:

@@ -271,13 +271,15 @@ func triggerVisits(t *testing.T, eng *engine.Engine, relation string, tuple type
 // depend on how many parts and line items there are (unplanned: two scans of
 // the PART x LINEITEM map). The counts are also pinned exactly: how a probe is
 // dispatched must not change what it visits, so only a change to the plans
-// themselves moves them.
+// themselves moves them. (Q17a's fell from 18 to 14 when increments sharing an
+// access path were merged: the LINEITEM trigger's +X and -X over the same
+// pre-update sq1 cancel and are no longer run.)
 func TestPlannedReevalComplexity(t *testing.T) {
 	order := func(i int) types.Tuple {
 		return types.Tuple{types.Int(int64(i)), types.Int(int64(i)), types.Int(int64(i % 7)),
 			types.Int(int64(1000 + i)), types.Int(int64(1 + i))}
 	}
-	exact := map[string][2]int{"VWAP": {129, 257}, "MST": {516, 1028}, "PSP": {260, 516}, "Q17a": {18, 18}}
+	exact := map[string][2]int{"VWAP": {129, 257}, "MST": {516, 1028}, "PSP": {260, 516}, "Q17a": {14, 14}}
 	for _, name := range []string{"VWAP", "MST", "PSP"} {
 		eng := newEngineFor(t, mustSpec(t, name), compiler.ModeDBToaster)
 		fill := func(from, to int) {

@@ -65,14 +65,22 @@ func TestSimplifyIdempotent(t *testing.T) {
 }
 
 func TestExpandPolynomial(t *testing.T) {
-	// (a + b) * c expands to a*c + b*c.
+	// A value sum stays one factor: (a + b) * c is one monomial ...
 	e := agca.Mul(agca.Add(agca.V("a"), agca.V("b")), agca.V("c"))
-	terms := ExpandPolynomial(e)
-	if len(terms) != 2 {
-		t.Fatalf("expected 2 monomials, got %d: %v", len(terms), terms)
+	if terms := ExpandPolynomial(e); len(terms) != 1 {
+		t.Fatalf("expected 1 monomial, got %d: %v", len(terms), terms)
+	}
+	// ... unless it is expanded fully: a*c + b*c.
+	if terms := ExpandFully(e); len(terms) != 2 {
+		t.Fatalf("ExpandFully: expected 2 monomials, got %d: %v", len(terms), terms)
+	}
+	// A sum of relations is not a value sum: (R(x) + S(x)) * a expands.
+	rs := agca.Mul(agca.Add(agca.R("R", "x"), agca.R("S", "x")), agca.V("a"))
+	if terms := ExpandPolynomial(rs); len(terms) != 2 {
+		t.Fatalf("expected 2 monomials for (R(x)+S(x))*a, got %d: %v", len(terms), terms)
 	}
 	// AggSum distributes over the expansion.
-	e2 := agca.SumOver([]string{"x"}, agca.Mul(agca.R("R", "x"), agca.Add(agca.V("a"), agca.Neg{E: agca.V("b")})))
+	e2 := agca.SumOver([]string{"x"}, agca.Mul(agca.R("R", "x"), agca.Add(agca.R("S", "x"), agca.Neg{E: agca.V("b")})))
 	terms2 := ExpandPolynomial(e2)
 	if len(terms2) != 2 {
 		t.Fatalf("expected 2 monomials under AggSum, got %d", len(terms2))
@@ -85,6 +93,82 @@ func TestExpandPolynomial(t *testing.T) {
 	// Zero terms disappear.
 	if got := ExpandPolynomial(agca.Mul(agca.Zero, agca.R("R", "x"))); len(got) != 0 {
 		t.Fatalf("zero product should expand to nothing, got %v", got)
+	}
+}
+
+func TestIsValueSum(t *testing.T) {
+	for _, c := range []struct {
+		e    agca.Expr
+		want bool
+	}{
+		{agca.Add(agca.V("a"), agca.C(1)), true},
+		{agca.Add(agca.Gt(agca.V("a"), agca.C(3)), agca.Neg{E: agca.Mul(agca.CF(0.01), agca.V("d"))}), true},
+		{agca.Add(agca.V("a"), agca.R("R", "a")), false},
+		{agca.Add(agca.V("a"), agca.Mul(agca.V("b"), agca.MapRef{Name: "M", Keys: []string{"b"}})), false},
+		{agca.Add(agca.V("a"), agca.LiftE("b", agca.V("a"))), false},
+		{agca.Mul(agca.V("a"), agca.V("b")), false}, // a value, but not a sum
+	} {
+		if got := IsValueSum(c.e); got != c.want {
+			t.Errorf("IsValueSum(%s) = %v, want %v", agca.String(c.e), got, c.want)
+		}
+	}
+}
+
+func TestSimplifySelfComparison(t *testing.T) {
+	x := agca.V("x")
+	sub := agca.SumOver(nil, agca.R("R", "x"))
+	for _, c := range []struct {
+		op   agca.CmpOp
+		l, r agca.Expr
+		want agca.Expr
+	}{
+		{agca.OpLt, x, x, agca.Zero},
+		{agca.OpGt, x, x, agca.Zero},
+		{agca.OpNe, x, x, agca.Zero},
+		{agca.OpEq, x, x, agca.One},
+		{agca.OpLe, x, x, agca.One},
+		{agca.OpGe, x, x, agca.One},
+		{agca.OpGt, sub, agca.Clone(sub), agca.Zero},
+		{agca.OpGe, agca.Add(x, agca.C(1)), agca.Add(x, agca.C(1)), agca.One},
+	} {
+		e := agca.Cmp{Op: c.op, L: c.l, R: c.r}
+		if got := Simplify(e); agca.String(got) != agca.String(c.want) {
+			t.Errorf("Simplify(%s) = %s, want %s", agca.String(e), agca.String(got), agca.String(c.want))
+		}
+	}
+	// Different operands stay, and so does the product they filter.
+	keep := agca.Mul(agca.Cmp{Op: agca.OpGt, L: x, R: agca.V("y")}, agca.V("y"))
+	if got := Simplify(keep); agca.String(got) != agca.String(keep) {
+		t.Errorf("Simplify(%s) = %s, want it unchanged", agca.String(keep), agca.String(got))
+	}
+	// A dead statement body folds to 0: {t > t} * v * p.
+	dead := agca.SumOver([]string{}, agca.Mul(agca.Gt(agca.V("t"), agca.V("t")), agca.V("v"), agca.V("p")))
+	if got := Simplify(dead); !agca.IsZero(got) {
+		t.Errorf("Simplify(%s) = %s, want 0", agca.String(dead), agca.String(got))
+	}
+}
+
+func TestCombineLikeTerms(t *testing.T) {
+	p, q, c := agca.V("p"), agca.V("q"), agca.Gt(agca.V("t"), agca.C(3))
+	for _, tc := range []struct {
+		in   agca.Expr
+		want string
+	}{
+		// price*{c} + -1*price*{c} cancels.
+		{agca.Add(agca.Mul(p, c), agca.Mul(agca.C(-1), p, c)), "0"},
+		// 0.5*v*p + 0.5*v*p is one term; factor order does not matter.
+		{agca.Add(agca.Mul(agca.CF(0.5), q, p), agca.Mul(agca.CF(0.5), p, q)), "(q * p)"},
+		// Negations count as coefficient -1.
+		{agca.Add(q, agca.Neg{E: q}, p), "p"},
+		// Unlike terms stay as they are, in order.
+		{agca.Add(agca.Mul(agca.C(2), p), q), "((2 * p) + q)"},
+		{agca.Add(agca.Mul(agca.C(2), p), p, q), "((3 * p) + q)"},
+		// A sum over relations is not a value sum: left alone.
+		{agca.Add(agca.R("R", "x"), agca.Neg{E: agca.R("R", "x")}), "(R(x) + -(R(x)))"},
+	} {
+		if got := agca.String(CombineLikeTerms(tc.in)); got != tc.want {
+			t.Errorf("CombineLikeTerms(%s) = %s, want %s", agca.String(tc.in), got, tc.want)
+		}
 	}
 }
 

@@ -5,6 +5,9 @@
 package opt
 
 import (
+	"sort"
+	"strings"
+
 	"dbtoaster/internal/agca"
 	"dbtoaster/internal/types"
 )
@@ -28,11 +31,13 @@ func simplifyNode(e agca.Expr) agca.Expr {
 	case agca.Cmp:
 		if l, ok := n.L.(agca.Const); ok {
 			if r, ok := n.R.(agca.Const); ok {
-				if cmpConst(n.Op, l.V, r.V) {
-					return agca.One
-				}
-				return agca.Zero
+				return boolExpr(cmpConst(n.Op, l.V, r.V))
 			}
+		}
+		if sameOperand(n.L, n.R) {
+			// types.Compare(v, v) == 0 for every value, NaN and null
+			// included, so {t op t} holds exactly when op admits equality.
+			return boolExpr(cmpOutcome(n.Op, 0))
 		}
 		return n
 	case agca.AggSum:
@@ -44,8 +49,33 @@ func simplifyNode(e agca.Expr) agca.Expr {
 	}
 }
 
+func boolExpr(b bool) agca.Expr {
+	if b {
+		return agca.One
+	}
+	return agca.Zero
+}
+
+// sameOperand reports whether two comparison operands are syntactically
+// equal, and therefore evaluate to the same value.
+func sameOperand(l, r agca.Expr) bool {
+	if lv, ok := l.(agca.Var); ok {
+		rv, ok := r.(agca.Var)
+		return ok && lv.Name == rv.Name
+	}
+	if _, ok := r.(agca.Var); ok {
+		return false
+	}
+	return agca.String(l) == agca.String(r)
+}
+
 func cmpConst(op agca.CmpOp, l, r types.Value) bool {
-	c := types.Compare(l, r)
+	return cmpOutcome(op, types.Compare(l, r))
+}
+
+// cmpOutcome reports whether a comparison whose operands compare as c
+// (types.Compare's sign) holds under op.
+func cmpOutcome(op agca.CmpOp, c int) bool {
 	switch op {
 	case agca.OpEq:
 		return c == 0
@@ -94,13 +124,7 @@ func simplifyProd(n agca.Prod) agca.Expr {
 		}
 	}
 	if coeff != 1 {
-		var c agca.Expr
-		if coeffInt && coeff == float64(int64(coeff)) {
-			c = agca.C(int64(coeff))
-		} else {
-			c = agca.CF(coeff)
-		}
-		factors = append([]agca.Expr{c}, factors...)
+		factors = append([]agca.Expr{coeffConst(coeff, coeffInt)}, factors...)
 	}
 	switch len(factors) {
 	case 0:
@@ -139,11 +163,7 @@ func simplifySum(n agca.Sum) agca.Expr {
 		}
 	}
 	if hasConst && coeff != 0 {
-		if coeffInt && coeff == float64(int64(coeff)) {
-			terms = append(terms, agca.C(int64(coeff)))
-		} else {
-			terms = append(terms, agca.CF(coeff))
-		}
+		terms = append(terms, coeffConst(coeff, coeffInt))
 	}
 	switch len(terms) {
 	case 0:
@@ -152,6 +172,97 @@ func simplifySum(n agca.Sum) agca.Expr {
 		return terms[0]
 	default:
 		return agca.Sum{Terms: terms}
+	}
+}
+
+// coeffConst renders a folded numeric coefficient: an integer constant when
+// every folded operand was an integer and the result is integral.
+func coeffConst(coeff float64, isInt bool) agca.Expr {
+	if isInt && coeff == float64(int64(coeff)) {
+		return agca.C(int64(coeff))
+	}
+	return agca.CF(coeff)
+}
+
+// CombineLikeTerms simplifies e and, when the result is a value sum, adds up
+// its terms that differ only in their constant coefficient
+// (0.5*v*p + 0.5*v*p = v*p, x + -1*x = 0), keeping each surviving term at its
+// first position; a sum whose terms all cancel becomes 0. Value products
+// commute, so factor order does not distinguish terms. Combining assumes
+// finite values (x + -x is NaN for an infinite x), so Simplify itself leaves
+// like terms alone and only the merge of increments combines them.
+func CombineLikeTerms(e agca.Expr) agca.Expr {
+	e = Simplify(e)
+	if !IsValueSum(e) {
+		return e
+	}
+	return simplifySum(agca.Sum{Terms: combineLikeTerms(e.(agca.Sum).Terms)})
+}
+
+func combineLikeTerms(terms []agca.Expr) []agca.Expr {
+	type like struct {
+		coeff float64
+		isInt bool
+		rest  []agca.Expr
+	}
+	var groups []*like
+	byKey := map[string]*like{}
+	for _, t := range terms {
+		coeff, isInt, rest := splitCoefficient(t)
+		parts := make([]string, len(rest))
+		for i, f := range rest {
+			parts[i] = agca.String(f)
+		}
+		sort.Strings(parts)
+		key := strings.Join(parts, "*")
+		if g, ok := byKey[key]; ok {
+			g.coeff += coeff
+			g.isInt = g.isInt && isInt
+			continue
+		}
+		g := &like{coeff: coeff, isInt: isInt, rest: rest}
+		byKey[key] = g
+		groups = append(groups, g)
+	}
+	if len(groups) == len(terms) {
+		return terms
+	}
+	out := make([]agca.Expr, 0, len(groups))
+	for _, g := range groups {
+		if g.coeff == 0 {
+			continue
+		}
+		out = append(out, simplifyProd(agca.Prod{Factors: append([]agca.Expr{coeffConst(g.coeff, g.isInt)}, g.rest...)}))
+	}
+	return out
+}
+
+// splitCoefficient separates a simplified term into its numeric coefficient
+// and its remaining factors.
+func splitCoefficient(t agca.Expr) (coeff float64, isInt bool, rest []agca.Expr) {
+	coeff, isInt = 1, true
+	for {
+		switch x := t.(type) {
+		case agca.Neg:
+			coeff = -coeff
+			t = x.E
+			continue
+		case agca.Prod:
+			for _, f := range x.Factors {
+				if c, ok := f.(agca.Const); ok && c.V.IsNumeric() {
+					coeff *= c.V.AsFloat()
+					isInt = isInt && c.V.Kind() != types.KindFloat
+					continue
+				}
+				rest = append(rest, f)
+			}
+			return coeff, isInt, rest
+		case agca.Const:
+			if x.V.IsNumeric() {
+				return coeff * x.V.AsFloat(), isInt && x.V.Kind() != types.KindFloat, nil
+			}
+		}
+		return coeff, isInt, []agca.Expr{t}
 	}
 }
 

@@ -128,6 +128,20 @@ func TestEncodeKeyIntegralFloatMatchesInt(t *testing.T) {
 	}
 }
 
+// TestCompareReflexive pins Compare(v, v) == 0 for every kind, the edge
+// values included: the optimizer folds a comparison of an operand with itself
+// ({t < t} to 0, {t <= t} to 1) on the strength of it.
+func TestCompareReflexive(t *testing.T) {
+	for _, v := range []Value{
+		Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)), Null(),
+		Str(""), Str("BUILDING"), Int(0), Int(math.MinInt64), Float(-0.0), Bool(true),
+	} {
+		if c := Compare(v, v); c != 0 {
+			t.Errorf("Compare(%v, %v) = %d, want 0", v, v, c)
+		}
+	}
+}
+
 func TestCompareAntisymmetric(t *testing.T) {
 	f := func(a, b int64) bool {
 		return Compare(Int(a), Int(b)) == -Compare(Int(b), Int(a))

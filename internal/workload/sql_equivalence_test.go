@@ -182,18 +182,21 @@ func TestSQLGoldenTriggerPrograms(t *testing.T) {
 }
 
 // TestBenchmarkedProgramsUnchanged pins the compiled programs of the five
-// queries the tpch-event, tpch-batch and live-e2e benchmark workloads run to
-// what they were before statement planning (loop-invariant scheduling,
-// factorised evaluation, slice-restricted lift deltas) landed: none of them has
-// a nested aggregate or a second loop-bearing group of factors, so the rules
-// must leave them byte for byte alone — which is why those workloads cannot
-// move. The digests are of the goldens at the parent of that change.
+// queries the tpch-event, tpch-batch and live-e2e benchmark workloads run, so
+// that no planner change moves those workloads by accident. Q6 and Q12 are
+// pinned at what they were before statement planning (loop-invariant
+// scheduling, factorised evaluation, slice-restricted lift deltas) landed:
+// none of the planning rules may touch them. Q1, Q3 and Q10 were re-pinned on
+// purpose when value sums started to stay factored
+// (l_price * (1 + -(0.01 * l_disc)) is one factor, not two monomials) and
+// increments sharing an access path started to merge: Q1 runs one statement
+// per event, Q3 keeps 6 maps instead of 9, Q10 7 instead of 10.
 func TestBenchmarkedProgramsUnchanged(t *testing.T) {
 	pinned := map[string]string{
-		"Q1":  "93c0d2171b299cb2bdc6654229f6ff458dc7d03122d6c8b231f9f35795697562",
+		"Q1":  "a31308e757126c589a979febd2c26c2315a140f5d1cefca289a042396f133a27",
 		"Q6":  "2536a55cc2ebe023b1a0ef12b1f062e66d42d0b6c1e830b88cd1040201f8721f",
-		"Q3":  "62478c22541f9018fd0e29f4246776051312129680b9c389bc9776c5cd7fd55f",
-		"Q10": "988556b21ea2cab7a2d61122a3d1abc68bc6bc00da1341271adc2848ee551d31",
+		"Q3":  "4c80b50b2f6c5465de31ca76646a3bdfbb11842a76ed42d275761cc2a5d53549",
+		"Q10": "1532c78fa5d7e484798f16a9ae3546d35736dcd6824d7490036280e962a7f68a",
 		"Q12": "c58f50df9b7bf41475b1b3594437c029534503cd5ad724e212ca877c7665c6a3",
 	}
 	for name, want := range pinned {

@@ -15,14 +15,17 @@ const (
 	tokNumber
 	tokString
 	tokSymbol
+	tokError // an unscannable character; the lexer holds the error
 )
 
 // token is one lexical token with its source position (1-based line/column).
+// 32-bit positions keep it at four words, small enough for the compiler to
+// pass and return it in registers, as the parser does for every token.
 type token struct {
 	kind tokKind
 	text string // keywords upper-cased, symbols canonical, others verbatim
-	line int
-	col  int
+	line int32
+	col  int32
 }
 
 func (t token) describe() string {
@@ -50,7 +53,7 @@ var keywords = map[string]bool{
 
 // lexError is a positioned scan error.
 type lexError struct {
-	line, col int
+	line, col int32
 	msg       string
 }
 
@@ -58,110 +61,118 @@ func (e *lexError) Error() string {
 	return fmt.Sprintf("%d:%d: %s", e.line, e.col, e.msg)
 }
 
-// lex scans src into tokens. SQL comments (-- to end of line) are skipped.
-func lex(src string) ([]token, error) {
-	var toks []token
-	line, col := 1, 1
-	i := 0
-	n := len(src)
-	advance := func(k int) {
-		for j := 0; j < k; j++ {
-			if src[i+j] == '\n' {
-				line++
-				col = 1
-			} else {
-				col++
-			}
+// lexer scans a source into tokens on demand, so the parser reads only as
+// far as it gets: input it rejects early is never tokenized in full. SQL
+// comments (-- to end of line) are skipped.
+type lexer struct {
+	src       string
+	i         int
+	line, col int32
+	err       *lexError // the first scan error; every later token is tokError
+}
+
+func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1} }
+
+// fail records a scan error at l0:c0 and returns the error token.
+func (lx *lexer) fail(l0, c0 int32, msg string) token {
+	lx.err = &lexError{l0, c0, msg}
+	return token{kind: tokError, line: l0, col: c0}
+}
+
+func (lx *lexer) advance(k int) {
+	for j := 0; j < k; j++ {
+		if lx.src[lx.i+j] == '\n' {
+			lx.line++
+			lx.col = 1
+		} else {
+			lx.col++
 		}
-		i += k
 	}
-	for i < n {
-		c := src[i]
+	lx.i += k
+}
+
+// scan returns the next token: tokEOF at the end of the source, tokError
+// (with lx.err set) from the first unscannable character on.
+func (lx *lexer) scan() token {
+	if lx.err != nil {
+		return token{kind: tokError, line: lx.err.line, col: lx.err.col}
+	}
+	src, n := lx.src, len(lx.src)
+	for lx.i < n {
+		c := src[lx.i]
+		l0, c0 := lx.line, lx.col
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			advance(1)
-		case c == '-' && i+1 < n && src[i+1] == '-':
-			for i < n && src[i] != '\n' {
-				advance(1)
+			lx.advance(1)
+		case c == '-' && lx.i+1 < n && src[lx.i+1] == '-':
+			for lx.i < n && src[lx.i] != '\n' {
+				lx.advance(1)
 			}
 		case isIdentStart(c):
-			start, l0, c0 := i, line, col
-			for i < n && isIdentPart(src[i]) {
-				advance(1)
+			start := lx.i
+			for lx.i < n && isIdentPart(src[lx.i]) {
+				lx.advance(1)
 			}
-			word := src[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{kind: tokKeyword, text: upper, line: l0, col: c0})
-			} else {
-				toks = append(toks, token{kind: tokIdent, text: word, line: l0, col: c0})
+			word := src[start:lx.i]
+			if upper := strings.ToUpper(word); keywords[upper] {
+				return token{kind: tokKeyword, text: upper, line: l0, col: c0}
 			}
+			return token{kind: tokIdent, text: word, line: l0, col: c0}
 		case c >= '0' && c <= '9':
-			start, l0, c0 := i, line, col
+			start := lx.i
 			seenDot := false
-			for i < n {
-				d := src[i]
+			for lx.i < n {
+				d := src[lx.i]
 				if d >= '0' && d <= '9' {
-					advance(1)
+					lx.advance(1)
 					continue
 				}
-				if d == '.' && !seenDot && i+1 < n && src[i+1] >= '0' && src[i+1] <= '9' {
+				if d == '.' && !seenDot && lx.i+1 < n && src[lx.i+1] >= '0' && src[lx.i+1] <= '9' {
 					seenDot = true
-					advance(1)
+					lx.advance(1)
 					continue
 				}
 				break
 			}
-			toks = append(toks, token{kind: tokNumber, text: src[start:i], line: l0, col: c0})
+			return token{kind: tokNumber, text: src[start:lx.i], line: l0, col: c0}
 		case c == '\'':
-			l0, c0 := line, col
-			advance(1)
+			lx.advance(1)
 			var b strings.Builder
-			closed := false
-			for i < n {
-				if src[i] == '\'' {
-					if i+1 < n && src[i+1] == '\'' { // '' escapes a quote
+			for lx.i < n {
+				if src[lx.i] == '\'' {
+					if lx.i+1 < n && src[lx.i+1] == '\'' { // '' escapes a quote
 						b.WriteByte('\'')
-						advance(2)
+						lx.advance(2)
 						continue
 					}
-					advance(1)
-					closed = true
-					break
+					lx.advance(1)
+					return token{kind: tokString, text: b.String(), line: l0, col: c0}
 				}
-				b.WriteByte(src[i])
-				advance(1)
+				b.WriteByte(src[lx.i])
+				lx.advance(1)
 			}
-			if !closed {
-				return nil, &lexError{l0, c0, "unterminated string literal"}
-			}
-			toks = append(toks, token{kind: tokString, text: b.String(), line: l0, col: c0})
+			return lx.fail(l0, c0, "unterminated string literal")
 		default:
-			l0, c0 := line, col
 			// Two-character operators first.
-			if i+1 < n {
-				two := src[i : i+2]
-				switch two {
+			if lx.i+1 < n {
+				switch two := src[lx.i : lx.i+2]; two {
 				case "<=", ">=", "<>", "!=":
 					if two == "!=" {
 						two = "<>"
 					}
-					advance(2)
-					toks = append(toks, token{kind: tokSymbol, text: two, line: l0, col: c0})
-					continue
+					lx.advance(2)
+					return token{kind: tokSymbol, text: two, line: l0, col: c0}
 				}
 			}
 			switch c {
 			case '(', ')', ',', ';', '.', '*', '+', '-', '/', '<', '>', '=':
-				advance(1)
-				toks = append(toks, token{kind: tokSymbol, text: string(c), line: l0, col: c0})
-			default:
-				return nil, &lexError{l0, c0, fmt.Sprintf("unexpected character %q", string(c))}
+				lx.advance(1)
+				return token{kind: tokSymbol, text: string(c), line: l0, col: c0}
 			}
+			return lx.fail(l0, c0, fmt.Sprintf("unexpected character %q", string(c)))
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, line: line, col: col})
-	return toks, nil
+	return token{kind: tokEOF, line: lx.line, col: lx.col}
 }
 
 func isIdentStart(c byte) bool {

@@ -15,14 +15,19 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("%d:%d: %s", e.Pos.Line, e.Pos.Col, e.Msg)
 }
 
+// maxExprHeight bounds the height of an expression tree: every operator,
+// parenthesis, NOT, unary minus, function call and subquery is one level,
+// and a left-deep chain such as a + b + c is one level per operator. The
+// parser and the translator recurse once per level, so without a bound a
+// deeply nested or very long expression exhausts the goroutine stack, which
+// Go cannot recover from. The workload queries are at most 9 levels high.
+const maxExprHeight = 1000
+
 // Parse parses a SQL source — CREATE STREAM/TABLE declarations and SELECT
 // queries separated by semicolons — into a Script.
 func Parse(src string) (*Script, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lx: newLexer(src)}
+	p.toks = append(p.toks, p.lx.scan())
 	script := &Script{}
 	for {
 		for p.acceptSymbol(";") {
@@ -38,7 +43,7 @@ func Parse(src string) (*Script, error) {
 			}
 			script.Relations = append(script.Relations, rd)
 		case p.peekKeyword("SELECT"):
-			sel, err := p.parseSelect()
+			sel, _, err := p.parseSelect()
 			if err != nil {
 				return nil, err
 			}
@@ -54,16 +59,52 @@ func Parse(src string) (*Script, error) {
 }
 
 type parser struct {
-	toks []token
-	i    int
+	lx    lexer
+	toks  []token // tokens scanned so far, always through toks[i], the next one
+	i     int
+	depth int // expression levels open above the one being parsed
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
-func (p *parser) at() Pos     { t := p.peek(); return Pos{t.line, t.col} }
 
+func (p *parser) next() token {
+	t := p.toks[p.i]
+	if p.i++; p.i == len(p.toks) {
+		p.toks = append(p.toks, p.lx.scan())
+	}
+	return t
+}
+
+func (p *parser) at() Pos { t := p.peek(); return Pos{int(t.line), int(t.col)} }
+
+// errorf reports a syntax error at the next token — or, when that token is
+// the first one the lexer could not scan, the scan error.
 func (p *parser) errorf(format string, args ...interface{}) error {
+	if p.peek().kind == tokError {
+		return p.lx.err
+	}
 	return &ParseError{Pos: p.at(), Msg: fmt.Sprintf(format, args...)}
+}
+
+// nest opens one expression level below the current one before the parser
+// recurses into it; the caller closes it with p.depth--. A node parsed at
+// depth d with height h keeps d+h <= maxExprHeight, so a statement's
+// expressions are at most maxExprHeight high.
+func (p *parser) nest() error {
+	if p.depth++; p.depth >= maxExprHeight {
+		return p.errorf("expression nested deeper than %d levels", maxExprHeight)
+	}
+	return nil
+}
+
+// grow returns the height of a node at pos over children at most h high, or
+// a positioned error if that puts the node's leaves more than maxExprHeight
+// levels below the statement.
+func (p *parser) grow(pos Pos, h int) (int, error) {
+	if h++; p.depth+h > maxExprHeight {
+		return 0, &ParseError{Pos: pos, Msg: fmt.Sprintf("expression nested deeper than %d levels", maxExprHeight)}
+	}
+	return h, nil
 }
 
 func (p *parser) peekKeyword(kw string) bool {
@@ -73,7 +114,7 @@ func (p *parser) peekKeyword(kw string) bool {
 
 func (p *parser) acceptKeyword(kw string) bool {
 	if p.peekKeyword(kw) {
-		p.i++
+		p.next()
 		return true
 	}
 	return false
@@ -93,7 +134,7 @@ func (p *parser) peekSymbol(s string) bool {
 
 func (p *parser) acceptSymbol(s string) bool {
 	if p.peekSymbol(s) {
-		p.i++
+		p.next()
 		return true
 	}
 	return false
@@ -111,7 +152,7 @@ func (p *parser) expectIdent() (token, error) {
 	if t.kind != tokIdent {
 		return t, p.errorf("expected identifier, found %s", t.describe())
 	}
-	p.i++
+	p.next()
 	return t, nil
 }
 
@@ -156,7 +197,7 @@ func (p *parser) parseCreate() (RelDef, error) {
 			return RelDef{}, err
 		}
 		if !columnTypes[strings.ToLower(typ.text)] {
-			return RelDef{}, &ParseError{Pos: Pos{typ.line, typ.col},
+			return RelDef{}, &ParseError{Pos: Pos{int(typ.line), int(typ.col)},
 				Msg: fmt.Sprintf("unknown column type %q", typ.text)}
 		}
 		// Optional length, e.g. VARCHAR(20).
@@ -181,41 +222,45 @@ func (p *parser) parseCreate() (RelDef, error) {
 	return rd, nil
 }
 
-// parseSelect parses SELECT items FROM from [WHERE cond] [GROUP BY cols].
-func (p *parser) parseSelect() (*SelectStmt, error) {
+// parseSelect parses SELECT items FROM from [WHERE cond] [GROUP BY cols] and
+// returns it with the height of its tallest expression.
+func (p *parser) parseSelect() (*SelectStmt, int, error) {
 	pos := p.at()
 	if err := p.expectKeyword("SELECT"); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sel := &SelectStmt{Pos: pos}
+	height := 0
 	if p.acceptSymbol("*") {
 		sel.Star = true
 	} else {
 		for {
-			item, err := p.parseSelectItem()
+			item, h, err := p.parseSelectItem()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			sel.Items = append(sel.Items, item)
+			height = max(height, h)
 			if !p.acceptSymbol(",") {
 				break
 			}
 		}
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var onConds []Expr
+	var onHeights []int
 	item, err := p.parseFromItem()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sel.From = append(sel.From, item)
 	for {
 		if p.acceptSymbol(",") {
 			item, err := p.parseFromItem()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			sel.From = append(sel.From, item)
 			continue
@@ -224,47 +269,53 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		// conjunct.
 		if p.acceptKeyword("INNER") {
 			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		} else if !p.acceptKeyword("JOIN") {
 			break
 		}
 		item, err := p.parseFromItem()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		sel.From = append(sel.From, item)
 		if err := p.expectKeyword("ON"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		cond, err := p.parseOr()
+		cond, h, err := p.parseOr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		onConds = append(onConds, cond)
+		onConds, onHeights = append(onConds, cond), append(onHeights, h)
 	}
 	if p.acceptKeyword("WHERE") {
-		cond, err := p.parseOr()
+		cond, h, err := p.parseOr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		onConds = append(onConds, cond)
+		onConds, onHeights = append(onConds, cond), append(onHeights, h)
 	}
-	for _, c := range onConds {
+	// The conjuncts fold into a left-deep AND chain, one level per JOIN.
+	whereHeight := 0
+	for i, c := range onConds {
 		if sel.Where == nil {
-			sel.Where = c
-		} else {
-			sel.Where = AndOp{L: sel.Where, R: c, Pos: c.pos()}
+			sel.Where, whereHeight = c, onHeights[i]
+			continue
+		}
+		sel.Where = AndOp{L: sel.Where, R: c, Pos: c.pos()}
+		if whereHeight, err = p.grow(c.pos(), max(whereHeight, onHeights[i])); err != nil {
+			return nil, 0, err
 		}
 	}
+	height = max(height, whereHeight)
 	if p.acceptKeyword("GROUP") {
 		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		for {
 			cr, err := p.parseColRef()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			sel.GroupBy = append(sel.GroupBy, cr)
 			if !p.acceptSymbol(",") {
@@ -272,23 +323,23 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			}
 		}
 	}
-	return sel, nil
+	return sel, height, nil
 }
 
-func (p *parser) parseSelectItem() (SelectItem, error) {
-	e, err := p.parseOr()
+func (p *parser) parseSelectItem() (SelectItem, int, error) {
+	e, h, err := p.parseOr()
 	if err != nil {
-		return SelectItem{}, err
+		return SelectItem{}, 0, err
 	}
 	item := SelectItem{Expr: e}
 	if p.acceptKeyword("AS") {
 		a, err := p.expectIdent()
 		if err != nil {
-			return SelectItem{}, err
+			return SelectItem{}, 0, err
 		}
 		item.Alias = a.text
 	}
-	return item, nil
+	return item, h, nil
 }
 
 func (p *parser) parseFromItem() (FromItem, error) {
@@ -338,72 +389,89 @@ func (p *parser) parseColRef() (ColRef, error) {
 //	mul     := unary ((*|/) unary)*
 //	unary   := - unary | primary
 //	primary := literal | colref | func(args) | (select) | (or)
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
+//
+// Each parse function also returns the height of the tree it built (a leaf is
+// 1), so that every node can be held to maxExprHeight as it is built.
+func (p *parser) parseOr() (Expr, int, error) {
+	l, h, err := p.parseAnd()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.peekKeyword("OR") {
 		pos := p.at()
 		p.next()
-		r, err := p.parseAnd()
+		r, rh, err := p.parseAnd()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		l = OrOp{L: l, R: r, Pos: pos}
+		if h, err = p.grow(pos, max(h, rh)); err != nil {
+			return nil, 0, err
+		}
 	}
-	return l, nil
+	return l, h, nil
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
+func (p *parser) parseAnd() (Expr, int, error) {
+	l, h, err := p.parseNot()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.peekKeyword("AND") {
 		pos := p.at()
 		p.next()
-		r, err := p.parseNot()
+		r, rh, err := p.parseNot()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		l = AndOp{L: l, R: r, Pos: pos}
+		if h, err = p.grow(pos, max(h, rh)); err != nil {
+			return nil, 0, err
+		}
 	}
-	return l, nil
+	return l, h, nil
 }
 
-func (p *parser) parseNot() (Expr, error) {
+func (p *parser) parseNot() (Expr, int, error) {
 	if p.peekKeyword("NOT") {
 		pos := p.at()
 		p.next()
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
+		if err := p.nest(); err != nil {
+			return nil, 0, err
 		}
-		return NotOp{E: e, Pos: pos}, nil
+		e, h, err := p.parseNot()
+		p.depth--
+		if err != nil {
+			return nil, 0, err
+		}
+		return NotOp{E: e, Pos: pos}, h + 1, nil
 	}
 	return p.parsePredicate()
 }
 
-func (p *parser) parsePredicate() (Expr, error) {
+func (p *parser) parsePredicate() (Expr, int, error) {
 	if p.peekKeyword("EXISTS") {
 		pos := p.at()
 		p.next()
 		if err := p.expectSymbol("("); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		sel, err := p.parseSelect()
+		if err := p.nest(); err != nil {
+			return nil, 0, err
+		}
+		sel, h, err := p.parseSelect()
+		p.depth--
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return ExistsOp{Sel: sel, Pos: pos}, nil
+		return ExistsOp{Sel: sel, Pos: pos}, h + 1, nil
 	}
-	l, err := p.parseAdd()
+	l, h, err := p.parseAdd()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	t := p.peek()
 	if t.kind == tokSymbol {
@@ -411,11 +479,14 @@ func (p *parser) parsePredicate() (Expr, error) {
 		case "=", "<>", "<", "<=", ">", ">=":
 			pos := p.at()
 			p.next()
-			r, err := p.parseAdd()
+			r, rh, err := p.parseAdd()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			return CmpOp{Op: t.text, L: l, R: r, Pos: pos}, nil
+			if h, err = p.grow(pos, max(h, rh)); err != nil {
+				return nil, 0, err
+			}
+			return CmpOp{Op: t.text, L: l, R: r, Pos: pos}, h, nil
 		}
 	}
 	neg := false
@@ -425,7 +496,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		p.next()
 		if !p.peekKeyword("IN") && !p.peekKeyword("LIKE") {
 			p.i = save
-			return l, nil
+			return l, h, nil
 		}
 		neg = true
 	}
@@ -434,163 +505,194 @@ func (p *parser) parsePredicate() (Expr, error) {
 		pos := p.at()
 		p.next()
 		if err := p.expectSymbol("("); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		in := InList{E: l, Not: neg, Pos: pos}
 		for {
-			e, err := p.parseAdd()
+			e, eh, err := p.parseAdd()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			in.Elems = append(in.Elems, e)
+			h = max(h, eh)
 			if !p.acceptSymbol(",") {
 				break
 			}
 		}
 		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return in, nil
+		if h, err = p.grow(pos, h); err != nil {
+			return nil, 0, err
+		}
+		return in, h, nil
 	case p.peekKeyword("LIKE"):
 		pos := p.at()
 		p.next()
-		pat, err := p.parseAdd()
+		pat, ph, err := p.parseAdd()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return LikeOp{E: l, Pattern: pat, Not: neg, Pos: pos}, nil
+		if h, err = p.grow(pos, max(h, ph)); err != nil {
+			return nil, 0, err
+		}
+		return LikeOp{E: l, Pattern: pat, Not: neg, Pos: pos}, h, nil
 	case p.peekKeyword("BETWEEN"):
 		pos := p.at()
 		p.next()
-		lo, err := p.parseAdd()
+		lo, loh, err := p.parseAdd()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expectKeyword("AND"); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		hi, err := p.parseAdd()
+		hi, hih, err := p.parseAdd()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return Between{E: l, Lo: lo, Hi: hi, Pos: pos}, nil
+		if h, err = p.grow(pos, max(h, loh, hih)); err != nil {
+			return nil, 0, err
+		}
+		return Between{E: l, Lo: lo, Hi: hi, Pos: pos}, h, nil
 	}
-	return l, nil
+	return l, h, nil
 }
 
-func (p *parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
+func (p *parser) parseAdd() (Expr, int, error) {
+	l, h, err := p.parseMul()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.peekSymbol("+") || p.peekSymbol("-") {
 		pos := p.at()
 		op := p.next().text
-		r, err := p.parseMul()
+		r, rh, err := p.parseMul()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		l = BinOp{Op: op, L: l, R: r, Pos: pos}
+		if h, err = p.grow(pos, max(h, rh)); err != nil {
+			return nil, 0, err
+		}
 	}
-	return l, nil
+	return l, h, nil
 }
 
-func (p *parser) parseMul() (Expr, error) {
-	l, err := p.parseUnary()
+func (p *parser) parseMul() (Expr, int, error) {
+	l, h, err := p.parseUnary()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.peekSymbol("*") || p.peekSymbol("/") {
 		pos := p.at()
 		op := p.next().text
-		r, err := p.parseUnary()
+		r, rh, err := p.parseUnary()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		l = BinOp{Op: op, L: l, R: r, Pos: pos}
+		if h, err = p.grow(pos, max(h, rh)); err != nil {
+			return nil, 0, err
+		}
 	}
-	return l, nil
+	return l, h, nil
 }
 
-func (p *parser) parseUnary() (Expr, error) {
+func (p *parser) parseUnary() (Expr, int, error) {
 	if p.peekSymbol("-") {
 		pos := p.at()
 		p.next()
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if err := p.nest(); err != nil {
+			return nil, 0, err
 		}
-		return NegOp{E: e, Pos: pos}, nil
+		e, h, err := p.parseUnary()
+		p.depth--
+		if err != nil {
+			return nil, 0, err
+		}
+		return NegOp{E: e, Pos: pos}, h + 1, nil
 	}
 	return p.parsePrimary()
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
+func (p *parser) parsePrimary() (Expr, int, error) {
 	t := p.peek()
 	pos := p.at()
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		return NumLit{Text: t.text, IsFloat: strings.ContainsRune(t.text, '.'), Pos: pos}, nil
+		return NumLit{Text: t.text, IsFloat: strings.ContainsRune(t.text, '.'), Pos: pos}, 1, nil
 	case tokString:
 		p.next()
-		return StrLit{Val: t.text, Pos: pos}, nil
+		return StrLit{Val: t.text, Pos: pos}, 1, nil
 	case tokIdent:
 		p.next()
 		// Function call?
 		if p.peekSymbol("(") {
 			p.next()
 			call := FuncCall{Name: t.text, Pos: pos}
+			h := 0
 			if p.acceptSymbol("*") {
 				call.Star = true
 			} else if !p.peekSymbol(")") {
+				if err := p.nest(); err != nil {
+					return nil, 0, err
+				}
 				for {
-					a, err := p.parseOr()
+					a, ah, err := p.parseOr()
 					if err != nil {
-						return nil, err
+						return nil, 0, err
 					}
 					call.Args = append(call.Args, a)
+					h = max(h, ah)
 					if !p.acceptSymbol(",") {
 						break
 					}
 				}
+				p.depth--
 			}
 			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			return call, nil
+			return call, h + 1, nil
 		}
 		cr := ColRef{Name: t.text, Pos: pos}
 		if p.acceptSymbol(".") {
 			col, err := p.expectIdent()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			cr.Qual, cr.Name = t.text, col.text
 		}
-		return cr, nil
+		return cr, 1, nil
 	case tokSymbol:
 		if t.text == "(" {
 			p.next()
+			if err := p.nest(); err != nil {
+				return nil, 0, err
+			}
 			if p.peekKeyword("SELECT") {
-				sel, err := p.parseSelect()
+				sel, h, err := p.parseSelect()
+				p.depth--
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 				if err := p.expectSymbol(")"); err != nil {
-					return nil, err
+					return nil, 0, err
 				}
-				return Subquery{Sel: sel, Pos: pos}, nil
+				return Subquery{Sel: sel, Pos: pos}, h + 1, nil
 			}
-			e, err := p.parseOr()
+			e, h, err := p.parseOr()
+			p.depth--
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			return e, nil
+			return e, h + 1, nil
 		}
 	}
-	return nil, p.errorf("expected expression, found %s", t.describe())
+	return nil, 0, p.errorf("expected expression, found %s", t.describe())
 }

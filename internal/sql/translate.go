@@ -70,6 +70,33 @@ type translator struct {
 	cat  *catalog.Catalog
 	used map[string]bool
 	subN int
+	// orDepth counts the ORs enclosing the predicate being translated, and
+	// orCopies the predicates the OR expansion has written so far (see
+	// charge).
+	orDepth  int
+	orCopies int
+}
+
+// maxOrCopies bounds the OR expansion of one query. OR translates by
+// inclusion-exclusion (A OR B = A + B - A*B), which writes each operand
+// twice, so a predicate under k ORs appears 2^k times: a chain of 25 ORs
+// takes a minute to translate, and each further OR doubles that. Far above
+// any real query.
+const (
+	maxOrLevels = 16
+	maxOrCopies = 1 << maxOrLevels
+)
+
+// charge accounts for one predicate translated under t.orDepth ORs.
+func (t *translator) charge(pos Pos) error {
+	if t.orDepth == 0 {
+		return nil
+	}
+	if t.orDepth > maxOrLevels || t.orCopies+1<<t.orDepth > maxOrCopies {
+		return terrf(pos, "OR expansion exceeds %d predicates (OR translates by inclusion-exclusion, doubling its operands)", maxOrCopies)
+	}
+	t.orCopies += 1 << t.orDepth
+	return nil
 }
 
 // scope is one level of FROM-clause name resolution; parent chains to the
@@ -375,6 +402,13 @@ func (t *translator) resolveIn(cr ColRef, sc *scope, searchOuter bool) (string, 
 // conjunctive normal layer); scalar subqueries encountered on the way are
 // lifted into assignments that precede the factor using them.
 func (t *translator) cond(e Expr, sc *scope) ([]agca.Expr, error) {
+	switch e.(type) {
+	case AndOp, OrOp, NotOp:
+	default:
+		if err := t.charge(e.pos()); err != nil {
+			return nil, err
+		}
+	}
 	switch n := e.(type) {
 	case AndOp:
 		l, err := t.cond(n.L, sc)
@@ -391,6 +425,7 @@ func (t *translator) cond(e Expr, sc *scope) ([]agca.Expr, error) {
 		// A OR B  =  A + B - A*B. Each term is collapsed to a scalar
 		// (predValue) so a branch carrying a lifted subquery does not leak
 		// its lift variable into a Sum with asymmetric schemas.
+		t.orDepth++
 		l, err := t.cond(n.L, sc)
 		if err != nil {
 			return nil, err
@@ -399,6 +434,7 @@ func (t *translator) cond(e Expr, sc *scope) ([]agca.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		t.orDepth--
 		both := append(append([]agca.Expr(nil), l...), r...)
 		or := agca.Add(t.predValue(l, sc), t.predValue(r, sc), agca.Neg{E: t.predValue(both, sc)})
 		return []agca.Expr{or}, nil

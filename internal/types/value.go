@@ -47,12 +47,19 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed scalar. The zero Value is the SQL NULL-like
 // "null" value, which compares equal only to itself and coerces to 0.
+//
+// Ints and bools keep their value in i, and floats keep their
+// math.Float64bits there, so a Value is three fields and valueBytes (32)
+// bytes: within the compiler's limit for keeping a struct in registers across
+// calls and returns (see TestValueLayout). Do not add a field.
 type Value struct {
 	kind Kind
 	i    int64
-	f    float64
 	s    string
 }
+
+// valueBytes is the size of a Value, pinned by TestValueLayout.
+const valueBytes = 32
 
 // Null returns the null value.
 func Null() Value { return Value{} }
@@ -61,7 +68,7 @@ func Null() Value { return Value{} }
 func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // Str returns a string value.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
@@ -80,6 +87,9 @@ func Date(year, month, day int) Value {
 	return Int(int64(year)*10000 + int64(month)*100 + int64(day))
 }
 
+// float returns the payload of a KindFloat value.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
+
 // Kind reports the dynamic type of the value.
 func (v Value) Kind() Kind { return v.kind }
 
@@ -92,7 +102,7 @@ func (v Value) AsInt() int64 {
 	case KindInt, KindBool:
 		return v.i
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.float())
 	case KindString:
 		n, _ := strconv.ParseInt(v.s, 10, 64)
 		return n
@@ -107,7 +117,7 @@ func (v Value) AsFloat() float64 {
 	case KindInt, KindBool:
 		return float64(v.i)
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindString:
 		f, _ := strconv.ParseFloat(v.s, 64)
 		return f
@@ -124,7 +134,7 @@ func (v Value) AsString() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindBool:
 		if v.i != 0 {
 			return "true"
@@ -141,7 +151,7 @@ func (v Value) AsBool() bool {
 	case KindBool, KindInt:
 		return v.i != 0
 	case KindFloat:
-		return v.f != 0
+		return v.float() != 0
 	case KindString:
 		return v.s != ""
 	default:
@@ -186,10 +196,11 @@ func Compare(a, b Value) int {
 				return 0
 			}
 		case KindFloat:
+			af, bf := a.float(), b.float()
 			switch {
-			case a.f < b.f:
+			case af < bf:
 				return -1
-			case a.f > b.f:
+			case af > bf:
 				return 1
 			default:
 				return 0
@@ -302,12 +313,13 @@ func (v Value) EncodeKey(dst []byte) []byte {
 		dst = append(dst, 'i')
 		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1<<62 {
+		f := v.float()
+		if f == math.Trunc(f) && math.Abs(f) < 1<<62 {
 			dst = append(dst, 'i')
-			return strconv.AppendInt(dst, int64(v.f), 10)
+			return strconv.AppendInt(dst, int64(f), 10)
 		}
 		dst = append(dst, 'f')
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, f, 'g', -1, 64)
 	case KindString:
 		dst = append(dst, 's')
 		dst = strconv.AppendInt(dst, int64(len(v.s)), 10)
@@ -325,12 +337,12 @@ func (v Value) EncodeKey(dst []byte) []byte {
 	}
 }
 
-// MemSize estimates the in-memory footprint of the value in bytes. It is used
-// for the coarse memory accounting that reproduces the paper's memory traces.
+// MemSize estimates the in-memory footprint of the value in bytes: the Value
+// itself plus a string's bytes. It is used for the coarse memory accounting
+// that reproduces the paper's memory traces.
 func (v Value) MemSize() int {
-	const header = 24
 	if v.kind == KindString {
-		return header + len(v.s)
+		return valueBytes + len(v.s)
 	}
-	return header
+	return valueBytes
 }

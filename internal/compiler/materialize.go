@@ -31,6 +31,11 @@ func (c *compileState) emitIncremental(def *trigger.MapDef, ev delta.Event, mono
 		targetKeys = ures.ApplyToAll(targetKeys)
 		gb = ures.ApplyToAll(gb)
 	}
+	if gb == nil {
+		// A map defined without an aggregation (M1[a] := R(a, a)) groups
+		// by its keys; an empty group-by would project the keys away.
+		gb = targetKeys
+	}
 	if !c.valueSumsStayWhole(factors, argSet) {
 		for _, m := range opt.ExpandFully(monomial) {
 			if err := c.emitIncremental(def, ev, m); err != nil {

@@ -543,7 +543,7 @@ func (e *Engine) loadChain(chain []*wal.ChainCheckpoint) error {
 	// All links validated and composed; install atomically so a bad
 	// checkpoint never leaves a half-replaced engine.
 	for name, g := range loaded {
-		e.views[name].install(g)
+		e.views[name].data = g
 	}
 	e.eventsPlain = chain[len(chain)-1].EngineEvents
 	e.adminGen.Add(1)

@@ -33,9 +33,11 @@ import (
 // concurrently with each other); readers use Acquire and Subscribe, which are
 // safe concurrently with the write side.
 type Engine struct {
-	prog    *trigger.Program
-	views   map[string]*View
-	statics map[string]*View
+	prog  *trigger.Program
+	views map[string]*View
+	// statics are the engine's own copies of the static tables (LoadStatic
+	// clones them), shared read-only with snapshots.
+	statics map[string]*gmr.GMR
 	// handles holds the bound probe paths (Bind), one per name and column
 	// list.
 	handles map[string]*viewHandle
@@ -163,7 +165,7 @@ func New(prog *trigger.Program) *Engine {
 	e := &Engine{
 		prog:     prog,
 		views:    make(map[string]*View, len(prog.Maps)),
-		statics:  map[string]*View{},
+		statics:  map[string]*gmr.GMR{},
 		handles:  map[string]*viewHandle{},
 		triggers: map[string]*trigger.Trigger{},
 		plans:    map[string]*relationPlan{},
@@ -187,22 +189,20 @@ func (e *Engine) SetShards(n int) {}
 func (e *Engine) Program() *trigger.Program { return e.prog }
 
 // LoadStatic installs the contents of a static relation (loaded before the
-// stream starts, like TPC-H's Nation/Region in the paper's setup). Statics
-// get the same lazily built secondary indexes as maintained views, so probes
-// against them are hash lookups rather than full scans. Snapshots share the
-// static tables, so the map is replaced copy-on-write: snapshots acquired
+// stream starts, like TPC-H's Nation/Region in the paper's setup). The engine
+// stores a clone, so the caller keeps its GMR and may load it into other
+// engines; the clone gets the same secondary indexes as maintained views, so
+// probes against it are hash lookups rather than full scans. Snapshots share
+// the static tables, so the map is replaced copy-on-write: snapshots acquired
 // before the load keep the old table set.
 func (e *Engine) LoadStatic(name string, data *gmr.GMR) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	statics := make(map[string]*View, len(e.statics)+1)
-	for n, v := range e.statics {
-		statics[n] = v
+	statics := make(map[string]*gmr.GMR, len(e.statics)+1)
+	for n, g := range e.statics {
+		statics[n] = g
 	}
-	if old := statics[name]; old != nil {
-		old.gen.Add(1) // handles bound to the replaced table re-resolve
-	}
-	statics[name] = newStaticView(name, data)
+	statics[name] = data.Clone()
 	e.statics = statics
 	e.adminGen.Add(1)
 }
@@ -236,10 +236,24 @@ func (e *Engine) Init() error {
 		if err != nil {
 			return fmt.Errorf("engine: init of %s: %w", m.Name, err)
 		}
-		v := e.views[m.Name]
-		v.Clear()
+		g := e.views[m.Name].data
+		g.Clear()
+		if res.IsEmpty() {
+			// A truncated empty result may not carry every column.
+			continue
+		}
+		cols := make([]int, len(m.Keys))
+		for i, k := range m.Keys {
+			if cols[i] = res.Schema().Index(k); cols[i] < 0 {
+				return fmt.Errorf("engine: init of %s: result lacks key column %q (schema %v)", m.Name, k, res.Schema())
+			}
+		}
+		key := make(types.Tuple, len(cols))
 		res.Foreach(func(t types.Tuple, mult float64) {
-			v.AddProjected(res.Schema(), t, mult, m.Keys)
+			for i, c := range cols {
+				key[i] = t[c]
+			}
+			g.Add(key, mult)
 		})
 	}
 	return nil
@@ -249,32 +263,32 @@ func (e *Engine) Init() error {
 // statements resolve to materialized views, and names not backed by a view
 // resolve to static tables (or an empty relation).
 func (e *Engine) Relation(name string) *gmr.GMR {
-	if v := e.lookup(name); v != nil {
-		return v.Data()
+	if g := e.lookup(name); g != nil {
+		return g
 	}
 	return gmr.New(nil)
 }
 
-// lookup resolves a name the way Relation does: a materialized view first,
-// then a static table; nil when neither exists.
-func (e *Engine) lookup(name string) *View {
+// lookup resolves a name the way Relation does: a materialized view's store
+// first, then a static table; nil when neither exists.
+func (e *Engine) lookup(name string) *gmr.GMR {
 	if v, ok := e.views[name]; ok {
-		return v
+		return v.data
 	}
 	return e.statics[name]
 }
 
-// Probe implements agca.Prober, the interpreter's probe path, with per-view
-// secondary indexes; static tables share the same index machinery.
+// Probe implements agca.Prober, the interpreter's probe path, through the
+// stores' secondary indexes; static tables get them too.
 func (e *Engine) Probe(name string, cols []int, vals []types.Value) []gmr.Entry {
-	if v := e.lookup(name); v != nil {
-		return v.Probe(cols, vals)
+	if g := e.lookup(name); g != nil {
+		return probe(g, cols, vals)
 	}
 	return nil
 }
 
 // Bind implements agca.Binder, the compiled executors' probe path: the
-// handle resolves the name and the column list to a view and its secondary
+// handle resolves the name and the column list to a store and its secondary
 // index once, so a probe through it only encodes, looks up and visits. The
 // engine keeps one handle per (name, columns), shared by every statement. It
 // belongs to the write side, like Apply.
@@ -286,7 +300,7 @@ func (e *Engine) Bind(name string, cols []int) agca.Handle {
 	h := e.handles[string(key)]
 	if h == nil {
 		h = &viewHandle{e: e, name: name, cols: cols}
-		h.resolve(e.lookup(name))
+		h.resolve()
 		e.handles[string(key)] = h
 	}
 	return h
@@ -400,13 +414,13 @@ func (e *Engine) executeStmt(sp *stmtPlan, tuple types.Tuple, args []string, env
 		return e.execute(sp.stmt, *env, cap)
 	}
 	if sp.directEmit && cap == nil {
-		return sp.exec.RunCached(&sp.cache, e, tuple, sp.target)
+		return sp.exec.RunCached(&sp.cache, e, tuple, sp.target.data)
 	}
 	if sp.directEmit {
 		// A subscribed target cannot take the straight-into-view emission
 		// path: the rows are teed into the view's capture delta as they are
 		// emitted.
-		return sp.exec.RunCached(&sp.cache, e, tuple, teeAccum{v: sp.target, delta: cap})
+		return sp.exec.RunCached(&sp.cache, e, tuple, teeAccum{g: sp.target.data, delta: cap})
 	}
 	if sp.scratch == nil {
 		sp.scratch = gmr.New(types.Schema(sp.target.Keys()))
@@ -420,11 +434,11 @@ func (e *Engine) executeStmt(sp *stmtPlan, tuple types.Tuple, args []string, env
 		if cap != nil {
 			// A replacement's change is the difference: retract the old
 			// contents, then the new ones are added below.
-			cap.MergeInto(sp.target.Data(), -1)
+			cap.MergeInto(sp.target.data, -1)
 		}
-		sp.target.Clear()
+		sp.target.data.Clear()
 	}
-	sp.target.MergeDelta(sp.scratch)
+	sp.target.data.MergeInto(sp.scratch, 1)
 	if cap != nil {
 		cap.MergeInto(sp.scratch, 1)
 	}
@@ -439,13 +453,14 @@ func (e *Engine) execute(s *trigger.Statement, env types.Env, cap *gmr.GMR) erro
 	if err != nil {
 		return err
 	}
-	target, ok := e.views[s.TargetMap]
+	v, ok := e.views[s.TargetMap]
 	if !ok {
 		return fmt.Errorf("unknown target map %q", s.TargetMap)
 	}
+	target := v.data
 	if s.Kind == trigger.StmtReplace {
 		if cap != nil {
-			cap.MergeInto(target.Data(), -1)
+			cap.MergeInto(target, -1)
 		}
 		target.Clear()
 	}
@@ -537,8 +552,8 @@ func (e *Engine) Events() uint64 {
 	return e.eventsPlain
 }
 
-// MemoryBytes estimates the memory held by all materialized views (primary
-// stores plus secondary-index postings), mirroring the paper's per-query
+// MemoryBytes estimates the memory held by all materialized views (each
+// store with its secondary-index postings), mirroring the paper's per-query
 // memory traces. It takes the writer lock, so it observes the views at an
 // event/batch boundary and is safe concurrently with the write side.
 func (e *Engine) MemoryBytes() int {
@@ -546,7 +561,7 @@ func (e *Engine) MemoryBytes() int {
 	defer e.mu.Unlock()
 	total := 0
 	for _, v := range e.views {
-		total += v.MemSize()
+		total += v.data.MemSize()
 	}
 	return total
 }
@@ -560,7 +575,7 @@ func (e *Engine) ViewSizes() map[string]int {
 	if !e.serveActive.Load() {
 		out := make(map[string]int, len(e.views))
 		for name, v := range e.views {
-			out[name] = v.Data().Len()
+			out[name] = v.data.Len()
 		}
 		return out
 	}

@@ -75,7 +75,7 @@ func (e *Engine) MemoryReport() MemoryReport {
 	var rep MemoryReport
 	sizes := make(map[string]int, len(e.views))
 	for name, v := range e.views {
-		sizes[name] = v.MemSize()
+		sizes[name] = v.data.MemSize()
 		rep.TotalBytes += sizes[name]
 	}
 	counts := e.prog.MapQueryCounts()

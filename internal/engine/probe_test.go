@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -247,5 +248,103 @@ func TestProbeBeyondColumn63(t *testing.T) {
 		if st := eng.ExecStats(); mode == engine.ExecCompiled && st.InterpStmts != 0 {
 			t.Errorf("%d statements fell back to the interpreter", st.InterpStmts)
 		}
+	}
+}
+
+// TestStaticOwnership loads one static GMR into two engines, each driven by
+// its own goroutine that probes the static on a partial key (compiled and
+// interpreted), while snapshot readers probe the same static on partial keys.
+// Each engine owns a copy of the static, so the engines' index builds race
+// with nothing, and the caller's GMR comes back byte-identical.
+func TestStaticOwnership(t *testing.T) {
+	rhs := agca.Mul(agca.MapRef{Name: "V", Keys: []string{"a", "b"}}, agca.R("T", "a", "c"))
+	x, err := exec.CompileStatement(rhs, []string{"b", "c"}, []string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := staticT(10, 20)
+	before := static.AppendFlat(nil)
+	var engines []*engine.Engine
+	var snaps []*engine.Snapshot
+	for i := 0; i < 2; i++ {
+		eng := engine.New(reevalProgram())
+		eng.LoadStatic("T", static)
+		if err := eng.Init(); err != nil {
+			t.Fatal(err)
+		}
+		if eng.Relation("T") == static {
+			t.Fatal("LoadStatic adopted the caller's GMR")
+		}
+		engines = append(engines, eng)
+		snaps = append(snaps, eng.Acquire())
+	}
+	probeT := func(db agca.Prober, a int64) error {
+		got := db.Probe("T", []int{0}, []types.Value{types.Int(a)})
+		if len(got) != 2 {
+			return fmt.Errorf("T probed on a=%d: %v, want 2 entries", a, got)
+		}
+		for _, e := range got {
+			if e.Tuple[0].AsInt() != a || e.Mult != 1 {
+				return fmt.Errorf("T probed on a=%d returned %v", a, e)
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for i, eng := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 30; j++ {
+				ev := engine.Event{Relation: "R", Insert: true, Tuple: types.Tuple{types.Int(int64(1 + j%3)), types.Int(int64(i*100 + j))}}
+				if err := eng.Apply(ev); err != nil {
+					t.Error(err)
+					return
+				}
+				a := int64(1 + j%3)
+				if err := probeT(eng, a); err != nil {
+					t.Errorf("engine %d: %v", i, err)
+					return
+				}
+				got := gmr.New(types.Schema{"b", "c"})
+				if err := x.Run(eng, types.Tuple{types.Int(a)}, got); err != nil || got.IsEmpty() {
+					t.Errorf("engine %d, a=%d: compiled probe of T: %v, %v", i, a, err, got)
+					return
+				}
+			}
+		}()
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 60; j++ {
+					if err := probeT(snaps[i], int64(1+j%3)); err != nil {
+						t.Errorf("snapshot reader of engine %d: %v", i, err)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if after := static.AppendFlat(nil); !bytes.Equal(after, before) {
+		t.Fatal("loading and probing the static changed the caller's GMR")
+	}
+}
+
+// TestInitRejectsMissingKeyColumn builds a static-only map whose definition
+// does not produce one of its key columns: Init must name the map and the
+// column instead of filling the key by position.
+func TestInitRejectsMissingKeyColumn(t *testing.T) {
+	prog := &trigger.Program{
+		QueryName: "S", ResultMap: "S", ResultKeys: []string{"a", "c"},
+		Maps:            []trigger.MapDef{{Name: "S", Keys: []string{"a", "c"}, Definition: agca.R("T", "a", "b")}},
+		StaticRelations: []string{"T"},
+	}
+	eng := engine.New(prog)
+	eng.LoadStatic("T", staticT(10))
+	err := eng.Init()
+	if err == nil || !strings.Contains(err.Error(), "init of S") || !strings.Contains(err.Error(), `"c"`) {
+		t.Fatalf("Init = %v, want an error naming map S and column \"c\"", err)
 	}
 }

@@ -17,16 +17,18 @@ import (
 // and holding a snapshot costs the writer one slot/probe-table copy per view
 // it subsequently mutates.
 //
-// A Snapshot implements agca.Database (and the Prober and Binder probe paths),
-// so ad-hoc AGCA expressions can be evaluated against a pinned epoch with
-// Eval while the engine keeps processing updates.
+// A Snapshot implements agca.Database and agca.Prober, so ad-hoc AGCA
+// expressions can be evaluated against a pinned epoch with Eval while the
+// engine keeps processing updates. It is not an agca.Binder: secondary
+// indexes are writer-only state of the live stores, so compiled executors
+// run against a snapshot scan what they probe.
 type Snapshot struct {
 	version uint64
 	events  uint64
 	admin   uint64
 	prog    *trigger.Program
 	views   map[string]*gmr.GMR
-	statics map[string]*View
+	statics map[string]*gmr.GMR
 }
 
 // Acquire pins the current epoch and returns its snapshot. Acquisition is
@@ -88,7 +90,7 @@ func (e *Engine) acquireLocked() *Snapshot {
 		statics: e.statics,
 	}
 	for name, view := range e.views {
-		s.views[name] = view.Freeze()
+		s.views[name] = view.data.Freeze()
 	}
 	e.current.Store(s)
 	return s
@@ -118,31 +120,21 @@ func (s *Snapshot) Relation(name string) *gmr.GMR {
 	if g, ok := s.views[name]; ok {
 		return g
 	}
-	if st, ok := s.statics[name]; ok {
-		return st.Data()
+	if g, ok := s.statics[name]; ok {
+		return g
 	}
 	return gmr.New(nil)
 }
 
-// Probe implements agca.Prober. Static tables keep their secondary-index
-// probes (the index machinery is concurrency-safe and statics never change);
-// frozen views answer fully-bound in-order probes through the store's hash
-// table and fall back to a scan for partial bindings — snapshots serve
-// consumers, which overwhelmingly read whole results or point-look them up.
+// Probe implements agca.Prober. Fully-bound in-order probes go through the
+// store's hash table; partial bindings scan, since frozen views and the
+// shared statics carry no secondary indexes a reader may use — snapshots
+// serve consumers, which overwhelmingly read whole results or point-look
+// them up.
 func (s *Snapshot) Probe(name string, cols []int, vals []types.Value) []gmr.Entry {
-	g, ok := s.views[name]
-	if !ok {
-		if st, ok := s.statics[name]; ok {
-			return st.Probe(cols, vals)
-		}
-		return nil
-	}
+	g := s.Relation(name)
 	if fullInOrder(cols, len(g.Schema())) {
-		var kb [96]byte
-		if e, ok := g.LookupEncoded(types.Tuple(vals).AppendKey(kb[:0])); ok {
-			return []gmr.Entry{e}
-		}
-		return nil
+		return probe(g, cols, vals)
 	}
 	var out []gmr.Entry
 	g.Foreach(func(t types.Tuple, m float64) {
@@ -154,20 +146,6 @@ func (s *Snapshot) Probe(name string, cols []int, vals []types.Value) []gmr.Entr
 		out = append(out, gmr.Entry{Tuple: t, Mult: m})
 	})
 	return out
-}
-
-// Bind implements agca.Binder. Every call returns a new handle bound once to
-// the pinned state — a static table and its shared, lazily built secondary
-// index, or a frozen view and an index of the handle's own (frozen stores
-// carry none) — so concurrent readers share no mutable handle state.
-func (s *Snapshot) Bind(name string, cols []int) agca.Handle {
-	h := &viewHandle{name: name, cols: cols}
-	if g, ok := s.views[name]; ok {
-		h.resolve(newStaticView(name, g))
-	} else {
-		h.resolve(s.statics[name])
-	}
-	return h
 }
 
 // Eval evaluates an ad-hoc AGCA expression against the snapshot — a
@@ -187,9 +165,9 @@ func (s *Snapshot) ViewSizes() map[string]int {
 	return out
 }
 
-// MemoryBytes estimates the bytes held by the frozen primary stores of all
-// views (secondary indexes belong to the live engine and are not part of a
-// snapshot; Engine.MemoryBytes includes them).
+// MemoryBytes estimates the bytes held by the frozen stores of all views.
+// Frozen stores carry no secondary indexes — those belong to the live stores,
+// and Engine.MemoryBytes includes them.
 func (s *Snapshot) MemoryBytes() int {
 	total := 0
 	for _, g := range s.views {

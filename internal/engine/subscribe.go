@@ -220,7 +220,7 @@ func (e *Engine) Subscribe(view string, opts SubscribeOptions) (*Subscription, e
 			View:    view,
 			Events:  e.events.Load(),
 			Initial: true,
-			Entries: v.Freeze().Entries(),
+			Entries: v.data.Freeze().Entries(),
 		}
 	}
 	if e.subs == nil {
@@ -294,11 +294,11 @@ func (e *Engine) flushSubscribersLocked(events uint64) {
 // shape (one pass, no scratch materialization) while the hub still sees every
 // change.
 type teeAccum struct {
-	v     *View
+	g     *gmr.GMR
 	delta *gmr.GMR
 }
 
 func (t teeAccum) AddEncoded(key []byte, tup types.Tuple, m float64) float64 {
 	t.delta.AddEncoded(key, tup, m)
-	return t.v.AddEncoded(key, tup, m)
+	return t.g.AddEncoded(key, tup, m)
 }

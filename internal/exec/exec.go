@@ -29,10 +29,11 @@ import (
 	"dbtoaster/internal/types"
 )
 
-// Accum receives the rows an executor emits: keyed multiplicity adds. Both
-// *gmr.GMR and the engine's *View implement it. The key bytes and the tuple
-// are only valid during the call; implementations must copy what they retain
-// (gmr.AddEncoded clones the tuple on insert).
+// Accum receives the rows an executor emits: keyed multiplicity adds.
+// *gmr.GMR implements it (the engine emits straight into a view's store, or
+// into a scratch delta). The key bytes and the tuple are only valid during
+// the call; implementations must copy what they retain (gmr.AddEncoded
+// clones the tuple on insert).
 type Accum interface {
 	AddEncoded(key []byte, t types.Tuple, m float64) float64
 }

@@ -324,5 +324,6 @@ func (g *GMR) ApplyFlatDelta(data []byte) error {
 	// own epoch history, so any delta base captured from the receiver before
 	// the apply is now meaningless — bump the generation to invalidate it.
 	g.flatGen++
+	g.reindex()
 	return g.checkStoreInvariants()
 }

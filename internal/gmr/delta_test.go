@@ -216,6 +216,9 @@ func TestFlatDeltaIneligible(t *testing.T) {
 		g.Add(types.Tuple{types.Int(1)}, 1)
 		base := g.Freeze().FlatBase()
 		g.epoch = math.MaxUint32 // fast-forward to the wrap boundary
+		// A write between the freezes: with none, Freeze would hand back
+		// its cached header instead of freezing at the boundary.
+		g.Add(types.Tuple{types.Int(4)}, 1)
 		snap := g.Freeze()
 		if snap.epoch != math.MaxUint32 {
 			t.Fatalf("wrap snapshot captured epoch %d", snap.epoch)

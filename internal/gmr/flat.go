@@ -21,8 +21,8 @@ import (
 //   - slots: one record per entry — the cached 64-bit key hash, the
 //     multiplicity, the tuple, and the key reference. Deletion tombstones
 //     the record and links it into a free list for reuse, so a slot id is
-//     stable for the lifetime of its entry; the engine's secondary indexes
-//     are postings of these ids. Iteration is a linear walk of the slot
+//     stable for the lifetime of its entry; the secondary indexes
+//     (index.go) are postings of these ids. Iteration is a linear walk of the slot
 //     slice skipping tombstones.
 //   - index: the probe table, a power-of-two []uint64 with linear probing.
 //     Each cell packs the upper 32 bits of the hash (checked before the
@@ -130,7 +130,7 @@ func (g *GMR) setCell(pos uint64, cell uint64) {
 // insertAt creates a new entry at the given empty probe cell. When
 // cloneTuple is false the slot aliases t directly; callers must guarantee t
 // is immutable (tuples already held by a GMR are).
-func (g *GMR) insertAt(pos uint64, h uint64, key []byte, t types.Tuple, m float64, cloneTuple bool) int32 {
+func (g *GMR) insertAt(pos uint64, h uint64, key []byte, t types.Tuple, m float64, cloneTuple bool) {
 	if (g.live+1)*4 > len(g.index)*3 {
 		g.grow()
 		pos = g.findInsertPos(h)
@@ -152,7 +152,9 @@ func (g *GMR) insertAt(pos uint64, h uint64, key []byte, t types.Tuple, m float6
 	}
 	g.setCell(pos, h&^0xFFFFFFFF|uint64(id+1))
 	g.live++
-	return id
+	if len(g.indexes) != 0 {
+		g.updateIndexes(id, t, true)
+	}
 }
 
 // grow doubles the probe table and reinserts every live slot by its cached
@@ -181,6 +183,9 @@ func (g *GMR) grow() {
 // backward-shifted (Knuth 6.4 Algorithm R) so no probe tombstone is left.
 func (g *GMR) deleteAt(pos uint64, id int32) {
 	s := &g.slots[id]
+	if len(g.indexes) != 0 {
+		g.updateIndexes(id, s.tuple, false)
+	}
 	s.dead = true
 	s.tuple = nil
 	s.mult = 0
@@ -237,22 +242,21 @@ func (g *GMR) compactArena() {
 
 // upsertHashed is the shared mutation core: add m to the entry under key
 // (whose hash is h), creating it when absent and deleting it when the
-// accumulated multiplicity lands within Epsilon of zero. It returns the
-// affected slot id (the now-freed id when the entry was removed), the new
-// multiplicity (0 after removal) and whether a new slot was created. m must
-// be non-zero.
-func (g *GMR) upsertHashed(h uint64, key []byte, t types.Tuple, m float64, cloneTuple bool) (id int32, newMult float64, inserted bool) {
+// accumulated multiplicity lands within Epsilon of zero. It returns the new
+// multiplicity (0 after removal). m must be non-zero.
+func (g *GMR) upsertHashed(h uint64, key []byte, t types.Tuple, m float64, cloneTuple bool) float64 {
 	g.ensureMutable()
 	pos, id, ok := g.find(h, key)
 	if !ok {
-		return g.insertAt(pos, h, key, t, m, cloneTuple), m, true
+		g.insertAt(pos, h, key, t, m, cloneTuple)
+		return m
 	}
 	s := &g.slots[id]
 	s.mult += m
 	s.epoch = g.epoch
 	if math.Abs(s.mult) <= Epsilon {
 		g.deleteAt(pos, id)
-		return id, 0, false
+		return 0
 	}
-	return id, s.mult, false
+	return s.mult
 }

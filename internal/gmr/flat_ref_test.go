@@ -3,6 +3,7 @@ package gmr
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -82,9 +83,12 @@ func assertSame(t *testing.T, step int, g *GMR, r *refModel) {
 			t.Fatalf("step %d: stored key %q is not canonical for %v", step, key, tu)
 		}
 	})
-	g.ForeachSlot(func(id int32, tu types.Tuple, m float64) {
-		e := g.SlotEntry(id)
-		if e.Mult != m || !e.Tuple.Equal(tu) {
+	g.ForeachKeyed(func(key []byte, tu types.Tuple, m float64) {
+		id, ok := g.LookupSlot(key)
+		if !ok {
+			t.Fatalf("step %d: LookupSlot(%q) missed an iterated entry", step, key)
+		}
+		if e := g.SlotEntry(id); e.Mult != m || !e.Tuple.Equal(tu) {
 			t.Fatalf("step %d: SlotEntry(%d) = %v, iteration saw (%v, %v)", step, id, e, tu, m)
 		}
 	})
@@ -113,14 +117,60 @@ func assertSame(t *testing.T, step int, g *GMR, r *refModel) {
 	}
 }
 
+// assertPostings checks every secondary index of g against the live slots:
+// each posting must be strictly ascending and name only live slots whose
+// index columns encode to its key, and the postings together must name as
+// many slots as are live. A slot's key is unique, so this holds exactly when
+// every posting equals the brute-force filter of the live slots on its key,
+// in ascending id order.
+func assertPostings(t *testing.T, step int, g *GMR) {
+	t.Helper()
+	var buf []byte
+	for ixID, ix := range g.indexes {
+		n := 0
+		for k, p := range ix.buckets {
+			if got := g.Posting(ixID, []byte(k)); !slices.Equal(got, p.ids) {
+				t.Fatalf("step %d: index %v: Posting(%q) = %v, bucket holds %v", step, ix.cols, k, got, p.ids)
+			}
+			for j, id := range p.ids {
+				if j > 0 && id <= p.ids[j-1] {
+					t.Fatalf("step %d: index %v posting %q not ascending: %v", step, ix.cols, k, p.ids)
+				}
+				s := &g.slots[id]
+				if s.dead {
+					t.Fatalf("step %d: index %v posting %q names dead slot %d", step, ix.cols, k, id)
+				}
+				buf = buf[:0]
+				for i, c := range ix.cols {
+					if i > 0 {
+						buf = append(buf, '|')
+					}
+					buf = s.tuple[c].EncodeKey(buf)
+				}
+				if string(buf) != k {
+					t.Fatalf("step %d: index %v posting %q names slot %d with key %q", step, ix.cols, k, id, buf)
+				}
+			}
+			n += len(p.ids)
+		}
+		if n != g.Len() {
+			t.Fatalf("step %d: index %v postings name %d slots, %d are live", step, ix.cols, n, g.Len())
+		}
+	}
+}
+
 // TestFlatMatchesReference drives the flat table and a map[string]float64
 // reference through the same long random sequence of Add / delete-by-
-// negation / Set / Reset / MergeInto operations — including epsilon
-// deletions, float drift residues, grow/rehash boundaries (thousands of
-// distinct keys) and delete-heavy phases that exercise backward-shift
-// compaction, slot reuse and arena compaction — asserting identical contents
-// throughout. Run it under -race to check the read paths' data-race
-// annotations as well.
+// negation / Set / Reset / Clear / MergeInto / Freeze operations — including
+// epsilon deletions, float drift residues, grow/rehash boundaries (thousands
+// of distinct keys), delete-heavy phases that exercise backward-shift
+// compaction and slot reuse, and a final phase of long keys that fills and
+// then compacts the arena — asserting identical contents throughout. Both
+// stores carry three secondary indexes — on the key prefix (a), on the
+// non-prefix column list (b), and on (b, a), built a third of the way in
+// over the contents at that point — and every posting is held to a
+// brute-force filter of the live slots after every step. Run it under -race
+// to check the read paths' data-race annotations as well.
 func TestFlatMatchesReference(t *testing.T) {
 	schema := types.Schema{"a", "b"}
 	for _, seed := range []int64{1, 7, 42} {
@@ -129,6 +179,10 @@ func TestFlatMatchesReference(t *testing.T) {
 		ref := newRefModel()
 		other := New(schema)
 		otherRef := newRefModel()
+		for _, st := range []*GMR{g, other} {
+			st.Index([]int{0})
+			st.Index([]int{1})
+		}
 
 		randTup := func(space int64) types.Tuple {
 			// Mix kinds so coercion-sensitive encodings (integral floats,
@@ -149,6 +203,13 @@ func TestFlatMatchesReference(t *testing.T) {
 		var buf []byte
 		const steps = 20000
 		for i := 0; i < steps; i++ {
+			if i == steps/3 {
+				for _, st := range []*GMR{g, other} {
+					if ix := st.Index([]int{1, 0}); ix != 2 {
+						t.Fatalf("mid-run index got id %d, want 2", ix)
+					}
+				}
+			}
 			// Phase-dependent key space: a wide insert phase crosses several
 			// grow/rehash boundaries, a narrow churn phase forces deletions,
 			// slot reuse and arena compaction.
@@ -196,17 +257,50 @@ func TestFlatMatchesReference(t *testing.T) {
 					other.Reset()
 					otherRef.reset()
 				}
-			default: // rare full reset
-				if rng.Intn(10) == 0 {
+			default: // rare reset, clear or drain (every entry cancelled);
+				// otherwise a freeze, so the next write is the first after it
+				switch rng.Intn(10) {
+				case 0:
 					g.Reset()
 					ref.reset()
+				case 1:
+					g.Clear()
+					ref.reset()
+				case 2:
+					for _, e := range g.Entries() {
+						g.Add(e.Tuple, -e.Mult)
+						ref.add(e.Tuple, -e.Mult)
+					}
+				default:
+					g.Freeze()
 				}
 			}
+			assertPostings(t, i, g)
+			assertPostings(t, i, other)
 			if i%500 == 499 {
 				assertSame(t, i, g, ref)
 			}
 		}
 		assertSame(t, steps, g, ref)
+
+		// Compaction phase: long string keys fill the arena past the
+		// compaction threshold, then cancelling them leaves it dead.
+		gen := g.flatGen
+		for j := 0; j < 300; j++ {
+			tu := types.Tuple{types.Str(strings64[j%len(strings64)] + string(rune('A'+j%26)) + string(rune('A'+j/26))), types.Int(int64(j % 7))}
+			g.Add(tu, 1)
+			ref.add(tu, 1)
+			assertPostings(t, steps+j, g)
+		}
+		for j, e := range g.Entries() {
+			g.Add(e.Tuple, -e.Mult)
+			ref.add(e.Tuple, -e.Mult)
+			assertPostings(t, steps+300+j, g)
+		}
+		if g.flatGen == gen {
+			t.Fatal("the compaction phase did not compact the arena")
+		}
+		assertSame(t, steps+600, g, ref)
 	}
 }
 
@@ -220,7 +314,11 @@ func TestFlatGrowBoundary(t *testing.T) {
 	for i := int64(0); i < 10000; i++ {
 		tu := tup(i)
 		buf = tu.AppendKey(buf[:0])
-		id, _, _ := g.UpsertEncoded(buf, tu, float64(i+1))
+		g.AddEncoded(buf, tu, float64(i+1))
+		id, ok := g.LookupSlot(buf)
+		if !ok {
+			t.Fatalf("LookupSlot missed %d right after its insert", i)
+		}
 		ids[i] = id
 		if i%1000 == 0 {
 			for j := int64(0); j <= i; j += 97 {

@@ -10,7 +10,8 @@
 // Storage is a flat open-addressing hash table (see flat.go): keys live as
 // raw bytes in a bump-allocated arena, entries in a slot slice with stable
 // ids, so lookups and in-place updates never convert bytes to strings and an
-// insert amortizes to one arena append.
+// insert amortizes to one arena append. Secondary indexes over column subsets
+// (index.go) are postings of those slot ids, maintained by the store itself.
 //
 // # Aliasing contract
 //
@@ -18,8 +19,8 @@
 // insertion. Clone, Negate, Scale, MergeInto and AddGMR therefore share
 // tuples between source and result instead of deep-copying them. Callers
 // that hand a GMR a tuple they intend to mutate must go through the byte-
-// keyed entry points (Add, AddEncoded, UpsertEncoded, Set), which clone the
-// tuple when a new entry is created.
+// keyed entry points (Add, AddEncoded, Set), which clone the tuple when a new
+// entry is created.
 //
 // Reads (Get, Lookup*, Foreach*, Probe-style slot accessors) are safe for
 // concurrent use with each other; mutations are not, and must not overlap
@@ -81,6 +82,11 @@ type GMR struct {
 	epoch      uint32
 	flatGen    uint32
 	indexEpoch []uint32
+	// frozen caches the header Freeze returned until the next mutation, so
+	// freezing a quiescent store twice hands out the same snapshot.
+	frozen *GMR
+	// indexes are the secondary indexes (index.go), in Index id order.
+	indexes []*secondaryIndex
 }
 
 // New returns an empty GMR with the given schema.
@@ -139,8 +145,7 @@ func (g *GMR) Add(t types.Tuple, m float64) float64 {
 	}
 	g.checkArity(t)
 	g.keyBuf = t.AppendKey(g.keyBuf[:0])
-	_, nm, _ := g.upsertHashed(hashKey(g.keyBuf), g.keyBuf, t, m, true)
-	return nm
+	return g.upsertHashed(hashKey(g.keyBuf), g.keyBuf, t, m, true)
 }
 
 // Set assigns the multiplicity of tuple t to m (removing it when m is zero).
@@ -177,9 +182,9 @@ func (g *GMR) Foreach(fn func(t types.Tuple, m float64)) {
 }
 
 // ForeachKeyed calls fn for every entry together with its canonical encoded
-// key. Bulk consumers (the engine's delta merge) use the key to address the
-// destination table without re-encoding the tuple; the key bytes alias the
-// arena and are only valid during the call. fn must not mutate the GMR.
+// key. Bulk consumers use the key to address another table without
+// re-encoding the tuple; the key bytes alias the arena and are only valid
+// during the call. fn must not mutate the GMR.
 func (g *GMR) ForeachKeyed(fn func(key []byte, t types.Tuple, m float64)) {
 	for i := range g.slots {
 		s := &g.slots[i]
@@ -190,20 +195,8 @@ func (g *GMR) ForeachKeyed(fn func(key []byte, t types.Tuple, m float64)) {
 	}
 }
 
-// ForeachSlot is ForeachKeyed exposing the entry's stable slot id instead of
-// its key; the engine builds its secondary-index postings from it.
-func (g *GMR) ForeachSlot(fn func(id int32, t types.Tuple, m float64)) {
-	for i := range g.slots {
-		s := &g.slots[i]
-		if s.dead {
-			continue
-		}
-		fn(int32(i), s.tuple, s.mult)
-	}
-}
-
 // SlotEntry returns the entry stored in the given live slot. The tuple
-// aliases the store. Slot ids come from UpsertEncoded/ForeachSlot and stay
+// aliases the store. Slot ids come from LookupSlot and Posting and stay
 // valid until the entry is removed (or the GMR is Reset/Cleared).
 func (g *GMR) SlotEntry(id int32) Entry {
 	s := &g.slots[id]
@@ -221,33 +214,7 @@ func (g *GMR) AddEncoded(key []byte, t types.Tuple, m float64) float64 {
 		return 0
 	}
 	g.checkArity(t)
-	_, nm, _ := g.upsertHashed(hashKey(key), key, t, m, true)
-	return nm
-}
-
-// UpsertEncoded is AddEncoded additionally reporting the affected slot id
-// and whether a new slot was created; newMult == 0 means the entry was
-// removed and id names the now-freed slot. The engine's views use it to keep
-// secondary-index postings in sync. A zero m returns (-1, 0, false) without
-// probing.
-func (g *GMR) UpsertEncoded(key []byte, t types.Tuple, m float64) (id int32, newMult float64, inserted bool) {
-	if m == 0 {
-		return -1, 0, false
-	}
-	g.checkArity(t)
 	return g.upsertHashed(hashKey(key), key, t, m, true)
-}
-
-// UpsertEncodedShared is UpsertEncoded for callers whose tuple is already
-// immutable (typically held by another GMR, like a merged delta's): an
-// inserted entry aliases t instead of cloning it, per the package aliasing
-// contract.
-func (g *GMR) UpsertEncodedShared(key []byte, t types.Tuple, m float64) (id int32, newMult float64, inserted bool) {
-	if m == 0 {
-		return -1, 0, false
-	}
-	g.checkArity(t)
-	return g.upsertHashed(hashKey(key), key, t, m, false)
 }
 
 // GetEncoded returns the multiplicity stored under the encoded key (0 if
@@ -322,7 +289,7 @@ func (g *GMR) Entries() []Entry {
 // probe table are copied, so the two evolve independently. The clone is a
 // distinct store lineage: its flat generation is advanced past the
 // receiver's, so a delta base captured from one never validates against the
-// other once they diverge.
+// other once they diverge. The clone carries no secondary indexes.
 func (g *GMR) Clone() *GMR {
 	out := &GMR{schema: g.schema.Clone(), live: g.live, deadKey: g.deadKey,
 		epoch: g.epoch, flatGen: g.flatGen + 1}
@@ -334,41 +301,46 @@ func (g *GMR) Clone() *GMR {
 	return out
 }
 
-// Clear removes all entries and releases the table's memory. Outstanding
-// snapshots keep the old contents (Clear installs fresh empty structures).
-// The epoch counter survives and the flat generation advances: stamps in any
-// shared snapshot stay comparable, while delta bases from before the Clear
-// are invalidated.
+// Clear removes all entries and releases the table's memory; secondary
+// indexes are emptied but kept. Outstanding snapshots keep the old contents
+// (Clear installs fresh empty structures). The epoch counter survives and
+// the flat generation advances: stamps in any shared snapshot stay
+// comparable, while delta bases from before the Clear are invalidated. (A
+// fresh New would restart both at zero, letting a stale delta base pass the
+// eligibility check while every new mutation stamps an epoch the dirty scan
+// ignores.)
 func (g *GMR) Clear() {
 	if g.flags&flagSealed != 0 {
 		panic("gmr: mutation of a frozen snapshot")
 	}
-	*g = GMR{schema: g.schema, epoch: g.epoch, flatGen: g.flatGen + 1}
+	*g = GMR{schema: g.schema, epoch: g.epoch, flatGen: g.flatGen + 1, indexes: g.indexes}
+	g.reindex()
 }
 
 // Reset removes all entries but keeps the allocated arena, slot slice and
 // probe table, so a scratch GMR reused across events stops allocating once
 // it has grown to working-set size. Slot ids from before the Reset are
-// invalidated. When the GMR is frozen (a snapshot shares its structures),
-// Reset drops them instead of truncating in place, like Clear.
+// invalidated; secondary indexes are emptied but kept. When the GMR is
+// frozen (a snapshot shares its structures), Reset drops them instead of
+// truncating in place, like Clear.
 func (g *GMR) Reset() {
 	if g.flags&flagSealed != 0 {
 		panic("gmr: mutation of a frozen snapshot")
 	}
 	g.flatGen++
+	g.live, g.deadKey = 0, 0
 	if g.flags&flagCOW != 0 {
 		g.flags &^= flagCOW
+		g.frozen = nil
 		g.arena, g.slots, g.index, g.indexEpoch, g.free = nil, nil, nil, nil, nil
-		g.live, g.deadKey = 0, 0
-		return
+	} else {
+		g.arena = g.arena[:0]
+		g.slots = g.slots[:0]
+		g.free = g.free[:0]
+		clear(g.index)
+		clear(g.indexEpoch)
 	}
-	g.arena = g.arena[:0]
-	g.slots = g.slots[:0]
-	g.free = g.free[:0]
-	clear(g.index)
-	clear(g.indexEpoch)
-	g.live = 0
-	g.deadKey = 0
+	g.reindex()
 }
 
 // MergeInto adds every entry of o (scaled by factor) into g. The schemas
@@ -599,9 +571,9 @@ func (g *GMR) String() string {
 
 // MemSize reports the in-memory footprint of the GMR in bytes, exact for the
 // table itself (arena, slot records, probe table, free list) plus the
-// estimated payload of the live tuples.
+// estimated payload of the live tuples and of the secondary indexes.
 func (g *GMR) MemSize() int {
-	n := 96 + cap(g.arena) + cap(g.slots)*slotBytes + cap(g.index)*8 + cap(g.indexEpoch)*4 + cap(g.free)*4
+	n := 96 + cap(g.arena) + cap(g.slots)*slotBytes + cap(g.index)*8 + cap(g.indexEpoch)*4 + cap(g.free)*4 + g.indexBytes()
 	for i := range g.slots {
 		s := &g.slots[i]
 		if s.dead {

@@ -253,7 +253,9 @@ func TestAddArityPanics(t *testing.T) {
 	g.Add(tup(1), 1)
 }
 
-func TestUpsertEncodedMatchesAdd(t *testing.T) {
+// TestLookupSlotMatchesAdd holds AddEncoded's returned multiplicity and the
+// entry LookupSlot/SlotEntry find under the key to Add's result.
+func TestLookupSlotMatchesAdd(t *testing.T) {
 	a := New(types.Schema{"a", "b"})
 	b := New(types.Schema{"a", "b"})
 	rows := []struct {
@@ -266,9 +268,13 @@ func TestUpsertEncodedMatchesAdd(t *testing.T) {
 	for _, r := range rows {
 		a.Add(r.t, r.m)
 		buf = r.t.AppendKey(buf[:0])
-		id, got, _ := b.UpsertEncoded(buf, r.t, r.m)
+		got := b.AddEncoded(buf, r.t, r.m)
 		if want := b.Get(r.t); got != want {
-			t.Fatalf("UpsertEncoded returned %v, stored multiplicity is %v", got, want)
+			t.Fatalf("AddEncoded returned %v, stored multiplicity is %v", got, want)
+		}
+		id, ok := b.LookupSlot(buf)
+		if ok != (got != 0) {
+			t.Fatalf("LookupSlot found=%v after AddEncoded returned %v", ok, got)
 		}
 		if got != 0 {
 			if e := b.SlotEntry(id); e.Mult != got || !e.Tuple.Equal(r.t) {
@@ -277,7 +283,7 @@ func TestUpsertEncodedMatchesAdd(t *testing.T) {
 		}
 	}
 	if !Equal(a, b, 0) {
-		t.Fatalf("UpsertEncoded diverged from Add: %v vs %v", a, b)
+		t.Fatalf("AddEncoded diverged from Add: %v vs %v", a, b)
 	}
 }
 
@@ -298,19 +304,23 @@ func TestForeachKeyedKeysAreCanonical(t *testing.T) {
 	}
 }
 
-// TestForeachSlotIdsStable pins the slot-id stability contract the engine's
-// secondary-index postings rely on: removing or inserting other entries
-// never moves a live entry's slot.
-func TestForeachSlotIdsStable(t *testing.T) {
+// TestSlotIdsStable pins the slot-id stability contract the secondary-index
+// postings rely on: removing or inserting other entries never moves a live
+// entry's slot.
+func TestSlotIdsStable(t *testing.T) {
 	g := New(types.Schema{"a"})
 	ids := map[int64]int32{}
 	var buf []byte
 	for i := int64(0); i < 100; i++ {
 		tu := tup(i)
 		buf = tu.AppendKey(buf[:0])
-		id, _, inserted := g.UpsertEncoded(buf, tu, 1)
-		if !inserted {
+		if _, ok := g.LookupSlot(buf); ok {
 			t.Fatalf("expected insert for %d", i)
+		}
+		g.AddEncoded(buf, tu, 1)
+		id, ok := g.LookupSlot(buf)
+		if !ok {
+			t.Fatalf("no slot for %d after insert", i)
 		}
 		ids[i] = id
 	}
@@ -323,15 +333,25 @@ func TestForeachSlotIdsStable(t *testing.T) {
 			t.Fatalf("slot %d moved: %v", ids[i], e)
 		}
 	}
+	// An index built over the survivors names each one by its original slot.
+	ix := g.Index([]int{0})
 	seen := 0
-	g.ForeachSlot(func(id int32, tu types.Tuple, m float64) {
-		seen++
-		if want := ids[tu[0].AsInt()]; id != want {
-			t.Fatalf("ForeachSlot id %d, want %d for %v", id, want, tu)
+	for i := int64(0); i < 100; i++ {
+		buf = tup(i).AppendKey(buf[:0])
+		got := g.Posting(ix, buf)
+		if i%2 == 0 {
+			if len(got) != 0 {
+				t.Fatalf("posting of removed key %d = %v", i, got)
+			}
+			continue
 		}
-	})
+		seen += len(got)
+		if len(got) != 1 || got[0] != ids[i] {
+			t.Fatalf("posting of %d = %v, want [%d]", i, got, ids[i])
+		}
+	}
 	if seen != 50 {
-		t.Fatalf("ForeachSlot visited %d entries, want 50", seen)
+		t.Fatalf("postings name %d entries, want 50", seen)
 	}
 }
 

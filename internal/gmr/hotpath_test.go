@@ -7,21 +7,26 @@ import (
 	"dbtoaster/internal/types"
 )
 
-// TestAddZeroContract pins the m == 0 contract shared by Add, AddEncoded
-// and UpsertEncoded: the GMR is unchanged and 0 is returned without probing
-// the table — even when an entry exists under that key.
+// TestAddZeroContract pins the m == 0 contract shared by Add and
+// AddEncoded: the GMR is unchanged and 0 is returned without probing the
+// table — even when an entry exists under that key.
 func TestAddZeroContract(t *testing.T) {
 	g := New(types.Schema{"a"})
 	g.Add(tup(1), 5)
 	key := []byte(tup(1).EncodeKey())
+	ix := g.Index([]int{0})
+	id, _ := g.LookupSlot(key)
 	if got := g.Add(tup(1), 0); got != 0 {
 		t.Errorf("Add(t, 0) = %v, want 0", got)
 	}
 	if got := g.AddEncoded(key, tup(1), 0); got != 0 {
 		t.Errorf("AddEncoded(k, t, 0) = %v, want 0", got)
 	}
-	if id, nm, inserted := g.UpsertEncoded(key, tup(1), 0); id != -1 || nm != 0 || inserted {
-		t.Errorf("UpsertEncoded(k, t, 0) = (%v, %v, %v), want (-1, 0, false)", id, nm, inserted)
+	if got, ok := g.LookupSlot(key); !ok || got != id {
+		t.Errorf("zero adds moved the entry: LookupSlot = (%v, %v), want (%v, true)", got, ok, id)
+	}
+	if p := g.Posting(ix, key); len(p) != 1 || p[0] != id {
+		t.Errorf("zero adds changed the posting: %v, want [%d]", p, id)
 	}
 	if g.Get(tup(1)) != 5 {
 		t.Errorf("zero adds must leave the entry untouched, got %v", g.Get(tup(1)))

@@ -37,12 +37,16 @@ const (
 // marks the receiver copy-on-write. The snapshot's reads (Get, Lookup*,
 // Foreach*, Entries, SlotEntry, MemSize, ...) are safe for concurrent use
 // with further mutations of the receiver; mutating the snapshot itself
-// panics. Freezing a snapshot returns the snapshot unchanged.
+// panics. The snapshot carries no secondary indexes. Freezing a snapshot
+// returns the snapshot unchanged, and freezing again with no intervening
+// mutation returns the same snapshot.
 func (g *GMR) Freeze() *GMR {
 	if g.flags&flagSealed != 0 {
 		return g
 	}
-	g.flags |= flagCOW
+	if g.frozen != nil {
+		return g.frozen
+	}
 	snap := &GMR{
 		schema:     g.schema,
 		arena:      g.arena,
@@ -82,6 +86,8 @@ func (g *GMR) Freeze() *GMR {
 	} else {
 		g.epoch++
 	}
+	g.flags |= flagCOW
+	g.frozen = snap
 	return snap
 }
 
@@ -100,13 +106,14 @@ func (g *GMR) ensureMutable() {
 }
 
 // cowCopy performs the deferred copy-on-write (or rejects a snapshot
-// mutation). Slot ids are preserved by the copy, so secondary-index postings
-// built against the live store stay valid.
+// mutation). Slot ids are preserved by the copy, so the secondary-index
+// postings stay valid.
 func (g *GMR) cowCopy() {
 	if g.flags&flagSealed != 0 {
 		panic("gmr: mutation of a frozen snapshot")
 	}
 	g.flags &^= flagCOW
+	g.frozen = nil
 	g.slots = append([]slot(nil), g.slots...)
 	g.index = append([]uint64(nil), g.index...)
 	g.indexEpoch = append([]uint32(nil), g.indexEpoch...)

@@ -160,7 +160,7 @@ func (e *Engine) planTrigger(t *trigger.Trigger) *triggerPlan {
 		if sp.target != nil && e.execMode != ExecInterp {
 			// Compile errors are expected for shapes the exec compiler does
 			// not lower; those statements simply stay on the interpreter.
-			sp.exec, _ = s.Executor(t.Args)
+			sp.exec, _ = exec.CompileStatement(s.RHS, s.TargetKeys, t.Args)
 		}
 		if sp.exec != nil && s.Kind == trigger.StmtIncrement {
 			sp.directEmit = true

@@ -31,7 +31,7 @@ import (
 // between carry, per view, either an incremental delta of the slots touched
 // since the previous checkpoint (gmr.AppendFlatDelta against the FlatBase
 // captured then) or — when the view's dirty fraction crossed
-// DeltaDirtyThreshold, or the view's store structurally diverged (probe-table
+// deltaDirtyThreshold, or the view's store structurally diverged (probe-table
 // grow, arena compaction) — a fresh full image. Recovery (Engine.Recover)
 // composes the newest valid chain (install the base, patch each delta link)
 // and replays the committed log tail through the normal Apply/ApplyBatch
@@ -62,22 +62,16 @@ type DurabilityOptions struct {
 	// previous checkpoint, making steady-state checkpoint bytes proportional
 	// to the change rate instead of the store size.
 	DeltaCheckpoints bool
-	// DeltaDirtyThreshold is the dirty-slot fraction above which a view is
-	// written as a full image inside a delta link (past that point a delta
-	// is barely smaller but still lengthens recovery). 0 means 0.5.
-	DeltaDirtyThreshold float64
 	// RebaseEvery bounds chain length: after this many consecutive links the
 	// next checkpoint is a fresh base, bounding recovery compose time and
 	// letting GC drop the old chain. 0 means 8.
 	RebaseEvery int
 }
 
-func (o *DurabilityOptions) dirtyThreshold() float64 {
-	if o.DeltaDirtyThreshold <= 0 {
-		return 0.5
-	}
-	return o.DeltaDirtyThreshold
-}
+// deltaDirtyThreshold is the dirty-slot fraction above which a view is
+// written as a full image inside a delta link: past that point a delta is
+// barely smaller but still lengthens recovery.
+const deltaDirtyThreshold = 0.5
 
 func (o *DurabilityOptions) rebaseEvery() int {
 	if o.RebaseEvery <= 0 {
@@ -348,7 +342,6 @@ func (d *durability) checkpointWith(e *Engine, sync bool) error {
 			chainLen = d.chainLen + 1
 			dirtyFrac = make(map[string]float64, len(names))
 		}
-		threshold := d.opts.dirtyThreshold()
 		newBases := make(map[string]gmr.FlatBase, len(names))
 		for _, name := range names {
 			g := snap.views[name]
@@ -362,7 +355,7 @@ func (d *durability) checkpointWith(e *Engine, sync bool) error {
 						} else {
 							frac = float64(dirty) / float64(total)
 						}
-						if frac < threshold {
+						if frac < deltaDirtyThreshold {
 							if data, ok := g.AppendFlatDelta(nil, base); ok {
 								dirtyFrac[name] = frac
 								c.Views = append(c.Views, wal.ViewPayload{Name: name, Delta: true, Data: data})

@@ -348,3 +348,35 @@ func TestInitRejectsMissingKeyColumn(t *testing.T) {
 		t.Fatalf("Init = %v, want an error naming map S and column \"c\"", err)
 	}
 }
+
+// TestSharedProgram drives two engines built from one trigger.Program on two
+// goroutines. A program is read-only to the engines that run it (each
+// compiles its statements into its own plans), so this passes -race; the
+// engines, fed the same events, end with byte-identical views.
+func TestSharedProgram(t *testing.T) {
+	prog := reevalProgram()
+	engines := []*engine.Engine{engine.New(prog), engine.New(prog)}
+	var wg sync.WaitGroup
+	for _, eng := range engines {
+		eng.LoadStatic("T", staticT(10))
+		if err := eng.Init(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 40; j++ {
+				ev := engine.Event{Relation: "R", Insert: j%4 != 3, Tuple: types.Tuple{types.Int(int64(j % 3)), types.Int(int64(j % 5))}}
+				if err := eng.Apply(ev); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	a, b := engines[0].View("V").Data().AppendFlat(nil), engines[1].View("V").Data().AppendFlat(nil)
+	if !bytes.Equal(a, b) {
+		t.Errorf("engines on one program diverged: %v vs %v", engines[0].View("V").Data(), engines[1].View("V").Data())
+	}
+}

@@ -486,10 +486,7 @@ func (c *blockCompiler) probeOp(name string, keys []string) blockOp {
 			}
 			start := len(buf)
 			row := r.b.rows[i]
-			for ki, col := range keyCols {
-				if ki > 0 {
-					buf = append(buf, '|')
-				}
+			for _, col := range keyCols {
 				buf = row[col].EncodeKey(buf)
 			}
 			offs[j+1] = int32(len(buf))
@@ -614,10 +611,7 @@ func (c *blockCompiler) rowProbeScalar(name string, keys []string) blockRowScala
 	return func(r *blockRun, i int) types.Value {
 		row := r.b.rows[i]
 		buf := r.sc.probeBuf[:0]
-		for ki, col := range keyCols {
-			if ki > 0 {
-				buf = append(buf, '|')
-			}
+		for _, col := range keyCols {
 			buf = row[col].EncodeKey(buf)
 		}
 		r.sc.probeBuf = buf

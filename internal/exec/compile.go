@@ -295,10 +295,7 @@ func (a *atom) run(m *machine, mult float64) {
 			m.handles[a.handle] = h
 		}
 		key := m.keyBuf[:0]
-		for i, s := range a.probeSlots {
-			if i > 0 {
-				key = append(key, '|')
-			}
+		for _, s := range a.probeSlots {
 			key = m.regs[s].EncodeKey(key)
 		}
 		m.keyBuf = key

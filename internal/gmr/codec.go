@@ -20,7 +20,9 @@ import (
 // points) as the store it was checkpointed from. Tuples are not serialized:
 // each live slot's tuple is re-derived by decoding its canonical key bytes
 // (types.DecodeKey), which yields values that compare, coerce and re-encode
-// identically to the originals.
+// identically to the originals. The arena therefore carries the key codec's
+// bytes (types/keycodec.go), and flatVersion names that encoding too: a
+// change to the key bytes is a version bump.
 //
 // The format is flat and offset-addressed (fixed-width slot records after a
 // fixed-width header), in the spirit of disk-based index layouts: a future
@@ -37,7 +39,7 @@ import (
 // stream itself (CRCs) is the caller's layer — see package wal.
 
 const (
-	flatVersion   = 1
+	flatVersion   = 2
 	flatSlotBytes = 25 // hash(8) + mult(8) + keyOff(4) + keyLen(4) + dead(1)
 	flatMagic     = "GMRFLAT1"
 )
@@ -98,7 +100,7 @@ func LoadFlat(data []byte) (*GMR, error) {
 		return nil, fmt.Errorf("bad magic %q", magic)
 	}
 	if ver != flatVersion {
-		return nil, fmt.Errorf("unsupported flat-store version %d", ver)
+		return nil, fmt.Errorf("unsupported flat-store version %d (this build reads version %d)", ver, flatVersion)
 	}
 	if int(ncols)*2 > r.Remaining() {
 		return nil, fmt.Errorf("column count %d exceeds input size", ncols)

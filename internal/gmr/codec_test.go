@@ -220,3 +220,47 @@ func BenchmarkFlatCodec(b *testing.B) {
 		}
 	})
 }
+
+// FuzzLoadFlat throws arbitrary bytes at the flat-image decoder, seeded with
+// the churned images of the delta fixtures. Any input must either be
+// rejected or load into a store that re-serializes byte-identically and
+// whose every live slot holds a tuple that re-encodes to its stored key.
+func FuzzLoadFlat(f *testing.F) {
+	for _, seed := range []int64{5, 9, 42} {
+		baseImg, delta := deltaFixtureBytes(seed)
+		if delta == nil {
+			f.Fatalf("fixture delta not eligible at seed %d", seed)
+		}
+		g, err := LoadFlat(baseImg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := g.ApplyFlatDelta(delta); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(baseImg)
+		f.Add(g.AppendFlat(nil))
+	}
+	f.Add(New(types.Schema{"a"}).AppendFlat(nil))
+	f.Add([]byte(flatMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := LoadFlat(data)
+		if err != nil {
+			return
+		}
+		if out := g.AppendFlat(nil); !bytes.Equal(out, data) {
+			t.Fatalf("loaded store re-serializes to %d different bytes (input %d)", len(out), len(data))
+		}
+		var buf []byte
+		for i := range g.slots {
+			s := &g.slots[i]
+			if s.dead {
+				continue
+			}
+			if buf = s.tuple.AppendKey(buf[:0]); !bytes.Equal(buf, g.keyAt(s)) {
+				t.Fatalf("slot %d: tuple %v re-encodes to %x, stored key %x", i, s.tuple, buf, g.keyAt(s))
+			}
+		}
+	})
+}

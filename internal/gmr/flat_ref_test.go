@@ -126,6 +126,7 @@ func assertSame(t *testing.T, step int, g *GMR, r *refModel) {
 func assertPostings(t *testing.T, step int, g *GMR) {
 	t.Helper()
 	var buf []byte
+	var proj types.Tuple
 	for ixID, ix := range g.indexes {
 		n := 0
 		for k, p := range ix.buckets {
@@ -140,13 +141,11 @@ func assertPostings(t *testing.T, step int, g *GMR) {
 				if s.dead {
 					t.Fatalf("step %d: index %v posting %q names dead slot %d", step, ix.cols, k, id)
 				}
-				buf = buf[:0]
-				for i, c := range ix.cols {
-					if i > 0 {
-						buf = append(buf, '|')
-					}
-					buf = s.tuple[c].EncodeKey(buf)
+				proj = proj[:0]
+				for _, c := range ix.cols {
+					proj = append(proj, s.tuple[c])
 				}
+				buf = proj.AppendKey(buf[:0])
 				if string(buf) != k {
 					t.Fatalf("step %d: index %v posting %q names slot %d with key %q", step, ix.cols, k, id, buf)
 				}

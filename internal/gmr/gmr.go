@@ -265,8 +265,9 @@ func (g *GMR) LookupSlot(key []byte) (int32, bool) {
 	return id, ok
 }
 
-// Entries returns the entries of the GMR sorted by canonical key; the order
-// is deterministic, which tests and pretty-printers rely on.
+// Entries returns the entries of the GMR sorted by their canonical key bytes;
+// the order is deterministic, which tests and pretty-printers rely on, but it
+// is not the Compare order of the tuples.
 func (g *GMR) Entries() []Entry {
 	ids := make([]int32, 0, g.live)
 	for i := range g.slots {
@@ -482,10 +483,7 @@ func Join(a, b *GMR) *GMR {
 	var keyBuf []byte
 	joinKey := func(t types.Tuple, cols []int) []byte {
 		keyBuf = keyBuf[:0]
-		for i, c := range cols {
-			if i > 0 {
-				keyBuf = append(keyBuf, '|')
-			}
+		for _, c := range cols {
 			keyBuf = t[c].EncodeKey(keyBuf)
 		}
 		return keyBuf

@@ -72,10 +72,7 @@ func (g *GMR) Posting(ix int, key []byte) []int32 {
 // and create is set (nil when absent otherwise).
 func (ix *secondaryIndex) posting(t types.Tuple, create bool) *posting {
 	ix.buf = ix.buf[:0]
-	for i, c := range ix.cols {
-		if i > 0 {
-			ix.buf = append(ix.buf, '|')
-		}
+	for _, c := range ix.cols {
 		ix.buf = t[c].EncodeKey(ix.buf)
 	}
 	p := ix.buckets[string(ix.buf)]

@@ -32,19 +32,16 @@ func translate(t *testing.T, src string) agca.Expr {
 	return expr
 }
 
+// key is the canonical key of the tuple of vals, as evalToMap writes it.
+func key(vals ...types.Value) string { return types.Tuple(vals).EncodeKey() }
+
 // evalToMap evaluates an expression over db and flattens the result to
-// key-string -> multiplicity.
+// canonical key -> multiplicity.
 func evalToMap(e agca.Expr, db agca.MapDB) map[string]float64 {
 	g := agca.Eval(e, db, types.Env{})
 	out := map[string]float64{}
-	var buf []byte
 	g.Foreach(func(tu types.Tuple, m float64) {
-		buf = buf[:0]
-		for _, v := range tu {
-			buf = v.EncodeKey(buf)
-			buf = append(buf, '|')
-		}
-		out[string(buf)] += m
+		out[tu.EncodeKey()] += m
 	})
 	return out
 }
@@ -95,13 +92,13 @@ func TestTranslateScalarSum(t *testing.T) {
 func TestTranslateGroupBy(t *testing.T) {
 	e := translate(t, ordersDDL+`SELECT o.CUST, SUM(o.AMOUNT) FROM ORDERS o GROUP BY o.CUST;`)
 	got := evalToMap(e, ordersDB())
-	want := map[string]int64{"i10|": 150, "i20|": 70, "i30|": 5}
+	want := map[string]int64{key(types.Int(10)): 150, key(types.Int(20)): 70, key(types.Int(30)): 5}
 	if len(got) != len(want) {
 		t.Fatalf("groups = %v", got)
 	}
 	for k, v := range want {
 		if got[k] != float64(v) {
-			t.Errorf("group %s = %v, want %d", k, got[k], v)
+			t.Errorf("group %x = %v, want %d", k, got[k], v)
 		}
 	}
 }
@@ -120,7 +117,7 @@ func TestTranslateJoinOn(t *testing.T) {
 func TestTranslateCountStar(t *testing.T) {
 	e := translate(t, ordersDDL+`SELECT o.CUST, COUNT(*) FROM ORDERS o GROUP BY o.CUST;`)
 	got := evalToMap(e, ordersDB())
-	if got["i10|"] != 2 || got["i20|"] != 1 || got["i30|"] != 1 {
+	if got[key(types.Int(10))] != 2 || got[key(types.Int(20))] != 1 || got[key(types.Int(30))] != 1 {
 		t.Fatalf("COUNT(*) groups = %v", got)
 	}
 }
@@ -211,7 +208,7 @@ func TestTranslateBagQuery(t *testing.T) {
 	// multiplicities counting duplicates.
 	e := translate(t, ordersDDL+`SELECT o.CUST, o.TAG FROM ORDERS o;`)
 	got := evalToMap(e, ordersDB())
-	if len(got) != 4 || got["i10|s1:a|"] != 1 {
+	if len(got) != 4 || got[key(types.Int(10), types.Str("a"))] != 1 {
 		t.Fatalf("bag query = %v", got)
 	}
 }

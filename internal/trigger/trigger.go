@@ -35,46 +35,24 @@ type Statement struct {
 	// it drives the execution order inside a trigger so that shallower maps
 	// read the old versions of deeper maps.
 	Depth int
-
-	// compiled caches the closure-based executor for the statement's RHS (or
-	// the compile error that sent it back to the interpreter). Compilation is
-	// lazy and not synchronized: Executor must be called from the engine's
-	// driving goroutine, matching the engine's single-writer contract.
-	compiled     *exec.Executor
-	compileErr   error
-	compileTried bool
-
-	// blockCompiled caches the columnar block executor the same way (or the
-	// error that says the statement's shape does not block-lower).
-	blockCompiled *exec.BlockExecutor
-	blockErr      error
-	blockTried    bool
 }
 
-// Executor returns the compiled executor for the statement under the given
-// trigger arguments, compiling on first call. A non-nil error means the
-// statement's shape is not lowered by the compiler and the caller should use
-// the interpreter.
+// Executor compiles the statement's closure-based executor under the given
+// trigger arguments. A non-nil error means the statement's shape is not
+// lowered by the compiler and the caller should use the interpreter. Nothing
+// is cached on the statement: a Program is read-only, so engines sharing one
+// may run on different goroutines, and each compiles into its own plans.
 func (s *Statement) Executor(args []string) (*exec.Executor, error) {
-	if !s.compileTried {
-		s.compileTried = true
-		s.compiled, s.compileErr = exec.CompileStatement(s.RHS, s.TargetKeys, args)
-	}
-	return s.compiled, s.compileErr
+	return exec.CompileStatement(s.RHS, s.TargetKeys, args)
 }
 
-// BlockExecutor returns the columnar block executor for the statement under
-// the given trigger arguments, compiling on first call. A non-nil error means
-// the statement's shape is not block-lowerable (it binds variables per row or
-// emits keys that are not trigger arguments). The engine runs every event
-// through Executor and never calls this; it serves callers measuring the block
-// lowering. Like Executor, compilation is lazy and unsynchronized.
+// BlockExecutor compiles the statement's columnar block executor under the
+// given trigger arguments, uncached like Executor. A non-nil error means the
+// statement's shape is not block-lowerable (it binds variables per row or
+// emits keys that are not trigger arguments). The engine never calls this; it
+// serves callers measuring the block lowering.
 func (s *Statement) BlockExecutor(args []string) (*exec.BlockExecutor, error) {
-	if !s.blockTried {
-		s.blockTried = true
-		s.blockCompiled, s.blockErr = exec.CompileBlockStatement(s.RHS, s.TargetKeys, args)
-	}
-	return s.blockCompiled, s.blockErr
+	return exec.CompileBlockStatement(s.RHS, s.TargetKeys, args)
 }
 
 // String renders the statement in the paper's notation.

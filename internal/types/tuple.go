@@ -7,31 +7,6 @@ import "strings"
 // names kept alongside wherever tuples flow.
 type Tuple []Value
 
-// EncodeKey returns a canonical string key for the tuple, suitable for use as
-// a Go map key. Tuples with equal values produce equal keys.
-func (t Tuple) EncodeKey() string {
-	if len(t) == 0 {
-		return ""
-	}
-	buf := make([]byte, 0, 16*len(t))
-	return string(t.AppendKey(buf))
-}
-
-// AppendKey appends the canonical key encoding of the tuple (the same bytes
-// EncodeKey converts to a string) to dst and returns the extended slice. Hot
-// paths use it with a reused buffer so that key construction allocates
-// nothing; the bytes are only copied into a string when an entry is actually
-// inserted into a map.
-func (t Tuple) AppendKey(dst []byte) []byte {
-	for i, v := range t {
-		if i > 0 {
-			dst = append(dst, '|')
-		}
-		dst = v.EncodeKey(dst)
-	}
-	return dst
-}
-
 // Clone returns a copy of the tuple.
 func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))

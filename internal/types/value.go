@@ -299,44 +299,6 @@ func Neg(v Value) Value {
 	return Float(-v.AsFloat())
 }
 
-// EncodeKey appends a canonical encoding of v to dst. The encoding is used to
-// build map keys for tuples and hash-join probes, so values that Compare as
-// equal must encode identically: booleans share the encoding of 0/1 and
-// integral floats that fit an int64 exactly share the encoding of the equal
-// integer. (Beyond 2^62 the int/float coercion of Compare is lossy either
-// way; such keys stay float-encoded.)
-func (v Value) EncodeKey(dst []byte) []byte {
-	switch v.kind {
-	case KindNull:
-		return append(dst, 'n')
-	case KindInt:
-		dst = append(dst, 'i')
-		return strconv.AppendInt(dst, v.i, 10)
-	case KindFloat:
-		f := v.float()
-		if f == math.Trunc(f) && math.Abs(f) < 1<<62 {
-			dst = append(dst, 'i')
-			return strconv.AppendInt(dst, int64(f), 10)
-		}
-		dst = append(dst, 'f')
-		return strconv.AppendFloat(dst, f, 'g', -1, 64)
-	case KindString:
-		dst = append(dst, 's')
-		dst = strconv.AppendInt(dst, int64(len(v.s)), 10)
-		dst = append(dst, ':')
-		return append(dst, v.s...)
-	case KindBool:
-		// Compare coerces booleans numerically (Bool(true) == Int(1)), so the
-		// key encoding must coincide as well.
-		if v.i != 0 {
-			return append(dst, 'i', '1')
-		}
-		return append(dst, 'i', '0')
-	default:
-		return append(dst, '?')
-	}
-}
-
 // MemSize estimates the in-memory footprint of the value in bytes: the Value
 // itself plus a string's bytes. It is used for the coarse memory accounting
 // that reproduces the paper's memory traces.

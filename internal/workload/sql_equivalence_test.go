@@ -27,31 +27,31 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden trigger
 // hand-built ASTs).
 func viewContents(g *gmr.GMR) map[string]float64 {
 	out := map[string]float64{}
-	var buf []byte
 	g.Foreach(func(tu types.Tuple, m float64) {
-		buf = buf[:0]
-		for _, v := range tu {
-			buf = v.EncodeKey(buf)
-			buf = append(buf, '|')
-		}
-		out[string(buf)] += m
+		out[tu.EncodeKey()] += m
 	})
 	return out
+}
+
+// keyTuple decodes a viewContents key for a failure message.
+func keyTuple(k string) types.Tuple {
+	t, _ := types.DecodeKey([]byte(k))
+	return t
 }
 
 func sameContents(a, b map[string]float64, tol float64) (string, bool) {
 	for k, av := range a {
 		bv, ok := b[k]
 		if !ok && math.Abs(av) > tol {
-			return fmt.Sprintf("key %q only on SQL side (%.6g)", k, av), false
+			return fmt.Sprintf("key %v only on SQL side (%.6g)", keyTuple(k), av), false
 		}
 		if math.Abs(av-bv) > tol*math.Max(1, math.Abs(av)) {
-			return fmt.Sprintf("key %q: SQL %.6g vs oracle %.6g", k, av, bv), false
+			return fmt.Sprintf("key %v: SQL %.6g vs oracle %.6g", keyTuple(k), av, bv), false
 		}
 	}
 	for k, bv := range b {
 		if _, ok := a[k]; !ok && math.Abs(bv) > tol {
-			return fmt.Sprintf("key %q only on oracle side (%.6g)", k, bv), false
+			return fmt.Sprintf("key %v only on oracle side (%.6g)", keyTuple(k), bv), false
 		}
 	}
 	return "", true

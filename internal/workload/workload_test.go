@@ -8,6 +8,7 @@ import (
 	"dbtoaster/internal/agca"
 	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/engine"
+	"dbtoaster/internal/frame"
 	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/types"
 )
@@ -184,7 +185,9 @@ func TestBatchesPartitionTheStream(t *testing.T) {
 // TestStreamsPinned pins every generator's output byte for byte at a few
 // (scale, seed) points: the benchmark's inputs, the goldens and the
 // correctness gates all depend on the streams, so a generator change must not
-// move a single event.
+// move a single event. Events are hashed through the kind-exact frame value
+// codec, so the pin also catches a value changing kind (Float(3) for Int(3)),
+// which the canonical key would hide.
 func TestStreamsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		query  string
@@ -192,17 +195,17 @@ func TestStreamsPinned(t *testing.T) {
 		seed   int64
 		sha256 string
 	}{
-		{"Q1", 0.1, 1, "24ccf3d3876c1f3a5804e89a5340a5a6707b8b0b6bae0a02e1f2d22c9ab245ff"},
-		{"Q1", 1, 1, "d075ece0dfb6a2bf1f6fb1b99fbc15b1e3ea6359b64ca53928ea0984435d75de"},
-		{"Q1", 4, 7, "058db121755ac5f633c7c281bc9b53e49f3595246e65ec9a867bd8aa7382969f"},
-		{"Q1", 16, 3, "e482f8e48d4a62f9e16e58d9b08afd32b23140fd3fd71505ed234d664d4f71fb"},
-		{"VWAP", 0.1, 1, "7f6adf698643a5cd8f6bb7578fc027b81fb827bdb11fb7bddd73a104238aad0e"},
-		{"VWAP", 1, 1, "31d6dcf25af21577a17ee5f2b39a60513920096fefbe8e0f954b655b9914650d"},
-		{"VWAP", 4, 7, "97b48e1e185791ef9ac2869bd49b92c14c4a9467b228fbbd973324899e5fc82d"},
-		{"VWAP", 16, 3, "44f2bc02223a2af496a4410a9ed419321a4911430e6cf6d1e248e1be6ebf1c5d"},
-		{"MDDB1", 0.1, 1, "45b6a0c5e925a3eba9bd51e48164f1061d7d9c6b369942cd315bbf00775ca4d2"},
-		{"MDDB1", 1, 1, "7df23357167d8a79735d14e6153b4beb44b1992c3df263749947b1a6c5c68816"},
-		{"MDDB1", 4, 7, "bf73fda3da34766ac2be9644d38deec055e0405d1afd2a5f09f176813107674e"},
+		{"Q1", 0.1, 1, "94046536c64c6b251ca165eac504fa1de80681787751bf108f771f004ed9d5ee"},
+		{"Q1", 1, 1, "6c40dea91cae26c85ba23007d692f22d0fd024f1f1b2d6032fbab07a81881d08"},
+		{"Q1", 4, 7, "a7c0209283f96bb58d224b3615a4962159b990ae3c86971322e66bd139370775"},
+		{"Q1", 16, 3, "9d9f0c2c488bd036ff11e1e3d949569859b60fd84d3e7055dfaf60ee89300e06"},
+		{"VWAP", 0.1, 1, "3deb7d57ece19c70c241672689c5f9fa70a4dbf23c3db7c8d722e9e236dc6d46"},
+		{"VWAP", 1, 1, "3ef43384b05f8bea7c9a087d476fe87c0cedfddfcc8aea25d4cf06915f763831"},
+		{"VWAP", 4, 7, "8abccea443fae5fa73d855b2b88e5d7cf1f9c8f5c92044511f9a02338dbacc80"},
+		{"VWAP", 16, 3, "ac0356634e119c907b4e3ff60cf2865607c8af55de13fe86a2a06a698cbb06f8"},
+		{"MDDB1", 0.1, 1, "86ef1879fad8fde7baa9545ccc75fe49405adeda090e86ec6c4d4dc03b920e46"},
+		{"MDDB1", 1, 1, "bb2529a4700ad58c3146c9482952a80c467a87c3f4c40705f0474332b2aa1e7c"},
+		{"MDDB1", 4, 7, "f0f786ae3d8ffb8acc0d5e2231f9dad29287ff6f851462e756c8de13f57a61f1"},
 	} {
 		spec, ok := Get(tc.query)
 		if !ok {
@@ -217,7 +220,10 @@ func TestStreamsPinned(t *testing.T) {
 			} else {
 				buf = append(buf, '-')
 			}
-			h.Write(ev.Tuple.AppendKey(buf))
+			for _, v := range ev.Tuple {
+				buf = frame.AppendValue(buf, v)
+			}
+			h.Write(buf)
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.sha256 {
 			t.Errorf("%s (%s) stream at scale %v seed %d: sha256 %s, want %s", tc.query, spec.Group, tc.scale, tc.seed, got, tc.sha256)

@@ -1,0 +1,80 @@
+package engine_test
+
+import (
+	"testing"
+
+	"dbtoaster/internal/engine"
+	"dbtoaster/internal/workload"
+)
+
+// sawtoothWindows builds one hash-consed engine for the named queries and
+// cuts their combined stream, forward and then mirrored (every event's
+// inverse, in reverse order), into windows. One pass fills the views and
+// drains them back to empty, so a benchmark may repeat passes without the
+// views growing.
+func sawtoothWindows(b *testing.B, names []string, scale float64, window int) (*engine.Engine, []*engine.Batch) {
+	b.Helper()
+	ms, err := workload.Combine(names)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := newSharedEngine(b, ms)
+	events := ms.Stream(scale, 1)
+	events = events[:len(events)/window*window]
+	for i := len(events) - 1; i >= 0; i-- {
+		events = append(events, engine.Event{Relation: events[i].Relation, Insert: !events[i].Insert, Tuple: events[i].Tuple})
+	}
+	var batches []*engine.Batch
+	for lo := 0; lo < len(events); lo += window {
+		batches = append(batches, engine.NewBatch(events[lo:lo+window]))
+	}
+	return eng, batches
+}
+
+// runWindows applies the windows in sawtooth order, one per iteration, and
+// reports ns per event.
+func runWindows(b *testing.B, eng *engine.Engine, batches []*engine.Batch, window int) {
+	b.Helper()
+	i := 0
+	for b.Loop() {
+		if err := eng.ApplyBatch(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(i*window), "ns/event")
+}
+
+// BenchmarkApplyBatchShared18 times the 18-query CompileSet program — the
+// longest triggers there are (35 statements on ±LINEITEM) — through
+// 256-event windows.
+func BenchmarkApplyBatchShared18(b *testing.B) {
+	names := workload.Names("")
+	if len(names) != 18 {
+		b.Fatalf("%d registered queries, want 18", len(names))
+	}
+	eng, batches := sawtoothWindows(b, names, 0.05, 256)
+	runWindows(b, eng, batches, 256)
+}
+
+// BenchmarkApplyBatchServed times the live workload's program, Q1 and Q3 in
+// one engine, with a drained subscriber on Q1's result, through 64-event
+// windows: every window tees Q1's statements into the capture delta and
+// publishes it.
+func BenchmarkApplyBatchServed(b *testing.B) {
+	eng, batches := sawtoothWindows(b, []string{"Q1", "Q3"}, 0.2, 64)
+	q1, _ := eng.Program().QueryByName("Q1")
+	sub, err := eng.Subscribe(q1.ResultMap, engine.SubscribeOptions{SkipInitial: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		for range sub.C {
+		}
+		close(done)
+	}()
+	runWindows(b, eng, batches, 64)
+	sub.Cancel()
+	<-done
+}

@@ -2,9 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"dbtoaster/internal/exec"
-	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/trigger"
 	"dbtoaster/internal/types"
 )
@@ -89,32 +89,14 @@ type relationPlan struct {
 	delete *triggerPlan
 }
 
+// triggerPlan is one trigger compiled into one program (exec.Trigger), its
+// statements' sinks fixed to their target views.
 type triggerPlan struct {
-	trig  *trigger.Trigger
-	stmts []stmtPlan
-	// incEnd is the end of the increment prefix: stmts[incEnd:] is the
+	trig *trigger.Trigger
+	prog *exec.Trigger
+	// incEnd is the end of the increment prefix: statements [incEnd:] are the
 	// replacement tail a BatchReevalTail group runs once per window.
 	incEnd int
-}
-
-// stmtPlan precomputes everything about one statement that per-event
-// execution would otherwise re-derive: the target view and the compiled
-// closure executor (when the statement's shape lowers).
-type stmtPlan struct {
-	stmt   *trigger.Statement
-	target *View
-	// exec is the statement's compiled executor; nil when compilation failed
-	// (the statement stays on the interpreter) or the engine runs ExecInterp.
-	exec *exec.Executor
-	// cache is the statement's dedicated executor machine (only the engine's
-	// driving goroutine runs it).
-	cache exec.MachineCache
-	// directEmit marks compiled increments whose RHS does not read their own
-	// target: they emit straight into the view.
-	directEmit bool
-	// scratch is the reusable delta buffer for compiled statements that
-	// cannot emit directly.
-	scratch *gmr.GMR
 }
 
 // planFor returns (building and caching if necessary) the execution plan for
@@ -150,29 +132,26 @@ func (e *Engine) planFor(relation string) *relationPlan {
 }
 
 func (e *Engine) planTrigger(t *trigger.Trigger) *triggerPlan {
-	tp := &triggerPlan{trig: t, stmts: make([]stmtPlan, len(t.Stmts)), incEnd: len(t.Stmts)}
+	tp := &triggerPlan{trig: t, incEnd: len(t.Stmts)}
+	stmts := make([]exec.Stmt, len(t.Stmts))
 	for si := range t.Stmts {
 		s := &t.Stmts[si]
-		if s.Kind == trigger.StmtReplace && tp.incEnd == len(t.Stmts) {
+		replace := s.Kind == trigger.StmtReplace
+		if replace && tp.incEnd == len(t.Stmts) {
 			tp.incEnd = si
 		}
-		sp := stmtPlan{stmt: s, target: e.views[s.TargetMap]}
-		if sp.target != nil && e.execMode != ExecInterp {
-			// Compile errors are expected for shapes the exec compiler does
-			// not lower; those statements simply stay on the interpreter.
-			sp.exec, _ = exec.CompileStatement(s.RHS, s.TargetKeys, t.Args)
+		stmts[si] = exec.Stmt{
+			RHS:         s.RHS,
+			TargetKeys:  s.TargetKeys,
+			Replace:     replace,
+			ReadsTarget: slices.Contains(s.ReadSet(), s.TargetMap),
+			Interpret:   e.execMode == ExecInterp,
 		}
-		if sp.exec != nil && s.Kind == trigger.StmtIncrement {
-			sp.directEmit = true
-			for _, r := range s.ReadSet() {
-				if r == s.TargetMap {
-					sp.directEmit = false
-					break
-				}
-			}
+		if v := e.views[s.TargetMap]; v != nil {
+			stmts[si].Target = v
 		}
-		tp.stmts[si] = sp
 	}
+	tp.prog = exec.CompileTrigger(stmts, t.Args)
 	return tp
 }
 
@@ -277,32 +256,27 @@ func (e *Engine) applyGroup(plan *relationPlan, events []Event) error {
 		if tp == nil {
 			continue
 		}
-		end := len(tp.stmts)
+		end := len(tp.trig.Stmts)
 		if deferTail {
 			end = tp.incEnd
 			tail, tailArgs = tp, ev.Tuple
 		}
-		if err := e.runStmts(tp, tp.stmts[:end], ev.Tuple); err != nil {
+		if err := e.runTrigger(tp, ev.Tuple, 0, end); err != nil {
 			return err
 		}
 		n++
 	}
 	e.countEvents(uint64(n))
 	if tail != nil {
-		return e.runStmts(tail, tail.stmts[tail.incEnd:], tailArgs)
+		return e.runTrigger(tail, tailArgs, tail.incEnd, len(tail.trig.Stmts))
 	}
 	return nil
 }
 
-// runStmts runs statements of one trigger for one event tuple. The
-// interpreter environment is built lazily, only when some statement actually
-// falls back to it.
-func (e *Engine) runStmts(tp *triggerPlan, stmts []stmtPlan, tuple types.Tuple) error {
-	var env types.Env
-	for si := range stmts {
-		if err := e.executeStmt(&stmts[si], tuple, tp.trig.Args, &env); err != nil {
-			return fmt.Errorf("engine: %s: statement %q: %w", tp.trig.Key(), stmts[si].stmt.String(), err)
-		}
+// runTrigger runs statements [lo, hi) of a trigger for one event tuple.
+func (e *Engine) runTrigger(tp *triggerPlan, tuple types.Tuple, lo, hi int) error {
+	if at, err := tp.prog.Run(e, tuple, lo, hi); err != nil {
+		return fmt.Errorf("engine: %s: statement %q: %w", tp.trig.Key(), tp.trig.Stmts[at].String(), err)
 	}
 	return nil
 }

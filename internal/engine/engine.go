@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"dbtoaster/internal/agca"
+	"dbtoaster/internal/exec"
 	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/trigger"
 	"dbtoaster/internal/types"
@@ -72,19 +73,14 @@ type Engine struct {
 	// current caches the snapshot of the newest published epoch; Acquire
 	// returns it without locking while no write has intervened.
 	current atomic.Pointer[Snapshot]
-	// subs and capture implement the change-stream hub (subscribe.go): both
-	// are guarded by mu. capture holds, for each view with at least one
-	// subscriber, the delta accumulated since the last publication;
-	// capturing mirrors len(capture) != 0 as one plain bool so the
-	// per-statement check costs a single load (it only flips under mu, and
-	// only in serving mode, where writers hold mu too).
-	subs      map[string][]*Subscription
-	capture   map[string]*gmr.GMR
-	capturing bool
-	// plans caches the per-relation execution plans (batch class plus
-	// per-statement compiled executors), built lazily on first use and
-	// shared by Apply and ApplyBatch; lastRel/lastPlan are a
-	// one-entry lookup cache over it.
+	// subs is the change-stream hub (subscribe.go), guarded by mu: the
+	// subscriptions of each subscribed view, whose View carries the capture
+	// delta accumulated since the last publication.
+	subs map[string][]*Subscription
+	// plans caches the per-relation execution plans (batch class plus one
+	// compiled program per trigger), built lazily on first use and shared by
+	// Apply and ApplyBatch; lastRel/lastPlan are a one-entry lookup cache
+	// over it.
 	plans    map[string]*relationPlan
 	lastRel  string
 	lastPlan *relationPlan
@@ -104,9 +100,9 @@ type Engine struct {
 type ExecMode int
 
 const (
-	// ExecCompiled (the default) runs each statement through its compiled
-	// closure executor, falling back to the interpreter per statement when
-	// the compiler does not lower its shape.
+	// ExecCompiled (the default) runs each trigger as one compiled program,
+	// in which a statement whose shape the compiler does not lower is an
+	// interpreted step.
 	ExecCompiled ExecMode = iota
 	// ExecInterp forces the tree-walking AGCA interpreter for every
 	// statement.
@@ -146,8 +142,8 @@ func (e *Engine) ExecStats() ExecStats {
 			if tp == nil {
 				continue
 			}
-			for i := range tp.stmts {
-				if tp.stmts[i].exec != nil {
+			for i := range tp.trig.Stmts {
+				if tp.prog.Compiled(i) {
 					st.CompiledStmts++
 				} else {
 					st.InterpStmts++
@@ -169,6 +165,7 @@ func New(prog *trigger.Program) *Engine {
 		handles:  map[string]*viewHandle{},
 		triggers: map[string]*trigger.Trigger{},
 		plans:    map[string]*relationPlan{},
+		subs:     map[string][]*Subscription{},
 	}
 	for i := range prog.Maps {
 		m := prog.Maps[i]
@@ -232,29 +229,12 @@ func (e *Engine) Init() error {
 		if dynamic {
 			continue
 		}
-		res, err := agca.EvalChecked(m.Definition, e, types.Env{})
-		if err != nil {
+		// The definition runs as an interpreted replacement statement.
+		def := exec.CompileTrigger([]exec.Stmt{{RHS: m.Definition, TargetKeys: m.Keys,
+			Target: e.views[m.Name], Replace: true, Interpret: true}}, nil)
+		if _, err := def.Run(e, nil, 0, 1); err != nil {
 			return fmt.Errorf("engine: init of %s: %w", m.Name, err)
 		}
-		g := e.views[m.Name].data
-		g.Clear()
-		if res.IsEmpty() {
-			// A truncated empty result may not carry every column.
-			continue
-		}
-		cols := make([]int, len(m.Keys))
-		for i, k := range m.Keys {
-			if cols[i] = res.Schema().Index(k); cols[i] < 0 {
-				return fmt.Errorf("engine: init of %s: result lacks key column %q (schema %v)", m.Name, k, res.Schema())
-			}
-		}
-		key := make(types.Tuple, len(cols))
-		res.Foreach(func(t types.Tuple, mult float64) {
-			for i, c := range cols {
-				key[i] = t[c]
-			}
-			g.Add(key, mult)
-		})
 	}
 	return nil
 }
@@ -314,8 +294,8 @@ type Event struct {
 }
 
 // Apply processes one update event through the relation's cached execution
-// plan: compiled statements run their closure executors, the rest bind the
-// trigger arguments to the tuple's values and take the interpreter. In
+// plan: the trigger's compiled program binds the tuple to the trigger
+// arguments once and runs every statement, compiled or interpreted. In
 // serving mode a new epoch is published after the event, so snapshot readers
 // and subscribers observe per-event granularity when events are applied one
 // at a time; an engine nobody serves runs the unlocked single-threaded path.
@@ -338,10 +318,7 @@ func (e *Engine) Apply(ev Event) error {
 	// helper) with the serving branches resolved away: Apply is the per-event
 	// hot loop of every single-threaded replay, and the extra call layer is
 	// measurable there.
-	tp := plan.delete
-	if ev.Insert {
-		tp = plan.insert
-	}
+	tp := plan.triggerFor(&ev)
 	if tp == nil {
 		return nil
 	}
@@ -350,13 +327,7 @@ func (e *Engine) Apply(ev Event) error {
 			ev.Relation, len(ev.Tuple), len(tp.trig.Args))
 	}
 	e.eventsPlain++
-	var env types.Env
-	for si := range tp.stmts {
-		if err := e.executeStmt(&tp.stmts[si], ev.Tuple, tp.trig.Args, &env); err != nil {
-			return fmt.Errorf("engine: %s: statement %q: %w", tp.trig.Key(), tp.stmts[si].stmt.String(), err)
-		}
-	}
-	return nil
+	return e.runTrigger(tp, ev.Tuple, 0, len(tp.trig.Stmts))
 }
 
 // applyServing is Apply's serving-mode path: serialized against snapshot
@@ -389,123 +360,7 @@ func (e *Engine) applyPlanned(plan *relationPlan, ev *Event, serve bool) error {
 	} else {
 		e.eventsPlain++
 	}
-	return e.runStmts(tp, tp.stmts, ev.Tuple)
-}
-
-// executeStmt runs one statement of the sequential path. Compiled increments
-// whose RHS does not read their own target emit straight into the view;
-// everything else goes through the plan's scratch delta first (replacement
-// statements must fully evaluate before the target is cleared). A compiled
-// statement that fails mid-emission on a semantic error (a malformed program)
-// may leave a partial direct-emit delta applied; valid programs never hit
-// this.
-func (e *Engine) executeStmt(sp *stmtPlan, tuple types.Tuple, args []string, env *types.Env) error {
-	var cap *gmr.GMR
-	if e.capturing {
-		cap = e.capture[sp.stmt.TargetMap]
-	}
-	if sp.exec == nil || e.execMode == ExecInterp {
-		if *env == nil {
-			*env = make(types.Env, len(args))
-			for i, a := range args {
-				(*env)[a] = tuple[i]
-			}
-		}
-		return e.execute(sp.stmt, *env, cap)
-	}
-	if sp.directEmit && cap == nil {
-		return sp.exec.RunCached(&sp.cache, e, tuple, sp.target.data)
-	}
-	if sp.directEmit {
-		// A subscribed target cannot take the straight-into-view emission
-		// path: the rows are teed into the view's capture delta as they are
-		// emitted.
-		return sp.exec.RunCached(&sp.cache, e, tuple, teeAccum{g: sp.target.data, delta: cap})
-	}
-	if sp.scratch == nil {
-		sp.scratch = gmr.New(types.Schema(sp.target.Keys()))
-	} else {
-		sp.scratch.Reset()
-	}
-	if err := sp.exec.RunCached(&sp.cache, e, tuple, sp.scratch); err != nil {
-		return err
-	}
-	if sp.stmt.Kind == trigger.StmtReplace {
-		if cap != nil {
-			// A replacement's change is the difference: retract the old
-			// contents, then the new ones are added below.
-			cap.MergeInto(sp.target.data, -1)
-		}
-		sp.target.data.Clear()
-	}
-	sp.target.data.MergeInto(sp.scratch, 1)
-	if cap != nil {
-		cap.MergeInto(sp.scratch, 1)
-	}
-	return nil
-}
-
-// execute runs one maintenance statement under the trigger environment. When
-// cap is non-nil the statement's net change to the target is additionally
-// accumulated into it (the subscription hub's capture delta).
-func (e *Engine) execute(s *trigger.Statement, env types.Env, cap *gmr.GMR) error {
-	res, err := agca.EvalChecked(s.RHS, e, env)
-	if err != nil {
-		return err
-	}
-	v, ok := e.views[s.TargetMap]
-	if !ok {
-		return fmt.Errorf("unknown target map %q", s.TargetMap)
-	}
-	target := v.data
-	if s.Kind == trigger.StmtReplace {
-		if cap != nil {
-			cap.MergeInto(target, -1)
-		}
-		target.Clear()
-	}
-
-	schema := res.Schema()
-	// Pre-compute, for every target key, whether it comes from the trigger
-	// environment or from a result column.
-	type keySrc struct {
-		fromEnv bool
-		val     types.Value
-		col     int
-	}
-	srcs := make([]keySrc, len(s.TargetKeys))
-	for i, k := range s.TargetKeys {
-		if v, bound := env[k]; bound {
-			srcs[i] = keySrc{fromEnv: true, val: v}
-			continue
-		}
-		col := schema.Index(k)
-		if col < 0 {
-			if res.IsEmpty() {
-				// Nothing to apply; a truncated empty result may not carry
-				// every column.
-				return nil
-			}
-			return fmt.Errorf("result lacks key column %q (schema %v)", k, schema)
-		}
-		srcs[i] = keySrc{col: col}
-	}
-
-	res.Foreach(func(t types.Tuple, m float64) {
-		key := make(types.Tuple, len(srcs))
-		for i, src := range srcs {
-			if src.fromEnv {
-				key[i] = src.val
-			} else {
-				key[i] = t[src.col]
-			}
-		}
-		target.Add(key, m)
-		if cap != nil {
-			cap.Add(key, m)
-		}
-	})
-	return nil
+	return e.runTrigger(tp, ev.Tuple, 0, len(tp.trig.Stmts))
 }
 
 // publishLocked flushes the captured per-view deltas to subscribers at the
@@ -515,7 +370,7 @@ func (e *Engine) execute(s *trigger.Statement, env types.Env, cap *gmr.GMR) erro
 // write path nothing beyond the events counter it already maintains, and the
 // freeze of the new state is deferred to the next Acquire.
 func (e *Engine) publishLocked() {
-	if e.capturing {
+	if len(e.subs) != 0 {
 		e.flushSubscribersLocked(e.events.Load())
 	}
 }

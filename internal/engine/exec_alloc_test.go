@@ -91,3 +91,72 @@ func TestNewBatchAllocs(t *testing.T) {
 		t.Errorf("NewBatch allocates %.1f times per 256-event window, want <= 2", allocs)
 	}
 }
+
+// TestServedApplyAllocs pins the served hot path: Q1 and Q3 in one engine,
+// as the live workload runs them, with a live subscription on each result
+// view, drained after every call. A subscribed view is its statements' own
+// tee accumulator, so steady state allocates only what a publication hands
+// the subscribers: each changed view's entry slice and a clone of each key
+// new to its capture delta. A per-statement allocation on the capture path
+// (a boxed tee accumulator read 4 per Apply and 140 per window) fails it.
+func TestServedApplyAllocs(t *testing.T) {
+	ms, err := workload.Combine([]string{"Q1", "Q3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := ms.Stream(0.2, 1)
+	const warm, window, batch = 400, 256, 64
+	if len(events) < warm+window {
+		t.Fatalf("stream too short: %d events", len(events))
+	}
+	var batches []*engine.Batch
+	for lo := warm; lo < warm+window; lo += batch {
+		batches = append(batches, engine.NewBatch(events[lo:lo+batch]))
+	}
+	for _, tc := range []struct {
+		name string
+		// max bounds the steady-state allocs per call.
+		max  float64
+		run  func(eng *engine.Engine, i int) error
+		runs int
+	}{
+		{"Apply", 3, func(eng *engine.Engine, i int) error {
+			return eng.Apply(events[warm+i%window])
+		}, window},
+		{"ApplyBatch", 40, func(eng *engine.Engine, i int) error {
+			return eng.ApplyBatch(batches[i%len(batches)])
+		}, 2 * len(batches)},
+	} {
+		eng := newSharedEngine(t, ms)
+		var subs []*engine.Subscription
+		for _, q := range []string{"Q1", "Q3"} {
+			qd, _ := eng.Program().QueryByName(q)
+			sub, err := eng.Subscribe(qd.ResultMap, engine.SubscribeOptions{Buffer: 1, SkipInitial: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs = append(subs, sub)
+		}
+		for _, ev := range events[:warm] {
+			if err := eng.Apply(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(tc.runs, func() {
+			if err := tc.run(eng, i); err != nil {
+				t.Fatal(err)
+			}
+			i++
+			for _, sub := range subs {
+				for len(sub.C) > 0 {
+					<-sub.C
+				}
+			}
+		})
+		t.Logf("%s allocs/op with Q1 and Q3 subscribed: %.2f", tc.name, allocs)
+		if allocs > tc.max {
+			t.Errorf("%s: served path allocates %.2f/op, want <= %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}

@@ -380,3 +380,112 @@ func TestSharedProgram(t *testing.T) {
 		t.Errorf("engines on one program diverged: %v vs %v", engines[0].View("V").Data(), engines[1].View("V").Data())
 	}
 }
+
+// TestFailingStatementInsideExists raises an agca.EvalError in the second
+// statement of a trigger, inside an Exists: the static S it probes is loaded
+// with the wrong arity, and the Exists' other term has already put T's row
+// into the materialization scratch table when S's probe fails. The error
+// names that statement, the first statement stays applied, and once S is
+// replaced through LoadStatic the next events leave every view byte-equal to
+// a fresh engine fed the same events — which a scratch table left dirty by
+// the failure would break: its stale row makes the next event's Exists
+// non-empty.
+func TestFailingStatementInsideExists(t *testing.T) {
+	exists := agca.Exists{E: agca.Sum{Terms: []agca.Expr{agca.R("T", "a", "b"), agca.R("S", "a", "b")}}}
+	prog := &trigger.Program{
+		QueryName: "M2", ResultMap: "M2",
+		Maps: []trigger.MapDef{
+			{Name: "M1", Definition: agca.SumOver(nil, agca.R("R", "a"))},
+			{Name: "M2", Definition: agca.SumOver(nil, agca.Mul(agca.R("R", "a"), exists))},
+		},
+		Triggers: []trigger.Trigger{{Relation: "R", Insert: true, Args: []string{"a"}, Stmts: []trigger.Statement{
+			{TargetMap: "M1", RHS: agca.C(1)},
+			{TargetMap: "M2", RHS: agca.SumOver(nil, exists)},
+		}}},
+		Relations:       map[string][]string{"R": {"A"}},
+		StaticRelations: []string{"S", "T"},
+	}
+	static := func(schema types.Schema, rows ...types.Tuple) *gmr.GMR {
+		g := gmr.New(schema)
+		for _, r := range rows {
+			g.Add(r[:len(r)-1], r[len(r)-1].AsFloat())
+		}
+		return g
+	}
+	i := func(v int64) types.Value { return types.Int(v) }
+	// T's (1,5) cancels the fixed S's, so an event on a=1 finds nothing;
+	// a=2 and a=3 find one b each.
+	tTable := static(types.Schema{"A", "B"}, types.Tuple{i(1), i(5), i(1)}, types.Tuple{i(2), i(7), i(1)}, types.Tuple{i(3), i(5), i(1)})
+	goodS := static(types.Schema{"A", "B"}, types.Tuple{i(1), i(5), i(-1)})
+	badS := static(types.Schema{"A", "B", "C"}, types.Tuple{i(1), i(5), i(0), i(1)})
+	newEngine := func(s *gmr.GMR) *engine.Engine {
+		eng := engine.New(prog)
+		eng.LoadStatic("T", tTable)
+		eng.LoadStatic("S", s)
+		if err := eng.Init(); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	events := rEventsOf(1, 2, 1, 3, 2)
+
+	eng := newEngine(badS)
+	err := eng.Apply(events[0])
+	if err == nil {
+		t.Fatal("probing S with the wrong arity did not fail")
+	}
+	if !strings.Contains(err.Error(), prog.Triggers[0].Stmts[1].String()) || !strings.Contains(err.Error(), "arity") {
+		t.Fatalf("error %q does not name the failing statement and the arity mismatch", err)
+	}
+	if got := eng.View("M1").Data().ScalarValue(); got != 1 {
+		t.Fatalf("M1 = %v after the failed event, want the first statement applied (1)", got)
+	}
+	if got := eng.View("M2").Data().Len(); got != 0 {
+		t.Fatalf("M2 has %d entries after its statement failed", got)
+	}
+
+	eng.LoadStatic("S", goodS)
+	applyAll(t, eng, events[1:])
+	fresh := newEngine(goodS)
+	applyAll(t, fresh, events)
+	for _, name := range []string{"M1", "M2"} {
+		if g, w := eng.View(name).Data().AppendFlat(nil), fresh.View(name).Data().AppendFlat(nil); !bytes.Equal(g, w) {
+			t.Errorf("%s after the fix: %v, fresh engine %v", name, eng.View(name).Data(), fresh.View(name).Data())
+		}
+	}
+	if got := fresh.View("M2").Data().ScalarValue(); got != 3 {
+		t.Errorf("fresh M2 = %v, want 3 (events on a=2, a=3, a=2)", got)
+	}
+}
+
+// rEventsOf returns one insert into R(a) per value.
+func rEventsOf(as ...int64) []engine.Event {
+	out := make([]engine.Event, len(as))
+	for i, a := range as {
+		out[i] = engine.Event{Relation: "R", Insert: true, Tuple: types.Tuple{types.Int(a)}}
+	}
+	return out
+}
+
+// TestStatementWithoutTargetMap pins the error of a hand-built program whose
+// statement targets a map the program does not declare: Apply fails naming
+// the statement, after the statements before it ran.
+func TestStatementWithoutTargetMap(t *testing.T) {
+	prog := &trigger.Program{
+		QueryName: "M1", ResultMap: "M1",
+		Maps: []trigger.MapDef{{Name: "M1", Definition: agca.SumOver(nil, agca.R("R", "a"))}},
+		Triggers: []trigger.Trigger{{Relation: "R", Insert: true, Args: []string{"a"}, Stmts: []trigger.Statement{
+			{TargetMap: "M1", RHS: agca.C(1)},
+			{TargetMap: "NOPE", RHS: agca.C(1)},
+		}}},
+		Relations: map[string][]string{"R": {"A"}},
+	}
+	eng := engine.New(prog)
+	err := eng.Apply(rEventsOf(1)[0])
+	if err == nil || !strings.Contains(err.Error(), prog.Triggers[0].Stmts[1].String()) || !strings.Contains(err.Error(), "no target map") {
+		t.Fatalf("Apply = %v, want an error naming the statement without a target map", err)
+	}
+	if got := eng.View("M1").Data().ScalarValue(); got != 1 {
+		t.Fatalf("M1 = %v, want the first statement applied", got)
+	}
+}

@@ -193,6 +193,76 @@ func TestSubscribeStream(t *testing.T) {
 	if want := eng.Result(); !gmr.Equal(local, want, 1e-9) {
 		t.Fatalf("subscriber copy diverged:\n got  %v\n want %v", local, want)
 	}
+	subscribeLifecycle(t, eng, spec.Stream(0.1, 2))
+}
+
+// subscribeLifecycle drives the result view's subscriptions through every
+// transition while events keep flowing — subscribe, cancel, re-subscribe,
+// two at once, cancel one, cancel the other — and checks that the view
+// captures exactly while someone is subscribed and that every consumer's copy
+// (catch-up batch plus deltas) equals the view when its subscription ended.
+func subscribeLifecycle(t *testing.T, eng *engine.Engine, events []engine.Event) {
+	t.Helper()
+	view := eng.View(eng.Program().ResultMap)
+	if len(events) > 250 {
+		events = events[:250]
+	}
+	chunk := 0
+	flow := func() {
+		t.Helper()
+		part := events[chunk*len(events)/5 : (chunk+1)*len(events)/5]
+		if chunk%2 == 0 {
+			applyAll(t, eng, part)
+		} else if err := eng.ApplyBatch(engine.NewBatch(part)); err != nil {
+			t.Fatal(err)
+		}
+		chunk++
+	}
+	subscribe := func() *engine.Subscription {
+		t.Helper()
+		// A slot per publication the subscription can see: nothing coalesces.
+		sub, err := eng.Subscribe(view.Name(), engine.SubscribeOptions{Buffer: len(events) + 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	capturing := func(step string, want bool) {
+		t.Helper()
+		if got := view.Capturing(); got != want {
+			t.Fatalf("%s: view capturing = %v, want %v", step, got, want)
+		}
+	}
+	// cancel ends a subscription and holds the consumer's copy to the view.
+	cancel := func(step string, sub *engine.Subscription) {
+		t.Helper()
+		sub.Cancel()
+		local := resultCopy(eng)
+		for cb := range sub.C {
+			applyBatchEntries(local, cb)
+		}
+		if want := eng.Result(); !gmr.Equal(local, want, 1e-9) {
+			t.Fatalf("%s: consumer copy diverged:\n got  %v\n want %v", step, local, want)
+		}
+	}
+
+	capturing("before any subscription", false)
+	a := subscribe()
+	capturing("subscribed", true)
+	flow()
+	cancel("cancelled", a)
+	capturing("cancelled", false)
+	flow()
+	a = subscribe()
+	capturing("re-subscribed", true)
+	flow()
+	b := subscribe()
+	flow()
+	cancel("first of two cancelled", a)
+	capturing("one of two left", true)
+	flow()
+	cancel("last cancelled", b)
+	capturing("last cancelled", false)
 }
 
 // TestSubscribeCoalesce pins the backpressure policy deterministically: with
@@ -308,6 +378,7 @@ func TestSubscribeReplaceMode(t *testing.T) {
 	if want := eng.Result(); !gmr.Equal(local, want, 1e-6) {
 		t.Fatalf("replace-mode subscriber copy diverged:\n got  %v\n want %v", local, want)
 	}
+	subscribeLifecycle(t, eng, spec.Stream(0.1, 2))
 }
 
 // TestSubscribeUnknownView pins the error path.

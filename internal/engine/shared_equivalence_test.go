@@ -16,7 +16,7 @@ import (
 const maxSharedEvents = 120
 
 // newSharedEngine compiles the query set with hash-consing into one engine.
-func newSharedEngine(t *testing.T, ms *workload.MultiSpec) *engine.Engine {
+func newSharedEngine(t testing.TB, ms *workload.MultiSpec) *engine.Engine {
 	t.Helper()
 	prog, _, err := compiler.CompileSet(ms.Queries, ms.Catalog, compiler.DefaultOptions())
 	if err != nil {

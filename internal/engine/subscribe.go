@@ -223,15 +223,10 @@ func (e *Engine) Subscribe(view string, opts SubscribeOptions) (*Subscription, e
 			Entries: v.data.Freeze().Entries(),
 		}
 	}
-	if e.subs == nil {
-		e.subs = map[string][]*Subscription{}
-		e.capture = map[string]*gmr.GMR{}
-	}
 	e.subs[view] = append(e.subs[view], sub)
-	if e.capture[view] == nil {
-		e.capture[view] = gmr.New(types.Schema(v.Keys()))
+	if v.capture == nil {
+		v.capture = gmr.New(types.Schema(v.Keys()))
 	}
-	e.capturing = true
 	return sub, nil
 }
 
@@ -255,8 +250,7 @@ func (s *Subscription) Cancel() {
 	}
 	if len(list) == 0 {
 		delete(e.subs, s.view)
-		delete(e.capture, s.view)
-		e.capturing = len(e.capture) != 0
+		e.views[s.view].capture = nil
 	} else {
 		e.subs[s.view] = list
 	}
@@ -277,28 +271,15 @@ func (e *Engine) Subscribers() map[string]int {
 // changed view's entries are built once and pushed to every subscriber's
 // mailbox. Callers hold e.mu (it runs inside publishLocked, on the writer).
 func (e *Engine) flushSubscribersLocked(events uint64) {
-	for view, delta := range e.capture {
+	for view, subs := range e.subs {
+		delta := e.views[view].capture
 		if delta.IsEmpty() {
 			continue
 		}
 		entries := delta.Entries()
-		for _, sub := range e.subs[view] {
+		for _, sub := range subs {
 			sub.Push(entries, events)
 		}
 		delta.Reset()
 	}
-}
-
-// teeAccum routes a compiled statement's direct-into-view emission through
-// the view's capture delta as well, so subscribed views keep the fast path's
-// shape (one pass, no scratch materialization) while the hub still sees every
-// change.
-type teeAccum struct {
-	g     *gmr.GMR
-	delta *gmr.GMR
-}
-
-func (t teeAccum) AddEncoded(key []byte, tup types.Tuple, m float64) float64 {
-	t.delta.AddEncoded(key, tup, m)
-	return t.g.AddEncoded(key, tup, m)
 }

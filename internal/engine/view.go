@@ -10,11 +10,15 @@ import (
 // primary hashed index and the secondary indexes the trigger statements
 // probe with (gmr.GMR.Index), and keeps them in sync itself — so mutations
 // go straight to it. Recovery replaces the store (Recover installs the
-// checkpoint's), which is why statements address the view, not the store.
+// checkpoint's), which is why statements address the view, not the store:
+// the View is their exec.Target.
 type View struct {
 	name string
 	keys []string
 	data *gmr.GMR
+	// capture accumulates the view's changes since the last publication
+	// while it has subscribers (nil otherwise); set under the writer lock.
+	capture *gmr.GMR
 }
 
 // NewView creates an empty view with the given key variable names.
@@ -34,6 +38,31 @@ func (v *View) Keys() []string { return v.keys }
 
 // Data returns the underlying GMR (live, not a copy).
 func (v *View) Data() *gmr.GMR { return v.data }
+
+// AddEncoded adds a statement's row to the store and, while the view is
+// subscribed, tees it into the capture delta.
+func (v *View) AddEncoded(key []byte, t types.Tuple, m float64) float64 {
+	if v.capture != nil {
+		v.capture.AddEncoded(key, t, m)
+	}
+	return v.data.AddEncoded(key, t, m)
+}
+
+// Merge adds a statement's materialized delta to the store, clearing it
+// first when replace is set; a replacement captures the retraction of the
+// old contents plus the new ones.
+func (v *View) Merge(delta *gmr.GMR, replace bool) {
+	if replace {
+		if v.capture != nil {
+			v.capture.MergeInto(v.data, -1)
+		}
+		v.data.Clear()
+	}
+	v.data.MergeInto(delta, 1)
+	if v.capture != nil {
+		v.capture.MergeInto(delta, 1)
+	}
+}
 
 // probe returns the entries of g whose columns at the given positions equal
 // the given values: a primary lookup when the probe binds the full key in

@@ -10,7 +10,7 @@ import (
 )
 
 // CompileError reports an expression shape the compiler does not lower; the
-// engine runs the statement through the interpreter instead.
+// statement runs through the interpreter instead.
 type CompileError struct {
 	Msg string
 }
@@ -21,21 +21,16 @@ func compilePanic(format string, args ...any) {
 	panic(&CompileError{Msg: fmt.Sprintf(format, args...)})
 }
 
-// compiler carries the static state of one statement compilation: the slot
-// assignment (one register per variable name — sound because a variable is
-// only ever written where it is statically unbound, and every read on a
-// pipeline path is dominated by the write that bound it) and the scratch
-// buffer layout of the machine.
+// compiler carries the static state of one program's compilation: the slot
+// assignment of the statement being lowered (one register per variable name
+// — sound because a variable is only ever written where it is statically
+// unbound, and every read on a pipeline path is dominated by the write that
+// bound it) and the machine layout every statement adds to.
 type compiler struct {
-	slots    map[string]int
-	valSizes []int
-	nScratch int
-	nRanges  int
-	nHandles int
-	// prefills are constant values written into a machine's vals buffers at
-	// machine creation (constant function arguments); the closures never
-	// overwrite those positions.
-	prefills []prefill
+	program
+	slots map[string]int
+	// handleIDs numbers the program's handles by name and probe columns.
+	handleIDs map[string]int
 }
 
 func (c *compiler) slot(name string) int {
@@ -44,28 +39,41 @@ func (c *compiler) slot(name string) int {
 	}
 	s := len(c.slots)
 	c.slots[name] = s
+	c.nRegs = max(c.nRegs, s+1)
 	return s
 }
 
-// CompileStatement lowers one trigger statement — "target[targetKeys] ±=
-// rhs" under trigger arguments args — into an executor. It returns a
-// *CompileError for shapes the compiler does not handle; the caller falls
-// back to the interpreter.
-func CompileStatement(rhs agca.Expr, targetKeys []string, args []string) (x *Executor, err error) {
+// handle returns the id of the machine's handle for name probed on cols.
+func (c *compiler) handle(name string, cols []int) int {
+	key := fmt.Sprint(name, cols)
+	id, ok := c.handleIDs[key]
+	if !ok {
+		id = c.nHandles
+		c.nHandles++
+		c.handleIDs[key] = id
+	}
+	return id
+}
+
+// statement lowers one trigger statement — "target[targetKeys] ±= rhs" under
+// the program's trigger arguments, which occupy the first registers; the
+// statement's own variables take the registers above them. It returns a
+// *CompileError for shapes the compiler does not handle.
+func (c *compiler) statement(rhs agca.Expr, targetKeys []string) (root node, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if ce, ok := r.(*CompileError); ok {
-				x, err = nil, ce
-				return
+			ce, ok := r.(*CompileError)
+			if !ok {
+				panic(r)
 			}
-			panic(r)
+			err = ce
 		}
 	}()
-	c := &compiler{slots: map[string]int{}}
-	for _, a := range args {
+	c.slots = make(map[string]int, len(c.args))
+	for _, a := range c.args {
 		c.slot(a)
 	}
-	bound := agca.NewVarSet(args...)
+	bound := agca.NewVarSet(c.args...)
 	// Every target key must be statically bound after the pipeline: either a
 	// trigger argument or an output variable of the RHS. (The interpreter
 	// additionally tolerates missing key columns when the result is empty;
@@ -79,18 +87,57 @@ func CompileStatement(rhs agca.Expr, targetKeys []string, args []string) (x *Exe
 		}
 		keySlots[i] = c.slot(k)
 	}
-	root := c.compile(rhs, bound, emit(keySlots))
-	return &Executor{
-		root:     root,
-		nArgs:    len(args),
-		nRegs:    len(c.slots),
-		valSizes: c.valSizes,
-		nScratch: c.nScratch,
-		nRanges:  c.nRanges,
-		nHandles: c.nHandles,
-		keySlots: keySlots,
-		prefills: c.prefills,
-	}, nil
+	return c.compile(rhs, bound, emit(keySlots)), nil
+}
+
+// CompileTrigger lowers a trigger's statements, in order, into one program
+// over trigger arguments args, with each statement's sink fixed: statements
+// whose shape does not lower (and those marked Interpret) run through the
+// interpreter inside the same program.
+func CompileTrigger(stmts []Stmt, args []string) *Trigger {
+	c := &compiler{program: program{args: args, nRegs: len(args)}, handleIDs: map[string]int{}}
+	for _, s := range stmts {
+		var st step
+		if !s.Interpret {
+			root, err := c.statement(s.RHS, s.TargetKeys)
+			st = step{run: root, compiled: err == nil}
+		}
+		if !st.compiled {
+			st.run = interpret(s.RHS, s.TargetKeys, args)
+		}
+		c.steps = append(c.steps, st)
+		c.nKey = max(c.nKey, len(s.TargetKeys))
+	}
+	p := &c.program
+	m := p.newMachine()
+	for i, s := range stmts {
+		sk := &m.sinks[i]
+		switch {
+		case s.Target == nil:
+			p.steps[i].run = func(*machine, float64) {
+				panic(&agca.EvalError{Msg: "statement has no target map"})
+			}
+		case s.Replace || s.ReadsTarget && p.steps[i].compiled:
+			sk.scratch = gmr.New(types.Schema(s.Target.Keys()))
+			sk.acc, sk.target, sk.replace = sk.scratch, s.Target, s.Replace
+		default:
+			sk.acc = s.Target
+		}
+	}
+	return &Trigger{p: p, m: m}
+}
+
+// CompileStatement lowers one trigger statement — "target[targetKeys] ±=
+// rhs" under trigger arguments args — into an executor. It returns a
+// *CompileError for shapes the compiler does not handle.
+func CompileStatement(rhs agca.Expr, targetKeys []string, args []string) (*Executor, error) {
+	c := &compiler{program: program{args: args, nRegs: len(args)}, handleIDs: map[string]int{}}
+	root, err := c.statement(rhs, targetKeys)
+	if err != nil {
+		return nil, err
+	}
+	c.steps, c.nKey = []step{{run: root, compiled: true}}, len(targetKeys)
+	return &Executor{p: &c.program}, nil
 }
 
 // compile lowers e, evaluated with the variables in bound already carrying
@@ -277,8 +324,7 @@ func (c *compiler) compileAtom(name string, vars []string, bound agca.VarSet, ne
 		a.writePos = append(a.writePos, i)
 	}
 	if len(a.probeCols) > 0 {
-		a.handle = c.nHandles
-		c.nHandles++
+		a.handle = c.handle(name, a.probeCols)
 	}
 	return a.run
 }

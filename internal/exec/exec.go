@@ -1,23 +1,26 @@
-// Package exec compiles trigger-statement right-hand sides (AGCA
-// expressions) into closure-based executors, replacing the tree-walking
-// interpreter on the per-event hot path.
+// Package exec compiles triggers into closure programs, replacing the
+// tree-walking interpreter on the per-event hot path.
 //
-// A statement is compiled once into a static pipeline of node closures over a
-// small register machine: every variable gets a fixed slot, relation and map
-// atoms resolve their schema positions and probe columns at compile time and
-// bind their access path (agca.Binder) on a machine's first run, constants,
-// comparisons and lifted scalars fold into scalar closures with no
-// intermediate GMRs, and results are emitted as keyed adds into a
-// caller-supplied accumulator through a reused key buffer. The pipeline is
-// push-based with sideways information passing, mirroring the interpreter's
-// product semantics: each factor's closure binds its output slots and invokes
-// the next factor once per matching row, so per-event work is proportional to
-// the delta, not to interpreter overhead.
+// CompileTrigger lowers a trigger's statements, in order, into one program
+// over one register machine, as the paper's compiler emits one function per
+// trigger. The trigger arguments fill the first registers once per event;
+// each statement's variables get fixed slots above them, and the statements'
+// regions overlap, since they run in order and write every local before
+// reading it. Atoms resolve schema positions and probe columns at compile
+// time and share one handle per (name, probe columns), bound (agca.Binder) on
+// the machine's first run; scalars fold into closures with no intermediate
+// GMRs; one key buffer serves every probe and emission. The pipeline pushes
+// rows with sideways information passing, mirroring the interpreter's
+// product semantics, so per-event work follows the delta.
 //
-// Expressions the compiler cannot lower (union-incompatible sums, scalar
-// subqueries with statically unbound outputs, ...) report a compile error and
-// the engine falls back to the interpreter for that statement, keeping the
-// two executors result-equivalent by construction.
+// A statement's sink is fixed at compile time: an increment that does not
+// read its target emits straight into it, anything else into a scratch delta
+// the target merges after the statement. One recover per event turns the
+// interpreter's *agca.EvalError panics into an error naming the statement. A
+// statement the compiler cannot lower (union-incompatible sums, scalar
+// subqueries with unbound outputs, ...) is an interpreted step of the same
+// program. CompileStatement is the one-statement case, emitting into an
+// accumulator chosen per run.
 package exec
 
 import (
@@ -30,12 +33,36 @@ import (
 )
 
 // Accum receives the rows an executor emits: keyed multiplicity adds.
-// *gmr.GMR implements it (the engine emits straight into a view's store, or
-// into a scratch delta). The key bytes and the tuple are only valid during
+// *gmr.GMR implements it. The key bytes and the tuple are only valid during
 // the call; implementations must copy what they retain (gmr.AddEncoded
 // clones the tuple on insert).
 type Accum interface {
 	AddEncoded(key []byte, t types.Tuple, m float64) float64
+}
+
+// Target is a statement's destination in a compiled trigger: a map whose
+// key variables are Keys. Rows are added to it directly, or materialized
+// into a scratch delta over Keys that Merge then adds whole (clearing the
+// target first when replace is set).
+type Target interface {
+	Accum
+	Keys() []string
+	Merge(delta *gmr.GMR, replace bool)
+}
+
+// Stmt is one trigger statement as CompileTrigger takes it:
+// "Target[TargetKeys] += RHS", or ":=" when Replace is set.
+type Stmt struct {
+	RHS        agca.Expr
+	TargetKeys []string
+	Target     Target
+	Replace    bool
+	// ReadsTarget marks a right-hand side that reads its own target: its
+	// compiled rows are materialized before they reach the target.
+	ReadsTarget bool
+	// Interpret runs the statement through the interpreter (agca.Eval)
+	// instead of lowering it.
+	Interpret bool
 }
 
 // node is one stage of the compiled pipeline: it receives the multiplicity
@@ -47,11 +74,39 @@ type node func(m *machine, mult float64)
 // scalar is a compiled scalar expression evaluated over the register slots.
 type scalar func(m *machine) types.Value
 
-// machine is the mutable per-run state of an executor: the variable register
-// file, scratch buffers for probe values, emission keys and materialization
-// tables, and the run's database and accumulator. Machines are pooled per
-// executor; an executor itself is immutable and safe for concurrent Run calls
-// (each run draws its own machine).
+// program is a compiled sequence of statements over one register layout.
+// It is immutable; the mutable state of a run lives in a machine.
+type program struct {
+	args     []string
+	steps    []step
+	nRegs    int
+	nKey     int // the widest target key
+	valSizes []int
+	nScratch int
+	nRanges  int
+	nHandles int
+	prefills []prefill
+}
+
+// step is one statement of a program: its pipeline or interpreter call.
+type step struct {
+	run      node
+	compiled bool
+}
+
+// sink is where one step's rows go: acc, which is the target itself or, when
+// scratch is set, the scratch delta that target merges after the step.
+type sink struct {
+	acc     Accum
+	scratch *gmr.GMR
+	target  Target
+	replace bool
+}
+
+// machine is the mutable state of a program: the register file, scratch
+// buffers for probe values, emission keys and materialization tables, the
+// sinks, and the current run's database and accumulator. A Trigger owns one
+// machine; an Executor pools them (each concurrent run draws its own).
 type machine struct {
 	regs []types.Value
 	// vals holds one value buffer per function call and Exists node.
@@ -61,24 +116,29 @@ type machine struct {
 	// after use, so steady-state materialization allocates nothing.
 	scratch []*gmr.GMR
 	// ranges holds one sorted snapshot per range-sum site (rangesum.go), built
-	// on a site's first evaluation in a run and dropped when the run ends.
+	// on a site's first evaluation in a statement and dropped after it.
 	ranges []rangeSum
 	// keyBuf is the shared key-encoding buffer. Uses never span a downstream
 	// call: every node builds its key, consumes it, and returns before pushing
-	// rows further, so one buffer serves all nodes of the pipeline.
+	// rows further, so one buffer serves all nodes of the program.
 	keyBuf   []byte
 	keyTuple types.Tuple
 	// scalarAcc accumulates the multiplicity sum of a scalar subquery; nested
 	// subqueries save and restore it.
 	scalarAcc float64
+	// env binds the trigger arguments for interpreted steps; envSet marks
+	// it filled for the current run.
+	env    types.Env
+	envSet bool
 
-	db  agca.Database
-	acc Accum
+	sinks []sink
+	db    agca.Database
+	acc   Accum
 	// binder is the database the handles were bound against (nil when the
-	// run's database does not bind); handles[i] is the i-th probing atom's
-	// handle, nil until that atom first runs. Both outlive a run, so a
-	// machine reused against the same database binds each atom once; a run
-	// against another database drops them.
+	// run's database does not bind); handles[i] is the program's i-th
+	// (name, probe columns) handle, nil until an atom first probes it. Both
+	// outlive a run, so a machine reused against the same database binds each
+	// access path once; a run against another database drops them.
 	binder  agca.Binder
 	handles []agca.Handle
 }
@@ -91,35 +151,13 @@ type prefill struct {
 	val    types.Value
 }
 
-// Executor is one compiled statement: run it once per event.
-type Executor struct {
-	root     node
-	nArgs    int
-	nRegs    int
-	valSizes []int
-	nScratch int
-	nRanges  int
-	nHandles int
-	keySlots []int
-	prefills []prefill
-	pool     sync.Pool
-}
-
-// MachineCache holds one machine for a single-threaded caller (the engine's
-// sequential Apply path keeps one per statement), avoiding the sync.Pool
-// round trip of Run. A cache belongs to the executor that first populated it
-// and must not be used concurrently.
-type MachineCache struct {
-	m *machine
-}
-
-// newMachine allocates a machine for the executor. The registers, the
+// newMachine allocates a machine for the program. The registers, the
 // emission key and every probe-value buffer share one backing array, and the
-// key buffer grows on first use: the engine keeps a machine per statement, so
+// key buffer grows on first use: the engine keeps a machine per trigger, so
 // their size is part of every engine's resident heap.
-func (x *Executor) newMachine() *machine {
-	n := x.nRegs + len(x.keySlots)
-	for _, s := range x.valSizes {
+func (p *program) newMachine() *machine {
+	n := p.nRegs + p.nKey
+	for _, s := range p.valSizes {
 		n += s
 	}
 	backing := make([]types.Value, n)
@@ -129,75 +167,47 @@ func (x *Executor) newMachine() *machine {
 		return v
 	}
 	m := &machine{
-		regs:     take(x.nRegs),
-		keyTuple: take(len(x.keySlots)),
-		vals:     make([][]types.Value, len(x.valSizes)),
-		scratch:  make([]*gmr.GMR, x.nScratch),
-		ranges:   make([]rangeSum, x.nRanges),
-		handles:  make([]agca.Handle, x.nHandles),
+		regs:     take(p.nRegs),
+		keyTuple: take(p.nKey),
+		vals:     make([][]types.Value, len(p.valSizes)),
+		scratch:  make([]*gmr.GMR, p.nScratch),
+		ranges:   make([]rangeSum, p.nRanges),
+		handles:  make([]agca.Handle, p.nHandles),
+		sinks:    make([]sink, len(p.steps)),
 	}
-	for i, s := range x.valSizes {
+	for i, s := range p.valSizes {
 		m.vals[i] = take(s)
 	}
-	for _, p := range x.prefills {
-		m.vals[p.valsID][p.idx] = p.val
+	for _, pf := range p.prefills {
+		m.vals[pf.valsID][pf.idx] = pf.val
 	}
 	return m
 }
 
-// Run executes the compiled statement: args is the event tuple (one value per
-// trigger argument, in trigger-argument order), db provides the relations and
-// materialized maps the statement reads, and every result row is added into
-// acc keyed by the statement's target keys. acc must not be a relation the
-// statement reads: rows are emitted while the pipeline is still scanning, and a
-// range-sum site's sorted snapshot (rangesum.go) is taken once per run. (The
-// engine emits straight into a view only when the right-hand side does not
-// read it.) Semantic errors (the interpreter's *agca.EvalError panics) are
-// returned as errors. Run is safe for concurrent use as far as db is (an
-// engine belongs to its write side; a snapshot takes any number of readers);
-// each call draws a pooled machine.
-func (x *Executor) Run(db agca.Database, args types.Tuple, acc Accum) error {
-	m, _ := x.pool.Get().(*machine)
-	if m == nil {
-		m = x.newMachine()
+// run executes steps [lo, hi) for one event under one recover: args fill the
+// argument registers once, and a semantic error (the interpreter's
+// *agca.EvalError panics) stops the run and is returned with the index of
+// the step that raised it. Steps before it stay applied.
+func (p *program) run(m *machine, db agca.Database, args types.Tuple, lo, hi int) (at int, err error) {
+	if len(args) != len(p.args) {
+		return lo, fmt.Errorf("exec: event carries %d values, executor expects %d", len(args), len(p.args))
 	}
-	err := x.runWith(m, db, args, acc)
-	x.pool.Put(m)
-	return err
-}
-
-// RunCached is Run drawing its machine from the caller-owned cache instead
-// of the pool. Not safe for concurrent use of the same cache.
-func (x *Executor) RunCached(c *MachineCache, db agca.Database, args types.Tuple, acc Accum) error {
-	if c.m == nil {
-		c.m = x.newMachine()
-	}
-	return x.runWith(c.m, db, args, acc)
-}
-
-func (x *Executor) runWith(m *machine, db agca.Database, args types.Tuple, acc Accum) (err error) {
-	if len(args) != x.nArgs {
-		return fmt.Errorf("exec: event carries %d values, executor expects %d", len(args), x.nArgs)
-	}
-	m.db = db
-	if x.nHandles > 0 {
+	m.db, m.envSet = db, false
+	if p.nHandles > 0 {
 		if b, _ := db.(agca.Binder); b != m.binder {
 			m.binder = b
 			clear(m.handles)
 		}
 	}
-	m.acc = acc
-	// Trigger arguments occupy slots 0..nArgs-1 by construction.
-	copy(m.regs[:x.nArgs], args)
+	copy(m.regs, args)
 	defer func() {
 		m.db, m.acc = nil, nil
-		for i := range m.ranges {
-			m.ranges[i] = rangeSum{}
-		}
 		if r := recover(); r != nil {
-			// A panic mid-pipeline can leave materialization scratch tables
-			// partially filled (their nodes reset them only on normal exit);
-			// scrub them so the reused machine starts clean.
+			// A panic mid-pipeline can leave range snapshots built and
+			// materialization scratch tables partially filled (their nodes
+			// reset them only on normal exit); scrub them so the reused
+			// machine starts clean.
+			clear(m.ranges)
 			for _, sm := range m.scratch {
 				if sm != nil {
 					sm.Reset()
@@ -210,8 +220,67 @@ func (x *Executor) runWith(m *machine, db agca.Database, args types.Tuple, acc A
 			panic(r)
 		}
 	}()
-	x.root(m, 1)
-	return nil
+	for at = lo; at < hi; at++ {
+		sk := &m.sinks[at]
+		m.acc = sk.acc
+		if sk.scratch != nil {
+			sk.scratch.Reset()
+		}
+		p.steps[at].run(m, 1)
+		clear(m.ranges)
+		if sk.scratch != nil {
+			sk.target.Merge(sk.scratch, sk.replace)
+		}
+	}
+	return at, nil
+}
+
+// Trigger is a trigger's statements compiled into one program with one
+// machine and fixed sinks. It belongs to one goroutine (the engine's
+// writer).
+type Trigger struct {
+	p *program
+	m *machine
+}
+
+// Run executes statements [lo, hi) of the trigger for one event tuple (one
+// value per trigger argument) against db. On a semantic error it returns the
+// index of the failing statement; the statements before it stay applied.
+func (t *Trigger) Run(db agca.Database, args types.Tuple, lo, hi int) (int, error) {
+	return t.p.run(t.m, db, args, lo, hi)
+}
+
+// Compiled reports whether statement i was lowered (false: it runs through
+// the interpreter).
+func (t *Trigger) Compiled(i int) bool { return t.p.steps[i].compiled }
+
+// Executor is one compiled statement emitting into an accumulator chosen per
+// run: the one-statement case of a Trigger. It is immutable and safe for
+// concurrent Run calls (each run draws a pooled machine).
+type Executor struct {
+	p    *program
+	pool sync.Pool
+}
+
+// Run executes the compiled statement: args is the event tuple (one value per
+// trigger argument, in trigger-argument order), db provides the relations and
+// materialized maps the statement reads, and every result row is added into
+// acc keyed by the statement's target keys. acc must not be a relation the
+// statement reads: rows are emitted while the pipeline is still scanning, and a
+// range-sum site's sorted snapshot (rangesum.go) is taken once per run.
+// Semantic errors (the interpreter's *agca.EvalError panics) are returned as
+// errors. Run is safe for concurrent use as far as db is (an engine belongs
+// to its write side; a snapshot takes any number of readers).
+func (x *Executor) Run(db agca.Database, args types.Tuple, acc Accum) error {
+	m, _ := x.pool.Get().(*machine)
+	if m == nil {
+		m = x.p.newMachine()
+	}
+	m.sinks[0].acc = acc
+	_, err := x.p.run(m, db, args, 0, 1)
+	m.sinks[0].acc = nil
+	x.pool.Put(m)
+	return err
 }
 
 // emit builds the final emission node reading the target-key slots.
@@ -220,10 +289,54 @@ func emit(keySlots []int) node {
 		if mult == 0 {
 			return
 		}
+		key := m.keyTuple[:len(keySlots)]
 		for i, s := range keySlots {
-			m.keyTuple[i] = m.regs[s]
+			key[i] = m.regs[s]
 		}
-		m.keyBuf = m.keyTuple.AppendKey(m.keyBuf[:0])
-		m.acc.AddEncoded(m.keyBuf, m.keyTuple, mult)
+		m.keyBuf = key.AppendKey(m.keyBuf[:0])
+		m.acc.AddEncoded(m.keyBuf, key, mult)
+	}
+}
+
+// interpret builds the step of a statement the compiler does not lower: the
+// interpreter evaluates the right-hand side under the trigger arguments, and
+// every result row is emitted keyed by the target keys, read from the
+// arguments or from the result's columns.
+func interpret(rhs agca.Expr, targetKeys, args []string) node {
+	return func(m *machine, _ float64) {
+		if !m.envSet {
+			if m.env == nil {
+				m.env = make(types.Env, len(args))
+			}
+			for i, a := range args {
+				m.env[a] = m.regs[i]
+			}
+			m.envSet = true
+		}
+		res := agca.Eval(rhs, m.db, m.env)
+		key := m.keyTuple[:len(targetKeys)]
+		cols := make([]int, len(targetKeys))
+		for i, k := range targetKeys {
+			cols[i] = -1
+			if v, ok := m.env[k]; ok {
+				key[i] = v
+			} else if cols[i] = res.Schema().Index(k); cols[i] < 0 {
+				if res.IsEmpty() {
+					// Nothing to apply; a truncated empty result may not
+					// carry every column.
+					return
+				}
+				panic(&agca.EvalError{Msg: fmt.Sprintf("result lacks key column %q (schema %v)", k, res.Schema())})
+			}
+		}
+		res.Foreach(func(t types.Tuple, mult float64) {
+			for i, c := range cols {
+				if c >= 0 {
+					key[i] = t[c]
+				}
+			}
+			m.keyBuf = key.AppendKey(m.keyBuf[:0])
+			m.acc.AddEncoded(m.keyBuf, key, mult)
+		})
 	}
 }

@@ -214,3 +214,50 @@ func TestRunArityMismatch(t *testing.T) {
 		t.Fatal("expected an arity error")
 	}
 }
+
+// TestTriggerRunsInterpretedSteps runs a trigger whose middle statement does
+// not lower (its target key is neither an argument nor an output, which the
+// interpreter tolerates only on an empty result): it runs as an interpreted
+// step of the same program, between two compiled ones. With a non-empty
+// result the same step fails, and Run names it while the statement before it
+// stays applied and the one after it does not run.
+func TestTriggerRunsInterpretedSteps(t *testing.T) {
+	db := testDB()
+	for _, tc := range []struct {
+		name    string
+		middle  agca.Expr
+		wantErr bool
+	}{
+		{"empty result", agca.C(0), false},
+		{"missing key column", agca.C(1), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first, last := gmr.New(types.Schema{"a", "y"}), gmr.New(types.Schema{"a"})
+			x := exec.CompileTrigger([]exec.Stmt{
+				{RHS: agca.R("R", "a", "y"), TargetKeys: []string{"a", "y"}, Target: mapTarget{first}},
+				{RHS: tc.middle, TargetKeys: []string{"k"}, Target: mapTarget{gmr.New(types.Schema{"k"})}},
+				{RHS: agca.V("a"), TargetKeys: []string{"a"}, Target: mapTarget{last}},
+			}, []string{"a"})
+			if !x.Compiled(0) || x.Compiled(1) || !x.Compiled(2) {
+				t.Fatalf("compiled = %v %v %v, want true false true", x.Compiled(0), x.Compiled(1), x.Compiled(2))
+			}
+			at, err := x.Run(db, types.Tuple{types.Int(1)}, 0, 3)
+			if tc.wantErr {
+				if err == nil || at != 1 || !strings.Contains(err.Error(), "key column") {
+					t.Fatalf("Run = %d, %v; want statement 1 to fail on its key column", at, err)
+				}
+				if first.Len() != 2 || last.Len() != 0 {
+					t.Fatalf("statement 0 left %v, statement 2 left %v: want 0 applied and 2 not run", first, last)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := interpDelta(t, agca.R("R", "a", "y"), []string{"a", "y"}, []string{"a"}, types.Tuple{types.Int(1)}, db)
+			if !gmr.Equal(want, first, 1e-9) || last.Get(types.Tuple{types.Int(1)}) != 1 {
+				t.Fatalf("statement 0 left %v (want %v), statement 2 left %v", first, want, last)
+			}
+		})
+	}
+}

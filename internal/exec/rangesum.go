@@ -9,7 +9,7 @@ import (
 	"dbtoaster/internal/types"
 )
 
-// rangeSum is one run's sorted snapshot of a relation for a range-sum site:
+// rangeSum is one statement's sorted snapshot of a relation for a range-sum site:
 // the entries ordered on the compared column with the running multiplicity
 // totals the site's operator needs, so that each evaluation of
 // Sum[](M[k…] * {k_i ⋚ e}) is a binary search instead of a scan of M.
@@ -75,10 +75,10 @@ func (rs *rangeSum) build(m *machine, name string, arity, col int, above bool) {
 
 // compileRangeSum recognizes the scalar shape Sum[](M[k…] * {k_i ⋚ e}) — every
 // key of M distinct and unbound, e a value over bound variables — and lowers
-// it to a lookup in the run's sorted snapshot of M, built on the first
-// evaluation of a run and dropped when the run ends. Within a run the
-// statement's reads are stable (the engine never emits into a map the
-// right-hand side reads), so the snapshot equals what each scan would see.
+// it to a lookup in a sorted snapshot of M, built on the first evaluation in
+// a statement and dropped after it. Within a statement its reads are stable
+// (no statement emits into a map its right-hand side reads), so the snapshot
+// equals what each scan would see.
 // The nested aggregates of the order-book queries ("volume above this price")
 // have this shape and are evaluated once per row of the outer loop.
 func (c *compiler) compileRangeSum(e agca.Expr, bound agca.VarSet) (scalar, bool) {

@@ -83,28 +83,44 @@ func TestRangeSumMatchesScan(t *testing.T) {
 	}
 }
 
+// mapTarget is an exec.Target over a bare store.
+type mapTarget struct{ *gmr.GMR }
+
+func (t mapTarget) Keys() []string { return t.Schema() }
+
+func (t mapTarget) Merge(delta *gmr.GMR, replace bool) {
+	if replace {
+		t.Clear()
+	}
+	t.MergeInto(delta, 1)
+}
+
 // TestRangeSumSnapshotIsPerRun checks that the sorted snapshot does not
-// outlive the run that built it: the same executor, run again after the map
-// changed, sees the change.
+// outlive the statement that built it: a trigger whose first statement adds
+// a level and whose second re-evaluates the range tail over the levels, run
+// event after event on its one machine, sees every level added so far,
+// including the one added earlier in the same run.
 func TestRangeSumSnapshotIsPerRun(t *testing.T) {
 	book := gmr.New(types.Schema{"P"})
 	levels := gmr.New(types.Schema{"P", "TAG"})
+	out := gmr.New(types.Schema{"p"})
 	db := agca.MapDB{"BOOK": book, "LEVELS": levels}
 	rhs := rangeTail(agca.OpGt, true)
-	x, err := exec.CompileStatement(rhs, []string{"p"}, nil)
-	if err != nil {
-		t.Fatal(err)
+	x := exec.CompileTrigger([]exec.Stmt{
+		{RHS: agca.V("lm"), TargetKeys: []string{"lp", "ltag"}, Target: mapTarget{levels}},
+		{RHS: rhs, TargetKeys: []string{"p"}, Target: mapTarget{out}, Replace: true},
+	}, []string{"lp", "ltag", "lm"})
+	if !x.Compiled(0) || !x.Compiled(1) {
+		t.Fatal("the trigger's statements do not lower")
 	}
-	var cache exec.MachineCache
 	for step := int64(1); step <= 4; step++ {
 		book.Add(types.Tuple{types.Int(step)}, 1)
-		levels.Add(types.Tuple{types.Int(step + 1), types.Int(0)}, float64(step))
-		got := gmr.New(types.Schema{"p"})
-		if err := x.RunCached(&cache, db, nil, got); err != nil {
+		ev := types.Tuple{types.Int(step + 1), types.Int(0), types.Int(step)}
+		if _, err := x.Run(db, ev, 0, 2); err != nil {
 			t.Fatal(err)
 		}
-		if want := interpDelta(t, rhs, []string{"p"}, nil, nil, db); !gmr.Equal(want, got, 1e-9) {
-			t.Fatalf("step %d: stale snapshot\ninterp:   %v\ncompiled: %v", step, want, got)
+		if want := interpDelta(t, rhs, []string{"p"}, nil, nil, db); !gmr.Equal(want, out, 1e-9) {
+			t.Fatalf("step %d: stale snapshot\ninterp:   %v\ncompiled: %v", step, want, out)
 		}
 	}
 }

@@ -189,7 +189,16 @@ func checkEvent(tp *triggerPlan, ev *Event) error {
 // A durable engine logs the window as one record; a served engine publishes
 // one epoch per window, so snapshot readers and subscribers observe window
 // boundaries, never a half-applied window.
-func (e *Engine) ApplyBatch(b *Batch) error {
+func (e *Engine) ApplyBatch(b *Batch) error { return e.commit(b, true) }
+
+// commit applies one commit unit — a single Apply event (batch false) or a
+// whole ApplyBatch window — in order: check every event, log the unit as one
+// record, run its relation groups, publish one epoch, and start a checkpoint
+// if one is due. An event its trigger rejects is caught before anything is
+// logged, so it cannot fail a later Recover; an append error means the unit
+// was not committed, and none of it runs. A served engine runs and publishes
+// under e.mu, so readers observe unit boundaries only.
+func (e *Engine) commit(b *Batch, batch bool) error {
 	for i := range b.groups {
 		g := &b.groups[i]
 		plan := e.planFor(g.relation)
@@ -203,27 +212,25 @@ func (e *Engine) ApplyBatch(b *Batch) error {
 		}
 	}
 	if e.dur != nil {
-		// Durable engines log the whole window as one record ahead of
-		// executing it (durable.go) — group commit at batch granularity.
-		return e.applyBatchDurable(b)
+		if err := e.dur.append(batch, b.events); err != nil {
+			return err
+		}
 	}
-	return e.applyBatchLogged(b)
+	if err := e.runUnit(b); err != nil || e.dur == nil {
+		return err
+	}
+	return e.dur.maybeCheckpoint(e)
 }
 
-// applyBatchLogged is ApplyBatch after the durability tee (or without one).
-func (e *Engine) applyBatchLogged(b *Batch) error {
-	if !e.serveActive.Load() {
-		return e.applyBatchGroups(b)
+// runUnit runs a checked unit's relation groups. A served engine runs them
+// under e.mu, released even if a statement panics, and publishes one epoch
+// after them, also when a statement fails partway.
+func (e *Engine) runUnit(b *Batch) error {
+	if e.serveActive.Load() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		defer e.publishLocked()
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer e.publishLocked()
-	return e.applyBatchGroups(b)
-}
-
-// applyBatchGroups runs a checked batch's relation groups; in serving mode
-// callers hold e.mu.
-func (e *Engine) applyBatchGroups(b *Batch) error {
 	for i := range b.groups {
 		g := &b.groups[i]
 		plan := e.planFor(g.relation)
@@ -239,12 +246,20 @@ func (e *Engine) applyBatchGroups(b *Batch) error {
 	return nil
 }
 
+// reset makes b the one-event window of ev, reusing b's storage.
+func (b *Batch) reset(ev Event) *Batch {
+	b.events = append(b.events[:0], ev)
+	b.groups = append(b.small[:0], eventGroup{relation: ev.Relation, hi: 1})
+	return b
+}
+
 // applyGroup runs one relation's events through their triggers in stream
 // order. In a BatchReevalTail group each event runs only its increments, and
 // the tail runs once after the last of them: the tails of both directions are
 // identical and read no trigger argument, and no increment reads a map they
 // replace, so that one run leaves exactly the maps the last event's tail
-// would have left.
+// would have left. A one-event group therefore runs the increments and then
+// the tail: the whole trigger, statement for statement.
 func (e *Engine) applyGroup(plan *relationPlan, events []Event) error {
 	deferTail := plan.class == trigger.BatchReevalTail
 	var tail *triggerPlan
@@ -261,10 +276,13 @@ func (e *Engine) applyGroup(plan *relationPlan, events []Event) error {
 			end = tp.incEnd
 			tail, tailArgs = tp, ev.Tuple
 		}
+		n++
 		if err := e.runTrigger(tp, ev.Tuple, 0, end); err != nil {
+			// The failing event is partly applied: it counts, so the epoch
+			// clock moves with the state, as on Apply's unserved path.
+			e.countEvents(uint64(n))
 			return err
 		}
-		n++
 	}
 	e.countEvents(uint64(n))
 	if tail != nil {

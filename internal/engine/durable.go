@@ -14,13 +14,14 @@ import (
 // This file wires the write-ahead log and checkpointer (package wal) into the
 // engine's write side.
 //
-// With durability armed (SetDurability), every Apply/ApplyBatch tees its
-// events through the log ahead of execution: the record is appended (and, per
-// sync policy, fsynced) first, and only then executed — so any state a crash
-// can lose is state the log can replay, and any event the log rejects is an
-// event the views never saw. Every stream event is logged, including events
-// on relations the program ignores, so the logged-event count (the LSN) maps
-// one-to-one onto a prefix of the input stream.
+// With durability armed (SetDurability), every commit unit — an Apply event
+// or an ApplyBatch window, both through Engine.commit — is logged ahead of
+// execution: the record is appended (and, per sync policy, fsynced) first,
+// and only then executed — so any state a crash can lose is state the log
+// can replay, and any event the log rejects is an event the views never saw.
+// Every stream event is logged, including events on relations the program
+// ignores, so the logged-event count (the LSN) maps one-to-one onto a prefix
+// of the input stream.
 //
 // Checkpoints bound replay: every CheckpointEvery logged events, the writer
 // pins a snapshot (Engine.Acquire — O(#views)), rotates the log segment, and
@@ -116,8 +117,6 @@ type durability struct {
 	// surface it.
 	errMu sync.Mutex
 	err   error
-	// evBuf is the writer-thread scratch for converting a batch's events.
-	evBuf []wal.Event
 }
 
 func (d *durability) setErr(err error) {
@@ -182,57 +181,16 @@ func (e *Engine) LogNextLSN() uint64 {
 	return e.dur.log.NextLSN()
 }
 
-// applyDurable is Apply with the write-ahead tee: check, log (per the sync
-// policy), execute, then checkpoint if due. An event its trigger rejects is
-// never logged, so it cannot fail a later Recover; an append error means the
-// event was not committed and is not executed.
-func (e *Engine) applyDurable(ev Event) error {
-	d := e.dur
+// append logs one commit unit's events as one record (and, per the sync
+// policy, fsyncs it) ahead of running them, first surfacing a failed
+// background checkpoint. A window is logged in the batch's grouped order,
+// which NewBatch regenerates identically on replay.
+func (d *durability) append(batch bool, events []Event) error {
 	if err := d.takeErr(); err != nil {
 		return fmt.Errorf("engine: checkpoint failed: %w", err)
 	}
-	plan := e.planFor(ev.Relation)
-	if plan != nil {
-		if err := checkEvent(plan.triggerFor(&ev), &ev); err != nil {
-			return err
-		}
-	}
-	d.evBuf = append(d.evBuf[:0], wal.Event{Relation: ev.Relation, Insert: ev.Insert, Tuple: ev.Tuple})
-	if _, err := d.log.Append(false, d.evBuf); err != nil {
-		return err
-	}
-	if e.serveActive.Load() {
-		if err := e.applyServing(ev); err != nil {
-			return err
-		}
-	} else if plan != nil {
-		if err := e.applyPlanned(plan, &ev, false); err != nil {
-			return err
-		}
-	}
-	return d.maybeCheckpoint(e)
-}
-
-// applyBatchDurable is ApplyBatch's write-ahead tee for a checked window: the
-// whole window is one record and (under per-commit sync) one fsync — group
-// commit at batch granularity. Events are logged in the batch's grouped
-// order, which NewBatch regenerates identically on replay.
-func (e *Engine) applyBatchDurable(b *Batch) error {
-	d := e.dur
-	if err := d.takeErr(); err != nil {
-		return fmt.Errorf("engine: checkpoint failed: %w", err)
-	}
-	d.evBuf = d.evBuf[:0]
-	for _, ev := range b.events {
-		d.evBuf = append(d.evBuf, wal.Event{Relation: ev.Relation, Insert: ev.Insert, Tuple: ev.Tuple})
-	}
-	if _, err := d.log.Append(true, d.evBuf); err != nil {
-		return err
-	}
-	if err := e.applyBatchLogged(b); err != nil {
-		return err
-	}
-	return d.maybeCheckpoint(e)
+	_, err := d.log.Append(batch, events)
+	return err
 }
 
 // maybeCheckpoint starts a checkpoint when enough events were logged since
@@ -241,7 +199,7 @@ func (d *durability) maybeCheckpoint(e *Engine) error {
 	if d.opts.CheckpointEvery == 0 || d.log.NextLSN()-d.lastCkpt < d.opts.CheckpointEvery {
 		return nil
 	}
-	return d.checkpoint(e)
+	return d.checkpointWith(e, d.opts.SynchronousCheckpoints)
 }
 
 // Checkpoint forces a checkpoint now (synchronously, regardless of
@@ -255,10 +213,6 @@ func (e *Engine) Checkpoint() error {
 		return err
 	}
 	return d.takeErr()
-}
-
-func (d *durability) checkpoint(e *Engine) error {
-	return d.checkpointWith(e, d.opts.SynchronousCheckpoints)
 }
 
 // CheckpointInfo describes the most recent checkpoint attempt.
@@ -433,11 +387,18 @@ type RecoveryStats struct {
 // Call it on a fresh engine, after LoadStatic/Init and after configuring the
 // execution mode the original run used — replay re-executes triggers, so
 // recovered state is byte-equal to the original only under the original
-// execution configuration. Arm durability again afterwards with
-// SetDurability to resume logging.
+// execution configuration — and before the first Acquire, Subscribe or
+// serve.New: a serving engine is refused. Arm durability again afterwards
+// with SetDurability to resume logging.
 func (e *Engine) Recover(o DurabilityOptions) (*RecoveryStats, error) {
 	if e.dur != nil {
 		return nil, fmt.Errorf("engine: recover with durability armed")
+	}
+	if e.serveActive.Load() {
+		// Serving mode keeps the event count on the atomic epoch clock and
+		// hands readers frozen views; installing a checkpoint under them would
+		// lose the count and bypass every subscription's capture.
+		return nil, fmt.Errorf("engine: recover on a serving engine (Acquire or Subscribe ran first); recover before serving starts")
 	}
 	if e.Events() != 0 {
 		return nil, fmt.Errorf("engine: recover on a non-fresh engine (%d events applied)", e.Events())
@@ -466,18 +427,11 @@ func (e *Engine) Recover(o DurabilityOptions) (*RecoveryStats, error) {
 	}
 	for _, r := range rec.Records {
 		if r.Batch {
-			events := make([]Event, len(r.Events))
-			for i, ev := range r.Events {
-				events[i] = Event{Relation: ev.Relation, Insert: ev.Insert, Tuple: ev.Tuple}
-			}
-			if err := e.ApplyBatch(NewBatch(events)); err != nil {
+			if err := e.ApplyBatch(NewBatch(r.Events)); err != nil {
 				return nil, fmt.Errorf("engine: replay batch at LSN %d: %w", r.First, err)
 			}
-		} else {
-			ev := r.Events[0]
-			if err := e.Apply(Event{Relation: ev.Relation, Insert: ev.Insert, Tuple: ev.Tuple}); err != nil {
-				return nil, fmt.Errorf("engine: replay event at LSN %d: %w", r.First, err)
-			}
+		} else if err := e.Apply(r.Events[0]); err != nil {
+			return nil, fmt.Errorf("engine: replay event at LSN %d: %w", r.First, err)
 		}
 		stats.ReplayedEvents += uint64(len(r.Events))
 	}

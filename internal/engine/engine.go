@@ -23,6 +23,7 @@ import (
 	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/trigger"
 	"dbtoaster/internal/types"
+	"dbtoaster/internal/wal"
 )
 
 // Engine is an in-memory view maintenance runtime for one compiled trigger
@@ -84,6 +85,9 @@ type Engine struct {
 	plans    map[string]*relationPlan
 	lastRel  string
 	lastPlan *relationPlan
+	// one is the writer-owned one-event Batch a durable or served Apply
+	// commits through, reused so that Apply allocates no window.
+	one Batch
 	// execMode selects compiled executors or the interpreter.
 	execMode ExecMode
 	// dur is the armed durability state (durable.go): non-nil after
@@ -286,27 +290,22 @@ func (e *Engine) Bind(name string, cols []int) agca.Handle {
 	return h
 }
 
-// Event is one single-tuple update of the input stream.
-type Event struct {
-	Relation string
-	Insert   bool
-	Tuple    types.Tuple
-}
+// Event is one single-tuple update of the input stream. It is the log's
+// event type, so a commit unit is logged as it stands and a recovered record
+// replays as it was decoded.
+type Event = wal.Event
 
 // Apply processes one update event through the relation's cached execution
 // plan: the trigger's compiled program binds the tuple to the trigger
-// arguments once and runs every statement, compiled or interpreted. In
-// serving mode a new epoch is published after the event, so snapshot readers
-// and subscribers observe per-event granularity when events are applied one
-// at a time; an engine nobody serves runs the unlocked single-threaded path.
+// arguments once and runs every statement, compiled or interpreted. A durable
+// or served engine commits the event as a one-event unit (commit, batch.go):
+// logged before it runs and, in serving mode, published as its own epoch, so
+// snapshot readers and subscribers observe per-event granularity when events
+// are applied one at a time. An engine nobody serves or logs runs the
+// unlocked single-threaded path below.
 func (e *Engine) Apply(ev Event) error {
-	if e.dur != nil {
-		// Durable engines log the event ahead of executing it (durable.go);
-		// the nil check is the only cost on the memory-only path.
-		return e.applyDurable(ev)
-	}
-	if e.serveActive.Load() {
-		return e.applyServing(ev)
+	if e.dur != nil || e.serveActive.Load() {
+		return e.commit(e.one.reset(ev), false)
 	}
 	plan := e.planFor(ev.Relation)
 	if plan == nil {
@@ -314,10 +313,9 @@ func (e *Engine) Apply(ev Event) error {
 		// are ignored, like events the paper's generated engines drop.
 		return nil
 	}
-	// The body below mirrors applyPlanned (the serving and durable paths'
-	// helper) with the serving branches resolved away: Apply is the per-event
-	// hot loop of every single-threaded replay, and the extra call layer is
-	// measurable there.
+	// The body below is commit for a one-event unit with logging and serving
+	// resolved away: Apply is the per-event hot loop of every single-threaded
+	// replay, and the extra call layer is measurable there.
 	tp := plan.triggerFor(&ev)
 	if tp == nil {
 		return nil
@@ -327,39 +325,6 @@ func (e *Engine) Apply(ev Event) error {
 			ev.Relation, len(ev.Tuple), len(tp.trig.Args))
 	}
 	e.eventsPlain++
-	return e.runTrigger(tp, ev.Tuple, 0, len(tp.trig.Stmts))
-}
-
-// applyServing is Apply's serving-mode path: serialized against snapshot
-// acquisition and subscription changes, publishing an epoch after the event.
-func (e *Engine) applyServing(ev Event) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	plan := e.planFor(ev.Relation)
-	if plan == nil {
-		return nil
-	}
-	err := e.applyPlanned(plan, &ev, true)
-	e.publishLocked()
-	return err
-}
-
-// applyPlanned runs one event through its relation plan. In serving mode
-// (serve true), callers hold e.mu and publish the epoch afterwards. Apply's
-// unobserved fast path mirrors this body — keep the two in sync.
-func (e *Engine) applyPlanned(plan *relationPlan, ev *Event, serve bool) error {
-	tp := plan.triggerFor(ev)
-	if tp == nil {
-		return nil
-	}
-	if err := checkEvent(tp, ev); err != nil {
-		return err
-	}
-	if serve {
-		e.events.Add(1)
-	} else {
-		e.eventsPlain++
-	}
 	return e.runTrigger(tp, ev.Tuple, 0, len(tp.trig.Stmts))
 }
 

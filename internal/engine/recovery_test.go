@@ -496,6 +496,109 @@ func TestAppendFailureIsSticky(t *testing.T) {
 	requireByteEqual(t, "recovered", ref, rec)
 }
 
+// TestEveryStreamEventIsLogged pins the logging contract of the commit path:
+// every stream event is logged, events on relations the program ignores
+// included, so the LSN advances for them while Events does not. It holds for
+// Apply and ApplyBatch (a window of ignored events alone too) on a durable
+// engine with and without serving; a served Apply of an ignored event
+// publishes nothing; and Recover reaches the same NextLSN, Events and
+// byte-equal views.
+func TestEveryStreamEventIsLogged(t *testing.T) {
+	spec := mustSpec(t, "Q3")
+	stream := spec.Stream(0.1, 1)[:90]
+	var events []engine.Event
+	for i, ev := range stream {
+		if i%4 == 0 {
+			// No trigger of Q3's program reads PARTSUPP.
+			events = append(events, engine.Event{Relation: "PARTSUPP", Insert: i%8 == 0, Tuple: ev.Tuple})
+		}
+		events = append(events, ev)
+	}
+	ignoredEv := events[0]
+	// Units alternate one Apply with ApplyBatch windows of 2 to 7 events.
+	var units []commitUnit
+	for off, k := 0, 0; off < len(events); k++ {
+		u := commitUnit{batch: k%3 != 0, n: 1}
+		if u.batch {
+			u.n = min(2+k%6, len(events)-off)
+		}
+		units = append(units, u)
+		off += u.n
+	}
+	run := func(t *testing.T, eng *engine.Engine) {
+		t.Helper()
+		off := 0
+		for _, u := range units {
+			if err := applyUnit(eng, events, off, u); err != nil {
+				t.Fatalf("unit at %d: %v", off, err)
+			}
+			off += u.n
+		}
+		if err := eng.ApplyBatch(engine.NewBatch([]engine.Event{ignoredEv, ignoredEv})); err != nil {
+			t.Fatalf("window of ignored events: %v", err)
+		}
+	}
+	ref := newEngineFor(t, spec, compiler.ModeDBToaster)
+	run(t, ref)
+	plain := newEngineFor(t, spec, compiler.ModeDBToaster)
+	applyAll(t, plain, stream)
+	if ref.Events() != plain.Events() {
+		t.Fatalf("ignored events moved Events: %d, %d without them", ref.Events(), plain.Events())
+	}
+	wantLSN := uint64(len(events) + 2)
+	for _, serving := range []bool{false, true} {
+		t.Run(fmt.Sprintf("serving=%v", serving), func(t *testing.T) {
+			ffs := wal.NewFaultFS()
+			eng := newEngineFor(t, spec, compiler.ModeDBToaster)
+			var sub *engine.Subscription
+			if serving {
+				var err error
+				if sub, err = eng.Subscribe("", engine.SubscribeOptions{Buffer: 1024, SkipInitial: true}); err != nil {
+					t.Fatal(err)
+				}
+				defer sub.Cancel()
+			}
+			if err := eng.SetDurability(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs, Sync: wal.SyncEachCommit,
+				CheckpointEvery: 23, SynchronousCheckpoints: true}); err != nil {
+				t.Fatalf("set durability: %v", err)
+			}
+			run(t, eng)
+			if serving {
+				for len(sub.C) > 0 {
+					<-sub.C
+				}
+			}
+			if err := eng.Apply(ignoredEv); err != nil {
+				t.Fatalf("ignored event: %v", err)
+			}
+			if serving {
+				select {
+				case b := <-sub.C:
+					t.Errorf("a served Apply of an ignored event published %+v", b)
+				default:
+				}
+			}
+			if got := eng.LogNextLSN(); got != wantLSN+1 {
+				t.Errorf("logged %d events, want %d", got, wantLSN+1)
+			}
+			requireByteEqual(t, "durable", ref, eng)
+			if err := eng.CloseDurability(); err != nil {
+				t.Fatalf("close durability: %v", err)
+			}
+			rec := newEngineFor(t, spec, compiler.ModeDBToaster)
+			stats, err := rec.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs})
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if !stats.HadCheckpoint || stats.NextLSN != wantLSN+1 || rec.LogNextLSN() != wantLSN+1 {
+				t.Errorf("recovered to LSN %d (checkpoint %v, LogNextLSN %d), want %d from a checkpoint",
+					stats.NextLSN, stats.HadCheckpoint, rec.LogNextLSN(), wantLSN+1)
+			}
+			requireByteEqual(t, "recovered", ref, rec)
+		})
+	}
+}
+
 // TestDurabilityMisuse pins the guard rails: double arming, recovering into a
 // dirty or armed engine, and checkpointing without durability all fail loudly
 // instead of corrupting state.
@@ -529,6 +632,13 @@ func TestDurabilityMisuse(t *testing.T) {
 	}
 	if _, err := eng.Recover(opts); err == nil {
 		t.Error("Recover on a non-fresh engine should fail")
+	}
+	// A serving engine counts events on its epoch clock and hands readers
+	// frozen views, so Recover must come before the first Acquire.
+	served := newEngineFor(t, spec, compiler.ModeDBToaster)
+	served.Acquire()
+	if _, err := served.Recover(opts); err == nil || !strings.Contains(err.Error(), "serving engine") {
+		t.Errorf("Recover on a serving engine: %v, want a refusal naming the serving engine", err)
 	}
 
 	// A directory from a different program must be rejected at load time.

@@ -313,13 +313,18 @@ func TestSlowClient(t *testing.T) {
 		t.Fatal("writer stalled behind the slow client — backpressure contract broken")
 	}
 
-	// The stalled client's buffer overflowed into coalescing, not loss.
+	// The stalled client's buffer overflowed into coalescing, not loss. The
+	// hub may still be draining its engine subscription when the writer
+	// returns, so the count is awaited before it is asserted.
 	var coalesced, delivered uint64
-	for _, st := range srv.StreamStats() {
-		if st.View == view {
-			coalesced, delivered = st.Coalesced, st.Delivered
+	waitFor(t, "coalescing for the stalled client", 10*time.Second, func() bool {
+		for _, st := range srv.StreamStats() {
+			if st.View == view {
+				coalesced, delivered = st.Coalesced, st.Delivered
+			}
 		}
-	}
+		return coalesced > 0
+	})
 	if coalesced == 0 {
 		t.Fatalf("no coalescing recorded for the stalled client (delivered %d) — stall did not bite", delivered)
 	}

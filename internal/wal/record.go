@@ -32,8 +32,7 @@ import (
 // float accumulation orders), so recovery must replay each record the way it
 // was originally committed.
 
-// Event mirrors engine.Event without importing the engine (the engine imports
-// this package). The engine converts at the call boundary.
+// Event is one single-tuple update of the input stream (engine.Event).
 type Event struct {
 	Relation string
 	Insert   bool

@@ -97,14 +97,15 @@ func (c *compiler) statement(rhs agca.Expr, targetKeys []string) (root node, err
 func CompileTrigger(stmts []Stmt, args []string) *Trigger {
 	c := &compiler{program: program{args: args, nRegs: len(args)}, handleIDs: map[string]int{}}
 	for _, s := range stmts {
-		var st step
+		st := step{rangeLo: c.nRanges}
 		if !s.Interpret {
 			root, err := c.statement(s.RHS, s.TargetKeys)
-			st = step{run: root, compiled: err == nil}
+			st.run, st.compiled = root, err == nil
 		}
 		if !st.compiled {
 			st.run = interpret(s.RHS, s.TargetKeys, args)
 		}
+		st.rangeHi = c.nRanges
 		c.steps = append(c.steps, st)
 		c.nKey = max(c.nKey, len(s.TargetKeys))
 	}
@@ -136,7 +137,7 @@ func CompileStatement(rhs agca.Expr, targetKeys []string, args []string) (*Execu
 	if err != nil {
 		return nil, err
 	}
-	c.steps, c.nKey = []step{{run: root, compiled: true}}, len(targetKeys)
+	c.steps, c.nKey = []step{{run: root, compiled: true, rangeHi: c.nRanges}}, len(targetKeys)
 	return &Executor{p: &c.program}, nil
 }
 

@@ -89,9 +89,12 @@ type program struct {
 }
 
 // step is one statement of a program: its pipeline or interpreter call.
+// Range-sum sites are numbered in compile order, so a step's sites are the
+// interval [rangeLo, rangeHi) of the machine's snapshots.
 type step struct {
-	run      node
-	compiled bool
+	run              node
+	compiled         bool
+	rangeLo, rangeHi int
 }
 
 // sink is where one step's rows go: acc, which is the target itself or, when
@@ -226,8 +229,9 @@ func (p *program) run(m *machine, db agca.Database, args types.Tuple, lo, hi int
 		if sk.scratch != nil {
 			sk.scratch.Reset()
 		}
-		p.steps[at].run(m, 1)
-		clear(m.ranges)
+		st := &p.steps[at]
+		st.run(m, 1)
+		clear(m.ranges[st.rangeLo:st.rangeHi])
 		if sk.scratch != nil {
 			sk.target.Merge(sk.scratch, sk.replace)
 		}

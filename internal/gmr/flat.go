@@ -106,15 +106,24 @@ func (g *GMR) find(h uint64, key []byte) (pos uint64, id int32, ok bool) {
 	}
 }
 
-// findInsertPos returns the first empty probe cell for hash h. Only valid
-// when the key is known to be absent (grow/rehash, insert after a miss).
-func (g *GMR) findInsertPos(h uint64) uint64 {
-	mask := uint64(len(g.index) - 1)
+// probeEmpty returns the first empty cell of a probe table for hash h. Only
+// valid when the key is known to be absent (grow/rehash, insert after a
+// miss). The primary table and the secondary indexes (index.go) share it.
+func probeEmpty(cells []uint64, h uint64) uint64 {
+	mask := uint64(len(cells) - 1)
 	i := h & mask
-	for g.index[i] != 0 {
+	for cells[i] != 0 {
 		i = (i + 1) & mask
 	}
 	return i
+}
+
+// mayFill is the backward-shift step (Knuth 6.4 Algorithm R) shared by both
+// probe tables: the cell at j, whose home position is home, may fill the
+// hole at i unless home lies cyclically within (i, j] — moving it then would
+// break its probe chain.
+func mayFill(i, j, home uint64) bool {
+	return (j > i && (home <= i || home > j)) || (j < i && home <= i && home > j)
 }
 
 // setCell writes a probe cell and stamps it with the current epoch, so delta
@@ -133,7 +142,7 @@ func (g *GMR) setCell(pos uint64, cell uint64) {
 func (g *GMR) insertAt(pos uint64, h uint64, key []byte, t types.Tuple, m float64, cloneTuple bool) {
 	if (g.live+1)*4 > len(g.index)*3 {
 		g.grow()
-		pos = g.findInsertPos(h)
+		pos = probeEmpty(g.index, h)
 	}
 	off := uint32(len(g.arena))
 	g.arena = append(g.arena, key...)
@@ -174,7 +183,7 @@ func (g *GMR) grow() {
 		if s.dead {
 			continue
 		}
-		g.index[g.findInsertPos(s.hash)] = s.hash&^0xFFFFFFFF | uint64(i+1)
+		g.index[probeEmpty(g.index, s.hash)] = s.hash&^0xFFFFFFFF | uint64(i+1)
 	}
 }
 
@@ -203,11 +212,7 @@ func (g *GMR) deleteAt(pos uint64, id int32) {
 		if e == 0 {
 			break
 		}
-		home := g.slots[int32(e&0xFFFFFFFF)-1].hash & mask
-		// The entry at j may fill the hole at i unless its home position
-		// lies cyclically within (i, j] — moving it then would break its
-		// probe chain.
-		if (j > i && (home <= i || home > j)) || (j < i && home <= i && home > j) {
+		if mayFill(i, j, g.slots[int32(e&0xFFFFFFFF)-1].hash&mask) {
 			g.setCell(i, e)
 			i = j
 		}

@@ -3,7 +3,6 @@ package gmr
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -119,23 +118,49 @@ func assertSame(t *testing.T, step int, g *GMR, r *refModel) {
 
 // assertPostings checks every secondary index of g against the live slots:
 // each posting must be strictly ascending and name only live slots whose
-// index columns encode to its key, and the postings together must name as
+// index columns encode to its key, every bucket must be reachable by its key
+// (so no two buckets share one), and the postings together must name as
 // many slots as are live. A slot's key is unique, so this holds exactly when
 // every posting equals the brute-force filter of the live slots on its key,
-// in ascending id order.
+// in ascending id order. It also checks the flat layout's bookkeeping: one
+// probe cell per live bucket, the free list naming only removed buckets
+// (and as many as there are), no two runs sharing a pool id, and the
+// dead-space counters matching what no live bucket owns.
 func assertPostings(t *testing.T, step int, g *GMR) {
 	t.Helper()
 	var buf []byte
 	var proj types.Tuple
 	for ixID, ix := range g.indexes {
-		n := 0
-		for k, p := range ix.buckets {
-			if got := g.Posting(ixID, []byte(k)); !slices.Equal(got, p.ids) {
-				t.Fatalf("step %d: index %v: Posting(%q) = %v, bucket holds %v", step, ix.cols, k, got, p.ids)
+		n, live, keyBytes, runIDs := 0, 0, 0, 0
+		owner := make([]int32, len(ix.ids)) // bucket id+1 reserving each pool id
+		for i := range ix.buckets {
+			bk := &ix.buckets[i]
+			if bk.n == 0 {
+				continue
 			}
-			for j, id := range p.ids {
-				if j > 0 && id <= p.ids[j-1] {
-					t.Fatalf("step %d: index %v posting %q not ascending: %v", step, ix.cols, k, p.ids)
+			live++
+			if bk.n > bk.cap || int(bk.off+bk.cap) > len(ix.ids) {
+				t.Fatalf("step %d: index %v: bucket %d run %+v outside a pool of %d", step, ix.cols, i, *bk, len(ix.ids))
+			}
+			for p := bk.off; p < bk.off+bk.cap; p++ {
+				if owner[p] != 0 {
+					t.Fatalf("step %d: index %v: buckets %d and %d share pool id %d", step, ix.cols, owner[p]-1, i, p)
+				}
+				owner[p] = int32(i) + 1
+			}
+			keyBytes += int(bk.keyLen)
+			runIDs += int(bk.cap)
+			k := ix.keys[bk.keyOff : bk.keyOff+bk.keyLen]
+			if _, b, ok := ix.find(bk.hash, k); !ok || b != int32(i) || bk.hash != hashKey(k) {
+				t.Fatalf("step %d: index %v: bucket %d not reachable by its key %q", step, ix.cols, i, k)
+			}
+			ids := g.Posting(ixID, k)
+			if len(ids) != int(bk.n) {
+				t.Fatalf("step %d: index %v: Posting(%q) = %v, bucket holds %d ids", step, ix.cols, k, ids, bk.n)
+			}
+			for j, id := range ids {
+				if j > 0 && id <= ids[j-1] {
+					t.Fatalf("step %d: index %v posting %q not ascending: %v", step, ix.cols, k, ids)
 				}
 				s := &g.slots[id]
 				if s.dead {
@@ -146,14 +171,32 @@ func assertPostings(t *testing.T, step int, g *GMR) {
 					proj = append(proj, s.tuple[c])
 				}
 				buf = proj.AppendKey(buf[:0])
-				if string(buf) != k {
+				if string(buf) != string(k) {
 					t.Fatalf("step %d: index %v posting %q names slot %d with key %q", step, ix.cols, k, id, buf)
 				}
 			}
-			n += len(p.ids)
+			n += len(ids)
 		}
 		if n != g.Len() {
 			t.Fatalf("step %d: index %v postings name %d slots, %d are live", step, ix.cols, n, g.Len())
+		}
+		cells := 0
+		for _, e := range ix.cells {
+			if e != 0 {
+				cells++
+			}
+		}
+		for _, b := range ix.free {
+			if ix.buckets[b].n != 0 {
+				t.Fatalf("step %d: index %v: live bucket %d is on the free list", step, ix.cols, b)
+			}
+		}
+		if live != ix.live || cells != live || len(ix.buckets) != live+len(ix.free) {
+			t.Fatalf("step %d: index %v: %d cells, %d buckets, %d free, %d live (counted %d)", step, ix.cols, cells, len(ix.buckets), len(ix.free), ix.live, live)
+		}
+		if ix.deadKey != len(ix.keys)-keyBytes || ix.deadIds != len(ix.ids)-runIDs {
+			t.Fatalf("step %d: index %v: dead %d key bytes / %d ids, arrays hold %d / %d beyond the live buckets",
+				step, ix.cols, ix.deadKey, ix.deadIds, len(ix.keys)-keyBytes, len(ix.ids)-runIDs)
 		}
 	}
 }
@@ -300,6 +343,37 @@ func TestFlatMatchesReference(t *testing.T) {
 			t.Fatal("the compaction phase did not compact the arena")
 		}
 		assertSame(t, steps+600, g, ref)
+
+		// Index compaction phase: 400 entries whose long b values pair up
+		// into two-id postings of index (b), then every entry but each
+		// tenth is cancelled oldest first, so the removed buckets leave
+		// dead key bytes and pool runs ahead of the survivors. Removing
+		// the newest bucket cuts its bytes off the end of an array, which
+		// cannot shorten it past the last survivor; only compaction can
+		// bring either array below half of its peak length.
+		ixB := g.indexes[1]
+		peakKeys, peakIDs := 0, 0
+		var added []types.Tuple
+		for j := 0; j < 400; j++ {
+			tu := types.Tuple{types.Int(int64(j)), types.Str(strings64[j%len(strings64)] + string(rune('A'+j/2%26)) + string(rune('A'+j/52)))}
+			g.Add(tu, 1)
+			ref.add(tu, 1)
+			added = append(added, tu)
+			peakKeys, peakIDs = max(peakKeys, len(ixB.keys)), max(peakIDs, len(ixB.ids))
+		}
+		assertPostings(t, steps+700, g)
+		for j, tu := range added {
+			if j%10 != 0 {
+				g.Add(tu, -1)
+				ref.add(tu, -1)
+			}
+			assertPostings(t, steps+700+j, g)
+		}
+		if 2*len(ixB.keys) >= peakKeys || 2*len(ixB.ids) >= peakIDs {
+			t.Fatalf("index (b) did not compact: key arena %d of peak %d bytes, id pool %d of peak %d ids",
+				len(ixB.keys), peakKeys, len(ixB.ids), peakIDs)
+		}
+		assertSame(t, steps+1200, g, ref)
 	}
 }
 

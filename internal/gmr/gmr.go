@@ -11,7 +11,11 @@
 // raw bytes in a bump-allocated arena, entries in a slot slice with stable
 // ids, so lookups and in-place updates never convert bytes to strings and an
 // insert amortizes to one arena append. Secondary indexes over column subsets
-// (index.go) are postings of those slot ids, maintained by the store itself.
+// (index.go) are postings of those slot ids, maintained by the store itself
+// and just as flat: per index, one probe table hashed with the same hashKey,
+// one bucket array, one key arena and one pool of sorted id runs, with no
+// Go map and no heap object per key; a bucket whose posting empties is
+// released.
 //
 // # Aliasing contract
 //
@@ -567,9 +571,10 @@ func (g *GMR) String() string {
 	return b.String()
 }
 
-// MemSize reports the in-memory footprint of the GMR in bytes, exact for the
-// table itself (arena, slot records, probe table, free list) plus the
-// estimated payload of the live tuples and of the secondary indexes.
+// MemSize reports the in-memory footprint of the GMR in bytes: exact for the
+// table itself (arena, slot records, probe table, free list) and for the
+// secondary indexes (their headers and every array they own, by capacity),
+// plus the estimated payload of the live tuples.
 func (g *GMR) MemSize() int {
 	n := 96 + cap(g.arena) + cap(g.slots)*slotBytes + cap(g.index)*8 + cap(g.indexEpoch)*4 + cap(g.free)*4 + g.indexBytes()
 	for i := range g.slots {

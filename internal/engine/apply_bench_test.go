@@ -12,7 +12,7 @@ import (
 // inverse, in reverse order), into windows. One pass fills the views and
 // drains them back to empty, so a benchmark may repeat passes without the
 // views growing.
-func sawtoothWindows(b *testing.B, names []string, scale float64, window int) (*engine.Engine, []*engine.Batch) {
+func sawtoothWindows(b testing.TB, names []string, scale float64, window int) (*engine.Engine, []*engine.Batch) {
 	b.Helper()
 	ms, err := workload.Combine(names)
 	if err != nil {
@@ -55,6 +55,37 @@ func BenchmarkApplyBatchShared18(b *testing.B) {
 	}
 	eng, batches := sawtoothWindows(b, names, 0.05, 256)
 	runWindows(b, eng, batches, 256)
+}
+
+// TestShared18WindowAllocs pins the allocations of BenchmarkApplyBatchShared18's
+// setup, averaged over one sawtooth pass of 256-event windows: at most 124
+// per window, a fifth of the 621 it made while every new view entry cloned
+// its tuple onto the heap. A per-entry allocation on the insert path (tens
+// of new entries per window) fails it. The race detector's instrumentation
+// adds some 160 allocations per window of its own, so the pin holds only
+// without it.
+func TestShared18WindowAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts do not apply under the race detector")
+	}
+	const window, max = 256, 124
+	eng, batches := sawtoothWindows(t, workload.Names(""), 0.05, window)
+	for _, b := range batches {
+		if err := eng.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(batches), func() {
+		if err := eng.ApplyBatch(batches[i%len(batches)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("%.1f allocs per %d-event window over %d windows", allocs, window, len(batches))
+	if allocs > max {
+		t.Errorf("shared-18 allocates %.1f times per %d-event window, want <= %d", allocs, window, max)
+	}
 }
 
 // BenchmarkApplyBatchServed times the live workload's program, Q1 and Q3 in

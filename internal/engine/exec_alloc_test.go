@@ -95,10 +95,12 @@ func TestNewBatchAllocs(t *testing.T) {
 // TestServedApplyAllocs pins the served hot path: Q1 and Q3 in one engine,
 // as the live workload runs them, with a live subscription on each result
 // view, drained after every call. A subscribed view is its statements' own
-// tee accumulator, so steady state allocates only what a publication hands
-// the subscribers: each changed view's entry slice and a clone of each key
-// new to its capture delta. A per-statement allocation on the capture path
-// (a boxed tee accumulator read 4 per Apply and 140 per window) fails it.
+// tee accumulator, and a key new to its capture delta lands in the delta's
+// value slab, so steady state allocates little beyond what a publication
+// hands the subscribers: each changed view's Entries (three allocations
+// whatever its size). A per-statement allocation on the capture path (a
+// boxed tee accumulator read 4 per Apply and 140 per window) or a
+// per-entry one on the insert path (26 per window) fails it.
 func TestServedApplyAllocs(t *testing.T) {
 	ms, err := workload.Combine([]string{"Q1", "Q3"})
 	if err != nil {
@@ -123,7 +125,7 @@ func TestServedApplyAllocs(t *testing.T) {
 		{"Apply", 3, func(eng *engine.Engine, i int) error {
 			return eng.Apply(events[warm+i%window])
 		}, window},
-		{"ApplyBatch", 40, func(eng *engine.Engine, i int) error {
+		{"ApplyBatch", 16, func(eng *engine.Engine, i int) error {
 			return eng.ApplyBatch(batches[i%len(batches)])
 		}, 2 * len(batches)},
 	} {

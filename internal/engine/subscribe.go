@@ -142,8 +142,8 @@ func (m *Mailbox) Flush(events uint64) bool {
 	}
 	select {
 	case m.ch <- ChangeBatch{View: m.view, Events: events, Coalesced: m.coalesced, Entries: m.pending.Entries()}:
-		// Entries shares the (immutable) tuples; Reset recycles only the
-		// pending store's own structures, so the delivered batch stays valid.
+		// Entries copies the tuples out of the pending store's slab, so the
+		// delivered batch stays valid when Reset recycles the store.
 		m.pending.Reset()
 		m.coalesced = 0
 		m.delivered++

@@ -17,12 +17,13 @@ import (
 // order, arena layout (including dead key bytes) and probe-cell placement of
 // the original, so execution resumed on a recovered store makes byte-for-byte
 // the same decisions (iteration order, slot reuse, grow and compaction
-// points) as the store it was checkpointed from. Tuples are not serialized:
-// each live slot's tuple is re-derived by decoding its canonical key bytes
-// (types.DecodeKey), which yields values that compare, coerce and re-encode
-// identically to the originals. The arena therefore carries the key codec's
-// bytes (types/keycodec.go), and flatVersion names that encoding too: a
-// change to the key bytes is a version bump.
+// points) as the store it was checkpointed from. Values are not serialized:
+// each live slot's window of the value slab is re-derived by decoding its
+// canonical key bytes into it (types.AppendDecodedKey), which yields values
+// that compare, coerce and re-encode identically to the originals. The
+// arena therefore carries the key codec's bytes (types/keycodec.go), and
+// flatVersion names that encoding too: a change to the key bytes is a
+// version bump.
 //
 // The format is flat and offset-addressed (fixed-width slot records after a
 // fixed-width header), in the spirit of disk-based index layouts: a future
@@ -42,6 +43,11 @@ const (
 	flatVersion   = 2
 	flatSlotBytes = 25 // hash(8) + mult(8) + keyOff(4) + keyLen(4) + dead(1)
 	flatMagic     = "GMRFLAT1"
+	// maxSlabPerByte bounds the value slab LoadFlat allocates (arity values
+	// per slot, dead slots included) by the image size, so a forged header
+	// cannot demand memory quadratic in the input. A real image spends 25
+	// bytes per slot record, so every store of up to 400 columns passes.
+	maxSlabPerByte = 16
 )
 
 // AppendFlat appends the flat-store serialization of g to dst and returns the
@@ -127,6 +133,9 @@ func LoadFlat(data []byte) (*GMR, error) {
 	if nIndex > uint32(len(data)/8+1) {
 		return nil, fmt.Errorf("probe table size %d exceeds input size", nIndex)
 	}
+	if uint64(nSlots)*uint64(ncols) > uint64(len(data))*maxSlabPerByte {
+		return nil, fmt.Errorf("%d slots of %d columns exceed input size", nSlots, ncols)
+	}
 	arena := r.Bytes(int(arenaLen), "arena")
 	slotBuf := r.Bytes(int(nSlots)*flatSlotBytes, "slot records")
 	freeBuf := r.Bytes(int(nFree)*4, "free list")
@@ -148,6 +157,7 @@ func LoadFlat(data []byte) (*GMR, error) {
 		schema:     schema,
 		arena:      append([]byte(nil), arena...),
 		slots:      make([]slot, nSlots),
+		vals:       make([]types.Value, int(nSlots)*len(schema)),
 		index:      make([]uint64, nIndex),
 		indexEpoch: make([]uint32, nIndex),
 		free:       make([]int32, nFree),
@@ -186,14 +196,9 @@ func LoadFlat(data []byte) (*GMR, error) {
 		if h := hashKey(key); h != s.hash {
 			return nil, fmt.Errorf("slot %d: stored hash %#x does not match key hash %#x", i, s.hash, h)
 		}
-		tup, err := types.DecodeKey(key)
-		if err != nil {
-			return nil, fmt.Errorf("slot %d: undecodable key: %w", i, err)
+		if err := g.decodeSlot(int32(i), key); err != nil {
+			return nil, fmt.Errorf("slot %d: %w", i, err)
 		}
-		if len(tup) != len(schema) {
-			return nil, fmt.Errorf("slot %d: key arity %d does not match schema %v", i, len(tup), schema)
-		}
-		s.tuple = tup
 	}
 	if liveSeen != int(live) {
 		return nil, fmt.Errorf("header live count %d but %d live slots", live, liveSeen)
@@ -208,6 +213,19 @@ func LoadFlat(data []byte) (*GMR, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// decodeSlot decodes key into slot id's window of the slab.
+func (g *GMR) decodeSlot(id int32, key []byte) error {
+	w := g.tupleAt(id)
+	t, err := types.AppendDecodedKey(w[:0], key)
+	if err != nil {
+		return fmt.Errorf("undecodable key: %w", err)
+	}
+	if len(t) != len(w) {
+		return fmt.Errorf("key arity %d does not match schema %v", len(t), g.schema)
+	}
+	return nil
 }
 
 // checkStoreInvariants verifies the cross-structure invariants of a
@@ -232,7 +250,7 @@ func (g *GMR) checkStoreInvariants() error {
 	if len(g.free) != len(g.slots)-liveSeen {
 		return fmt.Errorf("free list holds %d ids but %d slots are dead", len(g.free), len(g.slots)-liveSeen)
 	}
-	freeSeen := make(map[int32]bool, len(g.free))
+	freeSeen := make([]bool, len(g.slots))
 	for i, id := range g.free {
 		if id < 0 || id >= int32(len(g.slots)) {
 			return fmt.Errorf("free list entry %d: slot id %d out of range", i, id)

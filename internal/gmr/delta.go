@@ -242,6 +242,9 @@ func (g *GMR) ApplyFlatDelta(data []byte) error {
 	for len(g.slots) < int(nSlots) {
 		g.slots = append(g.slots, slot{})
 	}
+	if n := int(nSlots) * len(g.schema); n > len(g.vals) {
+		g.vals = append(g.vals, make([]types.Value, n-len(g.vals))...)
+	}
 	prevID := int32(-1)
 	newCovered := 0
 	for i := 0; i < int(nDirty); i++ {
@@ -274,8 +277,8 @@ func (g *GMR) ApplyFlatDelta(data []byte) error {
 		}
 		if s.dead {
 			// As in LoadFlat: tombstones keep their stored fields verbatim
-			// (the key reference may be stale) and carry no tuple.
-			s.tuple = nil
+			// (the key reference may be stale) and carry no values.
+			clear(g.tupleAt(id))
 			continue
 		}
 		if uint64(s.keyOff)+uint64(s.keyLen) > arenaLen {
@@ -285,14 +288,9 @@ func (g *GMR) ApplyFlatDelta(data []byte) error {
 		if h := hashKey(key); h != s.hash {
 			return fmt.Errorf("dirty slot %d: stored hash %#x does not match key hash %#x", id, s.hash, h)
 		}
-		tup, err := types.DecodeKey(key)
-		if err != nil {
-			return fmt.Errorf("dirty slot %d: undecodable key: %w", id, err)
+		if err := g.decodeSlot(id, key); err != nil {
+			return fmt.Errorf("dirty slot %d: %w", id, err)
 		}
-		if len(tup) != len(g.schema) {
-			return fmt.Errorf("dirty slot %d: key arity %d does not match schema %v", id, len(tup), g.schema)
-		}
-		s.tuple = tup
 	}
 	// Strict increase plus in-range ids means newCovered counts distinct new
 	// slot ids; equality with the slot growth forces every slot appended

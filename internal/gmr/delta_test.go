@@ -11,10 +11,11 @@ import (
 
 // churnExisting applies ops random mutations (inserts, multiplicity updates,
 // deletions) to an existing store, reusing live entries so tombstone reuse
-// and free-list churn actually occur between checkpoints.
+// and free-list churn actually occur between checkpoints. The live tuples
+// are copied: a slab window is only valid until its entry is removed.
 func churnExisting(rng *rand.Rand, g *GMR, ops int) {
 	var keys []types.Tuple
-	g.Foreach(func(t types.Tuple, _ float64) { keys = append(keys, t) })
+	g.Foreach(func(t types.Tuple, _ float64) { keys = append(keys, t.Clone()) })
 	for i := 0; i < ops; i++ {
 		if len(keys) > 0 && rng.Intn(3) == 0 {
 			j := rng.Intn(len(keys))

@@ -11,19 +11,25 @@ import (
 
 // This file implements the storage layer of a GMR: a flat open-addressing
 // hash table over raw []byte tuple keys, replacing the former
-// map[string]Entry. The layout is three parallel structures:
+// map[string]Entry. The layout is four parallel structures:
 //
 //   - arena: the canonical key encodings of all entries, bump-allocated
 //     back-to-back; a slot references its key as (keyOff, keyLen), so an
 //     insert appends the key bytes once and never materializes a string.
 //     Keys of deleted entries leak until enough of the arena is dead, at
 //     which point it is compacted (slot ids are unaffected).
-//   - slots: one record per entry — the cached 64-bit key hash, the
-//     multiplicity, the tuple, and the key reference. Deletion tombstones
-//     the record and links it into a free list for reuse, so a slot id is
-//     stable for the lifetime of its entry; the secondary indexes
-//     (index.go) are postings of these ids. Iteration is a linear walk of the slot
-//     slice skipping tombstones.
+//   - slots: one 32-byte record per entry — the cached 64-bit key hash, the
+//     multiplicity, the key reference, the epoch stamp and the tombstone
+//     flag. The record holds no pointer. Deletion tombstones the record and
+//     links it into a free list for reuse, so a slot id is stable for the
+//     lifetime of its entry; the secondary indexes (index.go) are postings
+//     of these ids. Iteration is a linear walk of the slot slice skipping
+//     tombstones.
+//   - vals: the value slab, arity values per slot id (slot i's columns are
+//     vals[i*arity : (i+1)*arity]). An insert copies the tuple into the
+//     range of its id — the reused id's range or one appended with a new
+//     slot — and a delete clears it, so no dead string stays reachable. The
+//     store's values are one heap object, so an insert allocates none.
 //   - index: the probe table, a power-of-two []uint64 with linear probing.
 //     Each cell packs the upper 32 bits of the hash (checked before the
 //     slot is touched) with slotID+1; 0 means empty. Deletion compacts the
@@ -32,21 +38,21 @@ import (
 type slot struct {
 	hash   uint64
 	mult   float64
-	tuple  types.Tuple
 	keyOff uint32
 	keyLen uint32
 	// epoch is the store's epoch counter value at the slot's last mutation
 	// (insert, multiplicity update, tombstone). Freeze advances the counter,
 	// so a checkpoint can find every slot touched since a previous snapshot
 	// with one comparison per slot — the dirty tracking behind incremental
-	// delta checkpoints (delta.go). The field rides in the struct's existing
-	// padding: the record stays at 56 bytes.
+	// delta checkpoints (delta.go).
 	epoch uint32
 	dead  bool
 }
 
 const (
-	slotBytes    = 56 // unsafe.Sizeof(slot{}), spelled out to keep the package unsafe-free
+	slotBytes    = 32  // unsafe.Sizeof(slot{}), spelled out to keep the package unsafe-free
+	valueBytes   = 32  // unsafe.Sizeof(types.Value{}), likewise
+	headerBytes  = 256 // unsafe.Sizeof(GMR{}), likewise
 	minIndexSize = 8
 )
 
@@ -79,6 +85,14 @@ func hashKey(key []byte) uint64 {
 }
 
 func (g *GMR) keyAt(s *slot) []byte { return g.arena[s.keyOff : s.keyOff+s.keyLen] }
+
+// tupleAt returns slot id's window of the value slab, capped so that an
+// append through it cannot reach the next slot's values.
+func (g *GMR) tupleAt(id int32) types.Tuple {
+	a := len(g.schema)
+	o := int(id) * a
+	return g.vals[o : o+a : o+a]
+}
 
 // find probes for the key with hash h. It returns the probe-table position
 // where the search ended — the entry's cell when found, the first empty cell
@@ -136,33 +150,31 @@ func (g *GMR) setCell(pos uint64, cell uint64) {
 	g.indexEpoch[pos] = g.epoch
 }
 
-// insertAt creates a new entry at the given empty probe cell. When
-// cloneTuple is false the slot aliases t directly; callers must guarantee t
-// is immutable (tuples already held by a GMR are).
-func (g *GMR) insertAt(pos uint64, h uint64, key []byte, t types.Tuple, m float64, cloneTuple bool) {
+// insertAt creates a new entry at the given empty probe cell, copying t's
+// values into the slab.
+func (g *GMR) insertAt(pos uint64, h uint64, key []byte, t types.Tuple, m float64) {
 	if (g.live+1)*4 > len(g.index)*3 {
 		g.grow()
 		pos = probeEmpty(g.index, h)
 	}
 	off := uint32(len(g.arena))
 	g.arena = append(g.arena, key...)
-	if cloneTuple {
-		t = t.Clone()
-	}
-	ns := slot{hash: h, mult: m, tuple: t, keyOff: off, keyLen: uint32(len(key)), epoch: g.epoch}
+	ns := slot{hash: h, mult: m, keyOff: off, keyLen: uint32(len(key)), epoch: g.epoch}
 	var id int32
 	if n := len(g.free); n > 0 {
 		id = g.free[n-1]
 		g.free = g.free[:n-1]
 		g.slots[id] = ns
+		copy(g.tupleAt(id), t)
 	} else {
 		id = int32(len(g.slots))
 		g.slots = append(g.slots, ns)
+		g.vals = append(g.vals, t...)
 	}
 	g.setCell(pos, h&^0xFFFFFFFF|uint64(id+1))
 	g.live++
 	if len(g.indexes) != 0 {
-		g.updateIndexes(id, t, true)
+		g.updateIndexes(id, g.tupleAt(id), true)
 	}
 }
 
@@ -193,10 +205,10 @@ func (g *GMR) grow() {
 func (g *GMR) deleteAt(pos uint64, id int32) {
 	s := &g.slots[id]
 	if len(g.indexes) != 0 {
-		g.updateIndexes(id, s.tuple, false)
+		g.updateIndexes(id, g.tupleAt(id), false)
 	}
+	clear(g.tupleAt(id))
 	s.dead = true
-	s.tuple = nil
 	s.mult = 0
 	s.epoch = g.epoch
 	g.deadKey += int(s.keyLen)
@@ -228,7 +240,8 @@ func (g *GMR) deleteAt(pos uint64, id int32) {
 // stable across compaction; only the key offsets move. Compaction rewrites
 // the key offset of every live slot without stamping them, so it bumps the
 // flat generation instead: outstanding delta bases are invalidated and the
-// view's next checkpoint is a full base rewrite.
+// view's next checkpoint is a full base rewrite. The fresh arena is the
+// writer's own, so no snapshot shares it any more.
 func (g *GMR) compactArena() {
 	na := make([]byte, 0, len(g.arena)-g.deadKey)
 	for i := range g.slots {
@@ -243,17 +256,18 @@ func (g *GMR) compactArena() {
 	g.arena = na
 	g.deadKey = 0
 	g.flatGen++
+	g.flags &^= flagSharedArena
 }
 
 // upsertHashed is the shared mutation core: add m to the entry under key
 // (whose hash is h), creating it when absent and deleting it when the
 // accumulated multiplicity lands within Epsilon of zero. It returns the new
 // multiplicity (0 after removal). m must be non-zero.
-func (g *GMR) upsertHashed(h uint64, key []byte, t types.Tuple, m float64, cloneTuple bool) float64 {
+func (g *GMR) upsertHashed(h uint64, key []byte, t types.Tuple, m float64) float64 {
 	g.ensureMutable()
 	pos, id, ok := g.find(h, key)
 	if !ok {
-		g.insertAt(pos, h, key, t, m, cloneTuple)
+		g.insertAt(pos, h, key, t, m)
 		return m
 	}
 	s := &g.slots[id]

@@ -168,7 +168,7 @@ func assertPostings(t *testing.T, step int, g *GMR) {
 				}
 				proj = proj[:0]
 				for _, c := range ix.cols {
-					proj = append(proj, s.tuple[c])
+					proj = append(proj, g.tupleAt(id)[c])
 				}
 				buf = proj.AppendKey(buf[:0])
 				if string(buf) != string(k) {

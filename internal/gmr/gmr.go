@@ -9,22 +9,28 @@
 //
 // Storage is a flat open-addressing hash table (see flat.go): keys live as
 // raw bytes in a bump-allocated arena, entries in a slot slice with stable
-// ids, so lookups and in-place updates never convert bytes to strings and an
-// insert amortizes to one arena append. Secondary indexes over column subsets
+// ids, and each entry's column values in one value slab per store, arity
+// values per slot id, so lookups and in-place updates never convert bytes to
+// strings and an insert allocates nothing beyond the amortized growth of the
+// arena, the slots and the slab. Secondary indexes over column subsets
 // (index.go) are postings of those slot ids, maintained by the store itself
 // and just as flat: per index, one probe table hashed with the same hashKey,
 // one bucket array, one key arena and one pool of sorted id runs, with no
 // Go map and no heap object per key; a bucket whose posting empties is
 // released.
 //
-// # Aliasing contract
+// # Lifetime contract
 //
-// A tuple held by a GMR is immutable: no operation writes through it after
-// insertion. Clone, Negate, Scale, MergeInto and AddGMR therefore share
-// tuples between source and result instead of deep-copying them. Callers
-// that hand a GMR a tuple they intend to mutate must go through the byte-
-// keyed entry points (Add, AddEncoded, Set), which clone the tuple when a new
-// entry is created.
+// A tuple handed out by Foreach, ForeachKeyed, SlotEntry or LookupEncoded
+// is the entry's own window of the slab: it must not be written through, and
+// it is valid until that entry is removed or the store is Reset or Cleared
+// (the slot id, and so the window, is then reused). A caller that keeps a
+// tuple longer copies it. Entries is the exception: its tuples are copied
+// into one block per call and survive any later mutation of the store. The
+// tuples of a frozen snapshot (Freeze) never change. Every entry point that
+// creates an entry (Add, AddEncoded, Set, MergeInto, Clone, Negate, Scale)
+// copies the values into the destination's slab, so callers may reuse the
+// tuples they pass in and no two stores share values.
 //
 // Reads (Get, Lookup*, Foreach*, Probe-style slot accessors) are safe for
 // concurrent use with each other; mutations are not, and must not overlap
@@ -35,7 +41,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"dbtoaster/internal/types"
@@ -59,9 +65,12 @@ type GMR struct {
 	schema types.Schema
 	arena  []byte
 	slots  []slot
-	index  []uint64
-	free   []int32
-	live   int
+	// vals is the value slab: slot id i's columns are
+	// vals[i*arity : (i+1)*arity], zeroed while the slot is dead.
+	vals  []types.Value
+	index []uint64
+	free  []int32
+	live  int
 	// deadKey counts arena bytes owned by tombstoned slots, driving
 	// compaction.
 	deadKey int
@@ -70,9 +79,11 @@ type GMR struct {
 	keyBuf []byte
 	// flags holds the freeze state (see snapshot.go): flagCOW marks the GMR
 	// frozen since its last mutation (Freeze was called), so the next
-	// mutation copies slots and probe table first and outstanding snapshots
-	// stay immutable; flagSealed marks a snapshot itself — mutations panic.
-	// One byte keeps the never-frozen mutation gate a single load-and-test.
+	// mutation copies slots, slab and probe table first and outstanding
+	// snapshots stay immutable; flagSealed marks a snapshot itself —
+	// mutations panic; flagSharedArena marks an arena a snapshot may still
+	// read, which Reset must not truncate. One byte keeps the never-frozen
+	// mutation gate a single load-and-test.
 	flags uint8
 	// epoch, flatGen and indexEpoch drive incremental delta checkpoints
 	// (delta.go). Every mutation stamps the touched slot record and probe
@@ -149,7 +160,7 @@ func (g *GMR) Add(t types.Tuple, m float64) float64 {
 	}
 	g.checkArity(t)
 	g.keyBuf = t.AppendKey(g.keyBuf[:0])
-	return g.upsertHashed(hashKey(g.keyBuf), g.keyBuf, t, m, true)
+	return g.upsertHashed(hashKey(g.keyBuf), g.keyBuf, t, m)
 }
 
 // Set assigns the multiplicity of tuple t to m (removing it when m is zero).
@@ -170,7 +181,7 @@ func (g *GMR) Set(t types.Tuple, m float64) {
 		g.slots[id].epoch = g.epoch
 		return
 	}
-	g.insertAt(pos, h, g.keyBuf, t, m, true)
+	g.insertAt(pos, h, g.keyBuf, t, m)
 }
 
 // Foreach calls fn for every entry of the GMR in slot order. fn must not
@@ -181,7 +192,7 @@ func (g *GMR) Foreach(fn func(t types.Tuple, m float64)) {
 		if s.dead {
 			continue
 		}
-		fn(s.tuple, s.mult)
+		fn(g.tupleAt(int32(i)), s.mult)
 	}
 }
 
@@ -195,30 +206,30 @@ func (g *GMR) ForeachKeyed(fn func(key []byte, t types.Tuple, m float64)) {
 		if s.dead {
 			continue
 		}
-		fn(g.keyAt(s), s.tuple, s.mult)
+		fn(g.keyAt(s), g.tupleAt(int32(i)), s.mult)
 	}
 }
 
-// SlotEntry returns the entry stored in the given live slot. The tuple
-// aliases the store. Slot ids come from LookupSlot and Posting and stay
-// valid until the entry is removed (or the GMR is Reset/Cleared).
+// SlotEntry returns the entry stored in the given live slot; the tuple is
+// the slot's window of the slab (see the lifetime contract). Slot ids come
+// from LookupSlot and Posting and stay valid until the entry is removed (or
+// the GMR is Reset/Cleared).
 func (g *GMR) SlotEntry(id int32) Entry {
-	s := &g.slots[id]
-	return Entry{Tuple: s.tuple, Mult: s.mult}
+	return Entry{Tuple: g.tupleAt(id), Mult: g.slots[id].mult}
 }
 
 // AddEncoded is Add for callers that already hold the tuple's canonical key
 // encoding (built with Tuple.AppendKey into a reused buffer); it skips
 // re-encoding, and neither the key bytes nor the tuple are retained — the
-// key is appended to the arena and the tuple cloned only when a new entry is
-// created, so callers may reuse both buffers. Like Add, a zero m leaves the
-// GMR unchanged and returns 0 without probing.
+// key is appended to the arena and the values copied into the slab only
+// when a new entry is created, so callers may reuse both buffers. Like Add,
+// a zero m leaves the GMR unchanged and returns 0 without probing.
 func (g *GMR) AddEncoded(key []byte, t types.Tuple, m float64) float64 {
 	if m == 0 {
 		return 0
 	}
 	g.checkArity(t)
-	return g.upsertHashed(hashKey(key), key, t, m, true)
+	return g.upsertHashed(hashKey(key), key, t, m)
 }
 
 // GetEncoded returns the multiplicity stored under the encoded key (0 if
@@ -251,7 +262,8 @@ func (g *GMR) GetEncodedHashed(h uint64, key []byte) float64 {
 }
 
 // LookupEncoded returns the entry stored under the encoded key, if any,
-// without allocating. The tuple aliases the store.
+// without allocating. The tuple is the entry's window of the slab (see the
+// lifetime contract).
 func (g *GMR) LookupEncoded(key []byte) (Entry, bool) {
 	if id, ok := g.LookupSlot(key); ok {
 		return g.SlotEntry(id), true
@@ -271,7 +283,10 @@ func (g *GMR) LookupSlot(key []byte) (int32, bool) {
 
 // Entries returns the entries of the GMR sorted by their canonical key bytes;
 // the order is deterministic, which tests and pretty-printers rely on, but it
-// is not the Compare order of the tuples.
+// is not the Compare order of the tuples. The tuples are copies, made into
+// one block per call, so they survive any later mutation, Reset or Clear of
+// the store; a call makes the same three allocations whatever the entry
+// count.
 func (g *GMR) Entries() []Entry {
 	ids := make([]int32, 0, g.live)
 	for i := range g.slots {
@@ -279,27 +294,31 @@ func (g *GMR) Entries() []Entry {
 			ids = append(ids, int32(i))
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		return bytes.Compare(g.keyAt(&g.slots[ids[a]]), g.keyAt(&g.slots[ids[b]])) < 0
+	slices.SortFunc(ids, func(a, b int32) int {
+		return bytes.Compare(g.keyAt(&g.slots[a]), g.keyAt(&g.slots[b]))
 	})
+	a := len(g.schema)
+	block := make([]types.Value, len(ids)*a)
 	out := make([]Entry, len(ids))
 	for i, id := range ids {
-		out[i] = g.SlotEntry(id)
+		t := block[i*a : i*a+a : i*a+a]
+		copy(t, g.tupleAt(id))
+		out[i] = Entry{Tuple: t, Mult: g.slots[id].mult}
 	}
 	return out
 }
 
-// Clone returns a copy of the GMR. Per the package aliasing contract the
-// copy shares the (immutable) tuples with the receiver; arena, slots and
-// probe table are copied, so the two evolve independently. The clone is a
-// distinct store lineage: its flat generation is advanced past the
-// receiver's, so a delta base captured from one never validates against the
-// other once they diverge. The clone carries no secondary indexes.
+// Clone returns a copy of the GMR: arena, slots, slab and probe table are
+// copied, so the two evolve independently. The clone is a distinct store
+// lineage: its flat generation is advanced past the receiver's, so a delta
+// base captured from one never validates against the other once they
+// diverge. The clone carries no secondary indexes.
 func (g *GMR) Clone() *GMR {
 	out := &GMR{schema: g.schema.Clone(), live: g.live, deadKey: g.deadKey,
 		epoch: g.epoch, flatGen: g.flatGen + 1}
 	out.arena = append([]byte(nil), g.arena...)
 	out.slots = append([]slot(nil), g.slots...)
+	out.vals = append([]types.Value(nil), g.vals...)
 	out.index = append([]uint64(nil), g.index...)
 	out.indexEpoch = append([]uint32(nil), g.indexEpoch...)
 	out.free = append([]int32(nil), g.free...)
@@ -322,12 +341,14 @@ func (g *GMR) Clear() {
 	g.reindex()
 }
 
-// Reset removes all entries but keeps the allocated arena, slot slice and
-// probe table, so a scratch GMR reused across events stops allocating once
-// it has grown to working-set size. Slot ids from before the Reset are
-// invalidated; secondary indexes are emptied but kept. When the GMR is
-// frozen (a snapshot shares its structures), Reset drops them instead of
-// truncating in place, like Clear.
+// Reset removes all entries but keeps the allocated arena, slot slice, slab
+// and probe table, so a scratch GMR reused across events stops allocating
+// once it has grown to working-set size. Slot ids from before the Reset are
+// invalidated; secondary indexes are emptied but kept. Structures a snapshot
+// may still read are dropped instead of truncated in place, like Clear: the
+// slots, slab and probe table while the GMR is frozen, and the arena once it
+// has been frozen at all — the copy-on-write of the first write after a
+// Freeze copies the rest but leaves the arena shared (see snapshot.go).
 func (g *GMR) Reset() {
 	if g.flags&flagSealed != 0 {
 		panic("gmr: mutation of a frozen snapshot")
@@ -335,23 +356,29 @@ func (g *GMR) Reset() {
 	g.flatGen++
 	g.live, g.deadKey = 0, 0
 	if g.flags&flagCOW != 0 {
-		g.flags &^= flagCOW
 		g.frozen = nil
-		g.arena, g.slots, g.index, g.indexEpoch, g.free = nil, nil, nil, nil, nil
+		g.slots, g.vals, g.index, g.indexEpoch, g.free = nil, nil, nil, nil, nil
 	} else {
-		g.arena = g.arena[:0]
 		g.slots = g.slots[:0]
+		clear(g.vals)
+		g.vals = g.vals[:0]
 		g.free = g.free[:0]
 		clear(g.index)
 		clear(g.indexEpoch)
 	}
+	if g.flags&flagSharedArena != 0 {
+		g.arena = nil
+	} else {
+		g.arena = g.arena[:0]
+	}
+	g.flags &^= flagCOW | flagSharedArena
 	g.reindex()
 }
 
 // MergeInto adds every entry of o (scaled by factor) into g. The schemas
 // must be identical; it is the GMR ring's "+" applied in place. Source keys
-// and cached hashes are reused (no re-encoding), and inserted entries share
-// o's tuples.
+// and cached hashes are reused (no re-encoding), and inserted entries copy
+// o's values into g's slab.
 func (g *GMR) MergeInto(o *GMR, factor float64) {
 	if o == nil || factor == 0 {
 		return
@@ -368,7 +395,7 @@ func (g *GMR) MergeInto(o *GMR, factor float64) {
 		if m == 0 {
 			continue
 		}
-		g.upsertHashed(s.hash, o.keyAt(s), s.tuple, m, false)
+		g.upsertHashed(s.hash, o.keyAt(s), o.tupleAt(int32(i)), m)
 	}
 }
 
@@ -379,8 +406,8 @@ func AddGMR(a, b *GMR) *GMR {
 	return out
 }
 
-// Negate returns -g. The result is a structural copy sharing g's tuples;
-// keys and hashes are not recomputed.
+// Negate returns -g, a structural copy (see Clone); keys and hashes are not
+// recomputed.
 func Negate(g *GMR) *GMR {
 	out := g.Clone()
 	for i := range out.slots {
@@ -392,7 +419,7 @@ func Negate(g *GMR) *GMR {
 }
 
 // Scale returns g with every multiplicity multiplied by f, dropping entries
-// that land within Epsilon of zero. The result shares g's tuples and reuses
+// that land within Epsilon of zero. The result copies g's values and reuses
 // its key bytes and cached hashes.
 func Scale(g *GMR, f float64) *GMR {
 	out := New(g.schema)
@@ -408,7 +435,7 @@ func Scale(g *GMR, f float64) *GMR {
 		if math.Abs(m) <= Epsilon {
 			continue
 		}
-		out.upsertHashed(s.hash, g.keyAt(s), s.tuple, m, false)
+		out.upsertHashed(s.hash, g.keyAt(s), g.tupleAt(int32(i)), m)
 	}
 	return out
 }
@@ -449,8 +476,9 @@ func Equal(a, b *GMR, tol float64) bool {
 // multiplicities multiply. The smaller side is hashed on the shared columns
 // and the larger side probes it, so the cost is O(|a| + |b| + |result|); with
 // no shared columns every pair matches and the result is the cross product.
-// Output rows are emitted through one reused tuple and key buffer — the only
-// per-row allocation is the tuple clone of a genuinely new output entry.
+// Output rows are emitted through one reused tuple and key buffer, and new
+// output entries are copied into the result's slab, so the only allocations
+// are the build side's hash table and the output's amortized growth.
 func Join(a, b *GMR) *GMR {
 	aShared := make([]int, 0, len(b.schema)) // positions in a of the shared columns
 	bShared := make([]int, 0, len(b.schema)) // matching positions in b
@@ -572,17 +600,18 @@ func (g *GMR) String() string {
 }
 
 // MemSize reports the in-memory footprint of the GMR in bytes: exact for the
-// table itself (arena, slot records, probe table, free list) and for the
-// secondary indexes (their headers and every array they own, by capacity),
-// plus the estimated payload of the live tuples.
+// table itself (the GMR header, and the arena, slot records, value slab,
+// probe table and free list by capacity) and for the secondary indexes (their headers and every array
+// they own), plus the bytes of the strings the live values hold.
 func (g *GMR) MemSize() int {
-	n := 96 + cap(g.arena) + cap(g.slots)*slotBytes + cap(g.index)*8 + cap(g.indexEpoch)*4 + cap(g.free)*4 + g.indexBytes()
+	n := headerBytes + cap(g.arena) + cap(g.slots)*slotBytes + cap(g.vals)*valueBytes + cap(g.index)*8 + cap(g.indexEpoch)*4 + cap(g.free)*4 + g.indexBytes()
 	for i := range g.slots {
-		s := &g.slots[i]
-		if s.dead {
+		if g.slots[i].dead {
 			continue
 		}
-		n += s.tuple.MemSize()
+		for _, v := range g.tupleAt(int32(i)) {
+			n += v.MemSize() - valueBytes
+		}
 	}
 	return n
 }

@@ -131,8 +131,8 @@ func (ix *secondaryIndex) key(t types.Tuple) []byte {
 // fillIndex adds every live slot to the index in slot order.
 func (g *GMR) fillIndex(ix *secondaryIndex) {
 	for i := range g.slots {
-		if s := &g.slots[i]; !s.dead {
-			ix.insert(ix.key(s.tuple), int32(i))
+		if !g.slots[i].dead {
+			ix.insert(ix.key(g.tupleAt(int32(i))), int32(i))
 		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // TestIndexLayoutSizes pins the record sizes MemSize counts the index
-// arrays with.
+// arrays, the store header, the slot records and the value slab with; the
+// slot record holds no tuple and stays at 32 bytes.
 func TestIndexLayoutSizes(t *testing.T) {
 	if got := reflect.TypeFor[bucket]().Size(); got != bucketBytes {
 		t.Errorf("bucket is %d bytes, bucketBytes says %d", got, bucketBytes)
@@ -17,8 +18,14 @@ func TestIndexLayoutSizes(t *testing.T) {
 	if got := reflect.TypeFor[secondaryIndex]().Size(); got != indexHeaderBytes {
 		t.Errorf("secondaryIndex is %d bytes, indexHeaderBytes says %d", got, indexHeaderBytes)
 	}
-	if got := reflect.TypeFor[slot]().Size(); got != slotBytes {
-		t.Errorf("slot is %d bytes, slotBytes says %d", got, slotBytes)
+	if got := reflect.TypeFor[slot]().Size(); got != slotBytes || slotBytes != 32 {
+		t.Errorf("slot is %d bytes, slotBytes says %d, want 32", got, slotBytes)
+	}
+	if got := reflect.TypeFor[types.Value]().Size(); got != valueBytes {
+		t.Errorf("types.Value is %d bytes, valueBytes says %d", got, valueBytes)
+	}
+	if got := reflect.TypeFor[GMR]().Size(); got != headerBytes {
+		t.Errorf("GMR is %d bytes, headerBytes says %d", got, headerBytes)
 	}
 }
 

@@ -1,36 +1,47 @@
 package gmr
 
-import "math"
+import (
+	"math"
+
+	"dbtoaster/internal/types"
+)
 
 // This file implements the freeze mechanism behind the engine's snapshot-
 // isolated read path: Freeze returns a sealed, read-only GMR that shares the
-// receiver's current arena, slot slice and probe table, and arms the receiver
-// for copy-on-write — the first mutation after a freeze copies the slot and
-// probe slices before writing, so every outstanding snapshot stays immutable
-// for as long as a reader holds it.
+// receiver's current arena, slot slice, value slab and probe table, and arms
+// the receiver for copy-on-write — the first mutation after a freeze copies
+// the slots, the slab and the probe table before writing, so every
+// outstanding snapshot stays immutable for as long as a reader holds it.
 //
 // Why the arena is never copied: writers only ever (a) append key bytes past
 // the length every snapshot captured, which touches addresses no snapshot
 // reads, or (b) swap in a freshly allocated arena (compaction), which leaves
 // the snapshots' slice headers pointing at the old bytes. Appends within one
 // backing array are monotonic across freezes, so the shared prefix is
-// write-once. Slot records and probe cells, by contrast, are updated in
-// place (multiplicity adds, backward-shift deletion), which is why those two
-// slices are the copy-on-write unit.
+// write-once. The one operation that would rewind it, Reset's in-place
+// truncation, is therefore refused for an arena a snapshot may share
+// (flagSharedArena): Reset drops such an arena instead. Slot records, slab
+// values and probe cells, by contrast, are updated in place (multiplicity
+// adds, slot reuse, deletion clearing its values, backward-shift deletion),
+// which is why those three slices are the copy-on-write unit.
 //
-// Cost model: Freeze is O(1) in the store size — three slice headers, a few
+// Cost model: Freeze is O(1) in the store size — four slice headers, a few
 // scalars, and a copy of the pending-reuse free list (dead slots awaiting
 // reuse, normally a tiny fraction of the store; see the note in Freeze for why
-// it cannot be shared). The deferred copy is O(entries) and is paid at most
-// once per freeze, by the writer, on its first subsequent mutation; a reader
-// never pays anything and never blocks.
+// it cannot be shared). The deferred copy is O(entries × arity) and is paid
+// at most once per freeze, by the writer, on its first subsequent mutation;
+// a reader never pays anything and never blocks.
 
 const (
-	// flagCOW: frozen since the last mutation — copy slots/index before the
-	// next write.
+	// flagCOW: frozen since the last mutation — copy slots, slab and index
+	// before the next write.
 	flagCOW uint8 = 1 << iota
 	// flagSealed: this GMR is a snapshot — writes panic.
 	flagSealed
+	// flagSharedArena: a snapshot may share the arena's backing array — set
+	// by Freeze, cleared when the writer installs an arena of its own
+	// (compaction, Reset, Clear). The copy-on-write gate ignores it.
+	flagSharedArena
 )
 
 // Freeze returns a read-only snapshot of the GMR's current contents and
@@ -51,6 +62,7 @@ func (g *GMR) Freeze() *GMR {
 		schema:     g.schema,
 		arena:      g.arena,
 		slots:      g.slots,
+		vals:       g.vals,
 		index:      g.index,
 		indexEpoch: g.indexEpoch,
 		// The free list is copied, not shared: the writer may pop an id and
@@ -86,7 +98,7 @@ func (g *GMR) Freeze() *GMR {
 	} else {
 		g.epoch++
 	}
-	g.flags |= flagCOW
+	g.flags |= flagCOW | flagSharedArena
 	g.frozen = snap
 	return snap
 }
@@ -96,11 +108,11 @@ func (g *GMR) Sealed() bool { return g.flags&flagSealed != 0 }
 
 // ensureMutable is the copy-on-write gate every mutating entry point passes
 // through: a sealed snapshot refuses the mutation, and a GMR frozen since its
-// last mutation first copies the slot records and the probe table (the two
-// structures snapshot readers scan in place). The never-frozen hot path is a
-// single load-and-test (the function inlines); the copy is outlined.
+// last mutation first copies the slot records, the slab and the probe table
+// (the structures snapshot readers scan in place). The hot path is a single
+// load-and-test (the function inlines); the copy is outlined.
 func (g *GMR) ensureMutable() {
-	if g.flags != 0 {
+	if g.flags&(flagCOW|flagSealed) != 0 {
 		g.cowCopy()
 	}
 }
@@ -115,6 +127,7 @@ func (g *GMR) cowCopy() {
 	g.flags &^= flagCOW
 	g.frozen = nil
 	g.slots = append([]slot(nil), g.slots...)
+	g.vals = append([]types.Value(nil), g.vals...)
 	g.index = append([]uint64(nil), g.index...)
 	g.indexEpoch = append([]uint32(nil), g.indexEpoch...)
 }

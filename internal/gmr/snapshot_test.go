@@ -1,7 +1,9 @@
 package gmr
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -34,7 +36,9 @@ func mapsEqual(a, b map[string]float64) bool {
 // TestFreezeImmutable drives a randomized mutation stream and freezes the
 // store at random points; every snapshot must keep reporting exactly the
 // contents it captured while the live store keeps churning through inserts,
-// deletions, growth, arena compaction and Reset.
+// deletions, growth, arena compaction and Reset — both a Reset right after a
+// Freeze and one after a Freeze and a write (whose copy-on-write leaves the
+// arena shared).
 func TestFreezeImmutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := New(types.Schema{"a", "b"})
@@ -66,6 +70,16 @@ func TestFreezeImmutable(t *testing.T) {
 	snaps = append(snaps, snap{frozen: f, want: entriesMap(g)})
 	g.Reset()
 	g.Add(types.Tuple{types.Int(1), types.Int(1)}, 42)
+	// Freeze, write, Reset: the write copies slots, slab and probe table but
+	// not the arena, which Reset must then leave to the snapshot. The
+	// refill writes keys over whatever arena Reset kept.
+	f = g.Freeze()
+	snaps = append(snaps, snap{frozen: f, want: entriesMap(g)})
+	g.Add(types.Tuple{types.Int(2), types.Int(2)}, 1)
+	g.Reset()
+	for i := 0; i < 50; i++ {
+		g.Add(types.Tuple{types.Int(int64(1000 + i)), types.Int(3)}, 1)
+	}
 
 	for i, s := range snaps {
 		if got := entriesMap(s.frozen); !mapsEqual(got, s.want) {
@@ -80,6 +94,33 @@ func TestFreezeImmutable(t *testing.T) {
 				t.Fatalf("snapshot %d Get(%v) = %v, want %v", i, tp, got, m)
 			}
 		})
+	}
+}
+
+// TestResetAfterFreezeKeepsSnapshot pins that Reset never truncates an arena
+// a snapshot shares. The first write after Freeze copies the slots, the
+// slab and the probe table but leaves the arena shared, so a Reset that
+// truncated it in place let the next inserts overwrite the snapshot's key
+// bytes: its probes then missed entries its iteration still listed.
+func TestResetAfterFreezeKeepsSnapshot(t *testing.T) {
+	g := New(types.Schema{"a"})
+	g.Add(tup(1), 1)
+	g.Add(tup(2), 1)
+	f := g.Freeze()
+	g.Add(tup(3), 1)
+	g.Reset()
+	g.Add(tup(7), 1)
+	g.Add(tup(8), 1)
+	for _, k := range []int64{1, 2} {
+		if got := f.Get(tup(k)); got != 1 {
+			t.Errorf("snapshot Get(%d) = %v after the writer's Reset, want 1", k, got)
+		}
+	}
+	if es := f.Entries(); len(es) != 2 || !es[0].Tuple.Equal(tup(1)) || !es[1].Tuple.Equal(tup(2)) {
+		t.Errorf("snapshot Entries = %v, want [1] and [2]", es)
+	}
+	if got := g.Get(tup(7)) + g.Get(tup(8)); g.Len() != 2 || got != 2 {
+		t.Errorf("writer after Reset: Len %d, Get(7)+Get(8) = %v", g.Len(), got)
 	}
 }
 
@@ -199,5 +240,111 @@ func BenchmarkFreeze(b *testing.B) {
 				g.Add(tup, 1)
 			}
 		})
+	}
+}
+
+// FuzzFreezeOps is a differential fuzz of the freeze mechanism: the input
+// bytes drive Add, AddEncoded and Set, cancelling deletes that free slots
+// for reuse, Reset, Clear and Freeze, and after every operation every
+// outstanding snapshot must equal the reference captured when it froze —
+// through iteration, point lookups and Len — and each of its tuples must
+// re-encode to its key bytes. The live store is held to the reference too.
+func FuzzFreezeOps(f *testing.F) {
+	// Add 1, 2 and 3, Freeze, Add 4 (its key fits the arena's spare
+	// capacity), Reset, Add 7 and 8: the Reset of a frozen-then-written
+	// store.
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 12, 0, 0, 0, 4, 0, 13, 0, 0, 0, 7, 0, 0, 8, 0})
+	// Long keys, deletes, reuse and Clear between freezes.
+	f.Add([]byte{0, 200, 1, 6, 201, 2, 12, 0, 0, 8, 200, 1, 0, 202, 3, 15, 0, 0, 11, 201, 2, 14, 0, 0, 0, 203, 1, 12, 0, 0, 13, 0, 0, 7, 204, 5})
+	for _, seed := range []int64{1, 2} {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 3*200)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 3*256 {
+			data = data[:3*256]
+		}
+		type snap struct {
+			g    *GMR
+			want map[string]float64
+		}
+		const maxSnaps = 4
+		var snaps []snap
+		g := New(types.Schema{"a", "b"})
+		ref := newRefModel()
+		var buf []byte
+		for step := 0; len(data) >= 3; step++ {
+			op, x, y := data[0], data[1], data[2]
+			data = data[3:]
+			a := types.Int(int64(x % 48))
+			if x >= 192 {
+				a = types.Str(strings64[x%4] + string(rune('A'+x%26)))
+			}
+			tu := types.Tuple{a, types.Int(int64(y % 8))}
+			switch op % 16 {
+			case 0, 1, 2, 3, 4, 5:
+				m := float64(1 + op%3)
+				g.Add(tu, m)
+				ref.add(tu, m)
+			case 6, 7:
+				m := float64(1 + op%2)
+				buf = tu.AppendKey(buf[:0])
+				g.AddEncoded(buf, tu, m)
+				ref.add(tu, m)
+			case 8, 9, 10: // cancel exactly: the slot goes on the free list
+				if m := g.Get(tu); m != 0 {
+					g.Add(tu, -m)
+					ref.add(tu, -m)
+				}
+			case 11:
+				m := float64(int(y%3) - 1)
+				g.Set(tu, m)
+				ref.set(tu, m)
+			case 12, 15:
+				if len(snaps) == maxSnaps {
+					snaps = snaps[1:]
+				}
+				snaps = append(snaps, snap{g.Freeze(), maps.Clone(ref.mult)})
+			case 13:
+				g.Reset()
+				ref.reset()
+			case 14:
+				g.Clear()
+				ref.reset()
+			}
+			if g.Len() != len(ref.mult) {
+				t.Fatalf("step %d: Len = %d, reference has %d entries", step, g.Len(), len(ref.mult))
+			}
+			for i, s := range snaps {
+				checkSnapshot(t, fmt.Sprintf("step %d: snapshot %d", step, i), s.g, s.want)
+			}
+		}
+		assertSame(t, -1, g, ref)
+	})
+}
+
+// checkSnapshot holds a snapshot to the reference it froze with.
+func checkSnapshot(t *testing.T, what string, g *GMR, want map[string]float64) {
+	t.Helper()
+	if g.Len() != len(want) {
+		t.Fatalf("%s: Len = %d, want %d", what, g.Len(), len(want))
+	}
+	var buf []byte
+	g.ForeachKeyed(func(key []byte, tu types.Tuple, m float64) {
+		if buf = tu.AppendKey(buf[:0]); !bytes.Equal(buf, key) {
+			t.Fatalf("%s: tuple %v re-encodes to %x, stored key %x", what, tu, buf, key)
+		}
+		if w, ok := want[string(key)]; !ok || w != m {
+			t.Fatalf("%s: holds %v -> %v, reference has %v (present %v)", what, tu, m, w, ok)
+		}
+	})
+	for k, m := range want {
+		if got := g.GetEncoded([]byte(k)); got != m {
+			t.Fatalf("%s: GetEncoded(%x) = %v, want %v", what, k, got, m)
+		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 // or tuple is written as a map key. Every GMR keys its arena, probe table and
 // secondary indexes by these bytes, the executors build probe keys with them,
 // and the checkpoint codec stores view contents as the raw key bytes and
-// recovers the tuples with DecodeKey instead of persisting them separately.
+// recovers the tuples with AppendDecodedKey (DecodeKey's appending form)
+// instead of persisting them separately.
 //
 // Each value encodes as a one-byte tag followed by a self-delimiting payload,
 // so a tuple key is just its values' encodings concatenated:
@@ -108,11 +109,24 @@ var errTruncated = errors.New("truncated")
 // float tag holding an integral value or a NaN other than nanBits all yield
 // an error, never a panic, so every key it accepts re-encodes to itself.
 func DecodeKey(key []byte) (Tuple, error) {
-	t := Tuple{}
+	t, err := AppendDecodedKey(Tuple{}, key)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// AppendDecodedKey is DecodeKey appending to dst: it decodes the key's
+// values onto the end of dst and returns the extended slice, so a caller
+// that owns a block of values (a store's slab) decodes into it without
+// allocating, except for the bytes of string values. On error it returns
+// dst unchanged in length; the capacity beyond it may have been written.
+func AppendDecodedKey(dst Tuple, key []byte) (Tuple, error) {
+	t := dst
 	for pos := 0; pos < len(key); {
 		v, n, err := decodeValue(key[pos:])
 		if err != nil {
-			return nil, fmt.Errorf("key offset %d: %w", pos, err)
+			return dst, fmt.Errorf("key offset %d: %w", pos, err)
 		}
 		t = append(t, v)
 		pos += n

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"testing"
+	"time"
 
 	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/engine"
@@ -346,6 +347,138 @@ func TestSubscribeCancelFlush(t *testing.T) {
 	}
 	if want := eng.Result(); !gmr.Equal(local, want, 1e-9) {
 		t.Fatalf("consumer did not converge after Cancel flush:\n got  %v\n want %v", local, want)
+	}
+}
+
+// TestSubscribeFlushRule pins the consumer's half of the flush rule: with a
+// one-slot channel, the second of two publications coalesces; a consumer that
+// takes the first, finds the channel empty and calls Flush receives the
+// second with no further write.
+func TestSubscribeFlushRule(t *testing.T) {
+	spec := mustSpec(t, "Q1")
+	eng := newEngineFor(t, spec, compiler.ModeDBToaster)
+	batches := workload.Batches(spec.Stream(0.1, 1)[20:60], 20)
+	sub, err := eng.Subscribe("", engine.SubscribeOptions{Buffer: 1, SkipInitial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	local := resultCopy(eng)
+	for _, b := range batches {
+		if err := eng.ApplyBatch(engine.NewBatch(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	applyBatchEntries(local, <-sub.C)
+	if len(sub.C) != 0 {
+		t.Fatalf("%d batches still queued, want the second publication pending", len(sub.C))
+	}
+	sub.Flush()
+	select {
+	case cb := <-sub.C:
+		if cb.Coalesced != 1 || cb.Events != eng.Events() {
+			t.Fatalf("flushed batch: Coalesced %d at %d, want 1 at %d", cb.Coalesced, cb.Events, eng.Events())
+		}
+		applyBatchEntries(local, cb)
+	default:
+		t.Fatal("Flush left the coalesced delta pending")
+	}
+	if want := eng.Result(); !gmr.Equal(local, want, 1e-9) {
+		t.Fatalf("consumer did not converge after Flush:\n got  %v\n want %v", local, want)
+	}
+}
+
+// TestSubscribeFlushConcurrent runs the flush rule against a live writer
+// (the CI race step runs it with -race): the consumer drains a one-slot
+// subscription and calls Flush whenever it finds the channel empty while the
+// writer publishes. Batches must arrive in strictly increasing Events order,
+// and once the writer is done, one more drain-and-flush must leave the
+// consumer equal to the result.
+func TestSubscribeFlushConcurrent(t *testing.T) {
+	spec := mustSpec(t, "Q1")
+	eng := newEngineFor(t, spec, compiler.ModeDBToaster)
+	batches := workload.Batches(spec.Stream(0.5, 1)[20:], 4)
+	sub, err := eng.Subscribe("", engine.SubscribeOptions{Buffer: 1, SkipInitial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	local := resultCopy(eng)
+	writer := make(chan error, 1)
+	go func() {
+		for _, b := range batches {
+			if err := eng.ApplyBatch(engine.NewBatch(b)); err != nil {
+				writer <- err
+				return
+			}
+		}
+		writer <- nil
+	}()
+	var last uint64
+	n, writing := 0, true
+	for {
+		if len(sub.C) == 0 {
+			sub.Flush()
+			if !writing && len(sub.C) == 0 {
+				break
+			}
+		}
+		select {
+		case cb := <-sub.C:
+			if cb.Events <= last {
+				t.Fatalf("batch at %d after one at %d", cb.Events, last)
+			}
+			last = cb.Events
+			n++
+			applyBatchEntries(local, cb)
+		case err := <-writer:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		case <-time.After(10 * time.Second):
+			t.Fatal("consumer blocked on an empty channel with the delta pending")
+		}
+	}
+	if want := eng.Result(); !gmr.Equal(local, want, 1e-6) {
+		t.Fatalf("consumer diverged after %d batches:\n got  %v\n want %v", n, local, want)
+	}
+}
+
+// TestSubscribeSync pins Sync's contract: the frozen view equals the
+// consumer's copy once the backlog — the queued batch and the pending
+// delta — is applied, and the next publication on C composes onto it.
+func TestSubscribeSync(t *testing.T) {
+	spec := mustSpec(t, "Q1")
+	eng := newEngineFor(t, spec, compiler.ModeDBToaster)
+	batches := workload.Batches(spec.Stream(0.1, 1)[20:100], 20)
+	sub, err := eng.Subscribe("", engine.SubscribeOptions{Buffer: 1, SkipInitial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	local := resultCopy(eng)
+	for _, b := range batches[:3] {
+		if err := eng.ApplyBatch(engine.NewBatch(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frozen, backlog := sub.Sync()
+	if len(backlog) != 2 || backlog[1].Coalesced != 2 || backlog[1].Events != eng.Events() {
+		t.Fatalf("backlog %+v, want the queued batch and the pending delta at %d", backlog, eng.Events())
+	}
+	for _, cb := range backlog {
+		applyBatchEntries(local, cb)
+	}
+	if !gmr.Equal(local, frozen, 1e-9) {
+		t.Fatalf("copy plus backlog is not the frozen view:\n got  %v\n want %v", local, frozen)
+	}
+	if err := eng.ApplyBatch(engine.NewBatch(batches[3])); err != nil {
+		t.Fatal(err)
+	}
+	applyBatchEntries(local, <-sub.C)
+	if want := eng.Result(); !gmr.Equal(local, want, 1e-9) {
+		t.Fatalf("the batch after Sync does not compose:\n got  %v\n want %v", local, want)
 	}
 }
 

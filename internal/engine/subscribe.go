@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/types"
@@ -15,16 +16,9 @@ import (
 // to subscribers at publication time: the delta's entries are built once and
 // every subscriber's Mailbox gets the same immutable slice.
 //
-// Backpressure policy (Mailbox): delivery never blocks the sender. Each
-// mailbox has a bounded channel; when it is full the epoch's delta is not
-// dropped but coalesced — merged (GMR ring addition) into the mailbox's
-// pending delta and delivered with the next publication (or Flush) that finds
-// room, with ChangeBatch.Coalesced counting the publications that found the
-// channel full. Coalescing is lossless for state (per-key multiplicities
-// sum) and lossy only for the intermediate epochs a slow consumer would not
-// have kept up with anyway. Deltas that cancel out to zero are not delivered.
-// The serving tier's fan-out hub gives each remote client stream a Mailbox
-// too, so both streams share one queue and one meaning of Coalesced.
+// Delivery goes through a Mailbox per subscriber, which never blocks the
+// writer. The serving tier's fan-out hub gives each remote client stream a
+// Mailbox too, so both streams share one queue and one meaning of Coalesced.
 
 // ChangeBatch is one push notification on a view subscription: the net
 // change of the subscribed view between two published epochs (or, for the
@@ -68,21 +62,29 @@ type SubscribeOptions struct {
 }
 
 // Mailbox is a bounded, losslessly coalescing queue of ChangeBatch values
-// with one sender: Push offers a publication, Flush retries a pending
-// coalesced delta, Close flushes what fits and closes C. Push, Flush and
-// Close belong to the sender — the engine's writer for a Subscription, the
-// fan-out hub goroutine for a remote client stream — and must not run
-// concurrently; consumers only receive from C.
+// with one sender — the engine's writer for a Subscription, the fan-out hub
+// goroutine for a remote client stream — and one consumer. Delivery never
+// blocks the sender: a publication that finds C full is merged (GMR ring
+// addition) into a pending delta, losing only the intermediate epochs a slow
+// consumer could not have kept up with; a delta that cancels out to zero is
+// dropped. Flush delivers the pending delta if C has room, labelled with the
+// position of the last publication merged into it, so any goroutine may call
+// it. The flush rule: a consumer that finds C empty calls Flush before it
+// blocks. The sender flushes on every Push, so a consumer that never calls
+// Flush still converges, but only once the sender publishes again.
 type Mailbox struct {
 	// C delivers the change batches. It is closed by Close.
 	C <-chan ChangeBatch
 
 	view string
 	ch   chan ChangeBatch
+
+	mu sync.Mutex
 	// pending accumulates publications that found ch full; coalesced counts
-	// them.
+	// them and events is the position of the last one merged.
 	pending   *gmr.GMR
 	coalesced int
+	events    uint64
 	closed    bool
 	// Running totals for stats: batches delivered, publications coalesced.
 	delivered, coalescedTotal uint64
@@ -106,75 +108,87 @@ func NewMailbox(view string, keys []string, buffer int) *Mailbox {
 // is; otherwise it is merged into the pending delta, which is delivered now if
 // the channel has room and coalesces (counted) if not.
 func (m *Mailbox) Push(entries []gmr.Entry, events uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
 		return
 	}
-	if m.pending.IsEmpty() {
-		select {
-		case m.ch <- ChangeBatch{View: m.view, Events: events, Entries: entries}:
-			m.delivered++
-			return
-		default:
-		}
+	if m.pending.IsEmpty() && len(m.ch) < cap(m.ch) {
+		m.ch <- ChangeBatch{View: m.view, Events: events, Entries: entries}
+		m.delivered++
+		return
 	}
 	for _, e := range entries {
 		m.pending.Add(e.Tuple, e.Mult)
 	}
-	if !m.Flush(events) {
+	m.events = events
+	if !m.flushLocked() {
 		m.coalesced++
 		m.coalescedTotal++
 	}
 }
 
-// Flush tries to deliver the pending delta without blocking and reports
-// whether nothing is left pending. A backlog that cancelled out to zero is
-// dropped — the consumer's state is already correct.
-func (m *Mailbox) Flush(events uint64) bool {
+// Flush delivers the pending delta if the channel has room, without
+// blocking.
+func (m *Mailbox) Flush() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.flushLocked()
+}
+
+// flushLocked delivers the pending delta if the channel has room and reports
+// whether nothing is left pending. A full channel keeps the backlog without
+// building its sorted entries. Every send happens under m.mu and consumers
+// only receive, so room seen here stays. Callers hold m.mu.
+func (m *Mailbox) flushLocked() bool {
 	if m.closed || m.pending.IsEmpty() {
 		m.coalesced = 0
 		return true
 	}
 	if len(m.ch) == cap(m.ch) {
-		// Full: keep coalescing without building (and throwing away) the
-		// sorted entries of the whole backlog. The sender is the only writer
-		// to ch, so a stale read at worst coalesces one extra publication.
 		return false
 	}
-	select {
-	case m.ch <- ChangeBatch{View: m.view, Events: events, Coalesced: m.coalesced, Entries: m.pending.Entries()}:
-		// Entries copies the tuples out of the pending store's slab, so the
-		// delivered batch stays valid when Reset recycles the store.
-		m.pending.Reset()
-		m.coalesced = 0
-		m.delivered++
-		return true
-	default:
-		return false
-	}
+	m.ch <- m.takeLocked()
+	return true
+}
+
+// takeLocked turns the pending delta into a batch and empties it. Entries
+// copies the tuples out of the pending store's slab, so the batch stays
+// valid when Reset recycles the store. Callers hold m.mu.
+func (m *Mailbox) takeLocked() ChangeBatch {
+	cb := ChangeBatch{View: m.view, Events: m.events, Coalesced: m.coalesced, Entries: m.pending.Entries()}
+	m.pending.Reset()
+	m.coalesced = 0
+	m.delivered++
+	return cb
 }
 
 // Close flushes the pending delta if the channel has room (a consumer that
 // drained before the close therefore converges to the final state; otherwise
 // the delta is discarded) and closes C. Later calls do nothing.
-func (m *Mailbox) Close(events uint64) {
-	if m.closed {
-		return
+func (m *Mailbox) Close() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.closed {
+		m.flushLocked()
+		m.closed = true
+		close(m.ch)
 	}
-	m.Flush(events)
-	m.closed = true
-	close(m.ch)
 }
 
 // Totals returns the batches delivered and the publications coalesced over
 // the mailbox's life.
 func (m *Mailbox) Totals() (delivered, coalesced uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.delivered, m.coalescedTotal
 }
 
 // Subscription is one consumer's handle on a view's change stream: a Mailbox
-// the engine's writer pushes every publication of the view into (under the
-// writer lock — the promoted Push, Flush and Close are the writer's, not the
-// consumer's). Receive from C; Cancel closes it. Batches arrive in strictly
+// the engine's writer pushes every publication of the view into, under the
+// writer lock. Receive from C, and call Flush when C is empty before blocking
+// on it (the Mailbox flush rule) to get a coalesced delta without waiting for
+// the next publication; Cancel closes C. Batches arrive in strictly
 // increasing Events order, and after the catch-up batch, applying every
 // batch's Entries to the consumer's copy reproduces the view at each
 // delivered epoch.
@@ -231,16 +245,15 @@ func (e *Engine) Subscribe(view string, opts SubscribeOptions) (*Subscription, e
 }
 
 // Cancel removes the subscription and closes its channel. A pending
-// coalesced delta (a publication that found the channel full and was never
-// retried because the writer went idle) is flushed into the channel first if
-// there is room — a consumer that drains before cancelling therefore always
-// converges to the final state; if the channel is still full, the pending
-// delta is discarded. Safe to call at any time, any number of times.
+// coalesced delta is flushed into the channel first if there is room — a
+// consumer that drains before cancelling therefore always converges to the
+// final state; if the channel is still full, the pending delta is discarded.
+// Safe to call at any time, any number of times.
 func (s *Subscription) Cancel() {
 	e := s.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s.Close(e.events.Load())
+	s.Close()
 	list := e.subs[s.view]
 	for i, sub := range list {
 		if sub == s {
@@ -254,6 +267,27 @@ func (s *Subscription) Cancel() {
 	} else {
 		e.subs[s.view] = list
 	}
+}
+
+// Sync brings the consumer level with the view: under the writer lock it
+// freezes the view and takes every batch still in C, plus the pending delta
+// as a last batch. The frozen view, which may be read outside the lock,
+// equals the consumer's copy once that backlog is applied, and every later
+// batch on C follows it. Sync must not race another receive from C.
+func (s *Subscription) Sync() (*gmr.GMR, []ChangeBatch) {
+	e := s.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var backlog []ChangeBatch
+	for len(s.ch) > 0 {
+		backlog = append(backlog, <-s.ch)
+	}
+	if !s.pending.IsEmpty() {
+		backlog = append(backlog, s.takeLocked())
+	}
+	return e.views[s.view].data.Freeze(), backlog
 }
 
 // Subscribers reports the number of active subscriptions per view.

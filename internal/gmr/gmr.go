@@ -511,7 +511,9 @@ func Join(a, b *GMR) *GMR {
 	}
 
 	// Hash the smaller side on the shared columns; probe with the larger. The
-	// join-key encoding reuses one buffer across rows.
+	// join-key encoding reuses one buffer across rows, and the hash table maps
+	// each distinct key to its posting list, so only a new key allocates its
+	// string.
 	var keyBuf []byte
 	joinKey := func(t types.Tuple, cols []int) []byte {
 		keyBuf = keyBuf[:0]
@@ -520,29 +522,34 @@ func Join(a, b *GMR) *GMR {
 		}
 		return keyBuf
 	}
-	if a.live <= b.live {
-		index := make(map[string][]Entry, a.live)
-		a.Foreach(func(t types.Tuple, m float64) {
-			k := joinKey(t, aShared)
-			index[string(k)] = append(index[string(k)], Entry{Tuple: t, Mult: m})
-		})
-		b.Foreach(func(t types.Tuple, m float64) {
-			eb := Entry{Tuple: t, Mult: m}
-			for _, ea := range index[string(joinKey(t, bShared))] {
-				emit(ea, eb)
-			}
-		})
-		return out
+	build, probe, buildCols, probeCols := a, b, aShared, bShared
+	if a.live > b.live {
+		build, probe, buildCols, probeCols = b, a, bShared, aShared
 	}
-	index := make(map[string][]Entry, b.live)
-	b.Foreach(func(t types.Tuple, m float64) {
-		k := joinKey(t, bShared)
-		index[string(k)] = append(index[string(k)], Entry{Tuple: t, Mult: m})
+	index := map[string]int32{}
+	var postings [][]Entry
+	build.Foreach(func(t types.Tuple, m float64) {
+		k := joinKey(t, buildCols)
+		i, ok := index[string(k)]
+		if !ok {
+			i = int32(len(postings))
+			index[string(k)] = i
+			postings = append(postings, nil)
+		}
+		postings[i] = append(postings[i], Entry{Tuple: t, Mult: m})
 	})
-	a.Foreach(func(t types.Tuple, m float64) {
-		ea := Entry{Tuple: t, Mult: m}
-		for _, eb := range index[string(joinKey(t, aShared))] {
-			emit(ea, eb)
+	probe.Foreach(func(t types.Tuple, m float64) {
+		i, ok := index[string(joinKey(t, probeCols))]
+		if !ok {
+			return
+		}
+		ep := Entry{Tuple: t, Mult: m}
+		for _, eb := range postings[i] {
+			if build == a {
+				emit(eb, ep)
+			} else {
+				emit(ep, eb)
+			}
 		}
 	})
 	return out

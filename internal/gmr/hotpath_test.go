@@ -278,14 +278,15 @@ func TestJoinProjectAllocs(t *testing.T) {
 	}
 	// The join emits n*16 distinct rows; key encoding and probing reuse
 	// buffers and new rows land in the output's slab, so what allocates is
-	// the build side's hash table (a key string and posting growth per build
-	// row) and the output's doublings.
-	rows := float64(n * 16)
+	// the build side's hash table — per distinct join key its string and its
+	// posting list's doublings, nothing per build row — and the output's
+	// doublings (~80 for these 4 096 rows). It reads 192.
+	const keys = 16
 	joinAllocs := testing.AllocsPerRun(5, func() {
 		Join(a, bb)
 	})
-	if joinAllocs > rows/4 {
-		t.Errorf("Join allocated %.0f times for %.0f output rows; want <= %.0f", joinAllocs, rows, rows/4)
+	if bound := float64(keys*8 + 96); joinAllocs > bound {
+		t.Errorf("Join allocated %.0f times for %d join keys; want <= %.0f", joinAllocs, keys, bound)
 	}
 }
 

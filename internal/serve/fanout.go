@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"time"
+	"slices"
 
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/gmr"
@@ -9,21 +9,19 @@ import (
 )
 
 // A hub multiplexes ONE engine subscription per view onto any number of
-// remote client streams. The hub goroutine owns a materialized copy of the
-// view (seeded from the subscription's catch-up batch and advanced by every
-// delta), so attaching a client at any moment yields catch-up state that is
-// gap-free consistent with the deltas that follow — without ever touching
-// the engine again. It also retains the last retainPublications per-epoch
-// deltas, so a reconnecting client whose resume token is still covered
-// receives one merged delta instead of a full snapshot.
+// remote client streams and keeps no copy of the view: a client's catch-up is
+// cut from the frozen view that Subscription.Sync returns level with the
+// hub's position, so it composes gap-free with the deltas that follow. The
+// last retainPublications deltas are kept, so a reconnecting client whose
+// resume token is still covered receives one merged delta, not a snapshot.
 //
-// Each client stream is an engine.Mailbox, the queue behind an in-process
-// subscription, with the hub goroutine as its one sender: a full buffer
-// coalesces the delta losslessly into the client's pending delta, never
-// blocking the hub — a slow client cannot stall the writer, the hub, or its
-// peers — and on the fast path every client receives the engine's immutable
-// entries slice itself, so fan-out to N clients costs N channel sends, not N
-// copies of the delta.
+// Each client stream is an engine.Mailbox with the hub goroutine as its
+// sender and the connection's writer as its consumer, so a slow client
+// coalesces losslessly and never stalls the writer, the hub or its peers.
+// On the fast path every client gets the engine's immutable entries slice
+// itself: fan-out to N clients is N channel sends, not N copies. The hub and
+// every connection follow the Mailbox flush rule, so a coalesced delta
+// reaches the client even when the writer goes quiet.
 
 const (
 	// hubBuffer is the hub's own engine-subscription buffer: deep enough
@@ -52,7 +50,6 @@ type hub struct {
 	view      string
 	keys      []string
 	sub       *engine.Subscription
-	state     *gmr.GMR
 	events    uint64
 	retain    []retained
 	clientBuf int
@@ -61,79 +58,56 @@ type hub struct {
 	stopped   chan struct{}
 }
 
-// newHub subscribes to the view and seeds the hub's state from the catch-up
-// batch synchronously, so the first client attach (whenever it happens)
-// observes a fully seeded hub. Must be called where engine.Subscribe is safe
-// (server construction, per the serving-mode contract).
+// newHub subscribes to the view's deltas; the hub starts at the engine's
+// current position. Must be called where engine.Subscribe is safe (server
+// construction, per the serving-mode contract).
 func newHub(eng *engine.Engine, view string, opts Options) (*hub, error) {
-	sub, err := eng.Subscribe(view, engine.SubscribeOptions{Buffer: hubBuffer})
+	sub, err := eng.Subscribe(view, engine.SubscribeOptions{Buffer: hubBuffer, SkipInitial: true})
 	if err != nil {
 		return nil, err
 	}
-	keys := eng.View(view).Keys()
 	h := &hub{
 		view:      view,
-		keys:      keys,
+		keys:      eng.View(view).Keys(),
 		sub:       sub,
-		state:     gmr.New(types.Schema(keys)),
+		events:    eng.Events(),
 		clientBuf: opts.clientBuffer(),
 		clients:   map[*engine.Mailbox]bool{},
 		reqs:      make(chan hubReq),
 		stopped:   make(chan struct{}),
 	}
-	// The engine delivers the catch-up batch first (built under its writer
-	// lock), so seeding here is exactly the view at the subscription's epoch;
-	// an attach at any later moment composes gap-free with the deltas.
-	cb := <-sub.C
-	for _, e := range cb.Entries {
-		h.state.Add(e.Tuple, e.Mult)
-	}
-	h.events = cb.Events
 	go h.loop()
 	return h, nil
 }
 
 // loop is the hub goroutine: it applies subscription deltas and serves
-// attach/detach/stats requests. A short idle tick retries pending coalesced
-// deltas, so a client that stalled and recovered converges even when the
-// writer goes quiescent (a push-driven flush alone would strand the pending
-// delta until the next publication). It exits when the engine subscription
-// is cancelled (the server's drain path), closing every client stream.
+// attach/detach/stats requests, flushing its subscription's pending delta
+// whenever the channel is empty. It exits when the engine subscription is
+// cancelled (the server's drain path), closing every client stream.
 func (h *hub) loop() {
 	defer close(h.stopped)
-	tick := time.NewTicker(idleFlushInterval)
-	defer tick.Stop()
 	for {
+		if len(h.sub.C) == 0 {
+			h.sub.Flush()
+		}
 		select {
 		case cb, ok := <-h.sub.C:
 			if !ok {
 				for c := range h.clients {
-					c.Close(h.events)
+					c.Close()
 				}
 				return
 			}
 			h.apply(cb)
-		case <-tick.C:
-			for c := range h.clients {
-				c.Flush(h.events)
-			}
 		case req := <-h.reqs:
 			req(h)
 		}
 	}
 }
 
-// idleFlushInterval is how often the hub retries pending coalesced deltas
-// while the stream is quiet. Flushing is a no-op for clients with nothing
-// pending.
-const idleFlushInterval = 25 * time.Millisecond
-
-// apply advances the hub's materialized state by one publication, records it
-// in the retention window, and fans it out.
+// apply advances the hub's position by one publication, records it in the
+// retention window, and fans it out.
 func (h *hub) apply(cb engine.ChangeBatch) {
-	for _, e := range cb.Entries {
-		h.state.Add(e.Tuple, e.Mult)
-	}
 	if len(h.retain) == retainPublications {
 		copy(h.retain, h.retain[1:])
 		h.retain = h.retain[:retainPublications-1]
@@ -171,16 +145,22 @@ func (h *hub) do(req hubReq) bool {
 	}
 }
 
-// attach registers a new client stream. With no (or a stale) resume token
-// the catch-up is the hub's full state, chunked; a token equal to the hub's
-// position attaches with nothing to send; a token still covered by the
-// retention window gets one merged delta. The catch-up batches bypass the
-// client buffer (the connection writes them first), so an arbitrarily large
-// snapshot never deadlocks a small buffer; deltas enqueued meanwhile wait in
-// the buffer behind them in order.
+// attach registers a new client stream. It first syncs the hub with the
+// engine, applying the subscription's backlog, so the hub's position is the
+// view's current one. With no (or a stale) resume token the catch-up is the
+// frozen view, chunked; a token equal to the hub's position attaches with
+// nothing to send; a token still covered by the retention window gets one
+// merged delta. The catch-up batches bypass the client buffer (the
+// connection writes them first), so an arbitrarily large snapshot never
+// deadlocks a small buffer; deltas enqueued meanwhile wait in the buffer
+// behind them in order.
 func (h *hub) attach(resume *uint64) (attachResp, bool) {
 	var resp attachResp
 	ok := h.do(func(h *hub) {
+		view, backlog := h.sub.Sync()
+		for _, cb := range backlog {
+			h.apply(cb)
+		}
 		c := engine.NewMailbox(h.view, h.keys, h.clientBuf)
 		resp = attachResp{c: c, events: h.events}
 		switch {
@@ -190,7 +170,7 @@ func (h *hub) attach(resume *uint64) (attachResp, bool) {
 			resp.mode = ResumeDelta
 		default:
 			resp.mode = ResumeSnapshot
-			resp.catchup = h.stateChunks()
+			resp.catchup = h.chunks(view.Entries())
 		}
 		h.clients[c] = true
 	})
@@ -200,13 +180,7 @@ func (h *hub) attach(resume *uint64) (attachResp, bool) {
 // mergeSince builds the merged-delta catch-up for a resume token, reporting
 // whether the retention window still covers it.
 func (h *hub) mergeSince(token uint64, resp *attachResp) bool {
-	start := -1
-	for i := range h.retain {
-		if h.retain[i].from == token {
-			start = i
-			break
-		}
-	}
+	start := slices.IndexFunc(h.retain, func(r retained) bool { return r.from == token })
 	if start < 0 {
 		return false
 	}
@@ -216,33 +190,20 @@ func (h *hub) mergeSince(token uint64, resp *attachResp) bool {
 			merged.Add(e.Tuple, e.Mult)
 		}
 	}
-	n := len(h.retain) - start
-	resp.catchup = []Batch{{
-		Events:    h.events,
-		Resumed:   true,
-		Coalesced: uint32(n - 1),
-		Entries:   merged.Entries(),
-	}}
+	n := uint32(len(h.retain) - start - 1)
+	resp.catchup = []Batch{{Events: h.events, Resumed: true, Coalesced: n, Entries: merged.Entries()}}
 	return true
 }
 
-// stateChunks cuts the hub's materialized state into catch-up batches of at
-// most chunkEntries entries; the first carries the reset flag. An empty view
-// still yields one (empty) reset batch so the client learns its position.
-func (h *hub) stateChunks() []Batch {
-	entries := h.state.Entries()
+// chunks cuts a view's entries into catch-up batches of at most chunkEntries
+// entries at the hub's position; the first carries the reset flag. An empty
+// view still yields one (empty) reset batch so the client learns its
+// position.
+func (h *hub) chunks(entries []gmr.Entry) []Batch {
 	var out []Batch
 	for first := true; first || len(entries) > 0; first = false {
-		n := len(entries)
-		if n > chunkEntries {
-			n = chunkEntries
-		}
-		out = append(out, Batch{
-			Events:  h.events,
-			Reset:   first,
-			Initial: true,
-			Entries: entries[:n],
-		})
+		n := min(len(entries), chunkEntries)
+		out = append(out, Batch{Events: h.events, Reset: first, Initial: true, Entries: entries[:n]})
 		entries = entries[n:]
 	}
 	return out
@@ -254,7 +215,7 @@ func (h *hub) detach(c *engine.Mailbox) {
 	h.do(func(h *hub) {
 		if h.clients[c] {
 			delete(h.clients, c)
-			c.Close(h.events)
+			c.Close()
 		}
 	})
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"syscall"
@@ -391,9 +392,8 @@ func TestSlowClient(t *testing.T) {
 // 1-slot client stream, driven through the sequence TestSubscribeCoalesce
 // (package engine) drives through an in-process subscription, reports the
 // same count — the two publications that found its buffer full, not the one
-// that then delivered them. Reading the first batch and applying the fourth
-// publication happen inside one hub request, so the hub's idle flush cannot
-// slip in between.
+// that then delivered them. The hub loop runs freely: it never flushes a
+// client on its own, so the pending delta waits for the fourth publication.
 func TestHubCoalesced(t *testing.T) {
 	spec, ok := workload.Get("Q1")
 	if !ok {
@@ -424,18 +424,11 @@ func TestHubCoalesced(t *testing.T) {
 	waitFor(t, "the hub to take three publications", 10*time.Second, func() bool {
 		return h.statsNow().Events == eng.Events()
 	})
-	var first, second engine.ChangeBatch
-	var applyErr error
-	h.do(func(h *hub) {
-		first = <-resp.c.C // publication 1; frees the slot
-		if applyErr = eng.ApplyBatch(engine.NewBatch(batches[3])); applyErr == nil {
-			h.apply(<-h.sub.C) // publication 4 delivers 2+3+4
-			second = <-resp.c.C
-		}
-	})
-	if applyErr != nil {
-		t.Fatal(applyErr)
+	first := <-resp.c.C // publication 1; frees the slot
+	if err := eng.ApplyBatch(engine.NewBatch(batches[3])); err != nil {
+		t.Fatal(err)
 	}
+	second := <-resp.c.C // publication 4 delivers 2+3+4
 	if first.Coalesced != 0 || second.Coalesced != 2 {
 		t.Fatalf("Coalesced = %d then %d, want 0 then 2 (publications 2 and 3 found the buffer full)", first.Coalesced, second.Coalesced)
 	}
@@ -449,6 +442,73 @@ func TestHubCoalesced(t *testing.T) {
 	}
 	if want := eng.Result(); !gmr.Equal(local, want, 1e-9) {
 		t.Fatalf("coalesced delivery lost state:\n got  %v\n want %v", local, want)
+	}
+}
+
+// TestQuietWriterConverges pins the flush rule end to end: while the hub is
+// held, the writer applies more changing windows than the hub's subscription
+// buffers, so the last ones coalesce into its pending delta, and then the
+// writer goes quiet. With no further publication, the attached client and a
+// client dialled afterwards must both reach the engine's state. At
+// ClientBuffer 1 the client stream coalesces too.
+func TestQuietWriterConverges(t *testing.T) {
+	for _, clientBuf := range []int{0, 1} {
+		t.Run(fmt.Sprintf("ClientBuffer=%d", clientBuf), func(t *testing.T) {
+			spec, ok := workload.Get("Q1")
+			if !ok {
+				t.Fatal("no Q1")
+			}
+			eng := newServedEngine(t, spec)
+			srv, err := New(eng, Options{SnapshotAddr: "-", ClientBuffer: clientBuf})
+			if err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+			defer shutdownServer(t, srv)
+			attached, err := Dial(srv.StreamAddr(), "", ClientOptions{Buffer: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer attached.Close()
+			go func() {
+				for range attached.C {
+				}
+			}()
+
+			windows := workload.Batches(spec.Stream(1.0, 1)[20:], 4)[:400]
+			h := srv.hubs[eng.Program().ResultMap]
+			var applyErr error
+			backed := 0
+			h.do(func(h *hub) {
+				for _, w := range windows {
+					if applyErr = eng.ApplyBatch(engine.NewBatch(w)); applyErr != nil {
+						return
+					}
+				}
+				backed = len(h.sub.C)
+			})
+			if applyErr != nil {
+				t.Fatal(applyErr)
+			}
+			if backed != hubBuffer {
+				t.Fatalf("hub subscription holds %d batches, want a full %d: the writer did not coalesce", backed, hubBuffer)
+			}
+
+			truth := eng.Acquire().Result()
+			waitFor(t, "the attached client to converge", time.Second, func() bool {
+				return gmr.Equal(attached.Result(), truth, 1e-6)
+			})
+			late, err := Dial(srv.StreamAddr(), "", ClientOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer late.Close()
+			waitFor(t, "the late client to converge", time.Second, func() bool {
+				return gmr.Equal(late.Result(), truth, 1e-6)
+			})
+			if late.Events() != attached.Events() {
+				t.Fatalf("late client at %d, attached client at %d", late.Events(), attached.Events())
+			}
+		})
 	}
 }
 
@@ -585,7 +645,10 @@ func TestServeResumeModes(t *testing.T) {
 	}
 
 	// Snapshot: a token the retention window has never seen falls back to
-	// the full catch-up.
+	// the full catch-up. It is cut from the engine's frozen view, so it
+	// rebuilds the engine's own state bit for bit; the delta-accumulated
+	// final.state can differ from that in float summation order.
+	truth := eng.Acquire().Result().Entries()
 	bogus := uint64(1<<63) + 12345
 	conn3, err := net.DialTimeout("tcp", srv.StreamAddr(), 5*time.Second)
 	if err != nil {
@@ -603,11 +666,11 @@ func TestServeResumeModes(t *testing.T) {
 			break
 		}
 		local = applyWireBatch(local, keys, b)
-		if entriesEqual(local.Entries(), final.state) {
+		if entriesEqual(local.Entries(), truth) {
 			break
 		}
 	}
-	if !entriesEqual(local.Entries(), final.state) {
+	if !entriesEqual(local.Entries(), truth) {
 		t.Fatal("snapshot fallback did not rebuild the full state")
 	}
 

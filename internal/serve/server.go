@@ -340,10 +340,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		if _, err := bw.Write(scratch); err != nil {
 			return
 		}
+		// The Mailbox flush rule, after the socket's own flush.
 		if len(resp.c.C) == 0 {
 			if err := bw.Flush(); err != nil {
 				return
 			}
+			resp.c.Flush()
 		}
 	}
 	// The hub closed the stream: on a drain tell the client it may resume

@@ -32,8 +32,8 @@ import (
 // between carry, per view, either an incremental delta of the slots touched
 // since the previous checkpoint (gmr.AppendFlatDelta against the FlatBase
 // captured then) or — when the view's dirty fraction crossed
-// deltaDirtyThreshold, or the view's store structurally diverged (probe-table
-// grow, arena compaction) — a fresh full image. Recovery (Engine.Recover)
+// deltaDirtyThreshold, or the view's store structurally diverged (arena
+// compaction, Clear/Reset) — a fresh full image. Recovery (Engine.Recover)
 // composes the newest valid chain (install the base, patch each delta link)
 // and replays the committed log tail through the normal Apply/ApplyBatch
 // paths — each record the way it was originally committed, so float

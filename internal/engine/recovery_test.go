@@ -660,61 +660,83 @@ func TestDurabilityMisuse(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsFlatVersion1 pins that a checkpoint whose flat images
-// carry version 1 (the decimal text key format) is refused by name: Recover
-// fails with an error naming the version and installs no view.
+// TestRecoverRejectsFlatVersion1 pins that a checkpoint in an older flat
+// format is refused by name: a full image of version 1 (the decimal text key
+// format) or 2 (the serialized probe table), or a delta of version 1 (the
+// serialized probe cells), makes Recover fail with an error naming the
+// version and install no view.
 func TestRecoverRejectsFlatVersion1(t *testing.T) {
-	spec := mustSpec(t, "Q3")
-	events := spec.Stream(0.1, 1)[:60]
-	src := newEngineFor(t, spec, compiler.ModeDBToaster)
-	ffs := wal.NewFaultFS()
-	if err := src.SetDurability(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs}); err != nil {
-		t.Fatalf("set durability: %v", err)
-	}
-	if err := src.ApplyBatch(engine.NewBatch(events)); err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	if err := src.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	if err := src.CloseDurability(); err != nil {
-		t.Fatalf("close durability: %v", err)
-	}
-	names, err := ffs.List(recoveryWalDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched := 0
-	for _, name := range names {
-		if !strings.HasSuffix(name, ".base") {
-			continue
-		}
-		c, err := wal.ReadChainCheckpoint(ffs, recoveryWalDir, name)
-		if err != nil {
-			t.Fatalf("read %s: %v", name, err)
-		}
-		for i := range c.Views {
-			c.Views[i].Data[len("GMRFLAT1")] = 1
-		}
-		if _, _, err := wal.WriteChainCheckpoint(ffs, recoveryWalDir, c); err != nil {
-			t.Fatalf("rewrite %s: %v", name, err)
-		}
-		patched++
-	}
-	if patched != 1 {
-		t.Fatalf("found %d base checkpoints in %v, want 1", patched, names)
-	}
-	fresh := viewBytes(newEngineFor(t, spec, compiler.ModeDBToaster))
-	rec := newEngineFor(t, spec, compiler.ModeDBToaster)
-	if _, err := rec.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs}); err == nil {
-		t.Fatal("Recover accepted a version-1 flat image")
-	} else if !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("Recover error %q does not name version 1", err)
-	}
-	if got := viewBytes(rec); !reflect.DeepEqual(got, fresh) {
-		t.Error("failed Recover installed views")
-	}
-	if rec.Events() != 0 {
-		t.Errorf("failed Recover moved Events to %d", rec.Events())
+	for _, tc := range []struct {
+		name    string
+		suffix  string // the checkpoint file whose payloads are patched
+		magic   string // the payloads patched: images or deltas
+		version byte
+	}{
+		{"image-v1", ".base", "GMRFLAT1", 1},
+		{"image-v2", ".base", "GMRFLAT1", 2},
+		{"delta-v1", ".delta", "GMRDLTA1", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := mustSpec(t, "Q3")
+			events := spec.Stream(0.1, 1)[:60]
+			src := newEngineFor(t, spec, compiler.ModeDBToaster)
+			ffs := wal.NewFaultFS()
+			if err := src.SetDurability(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs, DeltaCheckpoints: true}); err != nil {
+				t.Fatalf("set durability: %v", err)
+			}
+			// A base link, then a delta link on top of it.
+			for _, w := range [][]engine.Event{events[:30], events[30:]} {
+				if err := src.ApplyBatch(engine.NewBatch(w)); err != nil {
+					t.Fatalf("apply: %v", err)
+				}
+				if err := src.Checkpoint(); err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+			}
+			if err := src.CloseDurability(); err != nil {
+				t.Fatalf("close durability: %v", err)
+			}
+			names, err := ffs.List(recoveryWalDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files, payloads := 0, 0
+			for _, name := range names {
+				if !strings.HasSuffix(name, tc.suffix) {
+					continue
+				}
+				c, err := wal.ReadChainCheckpoint(ffs, recoveryWalDir, name)
+				if err != nil {
+					t.Fatalf("read %s: %v", name, err)
+				}
+				for i := range c.Views {
+					if d := c.Views[i].Data; strings.HasPrefix(string(d), tc.magic) {
+						d[len(tc.magic)] = tc.version
+						payloads++
+					}
+				}
+				if _, _, err := wal.WriteChainCheckpoint(ffs, recoveryWalDir, c); err != nil {
+					t.Fatalf("rewrite %s: %v", name, err)
+				}
+				files++
+			}
+			if files != 1 || payloads == 0 {
+				t.Fatalf("patched %d payloads in %d %s checkpoints of %v, want one file", payloads, files, tc.suffix, names)
+			}
+			fresh := viewBytes(newEngineFor(t, spec, compiler.ModeDBToaster))
+			rec := newEngineFor(t, spec, compiler.ModeDBToaster)
+			want := fmt.Sprintf("version %d", tc.version)
+			if _, err := rec.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs}); err == nil {
+				t.Fatalf("Recover accepted a %s payload of %s", tc.magic, want)
+			} else if !strings.Contains(err.Error(), want) {
+				t.Errorf("Recover error %q does not name %s", err, want)
+			}
+			if got := viewBytes(rec); !reflect.DeepEqual(got, fresh) {
+				t.Error("failed Recover installed views")
+			}
+			if rec.Events() != 0 {
+				t.Errorf("failed Recover moved Events to %d", rec.Events())
+			}
+		})
 	}
 }

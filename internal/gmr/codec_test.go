@@ -2,8 +2,11 @@ package gmr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dbtoaster/internal/types"
@@ -55,9 +58,9 @@ func churnStore(rng *rand.Rand, schema types.Schema, ops int) *GMR {
 
 // TestFlatCodecRoundTrip fuzzes AppendFlat/LoadFlat over churned stores. The
 // byte-equality assertion is the strong one: the reloaded store must
-// re-serialize to the identical bytes, which pins slot ids, free-list order,
-// arena layout (dead bytes included) and probe-cell placement — the verbatim
-// layout the recovery byte-equality guarantee depends on.
+// re-serialize to the identical bytes, which pins slot ids, free-list order
+// and arena layout (dead bytes included) — the verbatim layout the recovery
+// byte-equality guarantee depends on.
 func TestFlatCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	schemas := []types.Schema{
@@ -248,8 +251,9 @@ func BenchmarkFlatCodec(b *testing.B) {
 
 // FuzzLoadFlat throws arbitrary bytes at the flat-image decoder, seeded with
 // the churned images of the delta fixtures. Any input must either be
-// rejected or load into a store that re-serializes byte-identically and
-// whose every live slot holds a tuple that re-encodes to its stored key.
+// rejected or load into a store that re-serializes byte-identically, whose
+// every live slot holds a tuple that re-encodes to its stored key, and that
+// answers lookups (checkLookups).
 func FuzzLoadFlat(f *testing.F) {
 	for _, seed := range []int64{5, 9, 42} {
 		baseImg, delta := deltaFixtureBytes(seed)
@@ -287,5 +291,63 @@ func FuzzLoadFlat(f *testing.F) {
 				t.Fatalf("slot %d: tuple %v re-encodes to %x, stored key %x", i, g.tupleAt(int32(i)), buf, g.keyAt(s))
 			}
 		}
+		checkLookups(t, g)
 	})
+}
+
+// checkLookups holds a store's probe table to its slots: GetEncoded finds
+// every live key with its slot's multiplicity, and misses a key no store
+// holds (0xff is no key codec tag). A full probe table makes that miss spin
+// forever.
+func checkLookups(t *testing.T, g *GMR) {
+	t.Helper()
+	for i := range g.slots {
+		s := &g.slots[i]
+		if s.dead {
+			continue
+		}
+		if m := g.GetEncoded(g.keyAt(s)); math.Float64bits(m) != math.Float64bits(s.mult) {
+			t.Fatalf("slot %d: GetEncoded = %v, slot holds %v", i, m, s.mult)
+		}
+	}
+	if m := g.GetEncoded([]byte{0xff}); m != 0 {
+		t.Fatalf("GetEncoded of an absent key = %v", m)
+	}
+}
+
+// TestLoadRefusesDuplicateKeys forges an image and a delta in which two live
+// slots reference the same key bytes. Every other check passes on them, so
+// the probe-table rebuild must refuse them, naming both slots.
+func TestLoadRefusesDuplicateKeys(t *testing.T) {
+	g := New(types.Schema{"a"})
+	g.Add(tup(1), 1)
+	g.Add(tup(2), 1)
+	img := g.AppendFlat(nil)
+	// The image ends with slot records 0 and 1 (the free list is empty);
+	// point slot 1's key reference (bytes 8..16 of a record) at slot 0's.
+	rec0 := len(img) - 2*flatSlotBytes
+	copy(img[rec0+flatSlotBytes+8:rec0+flatSlotBytes+16], img[rec0+8:rec0+16])
+	if _, err := LoadFlat(img); err == nil || !strings.Contains(err.Error(), "slots 0 and 1") {
+		t.Fatalf("LoadFlat of a duplicate key: err = %v, want one naming slots 0 and 1", err)
+	}
+
+	b := New(types.Schema{"a"})
+	b.Add(tup(1), 1)
+	snap := b.Freeze()
+	baseImg, base := snap.AppendFlat(nil), snap.FlatBase()
+	b.Add(tup(2), 1)
+	delta, ok := b.Freeze().AppendFlatDelta(nil, base)
+	if !ok {
+		t.Fatal("delta ineligible")
+	}
+	// The delta ends with slot 1's dirty record: id(4), then the slot
+	// record. Slot 0's key sits at arena offset 0.
+	binary.LittleEndian.PutUint32(delta[len(delta)-flatSlotBytes+8:], 0)
+	st, err := LoadFlat(baseImg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ApplyFlatDelta(delta); err == nil || !strings.Contains(err.Error(), "slots 0 and 1") {
+		t.Fatalf("ApplyFlatDelta of a duplicate key: err = %v, want one naming slots 0 and 1", err)
+	}
 }

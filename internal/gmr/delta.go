@@ -3,7 +3,6 @@ package gmr
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"dbtoaster/internal/frame"
 	"dbtoaster/internal/types"
@@ -12,27 +11,26 @@ import (
 // This file is the incremental counterpart of codec.go: AppendFlatDelta
 // serializes only what changed in a store since a previous checkpoint
 // snapshot, and ApplyFlatDelta replays that change set on top of a store
-// reconstructed from the earlier image. Change detection is the per-slot /
-// per-probe-cell epoch stamps maintained by the mutation paths (flat.go) and
-// advanced at Freeze() boundaries (snapshot.go): a slot or cell is dirty iff
-// its stamp is strictly newer than the epoch the base snapshot captured.
+// reconstructed from the earlier image. Change detection is the per-slot
+// epoch stamp maintained by the mutation paths (flat.go) and advanced at
+// Freeze() boundaries (snapshot.go): a slot is dirty iff its stamp is
+// strictly newer than the epoch the base snapshot captured.
 //
 // A delta is expressed against a FlatBase — the structural fingerprint of the
 // snapshot the previous checkpoint serialized. It is only valid while the
 // store evolved append-only relative to that base: same flat generation (no
 // arena compaction, Reset, Clear or epoch wrap-around — all of which rewrite
-// state without stamping it), same probe-table capacity (grow rebuilds every
-// cell into a freshly zeroed stamp array), and monotonically grown arena and
-// slot slices. When any of that fails, AppendFlatDelta reports ineligibility
-// and the caller falls back to a full AppendFlat image; correctness never
-// depends on deltas being available.
+// state without stamping it) and monotonically grown arena and slot slices.
+// A probe-table grow does not matter: the table is not serialized. When any
+// of that fails, AppendFlatDelta reports ineligibility and the caller falls
+// back to a full AppendFlat image; correctness never depends on deltas being
+// available.
 //
-// Like codec.go, the composed store is byte-identical to the source: dirty
-// slots carry their records verbatim (including tombstones), the free list is
-// replaced wholesale (its order determines future slot reuse), and dirty
-// probe cells carry their actual packed values — probe placement is
-// history-dependent (linear probing + backward-shift deletion), so cells are
-// copied, never rebuilt. Composing base + deltas therefore reproduces exactly
+// Like codec.go, the composed store serializes byte-identically to the
+// source: dirty slots carry their records verbatim (including tombstones)
+// and the free list is replaced wholesale (its order determines future slot
+// reuse). The probe table is rebuilt from the slots after the patch, exactly
+// as LoadFlat builds it. Composing base + deltas therefore reproduces exactly
 // the store AppendFlat would have serialized at the head checkpoint, which is
 // what recovery byte-equality tests pin.
 //
@@ -43,7 +41,7 @@ import (
 // throwaway stores and installs only fully validated results.
 
 const (
-	deltaVersion = 1
+	deltaVersion = 2
 	deltaMagic   = "GMRDLTA1"
 )
 
@@ -55,7 +53,6 @@ type FlatBase struct {
 	Epoch    uint32 // epoch the snapshot captured; stamps > Epoch are dirty
 	ArenaLen int    // arena length at the snapshot; the delta carries the suffix
 	Slots    int    // slot count at the snapshot; ids >= Slots are new
-	IndexLen int    // probe-table capacity; a grow invalidates the base
 	Live     int    // live entries at the snapshot (informational)
 }
 
@@ -69,7 +66,6 @@ func (g *GMR) FlatBase() FlatBase {
 		Epoch:    g.epoch,
 		ArenaLen: len(g.arena),
 		Slots:    len(g.slots),
-		IndexLen: len(g.index),
 		Live:     g.live,
 	}
 }
@@ -78,7 +74,6 @@ func (g *GMR) FlatBase() FlatBase {
 // relative to base, i.e. whether a delta against base can describe it.
 func (g *GMR) deltaEligible(base FlatBase) bool {
 	return g.flatGen == base.Gen &&
-		len(g.index) == base.IndexLen &&
 		len(g.slots) >= base.Slots &&
 		len(g.arena) >= base.ArenaLen
 }
@@ -116,7 +111,6 @@ func (g *GMR) AppendFlatDelta(dst []byte, base FlatBase) ([]byte, bool) {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(g.slots)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(base.Slots))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(g.free)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(g.index)))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(g.arena)))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(base.ArenaLen))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(g.deadKey))
@@ -134,32 +128,10 @@ func (g *GMR) AppendFlatDelta(dst []byte, base FlatBase) ([]byte, bool) {
 			continue
 		}
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
-		dst = binary.LittleEndian.AppendUint64(dst, s.hash)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.mult))
-		dst = binary.LittleEndian.AppendUint32(dst, s.keyOff)
-		dst = binary.LittleEndian.AppendUint32(dst, s.keyLen)
-		if s.dead {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = appendSlot(dst, s)
 	}
 	for _, id := range g.free {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-	}
-	nCells := 0
-	for pos := range g.index {
-		if g.indexEpoch[pos] > base.Epoch {
-			nCells++
-		}
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(nCells))
-	for pos := range g.index {
-		if g.indexEpoch[pos] <= base.Epoch {
-			continue
-		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(pos))
-		dst = binary.LittleEndian.AppendUint64(dst, g.index[pos])
 	}
 	return dst, true
 }
@@ -182,7 +154,6 @@ func (g *GMR) ApplyFlatDelta(data []byte) error {
 	nSlots := r.U32("slot count")
 	baseSlots := r.U32("base slot count")
 	nFree := r.U32("free-list length")
-	nIndex := r.U32("probe table size")
 	arenaLen := r.U64("arena length")
 	baseArenaLen := r.U64("base arena length")
 	deadKey := r.U64("dead-key byte count")
@@ -192,15 +163,13 @@ func (g *GMR) ApplyFlatDelta(data []byte) error {
 	case string(magic) != deltaMagic:
 		return fmt.Errorf("bad delta magic %q", magic)
 	case ver != deltaVersion:
-		return fmt.Errorf("unsupported delta version %d", ver)
+		return fmt.Errorf("unsupported delta version %d (this build reads version %d)", ver, deltaVersion)
 	case int(ncols) != len(g.schema):
 		return fmt.Errorf("delta schema has %d columns, store has %d", ncols, len(g.schema))
 	case int(baseSlots) != len(g.slots):
 		return fmt.Errorf("delta base has %d slots, store has %d", baseSlots, len(g.slots))
 	case baseArenaLen != uint64(len(g.arena)):
 		return fmt.Errorf("delta base arena is %d bytes, store arena is %d", baseArenaLen, len(g.arena))
-	case int(nIndex) != len(g.index):
-		return fmt.Errorf("delta probe table has %d cells, store has %d", nIndex, len(g.index))
 	case arenaLen < baseArenaLen:
 		return fmt.Errorf("delta arena length %d below base arena length %d", arenaLen, baseArenaLen)
 	case nSlots < baseSlots:
@@ -219,11 +188,6 @@ func (g *GMR) ApplyFlatDelta(data []byte) error {
 	}
 	dirtyBuf := r.Bytes(int(nDirty)*(4+flatSlotBytes), "dirty slot records")
 	freeBuf := r.Bytes(int(nFree)*4, "free list")
-	nCells := r.U32("dirty cell count")
-	if r.Err() == nil && nCells > nIndex {
-		return fmt.Errorf("dirty cell count %d exceeds probe table size %d", nCells, nIndex)
-	}
-	cellBuf := r.Bytes(int(nCells)*12, "dirty cells")
 	if err := r.Done("delta"); err != nil {
 		return err
 	}
@@ -260,35 +224,7 @@ func (g *GMR) ApplyFlatDelta(data []byte) error {
 		if id >= int32(baseSlots) {
 			newCovered++
 		}
-		rec = rec[4:]
-		s := &g.slots[id]
-		s.hash = binary.LittleEndian.Uint64(rec)
-		s.mult = math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
-		s.keyOff = binary.LittleEndian.Uint32(rec[16:])
-		s.keyLen = binary.LittleEndian.Uint32(rec[20:])
-		s.epoch = 0
-		switch rec[24] {
-		case 0:
-			s.dead = false
-		case 1:
-			s.dead = true
-		default:
-			return fmt.Errorf("dirty slot %d: bad dead marker %d", id, rec[24])
-		}
-		if s.dead {
-			// As in LoadFlat: tombstones keep their stored fields verbatim
-			// (the key reference may be stale) and carry no values.
-			clear(g.tupleAt(id))
-			continue
-		}
-		if uint64(s.keyOff)+uint64(s.keyLen) > arenaLen {
-			return fmt.Errorf("dirty slot %d: key [%d:%d) outside arena of %d bytes", id, s.keyOff, s.keyOff+s.keyLen, arenaLen)
-		}
-		key := g.keyAt(s)
-		if h := hashKey(key); h != s.hash {
-			return fmt.Errorf("dirty slot %d: stored hash %#x does not match key hash %#x", id, s.hash, h)
-		}
-		if err := g.decodeSlot(id, key); err != nil {
+		if err := g.loadSlot(id, rec[4:]); err != nil {
 			return fmt.Errorf("dirty slot %d: %w", id, err)
 		}
 	}
@@ -303,25 +239,15 @@ func (g *GMR) ApplyFlatDelta(data []byte) error {
 	for i := range g.free {
 		g.free[i] = int32(binary.LittleEndian.Uint32(freeBuf[i*4:]))
 	}
-	prevPos := int64(-1)
-	for i := 0; i < int(nCells); i++ {
-		rec := cellBuf[i*12:]
-		pos := int64(binary.LittleEndian.Uint32(rec))
-		if pos <= prevPos {
-			return fmt.Errorf("dirty cell entry %d: position %d not strictly increasing", i, pos)
-		}
-		prevPos = pos
-		if pos >= int64(nIndex) {
-			return fmt.Errorf("dirty cell entry %d: position %d out of range", i, pos)
-		}
-		g.index[pos] = binary.LittleEndian.Uint64(rec[4:])
-	}
 	g.live = int(live)
 	g.deadKey = int(deadKey)
 	// The patch rewrote state without stamping it relative to the receiver's
 	// own epoch history, so any delta base captured from the receiver before
 	// the apply is now meaningless — bump the generation to invalidate it.
 	g.flatGen++
+	if err := g.finishLoad(); err != nil {
+		return err
+	}
 	g.reindex()
-	return g.checkStoreInvariants()
+	return nil
 }

@@ -72,8 +72,8 @@ func TestFlatDeltaRoundTrip(t *testing.T) {
 			head := g.Freeze()
 			delta, ok := head.AppendFlatDelta(nil, base)
 			if !ok {
-				// Structure diverged (grow or compaction): fall back to a full
-				// image, exactly as the engine does, and keep chaining.
+				// Structure diverged (compaction): fall back to a full image,
+				// exactly as the engine does, and keep chaining.
 				restored, err = LoadFlat(head.AppendFlat(nil))
 				if err != nil {
 					t.Fatalf("trial %d link %d: LoadFlat of full fallback: %v", trial, link, err)
@@ -151,24 +151,59 @@ func TestFlatDeltaCleanSnapshot(t *testing.T) {
 	}
 }
 
-// TestFlatDeltaIneligible pins every base-invalidation path: probe-table
-// grow, arena compaction, Clone, Clear, Reset and epoch wrap-around must all
-// force the full-image fallback rather than emit a delta that could not
-// compose byte-faithfully.
+// TestFlatDeltaAcrossGrow pins that a probe-table grow between two
+// checkpoints keeps the store delta-eligible: no checkpoint carries the
+// table, so the delta composes onto the base image into a store that
+// serializes byte-equal with the head and keeps lockstep with the original
+// under further inserts and deletes.
+func TestFlatDeltaAcrossGrow(t *testing.T) {
+	g := New(types.Schema{"a"})
+	g.Add(types.Tuple{types.Int(1)}, 1)
+	snap := g.Freeze()
+	baseImg, base := snap.AppendFlat(nil), snap.FlatBase()
+	cells := len(g.index)
+	for i := 2; i < 200; i++ {
+		g.Add(types.Tuple{types.Int(int64(i))}, 1)
+	}
+	if len(g.index) <= cells {
+		t.Fatalf("probe table did not grow past %d cells", cells)
+	}
+	head := g.Freeze()
+	delta, ok := head.AppendFlatDelta(nil, base)
+	if !ok {
+		t.Fatal("delta ineligible across a probe-table grow")
+	}
+	restored, err := LoadFlat(baseImg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ApplyFlatDelta(delta); err != nil {
+		t.Fatalf("ApplyFlatDelta: %v", err)
+	}
+	if got, want := restored.AppendFlat(nil), head.AppendFlat(nil); !bytes.Equal(got, want) {
+		t.Fatalf("composed store differs from head (%d vs %d bytes)", len(got), len(want))
+	}
+	for i := 100; i < 700; i++ {
+		tu := types.Tuple{types.Int(int64(i))}
+		m := 1.0
+		if i%3 == 0 {
+			m = -g.Get(tu) // cancels the entry when present: slot reuse
+		}
+		g.Add(tu, m)
+		restored.Add(tu, m)
+	}
+	if a, b := g.AppendFlat(nil), restored.AppendFlat(nil); !bytes.Equal(a, b) {
+		t.Fatal("stores diverged after post-compose mutations")
+	}
+	checkLookups(t, restored)
+}
+
+// TestFlatDeltaIneligible pins every base-invalidation path: arena
+// compaction, Clone, Clear, Reset and epoch wrap-around must all force the
+// full-image fallback rather than emit a delta that could not compose
+// byte-faithfully.
 func TestFlatDeltaIneligible(t *testing.T) {
 	schema := types.Schema{"a"}
-
-	t.Run("grow", func(t *testing.T) {
-		g := New(schema)
-		g.Add(types.Tuple{types.Int(1)}, 1)
-		base := g.Freeze().FlatBase()
-		for i := 2; i < 200; i++ { // forces at least one probe-table grow
-			g.Add(types.Tuple{types.Int(int64(i))}, 1)
-		}
-		if _, ok := g.Freeze().AppendFlatDelta(nil, base); ok {
-			t.Fatal("delta eligible across a probe-table grow")
-		}
-	})
 
 	t.Run("compaction", func(t *testing.T) {
 		g := New(schema)
@@ -265,8 +300,8 @@ func deltaFixture(t *testing.T, seed int64) (baseImg, delta []byte) {
 }
 
 func deltaFixtureBytes(seed int64) (baseImg, delta []byte) {
-	// The churn is random, so a given seed may cross a probe-table grow and
-	// lose delta eligibility — retry nearby seeds until one stays eligible.
+	// The churn is random, so a given seed may compact the arena and lose
+	// delta eligibility — retry nearby seeds until one stays eligible.
 	for s := seed; s < seed+32; s++ {
 		rng := rand.New(rand.NewSource(s))
 		g := churnStore(rng, types.Schema{"a", "b"}, 300)
@@ -351,7 +386,8 @@ func TestFlatDeltaSealed(t *testing.T) {
 }
 
 // FuzzApplyFlatDelta throws arbitrary bytes at the delta decoder over a fixed
-// churned base. The decoder contract matches LoadFlat's: error, never panic.
+// churned base. The decoder contract matches LoadFlat's: error, never panic,
+// and an accepted delta composes a store that answers lookups.
 func FuzzApplyFlatDelta(f *testing.F) {
 	baseImg, valid := deltaFixtureBytes(42)
 	if valid == nil {
@@ -369,6 +405,7 @@ func FuzzApplyFlatDelta(f *testing.F) {
 		if err := st.ApplyFlatDelta(data); err != nil {
 			return
 		}
+		checkLookups(t, st)
 		if _, err := LoadFlat(st.AppendFlat(nil)); err != nil {
 			t.Fatalf("accepted delta composed an unloadable store: %v", err)
 		}

@@ -34,7 +34,10 @@ import (
 //     Each cell packs the upper 32 bits of the hash (checked before the
 //     slot is touched) with slotID+1; 0 means empty. Deletion compacts the
 //     probe cluster by backward shifting (no probe-table tombstones), so
-//     the load factor counts live entries only.
+//     the load factor counts live entries only. The table is derived state:
+//     nothing observes where a key sits (iteration, slot reuse and the
+//     postings all work on slot ids), so checkpoints do not carry it and
+//     loading rebuilds it from the slots (rebuildIndex).
 type slot struct {
 	hash   uint64
 	mult   float64
@@ -52,7 +55,7 @@ type slot struct {
 const (
 	slotBytes    = 32  // unsafe.Sizeof(slot{}), spelled out to keep the package unsafe-free
 	valueBytes   = 32  // unsafe.Sizeof(types.Value{}), likewise
-	headerBytes  = 256 // unsafe.Sizeof(GMR{}), likewise
+	headerBytes  = 232 // unsafe.Sizeof(GMR{}), likewise
 	minIndexSize = 8
 )
 
@@ -140,16 +143,6 @@ func mayFill(i, j, home uint64) bool {
 	return (j > i && (home <= i || home > j)) || (j < i && home <= i && home > j)
 }
 
-// setCell writes a probe cell and stamps it with the current epoch, so delta
-// serialization can re-emit exactly the cells whose contents changed since a
-// snapshot. Probe placement is history-dependent (linear probing plus
-// backward-shift deletion), so deltas must carry the actual cell values — a
-// rebuilt table would not be byte-equal to the original.
-func (g *GMR) setCell(pos uint64, cell uint64) {
-	g.index[pos] = cell
-	g.indexEpoch[pos] = g.epoch
-}
-
 // insertAt creates a new entry at the given empty probe cell, copying t's
 // values into the slab.
 func (g *GMR) insertAt(pos uint64, h uint64, key []byte, t types.Tuple, m float64) {
@@ -171,7 +164,7 @@ func (g *GMR) insertAt(pos uint64, h uint64, key []byte, t types.Tuple, m float6
 		g.slots = append(g.slots, ns)
 		g.vals = append(g.vals, t...)
 	}
-	g.setCell(pos, h&^0xFFFFFFFF|uint64(id+1))
+	g.index[pos] = h&^0xFFFFFFFF | uint64(id+1)
 	g.live++
 	if len(g.indexes) != 0 {
 		g.updateIndexes(id, g.tupleAt(id), true)
@@ -179,17 +172,16 @@ func (g *GMR) insertAt(pos uint64, h uint64, key []byte, t types.Tuple, m float6
 }
 
 // grow doubles the probe table and reinserts every live slot by its cached
-// hash. Slot ids (and therefore secondary-index postings) are unaffected.
-// The fresh epoch-stamp array starts zeroed: a capacity change invalidates
-// outstanding delta bases anyway (their IndexLen no longer matches), and a
-// base captured after the grow sees the reinserted cells as its baseline.
+// hash, in slot-id order. Slot ids (and therefore secondary-index postings)
+// are unaffected, and so is every serialized byte: a checkpoint carries no
+// probe table, so a grow between two checkpoints does not stop the second
+// from being a delta.
 func (g *GMR) grow() {
 	n := len(g.index) * 2
 	if n == 0 {
 		n = minIndexSize
 	}
 	g.index = make([]uint64, n)
-	g.indexEpoch = make([]uint32, n)
 	for i := range g.slots {
 		s := &g.slots[i]
 		if s.dead {
@@ -225,11 +217,11 @@ func (g *GMR) deleteAt(pos uint64, id int32) {
 			break
 		}
 		if mayFill(i, j, g.slots[int32(e&0xFFFFFFFF)-1].hash&mask) {
-			g.setCell(i, e)
+			g.index[i] = e
 			i = j
 		}
 	}
-	g.setCell(i, 0)
+	g.index[i] = 0
 
 	if g.deadKey > 4096 && g.deadKey*2 > len(g.arena) {
 		g.compactArena()

@@ -111,22 +111,6 @@ func BenchmarkFlatMergeInto(b *testing.B) {
 	}
 }
 
-// BenchmarkJoin measures the hash join including its buffer-reusing
-// emission path.
-func BenchmarkJoin(b *testing.B) {
-	a := New(types.Schema{"x", "y"})
-	bb := New(types.Schema{"y", "z"})
-	for i := int64(0); i < 512; i++ {
-		a.Add(types.Tuple{types.Int(i), types.Int(i % 32)}, 1)
-		bb.Add(types.Tuple{types.Int(i % 32), types.Int(i)}, 1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Join(a, bb)
-	}
-}
-
 // BenchmarkProject measures the group-collapsing projection, whose
 // steady-state emission is in-place accumulation.
 func BenchmarkProject(b *testing.B) {

@@ -3,9 +3,10 @@
 //
 // A GMR maps tuples to numeric multiplicities. Databases, query results,
 // updates and deltas are all GMRs; a deletion is simply a GMR with negative
-// multiplicities and "applying" an update means adding it. Together with the
-// addition (bag union) and multiplication (natural join) operations defined
-// here, GMRs form the ring that makes delta processing compositional.
+// multiplicities and "applying" an update means adding it. With addition
+// (bag union, MergeInto and AddGMR here) and multiplication (natural join,
+// which agca.Eval computes by sideways binding), GMRs form the ring that makes
+// delta processing compositional.
 //
 // Storage is a flat open-addressing hash table (see flat.go): keys live as
 // raw bytes in a bump-allocated arena, entries in a slot slice with stable
@@ -85,18 +86,16 @@ type GMR struct {
 	// read, which Reset must not truncate. One byte keeps the never-frozen
 	// mutation gate a single load-and-test.
 	flags uint8
-	// epoch, flatGen and indexEpoch drive incremental delta checkpoints
-	// (delta.go). Every mutation stamps the touched slot record and probe
-	// cells with epoch; Freeze captures the counter into the snapshot and
-	// advances it, so "dirty since snapshot S" is one comparison per slot or
-	// cell. flatGen is bumped by whole-store rewrites that move state without
-	// stamping it (arena compaction, Reset, Clear, epoch wrap-around): a
-	// delta base from another generation is rejected and the view falls back
-	// to a full serialization. indexEpoch is the per-probe-cell stamp array,
-	// always the same length as index, and is part of the copy-on-write unit.
-	epoch      uint32
-	flatGen    uint32
-	indexEpoch []uint32
+	// epoch and flatGen drive incremental delta checkpoints (delta.go).
+	// Every mutation stamps the touched slot record with epoch; Freeze
+	// captures the counter into the snapshot and advances it, so "dirty since
+	// snapshot S" is one comparison per slot. The probe table is not stamped:
+	// it is derived from the slots and rebuilt on load. flatGen is bumped by
+	// whole-store rewrites that move state without stamping it (arena
+	// compaction, Reset, Clear, epoch wrap-around): a delta base from another
+	// generation is rejected and the view falls back to a full serialization.
+	epoch   uint32
+	flatGen uint32
 	// frozen caches the header Freeze returned until the next mutation, so
 	// freezing a quiescent store twice hands out the same snapshot.
 	frozen *GMR
@@ -320,7 +319,6 @@ func (g *GMR) Clone() *GMR {
 	out.slots = append([]slot(nil), g.slots...)
 	out.vals = append([]types.Value(nil), g.vals...)
 	out.index = append([]uint64(nil), g.index...)
-	out.indexEpoch = append([]uint32(nil), g.indexEpoch...)
 	out.free = append([]int32(nil), g.free...)
 	return out
 }
@@ -357,14 +355,13 @@ func (g *GMR) Reset() {
 	g.live, g.deadKey = 0, 0
 	if g.flags&flagCOW != 0 {
 		g.frozen = nil
-		g.slots, g.vals, g.index, g.indexEpoch, g.free = nil, nil, nil, nil, nil
+		g.slots, g.vals, g.index, g.free = nil, nil, nil, nil
 	} else {
 		g.slots = g.slots[:0]
 		clear(g.vals)
 		g.vals = g.vals[:0]
 		g.free = g.free[:0]
 		clear(g.index)
-		clear(g.indexEpoch)
 	}
 	if g.flags&flagSharedArena != 0 {
 		g.arena = nil
@@ -471,90 +468,6 @@ func Equal(a, b *GMR, tol float64) bool {
 	return true
 }
 
-// Join returns the natural join (ring product) of a and b. Shared columns must
-// agree; the result schema is a's schema followed by b's columns not in a, and
-// multiplicities multiply. The smaller side is hashed on the shared columns
-// and the larger side probes it, so the cost is O(|a| + |b| + |result|); with
-// no shared columns every pair matches and the result is the cross product.
-// Output rows are emitted through one reused tuple and key buffer, and new
-// output entries are copied into the result's slab, so the only allocations
-// are the build side's hash table and the output's amortized growth.
-func Join(a, b *GMR) *GMR {
-	aShared := make([]int, 0, len(b.schema)) // positions in a of the shared columns
-	bShared := make([]int, 0, len(b.schema)) // matching positions in b
-	bExtra := make([]int, 0, len(b.schema))  // positions of b columns not in a
-	outSchema := a.schema.Clone()
-	for bi, name := range b.schema {
-		if ai := a.schema.Index(name); ai >= 0 {
-			aShared = append(aShared, ai)
-			bShared = append(bShared, bi)
-		} else {
-			bExtra = append(bExtra, bi)
-			outSchema = append(outSchema, name)
-		}
-	}
-	out := New(outSchema)
-	if a.live == 0 || b.live == 0 {
-		return out
-	}
-
-	outT := make(types.Tuple, len(outSchema))
-	var outKey []byte
-	emit := func(ea, eb Entry) {
-		n := copy(outT, ea.Tuple)
-		for _, bi := range bExtra {
-			outT[n] = eb.Tuple[bi]
-			n++
-		}
-		outKey = outT.AppendKey(outKey[:0])
-		out.AddEncoded(outKey, outT, ea.Mult*eb.Mult)
-	}
-
-	// Hash the smaller side on the shared columns; probe with the larger. The
-	// join-key encoding reuses one buffer across rows, and the hash table maps
-	// each distinct key to its posting list, so only a new key allocates its
-	// string.
-	var keyBuf []byte
-	joinKey := func(t types.Tuple, cols []int) []byte {
-		keyBuf = keyBuf[:0]
-		for _, c := range cols {
-			keyBuf = t[c].EncodeKey(keyBuf)
-		}
-		return keyBuf
-	}
-	build, probe, buildCols, probeCols := a, b, aShared, bShared
-	if a.live > b.live {
-		build, probe, buildCols, probeCols = b, a, bShared, aShared
-	}
-	index := map[string]int32{}
-	var postings [][]Entry
-	build.Foreach(func(t types.Tuple, m float64) {
-		k := joinKey(t, buildCols)
-		i, ok := index[string(k)]
-		if !ok {
-			i = int32(len(postings))
-			index[string(k)] = i
-			postings = append(postings, nil)
-		}
-		postings[i] = append(postings[i], Entry{Tuple: t, Mult: m})
-	})
-	probe.Foreach(func(t types.Tuple, m float64) {
-		i, ok := index[string(joinKey(t, probeCols))]
-		if !ok {
-			return
-		}
-		ep := Entry{Tuple: t, Mult: m}
-		for _, eb := range postings[i] {
-			if build == a {
-				emit(eb, ep)
-			} else {
-				emit(ep, eb)
-			}
-		}
-	})
-	return out
-}
-
 // Project returns the multiplicity-preserving projection of g onto the given
 // columns (the Sum_A group-by aggregation of AGCA): tuples are projected and
 // their multiplicities summed. Projected rows are emitted through one reused
@@ -611,7 +524,7 @@ func (g *GMR) String() string {
 // probe table and free list by capacity) and for the secondary indexes (their headers and every array
 // they own), plus the bytes of the strings the live values hold.
 func (g *GMR) MemSize() int {
-	n := headerBytes + cap(g.arena) + cap(g.slots)*slotBytes + cap(g.vals)*valueBytes + cap(g.index)*8 + cap(g.indexEpoch)*4 + cap(g.free)*4 + g.indexBytes()
+	n := headerBytes + cap(g.arena) + cap(g.slots)*slotBytes + cap(g.vals)*valueBytes + cap(g.index)*8 + cap(g.free)*4 + g.indexBytes()
 	for i := range g.slots {
 		if g.slots[i].dead {
 			continue

@@ -10,7 +10,7 @@ import (
 // image and the delta of a churned store hash to recorded digests, so a
 // changed byte in a checkpoint payload fails here first. Both carry arena key
 // bytes, so the digests also pin the key codec (types.Value.EncodeKey); they
-// were recorded at flat image version 2.
+// were recorded at flat image version 3 and delta version 2.
 func TestFlatBytesPinned(t *testing.T) {
 	img, delta := deltaFixture(t, 42)
 	for _, tc := range []struct {
@@ -18,8 +18,8 @@ func TestFlatBytesPinned(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"AppendFlat", img, "4269a394012a854cdd5f8fc5c92c3455a0d62afc3b7f4106fa7c7be5d4ab9890"},
-		{"AppendFlatDelta", delta, "22afd6dd124733398484241313f6eb2ec55b39f07da61f03560e878f08ef9fea"},
+		{"AppendFlat", img, "a3dec726adc689b8d198e52779e16ef6b5f2c5deb221cdf200ad219c5fe3a838"},
+		{"AppendFlatDelta", delta, "aa90c2b0102c290e397cafeb8159f9b57db39a7df7df8ce6fdff02d5b9a23d62"},
 	} {
 		sum := sha256.Sum256(tc.data)
 		if got := hex.EncodeToString(sum[:]); got != tc.want {

@@ -59,12 +59,11 @@ func (g *GMR) Freeze() *GMR {
 		return g.frozen
 	}
 	snap := &GMR{
-		schema:     g.schema,
-		arena:      g.arena,
-		slots:      g.slots,
-		vals:       g.vals,
-		index:      g.index,
-		indexEpoch: g.indexEpoch,
+		schema: g.schema,
+		arena:  g.arena,
+		slots:  g.slots,
+		vals:   g.vals,
+		index:  g.index,
 		// The free list is copied, not shared: the writer may pop an id and
 		// then push another into the vacated backing element, which would
 		// mutate the snapshot's view of it. It must be captured — a checkpoint
@@ -82,17 +81,16 @@ func (g *GMR) Freeze() *GMR {
 	}
 	// Advance the epoch so every mutation after this freeze stamps strictly
 	// newer than the snapshot's captured value — that strict inequality is
-	// what FlatDirty and AppendFlatDelta (delta.go) test per slot and probe
-	// cell. On the (effectively unreachable) wrap-around, force the writer's
-	// private copy first — the stamps live in structures the snapshot shares
-	// — then restart the stamps under a fresh generation, which invalidates
-	// every outstanding delta base.
+	// what FlatDirty and AppendFlatDelta (delta.go) test per slot. On the
+	// (effectively unreachable) wrap-around, force the writer's private copy
+	// first — the stamps live in the slot records the snapshot shares — then
+	// restart them under a fresh generation, which invalidates every
+	// outstanding delta base.
 	if g.epoch == math.MaxUint32 {
 		g.cowCopy()
 		for i := range g.slots {
 			g.slots[i].epoch = 0
 		}
-		clear(g.indexEpoch)
 		g.epoch = 1
 		g.flatGen++
 	} else {
@@ -129,5 +127,4 @@ func (g *GMR) cowCopy() {
 	g.slots = append([]slot(nil), g.slots...)
 	g.vals = append([]types.Value(nil), g.vals...)
 	g.index = append([]uint64(nil), g.index...)
-	g.indexEpoch = append([]uint32(nil), g.indexEpoch...)
 }

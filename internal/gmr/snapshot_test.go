@@ -256,18 +256,8 @@ func FuzzFreezeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 12, 0, 0, 0, 4, 0, 13, 0, 0, 0, 7, 0, 0, 8, 0})
 	// Long keys, deletes, reuse and Clear between freezes.
 	f.Add([]byte{0, 200, 1, 6, 201, 2, 12, 0, 0, 8, 200, 1, 0, 202, 3, 15, 0, 0, 11, 201, 2, 14, 0, 0, 0, 203, 1, 12, 0, 0, 13, 0, 0, 7, 204, 5})
-	for _, seed := range []int64{1, 2} {
-		rng := rand.New(rand.NewSource(seed))
-		data := make([]byte, 3*200)
-		for i := range data {
-			data[i] = byte(rng.Intn(256))
-		}
-		f.Add(data)
-	}
+	addRandomOps(f, 1, 2)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 3*256 {
-			data = data[:3*256]
-		}
 		type snap struct {
 			g    *GMR
 			want map[string]float64
@@ -276,45 +266,12 @@ func FuzzFreezeOps(f *testing.F) {
 		var snaps []snap
 		g := New(types.Schema{"a", "b"})
 		ref := newRefModel()
-		var buf []byte
-		for step := 0; len(data) >= 3; step++ {
-			op, x, y := data[0], data[1], data[2]
-			data = data[3:]
-			a := types.Int(int64(x % 48))
-			if x >= 192 {
-				a = types.Str(strings64[x%4] + string(rune('A'+x%26)))
-			}
-			tu := types.Tuple{a, types.Int(int64(y % 8))}
-			switch op % 16 {
-			case 0, 1, 2, 3, 4, 5:
-				m := float64(1 + op%3)
-				g.Add(tu, m)
-				ref.add(tu, m)
-			case 6, 7:
-				m := float64(1 + op%2)
-				buf = tu.AppendKey(buf[:0])
-				g.AddEncoded(buf, tu, m)
-				ref.add(tu, m)
-			case 8, 9, 10: // cancel exactly: the slot goes on the free list
-				if m := g.Get(tu); m != 0 {
-					g.Add(tu, -m)
-					ref.add(tu, -m)
-				}
-			case 11:
-				m := float64(int(y%3) - 1)
-				g.Set(tu, m)
-				ref.set(tu, m)
-			case 12, 15:
+		fuzzOps(data, func(step int, op byte, tu types.Tuple, y byte) {
+			if !applyFuzzOp(g, ref, op, tu, y) { // 12, 15: Freeze
 				if len(snaps) == maxSnaps {
 					snaps = snaps[1:]
 				}
 				snaps = append(snaps, snap{g.Freeze(), maps.Clone(ref.mult)})
-			case 13:
-				g.Reset()
-				ref.reset()
-			case 14:
-				g.Clear()
-				ref.reset()
 			}
 			if g.Len() != len(ref.mult) {
 				t.Fatalf("step %d: Len = %d, reference has %d entries", step, g.Len(), len(ref.mult))
@@ -322,7 +279,131 @@ func FuzzFreezeOps(f *testing.F) {
 			for i, s := range snaps {
 				checkSnapshot(t, fmt.Sprintf("step %d: snapshot %d", step, i), s.g, s.want)
 			}
+		})
+		assertSame(t, -1, g, ref)
+	})
+}
+
+// addRandomOps seeds a fuzz target with one 200-op random stream per seed.
+func addRandomOps(f *testing.F, seeds ...int64) {
+	for _, seed := range seeds {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 3*200)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
 		}
+		f.Add(data)
+	}
+}
+
+// fuzzOps decodes the op stream of FuzzFreezeOps and FuzzFlatChain: three
+// bytes (op, x, y) per op, at most 256 ops, over a two-column store. x picks
+// column a (an int below 48, or a long string from 192 up) and y column b.
+func fuzzOps(data []byte, fn func(step int, op byte, tu types.Tuple, y byte)) {
+	if len(data) > 3*256 {
+		data = data[:3*256]
+	}
+	for step := 0; len(data) >= 3; step++ {
+		op, x, y := data[0], data[1], data[2]
+		data = data[3:]
+		a := types.Int(int64(x % 48))
+		if x >= 192 {
+			a = types.Str(strings64[x%4] + string(rune('A'+x%26)))
+		}
+		fn(step, op, types.Tuple{a, types.Int(int64(y % 8))}, y)
+	}
+}
+
+// applyFuzzOp applies one decoded op to g and its reference. By op%16: 0-5
+// Add and 6-7 AddEncoded a small multiplicity, 8-10 cancel the tuple's entry
+// exactly (its slot goes on the free list), 11 Sets it to -1, 0 or 1, 13
+// Resets and 14 Clears. It reports false for 12 and 15, which it leaves to
+// the caller.
+func applyFuzzOp(g *GMR, ref *refModel, op byte, tu types.Tuple, y byte) bool {
+	switch op % 16 {
+	case 0, 1, 2, 3, 4, 5:
+		m := float64(1 + op%3)
+		g.Add(tu, m)
+		ref.add(tu, m)
+	case 6, 7:
+		m := float64(1 + op%2)
+		g.AddEncoded(tu.AppendKey(nil), tu, m)
+		ref.add(tu, m)
+	case 8, 9, 10:
+		if m := g.Get(tu); m != 0 {
+			g.Add(tu, -m)
+			ref.add(tu, -m)
+		}
+	case 11:
+		m := float64(int(y%3) - 1)
+		g.Set(tu, m)
+		ref.set(tu, m)
+	case 13:
+		g.Reset()
+		ref.reset()
+	case 14:
+		g.Clear()
+		ref.reset()
+	default:
+		return false
+	}
+	return true
+}
+
+// FuzzFlatChain is a differential fuzz of checkpoint chains over the
+// FuzzFreezeOps op stream, in which op 12 takes a checkpoint link and op 15
+// inserts a burst of fresh keys that forces a probe-table grow. A link
+// freezes the store and serializes a delta against the previous link, or a
+// full image when there is none or the store is no longer delta-eligible
+// (Reset, Clear, arena compaction), and composes it onto the recovered copy
+// with LoadFlat or ApplyFlatDelta. After each link the copy must serialize
+// byte-equal with the head and answer lookups (checkLookups).
+func FuzzFlatChain(f *testing.F) {
+	// Adds, a link, a burst, a link, a cancel and a long key, a link, a
+	// Reset, a link.
+	f.Add([]byte{0, 1, 0, 0, 2, 1, 12, 0, 0, 15, 0, 3, 12, 0, 0, 8, 1, 0, 0, 200, 1, 12, 0, 0, 13, 0, 0, 0, 5, 5, 12, 0, 0})
+	// Two bursts between links, then Clear and a burst.
+	f.Add([]byte{12, 0, 0, 15, 0, 0, 15, 0, 1, 12, 0, 0, 14, 0, 0, 15, 0, 2, 12, 0, 0})
+	addRandomOps(f, 3, 4)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := New(types.Schema{"a", "b"})
+		ref := newRefModel()
+		var restored *GMR
+		var base FlatBase
+		fresh := int64(48) // burst keys start above the decoder's int range
+		link := func(step int) {
+			head := g.Freeze()
+			delta, ok := head.AppendFlatDelta(nil, base)
+			var err error
+			if ok && restored != nil {
+				err = restored.ApplyFlatDelta(delta)
+			} else {
+				restored, err = LoadFlat(head.AppendFlat(nil))
+			}
+			if err != nil {
+				t.Fatalf("step %d: compose (delta %v): %v", step, ok, err)
+			}
+			base = head.FlatBase()
+			if got, want := restored.AppendFlat(nil), head.AppendFlat(nil); !bytes.Equal(got, want) {
+				t.Fatalf("step %d: composed store differs from head (%d vs %d bytes)", step, len(got), len(want))
+			}
+			checkLookups(t, restored)
+		}
+		fuzzOps(data, func(step int, op byte, tu types.Tuple, y byte) {
+			switch {
+			case applyFuzzOp(g, ref, op, tu, y):
+			case op%16 == 12:
+				link(step)
+			case len(g.index) < 1<<10: // 15: fill past the next grow point
+				for n := len(g.index)*3/4 - g.Len() + 1; n > 0; n-- {
+					bt := types.Tuple{types.Int(fresh), types.Int(int64(y % 8))}
+					fresh++
+					g.Add(bt, 1)
+					ref.add(bt, 1)
+				}
+			}
+		})
+		link(-1)
 		assertSame(t, -1, g, ref)
 	})
 }

@@ -413,20 +413,6 @@ func RenameVars(e Expr, subst map[string]string) Expr {
 	})
 }
 
-// SubstituteVars replaces variable references with constant values. Only Var
-// occurrences (value positions) are substituted; column positions in relation
-// atoms keep their names, since those are bindings rather than uses.
-func SubstituteVars(e Expr, vals map[string]types.Value) Expr {
-	return Transform(e, func(x Expr) Expr {
-		if v, ok := x.(Var); ok {
-			if val, ok := vals[v.Name]; ok {
-				return Const{V: val}
-			}
-		}
-		return x
-	})
-}
-
 // Clone returns a deep copy of e.
 func Clone(e Expr) Expr {
 	return Transform(e, func(x Expr) Expr { return x })

@@ -559,37 +559,27 @@ func boolVal(b bool) types.Value {
 	return types.Int(0)
 }
 
-// likeMatch implements SQL LIKE with % wildcards (no _ support, which the
-// workload does not use).
-func likeMatch(s, pattern string) bool {
-	parts := strings.Split(pattern, "%")
-	if len(parts) == 1 {
-		return s == pattern
-	}
-	// Leading anchor.
-	if parts[0] != "" {
-		if !strings.HasPrefix(s, parts[0]) {
+// likeMatch implements SQL LIKE: % matches any run of characters, _ any one.
+// It backtracks only to the last %, so a match takes O(len(s)*len(pattern)).
+func likeMatch(str, pat string) bool {
+	s, pattern := []rune(str), []rune(pat)
+	i, j, star, mark := 0, 0, -1, 0
+	for i < len(s) {
+		switch {
+		case j < len(pattern) && pattern[j] == '%':
+			star, mark = j, i
+			j++
+		case j < len(pattern) && (pattern[j] == '_' || pattern[j] == s[i]):
+			i, j = i+1, j+1
+		case star >= 0:
+			mark++
+			i, j = mark, star+1
+		default:
 			return false
 		}
-		s = s[len(parts[0]):]
 	}
-	// Trailing anchor.
-	last := parts[len(parts)-1]
-	if last != "" {
-		if !strings.HasSuffix(s, last) {
-			return false
-		}
-		s = s[:len(s)-len(last)]
+	for j < len(pattern) && pattern[j] == '%' {
+		j++
 	}
-	for _, mid := range parts[1 : len(parts)-1] {
-		if mid == "" {
-			continue
-		}
-		idx := strings.Index(s, mid)
-		if idx < 0 {
-			return false
-		}
-		s = s[idx+len(mid):]
-	}
-	return true
+	return j == len(pattern)
 }

@@ -17,6 +17,7 @@ import (
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/sql"
+	"dbtoaster/internal/sqlref"
 	"dbtoaster/internal/trigger"
 	"dbtoaster/internal/types"
 )
@@ -35,13 +36,16 @@ var (
 // DBToaster and IVM modes and run on a sawtooth stream (the same protocol as
 // the engine's TestPlannedReevalEquivalence: random inserts, then their
 // inverses in reverse order, so every view drains to zero); after every event
-// the compiled engine must agree with agca.Eval of the query over the base
-// relations the test accumulates, and so must ApplyBatch at windows of 1, 7
-// and 64. The guard of rule (a) is asserted directly: no map of a program
-// has more key columns than the widest map over the same relations with both
-// rules off. A failure is re-run with each rule off to name the rule, shrunk
-// to minimal SQL plus a stream, and reported as a fixture for
-// testdata/planner (see TestPlannerFixtures).
+// the compiled engine must agree with two references over the base relations
+// the test accumulates — agca.Eval of the translated query, and sqlref's
+// direct evaluation of the SQL, which shares nothing with the translator —
+// and so must ApplyBatch at windows of 1, 7 and 64. A failure names the
+// reference the engine left: sqlref alone points at the translator. The guard
+// of rule (a) is asserted directly: no map of a program has more key columns
+// than the widest map over the same relations with both rules off. A failure
+// is re-run with each rule off to name the rule, shrunk to minimal SQL plus a
+// stream, and reported as a fixture for testdata/planner (see
+// TestPlannerFixtures).
 func TestPlannerDifferential(t *testing.T) {
 	seeds := parseSeeds(t, *plannerSeeds)
 	perSeed := (*plannerQueries + len(seeds) - 1) / len(seeds)
@@ -146,7 +150,7 @@ func blame(q *rquery, events []engine.Event, mode Mode) string {
 }
 
 // checkPlanned compiles q under the current rule switches and runs events
-// through it: per event against agca.Eval over the accumulated base
+// through it: per event against agca.Eval and sqlref over the accumulated base
 // relations, then through ApplyBatch windows against the per-event results.
 // With value sums factored it also checks the guard of rule (a) against a
 // compilation with both rules off.
@@ -177,7 +181,11 @@ func checkPlanned(q *rquery, events []engine.Event, mode Mode) (err error) {
 		}
 	}
 
-	base := agca.MapDB{}
+	script, err := sql.Parse(q.sql())
+	if err != nil {
+		return err
+	}
+	base, ref := agca.MapDB{}, sqlref.DB{}
 	for _, r := range cat.Relations() {
 		base[r.Name] = gmr.New(types.Schema(r.Columns))
 	}
@@ -185,7 +193,7 @@ func checkPlanned(q *rquery, events []engine.Event, mode Mode) (err error) {
 	if err := seq.Init(); err != nil {
 		return fmt.Errorf("init: %v", err)
 	}
-	after := []*gmr.GMR{seq.Result().Clone()}
+	after := []sqlref.Bag{flatten(seq.Result())}
 	for i, ev := range events {
 		if err := seq.Apply(ev); err != nil {
 			return fmt.Errorf("event %d: %v", i, err)
@@ -195,11 +203,22 @@ func checkPlanned(q *rquery, events []engine.Event, mode Mode) (err error) {
 			mult = -1
 		}
 		base[ev.Relation].Add(ev.Tuple, mult)
-		want := agca.Eval(expr, base, types.Env{})
-		if d := viewDiff(want, seq.Result()); d != "" {
-			return fmt.Errorf("after event %d %s: compiled engine left agca.Eval: %s\n%s", i, formatEvent(ev), d, q.sql())
+		ref.Add(ev.Relation, ev.Tuple, mult)
+		want, err := sqlref.Eval(script, script.Selects[0], ref)
+		if err != nil {
+			return fmt.Errorf("sqlref: %v\n%s", err, q.sql())
 		}
-		after = append(after, seq.Result().Clone())
+		var left []string
+		if d := viewDiff(flatten(agca.Eval(expr, base, types.Env{})), seq.Result()); d != "" {
+			left = append(left, "left agca.Eval: "+d)
+		}
+		if d := viewDiff(want, seq.Result()); d != "" {
+			left = append(left, "left sqlref: "+d)
+		}
+		if len(left) > 0 {
+			return fmt.Errorf("after event %d %s: compiled engine %s\n%s", i, formatEvent(ev), strings.Join(left, "; "), q.sql())
+		}
+		after = append(after, flatten(seq.Result()))
 	}
 	for _, window := range []int{1, 7, 64} {
 		eng := engine.New(prog)
@@ -253,36 +272,31 @@ func relationBody(def agca.Expr) string {
 
 // viewDiff describes how got differs from want (entries with a multiplicity
 // of 0 are absent), or returns "" when they agree within a relative 1e-6.
-func viewDiff(want, got *gmr.GMR) string {
-	w, g := flatten(want), flatten(got)
+func viewDiff(want sqlref.Bag, got *gmr.GMR) string {
+	g := flatten(got)
 	var keys []string
-	for k := range w {
+	for k := range want {
 		keys = append(keys, k)
 	}
 	for k := range g {
-		if _, ok := w[k]; !ok {
+		if _, ok := want[k]; !ok {
 			keys = append(keys, k)
 		}
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		a, b := w[k], g[k]
+		a, b := want[k], g[k]
 		if math.Abs(a-b) > 1e-6*math.Max(1, math.Max(math.Abs(a), math.Abs(b))) {
-			return fmt.Sprintf("key [%s]: want %v, got %v", k, a, b)
+			t, _ := types.DecodeKey([]byte(k))
+			return fmt.Sprintf("key %v: want %v, got %v", t, a, b)
 		}
 	}
 	return ""
 }
 
-func flatten(g *gmr.GMR) map[string]float64 {
-	out := map[string]float64{}
-	g.Foreach(func(t types.Tuple, m float64) {
-		parts := make([]string, len(t))
-		for i, v := range t {
-			parts[i] = v.String()
-		}
-		out[strings.Join(parts, ",")] += m
-	})
+func flatten(g *gmr.GMR) sqlref.Bag {
+	out := sqlref.Bag{}
+	g.Foreach(func(t types.Tuple, m float64) { out.Add(t, m) })
 	return out
 }
 

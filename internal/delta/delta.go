@@ -47,11 +47,6 @@ func InsertEvent(rel string, args ...string) Event {
 	return Event{Relation: rel, Insert: true, Args: args}
 }
 
-// DeleteEvent builds a deletion event.
-func DeleteEvent(rel string, args ...string) Event {
-	return Event{Relation: rel, Insert: false, Args: args}
-}
-
 // TriggerArgs returns canonical trigger variable names for a relation with
 // the given column names, e.g. orders.ORDERKEY -> "orders__orderkey_t".
 func TriggerArgs(rel string, cols []string) []string {
@@ -297,15 +292,4 @@ func domain(d agca.Expr, ev Event) (dom map[string]string, zero bool) {
 	default:
 		return nil, false
 	}
-}
-
-// IsIncremental reports whether e can be incrementally maintained with
-// respect to updates of the given relation (its delta exists in AGCA).
-func IsIncremental(e agca.Expr, rel string, argCount int) bool {
-	args := make([]string, argCount)
-	for i := range args {
-		args[i] = fmt.Sprintf("__probe%d", i)
-	}
-	_, err := Apply(e, InsertEvent(rel, args...))
-	return err == nil
 }

@@ -15,8 +15,8 @@
 // compiler.Compile under cat. Translation lifts scalar subqueries into
 // assignments (agca.Lift), encodes predicates as 0/1 multiplicities, and
 // runs unification (opt.UnifyMonomial) so equality joins become
-// shared-variable relation atoms — the same normal form the hand-written
-// workload queries use. All errors carry 1-based line:column positions.
+// shared-variable relation atoms, the normal form the compiler expects. All
+// errors carry 1-based line:column positions.
 package sql
 
 import (

@@ -45,22 +45,24 @@ var edgeRows = []struct {
 }
 
 // edgeOrder[i][j] is Compare(edgeRows[i], edgeRows[j]) as '<', '=' or '>'.
+// A string and a non-string order by kind (null < int, float < string <
+// bool); they never Compare equal, as their keys never coincide.
 var edgeOrder = []string{
-	"============>==", // NaN
-	"==>>>>>>>>>>>>>", // +Inf
+	"============><<", // NaN
+	"==>>>>>>>>>>><<", // +Inf
 	"=<=<<<<<<<<<><<", // -Inf
-	"=<>==<<<><<=>==", // -0.0
-	"=<>==<<<><<=>==", // 0.0
-	"=<>>>=>>>>>>>>>", // MaxFloat64
-	"=<>>><=<><<>>>>", // SmallestNonzeroFloat64
-	"=<>>><>=>>>>>>>", // MaxInt64
+	"=<>==<<<><<=><<", // -0.0
+	"=<>==<<<><<=><<", // 0.0
+	"=<>>>=>>>>>>><<", // MaxFloat64
+	"=<>>><=<><<>><<", // SmallestNonzeroFloat64
+	"=<>>><>=>>>>><<", // MaxInt64
 	"=<><<<<<=<<<><<", // MinInt64
-	"=<>>><><>=>>>>>", // 2^53+1
+	"=<>>><><>=>>><<", // 2^53+1
 	"=<>>><><><=>>>>", // true
-	"=<>==<<<><<=>==", // false
+	"=<>==<<<><<=>>>", // false
 	"<<<<<<<<<<<<=<<", // null
-	"=<>==<<<><<=>=<", // empty
-	"=<>==<<<><<=>>=", // multibyte
+	">>>>>>>>>><<>=<", // empty
+	">>>>>>>>>><<>>=", // multibyte
 }
 
 // edgeKeyEqual[i][j] is '1' when edgeRows[i] and edgeRows[j] encode to the

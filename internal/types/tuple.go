@@ -115,9 +115,3 @@ func (e Env) Extend(vars Schema, vals Tuple) Env {
 	}
 	return out
 }
-
-// Lookup returns the binding for name, if any.
-func (e Env) Lookup(name string) (Value, bool) {
-	v, ok := e[name]
-	return v, ok
-}

@@ -70,10 +70,10 @@ func TestEnvExtendAndClone(t *testing.T) {
 	if _, ok := e["y"]; ok {
 		t.Error("Extend must not mutate the receiver")
 	}
-	if v, ok := e2.Lookup("y"); !ok || v.AsInt() != 2 {
+	if v, ok := e2["y"]; !ok || v.AsInt() != 2 {
 		t.Error("Extend binding missing")
 	}
-	if v, ok := e2.Lookup("x"); !ok || v.AsInt() != 1 {
+	if v, ok := e2["x"]; !ok || v.AsInt() != 1 {
 		t.Error("Extend should keep existing bindings")
 	}
 	c := e.Clone()

@@ -93,9 +93,6 @@ func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 // Kind reports the dynamic type of the value.
 func (v Value) Kind() Kind { return v.kind }
 
-// IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
-
 // AsInt returns the value coerced to an int64.
 func (v Value) AsInt() int64 {
 	switch v.kind {
@@ -178,8 +175,8 @@ func (v Value) String() string {
 func (v Value) Equal(o Value) bool { return Compare(v, o) == 0 }
 
 // Compare orders two values: -1 if v < o, 0 if equal, +1 if v > o. Numerics
-// compare numerically across int/float; strings lexicographically; null sorts
-// before everything; mixed non-numeric kinds order by kind.
+// compare numerically across int/float/bool; strings lexicographically; null
+// sorts before everything; a string and a non-string order by kind.
 func Compare(a, b Value) int {
 	// Same-kind fast paths: the executors' per-row predicate checks almost
 	// always compare like kinds, and the general path below pays several
@@ -211,45 +208,30 @@ func Compare(a, b Value) int {
 			return 0
 		}
 	}
-	if a.kind == KindNull || b.kind == KindNull {
-		switch {
-		case a.kind == b.kind:
-			return 0
-		case a.kind == KindNull:
-			return -1
-		default:
-			return 1
-		}
+	if a.kind == KindNull || b.kind == KindNull || a.kind == KindString || b.kind == KindString {
+		// Null sorts first, and a string and a non-string order by kind.
+		// Coercing the string to a number would make values Compare equal
+		// that the key codec keeps apart (Int(0) and Str("a")), so that an
+		// equality filter and the join it unifies into would disagree.
+		return compareKinds(a.kind, b.kind)
 	}
-	if a.IsNumeric() || b.IsNumeric() || a.kind == KindBool || b.kind == KindBool {
-		af, bf := a.AsFloat(), b.AsFloat()
-		// Exact integer fast path avoids float rounding for int64 keys.
-		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
-				return -1
-			case a.i > b.i:
-				return 1
-			default:
-				return 0
-			}
-		}
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if a.kind == KindString && b.kind == KindString {
-		return strings.Compare(a.s, b.s)
-	}
+	// Mixed int/float/bool: numerically.
+	af, bf := a.AsFloat(), b.AsFloat()
 	switch {
-	case a.kind < b.kind:
+	case af < bf:
 		return -1
-	case a.kind > b.kind:
+	case af > bf:
+		return 1
+	default:
+		return 0
+	}
+}
+
+func compareKinds(a, b Kind) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
 		return 1
 	default:
 		return 0

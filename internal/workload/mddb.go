@@ -3,9 +3,6 @@ package workload
 import (
 	"math/rand"
 
-	"dbtoaster/internal/agca"
-	"dbtoaster/internal/catalog"
-	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/types"
@@ -21,12 +18,6 @@ const (
 	mddbAtoms      = 60
 	mddbBaseEvents = 3000
 )
-
-func mddbCatalog() *catalog.Catalog {
-	return catalog.New().
-		Add("ATOMPOSITIONS", "TRJ", "T", "AID", "X", "Y", "Z").
-		AddStatic("ATOMMETA", "AID", "RESIDUE", "ATOMNAME")
-}
 
 func mddbStatics() map[string]*gmr.GMR {
 	meta := gmr.New(types.Schema{"AID", "RESIDUE", "ATOMNAME"})
@@ -65,37 +56,5 @@ func mddbStream(scale float64, seed int64) []engine.Event {
 }
 
 func init() {
-	// MDDB1: total pairwise distance per (trajectory, time step) between LYS
-	// nitrogen atoms and water oxygens (the paper's radial distribution
-	// aggregate, with SUM standing in for AVG; the AVG variant is exercised
-	// separately through the Div node in the engine tests).
-	pos := func(i string) agca.Expr {
-		return agca.R("ATOMPOSITIONS", "trj", "t", "aid"+i, "x"+i, "y"+i, "z"+i)
-	}
-	meta := func(i string) agca.Expr {
-		return agca.R("ATOMMETA", "aid"+i, "res"+i, "an"+i)
-	}
-	dist := agca.Func{Name: "vec_length", Args: []agca.Expr{
-		agca.Add(agca.V("x1"), agca.Neg{E: agca.V("x2")}),
-		agca.Add(agca.V("y1"), agca.Neg{E: agca.V("y2")}),
-		agca.Add(agca.V("z1"), agca.Neg{E: agca.V("z2")}),
-	}}
-	mddb1 := agca.SumOver([]string{"trj", "t"}, agca.Mul(
-		pos("1"), meta("1"),
-		agca.Eq(agca.V("res1"), agca.CS("LYS")), agca.Eq(agca.V("an1"), agca.CS("NZ")),
-		pos("2"), meta("2"),
-		agca.Eq(agca.V("res2"), agca.CS("TIP3")), agca.Eq(agca.V("an2"), agca.CS("OH2")),
-		dist))
-
-	q, cat, src := mustFromSQL("MDDB1")
-	Register(Spec{
-		Name:    "MDDB1",
-		Group:   "mddb",
-		Catalog: cat,
-		Query:   q,
-		SQL:     src,
-		Oracle:  compiler.Query{Name: "MDDB1", Expr: mddb1},
-		Statics: mddbStatics,
-		Stream:  mddbStream,
-	})
+	Register(specFromSQL("MDDB1", "mddb", mddbStatics, mddbStream))
 }

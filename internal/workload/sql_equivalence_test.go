@@ -16,6 +16,8 @@ import (
 	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/gmr"
+	"dbtoaster/internal/sql"
+	"dbtoaster/internal/sqlref"
 	"dbtoaster/internal/types"
 )
 
@@ -23,8 +25,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden trigger
 
 // viewContents flattens a view into a value-keyed map (the key schema's
 // variable names are translation artifacts and intentionally ignored; the
-// key order is the GROUP BY order, which the SQL sources share with the
-// hand-built ASTs).
+// key order is the GROUP BY order, which sqlref's results share).
 func viewContents(g *gmr.GMR) map[string]float64 {
 	out := map[string]float64{}
 	g.Foreach(func(tu types.Tuple, m float64) {
@@ -43,15 +44,15 @@ func sameContents(a, b map[string]float64, tol float64) (string, bool) {
 	for k, av := range a {
 		bv, ok := b[k]
 		if !ok && math.Abs(av) > tol {
-			return fmt.Sprintf("key %v only on SQL side (%.6g)", keyTuple(k), av), false
+			return fmt.Sprintf("key %v only in the view (%.6g)", keyTuple(k), av), false
 		}
 		if math.Abs(av-bv) > tol*math.Max(1, math.Abs(av)) {
-			return fmt.Sprintf("key %v: SQL %.6g vs oracle %.6g", keyTuple(k), av, bv), false
+			return fmt.Sprintf("key %v: view %.6g vs sqlref %.6g", keyTuple(k), av, bv), false
 		}
 	}
 	for k, bv := range b {
 		if _, ok := a[k]; !ok && math.Abs(bv) > tol {
-			return fmt.Sprintf("key %v only on oracle side (%.6g)", keyTuple(k), bv), false
+			return fmt.Sprintf("key %v only in sqlref (%.6g)", keyTuple(k), bv), false
 		}
 	}
 	return "", true
@@ -85,11 +86,33 @@ func replayProgram(t *testing.T, q compiler.Query, cat *catalog.Catalog, mode co
 	return mid, viewContents(eng.Result())
 }
 
-// TestSQLFrontendMatchesHandBuiltAST is the frontend's acceptance property:
-// for every workload query, the program compiled from the SQL source and the
-// program compiled from the hand-built AGCA AST maintain identical view
-// contents across the whole event stream, in every compiler mode.
-func TestSQLFrontendMatchesHandBuiltAST(t *testing.T) {
+// referenceAt evaluates the spec's SQL with sqlref over its statics plus the
+// first n events.
+func referenceAt(t *testing.T, spec Spec, statics map[string]*gmr.GMR, events []engine.Event, n int) map[string]float64 {
+	t.Helper()
+	script, err := sql.Parse(spec.SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := sqlref.DB{}
+	for name, data := range statics {
+		data.Foreach(func(tu types.Tuple, m float64) { db.Add(name, tu, m) })
+	}
+	for _, ev := range events[:n] {
+		db.Add(ev.Relation, ev.Tuple, map[bool]float64{true: 1, false: -1}[ev.Insert])
+	}
+	want, err := sqlref.Eval(script, script.Selects[0], db)
+	if err != nil {
+		t.Fatalf("sqlref: %v", err)
+	}
+	return want
+}
+
+// TestSQLFrontendMatchesReference is the frontend's acceptance property: for
+// every workload query, the program compiled from the SQL source maintains
+// the contents sqlref computes from the same SQL over the accumulated base
+// relations, mid-stream and at the end, in every compiler mode.
+func TestSQLFrontendMatchesReference(t *testing.T) {
 	modes := []compiler.Mode{compiler.ModeDBToaster, compiler.ModeIVM, compiler.ModeREP, compiler.ModeNaive}
 	// Re-evaluation (REP) recomputes the query per event, so the expensive
 	// self-join and nested-aggregate queries replay a shorter prefix.
@@ -97,9 +120,6 @@ func TestSQLFrontendMatchesHandBuiltAST(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			if spec.Oracle.Expr == nil {
-				t.Fatalf("spec %s has no oracle AST", spec.Name)
-			}
 			limit := 160
 			if c, ok := caps[spec.Name]; ok {
 				limit = c
@@ -108,31 +128,44 @@ func TestSQLFrontendMatchesHandBuiltAST(t *testing.T) {
 			if len(events) > limit {
 				events = events[:limit]
 			}
+			statics := spec.Statics()
+			wantMid := referenceAt(t, spec, statics, events, len(events)/2+1)
+			wantEnd := referenceAt(t, spec, statics, events, len(events))
 			for _, mode := range modes {
-				statics := spec.Statics()
 				gotMid, gotEnd := replayProgram(t, spec.Query, spec.Catalog, mode, statics, events)
-				wantMid, wantEnd := replayProgram(t, spec.Oracle, spec.Catalog, mode, statics, events)
 				if diff, ok := sameContents(gotMid, wantMid, 1e-4); !ok {
-					t.Fatalf("%s: SQL and hand-built views diverge mid-stream: %s", mode, diff)
+					t.Fatalf("%s: view and sqlref diverge mid-stream: %s", mode, diff)
 				}
 				if diff, ok := sameContents(gotEnd, wantEnd, 1e-4); !ok {
-					t.Fatalf("%s: SQL and hand-built views diverge at end of stream: %s", mode, diff)
+					t.Fatalf("%s: view and sqlref diverge at end of stream: %s", mode, diff)
 				}
 			}
 		})
 	}
 }
 
-// TestSQLCatalogsMatchHandBuilt pins the DDL of the .sql sources to the
-// catalogs the streams were written against.
-func TestSQLCatalogsMatchHandBuilt(t *testing.T) {
-	oracles := map[string]*catalog.Catalog{
-		"tpch":    tpchCatalog(),
-		"finance": financeCatalog(),
-		"mddb":    mddbCatalog(),
+// TestSQLCatalogsMatchStreams pins the DDL of the .sql sources to the column
+// order the stream generators and statics write tuples in.
+func TestSQLCatalogsMatchStreams(t *testing.T) {
+	groups := map[string]*catalog.Catalog{
+		"tpch": catalog.New().
+			Add("LINEITEM", "OK", "PK", "SK", "QTY", "PRICE", "DISC", "RFLAG", "SHIPDATE", "COMMITDATE", "RECEIPTDATE", "SHIPMODE").
+			Add("ORDERS", "OK", "CK", "ODATE", "OPRIO").
+			Add("CUSTOMER", "CK", "NK", "MKTSEG", "ACCTBAL").
+			Add("PART", "PK", "BRAND", "PTYPE", "PSIZE").
+			Add("SUPPLIER", "SK", "NK").
+			Add("PARTSUPP", "PK", "SK", "AVAILQTY", "SUPPLYCOST").
+			AddStatic("NATION", "NK", "RK", "NNAME").
+			AddStatic("REGION", "RK", "RNAME"),
+		"finance": catalog.New().
+			Add("BIDS", "T", "ID", "BROKER", "PRICE", "VOLUME").
+			Add("ASKS", "T", "ID", "BROKER", "PRICE", "VOLUME"),
+		"mddb": catalog.New().
+			Add("ATOMPOSITIONS", "TRJ", "T", "AID", "X", "Y", "Z").
+			AddStatic("ATOMMETA", "AID", "RESIDUE", "ATOMNAME"),
 	}
 	for _, spec := range All() {
-		want := oracles[spec.Group]
+		want := groups[spec.Group]
 		for _, r := range want.Relations() {
 			cols, err := spec.Catalog.Columns(r.Name)
 			if err != nil {
@@ -140,14 +173,14 @@ func TestSQLCatalogsMatchHandBuilt(t *testing.T) {
 				continue
 			}
 			if !types.Schema(cols).Equal(types.Schema(r.Columns)) {
-				t.Errorf("%s: relation %s columns %v, hand-built %v", spec.Name, r.Name, cols, r.Columns)
+				t.Errorf("%s: relation %s columns %v, streams write %v", spec.Name, r.Name, cols, r.Columns)
 			}
 			if spec.Catalog.IsStatic(r.Name) != r.Static {
-				t.Errorf("%s: relation %s static flag disagrees with hand-built catalog", spec.Name, r.Name)
+				t.Errorf("%s: relation %s static flag disagrees with the generators", spec.Name, r.Name)
 			}
 		}
 		if got, want := len(spec.Catalog.Relations()), len(want.Relations()); got != want {
-			t.Errorf("%s: DDL declares %d relations, hand-built catalog has %d", spec.Name, got, want)
+			t.Errorf("%s: DDL declares %d relations, the generators write %d", spec.Name, got, want)
 		}
 	}
 }

@@ -4,8 +4,9 @@ import (
 	"embed"
 	"fmt"
 
-	"dbtoaster/internal/catalog"
 	"dbtoaster/internal/compiler"
+	"dbtoaster/internal/engine"
+	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/sql"
 )
 
@@ -14,8 +15,8 @@ import (
 // one SELECT) that also compiles stand-alone with `dbtoasterc -sql`. The
 // registration path parses and translates them through the SQL frontend at
 // init time, so the specs exercise exactly the pipeline an external query
-// file goes through; the hand-built AGCA ASTs stay registered as oracles
-// (Spec.Oracle) that the equivalence tests replay against.
+// file goes through. Each query is written only here: the tests hold the
+// compiled views to internal/sqlref, which evaluates the same SQL directly.
 
 //go:embed queries/*.sql
 var queryFS embed.FS
@@ -29,11 +30,11 @@ func SQLSource(name string) (string, bool) {
 	return string(b), true
 }
 
-// mustFromSQL parses and translates the named query's embedded SQL source,
-// returning the compiler query, the catalog declared by its DDL, and the
-// source text. Workload sources are fixed at build time, so failures are
-// programming errors and panic (any test run surfaces them).
-func mustFromSQL(name string) (compiler.Query, *catalog.Catalog, string) {
+// specFromSQL builds the named query's spec from its embedded SQL source: the
+// compiler query and the catalog declared by its DDL. Workload sources are
+// fixed at build time, so failures are programming errors and panic (any test
+// run surfaces them).
+func specFromSQL(name, group string, statics func() map[string]*gmr.GMR, stream func(float64, int64) []engine.Event) Spec {
 	src, ok := SQLSource(name)
 	if !ok {
 		panic(fmt.Sprintf("workload: no SQL source for query %q", name))
@@ -53,5 +54,6 @@ func mustFromSQL(name string) (compiler.Query, *catalog.Catalog, string) {
 	if len(queries) != 1 {
 		panic(fmt.Sprintf("workload: %s.sql defines %d queries, want 1", name, len(queries)))
 	}
-	return compiler.Query{Name: name, Expr: queries[0].Expr}, cat, src
+	return Spec{Name: name, Group: group, Catalog: cat, Query: compiler.Query{Name: name, Expr: queries[0].Expr},
+		SQL: src, Statics: statics, Stream: stream}
 }

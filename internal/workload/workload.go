@@ -1,10 +1,9 @@
 // Package workload defines the benchmark workloads of the paper's evaluation
 // (§8): the queries (as SQL sources under queries/, compiled through the
-// internal/sql frontend at registration time, with the hand-built AGCA ASTs
-// kept as test oracles), the base-relation catalogs (from the sources' DDL),
-// any static tables, and deterministic synthetic update streams that stand in
-// for the order-book trace, the DBGEN-derived TPC-H agenda, and the molecular
-// dynamics trace.
+// internal/sql frontend at registration time and written nowhere else), the
+// base-relation catalogs (from the sources' DDL), any static tables, and
+// deterministic synthetic update streams that stand in for the order-book
+// trace, the DBGEN-derived TPC-H agenda, and the molecular dynamics trace.
 package workload
 
 import (
@@ -23,16 +22,15 @@ import (
 //
 // Query and Catalog are produced by compiling the query's SQL source (SQL,
 // also embedded under queries/) through the internal/sql frontend at
-// registration time. Oracle carries the hand-built AGCA AST of the same
-// query; the equivalence tests replay it against the SQL-derived program to
-// pin the frontend's semantics.
+// registration time. The source is the query's only definition: the
+// equivalence tests hold the compiled views to internal/sqlref's direct
+// evaluation of the same SQL.
 type Spec struct {
 	Name    string
 	Group   string // "tpch", "finance", "mddb"
 	Catalog *catalog.Catalog
 	Query   compiler.Query
 	SQL     string
-	Oracle  compiler.Query
 	Statics func() map[string]*gmr.GMR
 	Stream  func(scale float64, seed int64) []engine.Event
 }

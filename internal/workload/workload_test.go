@@ -100,7 +100,7 @@ func TestWorkloadCorrectnessAgainstOracle(t *testing.T) {
 			}
 			statics := spec.Statics()
 
-			// Oracle database.
+			// Reference database.
 			oracleDB := agca.MapDB{}
 			for _, r := range spec.Catalog.Relations() {
 				oracleDB[r.Name] = gmr.New(types.Schema(r.Columns))

@@ -32,13 +32,27 @@ type eventGroup struct {
 	lo, hi   int
 }
 
-// NewBatch groups a window of events by relation: a stable counting sort over
-// the window's relations, which are found by a linear scan of the groups seen
-// so far (windows touch a handful of relations; runs of one relation hit the
-// previous event's group first).
+// NewBatch groups a window of events by relation: each relation's events
+// keep their order, and the relations the order of their first events.
 func NewBatch(events []Event) *Batch {
-	b := &Batch{events: make([]Event, len(events))}
-	b.groups = b.small[:0]
+	return new(Batch).regroup(events)
+}
+
+// regroup makes b the window of events in grouped order, reusing b's
+// storage: a stable counting sort over the window's relations, which are
+// found by a linear scan of the groups seen so far (windows touch a handful
+// of relations; runs of one relation hit the previous event's group first).
+// b keeps copies of the events, so b holds their tuples until it is
+// regrouped.
+func (b *Batch) regroup(events []Event) *Batch {
+	if cap(b.events) < len(events) {
+		b.events = make([]Event, len(events))
+	}
+	b.events = b.events[:len(events)]
+	b.groups = b.groups[:0]
+	if b.groups == nil {
+		b.groups = b.small[:0]
+	}
 	gi := -1
 	for i := range events {
 		if gi = b.find(events[i].Relation, gi); gi < 0 {

@@ -184,7 +184,7 @@ func (e *Engine) LogNextLSN() uint64 {
 // append logs one commit unit's events as one record (and, per the sync
 // policy, fsyncs it) ahead of running them, first surfacing a failed
 // background checkpoint. A window is logged in the batch's grouped order,
-// which NewBatch regenerates identically on replay.
+// which regrouping regenerates identically on replay.
 func (d *durability) append(batch bool, events []Event) error {
 	if err := d.takeErr(); err != nil {
 		return fmt.Errorf("engine: checkpoint failed: %w", err)
@@ -379,10 +379,13 @@ type RecoveryStats struct {
 
 // Recover loads durable state from o.Dir into this engine: the newest valid
 // checkpoint's flat-store images become the view stores verbatim, and the
-// committed log tail is replayed through the normal Apply/ApplyBatch paths.
-// A torn log tail is truncated (and the segment repaired on disk); a corrupt
-// record with valid records after it, or an unrecoverable checkpoint set,
-// fails with an error and the engine must be considered unusable.
+// committed log tail is replayed through the normal Apply/ApplyBatch paths,
+// one record at a time (wal.Recovered.Replay). A torn log tail is truncated
+// (and the segment repaired on disk). A corrupt record with valid records
+// after it fails Recover before anything is installed or replayed, since
+// wal.Scan validates the whole tail first; a checkpoint set that does not
+// fit the program fails it too. After any other failure the engine must be
+// considered unusable.
 //
 // Call it on a fresh engine, after LoadStatic/Init and after configuring the
 // execution mode the original run used — replay re-executes triggers, so
@@ -425,15 +428,23 @@ func (e *Engine) Recover(o DurabilityOptions) (*RecoveryStats, error) {
 			return nil, err
 		}
 	}
-	for _, r := range rec.Records {
+	// Replay hands over one record at a time in buffers it reuses, and so
+	// does the window: nothing the unserved, undurable engine runs keeps an
+	// event's tuple past ApplyBatch or Apply (stores copy values in).
+	var window Batch
+	err = rec.Replay(func(r *wal.Record) error {
 		if r.Batch {
-			if err := e.ApplyBatch(NewBatch(r.Events)); err != nil {
-				return nil, fmt.Errorf("engine: replay batch at LSN %d: %w", r.First, err)
+			if err := e.ApplyBatch(window.regroup(r.Events)); err != nil {
+				return fmt.Errorf("engine: replay batch at LSN %d: %w", r.First, err)
 			}
 		} else if err := e.Apply(r.Events[0]); err != nil {
-			return nil, fmt.Errorf("engine: replay event at LSN %d: %w", r.First, err)
+			return fmt.Errorf("engine: replay event at LSN %d: %w", r.First, err)
 		}
 		stats.ReplayedEvents += uint64(len(r.Events))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := rec.RepairTail(fs, o.Dir); err != nil {
 		return nil, err

@@ -2,9 +2,11 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -738,5 +740,125 @@ func TestRecoverRejectsFlatVersion1(t *testing.T) {
 				t.Errorf("failed Recover moved Events to %d", rec.Events())
 			}
 		})
+	}
+}
+
+// q1Windows is n 64-event windows of Q1's stream, cycling through one pass
+// of it: Q1 groups by two flag columns, so its views stay inside a fixed key
+// domain however many windows replay.
+func q1Windows(spec workload.Spec, n int) [][]engine.Event {
+	events := spec.Stream(0.3, 1)
+	windows := make([][]engine.Event, n)
+	per := len(events) / 64
+	for i := range windows {
+		w := i % per
+		windows[i] = events[w*64 : w*64+64]
+	}
+	return windows
+}
+
+// writeQ1Log streams windows through a durable Q1 engine on a fresh FaultFS,
+// taking a checkpoint after the first ckptAfter of them, and returns the
+// closed directory.
+func writeQ1Log(t *testing.T, spec workload.Spec, windows [][]engine.Event, ckptAfter int) *wal.FaultFS {
+	t.Helper()
+	ffs := wal.NewFaultFS()
+	eng := newEngineFor(t, spec, compiler.ModeDBToaster)
+	if err := eng.SetDurability(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs, Sync: wal.SyncNone}); err != nil {
+		t.Fatalf("set durability: %v", err)
+	}
+	for i, w := range windows {
+		if i == ckptAfter {
+			if err := eng.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+		}
+		if err := eng.ApplyBatch(engine.NewBatch(w)); err != nil {
+			t.Fatalf("window %d: %v", i, err)
+		}
+	}
+	if err := eng.CloseDurability(); err != nil {
+		t.Fatalf("close durability: %v", err)
+	}
+	return ffs
+}
+
+// TestRecoveryAllocsIndependentOfTail pins that Recover streams the log tail:
+// Scan keeps the validated record bytes and Replay decodes one record at a
+// time into buffers it reuses, so replaying twice the windows costs only the
+// few allocations a longer segment and payload list take. Decoding the whole
+// tail first cost about three objects per event.
+func TestRecoveryAllocsIndependentOfTail(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own")
+	}
+	spec := mustSpec(t, "Q1")
+	const n = 150
+	mallocs := func(windows int) uint64 {
+		ffs := writeQ1Log(t, spec, q1Windows(spec, windows), -1)
+		eng := newEngineFor(t, spec, compiler.ModeDBToaster)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		stats, err := eng.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if want := uint64(windows * 64); stats.ReplayedEvents != want {
+			t.Fatalf("replayed %d events, want %d", stats.ReplayedEvents, want)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	one, two := mallocs(n), mallocs(2*n)
+	if two > one+64 {
+		t.Errorf("Recover allocated %d objects for %d windows and %d for %d: %.2f per added event",
+			one, n, two, 2*n, float64(two-one)/float64(n*64))
+	}
+}
+
+// TestRecoverRefusesLateCorruptionWhole pins the two-pass contract: a corrupt
+// record near the end of a long tail, with a valid record after it, fails
+// Recover before the checkpoint is installed or any event replays, so the
+// engine is left exactly as fresh as it was.
+func TestRecoverRefusesLateCorruptionWhole(t *testing.T) {
+	spec := mustSpec(t, "Q1")
+	ffs := writeQ1Log(t, spec, q1Windows(spec, 200), 20)
+	names, err := ffs.List(recoveryWalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg string
+	for _, name := range names {
+		if strings.HasPrefix(name, "wal-") && name > seg {
+			seg = name
+		}
+	}
+	data, err := ffs.ReadFile(recoveryWalDir + "/" + seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk the frames ([u32 payload length][u32 CRC][payload]) to the
+	// second-to-last record and flip a byte of its payload.
+	var starts []int
+	for pos := 0; pos < len(data); pos += 8 + int(binary.LittleEndian.Uint32(data[pos:])) {
+		starts = append(starts, pos)
+	}
+	if len(starts) < 100 {
+		t.Fatalf("newest segment holds %d records, want the long tail", len(starts))
+	}
+	if !ffs.FlipByte(recoveryWalDir+"/"+seg, starts[len(starts)-2]+8+16, 0x01) {
+		t.Fatal("flip failed")
+	}
+	fresh := newEngineFor(t, spec, compiler.ModeDBToaster)
+	eng := newEngineFor(t, spec, compiler.ModeDBToaster)
+	if _, err := eng.Recover(engine.DurabilityOptions{Dir: recoveryWalDir, FS: ffs}); err == nil {
+		t.Fatal("Recover accepted a tail with a corrupt record before its last one")
+	}
+	if n := eng.Events(); n != 0 {
+		t.Errorf("the refused Recover left Events at %d", n)
+	}
+	if !reflect.DeepEqual(viewBytes(eng), viewBytes(fresh)) {
+		t.Error("the refused Recover installed or replayed state")
 	}
 }

@@ -82,6 +82,11 @@ func diff(want, got sqlref.Bag) string {
 func TestSemantics(t *testing.T) {
 	date := types.Date
 	day := date(1995, 3, 15)
+	nan := types.Float(math.NaN())
+	rNaN := engine.Event{Relation: "R", Insert: true, Tuple: types.Tuple{nan, types.Int(1), types.Str("x"), day}}
+	sAt := func(a types.Value) engine.Event {
+		return engine.Event{Relation: "S", Insert: true, Tuple: types.Tuple{a, types.Int(1)}}
+	}
 	for _, c := range []struct {
 		name, query string
 		events      []engine.Event
@@ -119,6 +124,10 @@ func TestSemantics(t *testing.T) {
 		{"DATE orders as yyyymmdd", "SELECT COUNT(*) FROM R r WHERE r.D < DATE('1995-03-15') AND r.D >= DATE('1994-12-31')",
 			[]engine.Event{r(1, 1, "x", date(1995, 3, 14)), r(1, 1, "x", day), r(1, 1, "x", date(1994, 12, 31)), r(1, 1, "x", date(1994, 12, 30))},
 			[]group{{2.0}}},
+		// NaN's key is its own, so r.A = s.A must match only the NaN row,
+		// whether it stays a filter or unifies into a join.
+		{"NaN equals only NaN, as a filter and as a join", "SELECT COUNT(*) FROM R r, S s WHERE r.A = s.A",
+			[]engine.Event{rNaN, sAt(types.Int(1)), sAt(types.Float(2.5)), sAt(nan)}, []group{{1.0}}},
 		{"a SELECT without aggregate is a bag of rows", "SELECT r.A FROM R r",
 			[]engine.Event{r(1, 1, "x", day), r(1, 2, "x", day), r(2, 0, "x", day)}, []group{{1, 2.0}, {2, 1.0}}},
 	} {

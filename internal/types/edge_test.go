@@ -46,20 +46,22 @@ var edgeRows = []struct {
 
 // edgeOrder[i][j] is Compare(edgeRows[i], edgeRows[j]) as '<', '=' or '>'.
 // A string and a non-string order by kind (null < int, float < string <
-// bool); they never Compare equal, as their keys never coincide.
+// bool); they never Compare equal, as their keys never coincide. For the
+// same reason NaN equals only NaN and sorts below every other number
+// (cmp.Compare's order), as its key is its own.
 var edgeOrder = []string{
-	"============><<", // NaN
-	"==>>>>>>>>>>><<", // +Inf
-	"=<=<<<<<<<<<><<", // -Inf
-	"=<>==<<<><<=><<", // -0.0
-	"=<>==<<<><<=><<", // 0.0
-	"=<>>>=>>>>>>><<", // MaxFloat64
-	"=<>>><=<><<>><<", // SmallestNonzeroFloat64
-	"=<>>><>=>>>>><<", // MaxInt64
-	"=<><<<<<=<<<><<", // MinInt64
-	"=<>>><><>=>>><<", // 2^53+1
-	"=<>>><><><=>>>>", // true
-	"=<>==<<<><<=>>>", // false
+	"=<<<<<<<<<<<><<", // NaN
+	">=>>>>>>>>>>><<", // +Inf
+	"><=<<<<<<<<<><<", // -Inf
+	"><>==<<<><<=><<", // -0.0
+	"><>==<<<><<=><<", // 0.0
+	"><>>>=>>>>>>><<", // MaxFloat64
+	"><>>><=<><<>><<", // SmallestNonzeroFloat64
+	"><>>><>=>>>>><<", // MaxInt64
+	"><><<<<<=<<<><<", // MinInt64
+	"><>>><><>=>>><<", // 2^53+1
+	"><>>><><><=>>>>", // true
+	"><>==<<<><<=>>>", // false
 	"<<<<<<<<<<<<=<<", // null
 	">>>>>>>>>><<>=<", // empty
 	">>>>>>>>>><<>>=", // multibyte

@@ -9,6 +9,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -175,8 +176,11 @@ func (v Value) String() string {
 func (v Value) Equal(o Value) bool { return Compare(v, o) == 0 }
 
 // Compare orders two values: -1 if v < o, 0 if equal, +1 if v > o. Numerics
-// compare numerically across int/float/bool; strings lexicographically; null
-// sorts before everything; a string and a non-string order by kind.
+// compare numerically across int/float/bool, in cmp.Compare's order for
+// floats: a NaN equals only a NaN and sorts before every other number, as
+// the key codec gives every NaN one key of its own. Strings compare
+// lexicographically; null sorts before everything; a string and a non-string
+// order by kind.
 func Compare(a, b Value) int {
 	// Same-kind fast paths: the executors' per-row predicate checks almost
 	// always compare like kinds, and the general path below pays several
@@ -200,7 +204,7 @@ func Compare(a, b Value) int {
 			case af > bf:
 				return 1
 			default:
-				return 0
+				return cmp.Compare(af, bf) // equal, or a NaN
 			}
 		case KindString:
 			return strings.Compare(a.s, b.s)
@@ -223,7 +227,7 @@ func Compare(a, b Value) int {
 	case af > bf:
 		return 1
 	default:
-		return 0
+		return cmp.Compare(af, bf) // equal, or a NaN
 	}
 }
 

@@ -53,10 +53,9 @@ func GC(fs FS, dir string) (oldestRetained uint64, err error) {
 type Recovered struct {
 	// Chain is the newest valid checkpoint chain, base link first, or nil
 	// when recovery starts from an empty engine. Recovery installs the base's
-	// full images, patches each delta link in order, then replays Records.
+	// full images, patches each delta link in order, then replays the log
+	// tail (Replay).
 	Chain []*ChainCheckpoint
-	// Records is the committed log tail after the checkpoint, in LSN order.
-	Records []Record
 	// NextLSN is where the writer resumes.
 	NextLSN uint64
 	// TruncatedTail is true when a torn record was dropped at the log's end —
@@ -68,6 +67,32 @@ type Recovered struct {
 	// SkippedCheckpoints names checkpoint files that failed validation and
 	// were bypassed in favor of an older one.
 	SkippedCheckpoints []string
+
+	// tail holds the payloads of the committed log tail after the chain
+	// head, in LSN order: slices of the segment bytes Scan read, each one
+	// already decoded whole once.
+	tail [][]byte
+}
+
+// Replay decodes the committed log tail after the chain head one record at
+// a time, in LSN order, and calls fn with each; it stops at fn's first error
+// and returns it. Scan decoded every record already, so a directory whose
+// tail Scan accepted decodes again without failing. The record passed to fn,
+// its events and their tuples live in buffers Replay reuses for the next
+// record: they are valid only during fn, which must copy whatever it keeps
+// (a string, relation name or value, is immutable and may be kept as is).
+func (r *Recovered) Replay(fn func(*Record) error) error {
+	var d decoder
+	for _, p := range r.tail {
+		rec, err := d.decodePayload(p)
+		if err != nil {
+			return fmt.Errorf("wal: replay: %w", err)
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Scan reads a log directory and reconstructs the recovery plan: the newest
@@ -80,6 +105,12 @@ type Recovered struct {
 // fails the scan; a failure with nothing but garbage after it is a torn tail
 // and is dropped cleanly. An empty or absent directory recovers to an empty
 // state.
+//
+// Scan validates the whole tail before it returns: every record's frame CRC,
+// its full payload (decoded through one reused decoder) and its LSN
+// continuity. It keeps only the validated payloads, which Replay decodes
+// again one record at a time, so a directory Scan refuses is refused before
+// any state is installed or replayed, and the tail is never held decoded.
 func Scan(fs FS, dir string) (*Recovered, error) {
 	if fs == nil {
 		fs = DiskFS()
@@ -114,6 +145,7 @@ func Scan(fs FS, dir string) (*Recovered, error) {
 		segs = segs[1:]
 	}
 	expect := base
+	var d decoder
 	for si, seg := range segs {
 		data, rerr := fs.ReadFile(join(dir, seg.name))
 		if rerr != nil {
@@ -122,7 +154,7 @@ func Scan(fs FS, dir string) (*Recovered, error) {
 		last := si == len(segs)-1
 		pos := 0
 		for pos < len(data) {
-			rec, n, derr := decodeRecord(data[pos:])
+			rec, n, derr := d.decodeRecord(data[pos:])
 			if derr != nil {
 				if !last {
 					return nil, fmt.Errorf("wal: segment %s offset %d: corrupt record mid-log: %v", seg.name, pos, derr)
@@ -149,7 +181,7 @@ func Scan(fs FS, dir string) (*Recovered, error) {
 			case rec.First != expect:
 				return nil, fmt.Errorf("wal: segment %s: LSN gap (expect %d, record starts at %d)", seg.name, expect, rec.First)
 			default:
-				out.Records = append(out.Records, rec)
+				out.tail = append(out.tail, data[pos+frame.HeaderBytes:pos+n:pos+n])
 				expect = end
 			}
 			pos += n
@@ -207,8 +239,9 @@ func (r *Recovered) RepairTail(fs FS, dir string) error {
 // as proof that the preceding failure was corruption rather than a crash
 // point.
 func nextValidRecord(data []byte, from int) int {
+	var d decoder
 	for off := from; off+frame.HeaderBytes <= len(data); off++ {
-		if _, _, err := decodeRecord(data[off:]); err == nil {
+		if _, _, err := d.decodeRecord(data[off:]); err == nil {
 			return off
 		}
 	}

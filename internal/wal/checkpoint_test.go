@@ -113,8 +113,8 @@ func TestCheckpointFallback(t *testing.T) {
 		t.Fatalf("skipped checkpoints: %v", rec.SkippedCheckpoints)
 	}
 	// Replay resumes after the fallback checkpoint: records 5..9.
-	if len(rec.Records) != 5 || rec.Records[0].First != 5 || rec.NextLSN != 10 {
-		t.Fatalf("replay tail: %d records from %d to %d", len(rec.Records), rec.Records[0].First, rec.NextLSN)
+	if recs := records(t, rec); len(recs) != 5 || recs[0].First != 5 || rec.NextLSN != 10 {
+		t.Fatalf("replay tail: %d records from %+v to %d", len(recs), recs, rec.NextLSN)
 	}
 }
 
@@ -141,8 +141,8 @@ func TestCheckpointTornWriteInvisible(t *testing.T) {
 	if len(rec.Chain) != 0 {
 		t.Fatalf("torn checkpoint visible: %+v", rec.Chain)
 	}
-	if len(rec.Records) != 4 {
-		t.Fatalf("log tail lost: %d records", len(rec.Records))
+	if n := len(records(t, rec)); n != 4 {
+		t.Fatalf("log tail lost: %d records", n)
 	}
 }
 

@@ -19,11 +19,16 @@ func recordPayload(t testing.TB, rec []byte) []byte {
 	return p
 }
 
-// FuzzDecodePayload holds the record payload parser to its contract behind
+// FuzzDecodePayload holds the record payload decoder — the reusing decoder
+// Scan validates through and Replay replays through — to its contract behind
 // the frame CRC, which a bit flip of a framed record nearly always trips
 // first: any payload either fails to decode or decodes, without a panic, to a
-// record whose re-encoded payload decodes to an equal record. The corpus
-// starts from single-event and batch records carrying every value kind.
+// record whose re-encoded payload decodes to an equal record. Decoding with a
+// decoder that has just decoded a different record (more events, longer
+// tuples, other strings) gives the record a fresh decoder gives, so no stale
+// event, tuple or interned string leaks from one record into the next. The
+// corpus starts from single-event and batch records carrying every value
+// kind.
 func FuzzDecodePayload(f *testing.F) {
 	every := types.Tuple{types.Null(), types.Int(-7), types.Int(math.MaxInt64), types.Float(2.5),
 		types.Float(math.NaN()), types.Float(math.Inf(-1)), types.Str(""), types.Str("héllo"),
@@ -35,17 +40,34 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(recordPayload(f, appendRecord(nil, true, 17, []Event{testEvent(1), {Relation: "T"}, {Relation: "R", Tuple: every}, testEvent(6)})))
 	f.Add(recordPayload(f, appendRecord(nil, true, 1<<40, nil)))
 	f.Add([]byte{})
+	// The record a reused decoder decodes first: more events than any seed
+	// above, arity past every seed's, and string values none of them carry.
+	wide := append(types.Tuple{types.Str("stale"), types.Str("héllo!")}, every...)
+	prior := recordPayload(f, appendRecord(nil, true, 99, []Event{
+		{Relation: "Wide", Insert: true, Tuple: wide}, testEvent(5), {Relation: "R", Tuple: wide},
+		testEvent(2), {Relation: "T", Tuple: types.Tuple{types.Str("x")}}, testEvent(4)}))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		rec, err := decodePayload(p)
+		got, err := new(decoder).decodePayload(p)
+		var reused decoder
+		if _, perr := reused.decodePayload(prior); perr != nil {
+			t.Fatalf("prior record: %v", perr)
+		}
+		again, rerr := reused.decodePayload(p)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("fresh decoder: %v; reused decoder: %v", err, rerr)
+		}
 		if err != nil {
 			return
 		}
-		again, err := decodePayload(recordPayload(t, appendRecord(nil, rec.Batch, rec.First, rec.Events)))
-		if err != nil {
-			t.Fatalf("decoded record %+v re-encodes to a payload that fails: %v", rec, err)
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("reused decoder decodes a different record:\n%+v\n%+v", got, again)
 		}
-		if !reflect.DeepEqual(again, rec) {
-			t.Fatalf("record changed through re-encoding:\n%+v\n%+v", rec, again)
+		rt, err := new(decoder).decodePayload(recordPayload(t, appendRecord(nil, got.Batch, got.First, got.Events)))
+		if err != nil {
+			t.Fatalf("decoded record %+v re-encodes to a payload that fails: %v", got, err)
+		}
+		if !reflect.DeepEqual(rt, got) {
+			t.Fatalf("record changed through re-encoding:\n%+v\n%+v", got, rt)
 		}
 	})
 }

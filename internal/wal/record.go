@@ -83,57 +83,133 @@ func appendRecord(dst []byte, batch bool, first uint64, events []Event) []byte {
 	return frame.End(dst, start)
 }
 
-// decodeRecord parses the record at the start of b. It returns the decoded
-// record and the total framed size. Any mismatch — short frame, CRC failure,
-// malformed payload — is an error; the caller decides whether that error
-// means corruption or a clean torn tail based on where in the log it sits.
-func decodeRecord(b []byte) (Record, int, error) {
+// decoder decodes record payloads into one reused Record: a reused []Event
+// whose tuples are windows of one reused []types.Value arena, with relation
+// names and string values interned, so decoding a record allocates nothing
+// once the buffers have grown to the largest record. Scan validates through
+// one decoder and Replay decodes through another; neither keeps a record
+// past the next decode.
+type decoder struct {
+	rec    Record
+	events []Event
+	vals   []types.Value
+	// rels interns relation names and strs string values, each up to
+	// maxInterned entries; past that, a new string is allocated per value.
+	// rel is the last relation name, which a run of one relation's events
+	// reuses without a lookup.
+	rels, strs interner
+	rel        string
+}
+
+// maxInterned caps each of a decoder's intern tables, so a high-cardinality
+// string column costs what it did before interning instead of growing a
+// table with the log.
+const maxInterned = 4096
+
+// interner maps the bytes of a string to one shared copy of it.
+type interner map[string]string
+
+func (t *interner) intern(b []byte) string {
+	if s, ok := (*t)[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(*t) < maxInterned {
+		if *t == nil {
+			*t = make(interner)
+		}
+		(*t)[s] = s
+	}
+	return s
+}
+
+// strTag is the value codec's tag byte for a string, taken from the codec
+// itself: the decoder reads string values through its intern table and
+// every other value through frame.Reader.Value.
+var strTag = frame.AppendValue(nil, types.Str(""))[0]
+
+// value reads one value of payload p from r, interning a string's bytes. It
+// reads a string's fields as frame.Reader.Value does, under the same name,
+// so a malformed value fails with the same error.
+func (d *decoder) value(r *frame.Reader, p []byte) types.Value {
+	if n := r.Remaining(); n == 0 || p[len(p)-n] != strTag {
+		return r.Value("value")
+	}
+	r.U8("value")
+	b := r.Bytes(int(r.U32("value")), "value")
+	return types.Str(d.strs.intern(b))
+}
+
+// decodeRecord parses the record at the start of b into d's reused record
+// and returns it with the total framed size. Any mismatch — short frame, CRC
+// failure, malformed payload — is an error; the caller decides whether that
+// error means corruption or a clean torn tail based on where in the log it
+// sits.
+func (d *decoder) decodeRecord(b []byte) (*Record, int, error) {
 	payload, n, err := frame.Decode(b, maxRecordBytes)
 	if err != nil {
-		return Record{}, 0, err
+		return nil, 0, err
 	}
-	rec, err := decodePayload(payload)
+	rec, err := d.decodePayload(payload)
 	if err != nil {
-		return Record{}, 0, err
+		return nil, 0, err
 	}
 	return rec, n, nil
 }
 
-func decodePayload(p []byte) (Record, error) {
+// decodePayload parses a record payload into d's reused record. The record,
+// its events and their tuples are d's storage: they hold until the next
+// decode. A record of no events has nil Events and an event of arity 0 a nil
+// Tuple, whatever d decoded before.
+func (d *decoder) decodePayload(p []byte) (*Record, error) {
 	r := frame.NewReader(p)
 	kind := r.U8("record kind")
-	rec := Record{Batch: kind == recBatch, First: r.U64("first LSN")}
+	rec := &d.rec
+	*rec = Record{Batch: kind == recBatch, First: r.U64("first LSN")}
 	nEvents := r.U32("event count")
 	switch {
 	case r.Err() != nil:
-		return rec, r.Err()
+		return nil, r.Err()
 	case kind != recEvent && kind != recBatch:
-		return rec, fmt.Errorf("unknown record kind %d", kind)
+		return nil, fmt.Errorf("unknown record kind %d", kind)
 	case !rec.Batch && nEvents != 1:
-		return rec, fmt.Errorf("event record carries %d events", nEvents)
+		return nil, fmt.Errorf("event record carries %d events", nEvents)
 	case int64(nEvents) > int64(r.Remaining()):
-		return rec, fmt.Errorf("implausible event count %d", nEvents)
+		return nil, fmt.Errorf("implausible event count %d", nEvents)
 	}
-	rec.Events = make([]Event, 0, nEvents)
+	d.events, d.vals = d.events[:0], d.vals[:0]
 	for i := 0; i < int(nEvents); i++ {
-		ev := Event{Relation: r.Str16("relation"), Insert: r.U8("insert flag") != 0}
+		if rel := r.Bytes(int(r.U16("relation")), "relation"); string(rel) != d.rel {
+			d.rel = d.rels.intern(rel)
+		}
+		ev := Event{Relation: d.rel, Insert: r.U8("insert flag") != 0}
 		arity := int(r.U16("arity"))
 		if err := r.Err(); err != nil {
-			return rec, fmt.Errorf("event %d: %w", i, err)
+			return nil, fmt.Errorf("event %d: %w", i, err)
 		}
 		if arity > r.Remaining() {
-			return rec, fmt.Errorf("event %d: arity %d exceeds the record", i, arity)
+			return nil, fmt.Errorf("event %d: arity %d exceeds the record", i, arity)
 		}
 		if arity > 0 {
-			ev.Tuple = make(types.Tuple, 0, arity)
+			start := len(d.vals)
 			for j := 0; j < arity; j++ {
-				ev.Tuple = append(ev.Tuple, r.Value("value"))
+				d.vals = append(d.vals, d.value(&r, p))
 				if err := r.Err(); err != nil {
-					return rec, fmt.Errorf("event %d value %d: %w", i, j, err)
+					return nil, fmt.Errorf("event %d value %d: %w", i, j, err)
 				}
 			}
+			// A window capped at its own length: appending to one tuple
+			// cannot overwrite the next. A tuple taken before the arena grew
+			// keeps the old array, which stays valid.
+			ev.Tuple = d.vals[start:len(d.vals):len(d.vals)]
 		}
-		rec.Events = append(rec.Events, ev)
+		d.events = append(d.events, ev)
 	}
-	return rec, r.Done("record payload")
+	if len(d.events) > 0 {
+		rec.Events = d.events
+	}
+	if err := r.Done("record payload"); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }

@@ -12,7 +12,7 @@ import (
 // inverse, in reverse order), into windows. One pass fills the views and
 // drains them back to empty, so a benchmark may repeat passes without the
 // views growing.
-func sawtoothWindows(b testing.TB, names []string, scale float64, window int) (*engine.Engine, []*engine.Batch) {
+func sawtoothWindows(b testing.TB, names []string, scale float64, window int) (*engine.Engine, [][]engine.Event) {
 	b.Helper()
 	ms, err := workload.Combine(names)
 	if err != nil {
@@ -24,20 +24,16 @@ func sawtoothWindows(b testing.TB, names []string, scale float64, window int) (*
 	for i := len(events) - 1; i >= 0; i-- {
 		events = append(events, engine.Event{Relation: events[i].Relation, Insert: !events[i].Insert, Tuple: events[i].Tuple})
 	}
-	var batches []*engine.Batch
-	for lo := 0; lo < len(events); lo += window {
-		batches = append(batches, engine.NewBatch(events[lo:lo+window]))
-	}
-	return eng, batches
+	return eng, workload.Batches(events, window)
 }
 
 // runWindows applies the windows in sawtooth order, one per iteration, and
 // reports ns per event.
-func runWindows(b *testing.B, eng *engine.Engine, batches []*engine.Batch, window int) {
+func runWindows(b *testing.B, eng *engine.Engine, windows [][]engine.Event, window int) {
 	b.Helper()
 	i := 0
 	for b.Loop() {
-		if err := eng.ApplyBatch(batches[i%len(batches)]); err != nil {
+		if err := eng.ApplyBatch(engine.NewBatch(windows[i%len(windows)])); err != nil {
 			b.Fatal(err)
 		}
 		i++
@@ -53,8 +49,8 @@ func BenchmarkApplyBatchShared18(b *testing.B) {
 	if len(names) != 18 {
 		b.Fatalf("%d registered queries, want 18", len(names))
 	}
-	eng, batches := sawtoothWindows(b, names, 0.05, 256)
-	runWindows(b, eng, batches, 256)
+	eng, windows := sawtoothWindows(b, names, 0.05, 256)
+	runWindows(b, eng, windows, 256)
 }
 
 // TestShared18WindowAllocs pins the allocations of BenchmarkApplyBatchShared18's
@@ -69,20 +65,9 @@ func TestShared18WindowAllocs(t *testing.T) {
 		t.Skip("allocation counts do not apply under the race detector")
 	}
 	const window, max = 256, 124
-	eng, batches := sawtoothWindows(t, workload.Names(""), 0.05, window)
-	for _, b := range batches {
-		if err := eng.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(len(batches), func() {
-		if err := eng.ApplyBatch(batches[i%len(batches)]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	t.Logf("%.1f allocs per %d-event window over %d windows", allocs, window, len(batches))
+	eng, windows := sawtoothWindows(t, workload.Names(""), 0.05, window)
+	allocs := windowAllocs(t, eng, windows)
+	t.Logf("%.1f allocs per %d-event window over %d windows", allocs, window, len(windows))
 	if allocs > max {
 		t.Errorf("shared-18 allocates %.1f times per %d-event window, want <= %d", allocs, window, max)
 	}
@@ -93,7 +78,7 @@ func TestShared18WindowAllocs(t *testing.T) {
 // windows: every window tees Q1's statements into the capture delta and
 // publishes it.
 func BenchmarkApplyBatchServed(b *testing.B) {
-	eng, batches := sawtoothWindows(b, []string{"Q1", "Q3"}, 0.2, 64)
+	eng, windows := sawtoothWindows(b, []string{"Q1", "Q3"}, 0.2, 64)
 	q1, _ := eng.Program().QueryByName("Q1")
 	sub, err := eng.Subscribe(q1.ResultMap, engine.SubscribeOptions{SkipInitial: true})
 	if err != nil {
@@ -105,7 +90,7 @@ func BenchmarkApplyBatchServed(b *testing.B) {
 		}
 		close(done)
 	}()
-	runWindows(b, eng, batches, 64)
+	runWindows(b, eng, windows, 64)
 	sub.Cancel()
 	<-done
 }

@@ -9,88 +9,80 @@ import (
 	"dbtoaster/internal/types"
 )
 
-// Batch is a window of stream events grouped by target relation. Grouping
-// preserves the relative order of events on the same relation and the
-// first-appearance order of the relations; because every trigger program
-// maintains its maps exactly, the final view contents after a window do not
-// depend on the interleaving of events on different relations, which is what
-// makes the per-relation grouping sound.
+// Batch is a window of stream events for ApplyBatch. It refers to the
+// caller's slice instead of copying it: the caller must not modify the
+// window's elements until ApplyBatch returns, and may overwrite them after.
+// The events' tuples are shared with the engine, as Apply's are: the caller
+// must not modify them at all, since a durable engine may still be logging
+// them. ApplyBatch groups the window by target relation as it commits it;
+// grouping preserves the relative order of events on the same relation and
+// the first-appearance order of the relations, and because every trigger
+// program maintains its maps exactly, the final view contents after a window
+// do not depend on the interleaving of events on different relations, which
+// is what makes the per-relation grouping sound.
 type Batch struct {
-	// events holds the window in grouped order: each group is one contiguous
-	// run of it.
 	events []Event
-	groups []eventGroup
-	// small backs groups for windows over at most len(small) relations, so a
-	// window costs two allocations (the Batch and its events) however many
-	// events it carries.
-	small [8]eventGroup
 }
 
-// eventGroup is the run events[lo:hi] of one relation's events.
-type eventGroup struct {
-	relation string
-	lo, hi   int
-}
-
-// NewBatch groups a window of events by relation: each relation's events
-// keep their order, and the relations the order of their first events.
-func NewBatch(events []Event) *Batch {
-	return new(Batch).regroup(events)
-}
-
-// regroup makes b the window of events in grouped order, reusing b's
-// storage: a stable counting sort over the window's relations, which are
-// found by a linear scan of the groups seen so far (windows touch a handful
-// of relations; runs of one relation hit the previous event's group first).
-// b keeps copies of the events, so b holds their tuples until it is
-// regrouped.
-func (b *Batch) regroup(events []Event) *Batch {
-	if cap(b.events) < len(events) {
-		b.events = make([]Event, len(events))
-	}
-	b.events = b.events[:len(events)]
-	b.groups = b.groups[:0]
-	if b.groups == nil {
-		b.groups = b.small[:0]
-	}
-	gi := -1
-	for i := range events {
-		if gi = b.find(events[i].Relation, gi); gi < 0 {
-			gi = len(b.groups)
-			b.groups = append(b.groups, eventGroup{relation: events[i].Relation})
-		}
-		b.groups[gi].hi++
-	}
-	off := 0
-	for i := range b.groups {
-		g := &b.groups[i]
-		n := g.hi
-		g.lo, g.hi = off, off
-		off += n
-	}
-	for i := range events {
-		gi = b.find(events[i].Relation, gi)
-		b.events[b.groups[gi].hi] = events[i]
-		b.groups[gi].hi++
-	}
-	return b
-}
-
-// find returns the index of relation's group, trying hint first, or -1.
-func (b *Batch) find(relation string, hint int) int {
-	if hint >= 0 && b.groups[hint].relation == relation {
-		return hint
-	}
-	for i := range b.groups {
-		if b.groups[i].relation == relation {
-			return i
-		}
-	}
-	return -1
-}
+// NewBatch wraps a window of events for ApplyBatch. It neither copies nor
+// groups them, so it costs one small allocation however long the window.
+func NewBatch(events []Event) *Batch { return &Batch{events: events} }
 
 // Len returns the number of events in the batch.
 func (b *Batch) Len() int { return len(b.events) }
+
+// grouping is the writer-owned scratch a commit unit is grouped in, reused
+// across units: order lists the unit's event indexes in grouped order, and
+// each group is one contiguous run of it. The index slices hold no pointers,
+// so a reused grouping keeps no tuple alive.
+type grouping struct {
+	groups []eventGroup
+	gid    []int32 // the group of each event, in stream order
+	order  []int32
+}
+
+// eventGroup is the run order[lo:hi] of one relation's events, with the
+// relation's plan (nil when the program ignores the relation).
+type eventGroup struct {
+	relation string
+	plan     *relationPlan
+	lo, hi   int
+}
+
+// group groups events by relation with a stable counting sort: the
+// relations are found by a linear scan of the groups seen so far (windows
+// touch a handful of relations; runs of one relation hit the previous
+// event's group first), and a second pass over the group ids places the
+// indexes.
+func (g *grouping) group(e *Engine, events []Event) {
+	n := len(events)
+	g.gid = slices.Grow(g.gid[:0], n)[:n]
+	g.order = slices.Grow(g.order[:0], n)[:n]
+	g.groups = g.groups[:0]
+	gi := -1
+	for i := range events {
+		rel := events[i].Relation
+		if gi < 0 || g.groups[gi].relation != rel {
+			gi = slices.IndexFunc(g.groups, func(grp eventGroup) bool { return grp.relation == rel })
+			if gi < 0 {
+				gi = len(g.groups)
+				g.groups = append(g.groups, eventGroup{relation: rel, plan: e.planFor(rel)})
+			}
+		}
+		g.groups[gi].hi++
+		g.gid[i] = int32(gi)
+	}
+	off := 0
+	for i := range g.groups {
+		grp := &g.groups[i]
+		grp.lo, grp.hi, off = off, off, off+grp.hi
+	}
+	for i, gi := range g.gid {
+		grp := &g.groups[gi]
+		g.order[grp.hi] = int32(i)
+		grp.hi++
+	}
+}
 
 // relationPlan is the cached execution plan for one relation's events, shared
 // by Apply and ApplyBatch.
@@ -193,44 +185,48 @@ func checkEvent(tp *triggerPlan, ev *Event) error {
 // trigger's statements through the same compiled plan Apply uses, in stream
 // order; only a deferrable replacement tail (trigger.BatchReevalTail —
 // VWAP's, MST's and PSP's re-evaluations) is amortised, running once at the
-// end of the group instead of once per event.
+// end of the group instead of once per event. The window's events are read
+// in place: the caller must not modify them until ApplyBatch returns, and
+// may reuse the slice afterwards.
 //
 // The window is checked whole before any of it runs: an event its trigger
 // rejects fails the call with no view, Events count or log position changed.
 // A statement failing at run time (a malformed program, not a malformed
 // event) leaves the window partly applied.
 //
-// A durable engine logs the window as one record; a served engine publishes
-// one epoch per window, so snapshot readers and subscribers observe window
-// boundaries, never a half-applied window.
-func (e *Engine) ApplyBatch(b *Batch) error { return e.commit(b, true) }
+// A durable engine logs the window as one record, in grouped order; a served
+// engine publishes one epoch per window, so snapshot readers and subscribers
+// observe window boundaries, never a half-applied window. An empty window
+// logs nothing and changes no view.
+func (e *Engine) ApplyBatch(b *Batch) error { return e.commit(b.events, true) }
 
 // commit applies one commit unit — a single Apply event (batch false) or a
-// whole ApplyBatch window — in order: check every event, log the unit as one
-// record, run its relation groups, publish one epoch, and start a checkpoint
-// if one is due. An event its trigger rejects is caught before anything is
-// logged, so it cannot fail a later Recover; an append error means the unit
-// was not committed, and none of it runs. A served engine runs and publishes
-// under e.mu, so readers observe unit boundaries only.
-func (e *Engine) commit(b *Batch, batch bool) error {
-	for i := range b.groups {
-		g := &b.groups[i]
-		plan := e.planFor(g.relation)
-		if plan == nil {
+// whole ApplyBatch window — in order: group it by relation into e.grouping,
+// check every event, log the unit as one record, run its relation groups,
+// publish one epoch, and start a checkpoint if one is due. An event its
+// trigger rejects is caught before anything is logged, so it cannot fail a
+// later Recover; an append error means the unit was not committed, and none
+// of it runs. A served engine runs and publishes under e.mu, so readers
+// observe unit boundaries only.
+func (e *Engine) commit(events []Event, batch bool) error {
+	g := &e.grouping
+	g.group(e, events)
+	for _, grp := range g.groups {
+		if grp.plan == nil {
 			continue
 		}
-		for j := g.lo; j < g.hi; j++ {
-			if err := checkEvent(plan.triggerFor(&b.events[j]), &b.events[j]); err != nil {
+		for _, j := range g.order[grp.lo:grp.hi] {
+			if err := checkEvent(grp.plan.triggerFor(&events[j]), &events[j]); err != nil {
 				return err
 			}
 		}
 	}
 	if e.dur != nil {
-		if err := e.dur.append(batch, b.events); err != nil {
+		if err := e.dur.append(batch, events, g.order); err != nil {
 			return err
 		}
 	}
-	if err := e.runUnit(b); err != nil || e.dur == nil {
+	if err := e.runUnit(events); err != nil || e.dur == nil {
 		return err
 	}
 	return e.dur.maybeCheckpoint(e)
@@ -239,48 +235,41 @@ func (e *Engine) commit(b *Batch, batch bool) error {
 // runUnit runs a checked unit's relation groups. A served engine runs them
 // under e.mu, released even if a statement panics, and publishes one epoch
 // after them, also when a statement fails partway.
-func (e *Engine) runUnit(b *Batch) error {
+func (e *Engine) runUnit(events []Event) error {
 	if e.serveActive.Load() {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		defer e.publishLocked()
 	}
-	for i := range b.groups {
-		g := &b.groups[i]
-		plan := e.planFor(g.relation)
-		if plan == nil {
-			// Relations the query does not reference are ignored, as the
-			// paper's generated engines drop them.
+	g := &e.grouping
+	for _, grp := range g.groups {
+		// Relations the query does not reference are ignored, as the
+		// paper's generated engines drop them.
+		if grp.plan == nil {
 			continue
 		}
-		if err := e.applyGroup(plan, b.events[g.lo:g.hi]); err != nil {
+		if err := e.applyGroup(grp.plan, events, g.order[grp.lo:grp.hi]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// reset makes b the one-event window of ev, reusing b's storage.
-func (b *Batch) reset(ev Event) *Batch {
-	b.events = append(b.events[:0], ev)
-	b.groups = append(b.small[:0], eventGroup{relation: ev.Relation, hi: 1})
-	return b
-}
-
-// applyGroup runs one relation's events through their triggers in stream
-// order. In a BatchReevalTail group each event runs only its increments, and
-// the tail runs once after the last of them: the tails of both directions are
-// identical and read no trigger argument, and no increment reads a map they
-// replace, so that one run leaves exactly the maps the last event's tail
-// would have left. A one-event group therefore runs the increments and then
-// the tail: the whole trigger, statement for statement.
-func (e *Engine) applyGroup(plan *relationPlan, events []Event) error {
+// applyGroup runs one relation's events, events[j] for j in group, through
+// their triggers in stream order. In a BatchReevalTail group each event runs
+// only its increments, and the tail runs once after the last of them: the
+// tails of both directions are identical and read no trigger argument, and
+// no increment reads a map they replace, so that one run leaves exactly the
+// maps the last event's tail would have left. A one-event group therefore
+// runs the increments and then the tail: the whole trigger, statement for
+// statement.
+func (e *Engine) applyGroup(plan *relationPlan, events []Event, group []int32) error {
 	deferTail := plan.class == trigger.BatchReevalTail
 	var tail *triggerPlan
 	var tailArgs types.Tuple
 	n := 0
-	for i := range events {
-		ev := &events[i]
+	for _, j := range group {
+		ev := &events[j]
 		tp := plan.triggerFor(ev)
 		if tp == nil {
 			continue

@@ -35,10 +35,11 @@ import (
 // deltaDirtyThreshold, or the view's store structurally diverged (arena
 // compaction, Clear/Reset) — a fresh full image. Recovery (Engine.Recover)
 // composes the newest valid chain (install the base, patch each delta link)
-// and replays the committed log tail through the normal Apply/ApplyBatch
-// paths — each record the way it was originally committed, so float
-// accumulation orders match and recovered state is byte-equal to an
-// uninterrupted run at the same committed event count.
+// and replays the committed log tail through the engine's commit path —
+// each record the way it was originally committed, a window in the grouped
+// order it was logged and run in, so float accumulation orders match and
+// recovered state is byte-equal to an uninterrupted run at the same
+// committed event count.
 
 // DurabilityOptions configures the log, checkpointer and recovery source.
 type DurabilityOptions struct {
@@ -86,6 +87,8 @@ type durability struct {
 	opts DurabilityOptions
 	fs   wal.FS
 	log  *wal.Log
+	// buf is the writer's reused buffer a unit is laid out in for the log.
+	buf []Event
 	// lastCkpt is the LSN of the newest checkpoint this incarnation started
 	// (writer-thread only).
 	lastCkpt uint64
@@ -182,14 +185,19 @@ func (e *Engine) LogNextLSN() uint64 {
 }
 
 // append logs one commit unit's events as one record (and, per the sync
-// policy, fsyncs it) ahead of running them, first surfacing a failed
-// background checkpoint. A window is logged in the batch's grouped order,
-// which regrouping regenerates identically on replay.
-func (d *durability) append(batch bool, events []Event) error {
+// policy, fsynced) ahead of running them, first surfacing a failed
+// background checkpoint. The record lists the unit in grouped order (events
+// indexed by order), which is the order the engine runs it in and the order
+// Recover replays it in; buf is the reused buffer it is laid out in.
+func (d *durability) append(batch bool, events []Event, order []int32) error {
 	if err := d.takeErr(); err != nil {
 		return fmt.Errorf("engine: checkpoint failed: %w", err)
 	}
-	_, err := d.log.Append(batch, events)
+	d.buf = d.buf[:0]
+	for _, j := range order {
+		d.buf = append(d.buf, events[j])
+	}
+	_, err := d.log.Append(batch, d.buf)
 	return err
 }
 
@@ -379,13 +387,13 @@ type RecoveryStats struct {
 
 // Recover loads durable state from o.Dir into this engine: the newest valid
 // checkpoint's flat-store images become the view stores verbatim, and the
-// committed log tail is replayed through the normal Apply/ApplyBatch paths,
-// one record at a time (wal.Recovered.Replay). A torn log tail is truncated
-// (and the segment repaired on disk). A corrupt record with valid records
-// after it fails Recover before anything is installed or replayed, since
-// wal.Scan validates the whole tail first; a checkpoint set that does not
-// fit the program fails it too. After any other failure the engine must be
-// considered unusable.
+// committed log tail is replayed through the commit path Apply and
+// ApplyBatch share, one record at a time (wal.Recovered.Replay), each as the
+// unit it was committed as. A torn log tail is truncated (and the segment
+// repaired on disk). A corrupt record with valid records after it fails
+// Recover before anything is installed or replayed, since wal.Scan validates
+// the whole tail first; a checkpoint set that does not fit the program fails
+// it too. After any other failure the engine must be considered unusable.
 //
 // Call it on a fresh engine, after LoadStatic/Init and after configuring the
 // execution mode the original run used — replay re-executes triggers, so
@@ -428,17 +436,13 @@ func (e *Engine) Recover(o DurabilityOptions) (*RecoveryStats, error) {
 			return nil, err
 		}
 	}
-	// Replay hands over one record at a time in buffers it reuses, and so
-	// does the window: nothing the unserved, undurable engine runs keeps an
-	// event's tuple past ApplyBatch or Apply (stores copy values in).
-	var window Batch
+	// Replay hands over one record at a time in buffers it reuses: nothing
+	// the unserved, undurable engine runs keeps an event's tuple past the
+	// commit (stores copy values in). A window was logged in grouped order,
+	// so committing it as it stands runs it exactly as it first ran.
 	err = rec.Replay(func(r *wal.Record) error {
-		if r.Batch {
-			if err := e.ApplyBatch(window.regroup(r.Events)); err != nil {
-				return fmt.Errorf("engine: replay batch at LSN %d: %w", r.First, err)
-			}
-		} else if err := e.Apply(r.Events[0]); err != nil {
-			return fmt.Errorf("engine: replay event at LSN %d: %w", r.First, err)
+		if err := e.commit(r.Events, r.Batch); err != nil {
+			return fmt.Errorf("engine: replay at LSN %d: %w", r.First, err)
 		}
 		stats.ReplayedEvents += uint64(len(r.Events))
 		return nil

@@ -85,9 +85,11 @@ type Engine struct {
 	plans    map[string]*relationPlan
 	lastRel  string
 	lastPlan *relationPlan
-	// one is the writer-owned one-event Batch a durable or served Apply
-	// commits through, reused so that Apply allocates no window.
-	one Batch
+	// one is the writer-owned one-event unit a durable or served Apply
+	// commits through, and grouping the scratch every unit is grouped in,
+	// both reused so that a commit allocates no window.
+	one      [1]Event
+	grouping grouping
 	// execMode selects compiled executors or the interpreter.
 	execMode ExecMode
 	// dur is the armed durability state (durable.go): non-nil after
@@ -305,7 +307,8 @@ type Event = wal.Event
 // unlocked single-threaded path below.
 func (e *Engine) Apply(ev Event) error {
 	if e.dur != nil || e.serveActive.Load() {
-		return e.commit(e.one.reset(ev), false)
+		e.one[0] = ev
+		return e.commit(e.one[:], false)
 	}
 	plan := e.planFor(ev.Relation)
 	if plan == nil {

@@ -9,13 +9,14 @@ import (
 	"dbtoaster/internal/opt"
 )
 
-// Cross-query canonicalization. Two materialized maps — possibly compiled
-// from different queries, written with different variable names — hold the
-// same contents whenever their definitions are alpha-equivalent and their key
-// lists correspond positionally under the same renaming. CanonicalKey
-// computes an interning key with exactly that property: equal keys imply
-// equal map contents, so the multi-query pass (CompileSet) can hash-cons maps
-// across the whole query set and materialize each one once.
+// Map identity. Two materialized maps — possibly compiled from different
+// queries, or from different deltas of one query, written with different
+// variable names — hold the same contents whenever their definitions are
+// alpha-equivalent and their key lists correspond positionally under the
+// same renaming. CanonicalKey computes an interning key with exactly that
+// property: equal keys imply equal map contents, so Compile hash-conses the
+// maps of one query and CompileSet those of a whole query set, materializing
+// each one once.
 //
 // The key is built in three steps:
 //

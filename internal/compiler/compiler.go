@@ -59,27 +59,20 @@ func (m Mode) String() string {
 	}
 }
 
-// Options configure compilation.
+// Options configure compilation. The mode alone decides how deep the
+// viewlet transform recurses: ModeDBToaster and ModeNaive materialize deltas
+// of deltas without bound, while ModeIVM and ModeREP materialize no
+// auxiliary maps and evaluate every delta (or the whole query) over
+// materialized base tables. The zero value is full Higher-Order IVM.
 type Options struct {
 	Mode Mode
-	// MaxDepth bounds the recursion of Higher-Order IVM: maps deeper than
-	// MaxDepth are not materialized and the corresponding delta pieces are
-	// evaluated over base tables instead. Negative means unbounded.
-	MaxDepth int
 }
 
 // DefaultOptions returns the options for full Higher-Order IVM.
-func DefaultOptions() Options { return Options{Mode: ModeDBToaster, MaxDepth: -1} }
+func DefaultOptions() Options { return Options{} }
 
-// OptionsFor returns sensible options for each emulated system.
-func OptionsFor(mode Mode) Options {
-	switch mode {
-	case ModeIVM:
-		return Options{Mode: ModeIVM, MaxDepth: 0}
-	default:
-		return Options{Mode: mode, MaxDepth: -1}
-	}
-}
+// OptionsFor returns the options that emulate the given system.
+func OptionsFor(mode Mode) Options { return Options{Mode: mode} }
 
 // Query is a named AGCA query to compile.
 type Query struct {
@@ -89,7 +82,7 @@ type Query struct {
 
 // Compile produces the trigger program maintaining q under the given options.
 func Compile(q Query, cat *catalog.Catalog, opts Options) (*trigger.Program, error) {
-	c := newCompileState(cat, opts, canonicalDef)
+	c := newCompileState(cat, opts)
 	if err := c.compileQuery(q); err != nil {
 		return nil, err
 	}
@@ -106,12 +99,8 @@ func Compile(q Query, cat *catalog.Catalog, opts Options) (*trigger.Program, err
 type compileState struct {
 	cat  *catalog.Catalog
 	opts Options
-	// canon computes the duplicate-view-elimination key of a (definition,
-	// keys) pair. Single-query compilation uses canonicalDef (stable map
-	// numbering); CompileSet uses the stronger alpha-renaming CanonicalKey.
-	canon func(def agca.Expr, keys []string) string
 
-	mapByDef  map[string]string          // canonical definition -> map name
+	mapByDef  map[string]string          // CanonicalKey -> map name
 	defs      map[string]*trigger.MapDef // map name -> definition
 	order     []string                   // map names in creation order
 	queue     []string                   // maps whose maintenance is pending
@@ -124,11 +113,10 @@ type compileState struct {
 	queries []trigger.QueryDef // one entry per compiled query, in order
 }
 
-func newCompileState(cat *catalog.Catalog, opts Options, canon func(agca.Expr, []string) string) *compileState {
+func newCompileState(cat *catalog.Catalog, opts Options) *compileState {
 	return &compileState{
 		cat:       cat,
 		opts:      opts,
-		canon:     canon,
 		mapByDef:  map[string]string{},
 		defs:      map[string]*trigger.MapDef{},
 		processed: map[string]bool{},
@@ -162,7 +150,7 @@ func (c *compileState) compileQuery(q Query) error {
 
 	resultKeys := []string(agca.OutputVars(expr, agca.VarSet{}))
 	resultName := ""
-	if existing, ok := c.mapByDef[c.canon(expr, resultKeys)]; ok {
+	if existing, ok := c.mapByDef[CanonicalKey(expr, resultKeys)]; ok {
 		// The whole query is an alias of a map an earlier query already
 		// materializes (its result, or one of its auxiliary views).
 		resultName = existing
@@ -211,13 +199,13 @@ func (c *compileState) registerNamedMap(name string, keys []string, def agca.Exp
 	md := &trigger.MapDef{Name: name, Keys: append([]string(nil), keys...), Definition: def, Depth: depth}
 	c.defs[name] = md
 	c.order = append(c.order, name)
-	c.mapByDef[c.canon(def, keys)] = name
+	c.mapByDef[CanonicalKey(def, keys)] = name
 }
 
 // registerMap registers (or reuses) a materialized view for the given
 // definition and key variables, returning its name.
 func (c *compileState) registerMap(def agca.Expr, keys []string, depth int) string {
-	canon := c.canon(def, keys)
+	canon := CanonicalKey(def, keys)
 	if name, ok := c.mapByDef[canon]; ok {
 		if existing := c.defs[name]; depth < existing.Depth {
 			existing.Depth = depth
@@ -548,36 +536,6 @@ func sanitizeName(s string) string {
 		}
 	}
 	return b.String()
-}
-
-// canonicalDef computes the duplicate-view-elimination key of a map: the
-// definition and key list with all variables alpha-renamed in order of first
-// appearance in the printed form.
-func canonicalDef(def agca.Expr, keys []string) string {
-	s := agca.String(def)
-	rename := map[string]string{}
-	counter := 0
-	vars := agca.AllVars(def)
-	// Deterministic renaming: walk the printed string and assign ids by first
-	// textual occurrence of each known variable name.
-	names := vars.Sorted()
-	sort.Slice(names, func(i, j int) bool {
-		return strings.Index(s, names[i]) < strings.Index(s, names[j])
-	})
-	for _, n := range names {
-		rename[n] = fmt.Sprintf("v%d", counter)
-		counter++
-	}
-	canon := agca.String(agca.RenameVars(def, rename))
-	renKeys := make([]string, len(keys))
-	for i, k := range keys {
-		if r, ok := rename[k]; ok {
-			renKeys[i] = r
-		} else {
-			renKeys[i] = k
-		}
-	}
-	return canon + " @ [" + strings.Join(renKeys, ",") + "]"
 }
 
 // assemble builds the final Program from the collected state. The first

@@ -96,7 +96,7 @@ func (c *compileState) emitIncremental(def *trigger.MapDef, ev delta.Event, mono
 func (c *compileState) emitReevaluation(def *trigger.MapDef, ev delta.Event) error {
 	var rhs agca.Expr
 	var err error
-	if c.opts.Mode == ModeREP || c.maxDepthReached(def.Depth) {
+	if c.overBaseTables() {
 		rhs, err = c.inlineBaseTables(def.Definition)
 	} else {
 		rhs, err = c.materializeQueryExpr(def.Definition, def.Keys, agca.VarSet{}, def.Depth)
@@ -117,10 +117,11 @@ func (c *compileState) emitReevaluation(def *trigger.MapDef, ev delta.Event) err
 	return nil
 }
 
-// maxDepthReached reports whether maps may no longer be created below the
-// given depth (used to emulate classical IVM via depth-limited compilation).
-func (c *compileState) maxDepthReached(depth int) bool {
-	return c.opts.MaxDepth >= 0 && depth >= c.opts.MaxDepth
+// overBaseTables reports whether the mode evaluates every expression over
+// materialized base tables: REP and IVM materialize no auxiliary maps, so
+// the only maps they keep are the query results and the base tables.
+func (c *compileState) overBaseTables() bool {
+	return c.opts.Mode == ModeREP || c.opts.Mode == ModeIVM
 }
 
 // materializeQueryExpr rewrites an arbitrary expression (a map definition
@@ -129,7 +130,7 @@ func (c *compileState) maxDepthReached(depth int) bool {
 // context at runtime (trigger arguments, correlation variables); protectKeys
 // lists output variables that must survive with their original names.
 func (c *compileState) materializeQueryExpr(e agca.Expr, protectKeys []string, extraBound agca.VarSet, depth int) (agca.Expr, error) {
-	if c.opts.Mode == ModeREP || c.maxDepthReached(depth) {
+	if c.overBaseTables() {
 		return c.inlineBaseTables(e)
 	}
 	e = opt.Simplify(e)
@@ -241,7 +242,7 @@ func reverseLookup(m map[string]string, val string) (string, bool) {
 // map, nested aggregates and divisions are materialized recursively, and
 // value factors (comparisons, variables, constants) stay inline.
 func (c *compileState) materializeFactors(factors []agca.Expr, bound, needed agca.VarSet, depth int) ([]agca.Expr, error) {
-	if c.opts.Mode == ModeREP || c.maxDepthReached(depth) {
+	if c.overBaseTables() {
 		out := make([]agca.Expr, len(factors))
 		for i, f := range factors {
 			inl, err := c.inlineBaseTables(f)

@@ -22,7 +22,7 @@ func CompileSet(queries []Query, cat *catalog.Catalog, opts Options) (*trigger.P
 	if len(queries) == 0 {
 		return nil, nil, fmt.Errorf("compiler: empty query set")
 	}
-	c := newCompileState(cat, opts, CanonicalKey)
+	c := newCompileState(cat, opts)
 	for _, q := range queries {
 		if err := c.compileQuery(q); err != nil {
 			return nil, nil, err

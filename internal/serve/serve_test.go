@@ -755,6 +755,67 @@ func TestServeSnapshotHTTP(t *testing.T) {
 	}
 }
 
+// TestSnapshotLimitParsing holds /snapshot?limit= to a plain non-negative
+// decimal: anything else is a 400, not a prefix read as a number (0x10 once
+// read as 0, which serves the whole view).
+func TestSnapshotLimitParsing(t *testing.T) {
+	spec, ok := workload.Get("Q1")
+	if !ok {
+		t.Fatal("no Q1")
+	}
+	eng := newServedEngine(t, spec)
+	srv, err := New(eng, Options{StreamAddr: "-"})
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	defer shutdownServer(t, srv)
+	events := spec.Stream(0.2, 1)
+	if len(events) > 200 {
+		events = events[:200]
+	}
+	if err := eng.ApplyBatch(engine.NewBatch(events)); err != nil {
+		t.Fatal(err)
+	}
+	all := eng.Acquire().Result().Len()
+	if all < 3 {
+		t.Fatalf("view has %d rows, need at least 3", all)
+	}
+
+	for _, c := range []struct {
+		limit string // already URL-escaped
+		rows  int    // -1: rejected with 400
+	}{
+		{"", all},
+		{"0", all},
+		{"1", 1},
+		{"2", 2},
+		{"002", 2},
+		{"10abc", -1},
+		{"5%20", -1},
+		{"%205", -1},
+		{"0x10", -1},
+		{"-1", -1},
+		{"-0", -1},
+		{"%2B1", -1},
+		{"1.5", -1},
+		{"1e3", -1},
+		{"99999999999999999999", -1},
+	} {
+		var res SnapshotResult
+		err := httpGet(srv.SnapshotAddr(), "/snapshot?limit="+c.limit, &res)
+		switch {
+		case c.rows < 0:
+			if err == nil || !strings.Contains(err.Error(), "400") {
+				t.Errorf("limit=%s: want 400, got %v (%d rows)", c.limit, err, len(res.Rows))
+			}
+		case err != nil:
+			t.Errorf("limit=%s: %v", c.limit, err)
+		case len(res.Rows) != c.rows || res.Truncated != (c.rows < all):
+			t.Errorf("limit=%s: %d rows, truncated=%v; want %d of %d", c.limit, len(res.Rows), res.Truncated, c.rows, all)
+		}
+	}
+}
+
 // TestServeDrain pins the graceful-drain contract: Shutdown sends Bye, the
 // client's channel closes cleanly with no error, and a non-reconnecting
 // client stays down.

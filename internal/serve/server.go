@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -458,7 +459,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	limit := 0
 	if l := r.URL.Query().Get("limit"); l != "" {
-		if _, err := fmt.Sscanf(l, "%d", &limit); err != nil || limit < 0 {
+		// Only a plain non-negative decimal: Atoi alone would take a sign.
+		if limit, err = strconv.Atoi(l); err != nil || l[0] < '0' || l[0] > '9' {
 			http.Error(w, "serve: bad limit", http.StatusBadRequest)
 			return
 		}

@@ -331,7 +331,7 @@ func (d *durability) checkpointWith(e *Engine, sync bool) error {
 			c.Views = append(c.Views, wal.ViewPayload{Name: name, Data: g.AppendFlat(nil)})
 		}
 		_, size, err := wal.WriteChainCheckpoint(d.fs, d.opts.Dir, c)
-		d.log.NoteCheckpoint(lsn, size, chainLen, err)
+		d.log.NoteCheckpoint(size, err)
 		d.infoMu.Lock()
 		d.lastInfo = CheckpointInfo{LSN: lsn, Base: isBase, Bytes: size, ChainLen: chainLen, DirtyFraction: dirtyFrac, Err: err}
 		d.infoMu.Unlock()

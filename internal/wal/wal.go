@@ -120,15 +120,9 @@ type Log struct {
 	closed  bool
 	syncErr error // sticky logger failure, surfaced on every later call
 
-	// Checkpoint observability (NoteCheckpoint/Stats), under mu. Background
-	// checkpoint failures used to surface only on the next Append; these let
-	// callers see them promptly.
-	lastCkptLSN   uint64
-	lastCkptBytes int64
-	lastCkptErr   error
-	chainLen      int
-	ckptCount     int64
-	ckptBytes     int64
+	// Checkpoint totals (NoteCheckpoint/Stats), under mu.
+	ckptCount int64
+	ckptBytes int64
 
 	// appendedBytes counts record bytes written to segments; atomic because
 	// the logger goroutine writes without holding mu.
@@ -444,10 +438,7 @@ func (l *Log) GC() (oldestRetained uint64, err error) {
 	return oldestRetained, err
 }
 
-// Stats is a point-in-time snapshot of the log's observable counters,
-// including the outcome of the most recent checkpoint attempt — background
-// checkpoint failures are visible here immediately instead of only poisoning
-// a later Append.
+// Stats is a point-in-time snapshot of the log's observable counters.
 type Stats struct {
 	// NextLSN is the LSN the next appended event will carry.
 	NextLSN uint64
@@ -460,13 +451,6 @@ type Stats struct {
 	// via NoteCheckpoint and the bytes of the successful ones.
 	Checkpoints     int64
 	CheckpointBytes int64
-	// LastCheckpointLSN/Bytes/Err describe the most recent checkpoint
-	// attempt; ChainLength is its chain length (1 for a base, parents + 1 for
-	// a delta).
-	LastCheckpointLSN   uint64
-	LastCheckpointBytes int64
-	LastCheckpointErr   error
-	ChainLength         int
 }
 
 // Stats returns the log's current counters. Safe to call concurrently with
@@ -475,33 +459,24 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Stats{
-		NextLSN:             l.nextLSN,
-		Err:                 l.syncErr,
-		AppendedBytes:       l.appendedBytes.Load(),
-		Checkpoints:         l.ckptCount,
-		CheckpointBytes:     l.ckptBytes,
-		LastCheckpointLSN:   l.lastCkptLSN,
-		LastCheckpointBytes: l.lastCkptBytes,
-		LastCheckpointErr:   l.lastCkptErr,
-		ChainLength:         l.chainLen,
+		NextLSN:         l.nextLSN,
+		Err:             l.syncErr,
+		AppendedBytes:   l.appendedBytes.Load(),
+		Checkpoints:     l.ckptCount,
+		CheckpointBytes: l.ckptBytes,
 	}
 }
 
-// NoteCheckpoint records the outcome of a checkpoint attempt against this
-// log's directory for Stats to report. The checkpointer (the engine's
-// durability layer) calls it after every attempt, failed or not.
-func (l *Log) NoteCheckpoint(lsn uint64, bytes int, chainLen int, err error) {
+// NoteCheckpoint counts a checkpoint attempt against this log's directory,
+// and the bytes it wrote if it succeeded, for Stats to report. The
+// checkpointer (the engine's durability layer) calls it after every attempt,
+// failed or not; the engine's CheckpointInfo describes the last one.
+func (l *Log) NoteCheckpoint(bytes int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.ckptCount++
-	l.lastCkptLSN = lsn
-	l.lastCkptErr = err
-	l.chainLen = chainLen
 	if err == nil {
 		l.ckptBytes += int64(bytes)
-		l.lastCkptBytes = int64(bytes)
-	} else {
-		l.lastCkptBytes = 0
 	}
 }
 

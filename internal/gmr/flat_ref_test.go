@@ -62,14 +62,14 @@ func (r *refModel) mergeFrom(o *refModel, factor float64) {
 
 // assertSame checks that the flat table and the reference hold exactly the
 // same contents, cross-validating through every read path: Len, Get,
-// GetEncoded, Entries order, ForeachKeyed canonical keys and SlotEntry.
+// GetEncoded, Entries order, stored slot keys and SlotEntry.
 func assertSame(t *testing.T, step int, g *GMR, r *refModel) {
 	t.Helper()
 	if g.Len() != len(r.mult) {
 		t.Fatalf("step %d: Len = %d, reference has %d entries", step, g.Len(), len(r.mult))
 	}
 	var buf []byte
-	g.ForeachKeyed(func(key []byte, tu types.Tuple, m float64) {
+	eachKeyed(g, func(key []byte, tu types.Tuple, m float64) {
 		want, ok := r.mult[string(key)]
 		if !ok {
 			t.Fatalf("step %d: flat table holds %v (key %q) absent from reference", step, tu, key)
@@ -82,7 +82,7 @@ func assertSame(t *testing.T, step int, g *GMR, r *refModel) {
 			t.Fatalf("step %d: stored key %q is not canonical for %v", step, key, tu)
 		}
 	})
-	g.ForeachKeyed(func(key []byte, tu types.Tuple, m float64) {
+	eachKeyed(g, func(key []byte, tu types.Tuple, m float64) {
 		id, ok := g.LookupSlot(key)
 		if !ok {
 			t.Fatalf("step %d: LookupSlot(%q) missed an iterated entry", step, key)
@@ -431,7 +431,7 @@ func TestFlatArenaCompaction(t *testing.T) {
 		}
 	}
 	var buf []byte
-	g.ForeachKeyed(func(k []byte, tu types.Tuple, m float64) {
+	eachKeyed(g, func(k []byte, tu types.Tuple, m float64) {
 		buf = tu.AppendKey(buf[:0])
 		if string(buf) != string(k) {
 			t.Fatalf("after compaction churn, key %q is not canonical for %v", k, tu)

@@ -4,7 +4,7 @@
 // A GMR maps tuples to numeric multiplicities. Databases, query results,
 // updates and deltas are all GMRs; a deletion is simply a GMR with negative
 // multiplicities and "applying" an update means adding it. With addition
-// (bag union, MergeInto and AddGMR here) and multiplication (natural join,
+// (bag union, MergeInto here) and multiplication (natural join,
 // which agca.Eval computes by sideways binding), GMRs form the ring that makes
 // delta processing compositional.
 //
@@ -22,18 +22,18 @@
 //
 // # Lifetime contract
 //
-// A tuple handed out by Foreach, ForeachKeyed, SlotEntry or LookupEncoded
-// is the entry's own window of the slab: it must not be written through, and
-// it is valid until that entry is removed or the store is Reset or Cleared
-// (the slot id, and so the window, is then reused). A caller that keeps a
-// tuple longer copies it. Entries is the exception: its tuples are copied
-// into one block per call and survive any later mutation of the store. The
-// tuples of a frozen snapshot (Freeze) never change. Every entry point that
-// creates an entry (Add, AddEncoded, Set, MergeInto, Clone, Negate, Scale)
-// copies the values into the destination's slab, so callers may reuse the
-// tuples they pass in and no two stores share values.
+// A tuple handed out by Foreach, SlotEntry or LookupEncoded is the entry's
+// own window of the slab: it must not be written through, and it is valid
+// until that entry is removed or the store is Reset or Cleared (the slot id,
+// and so the window, is then reused). A caller that keeps a tuple longer
+// copies it. Entries is the exception: its tuples are copied into one block
+// per call and survive any later mutation of the store. The tuples of a
+// frozen snapshot (Freeze) never change. Every entry point that creates an
+// entry (Add, AddEncoded, Set, MergeInto, Clone, Negate) copies the values
+// into the destination's slab, so callers may reuse the tuples they pass in
+// and no two stores share values.
 //
-// Reads (Get, Lookup*, Foreach*, Probe-style slot accessors) are safe for
+// Reads (Get, Lookup*, Foreach, Probe-style slot accessors) are safe for
 // concurrent use with each other; mutations are not, and must not overlap
 // with reads.
 package gmr
@@ -192,20 +192,6 @@ func (g *GMR) Foreach(fn func(t types.Tuple, m float64)) {
 			continue
 		}
 		fn(g.tupleAt(int32(i)), s.mult)
-	}
-}
-
-// ForeachKeyed calls fn for every entry together with its canonical encoded
-// key. Bulk consumers use the key to address another table without
-// re-encoding the tuple; the key bytes alias the arena and are only valid
-// during the call. fn must not mutate the GMR.
-func (g *GMR) ForeachKeyed(fn func(key []byte, t types.Tuple, m float64)) {
-	for i := range g.slots {
-		s := &g.slots[i]
-		if s.dead {
-			continue
-		}
-		fn(g.keyAt(s), g.tupleAt(int32(i)), s.mult)
 	}
 }
 
@@ -396,13 +382,6 @@ func (g *GMR) MergeInto(o *GMR, factor float64) {
 	}
 }
 
-// AddGMR returns the ring sum a + b of two GMRs over the same schema.
-func AddGMR(a, b *GMR) *GMR {
-	out := a.Clone()
-	out.MergeInto(b, 1)
-	return out
-}
-
 // Negate returns -g, a structural copy (see Clone); keys and hashes are not
 // recomputed.
 func Negate(g *GMR) *GMR {
@@ -411,28 +390,6 @@ func Negate(g *GMR) *GMR {
 		if !out.slots[i].dead {
 			out.slots[i].mult = -out.slots[i].mult
 		}
-	}
-	return out
-}
-
-// Scale returns g with every multiplicity multiplied by f, dropping entries
-// that land within Epsilon of zero. The result copies g's values and reuses
-// its key bytes and cached hashes.
-func Scale(g *GMR, f float64) *GMR {
-	out := New(g.schema)
-	if f == 0 {
-		return out
-	}
-	for i := range g.slots {
-		s := &g.slots[i]
-		if s.dead {
-			continue
-		}
-		m := s.mult * f
-		if math.Abs(m) <= Epsilon {
-			continue
-		}
-		out.upsertHashed(s.hash, g.keyAt(s), g.tupleAt(int32(i)), m)
 	}
 	return out
 }

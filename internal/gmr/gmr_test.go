@@ -15,6 +15,23 @@ func tup(vs ...int64) types.Tuple {
 	return t
 }
 
+// eachKeyed calls fn for every live entry with the key bytes its slot
+// stores, read straight from the slots.
+func eachKeyed(g *GMR, fn func(key []byte, t types.Tuple, m float64)) {
+	for i := range g.slots {
+		if s := &g.slots[i]; !s.dead {
+			fn(g.keyAt(s), g.tupleAt(int32(i)), s.mult)
+		}
+	}
+}
+
+// sum returns the ring sum a + b of two GMRs over the same schema.
+func sum(a, b *GMR) *GMR {
+	out := a.Clone()
+	out.MergeInto(b, 1)
+	return out
+}
+
 func TestAddGetRemoveOnZero(t *testing.T) {
 	g := New(types.Schema{"a", "b"})
 	g.Add(tup(1, 2), 3)
@@ -54,23 +71,6 @@ func TestSet(t *testing.T) {
 	}
 }
 
-func TestNegateScale(t *testing.T) {
-	g := New(types.Schema{"a"})
-	g.Add(tup(1), 2)
-	g.Add(tup(2), -3)
-	n := Negate(g)
-	if n.Get(tup(1)) != -2 || n.Get(tup(2)) != 3 {
-		t.Fatal("Negate wrong")
-	}
-	s := Scale(g, 2)
-	if s.Get(tup(1)) != 4 || s.Get(tup(2)) != -6 {
-		t.Fatal("Scale wrong")
-	}
-	if Scale(g, 0).Len() != 0 {
-		t.Fatal("Scale by zero should be empty")
-	}
-}
-
 func TestProjectSumsMultiplicities(t *testing.T) {
 	r := New(types.Schema{"a", "b"})
 	r.Add(tup(1, 2), 7)
@@ -103,15 +103,14 @@ func TestEqualAndClone(t *testing.T) {
 	}
 }
 
-func TestMergeIntoAndAddGMR(t *testing.T) {
+func TestMergeInto(t *testing.T) {
 	a := New(types.Schema{"x"})
 	a.Add(tup(1), 2)
 	b := New(types.Schema{"x"})
 	b.Add(tup(1), -2)
 	b.Add(tup(2), 5)
-	sum := AddGMR(a, b)
-	if sum.Get(tup(1)) != 0 || sum.Get(tup(2)) != 5 || sum.Len() != 1 {
-		t.Fatalf("AddGMR wrong: %v", sum)
+	if s := sum(a, b); s.Get(tup(1)) != 0 || s.Get(tup(2)) != 5 || s.Len() != 1 {
+		t.Fatalf("MergeInto by 1 wrong: %v", s)
 	}
 	a.MergeInto(b, 2)
 	if a.Get(tup(1)) != -2 || a.Get(tup(2)) != 10 {
@@ -156,16 +155,16 @@ func TestRingLaws(t *testing.T) {
 		y := randGMR(r, schema, 6)
 
 		// Commutativity of +
-		if !Equal(AddGMR(x, y), AddGMR(y, x), 1e-9) {
+		if !Equal(sum(x, y), sum(y, x), 1e-9) {
 			t.Fatal("+ not commutative")
 		}
 		// Additive inverse
-		if AddGMR(x, Negate(x)).Len() != 0 {
+		if sum(x, Negate(x)).Len() != 0 {
 			t.Fatal("x + (-x) should be empty")
 		}
 		// Projection is linear: Project(x+y) == Project(x)+Project(y)
-		pl := Project(AddGMR(x, y), types.Schema{"b"})
-		pr := AddGMR(Project(x, types.Schema{"b"}), Project(y, types.Schema{"b"}))
+		pl := Project(sum(x, y), types.Schema{"b"})
+		pr := sum(Project(x, types.Schema{"b"}), Project(y, types.Schema{"b"}))
 		if !Equal(pl, pr, 1e-9) {
 			t.Fatal("projection not linear")
 		}
@@ -224,23 +223,6 @@ func TestLookupSlotMatchesAdd(t *testing.T) {
 	}
 	if !Equal(a, b, 0) {
 		t.Fatalf("AddEncoded diverged from Add: %v vs %v", a, b)
-	}
-}
-
-func TestForeachKeyedKeysAreCanonical(t *testing.T) {
-	g := FromRows(types.Schema{"a", "b"}, []types.Tuple{tup(1, 2), tup(3, 4)})
-	n := 0
-	g.ForeachKeyed(func(key []byte, tu types.Tuple, m float64) {
-		n++
-		if string(key) != tu.EncodeKey() {
-			t.Fatalf("key %q does not match EncodeKey %q", key, tu.EncodeKey())
-		}
-		if m != 1 {
-			t.Fatalf("multiplicity %v, want 1", m)
-		}
-	})
-	if n != 2 {
-		t.Fatalf("visited %d entries, want 2", n)
 	}
 }
 

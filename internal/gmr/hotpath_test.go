@@ -90,40 +90,40 @@ func TestAppendKeyMatchesEncodeKey(t *testing.T) {
 	}
 }
 
-// TestNegateScaleKeepKeys asserts the keyed Negate/Scale rewrite: results
-// carry the same canonical keys (no re-encoding) and the right multiplicities.
-func TestNegateScaleKeepKeys(t *testing.T) {
+// TestNegateKeepsKeys asserts that Negate is a structural copy: each live
+// slot of the result carries the canonical key of its tuple and that key's
+// hash, unrecomputed, with the multiplicity negated.
+func TestNegateKeepsKeys(t *testing.T) {
 	g := FromRows(types.Schema{"a", "b"}, []types.Tuple{tup(1, 2), tup(3, 4)})
 	g.Add(tup(3, 4), 1.5)
-	for name, out := range map[string]*GMR{"Negate": Negate(g), "Scale": Scale(g, -2)} {
-		f := -1.0
-		if name == "Scale" {
-			f = -2.0
-		}
-		if out.Len() != g.Len() {
-			t.Fatalf("%s changed the entry count", name)
-		}
-		out.ForeachKeyed(func(key []byte, tu types.Tuple, m float64) {
-			if string(key) != tu.EncodeKey() {
-				t.Errorf("%s: key %q is not canonical for %v", name, key, tu)
-			}
-			if want := g.Get(tu) * f; m != want {
-				t.Errorf("%s: multiplicity of %v = %v, want %v", name, tu, m, want)
-			}
-		})
+	out := Negate(g)
+	if out.Len() != g.Len() {
+		t.Fatal("Negate changed the entry count")
 	}
-	if Scale(g, 0).Len() != 0 {
-		t.Error("Scale by 0 should be empty")
+	for i := range out.slots {
+		s := &out.slots[i]
+		if s.dead {
+			continue
+		}
+		key, tu := out.keyAt(s), out.tupleAt(int32(i))
+		if string(key) != tu.EncodeKey() {
+			t.Errorf("key %q is not canonical for %v", key, tu)
+		}
+		if s.hash != hashKey(key) {
+			t.Errorf("cached hash of %v is %x, its key hashes to %x", tu, s.hash, hashKey(key))
+		}
+		if want := -g.Get(tu); s.mult != want {
+			t.Errorf("multiplicity of %v = %v, want %v", tu, s.mult, want)
+		}
 	}
 }
 
-// TestCloneNegateScaleCopyTuples pins the lifetime contract of the
-// structural operators: the results of Clone, Negate, Scale and MergeInto
-// hold their own copies of the values, so they stay intact while the source
-// frees and reuses slots (which clears and rewrites its slab windows) and
-// after it is Reset and refilled; and building them makes no allocation per
-// entry.
-func TestCloneNegateScaleCopyTuples(t *testing.T) {
+// TestCloneNegateCopyTuples pins the lifetime contract of the structural
+// operators: the results of Clone, Negate and MergeInto hold their own copies
+// of the values, so they stay intact while the source frees and reuses slots
+// (which clears and rewrites its slab windows) and after it is Reset and
+// refilled; and building them makes no allocation per entry.
+func TestCloneNegateCopyTuples(t *testing.T) {
 	schema := types.Schema{"a", "b"}
 	row := func(i int) types.Tuple {
 		return types.Tuple{types.Int(int64(i)), types.Str(fmt.Sprintf("value-%d", i))}
@@ -142,7 +142,6 @@ func TestCloneNegateScaleCopyTuples(t *testing.T) {
 	}{
 		{"Clone", 1, (*GMR).Clone},
 		{"Negate", -1, Negate},
-		{"Scale", 3, func(g *GMR) *GMR { return Scale(g, 3) }},
 		{"MergeInto", 2, func(g *GMR) *GMR {
 			out := New(schema)
 			out.MergeInto(g, 2)
@@ -169,7 +168,7 @@ func TestCloneNegateScaleCopyTuples(t *testing.T) {
 			t.Fatalf("%s: result has %d entries after the source churned, want %d", op.name, out.Len(), n)
 		}
 		seen := 0
-		out.ForeachKeyed(func(key []byte, tu types.Tuple, m float64) {
+		eachKeyed(out, func(key []byte, tu types.Tuple, m float64) {
 			if string(tu.AppendKey(nil)) != string(key) {
 				t.Fatalf("%s: tuple %v no longer matches its key %x", op.name, tu, key)
 			}

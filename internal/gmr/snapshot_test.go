@@ -415,7 +415,7 @@ func checkSnapshot(t *testing.T, what string, g *GMR, want map[string]float64) {
 		t.Fatalf("%s: Len = %d, want %d", what, g.Len(), len(want))
 	}
 	var buf []byte
-	g.ForeachKeyed(func(key []byte, tu types.Tuple, m float64) {
+	eachKeyed(g, func(key []byte, tu types.Tuple, m float64) {
 		if buf = tu.AppendKey(buf[:0]); !bytes.Equal(buf, key) {
 			t.Fatalf("%s: tuple %v re-encodes to %x, stored key %x", what, tu, buf, key)
 		}

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dbtoaster/internal/compiler"
@@ -229,5 +230,65 @@ func TestSharedEngineSnapshotResults(t *testing.T) {
 	}
 	if live != shared.Result() {
 		t.Error("empty query name should resolve to the primary result")
+	}
+}
+
+// TestMemoryReport pins Engine.MemoryReport on a shared engine of MST, PSP
+// and VWAP, whose programs share auxiliary maps: the total is MemoryBytes,
+// each query's map counts are its ShareReport row, and a query's shared
+// bytes are part of its bytes.
+func TestMemoryReport(t *testing.T) {
+	ms, err := workload.Combine([]string{"MST", "PSP", "VWAP"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, share, err := compiler.CompileSet(ms.Queries, ms.Catalog, compiler.DefaultOptions())
+	if err != nil {
+		t.Fatalf("CompileSet: %v", err)
+	}
+	eng := engine.New(prog)
+	for name, data := range ms.Statics() {
+		eng.LoadStatic(name, data)
+	}
+	if err := eng.Init(); err != nil {
+		t.Fatal(err)
+	}
+	events := ms.Stream(0.1, 1)
+	if len(events) > maxSharedEvents {
+		events = events[:maxSharedEvents]
+	}
+	for i, ev := range events {
+		if err := eng.Apply(ev); err != nil {
+			t.Fatalf("apply event %d: %v", i, err)
+		}
+	}
+
+	rep := eng.MemoryReport()
+	if total := eng.MemoryBytes(); rep.TotalBytes != total || total <= 0 {
+		t.Fatalf("TotalBytes %d, MemoryBytes %d", rep.TotalBytes, total)
+	}
+	if len(rep.Queries) != len(share.Queries) {
+		t.Fatalf("%d report rows, %d queries", len(rep.Queries), len(share.Queries))
+	}
+	sharedBytes := 0
+	for _, qs := range share.Queries {
+		i := slices.IndexFunc(rep.Queries, func(q engine.QueryMemory) bool { return q.Query == qs.Name })
+		if i < 0 {
+			t.Fatalf("no report row for %s", qs.Name)
+		}
+		qm := rep.Queries[i]
+		if qm.Maps != qs.Maps || qm.SharedMaps != qs.Shared {
+			t.Errorf("%s: %d maps, %d shared; ShareReport says %d, %d", qs.Name, qm.Maps, qm.SharedMaps, qs.Maps, qs.Shared)
+		}
+		if qs.Shared == 0 {
+			t.Errorf("%s shares no map", qs.Name)
+		}
+		if qm.SharedBytes > qm.Bytes {
+			t.Errorf("%s: %d shared bytes of %d", qs.Name, qm.SharedBytes, qm.Bytes)
+		}
+		sharedBytes += qm.SharedBytes
+	}
+	if sharedBytes == 0 {
+		t.Error("no query attributes any shared bytes")
 	}
 }

@@ -149,8 +149,9 @@ func (c *compileState) compileQuery(q Query) error {
 	}
 
 	resultKeys := []string(agca.OutputVars(expr, agca.VarSet{}))
+	key := CanonicalKey(expr, resultKeys)
 	resultName := ""
-	if existing, ok := c.mapByDef[CanonicalKey(expr, resultKeys)]; ok {
+	if existing, ok := c.mapByDef[key]; ok {
 		// The whole query is an alias of a map an earlier query already
 		// materializes (its result, or one of its auxiliary views).
 		resultName = existing
@@ -165,8 +166,7 @@ func (c *compileState) compileQuery(q Query) error {
 			}
 			resultName = fmt.Sprintf("%s_%d", sanitizeName(q.Name), i)
 		}
-		c.registerNamedMap(resultName, resultKeys, expr, 0)
-		c.enqueue(resultName)
+		c.addMap(key, resultName, resultKeys, expr, 0)
 	}
 
 	for len(c.queue) > 0 {
@@ -195,11 +195,13 @@ func (c *compileState) enqueue(name string) {
 	}
 }
 
-func (c *compileState) registerNamedMap(name string, keys []string, def agca.Expr, depth int) {
-	md := &trigger.MapDef{Name: name, Keys: append([]string(nil), keys...), Definition: def, Depth: depth}
-	c.defs[name] = md
+// addMap registers a new map under its CanonicalKey and queues its
+// maintenance.
+func (c *compileState) addMap(key, name string, keys []string, def agca.Expr, depth int) {
+	c.defs[name] = &trigger.MapDef{Name: name, Keys: append([]string(nil), keys...), Definition: def, Depth: depth}
 	c.order = append(c.order, name)
-	c.mapByDef[CanonicalKey(def, keys)] = name
+	c.mapByDef[key] = name
+	c.enqueue(name)
 }
 
 // registerMap registers (or reuses) a materialized view for the given
@@ -218,11 +220,7 @@ func (c *compileState) registerMap(def agca.Expr, keys []string, depth int) stri
 		c.counter++
 		name = fmt.Sprintf("M%d", c.counter)
 	}
-	md := &trigger.MapDef{Name: name, Keys: append([]string(nil), keys...), Definition: def, Depth: depth}
-	c.defs[name] = md
-	c.order = append(c.order, name)
-	c.mapByDef[canon] = name
-	c.enqueue(name)
+	c.addMap(canon, name, keys, def, depth)
 	return name
 }
 

@@ -71,6 +71,28 @@ func TestSet(t *testing.T) {
 	}
 }
 
+// TestNegateScale checks the multiplicities of Negate and of a copy scaled
+// by MergeInto into an empty store; scaling by zero adds nothing.
+func TestNegateScale(t *testing.T) {
+	g := New(types.Schema{"a"})
+	g.Add(tup(1), 2)
+	g.Add(tup(2), -3)
+	n := Negate(g)
+	if n.Get(tup(1)) != -2 || n.Get(tup(2)) != 3 {
+		t.Fatal("Negate wrong")
+	}
+	s := New(g.Schema())
+	s.MergeInto(g, 2)
+	if s.Get(tup(1)) != 4 || s.Get(tup(2)) != -6 {
+		t.Fatal("MergeInto by 2 wrong")
+	}
+	z := New(g.Schema())
+	z.MergeInto(g, 0)
+	if z.Len() != 0 {
+		t.Fatal("MergeInto by zero should add nothing")
+	}
+}
+
 func TestProjectSumsMultiplicities(t *testing.T) {
 	r := New(types.Schema{"a", "b"})
 	r.Add(tup(1, 2), 7)

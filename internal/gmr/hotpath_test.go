@@ -90,30 +90,38 @@ func TestAppendKeyMatchesEncodeKey(t *testing.T) {
 	}
 }
 
-// TestNegateKeepsKeys asserts that Negate is a structural copy: each live
-// slot of the result carries the canonical key of its tuple and that key's
-// hash, unrecomputed, with the multiplicity negated.
-func TestNegateKeepsKeys(t *testing.T) {
+// TestNegateScaleKeepKeys asserts that Negate and a scaled MergeInto into an
+// empty store are structural copies: each live slot of the result carries the
+// canonical key of its tuple and that key's hash, unrecomputed, with the
+// multiplicity scaled.
+func TestNegateScaleKeepKeys(t *testing.T) {
 	g := FromRows(types.Schema{"a", "b"}, []types.Tuple{tup(1, 2), tup(3, 4)})
 	g.Add(tup(3, 4), 1.5)
-	out := Negate(g)
-	if out.Len() != g.Len() {
-		t.Fatal("Negate changed the entry count")
-	}
-	for i := range out.slots {
-		s := &out.slots[i]
-		if s.dead {
-			continue
+	scaled := New(g.Schema())
+	scaled.MergeInto(g, -2)
+	for _, c := range []struct {
+		name string
+		out  *GMR
+		f    float64
+	}{{"Negate", Negate(g), -1}, {"MergeInto", scaled, -2}} {
+		if c.out.Len() != g.Len() {
+			t.Fatalf("%s changed the entry count", c.name)
 		}
-		key, tu := out.keyAt(s), out.tupleAt(int32(i))
-		if string(key) != tu.EncodeKey() {
-			t.Errorf("key %q is not canonical for %v", key, tu)
-		}
-		if s.hash != hashKey(key) {
-			t.Errorf("cached hash of %v is %x, its key hashes to %x", tu, s.hash, hashKey(key))
-		}
-		if want := -g.Get(tu); s.mult != want {
-			t.Errorf("multiplicity of %v = %v, want %v", tu, s.mult, want)
+		for i := range c.out.slots {
+			s := &c.out.slots[i]
+			if s.dead {
+				continue
+			}
+			key, tu := c.out.keyAt(s), c.out.tupleAt(int32(i))
+			if string(key) != tu.EncodeKey() {
+				t.Errorf("%s: key %q is not canonical for %v", c.name, key, tu)
+			}
+			if s.hash != hashKey(key) {
+				t.Errorf("%s: cached hash of %v is %x, its key hashes to %x", c.name, tu, s.hash, hashKey(key))
+			}
+			if want := c.f * g.Get(tu); s.mult != want {
+				t.Errorf("%s: multiplicity of %v = %v, want %v", c.name, tu, s.mult, want)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package agca
 
 import (
+	"slices"
 	"sort"
 
 	"dbtoaster/internal/types"
@@ -46,129 +47,128 @@ func (s VarSet) Sorted() []string {
 
 // OutputVars returns the output variables (the result schema) of e when the
 // variables in bound are provided by the evaluation context. The order
-// matches the schema produced by Eval.
+// matches the schema produced by Eval; it does not depend on bound.
 func OutputVars(e Expr, bound VarSet) types.Schema {
-	out, _ := binding(e, bound)
-	return out
+	var buf, scope [16]string
+	b := binder{outputsOnly: true}
+	out := b.outputs(e, buf[:0], scope[:0])
+	if len(out) == 0 {
+		return emptySchema(e)
+	}
+	return slices.Clone(out)
 }
 
 // InputVars returns the input variables (parameters) of e: variables that
 // must be bound by the context for e to be evaluable, beyond those in bound.
+// It is nil when there are none.
 func InputVars(e Expr, bound VarSet) VarSet {
-	_, in := binding(e, bound)
-	return in
+	var buf, scope [16]string
+	b := binder{bound: bound}
+	b.outputs(e, buf[:0], scope[:0])
+	return b.in
 }
 
-// binding computes output and input variables simultaneously.
-func binding(e Expr, bound VarSet) (types.Schema, VarSet) {
-	in := VarSet{}
+// binder is the state of one walk of the binding analysis: the caller's
+// bound set and the inputs found so far, a set allocated when the first
+// appears (never, when only outputs are asked for). The outputs of every
+// sub-expression are appended to one buffer and truncated away once their
+// parent has used them.
+type binder struct {
+	bound       VarSet
+	in          VarSet
+	outputsOnly bool
+}
+
+// input records v as an input unless the context or scope binds it.
+func (b *binder) input(v string, scope []string) {
+	if b.outputsOnly || b.bound[v] || slices.Contains(scope, v) {
+		return
+	}
+	if b.in == nil {
+		b.in = VarSet{}
+	}
+	b.in[v] = true
+}
+
+// outputs appends the output variables of e to buf, in schema order, and
+// records the inputs of e. scope holds the variables that earlier factors of
+// the enclosing products bind; a product extends its own copy factor by
+// factor. Scalar operands contribute inputs only.
+func (b *binder) outputs(e Expr, buf types.Schema, scope []string) types.Schema {
+	start := len(buf)
 	switch n := e.(type) {
-	case Const:
-		return nil, in
 	case Var:
-		if !bound[n.Name] {
-			in[n.Name] = true
-		}
-		return nil, in
+		b.input(n.Name, scope)
 	case Rel:
-		return dedupSchema(n.Vars), in
+		buf = appendNew(append(buf, n.Vars...), start, start)
 	case MapRef:
-		return dedupSchema(n.Keys), in
+		buf = appendNew(append(buf, n.Keys...), start, start)
 	case Neg:
-		return binding(n.E, bound)
+		buf = b.outputs(n.E, buf, scope)
 	case Exists:
-		return binding(n.E, bound)
+		buf = b.outputs(n.E, buf, scope)
 	case Cmp:
-		collectScalarInputs(n.L, bound, in)
-		collectScalarInputs(n.R, bound, in)
-		return nil, in
+		buf = b.outputs(n.R, b.outputs(n.L, buf, scope)[:start], scope)[:start]
 	case Div:
-		collectScalarInputs(n.L, bound, in)
-		collectScalarInputs(n.R, bound, in)
-		return nil, in
+		buf = b.outputs(n.R, b.outputs(n.L, buf, scope)[:start], scope)[:start]
 	case Func:
 		for _, a := range n.Args {
-			collectScalarInputs(a, bound, in)
+			buf = b.outputs(a, buf, scope)[:start]
 		}
-		return nil, in
 	case Lift:
-		_, ein := binding(n.E, bound)
-		for k := range ein {
-			in[k] = true
-		}
-		return types.Schema{n.Var}, in
+		buf = append(b.outputs(n.E, buf, scope)[:start], n.Var)
 	case AggSum:
-		innerOut, innerIn := binding(n.E, bound)
-		for k := range innerIn {
-			in[k] = true
-		}
 		// Group-by variables must be produced by the inner expression; any
 		// that are not are parameters.
-		out := make(types.Schema, 0, len(n.GroupBy))
+		buf = b.outputs(n.E, buf, scope)
 		for _, g := range n.GroupBy {
-			out = append(out, g)
-			if !innerOut.Contains(g) && !bound[g] {
-				in[g] = true
+			if !slices.Contains(buf[start:], g) {
+				b.input(g, scope)
 			}
 		}
-		return out, in
+		buf = append(buf[:start], n.GroupBy...)
 	case Sum:
-		var out types.Schema
 		for _, t := range n.Terms {
-			tOut, tIn := binding(t, bound)
-			for k := range tIn {
-				in[k] = true
-			}
-			for _, v := range tOut {
-				if !out.Contains(v) {
-					out = append(out, v)
-				}
-			}
+			from := len(buf)
+			buf = appendNew(b.outputs(t, buf, scope), start, from)
 		}
-		return out, in
 	case Prod:
-		cur := bound.Clone()
-		var out types.Schema
 		for _, f := range n.Factors {
-			fOut, fIn := binding(f, cur)
-			for k := range fIn {
-				if !cur[k] {
-					in[k] = true
-				}
-			}
-			for _, v := range fOut {
-				if !out.Contains(v) {
-					out = append(out, v)
-				}
-				cur[v] = true
-			}
-		}
-		return out, in
-	default:
-		return nil, in
-	}
-}
-
-// collectScalarInputs gathers the unbound variables of a scalar operand.
-func collectScalarInputs(e Expr, bound VarSet, into VarSet) {
-	out, in := binding(e, bound)
-	for k := range in {
-		into[k] = true
-	}
-	// A nullary subquery in scalar position contributes its (lack of)
-	// outputs; output variables of a scalar operand would be a compile-time
-	// error detected later, not an input.
-	_ = out
-}
-
-func dedupSchema(vars []string) types.Schema {
-	out := make(types.Schema, 0, len(vars))
-	for _, v := range vars {
-		if !out.Contains(v) {
-			out = append(out, v)
+			from := len(buf)
+			buf = b.outputs(f, buf, scope)
+			scope = append(scope, buf[from:]...)
+			buf = appendNew(buf, start, from)
 		}
 	}
-	return out
+	return buf
+}
+
+// appendNew keeps, of buf[from:], the variables that buf[start:] does not
+// already hold before them, in order.
+func appendNew(buf types.Schema, start, from int) types.Schema {
+	w := from
+	for _, v := range buf[from:] {
+		if !slices.Contains(buf[start:w], v) {
+			buf[w] = v
+			w++
+		}
+	}
+	return buf[:w]
+}
+
+// emptySchema is the schema OutputVars reports for an e without outputs: an
+// atom or an aggregation (under any negation or existence test) has an
+// empty, non-nil schema; every other expression has none.
+func emptySchema(e Expr) types.Schema {
+	switch n := e.(type) {
+	case Neg:
+		return emptySchema(n.E)
+	case Exists:
+		return emptySchema(n.E)
+	case Rel, MapRef, AggSum:
+		return types.Schema{}
+	}
+	return nil
 }
 
 // AllVars returns every variable mentioned anywhere in e.

@@ -1,8 +1,8 @@
 package compiler
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dbtoaster/internal/agca"
@@ -35,8 +35,13 @@ import (
 // The canonicalized expression is used only as a hash key; the stored map
 // definition and its maintenance statements keep their original variables.
 func CanonicalKey(def agca.Expr, keys []string) string {
-	e := opt.Simplify(agca.Clone(def))
-	e = opt.NormalizeOrder(e, agca.VarSet{})
+	return normalizedKey(opt.NormalizeOrder(opt.Simplify(agca.Clone(def)), agca.VarSet{}), keys)
+}
+
+// normalizedKey is steps 2 and 3 of CanonicalKey, for a definition that is
+// already simplified and ordered (step 1), as every auxiliary map's is: it
+// is keyed without being normalized twice.
+func normalizedKey(e agca.Expr, keys []string) string {
 	e = sortSumTerms(e)
 	rename := alphaRenaming(e)
 	canon := agca.String(agca.RenameVars(e, rename))
@@ -52,20 +57,29 @@ func CanonicalKey(def agca.Expr, keys []string) string {
 }
 
 // sortSumTerms orders the terms of every Sum in the expression by an
-// alpha-invariant rendering of each term. Product factors are never
-// reordered here: multiplication binds variables sideways, so factor order
-// is semantic (NormalizeOrder already put products into a deterministic,
-// binding-correct order).
+// alpha-invariant rendering of each term, rendered once per term. Product
+// factors are never reordered here: multiplication binds variables
+// sideways, so factor order is semantic (NormalizeOrder already put
+// products into a deterministic, binding-correct order).
 func sortSumTerms(e agca.Expr) agca.Expr {
 	return agca.Transform(e, func(x agca.Expr) agca.Expr {
 		s, ok := x.(agca.Sum)
 		if !ok {
 			return x
 		}
-		terms := append([]agca.Expr(nil), s.Terms...)
-		sort.SliceStable(terms, func(i, j int) bool {
-			return alphaString(terms[i]) < alphaString(terms[j])
-		})
+		type keyed struct {
+			key  string
+			term agca.Expr
+		}
+		byKey := make([]keyed, len(s.Terms))
+		for i, t := range s.Terms {
+			byKey[i] = keyed{alphaString(t), t}
+		}
+		sort.SliceStable(byKey, func(i, j int) bool { return byKey[i].key < byKey[j].key })
+		terms := make([]agca.Expr, len(byKey))
+		for i, k := range byKey {
+			terms[i] = k.term
+		}
 		return agca.Sum{Terms: terms}
 	})
 }
@@ -85,7 +99,7 @@ func alphaRenaming(e agca.Expr) map[string]string {
 	note := func(names ...string) {
 		for _, n := range names {
 			if _, ok := rename[n]; !ok {
-				rename[n] = fmt.Sprintf("v%d", len(rename))
+				rename[n] = "v" + strconv.Itoa(len(rename))
 			}
 		}
 	}

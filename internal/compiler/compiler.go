@@ -205,9 +205,11 @@ func (c *compileState) addMap(key, name string, keys []string, def agca.Expr, de
 }
 
 // registerMap registers (or reuses) a materialized view for the given
-// definition and key variables, returning its name.
+// definition and key variables, returning its name. def must already be
+// simplified and ordered, as materializeComponent leaves it, since it is
+// keyed by normalizedKey.
 func (c *compileState) registerMap(def agca.Expr, keys []string, depth int) string {
-	canon := CanonicalKey(def, keys)
+	canon := normalizedKey(def, keys)
 	if name, ok := c.mapByDef[canon]; ok {
 		if existing := c.defs[name]; depth < existing.Depth {
 			existing.Depth = depth

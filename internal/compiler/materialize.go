@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dbtoaster/internal/agca"
@@ -167,10 +168,13 @@ func (c *compileState) materializeQueryExpr(e agca.Expr, protectKeys []string, e
 		// Output variables that were unified away but are required by the
 		// caller (protectKeys) are restored with explicit assignments so that
 		// every monomial of the rewritten expression exposes the same schema.
-		restore := map[string]string{}
-		for _, k := range protectKeys {
-			if to := ures.ApplyTo(k); to != k {
-				restore[k] = to
+		// restore[i] is what protectKeys[i] was renamed to ("" if it kept its
+		// name, or repeats an earlier key); walking it in protectKeys order
+		// keeps the statement independent of map iteration order.
+		restore := make([]string, len(protectKeys))
+		for i, k := range protectKeys {
+			if to := ures.ApplyTo(k); to != k && !slices.Contains(protectKeys[:i], k) {
+				restore[i] = to
 			}
 		}
 
@@ -180,19 +184,23 @@ func (c *compileState) materializeQueryExpr(e agca.Expr, protectKeys []string, e
 			needed[v] = true
 		}
 		for _, to := range restore {
-			needed[to] = true
+			if to != "" {
+				needed[to] = true
+			}
 		}
 
 		newFactors, err := c.materializeFactors(factors, bound, needed, depth)
 		if err != nil {
 			return nil, err
 		}
-		for k, to := range restore {
-			newFactors = append(newFactors, agca.Lift{Var: k, E: agca.Var{Name: to}})
+		for i, to := range restore {
+			if to != "" {
+				newFactors = append(newFactors, agca.Lift{Var: protectKeys[i], E: agca.Var{Name: to}})
+			}
 		}
 		for i, g := range gb {
-			if orig, ok := reverseLookup(restore, g); ok {
-				gb[i] = orig
+			if j := slices.Index(restore, g); j >= 0 {
+				gb[i] = protectKeys[j]
 			}
 		}
 		gb, err = filterGroupBy(gb, newFactors, bound)
@@ -225,15 +233,6 @@ func filterGroupBy(gb []string, factors []agca.Expr, bound agca.VarSet) ([]strin
 		}
 	}
 	return out, nil
-}
-
-func reverseLookup(m map[string]string, val string) (string, bool) {
-	for k, v := range m {
-		if v == val {
-			return k, true
-		}
-	}
-	return "", false
 }
 
 // materializeFactors implements the materialization decision for the factors
@@ -351,10 +350,17 @@ func (c *compileState) materializeFactors(factors []agca.Expr, bound, needed agc
 	}
 
 	rootOf := c.joinComponents(factors, bound)
-	components := map[int][]int{}
+	components := map[int][]int{}     // component root -> its atoms
+	compOuts := map[int]agca.VarSet{} // component root -> their outputs
 	for i := range factors {
 		if r, ok := rootOf[i]; ok {
 			components[r] = append(components[r], i)
+			if compOuts[r] == nil {
+				compOuts[r] = agca.VarSet{}
+			}
+			for v := range factorOuts[i] {
+				compOuts[r][v] = true
+			}
 		}
 	}
 
@@ -386,8 +392,7 @@ func (c *compileState) materializeFactors(factors []agca.Expr, bound, needed agc
 				continue
 			}
 			owner, count := -1, 0
-			for root, members := range components {
-				outs := componentOutputs(factors, members)
+			for root, outs := range compOuts {
 				all := true
 				for v := range vars {
 					if !outs[v] {
@@ -416,12 +421,9 @@ func (c *compileState) materializeFactors(factors []agca.Expr, bound, needed agc
 		}
 		varUsers[v][who] = true
 	}
-	for root, members := range components {
-		for v := range componentOutputs(factors, members) {
+	for root, outs := range compOuts {
+		for v := range outs {
 			noteUse(v, root)
-		}
-		for _, i := range members {
-			_ = i
 		}
 	}
 	for i, cl := range classes {
@@ -478,10 +480,18 @@ func (c *compileState) materializeFactors(factors []agca.Expr, bound, needed agc
 func (c *compileState) joinComponents(factors []agca.Expr, bound agca.VarSet) map[int]int {
 	parent := map[int]int{}
 	var atomIdx []int
+	var free [][]string // the unbound variables of each atom, by atomIdx position
 	for i, f := range factors {
-		if _, ok := f.(agca.Rel); ok {
+		if r, ok := f.(agca.Rel); ok {
 			atomIdx = append(atomIdx, i)
 			parent[i] = i
+			var vs []string
+			for _, v := range r.Vars {
+				if !bound[v] {
+					vs = append(vs, v)
+				}
+			}
+			free = append(free, vs)
 		}
 	}
 	var find func(int) int
@@ -494,7 +504,9 @@ func (c *compileState) joinComponents(factors []agca.Expr, bound agca.VarSet) ma
 	for x := 0; x < len(atomIdx); x++ {
 		for y := x + 1; y < len(atomIdx); y++ {
 			i, j := atomIdx[x], atomIdx[y]
-			if c.opts.Mode == ModeNaive || sharesFreeVar(factors[i], factors[j], bound) {
+			if c.opts.Mode == ModeNaive || slices.ContainsFunc(free[x], func(v string) bool {
+				return slices.Contains(free[y], v)
+			}) {
 				parent[find(i)] = find(j)
 			}
 		}
@@ -642,28 +654,6 @@ func singleFullRelation(compFactors []agca.Expr, keys []string) (agca.Rel, bool)
 		}
 	}
 	return rel, true
-}
-
-// componentOutputs returns the output variables of the atoms at the given
-// factor positions.
-func componentOutputs(factors []agca.Expr, members []int) agca.VarSet {
-	outs := agca.VarSet{}
-	for _, i := range members {
-		outs.AddAll(agca.OutputVars(factors[i], agca.VarSet{}))
-	}
-	return outs
-}
-
-// sharesFreeVar reports whether two factors share a variable that is not
-// bound at runtime.
-func sharesFreeVar(a, b agca.Expr, bound agca.VarSet) bool {
-	av := agca.AllVars(a)
-	for v := range agca.AllVars(b) {
-		if av[v] && !bound[v] {
-			return true
-		}
-	}
-	return false
 }
 
 // inlineBaseTables rewrites every dynamic relation atom into a reference to

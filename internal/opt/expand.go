@@ -76,25 +76,42 @@ func expand(e agca.Expr, keepValueSums bool) []agca.Expr {
 		}
 		return out
 	case agca.Prod:
-		// Cartesian product of the factor expansions, preserving order. A
-		// partial product extended by several terms is cloned so that the
-		// resulting monomials share no nodes; one extended by a single term
-		// is used once and needs no copy.
-		acc := []agca.Expr{agca.One}
+		// Cartesian product of the factor expansions, preserving order. Each
+		// monomial is accumulated as a factor list (a Prod term contributes
+		// its factors) and becomes one Prod at the end. A partial product
+		// extended by several terms is cloned for all but the last of them,
+		// so that the resulting monomials share no nodes.
+		acc := [][]agca.Expr{{agca.One}}
 		for _, f := range n.Factors {
 			fTerms := expand(f, keepValueSums)
-			next := make([]agca.Expr, 0, len(acc)*len(fTerms))
+			next := make([][]agca.Expr, 0, len(acc)*len(fTerms))
 			for _, a := range acc {
-				for _, ft := range fTerms {
-					if len(fTerms) > 1 {
-						a = agca.Clone(a)
+				for j, ft := range fTerms {
+					tail := []agca.Expr{ft}
+					if p, ok := ft.(agca.Prod); ok {
+						tail = p.Factors
 					}
-					next = append(next, agca.Mul(a, ft))
+					m := a
+					if j < len(fTerms)-1 {
+						m = make([]agca.Expr, len(a), len(a)+len(tail))
+						for k, x := range a {
+							m[k] = agca.Clone(x)
+						}
+					}
+					next = append(next, append(m, tail...))
 				}
 			}
 			acc = next
 		}
-		return acc
+		out := make([]agca.Expr, len(acc))
+		for i, m := range acc {
+			if len(m) == 1 {
+				out[i] = m[0]
+			} else {
+				out[i] = agca.Prod{Factors: m}
+			}
+		}
+		return out
 	case agca.AggSum:
 		inner := expand(n.E, keepValueSums)
 		out := make([]agca.Expr, len(inner))

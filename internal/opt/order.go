@@ -12,10 +12,16 @@ import (
 // before, not inside, any loop it does not depend on — and only then the atoms
 // that open a loop, probed with as many bound keys as possible.
 func OrderFactors(factors []agca.Expr, bound agca.VarSet) []agca.Expr {
+	return orderFactors(factors, bound.Clone())
+}
+
+// orderFactors is OrderFactors over a scratch bound set, which it extends
+// while it schedules and restores before it returns.
+func orderFactors(factors []agca.Expr, cur agca.VarSet) []agca.Expr {
 	remaining := make([]agca.Expr, len(factors))
 	copy(remaining, factors)
-	cur := bound.Clone()
 	out := make([]agca.Expr, 0, len(factors))
+	var added []string
 
 	for len(remaining) > 0 {
 		best, bestScore := -1, -1
@@ -36,9 +42,24 @@ func OrderFactors(factors []agca.Expr, bound agca.VarSet) []agca.Expr {
 		chosen := remaining[best]
 		out = append(out, chosen)
 		remaining = append(remaining[:best], remaining[best+1:]...)
-		cur.AddAll(agca.OutputVars(chosen, cur))
+		added = bind(cur, chosen, added)
+	}
+	for _, v := range added {
+		delete(cur, v)
 	}
 	return out
+}
+
+// bind adds the outputs of f that cur does not hold yet to cur, and appends
+// them to added so that the caller can take them out again.
+func bind(cur agca.VarSet, f agca.Expr, added []string) []string {
+	for _, v := range agca.OutputVars(f, cur) {
+		if !cur[v] {
+			cur[v] = true
+			added = append(added, v)
+		}
+	}
+	return added
 }
 
 // nestedScore is the score of a ready scalar-context factor (lift, comparison,
@@ -150,38 +171,47 @@ func scalarOperandsBound(f agca.Expr, bound agca.VarSet) (ready, nested bool) {
 // threading the binding context top-down (bound holds the variables provided
 // by the evaluation environment, e.g. trigger arguments).
 func NormalizeOrder(e agca.Expr, bound agca.VarSet) agca.Expr {
+	return normalizeOrder(e, bound.Clone())
+}
+
+// normalizeOrder is NormalizeOrder over a scratch bound set: each product
+// extends it for its later factors and restores it before it returns.
+func normalizeOrder(e agca.Expr, bound agca.VarSet) agca.Expr {
 	switch n := e.(type) {
 	case agca.Prod:
-		ordered := OrderFactors(n.Factors, bound)
-		cur := bound.Clone()
+		ordered := orderFactors(n.Factors, bound)
 		out := make([]agca.Expr, len(ordered))
+		var added []string
 		for i, f := range ordered {
-			out[i] = NormalizeOrder(f, cur)
-			cur.AddAll(agca.OutputVars(f, cur))
+			out[i] = normalizeOrder(f, bound)
+			added = bind(bound, f, added)
+		}
+		for _, v := range added {
+			delete(bound, v)
 		}
 		return agca.Prod{Factors: out}
 	case agca.Sum:
 		out := make([]agca.Expr, len(n.Terms))
 		for i, t := range n.Terms {
-			out[i] = NormalizeOrder(t, bound)
+			out[i] = normalizeOrder(t, bound)
 		}
 		return agca.Sum{Terms: out}
 	case agca.Neg:
-		return agca.Neg{E: NormalizeOrder(n.E, bound)}
+		return agca.Neg{E: normalizeOrder(n.E, bound)}
 	case agca.Exists:
-		return agca.Exists{E: NormalizeOrder(n.E, bound)}
+		return agca.Exists{E: normalizeOrder(n.E, bound)}
 	case agca.AggSum:
-		return agca.AggSum{GroupBy: n.GroupBy, E: NormalizeOrder(n.E, bound)}
+		return agca.AggSum{GroupBy: n.GroupBy, E: normalizeOrder(n.E, bound)}
 	case agca.Lift:
-		return agca.Lift{Var: n.Var, E: NormalizeOrder(n.E, bound)}
+		return agca.Lift{Var: n.Var, E: normalizeOrder(n.E, bound)}
 	case agca.Cmp:
-		return agca.Cmp{Op: n.Op, L: NormalizeOrder(n.L, bound), R: NormalizeOrder(n.R, bound)}
+		return agca.Cmp{Op: n.Op, L: normalizeOrder(n.L, bound), R: normalizeOrder(n.R, bound)}
 	case agca.Div:
-		return agca.Div{L: NormalizeOrder(n.L, bound), R: NormalizeOrder(n.R, bound)}
+		return agca.Div{L: normalizeOrder(n.L, bound), R: normalizeOrder(n.R, bound)}
 	case agca.Func:
 		args := make([]agca.Expr, len(n.Args))
 		for i, a := range n.Args {
-			args[i] = NormalizeOrder(a, bound)
+			args[i] = normalizeOrder(a, bound)
 		}
 		return agca.Func{Name: n.Name, Args: args}
 	default:

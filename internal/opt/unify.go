@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"dbtoaster/internal/agca"
 )
 
@@ -54,8 +56,11 @@ func UnifyMonomial(factors []agca.Expr, protect, bound agca.VarSet) UnifyResult 
 	subst := map[string]string{}
 
 	rename := func(from, to string) {
+		sub := map[string]string{from: to}
 		for i, f := range fs {
-			fs[i] = agca.RenameVars(f, map[string]string{from: to})
+			if mentions(f, from) {
+				fs[i] = agca.RenameVars(f, sub)
+			}
 		}
 		for k, v := range subst {
 			if v == from {
@@ -184,4 +189,24 @@ func producesVar(fs []agca.Expr, v string, skip int) bool {
 		}
 	}
 	return false
+}
+
+// mentions reports whether v occurs anywhere in e.
+func mentions(e agca.Expr, v string) bool {
+	found := false
+	agca.Walk(e, func(x agca.Expr) {
+		switch n := x.(type) {
+		case agca.Var:
+			found = found || n.Name == v
+		case agca.Rel:
+			found = found || slices.Contains(n.Vars, v)
+		case agca.MapRef:
+			found = found || slices.Contains(n.Keys, v)
+		case agca.Lift:
+			found = found || n.Var == v
+		case agca.AggSum:
+			found = found || slices.Contains(n.GroupBy, v)
+		}
+	})
+	return found
 }

@@ -14,6 +14,7 @@ import (
 	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/sql"
 	"dbtoaster/internal/sqlref"
+	"dbtoaster/internal/trigger"
 	"dbtoaster/internal/types"
 )
 
@@ -26,13 +27,23 @@ const (
 	refRows      = 3   // tuples per relation
 )
 
+// twoSelects is a seed whose two queries compile together into one program
+// that shares the join of R and S.
+const twoSelects = `CREATE STREAM R (A int, B int);
+CREATE STREAM S (B int, C int);
+SELECT R.A, SUM(S.C) FROM R, S WHERE R.B = S.B GROUP BY R.A;
+SELECT SUM(S.C * R.A) FROM R, S WHERE R.B = S.B;`
+
 // FuzzParse holds the frontend to its contract on arbitrary text: Parse, and
 // on success Catalog and Queries, return a result or an error and never
 // panic. Every translated query that sqlref also accepts (within maxFromWidth
 // and maxNodes) is compiled in DBToaster mode, replayed on a short stream
-// derived from the script's DDL, and held to sqlref after every event. The
-// corpus starts from every workload query and example script; inputs that
-// once failed live under testdata/fuzz/FuzzParse.
+// derived from the script's DDL, and held to sqlref after every event. When
+// two or more of a script's queries get that far, they are also compiled
+// together through CompileSet and each one's result is held to sqlref the
+// same way. The corpus starts from every workload query and example script
+// and a two-query script; inputs that once failed live under
+// testdata/fuzz/FuzzParse.
 func FuzzParse(f *testing.F) {
 	for _, glob := range []string{"../workload/queries/*.sql", "../../examples/sql/*.sql"} {
 		paths, err := filepath.Glob(glob)
@@ -47,6 +58,8 @@ func FuzzParse(f *testing.F) {
 			f.Add(string(src))
 		}
 	}
+	f.Add(twoSelects)
+	opts := compiler.OptionsFor(compiler.ModeDBToaster)
 	f.Fuzz(func(t *testing.T, src string) {
 		script, err := sql.Parse(src)
 		if err != nil {
@@ -60,6 +73,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var held []sql.Query
+		var set []compiler.Query
 		for i, q := range queries {
 			sel, nodes := script.Selects[i], 0
 			agca.Walk(q.Expr, func(agca.Expr) { nodes++ })
@@ -69,66 +84,92 @@ func FuzzParse(f *testing.F) {
 			if _, err := sqlref.Eval(script, sel, sqlref.DB{}); err != nil {
 				continue
 			}
-			prog, err := compiler.Compile(compiler.Query{Name: q.Name, Expr: q.Expr}, cat, compiler.OptionsFor(compiler.ModeDBToaster))
+			cq := compiler.Query{Name: q.Name, Expr: q.Expr}
+			prog, err := compiler.Compile(cq, cat, opts)
 			if err != nil {
 				continue
 			}
-			eng := engine.New(prog)
-			db := sqlref.DB{}
-			var events []engine.Event
-			for r, rd := range script.Relations {
-				var cols types.Schema
-				for _, cd := range rd.Columns {
-					cols = append(cols, cd.Name)
-				}
-				static := gmr.New(cols)
-				for k := 0; k < refRows; k++ {
-					tu := make(types.Tuple, len(rd.Columns))
-					for c, cd := range rd.Columns {
-						tu[c] = refValue(cd.Type, r+k+2*c)
-					}
-					if rd.Static {
-						static.Add(tu, 1)
-						db.Add(rd.Name, tu, 1)
-					} else {
-						events = append(events, engine.Event{Relation: rd.Name, Insert: true, Tuple: tu})
-					}
-				}
-				if rd.Static {
-					eng.LoadStatic(rd.Name, static)
+			replayAgainstSQLRef(t, script, prog, []sql.Query{q})
+			held = append(held, q)
+			set = append(set, cq)
+		}
+		if len(set) < 2 {
+			return
+		}
+		prog, _, err := compiler.CompileSet(set, cat, opts)
+		if err != nil {
+			t.Fatalf("CompileSet of %d queries that each compile alone: %v", len(set), err)
+		}
+		replayAgainstSQLRef(t, script, prog, held)
+	})
+}
+
+// replayAgainstSQLRef runs prog on a short stream derived from the script's
+// DDL (refRows tuples per relation, static ones loaded up front, then the
+// first stream tuple deleted again) and holds the result of every query in
+// qs to sqlref after each event.
+func replayAgainstSQLRef(t *testing.T, script *sql.Script, prog *trigger.Program, qs []sql.Query) {
+	t.Helper()
+	eng := engine.New(prog)
+	db := sqlref.DB{}
+	var events []engine.Event
+	for r, rd := range script.Relations {
+		var cols types.Schema
+		for _, cd := range rd.Columns {
+			cols = append(cols, cd.Name)
+		}
+		static := gmr.New(cols)
+		for k := 0; k < refRows; k++ {
+			tu := make(types.Tuple, len(rd.Columns))
+			for c, cd := range rd.Columns {
+				tu[c] = refValue(cd.Type, r+k+2*c)
+			}
+			if rd.Static {
+				static.Add(tu, 1)
+				db.Add(rd.Name, tu, 1)
+			} else {
+				events = append(events, engine.Event{Relation: rd.Name, Insert: true, Tuple: tu})
+			}
+		}
+		if rd.Static {
+			eng.LoadStatic(rd.Name, static)
+		}
+	}
+	if len(events) > 0 {
+		events = append(events, engine.Event{Relation: events[0].Relation, Tuple: events[0].Tuple})
+	}
+	if err := eng.Init(); err != nil {
+		t.Fatalf("%s: init: %v", qs[0].Name, err)
+	}
+	for n, ev := range events {
+		if err := eng.Apply(ev); err != nil {
+			t.Fatalf("%s: event %d: %v", qs[0].Name, n, err)
+		}
+		db.Add(ev.Relation, ev.Tuple, map[bool]float64{true: 1, false: -1}[ev.Insert])
+		for _, q := range qs {
+			want, err := sqlref.Eval(script, q.Select, db)
+			if err != nil {
+				t.Fatalf("%s: sqlref: %v", q.Name, err)
+			}
+			res, err := eng.ResultFor(q.Name)
+			if err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+			got := sqlref.Bag{}
+			res.Foreach(func(tu types.Tuple, m float64) { got.Add(tu, m) })
+			for k := range got {
+				if _, ok := want[k]; !ok {
+					want[k] = 0
 				}
 			}
-			if len(events) > 0 {
-				events = append(events, engine.Event{Relation: events[0].Relation, Tuple: events[0].Tuple})
-			}
-			if err := eng.Init(); err != nil {
-				t.Fatalf("%s: init: %v", q.Name, err)
-			}
-			for n, ev := range events {
-				if err := eng.Apply(ev); err != nil {
-					t.Fatalf("%s: event %d: %v", q.Name, n, err)
-				}
-				db.Add(ev.Relation, ev.Tuple, map[bool]float64{true: 1, false: -1}[ev.Insert])
-				want, err := sqlref.Eval(script, sel, db)
-				if err != nil {
-					t.Fatalf("%s: sqlref: %v", q.Name, err)
-				}
-				got := sqlref.Bag{}
-				eng.Result().Foreach(func(tu types.Tuple, m float64) { got.Add(tu, m) })
-				for k := range got {
-					if _, ok := want[k]; !ok {
-						want[k] = 0
-					}
-				}
-				for k, w := range want {
-					if g := got[k]; math.Abs(g-w) > 1e-6*math.Max(1, math.Max(math.Abs(g), math.Abs(w))) {
-						key, _ := types.DecodeKey([]byte(k))
-						t.Fatalf("%s: after event %d, key %v: engine %v, sqlref %v", q.Name, n, key, g, w)
-					}
+			for k, w := range want {
+				if g := got[k]; math.Abs(g-w) > 1e-6*math.Max(1, math.Max(math.Abs(g), math.Abs(w))) {
+					key, _ := types.DecodeKey([]byte(k))
+					t.Fatalf("%s (of %d compiled together): after event %d, key %v: engine %v, sqlref %v", q.Name, len(qs), n, key, g, w)
 				}
 			}
 		}
-	})
+	}
 }
 
 // refValue is the n-th value of a small domain of the declared column type,

@@ -248,9 +248,6 @@ func Add(es ...Expr) Expr {
 // Subtract returns a - b.
 func Subtract(a, b Expr) Expr { return Add(a, Neg{E: b}) }
 
-// CmpE builds a comparison expression.
-func CmpE(op CmpOp, l, r Expr) Expr { return Cmp{Op: op, L: l, R: r} }
-
 // Eq builds an equality comparison.
 func Eq(l, r Expr) Expr { return Cmp{Op: OpEq, L: l, R: r} }
 
@@ -259,9 +256,6 @@ func Lt(l, r Expr) Expr { return Cmp{Op: OpLt, L: l, R: r} }
 
 // Gt builds a greater-than comparison.
 func Gt(l, r Expr) Expr { return Cmp{Op: OpGt, L: l, R: r} }
-
-// LiftE builds an assignment x := e.
-func LiftE(x string, e Expr) Expr { return Lift{Var: x, E: e} }
 
 // SumOver builds a group-by aggregation.
 func SumOver(groupBy []string, e Expr) Expr { return AggSum{GroupBy: groupBy, E: e} }
@@ -276,10 +270,4 @@ var One Expr = Const{V: types.Int(1)}
 func IsZero(e Expr) bool {
 	c, ok := e.(Const)
 	return ok && c.V.IsNumeric() && c.V.AsFloat() == 0
-}
-
-// IsOne reports whether e is literally the constant one.
-func IsOne(e Expr) bool {
-	c, ok := e.(Const)
-	return ok && c.V.IsNumeric() && c.V.AsFloat() == 1
 }

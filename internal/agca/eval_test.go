@@ -68,7 +68,7 @@ func TestExample5NestedAggregate(t *testing.T) {
 	db := MapDB{"R": r, "S": s}
 
 	qn := SumOver(nil, Mul(R("S", "C", "D"), Gt(V("A"), V("C")), V("D")))
-	q := SumOver([]string{"A", "B"}, Mul(R("R", "A", "B"), LiftE("z", qn), Lt(V("B"), V("z"))))
+	q := SumOver([]string{"A", "B"}, Mul(R("R", "A", "B"), Lift{Var: "z", E: qn}, Lt(V("B"), V("z"))))
 	res := Eval(q, db, types.Env{})
 	if res.Len() != 1 || res.Get(it(5, 2)) != 1 {
 		t.Fatalf("nested aggregate result wrong: %v", res)
@@ -123,16 +123,16 @@ func TestNegationAndSum(t *testing.T) {
 
 func TestLiftBindsAndChecks(t *testing.T) {
 	db := MapDB{}
-	res := Eval(LiftE("x", C(7)), db, types.Env{})
+	res := Eval(Lift{Var: "x", E: C(7)}, db, types.Env{})
 	if res.Len() != 1 || res.Get(it(7)) != 1 {
 		t.Fatalf("lift should bind x to 7: %v", res)
 	}
 	// Already-bound consistent value: singleton; inconsistent: empty.
-	res = Eval(LiftE("x", C(7)), db, types.Env{"x": types.Int(7)})
+	res = Eval(Lift{Var: "x", E: C(7)}, db, types.Env{"x": types.Int(7)})
 	if res.Len() != 1 {
 		t.Fatal("consistent lift should keep the tuple")
 	}
-	res = Eval(LiftE("x", C(7)), db, types.Env{"x": types.Int(8)})
+	res = Eval(Lift{Var: "x", E: C(7)}, db, types.Env{"x": types.Int(8)})
 	if res.Len() != 0 {
 		t.Fatal("inconsistent lift should be empty")
 	}

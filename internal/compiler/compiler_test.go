@@ -184,7 +184,7 @@ func TestNestedDeltaProbesSlice(t *testing.T) {
 	q := Query{Name: "Q", Expr: agca.SumOver(nil, agca.Mul(
 		agca.R("P", "pk", "brand"),
 		agca.R("L", "ok", "pk", "qty"),
-		agca.LiftE("sq", agca.SumOver(nil, agca.Mul(agca.R("L", "ok2", "pk", "qty2"), agca.V("qty2")))),
+		agca.Lift{Var: "sq", E: agca.SumOver(nil, agca.Mul(agca.R("L", "ok2", "pk", "qty2"), agca.V("qty2")))},
 		agca.Lt(agca.Mul(agca.C(2), agca.V("qty")), agca.V("sq")),
 		agca.V("qty")))}
 	prog, err := Compile(q, cat, DefaultOptions())

@@ -33,12 +33,12 @@ func TestCompileSetAliasesIdenticalQueries(t *testing.T) {
 		t.Errorf("aliased set should materialize exactly the single-query maps: %d vs %d",
 			len(prog.Maps), len(single.Maps))
 	}
-	qd, ok := prog.QueryByName("QCopy")
-	if !ok {
-		t.Fatal("QCopy missing from program queries")
+	result, err := prog.ResultMapFor("QCopy")
+	if err != nil {
+		t.Fatalf("QCopy missing from program queries: %v", err)
 	}
-	if qd.ResultMap != "Q" {
-		t.Errorf("QCopy should alias Q's result map, got %q", qd.ResultMap)
+	if result != "Q" {
+		t.Errorf("QCopy should alias Q's result map, got %q", result)
 	}
 	if rep.TotalMaps != len(prog.Maps) || rep.DisjointMaps != 2*len(single.Maps) {
 		t.Errorf("report totals wrong: TotalMaps=%d (maps %d), DisjointMaps=%d (want %d)",
@@ -68,8 +68,7 @@ func TestCompileSetNearMissDoesNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qd, _ := prog.QueryByName("QPrice")
-	if qd.ResultMap == "Q" {
+	if result, _ := prog.ResultMapFor("QPrice"); result == "Q" {
 		t.Fatal("near-miss query must not alias Q's result")
 	}
 }

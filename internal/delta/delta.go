@@ -42,11 +42,6 @@ func (e Event) String() string {
 	return s + ")"
 }
 
-// InsertEvent builds an insertion event.
-func InsertEvent(rel string, args ...string) Event {
-	return Event{Relation: rel, Insert: true, Args: args}
-}
-
 // TriggerArgs returns canonical trigger variable names for a relation with
 // the given column names, e.g. orders.ORDERKEY -> "orders__orderkey_t".
 func TriggerArgs(rel string, cols []string) []string {

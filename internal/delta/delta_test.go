@@ -18,7 +18,7 @@ func it(vs ...int64) types.Tuple {
 }
 
 func TestEventString(t *testing.T) {
-	if got := InsertEvent("R", "x", "y").String(); got != "+R(x,y)" {
+	if got := insertEvent("R", "x", "y").String(); got != "+R(x,y)" {
 		t.Errorf("String = %q", got)
 	}
 	if got := (Event{Relation: "S", Args: []string{"a"}}).String(); got != "-S(a)" {
@@ -35,7 +35,7 @@ func TestTriggerArgs(t *testing.T) {
 
 func TestDeltaOfUnrelatedRelationIsZero(t *testing.T) {
 	q := agca.SumOver(nil, agca.R("R", "A", "B"))
-	d, err := Apply(q, InsertEvent("S", "x"))
+	d, err := Apply(q, insertEvent("S", "x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,22 +50,22 @@ func TestDeltaOfUnrelatedRelationIsZero(t *testing.T) {
 
 func TestDeltaArityMismatch(t *testing.T) {
 	q := agca.R("R", "A", "B")
-	if _, err := Apply(q, InsertEvent("R", "x")); err == nil {
+	if _, err := Apply(q, insertEvent("R", "x")); err == nil {
 		t.Fatal("expected arity error")
 	}
 }
 
 func TestNonIncrementalConstructs(t *testing.T) {
 	div := agca.Div{L: agca.SumOver(nil, agca.R("R", "A")), R: agca.C(2)}
-	if _, err := Apply(div, InsertEvent("R", "x")); err != ErrNonIncremental {
+	if _, err := Apply(div, insertEvent("R", "x")); err != ErrNonIncremental {
 		t.Fatalf("expected ErrNonIncremental, got %v", err)
 	}
 	// Division not involving the updated relation has delta zero.
-	if d, err := Apply(div, InsertEvent("S", "x")); err != nil || !agca.IsZero(d) {
+	if d, err := Apply(div, insertEvent("S", "x")); err != nil || !agca.IsZero(d) {
 		t.Fatalf("unrelated division delta = %v, %v", d, err)
 	}
 	ex := agca.Exists{E: agca.R("R", "A")}
-	if _, err := Apply(ex, InsertEvent("R", "x")); err != ErrNonIncremental {
+	if _, err := Apply(ex, insertEvent("R", "x")); err != ErrNonIncremental {
 		t.Fatalf("expected ErrNonIncremental for Exists, got %v", err)
 	}
 }
@@ -186,7 +186,7 @@ func TestDeltaCorrectnessNestedAggregate(t *testing.T) {
 	db := agca.MapDB{"R": r, "S": s}
 	qn := agca.SumOver(nil, agca.Mul(agca.R("S", "C", "D"), agca.Gt(agca.V("A"), agca.V("C")), agca.V("D")))
 	q := agca.SumOver([]string{"A", "B"},
-		agca.Mul(agca.R("R", "A", "B"), agca.LiftE("z", qn), agca.Lt(agca.V("B"), agca.V("z"))))
+		agca.Mul(agca.R("R", "A", "B"), agca.Lift{Var: "z", E: qn}, agca.Lt(agca.V("B"), agca.V("z"))))
 
 	checkDeltaCorrect(t, q, db, "S", it(1, 100), true)
 	checkDeltaCorrect(t, q, db, "S", it(2, 10), false)
@@ -199,14 +199,14 @@ func TestDeltaDegreeReduction(t *testing.T) {
 	if agca.Degree(q) != 3 {
 		t.Fatalf("degree = %d", agca.Degree(q))
 	}
-	d, err := Apply(q, InsertEvent("S", "x", "y"))
+	d, err := Apply(q, insertEvent("S", "x", "y"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := agca.Degree(d); got != 2 {
 		t.Fatalf("delta degree = %d, want 2 (was %d)", got, agca.Degree(q))
 	}
-	d2, err := Apply(d, InsertEvent("R", "u", "v"))
+	d2, err := Apply(d, insertEvent("R", "u", "v"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,12 +249,12 @@ func TestLiftDeltaRestrictedToSlice(t *testing.T) {
 	q := agca.SumOver(nil, agca.Mul(
 		agca.R("P", "pk"),
 		agca.R("L", "ok", "pk", "qty"),
-		agca.LiftE("sq", nested),
+		agca.Lift{Var: "sq", E: nested},
 		agca.Lt(agca.Mul(agca.C(2), agca.V("qty")), agca.V("sq")),
 		agca.V("qty")))
 
-	ev := InsertEvent("L", "L_OK_t", "L_PK_t", "L_QTY_t")
-	d, err := Apply(agca.LiftE("sq", nested), ev)
+	ev := insertEvent("L", "L_OK_t", "L_PK_t", "L_QTY_t")
+	d, err := Apply(agca.Lift{Var: "sq", E: nested}, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestLiftDeltaRestrictedToSlice(t *testing.T) {
 		t.Fatalf("an uncorrelated lift has no slice to restrict to: %s", agca.String(d))
 	}
 	// With no outer L atom to bind pk, the restriction is all the delta binds.
-	d, err = Apply(agca.SumOver(nil, agca.Mul(agca.R("P", "pk"), agca.LiftE("sq", nested), agca.V("sq"))), ev)
+	d, err = Apply(agca.SumOver(nil, agca.Mul(agca.R("P", "pk"), agca.Lift{Var: "sq", E: nested}, agca.V("sq"))), ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,4 +309,9 @@ func TestLiftDeltaRestrictedToSlice(t *testing.T) {
 		checkDeltaCorrect(t, q, db, "L", victim, false)
 		checkDeltaCorrect(t, q, db, "P", it(int64(rng.Intn(3))), rng.Intn(2) == 0)
 	}
+}
+
+// insertEvent builds an insertion event.
+func insertEvent(rel string, args ...string) Event {
+	return Event{Relation: rel, Insert: true, Args: args}
 }

@@ -79,8 +79,8 @@ func TestShared18WindowAllocs(t *testing.T) {
 // publishes it.
 func BenchmarkApplyBatchServed(b *testing.B) {
 	eng, windows := sawtoothWindows(b, []string{"Q1", "Q3"}, 0.2, 64)
-	q1, _ := eng.Program().QueryByName("Q1")
-	sub, err := eng.Subscribe(q1.ResultMap, engine.SubscribeOptions{SkipInitial: true})
+	q1, _ := eng.Program().ResultMapFor("Q1")
+	sub, err := eng.Subscribe(q1, engine.SubscribeOptions{SkipInitial: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -151,8 +151,8 @@ func TestReusedWindowBuffer(t *testing.T) {
 	events := ms.Stream(0.2, 1)
 	const window = 64
 	eng := newSharedEngine(t, ms)
-	q3, _ := eng.Program().QueryByName("Q3")
-	sub, err := eng.Subscribe(q3.ResultMap, engine.SubscribeOptions{Buffer: 2, SkipInitial: true})
+	q3, _ := eng.Program().ResultMapFor("Q3")
+	sub, err := eng.Subscribe(q3, engine.SubscribeOptions{Buffer: 2, SkipInitial: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,8 +221,8 @@ func TestServedApplyAllocs(t *testing.T) {
 		eng := newSharedEngine(t, ms)
 		var subs []*engine.Subscription
 		for _, q := range []string{"Q1", "Q3"} {
-			qd, _ := eng.Program().QueryByName(q)
-			sub, err := eng.Subscribe(qd.ResultMap, engine.SubscribeOptions{Buffer: 1, SkipInitial: true})
+			view, _ := eng.Program().ResultMapFor(q)
+			sub, err := eng.Subscribe(view, engine.SubscribeOptions{Buffer: 1, SkipInitial: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -286,7 +286,7 @@ func TestEqualityCorrelatedNestedAggregate(t *testing.T) {
 	q := agca.SumOver([]string{"ck"}, agca.Mul(
 		agca.R("O", "ck", "ok"),
 		agca.R("LI", "ok", "qty"),
-		agca.LiftE("z", nested),
+		agca.Lift{Var: "z", E: nested},
 		agca.Gt(agca.V("z"), agca.C(30)),
 		agca.V("qty")))
 	g := newStreamGen(5)
@@ -318,8 +318,8 @@ func TestInequalityCorrelatedNestedAggregate(t *testing.T) {
 	above := agca.SumOver(nil, agca.Mul(agca.R("B", "p2", "v2"), agca.Gt(agca.V("p2"), agca.V("p1")), agca.V("v2")))
 	q := agca.SumOver(nil, agca.Mul(
 		agca.R("B", "p1", "v1"),
-		agca.LiftE("t", total),
-		agca.LiftE("a", above),
+		agca.Lift{Var: "t", E: total},
+		agca.Lift{Var: "a", E: above},
 		agca.Gt(agca.Mul(agca.CF(0.25), agca.V("t")), agca.V("a")),
 		agca.V("p1"), agca.V("v1")))
 	g := newStreamGen(6)
@@ -344,8 +344,8 @@ func TestUncorrelatedNestedAggregate(t *testing.T) {
 	q := agca.SumOver(nil, agca.Mul(
 		agca.R("B", "bp", "bv"),
 		agca.R("A", "ap", "av"),
-		agca.LiftE("tb", bTotal),
-		agca.LiftE("ta", aTotal),
+		agca.Lift{Var: "tb", E: bTotal},
+		agca.Lift{Var: "ta", E: aTotal},
 		agca.Gt(agca.Mul(agca.V("bv"), agca.C(10)), agca.V("tb")),
 		agca.Gt(agca.Mul(agca.V("av"), agca.C(10)), agca.V("ta")),
 		agca.Add(agca.V("ap"), agca.Neg{E: agca.V("bp")})))

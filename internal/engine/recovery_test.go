@@ -702,14 +702,14 @@ func TestRecoverRejectsFlatVersion1(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			scan, err := wal.Scan(ffs, recoveryWalDir)
+			if err != nil {
+				t.Fatal(err)
+			}
 			files, payloads := 0, 0
-			for _, name := range names {
-				if !strings.HasSuffix(name, tc.suffix) {
+			for _, c := range scan.Chain {
+				if c.Base != (tc.suffix == ".base") {
 					continue
-				}
-				c, err := wal.ReadChainCheckpoint(ffs, recoveryWalDir, name)
-				if err != nil {
-					t.Fatalf("read %s: %v", name, err)
 				}
 				for i := range c.Views {
 					if d := c.Views[i].Data; strings.HasPrefix(string(d), tc.magic) {
@@ -718,7 +718,7 @@ func TestRecoverRejectsFlatVersion1(t *testing.T) {
 					}
 				}
 				if _, _, err := wal.WriteChainCheckpoint(ffs, recoveryWalDir, c); err != nil {
-					t.Fatalf("rewrite %s: %v", name, err)
+					t.Fatalf("rewrite the %s link: %v", tc.suffix, err)
 				}
 				files++
 			}

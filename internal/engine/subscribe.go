@@ -290,17 +290,6 @@ func (s *Subscription) Sync() (*gmr.GMR, []ChangeBatch) {
 	return e.views[s.view].data.Freeze(), backlog
 }
 
-// Subscribers reports the number of active subscriptions per view.
-func (e *Engine) Subscribers() map[string]int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]int, len(e.subs))
-	for view, list := range e.subs {
-		out[view] = len(list)
-	}
-	return out
-}
-
 // flushSubscribersLocked delivers the epoch's captured per-view deltas: each
 // changed view's entries are built once and pushed to every subscriber's
 // mailbox. Callers hold e.mu (it runs inside publishLocked, on the writer).

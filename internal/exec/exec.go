@@ -20,7 +20,9 @@
 // statement the compiler cannot lower (union-incompatible sums, scalar
 // subqueries with unbound outputs, ...) is an interpreted step of the same
 // program. CompileStatement is the one-statement case, emitting into an
-// accumulator chosen per run.
+// accumulator chosen per run. CompileTrigger is the one lowering the engine
+// runs; block.go only loops an Executor over a batch of rows for the
+// benchmark's traced exec rungs.
 package exec
 
 import (

@@ -1,6 +1,8 @@
 package exec_test
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -129,11 +131,11 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 		[]string{"x", "y"}, nil, nil, db)
 
 	runCase(t, "lift binds fresh variable",
-		agca.Mul(agca.R("R", "x", "y"), agca.LiftE("v", agca.Mul(agca.V("y"), agca.C(2)))),
+		agca.Mul(agca.R("R", "x", "y"), agca.Lift{Var: "v", E: agca.Mul(agca.V("y"), agca.C(2))}),
 		[]string{"x", "v"}, nil, nil, db)
 
 	runCase(t, "lift on bound variable is equality test",
-		agca.Mul(agca.R("R", "x", "y"), agca.LiftE("x", agca.C(1))),
+		agca.Mul(agca.R("R", "x", "y"), agca.Lift{Var: "x", E: agca.C(1)}),
 		[]string{"x", "y"}, nil, nil, db)
 
 	runCase(t, "exists maps multiplicities to one",
@@ -142,7 +144,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 
 	runCase(t, "scalar subquery in lift",
 		agca.Mul(agca.R("R", "x", "y"),
-			agca.LiftE("n", agca.SumOver(nil, agca.R("S", "y", "z")))),
+			agca.Lift{Var: "n", E: agca.SumOver(nil, agca.R("S", "y", "z"))}),
 		[]string{"x", "y", "n"}, nil, nil, db)
 
 	runCase(t, "division",
@@ -158,6 +160,131 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 		agca.SumOver(nil,
 			agca.Mul(agca.R("R", "a", "y"), agca.R("S", "y", "z"), agca.Gt(agca.V("z"), agca.C(150)))),
 		[]string{"a"}, []string{"a"}, one, db)
+
+	// Single-view aggregate shapes over an event of four columns, the last
+	// one int in some tuples and float in others.
+	bdb := blockTestDB()
+	for _, s := range blockShapes() {
+		for i, argVals := range blockArgVals {
+			runCase(t, fmt.Sprintf("%s/%d", s.name, i), s.rhs, s.keys, blockArgs, argVals, bdb)
+		}
+	}
+}
+
+// blockArgs are the trigger arguments of blockShapes' statements.
+var blockArgs = []string{"price", "qty", "tag", "misc"}
+
+var blockArgVals = []types.Tuple{
+	{types.Float(42.25), types.Int(6), types.Str("t1"), types.Int(3)},
+	{types.Float(7.25), types.Int(35), types.Str("t2"), types.Float(2.5)},
+	{types.Float(120.25), types.Int(-4), types.Str("t2"), types.Int(7)},
+}
+
+func blockTestDB() agca.MapDB {
+	m1 := gmr.New(types.Schema{"k"})
+	for k := 0; k < 30; k += 2 {
+		m1.Add(types.Tuple{types.Int(int64(k))}, float64(k)*1.5)
+	}
+	m2 := gmr.New(types.Schema{"a", "b"})
+	m2.Add(types.Tuple{types.Int(3), types.Str("t1")}, 4)
+	m2.Add(types.Tuple{types.Int(7), types.Str("t2")}, -2)
+	return agca.MapDB{"M1": m1, "M2": m2}
+}
+
+type stmtShape struct {
+	name string
+	rhs  agca.Expr
+	keys []string
+}
+
+// blockShapes are the statement shapes of the single-view aggregates' hot
+// statements (Q1, Q6, VWAP sums, the TPC-H probe queries) over blockArgs.
+func blockShapes() []stmtShape {
+	price, qty, tag, misc := agca.V("price"), agca.V("qty"), agca.V("tag"), agca.V("misc")
+	return []stmtShape{
+		{"nullary scalar fold", agca.AggSum{E: agca.Prod{Factors: []agca.Expr{
+			agca.Lt(qty, agca.C(30)),
+			agca.Cmp{Op: agca.OpGe, L: price, R: agca.Const{V: types.Float(20)}},
+			price, qty,
+		}}}, nil},
+		{"keyed with const and neg", agca.Prod{Factors: []agca.Expr{
+			agca.Const{V: types.Float(2.5)},
+			agca.Neg{E: price},
+			agca.Cmp{Op: agca.OpNe, L: tag, R: agca.Const{V: types.Str("t3")}},
+		}}, []string{"tag", "qty"}},
+		{"batched probe", agca.Mul(price, agca.MapRef{Name: "M1", Keys: []string{"qty"}}), nil},
+		{"two-key probe keyed", agca.Mul(agca.MapRef{Name: "M2", Keys: []string{"misc", "tag"}}, qty), []string{"misc"}},
+		{"additive terms", agca.Add(
+			agca.Mul(price, qty),
+			agca.Neg{E: agca.Mul(agca.Gt(qty, agca.C(0)), price)},
+		), nil},
+		{"div and func scalars", agca.Mul(
+			agca.Div{L: price, R: qty},
+			agca.Func{Name: "listmax", Args: []agca.Expr{qty, agca.C(1)}},
+		), nil},
+		{"col-col cmp with lift filter", agca.Prod{Factors: []agca.Expr{
+			agca.Cmp{Op: agca.OpLe, L: qty, R: misc},
+			agca.Lift{Var: "tag", E: agca.Const{V: types.Str("t2")}},
+			price,
+		}}, []string{"qty"}},
+		{"const-left cmp", agca.Mul(agca.Lt(agca.C(10), qty), qty), nil},
+	}
+}
+
+// TestBlockExecutorMatchesRowExecutor holds the Block adapter to the row
+// executor: RunBlock over a whole block, and over two chunks of it, adds
+// what Executor.Run adds row by row. The relation scan binds a variable per
+// row.
+func TestBlockExecutorMatchesRowExecutor(t *testing.T) {
+	db := blockTestDB()
+	shapes := append(blockShapes(), stmtShape{"relation scan",
+		agca.Mul(agca.R("M2", "x", "tag"), agca.V("price")), []string{"x"}})
+	rng := rand.New(rand.NewSource(11))
+	for _, s := range shapes {
+		t.Run(s.name, func(t *testing.T) {
+			bx, err := exec.CompileBlockStatement(s.rhs, s.keys, blockArgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rx, err := exec.CompileStatement(s.rhs, s.keys, blockArgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{1, 3, 64} {
+				b := exec.NewBlock(len(blockArgs))
+				want := gmr.New(types.Schema(s.keys))
+				for range n {
+					misc := types.Value(types.Int(int64(rng.Intn(8))))
+					if rng.Intn(3) == 0 {
+						misc = types.Float(float64(rng.Intn(5)) + 0.5)
+					}
+					row := types.Tuple{
+						types.Float(float64(rng.Intn(200)) + 0.25),
+						types.Int(int64(rng.Intn(50) - 10)),
+						types.Str(fmt.Sprintf("t%d", rng.Intn(4))),
+						misc,
+					}
+					b.Append(row)
+					if err := rx.Run(db, row, want); err != nil {
+						t.Fatal(err)
+					}
+				}
+				whole, chunked := gmr.New(types.Schema(s.keys)), gmr.New(types.Schema(s.keys))
+				mid := b.Len() / 2
+				for _, run := range []struct {
+					acc    *gmr.GMR
+					lo, hi int
+				}{{whole, 0, b.Len()}, {chunked, 0, mid}, {chunked, mid, b.Len()}} {
+					if err := bx.RunBlock(db, b, run.lo, run.hi, run.acc); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !gmr.Equal(want, whole, 0) || !gmr.Equal(want, chunked, 0) {
+					t.Fatalf("n=%d: RunBlock diverged from Run\nrow:     %v\nwhole:   %v\nchunked: %v", n, want, whole, chunked)
+				}
+			}
+		})
+	}
 }
 
 // TestCompileErrors pins the shapes that fall back to the interpreter.
@@ -176,7 +303,7 @@ func TestCompileErrors(t *testing.T) {
 		{"group-by not produced", agca.AggSum{GroupBy: []string{"g"}, E: agca.C(1)},
 			[]string{"g"}, nil, "group-by variable"},
 		{"scalar subquery with unbound outputs",
-			agca.LiftE("v", agca.R("R", "x", "y")), []string{"v"}, nil, "unbound output"},
+			agca.Lift{Var: "v", E: agca.R("R", "x", "y")}, []string{"v"}, nil, "unbound output"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

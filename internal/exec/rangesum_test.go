@@ -22,9 +22,9 @@ func rangeTail(op agca.CmpOp, keyLeft bool) agca.Expr {
 	}
 	return agca.SumOver([]string{"p"}, agca.Mul(
 		agca.MapRef{Name: "BOOK", Keys: []string{"p"}},
-		agca.LiftE("side", agca.SumOver(nil, agca.Mul(
+		agca.Lift{Var: "side", E: agca.SumOver(nil, agca.Mul(
 			agca.MapRef{Name: "LEVELS", Keys: []string{"p2", "tag"}},
-			agca.CmpE(op, l, r)))),
+			agca.Cmp{Op: op, L: l, R: r}))},
 		agca.V("side")))
 }
 

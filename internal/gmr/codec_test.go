@@ -124,7 +124,7 @@ func TestFlatCodecFrozenSource(t *testing.T) {
 	if !Equal(loaded, snap, 0) {
 		t.Fatal("loaded store differs from frozen snapshot")
 	}
-	if loaded.Sealed() {
+	if loaded.sealed() {
 		t.Fatal("loaded store must be mutable, not sealed")
 	}
 	loaded.Add(types.Tuple{types.Int(1), types.Str("x")}, 2) // must not panic

@@ -229,23 +229,6 @@ func (g *GMR) GetEncoded(key []byte) float64 {
 	return 0
 }
 
-// HashKey returns the 64-bit hash of a canonical key encoding (the bytes
-// produced by types.Tuple.AppendKey). It is the function every GMR uses
-// internally, exposed so bulk callers can hash a block of keys in one tight
-// pass and probe with the hashes (GetEncodedHashed).
-func HashKey(key []byte) uint64 { return hashKey(key) }
-
-// GetEncodedHashed is GetEncoded with the key's hash supplied by the caller.
-func (g *GMR) GetEncodedHashed(h uint64, key []byte) float64 {
-	if g.live == 0 {
-		return 0
-	}
-	if _, id, ok := g.find(h, key); ok {
-		return g.slots[id].mult
-	}
-	return 0
-}
-
 // LookupEncoded returns the entry stored under the encoded key, if any,
 // without allocating. The tuple is the entry's window of the slab (see the
 // lifetime contract).
@@ -450,16 +433,6 @@ func Project(g *GMR, cols types.Schema) *GMR {
 		out.AddEncoded(outKey, outT, m)
 	})
 	return out
-}
-
-// FromRows builds a GMR from a schema and rows, each row inserted with
-// multiplicity 1 (duplicates accumulate).
-func FromRows(schema types.Schema, rows []types.Tuple) *GMR {
-	g := New(schema)
-	for _, r := range rows {
-		g.Add(r, 1)
-	}
-	return g
 }
 
 // String renders the GMR as a small table, in deterministic order.

@@ -142,9 +142,9 @@ func TestMergeInto(t *testing.T) {
 
 func TestFromRowsAndEntriesDeterministic(t *testing.T) {
 	rows := []types.Tuple{tup(3), tup(1), tup(3)}
-	g := FromRows(types.Schema{"a"}, rows)
+	g := fromRows(types.Schema{"a"}, rows)
 	if g.Get(tup(3)) != 2 || g.Get(tup(1)) != 1 {
-		t.Fatalf("FromRows wrong: %v", g)
+		t.Fatalf("fromRows wrong: %v", g)
 	}
 	e1 := g.Entries()
 	e2 := g.Entries()
@@ -303,18 +303,23 @@ func TestHashedEntryPointsRoundTrip(t *testing.T) {
 	g := New(types.Schema{"a", "b"})
 	tup := types.Tuple{types.Int(7), types.Str("x")}
 	key := tup.AppendKey(nil)
-	h := HashKey(key)
 
 	g.AddEncoded(key, tup, 2.5)
-	if got := g.GetEncodedHashed(h, key); got != 2.5 {
-		t.Fatalf("GetEncodedHashed = %g, want 2.5", got)
-	}
-	// The hashed entry point must agree with the plain one.
 	if got := g.GetEncoded(key); got != 2.5 {
 		t.Fatalf("GetEncoded = %g, want 2.5", got)
 	}
 	g.AddEncoded(key, tup, -2.5)
-	if got := g.GetEncodedHashed(h, key); got != 0 {
-		t.Fatalf("GetEncodedHashed after removal = %g, want 0", got)
+	if got := g.GetEncoded(key); got != 0 {
+		t.Fatalf("GetEncoded after removal = %g, want 0", got)
 	}
+}
+
+// fromRows builds a GMR from a schema and rows, each row inserted with
+// multiplicity 1 (duplicates accumulate).
+func fromRows(schema types.Schema, rows []types.Tuple) *GMR {
+	g := New(schema)
+	for _, r := range rows {
+		g.Add(r, 1)
+	}
+	return g
 }

@@ -61,7 +61,7 @@ func TestAddEncodedMatchesAdd(t *testing.T) {
 }
 
 func TestLookupEncoded(t *testing.T) {
-	g := FromRows(types.Schema{"a"}, []types.Tuple{tup(3)})
+	g := fromRows(types.Schema{"a"}, []types.Tuple{tup(3)})
 	var buf []byte
 	e, ok := g.LookupEncoded(tup(3).AppendKey(buf))
 	if !ok || e.Mult != 1 || !e.Tuple.Equal(tup(3)) {
@@ -95,7 +95,7 @@ func TestAppendKeyMatchesEncodeKey(t *testing.T) {
 // canonical key of its tuple and that key's hash, unrecomputed, with the
 // multiplicity scaled.
 func TestNegateScaleKeepKeys(t *testing.T) {
-	g := FromRows(types.Schema{"a", "b"}, []types.Tuple{tup(1, 2), tup(3, 4)})
+	g := fromRows(types.Schema{"a", "b"}, []types.Tuple{tup(1, 2), tup(3, 4)})
 	g.Add(tup(3, 4), 1.5)
 	scaled := New(g.Schema())
 	scaled.MergeInto(g, -2)
@@ -284,7 +284,7 @@ func TestJoinProjectAllocs(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	g := FromRows(types.Schema{"a"}, []types.Tuple{tup(1), tup(2)})
+	g := fromRows(types.Schema{"a"}, []types.Tuple{tup(1), tup(2)})
 	g.Reset()
 	if g.Len() != 0 {
 		t.Fatalf("Reset left %d entries", g.Len())

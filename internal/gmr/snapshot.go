@@ -101,9 +101,6 @@ func (g *GMR) Freeze() *GMR {
 	return snap
 }
 
-// Sealed reports whether the GMR is a frozen snapshot (mutations panic).
-func (g *GMR) Sealed() bool { return g.flags&flagSealed != 0 }
-
 // ensureMutable is the copy-on-write gate every mutating entry point passes
 // through: a sealed snapshot refuses the mutation, and a GMR frozen since its
 // last mutation first copies the slot records, the slab and the probe table

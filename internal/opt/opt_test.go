@@ -105,7 +105,7 @@ func TestIsValueSum(t *testing.T) {
 		{agca.Add(agca.Gt(agca.V("a"), agca.C(3)), agca.Neg{E: agca.Mul(agca.CF(0.01), agca.V("d"))}), true},
 		{agca.Add(agca.V("a"), agca.R("R", "a")), false},
 		{agca.Add(agca.V("a"), agca.Mul(agca.V("b"), agca.MapRef{Name: "M", Keys: []string{"b"}})), false},
-		{agca.Add(agca.V("a"), agca.LiftE("b", agca.V("a"))), false},
+		{agca.Add(agca.V("a"), agca.Lift{Var: "b", E: agca.V("a")}), false},
 		{agca.Mul(agca.V("a"), agca.V("b")), false}, // a value, but not a sum
 	} {
 		if got := IsValueSum(c.e); got != c.want {
@@ -230,7 +230,7 @@ func TestUnifyJoinEquality(t *testing.T) {
 func TestUnifyLiftOfTriggerVar(t *testing.T) {
 	// (A := x_t) * R(A,B) * A with A unprotected: A is replaced by x_t.
 	factors := []agca.Expr{
-		agca.LiftE("A", agca.V("x_t")),
+		agca.Lift{Var: "A", E: agca.V("x_t")},
 		agca.R("R", "A", "B"),
 		agca.V("A"),
 	}
@@ -345,7 +345,7 @@ func TestOrderFactorsPrefersBoundProbe(t *testing.T) {
 	factors := []agca.Expr{
 		agca.R("S", "c", "d"),
 		agca.R("R", "a", "b"),
-		agca.LiftE("a", agca.V("x_t")),
+		agca.Lift{Var: "a", E: agca.V("x_t")},
 	}
 	ordered := OrderFactors(factors, agca.NewVarSet("x_t"))
 	if _, ok := ordered[0].(agca.Lift); !ok {
@@ -393,10 +393,10 @@ func TestOrderFactorsHoistsReadyLifts(t *testing.T) {
 	factors := []agca.Expr{
 		agca.MapRef{Name: "M6", Keys: []string{"a_price"}},
 		agca.MapRef{Name: "M5", Keys: []string{"b_broker", "b_price"}},
-		agca.LiftE("sq1", agca.MapRef{Name: "M1"}),
-		agca.LiftE("sq2", agca.SumOver(nil, agca.Mul(
+		agca.Lift{Var: "sq1", E: agca.MapRef{Name: "M1"}},
+		agca.Lift{Var: "sq2", E: agca.SumOver(nil, agca.Mul(
 			agca.MapRef{Name: "M2", Keys: []string{"a3_price"}},
-			agca.Gt(agca.V("a3_price"), agca.V("a_price"))))),
+			agca.Gt(agca.V("a3_price"), agca.V("a_price"))))},
 		agca.Gt(agca.Mul(agca.CF(0.25), agca.V("sq1")), agca.V("sq2")),
 	}
 	got := agca.String(agca.Mul(OrderFactors(factors, agca.VarSet{})...))
@@ -431,7 +431,7 @@ func TestOrderFactorsLiftWaitsForCorrelatedSibling(t *testing.T) {
 	}{
 		{"Q4", []string{"g"}, atom, agca.Gt(agca.V("sq1"), agca.C(0)), agca.Lift{Var: "sq1", E: old}},
 		{"Q17a", nil, atom, agca.Lt(agca.Mul(agca.C(20), agca.V("g")), agca.V("sq1")),
-			agca.Lift{Var: "sq1", E: agca.Add(old, agca.SumOver(nil, agca.Mul(agca.LiftE("k", agca.V("K_t")), agca.V("QTY_t"))))}},
+			agca.Lift{Var: "sq1", E: agca.Add(old, agca.SumOver(nil, agca.Mul(agca.Lift{Var: "k", E: agca.V("K_t")}, agca.V("QTY_t"))))}},
 		{"Q18a", []string{"g"}, atom, agca.Lt(agca.C(100), agca.V("sq1")), agca.Lift{Var: "sq1", E: old}},
 	}
 	for _, c := range cases {
@@ -462,7 +462,7 @@ func TestFactorize(t *testing.T) {
 			agca.SumOver([]string{"k"}, agca.Mul(a, b, filter)), nil,
 			"Sum[k]((A[k,x] * (c1 := Sum[]((B[y] * {y > t}))) * c1))"},
 		{"a closed lift is a cut point, not a link",
-			agca.SumOver([]string{"k"}, agca.Mul(agca.LiftE("s", agca.MapRef{Name: "T"}), a, agca.Gt(agca.V("x"), agca.V("s")), b, agca.Gt(agca.V("y"), agca.V("s")))), nil,
+			agca.SumOver([]string{"k"}, agca.Mul(agca.Lift{Var: "s", E: agca.MapRef{Name: "T"}}, a, agca.Gt(agca.V("x"), agca.V("s")), b, agca.Gt(agca.V("y"), agca.V("s")))), nil,
 			"Sum[k](((s := T[]) * A[k,x] * {x > s} * (c1 := Sum[]((B[y] * {y > s}))) * c1))"},
 		{"every group without exports is summed",
 			agca.SumOver([]string{}, agca.Mul(a, b)), nil,
@@ -500,8 +500,8 @@ func TestFactorizePreservesSemantics(t *testing.T) {
 		agca.SumOver([]string{"k"}, agca.Mul(
 			agca.MapRef{Name: "A", Keys: []string{"k", "x"}},
 			agca.MapRef{Name: "B", Keys: []string{"y"}},
-			agca.LiftE("s", agca.MapRef{Name: "T"}),
-			agca.LiftE("above", agca.SumOver(nil, agca.Mul(agca.MapRef{Name: "B", Keys: []string{"y2"}}, agca.Gt(agca.V("y2"), agca.V("y"))))),
+			agca.Lift{Var: "s", E: agca.MapRef{Name: "T"}},
+			agca.Lift{Var: "above", E: agca.SumOver(nil, agca.Mul(agca.MapRef{Name: "B", Keys: []string{"y2"}}, agca.Gt(agca.V("y2"), agca.V("y"))))},
 			agca.Gt(agca.V("s"), agca.V("above")),
 			agca.V("x"))),
 		agca.Neg{E: agca.SumOver([]string{"k"}, agca.Mul(

@@ -246,14 +246,6 @@ func (c *Client) Result() *gmr.GMR {
 	return c.state.Clone()
 }
 
-// ResultEquals compares the local materialized copy against the given
-// entries (canonical order, exact multiplicities) without copying.
-func (c *Client) ResultEquals(entries []gmr.Entry) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return entriesEqual(c.state.Entries(), entries)
-}
-
 // normalizeBase turns an address into an HTTP base URL.
 func normalizeBase(addr string) string {
 	if strings.Contains(addr, "://") {
@@ -300,13 +292,4 @@ func FetchStats(addr string) (*StatsResult, error) {
 		return nil, err
 	}
 	return &res, nil
-}
-
-// FetchQueries lists the served queries.
-func FetchQueries(addr string) ([]QueryInfo, error) {
-	var res []QueryInfo
-	if err := httpGet(addr, "/queries", &res); err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -142,7 +142,7 @@ func TestServeFanoutEquivalence(t *testing.T) {
 				truth := refLocal.Entries()
 				for _, c := range clients {
 					waitFor(t, "client convergence", 10*time.Second, func() bool {
-						return c.ResultEquals(truth)
+						return c.resultEquals(truth)
 					})
 				}
 			}
@@ -711,7 +711,7 @@ func TestServeSnapshotHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	qs, err := FetchQueries(srv.SnapshotAddr())
+	qs, err := fetchQueries(srv.SnapshotAddr())
 	if err != nil {
 		t.Fatalf("queries: %v", err)
 	}
@@ -849,7 +849,7 @@ func TestServeDrain(t *testing.T) {
 	}
 	truth := eng.Acquire().Result().Entries()
 	waitFor(t, "pre-drain convergence", 10*time.Second, func() bool {
-		return c.ResultEquals(truth)
+		return c.resultEquals(truth)
 	})
 
 	shutdownServer(t, srv)
@@ -865,7 +865,44 @@ func TestServeDrain(t *testing.T) {
 		t.Fatalf("drain surfaced an error: %v", err)
 	}
 	// The local copy survives the drain intact — ready to resume elsewhere.
-	if !c.ResultEquals(truth) {
+	if !c.resultEquals(truth) {
 		t.Fatal("drained client lost its materialized copy")
 	}
+}
+
+// resultEquals compares the local materialized copy against the given
+// entries (canonical order, exact multiplicities) without copying.
+func (c *Client) resultEquals(entries []gmr.Entry) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return entriesEqual(c.state.Entries(), entries)
+}
+
+// fetchQueries lists the served queries.
+func fetchQueries(addr string) ([]QueryInfo, error) {
+	var res []QueryInfo
+	if err := httpGet(addr, "/queries", &res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// entriesEqual reports whether two entry sets describe the same relation:
+// a helper for tests comparing reassembled state (exact multiplicity
+// equality over the canonical entry order).
+func entriesEqual(a, b []gmr.Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Mult != b[i].Mult || len(a[i].Tuple) != len(b[i].Tuple) {
+			return false
+		}
+		for j := range a[i].Tuple {
+			if !a[i].Tuple[j].Equal(b[i].Tuple[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

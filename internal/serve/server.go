@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"dbtoaster/internal/engine"
-	"dbtoaster/internal/gmr"
 	"dbtoaster/internal/types"
 )
 
@@ -526,24 +525,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		res.Extra = s.opts.Status()
 	}
 	writeJSON(w, res)
-}
-
-// entriesEqual reports whether two entry sets describe the same relation —
-// a helper for consumers comparing reassembled state (exact multiplicity
-// equality over the canonical entry order).
-func entriesEqual(a, b []gmr.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Mult != b[i].Mult || len(a[i].Tuple) != len(b[i].Tuple) {
-			return false
-		}
-		for j := range a[i].Tuple {
-			if !a[i].Tuple[j].Equal(b[i].Tuple[j]) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -46,11 +46,10 @@ func (s *Statement) Executor(args []string) (*exec.Executor, error) {
 	return exec.CompileStatement(s.RHS, s.TargetKeys, args)
 }
 
-// BlockExecutor compiles the statement's columnar block executor under the
-// given trigger arguments, uncached like Executor. A non-nil error means the
-// statement's shape is not block-lowerable (it binds variables per row or
-// emits keys that are not trigger arguments). The engine never calls this; it
-// serves callers measuring the block lowering.
+// BlockExecutor compiles the statement like Executor, wrapped to run over an
+// exec.Block one row at a time. The engine never calls this; it serves only
+// the traced exec rungs of the benchmark, and ROADMAP item 1(a) deletes it
+// together with them.
 func (s *Statement) BlockExecutor(args []string) (*exec.BlockExecutor, error) {
 	return exec.CompileBlockStatement(s.RHS, s.TargetKeys, args)
 }
@@ -147,16 +146,6 @@ type Program struct {
 	Queries []QueryDef
 }
 
-// QueryByName returns the definition of the named query.
-func (p *Program) QueryByName(name string) (QueryDef, bool) {
-	for _, q := range p.Queries {
-		if q.Name == name {
-			return q, true
-		}
-	}
-	return QueryDef{}, false
-}
-
 // ResultMapFor resolves a query name to its result map. The empty name means
 // the program's primary query. Programs without query metadata (hand-built in
 // tests) accept the empty name or the program's QueryName.
@@ -164,8 +153,10 @@ func (p *Program) ResultMapFor(query string) (string, error) {
 	if query == "" || query == p.QueryName {
 		return p.ResultMap, nil
 	}
-	if q, ok := p.QueryByName(query); ok {
-		return q.ResultMap, nil
+	for _, q := range p.Queries {
+		if q.Name == query {
+			return q.ResultMap, nil
+		}
 	}
 	return "", fmt.Errorf("trigger: unknown query %q", query)
 }

@@ -156,9 +156,9 @@ func WriteChainCheckpoint(fs FS, dir string, c *ChainCheckpoint) (name string, s
 	return name, len(buf), nil
 }
 
-// ReadChainCheckpoint loads and fully validates one chain link. Damage of any
+// readChainCheckpoint loads and fully validates one chain link. Damage of any
 // kind returns a diagnostic error and no link.
-func ReadChainCheckpoint(fs FS, dir, name string) (*ChainCheckpoint, error) {
+func readChainCheckpoint(fs FS, dir, name string) (*ChainCheckpoint, error) {
 	if fs == nil {
 		fs = DiskFS()
 	}
@@ -314,7 +314,7 @@ func readChainEntry(fs FS, dir string, e chainEntry, cache map[string]*ChainChec
 		}
 		return c, nil
 	}
-	c, err := ReadChainCheckpoint(fs, dir, e.name)
+	c, err := readChainCheckpoint(fs, dir, e.name)
 	// The name is the GC layer's metadata; a file whose contents disagree
 	// with its name is damage.
 	if err == nil && (c.LSN != e.lsn || c.Base != e.base || (!c.Base && c.ParentLSN != e.parent)) {

@@ -50,7 +50,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadChainCheckpoint(fs, "d", name)
+	got, err := readChainCheckpoint(fs, "d", name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,8 +313,8 @@ func TestWorkloadSQLSourcesExist(t *testing.T) {
 		if spec.SQL == "" {
 			t.Errorf("%s: no SQL source", spec.Name)
 		}
-		if _, ok := SQLSource(spec.Name); !ok {
-			t.Errorf("%s: SQLSource lookup failed", spec.Name)
+		if _, ok := sqlSource(spec.Name); !ok {
+			t.Errorf("%s: sqlSource lookup failed", spec.Name)
 		}
 	}
 	entries, err := queryFS.ReadDir("queries")

@@ -21,8 +21,8 @@ import (
 //go:embed queries/*.sql
 var queryFS embed.FS
 
-// SQLSource returns the embedded SQL text of the named workload query.
-func SQLSource(name string) (string, bool) {
+// sqlSource returns the embedded SQL text of the named workload query.
+func sqlSource(name string) (string, bool) {
 	b, err := queryFS.ReadFile("queries/" + name + ".sql")
 	if err != nil {
 		return "", false
@@ -35,7 +35,7 @@ func SQLSource(name string) (string, bool) {
 // fixed at build time, so failures are programming errors and panic (any test
 // run surfaces them).
 func specFromSQL(name, group string, statics func() map[string]*gmr.GMR, stream func(float64, int64) []engine.Event) Spec {
-	src, ok := SQLSource(name)
+	src, ok := sqlSource(name)
 	if !ok {
 		panic(fmt.Sprintf("workload: no SQL source for query %q", name))
 	}

@@ -8,10 +8,9 @@
 // gracefully: the stream clients get a Bye frame and may reconnect with
 // their resume tokens.
 //
-// The -probe mode turns the binary into a client instead: it fetches a
-// snapshot, subscribes to the change stream for a few batches, verifies the
-// reassembled copy against a snapshot at the same-or-later epoch, and exits —
-// the CI smoke test and a minimal serve.Client usage example.
+// examples/tpch_dashboard is its end-to-end client: pointed at a running
+// server, it checks every query's change-stream copy against a quiescent
+// snapshot.
 package main
 
 import (
@@ -50,17 +49,8 @@ func run(args []string) error {
 	httpAddr := fs.String("http", "127.0.0.1:0", "snapshot (HTTP) listen address; - disables")
 	tcpAddr := fs.String("tcp", "127.0.0.1:0", "change-stream (TCP) listen address; - disables")
 	clientBuf := fs.Int("client-buffer", 16, "per-client stream buffer in batches before coalescing")
-	probe := fs.Bool("probe", false, "client mode: snapshot + short subscription against a running dbtserve")
-	snapshotAt := fs.String("snapshot-addr", "", "probe: the server's HTTP address")
-	streamAt := fs.String("stream-addr", "", "probe: the server's TCP stream address")
-	probeQuery := fs.String("query", "", "probe: query to read (default: the server's first)")
-	probeBatches := fs.Int("batches", 1, "probe: change batches to consume before disconnecting")
-	wait := fs.Duration("wait", 15*time.Second, "probe: how long to retry the first connection")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *probe {
-		return runProbe(*snapshotAt, *streamAt, *probeQuery, *probeBatches, *wait)
 	}
 
 	ms, err := workload.Combine(strings.Split(*queries, ","))
@@ -89,7 +79,10 @@ func run(args []string) error {
 
 	// replaying/replayed drive the /stats extra block, so remote consumers
 	// (the dashboard example, the CI smoke) can tell when the agenda is done.
+	// The flag goes up before the server announces its addresses, so no
+	// client can take a server that has yet to start its replay for quiescent.
 	var replaying atomic.Bool
+	replaying.Store(*replay != "off")
 	var replayed atomic.Uint64
 	srv, err := serve.New(eng, serve.Options{
 		SnapshotAddr: *httpAddr,
@@ -147,6 +140,7 @@ func run(args []string) error {
 // with -replay loop, until stop closes; multiplicities keep accumulating,
 // which a long-running serving demo tolerates).
 func replayLoop(eng *engine.Engine, ms *workload.MultiSpec, scale float64, seed int64, batch, maxEvents int, mode string, replaying *atomic.Bool, replayed *atomic.Uint64, stop <-chan struct{}) error {
+	defer replaying.Store(false)
 	if mode == "off" {
 		return nil
 	}
@@ -158,8 +152,6 @@ func replayLoop(eng *engine.Engine, ms *workload.MultiSpec, scale float64, seed 
 		stream = stream[:maxEvents]
 	}
 	batches := workload.Batches(stream, batch)
-	replaying.Store(true)
-	defer replaying.Store(false)
 	for {
 		for _, window := range batches {
 			select {
@@ -176,87 +168,4 @@ func replayLoop(eng *engine.Engine, ms *workload.MultiSpec, scale float64, seed 
 			return nil
 		}
 	}
-}
-
-// runProbe is the client mode: one snapshot read, a short subscription, and
-// a consistency check between the two paths.
-func runProbe(snapshotAddr, streamAddr, query string, batches int, wait time.Duration) error {
-	if snapshotAddr == "" {
-		return fmt.Errorf("probe: -snapshot-addr required")
-	}
-	deadline := time.Now().Add(wait)
-	var snap *serve.SnapshotResult
-	var err error
-	for {
-		if snap, err = serve.FetchSnapshot(snapshotAddr, query); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("probe: snapshot: %w", err)
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	fmt.Printf("probe: snapshot %s view=%s events=%d rows=%d\n", snap.Query, snap.View, snap.Events, len(snap.Rows))
-
-	if streamAddr == "" {
-		return nil
-	}
-	c, err := serve.Dial(streamAddr, query, serve.ClientOptions{})
-	if err != nil {
-		return fmt.Errorf("probe: dial: %w", err)
-	}
-	defer c.Close()
-	// Consume the catch-up plus the requested number of delta batches (a
-	// quiet server delivers no deltas; settle for the catch-up after 2s).
-	deltas := 0
-	timeout := time.After(2 * time.Second)
-consume:
-	for deltas < batches {
-		select {
-		case b, ok := <-c.C:
-			if !ok {
-				break consume
-			}
-			if !b.Initial {
-				deltas++
-			}
-		case <-timeout:
-			break consume
-		}
-	}
-	// Keep draining so the reassembled copy tracks the writer, then verify
-	// against a snapshot once the server is quiescent (replaying=false in
-	// /stats — guaranteed to settle with -replay once). Note the positions
-	// are NOT compared: a snapshot reports the engine's global event counter
-	// while a change stream's position is the view's last publication (views
-	// skip batches that leave them unchanged), so only state can be compared.
-	go func() {
-		for range c.C {
-		}
-	}()
-	var check *serve.SnapshotResult
-	for tries := 0; tries < 50; tries++ {
-		st, err := serve.FetchStats(snapshotAddr)
-		if err != nil {
-			return fmt.Errorf("probe: stats: %w", err)
-		}
-		if replaying, ok := st.Extra["replaying"].(bool); ok && replaying {
-			time.Sleep(100 * time.Millisecond)
-			continue
-		}
-		if check, err = serve.FetchSnapshot(snapshotAddr, query); err != nil {
-			return fmt.Errorf("probe: verify snapshot: %w", err)
-		}
-		if len(check.Rows) == c.Result().Len() {
-			fmt.Printf("probe: stream view=%s events=%d rows=%d deltas=%d — consistent with a quiescent snapshot\n",
-				c.View(), c.Events(), c.Result().Len(), deltas)
-			return nil
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	if check == nil {
-		return fmt.Errorf("probe: server never went quiescent")
-	}
-	return fmt.Errorf("probe: stream copy (events %d, %d rows) never matched a quiescent snapshot (last: %d rows at events %d)",
-		c.Events(), c.Result().Len(), len(check.Rows), check.Events)
 }

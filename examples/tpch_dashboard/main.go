@@ -9,12 +9,14 @@
 // each dashboard panel is a serve.Client that subscribes to its query's
 // change stream over TCP and maintains a local copy of the result purely
 // from the pushed catch-up and delta batches. When the server goes
-// quiescent (the /stats replay flag clears), every panel is checked
-// row-for-row against an HTTP snapshot of the same view — the two read
-// paths must agree on state.
+// quiescent (the /stats replay flag clears), every panel's state is checked
+// against an HTTP snapshot of the same view: each key on either side must be
+// on the other, with multiplicities equal within a relative 1e-9. It is the
+// end-to-end check of the serving tier.
 //
 // Run it from the repository root (it builds and spawns ./cmd/dbtserve), or
-// point it at an already-running server:
+// point it at an already-running dbtserve that serves the four queries (its
+// default query set):
 //
 //	go run ./examples/tpch_dashboard
 //	go run ./examples/tpch_dashboard -snapshot-addr 127.0.0.1:8080 -stream-addr 127.0.0.1:9090
@@ -24,6 +26,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -159,16 +162,16 @@ func run(args []string) error {
 
 	// The consistency check: each panel's stream-maintained copy against an
 	// HTTP snapshot of the same view. With the writer quiescent the two read
-	// paths must expose the same state. State, not positions: a stream
-	// position is the view's LAST PUBLICATION, which legitimately trails the
-	// snapshot's global event count for views the trailing batches left
-	// unchanged (see docs/serving.md). In-flight deltas may still be on the
-	// wire, so each panel gets a short convergence window.
+	// paths must expose the same state (sameState). State, not positions: a
+	// stream position is the view's LAST PUBLICATION, which legitimately
+	// trails the snapshot's global event count for views the trailing
+	// batches left unchanged (see docs/serving.md). In-flight deltas may
+	// still be on the wire, so each panel gets a short convergence window.
 	fmt.Printf("%-6s %8s %12s %10s %10s %9s\n",
 		"Query", "batches", "coalesced", "rows", "snapshot", "in-sync")
 	for _, p := range panels {
 		var snap *serve.SnapshotResult
-		inSync := false
+		var diff error
 		for end := time.Now().Add(10 * time.Second); ; {
 			if _, err := drain(p); err != nil {
 				return err
@@ -178,28 +181,67 @@ func run(args []string) error {
 			if err != nil {
 				return fmt.Errorf("%s: snapshot: %w", p.query, err)
 			}
-			if len(snap.Rows) == p.local.Len() {
-				inSync = true
-				break
-			}
-			if time.Now().After(end) {
+			if diff = sameState(p.local, snap); diff == nil || time.Now().After(end) {
 				break
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
-		sync := "yes"
-		if !inSync {
-			sync = "NO"
-		}
-		fmt.Printf("%-6s %8d %12d %10d %10d %9s\n",
-			p.query, p.batches, p.coal, p.local.Len(), len(snap.Rows), sync)
-		if !inSync {
-			return fmt.Errorf("%s: stream copy (%d rows) disagrees with the quiescent snapshot (%d rows)",
-				p.query, p.local.Len(), len(snap.Rows))
+		fmt.Printf("%-6s %8d %12d %10d %10d %9v\n",
+			p.query, p.batches, p.coal, p.local.Len(), len(snap.Rows), diff == nil)
+		if diff != nil {
+			return fmt.Errorf("%s: stream copy disagrees with the quiescent snapshot: %w", p.query, diff)
 		}
 	}
 	return nil
 }
+
+// sameState compares a stream-maintained copy with a snapshot of the same
+// view: every key of either side must be a key of the other, with
+// multiplicities equal within a relative 1e-9 (the two copies sum the same
+// contributions in different orders). Neither side keeps a zero row, so a
+// key missing from one side shows as a multiplicity of 0 there. Both sides
+// render their keys through rowKey, so a JSON number and a types.Value
+// compare alike.
+func sameState(local *gmr.GMR, snap *serve.SnapshotResult) error {
+	rows := map[string][2]float64{} // key -> {stream, snapshot} multiplicity
+	for _, e := range local.Entries() {
+		key := make([]any, len(e.Tuple))
+		for i, v := range e.Tuple {
+			key[i] = jsonForm(v)
+		}
+		r := rows[rowKey(key)]
+		r[0] += e.Mult
+		rows[rowKey(key)] = r
+	}
+	for _, row := range snap.Rows {
+		r := rows[rowKey(row.Key)]
+		r[1] += row.Mult
+		rows[rowKey(row.Key)] = r
+	}
+	for k, r := range rows {
+		if math.Abs(r[0]-r[1]) > 1e-9*math.Max(math.Abs(r[0]), math.Abs(r[1])) {
+			return fmt.Errorf("row %s: stream mult %g, snapshot mult %g (0: no such row)", k, r[0], r[1])
+		}
+	}
+	return nil
+}
+
+// jsonForm maps a value to what it reads as after a JSON round trip: JSON
+// collapses the numeric kinds, so every number becomes a float64.
+func jsonForm(v types.Value) any {
+	switch {
+	case v.IsNumeric():
+		return v.AsFloat()
+	case v.Kind() == types.KindString:
+		return v.AsString()
+	case v.Kind() == types.KindBool:
+		return v.AsBool()
+	}
+	return nil
+}
+
+// rowKey is the one rendering of a key that both read paths are compared in.
+func rowKey(key []any) string { return fmt.Sprintf("%#v", key) }
 
 // spawnServer builds dbtserve into a temporary directory and starts it on
 // ephemeral ports, parses the announced addresses from its first stdout

@@ -131,6 +131,26 @@ func TestCmpOpHelpers(t *testing.T) {
 	if OpLe.String() != "<=" {
 		t.Fatal("String broken")
 	}
+	// Holds against the operator's meaning on ints, for every outcome sign;
+	// Negate must flip every outcome and Swap must mirror it.
+	for op := OpEq; op <= OpGe; op++ {
+		for c := -1; c <= 1; c++ {
+			a, b := c, 0 // a compares to b as c
+			want := map[CmpOp]bool{OpEq: a == b, OpNe: a != b, OpLt: a < b, OpLe: a <= b, OpGt: a > b, OpGe: a >= b}[op]
+			if op.Holds(c) != want {
+				t.Errorf("%v.Holds(%d) = %v, want %v", op, c, op.Holds(c), want)
+			}
+			if op.Negate().Holds(c) == op.Holds(c) {
+				t.Errorf("%v.Negate() agrees with %v at %d", op, op, c)
+			}
+			if op.Swap().Holds(-c) != op.Holds(c) {
+				t.Errorf("%v.Swap() does not mirror %v at %d", op, op, c)
+			}
+		}
+	}
+	if CmpOp(99).Holds(0) || CmpOp(99).Holds(-1) || CmpOp(99).Holds(1) {
+		t.Error("an unknown operator must hold for nothing")
+	}
 }
 
 func TestBuilderFlattening(t *testing.T) {

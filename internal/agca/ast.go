@@ -99,6 +99,25 @@ func (op CmpOp) String() string {
 	}
 }
 
+// cmpOutcomes[op] has bit c+1 set when a comparison whose operands compare
+// as c (types.Compare's sign) satisfies op.
+var cmpOutcomes = [...]uint8{
+	OpEq: 0b010,
+	OpNe: 0b101,
+	OpLt: 0b001,
+	OpLe: 0b011,
+	OpGt: 0b100,
+	OpGe: 0b110,
+}
+
+// Holds reports whether a comparison whose operands compare as c (the sign
+// types.Compare returns: -1, 0 or 1) satisfies op. It is the one definition
+// of the comparison semantics: the interpreter, the simplifier's constant
+// folding and the compiled executors' outcome masks all read it.
+func (op CmpOp) Holds(c int) bool {
+	return int(op) < len(cmpOutcomes) && cmpOutcomes[op]&(1<<uint(c+1)) != 0
+}
+
 // Negate returns the complementary operator (used when rewriting NOT).
 func (op CmpOp) Negate() CmpOp {
 	switch op {

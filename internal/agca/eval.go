@@ -114,7 +114,7 @@ func evalExpr(e Expr, db Database, env types.Env) *gmr.GMR {
 	case Cmp:
 		l := EvalScalar(n.L, db, env)
 		r := EvalScalar(n.R, db, env)
-		if compareHolds(n.Op, l, r) {
+		if n.Op.Holds(types.Compare(l, r)) {
 			return gmr.NewScalar(1)
 		}
 		return gmr.NewScalar(0)
@@ -395,7 +395,7 @@ func EvalScalar(e Expr, db Database, env types.Env) types.Value {
 	case Cmp:
 		l := EvalScalar(n.L, db, env)
 		r := EvalScalar(n.R, db, env)
-		if compareHolds(n.Op, l, r) {
+		if n.Op.Holds(types.Compare(l, r)) {
 			return types.Int(1)
 		}
 		return types.Int(0)
@@ -419,37 +419,13 @@ func EvalScalar(e Expr, db Database, env types.Env) types.Value {
 	}
 }
 
-// compareHolds reports whether "l op r" holds under the calculus' comparison
-// semantics (types.Compare with numeric coercion). The compiled executors
-// implement the same semantics with a per-operator outcome mask over
-// types.Compare (exec.cmpMaskFor).
-func compareHolds(op CmpOp, l, r types.Value) bool {
-	c := types.Compare(l, r)
-	switch op {
-	case OpEq:
-		return c == 0
-	case OpNe:
-		return c != 0
-	case OpLt:
-		return c < 0
-	case OpLe:
-		return c <= 0
-	case OpGt:
-		return c > 0
-	case OpGe:
-		return c >= 0
-	default:
-		return false
-	}
-}
-
 // evalFunc dispatches the interpreted scalar functions.
 func evalFunc(f Func, db Database, env types.Env) types.Value {
 	args := make([]types.Value, len(f.Args))
 	for i, a := range f.Args {
 		args[i] = EvalScalar(a, db, env)
 	}
-	return ApplyFunc(f.Name, args)
+	return applyFunc(f.Name, args)
 }
 
 // ScalarFunc is one interpreted scalar function applied to already-evaluated
@@ -541,10 +517,11 @@ func ResolveFunc(name string) (ScalarFunc, bool) {
 	return fn, ok
 }
 
-// ApplyFunc applies the named interpreted scalar function to already-evaluated
-// arguments. It is shared by the tree-walking interpreter and the compiled
-// executors (package exec) so both dispatch the same function semantics.
-func ApplyFunc(name string, args []types.Value) types.Value {
+// applyFunc applies the named interpreted scalar function to already-evaluated
+// arguments. The compiled executors (package exec) resolve the same
+// implementation once, through ResolveFunc, so both dispatch the same
+// function semantics.
+func applyFunc(name string, args []types.Value) types.Value {
 	fn, ok := ResolveFunc(name)
 	if !ok {
 		evalPanic("unknown function %q", name)

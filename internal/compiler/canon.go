@@ -20,10 +20,11 @@ import (
 //
 // The key is built in three steps:
 //
-//  1. normalize: opt.Simplify folds constants and trivial algebra, and
-//     opt.NormalizeOrder rewrites every product into the scheduler's
-//     deterministic factor order — both passes are name-independent, so
-//     alpha-variants normalize to isomorphic trees;
+//  1. normalize: the definition comes in simplified (opt.Simplify folded
+//     its constants and trivial algebra; the compiler simplifies every query
+//     once, before it keys it), and opt.NormalizeOrder rewrites every
+//     product into the scheduler's deterministic factor order — both passes
+//     are name-independent, so alpha-variants normalize to isomorphic trees;
 //  2. sort: the terms of every Sum are ordered by their own (locally
 //     alpha-renamed) rendering — addition commutes and Sum terms do not bind
 //     variables for one another, so this is semantics-preserving and makes
@@ -33,9 +34,10 @@ import (
 //     renamed definition plus the renamed key list is rendered.
 //
 // The canonicalized expression is used only as a hash key; the stored map
-// definition and its maintenance statements keep their original variables.
+// definition and its maintenance statements keep their original variables
+// (every step builds new nodes and leaves def as it was).
 func CanonicalKey(def agca.Expr, keys []string) string {
-	return normalizedKey(opt.NormalizeOrder(opt.Simplify(agca.Clone(def)), agca.VarSet{}), keys)
+	return normalizedKey(opt.NormalizeOrder(def, agca.VarSet{}), keys)
 }
 
 // normalizedKey is steps 2 and 3 of CanonicalKey, for a definition that is

@@ -538,20 +538,14 @@ func sanitizeName(s string) string {
 	return b.String()
 }
 
-// assemble builds the final Program from the collected state. The first
-// compiled query provides the program's primary result fields; every query's
-// definition (with its map attribution) is recorded in Program.Queries.
+// assemble builds the final Program from the collected state. Every query's
+// definition (with its map attribution) is recorded in Program.Queries, in
+// compile order, so the first compiled query is the primary one.
 func (c *compileState) assemble() (*trigger.Program, error) {
 	if len(c.queries) == 0 {
 		return nil, fmt.Errorf("no queries compiled")
 	}
-	first := c.queries[0]
-	prog := &trigger.Program{
-		QueryName:  first.Name,
-		ResultMap:  first.ResultMap,
-		ResultKeys: first.ResultKeys,
-		Relations:  map[string][]string{},
-	}
+	prog := &trigger.Program{Relations: map[string][]string{}}
 	for _, name := range c.order {
 		prog.Maps = append(prog.Maps, *c.defs[name])
 	}
@@ -562,14 +556,6 @@ func (c *compileState) assemble() (*trigger.Program, error) {
 	for _, md := range prog.Maps {
 		for _, r := range c.dynamicRelations(md.Definition) {
 			dyn[r] = true
-		}
-	}
-	statics := map[string]bool{}
-	for _, md := range prog.Maps {
-		for _, r := range agca.Relations(md.Definition) {
-			if c.cat.IsStatic(r) {
-				statics[r] = true
-			}
 		}
 	}
 	var dynNames []string
@@ -584,10 +570,6 @@ func (c *compileState) assemble() (*trigger.Program, error) {
 		}
 		prog.Relations[r] = cols
 	}
-	for r := range statics {
-		prog.StaticRelations = append(prog.StaticRelations, r)
-	}
-	sort.Strings(prog.StaticRelations)
 
 	// Build one trigger per (dynamic relation, ±), even if it has no
 	// statements (the engine still consumes the event).

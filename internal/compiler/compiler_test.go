@@ -32,8 +32,8 @@ func TestCompileExample2Structure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.ResultMap != "Q" || len(prog.ResultKeys) != 0 {
-		t.Fatalf("result map = %s%v", prog.ResultMap, prog.ResultKeys)
+	if q := prog.Queries[0]; q.ResultMap != "Q" || len(q.ResultKeys) != 0 {
+		t.Fatalf("result map = %s%v", q.ResultMap, q.ResultKeys)
 	}
 	if len(prog.Maps) != 3 {
 		t.Fatalf("expected 3 maps (Q + two first-order views), got %d:\n%s", len(prog.Maps), prog.String())
@@ -88,7 +88,7 @@ func TestCompileModesDiffer(t *testing.T) {
 	}
 	// IVM keeps base tables and no higher-order auxiliary views.
 	for _, m := range ivm.Maps {
-		if !m.IsBaseTable && m.Name != ivm.ResultMap {
+		if !m.IsBaseTable && m.Name != ivm.Queries[0].ResultMap {
 			t.Fatalf("IVM should not create auxiliary views, found %s", m.Name)
 		}
 	}
@@ -144,9 +144,6 @@ func TestStaticRelationsGetNoTriggers(t *testing.T) {
 		if tr.Relation == "NATION" {
 			t.Fatal("static relations must not get triggers")
 		}
-	}
-	if len(prog.StaticRelations) != 1 || prog.StaticRelations[0] != "NATION" {
-		t.Fatalf("StaticRelations = %v", prog.StaticRelations)
 	}
 }
 

@@ -134,7 +134,6 @@ func (c *compileState) materializeQueryExpr(e agca.Expr, protectKeys []string, e
 	if c.overBaseTables() {
 		return c.inlineBaseTables(e)
 	}
-	e = opt.Simplify(e)
 	corr := agca.InputVars(e, extraBound)
 	bound := extraBound.Clone()
 	for v := range corr {
@@ -207,11 +206,9 @@ func (c *compileState) materializeQueryExpr(e agca.Expr, protectKeys []string, e
 		if err != nil {
 			return nil, err
 		}
-		term := opt.Rebuild(dedupStrings(gb), neg, newFactors)
-		terms = append(terms, opt.Simplify(term))
+		terms = append(terms, opt.Rebuild(dedupStrings(gb), neg, newFactors))
 	}
-	out := opt.Simplify(agca.Add(terms...))
-	return out, nil
+	return opt.Simplify(agca.Add(terms...)), nil
 }
 
 // filterGroupBy drops group-by variables that no factor produces, provided

@@ -41,7 +41,7 @@ func CompileSet(queries []Query, cat *catalog.Catalog, opts Options) (*trigger.P
 	recomputeDepths(prog)
 	prog.SortStatements()
 	mergeIncrements(prog)
-	return prog, NewShareReport(prog), nil
+	return prog, newShareReport(prog), nil
 }
 
 // depthOrdered reports whether, within every trigger, each statement reads
@@ -164,9 +164,9 @@ type ShareReport struct {
 	Shared       []SharedMap
 }
 
-// NewShareReport derives the sharing report from a compiled program's
+// newShareReport derives the sharing report from a compiled program's
 // per-query map attribution.
-func NewShareReport(p *trigger.Program) *ShareReport {
+func newShareReport(p *trigger.Program) *ShareReport {
 	counts := p.MapQueryCounts()
 	rep := &ShareReport{TotalMaps: len(p.Maps)}
 	for _, q := range p.Queries {

@@ -175,7 +175,7 @@ func New(prog *trigger.Program) *Engine {
 	}
 	for i := range prog.Maps {
 		m := prog.Maps[i]
-		e.views[m.Name] = NewView(m.Name, m.Keys)
+		e.views[m.Name] = newView(m.Name, m.Keys)
 	}
 	for i := range prog.Triggers {
 		t := &prog.Triggers[i]
@@ -346,9 +346,11 @@ func (e *Engine) publishLocked() {
 // Result returns the live GMR of the query result view. It belongs to the
 // write side: the returned store aliases the engine's mutable state, so it
 // must only be read from the goroutine driving Apply/ApplyBatch, between
-// calls. Concurrent readers use Acquire().Result() instead.
+// calls. Concurrent readers use Acquire().Result() instead. Like Relation,
+// it returns an empty store when the program has no queries.
 func (e *Engine) Result() *gmr.GMR {
-	return e.Relation(e.prog.ResultMap)
+	name, _ := e.prog.ResultMapFor("")
+	return e.Relation(name)
 }
 
 // View returns the named materialized view (nil if unknown). Like Result,

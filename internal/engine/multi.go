@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"dbtoaster/internal/gmr"
-	"dbtoaster/internal/trigger"
 )
 
 // Multi-query surface. A hash-consed program (compiler.CompileSet) registers
@@ -14,11 +13,6 @@ import (
 // per-query slice of that shared state: result lookup by query name and a
 // memory report that counts every shared map exactly once engine-wide while
 // attributing it (with a shared marker) to each query that reads it.
-
-// Queries returns the definitions of every query registered in the engine's
-// program, in registration order. Single-query programs report one entry;
-// hand-built programs without query metadata report none.
-func (e *Engine) Queries() []trigger.QueryDef { return e.prog.Queries }
 
 // ResultFor returns the live result view of the named query. Like Result, the
 // returned store aliases mutable write-side state: read it only from the

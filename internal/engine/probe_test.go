@@ -31,14 +31,13 @@ func reevalProgram() *trigger.Program {
 		}}
 	}
 	return &trigger.Program{
-		QueryName: "V", ResultMap: "V", ResultKeys: []string{"a", "b"},
+		Queries: []trigger.QueryDef{{Name: "V", ResultMap: "V", ResultKeys: []string{"a", "b"}}},
 		Maps: []trigger.MapDef{
 			{Name: "V", Keys: []string{"a", "b"}, Definition: agca.R("R", "a", "b")},
 			{Name: "RB", Keys: []string{"a", "b"}, Definition: agca.R("R", "a", "b"), Depth: 1, IsBaseTable: true, BaseRel: "R"},
 		},
-		Triggers:        []trigger.Trigger{trig(true, 1), trig(false, -1)},
-		Relations:       map[string][]string{"R": {"A", "B"}},
-		StaticRelations: []string{"T"},
+		Triggers:  []trigger.Trigger{trig(true, 1), trig(false, -1)},
+		Relations: map[string][]string{"R": {"A", "B"}},
 	}
 }
 
@@ -337,9 +336,8 @@ func TestStaticOwnership(t *testing.T) {
 // column instead of filling the key by position.
 func TestInitRejectsMissingKeyColumn(t *testing.T) {
 	prog := &trigger.Program{
-		QueryName: "S", ResultMap: "S", ResultKeys: []string{"a", "c"},
-		Maps:            []trigger.MapDef{{Name: "S", Keys: []string{"a", "c"}, Definition: agca.R("T", "a", "b")}},
-		StaticRelations: []string{"T"},
+		Queries: []trigger.QueryDef{{Name: "S", ResultMap: "S", ResultKeys: []string{"a", "c"}}},
+		Maps:    []trigger.MapDef{{Name: "S", Keys: []string{"a", "c"}, Definition: agca.R("T", "a", "b")}},
 	}
 	eng := engine.New(prog)
 	eng.LoadStatic("T", staticT(10))
@@ -393,7 +391,7 @@ func TestSharedProgram(t *testing.T) {
 func TestFailingStatementInsideExists(t *testing.T) {
 	exists := agca.Exists{E: agca.Sum{Terms: []agca.Expr{agca.R("T", "a", "b"), agca.R("S", "a", "b")}}}
 	prog := &trigger.Program{
-		QueryName: "M2", ResultMap: "M2",
+		Queries: []trigger.QueryDef{{Name: "M2", ResultMap: "M2"}},
 		Maps: []trigger.MapDef{
 			{Name: "M1", Definition: agca.SumOver(nil, agca.R("R", "a"))},
 			{Name: "M2", Definition: agca.SumOver(nil, agca.Mul(agca.R("R", "a"), exists))},
@@ -402,8 +400,7 @@ func TestFailingStatementInsideExists(t *testing.T) {
 			{TargetMap: "M1", RHS: agca.C(1)},
 			{TargetMap: "M2", RHS: agca.SumOver(nil, exists)},
 		}}},
-		Relations:       map[string][]string{"R": {"A"}},
-		StaticRelations: []string{"S", "T"},
+		Relations: map[string][]string{"R": {"A"}},
 	}
 	static := func(schema types.Schema, rows ...types.Tuple) *gmr.GMR {
 		g := gmr.New(schema)
@@ -472,8 +469,8 @@ func rEventsOf(as ...int64) []engine.Event {
 // the statement, after the statements before it ran.
 func TestStatementWithoutTargetMap(t *testing.T) {
 	prog := &trigger.Program{
-		QueryName: "M1", ResultMap: "M1",
-		Maps: []trigger.MapDef{{Name: "M1", Definition: agca.SumOver(nil, agca.R("R", "a"))}},
+		Queries: []trigger.QueryDef{{Name: "M1", ResultMap: "M1"}},
+		Maps:    []trigger.MapDef{{Name: "M1", Definition: agca.SumOver(nil, agca.R("R", "a"))}},
 		Triggers: []trigger.Trigger{{Relation: "R", Insert: true, Args: []string{"a"}, Stmts: []trigger.Statement{
 			{TargetMap: "M1", RHS: agca.C(1)},
 			{TargetMap: "NOPE", RHS: agca.C(1)},

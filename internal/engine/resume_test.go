@@ -22,7 +22,7 @@ func TestSubscribeResumeFrom(t *testing.T) {
 	if err := eng.ApplyBatch(engine.NewBatch(events[:40])); err != nil {
 		t.Fatal(err)
 	}
-	view := eng.Program().ResultMap
+	view := eng.Program().Queries[0].ResultMap
 
 	// Current token: no catch-up, first delivery is the next delta.
 	pos := eng.Events()

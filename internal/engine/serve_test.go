@@ -119,7 +119,7 @@ func applyBatchEntries(local *gmr.GMR, cb engine.ChangeBatch) {
 
 // resultCopy returns an empty GMR over the engine's result-view schema.
 func resultCopy(eng *engine.Engine) *gmr.GMR {
-	keys := eng.View(eng.Program().ResultMap).Keys()
+	keys := eng.View(eng.Program().Queries[0].ResultMap).Keys()
 	return gmr.New(types.Schema(keys))
 }
 
@@ -204,7 +204,7 @@ func TestSubscribeStream(t *testing.T) {
 // (catch-up batch plus deltas) equals the view when its subscription ended.
 func subscribeLifecycle(t *testing.T, eng *engine.Engine, events []engine.Event) {
 	t.Helper()
-	view := eng.View(eng.Program().ResultMap)
+	view := eng.View(eng.Program().Queries[0].ResultMap)
 	if len(events) > 250 {
 		events = events[:250]
 	}
@@ -308,7 +308,7 @@ func TestSubscribeCoalesce(t *testing.T) {
 	if want := eng.Result(); !gmr.Equal(local, want, 1e-9) {
 		t.Fatalf("coalesced delivery lost state:\n got  %v\n want %v", local, want)
 	}
-	if n := eng.Subscribers()[eng.Program().ResultMap]; n != 0 {
+	if n := eng.Subscribers()[eng.Program().Queries[0].ResultMap]; n != 0 {
 		t.Fatalf("subscription not removed after Cancel: %d left", n)
 	}
 }

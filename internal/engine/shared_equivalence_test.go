@@ -8,6 +8,7 @@ import (
 	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/gmr"
+	"dbtoaster/internal/trigger"
 	"dbtoaster/internal/types"
 	"dbtoaster/internal/workload"
 )
@@ -230,6 +231,24 @@ func TestSharedEngineSnapshotResults(t *testing.T) {
 	}
 	if live != shared.Result() {
 		t.Error("empty query name should resolve to the primary result")
+	}
+}
+
+// TestProgramWithoutQueries: a program that registers no query resolves no
+// name, "" included, and every result accessor answers without panicking.
+func TestProgramWithoutQueries(t *testing.T) {
+	eng := engine.New(&trigger.Program{})
+	if _, err := eng.ResultFor(""); err == nil {
+		t.Error("ResultFor(\"\") resolved on a program without queries")
+	}
+	if _, err := eng.Acquire().ResultFor(""); err == nil {
+		t.Error("snapshot ResultFor(\"\") resolved on a program without queries")
+	}
+	if eng.Result().Len() != 0 || eng.Acquire().Result().Len() != 0 {
+		t.Error("Result of a program without queries is not empty")
+	}
+	if _, err := eng.Subscribe("", engine.SubscribeOptions{}); err == nil {
+		t.Error("Subscribe(\"\") succeeded on a program without queries")
 	}
 }
 

@@ -106,8 +106,12 @@ func (s *Snapshot) Version() uint64 { return s.version }
 // staleness in events.
 func (s *Snapshot) Events() uint64 { return s.events }
 
-// Result returns the frozen query result view.
-func (s *Snapshot) Result() *gmr.GMR { return s.Relation(s.prog.ResultMap) }
+// Result returns the frozen result view of the primary query (an empty
+// store when the program has no queries).
+func (s *Snapshot) Result() *gmr.GMR {
+	name, _ := s.prog.ResultMapFor("")
+	return s.Relation(name)
+}
 
 // View returns the frozen store of the named materialized view (nil if
 // unknown).

@@ -198,9 +198,10 @@ type Subscription struct {
 }
 
 // Subscribe registers a consumer for the named view's change stream ("" means
-// the query result view). Unless opts.SkipInitial is set, the first batch on
-// the channel is the view's state at the subscription's epoch; every
-// subsequent batch is the net delta of one or more published epochs.
+// the primary query's result view). Unless opts.SkipInitial is set, the
+// first batch on the channel is the view's state at the subscription's
+// epoch; every subsequent batch is the net delta of one or more published
+// epochs.
 // Subscribe after Init and LoadStatic — the catch-up batch reflects the state
 // at call time. Like the first Acquire, the first Subscribe switches the
 // engine into serving mode and must not race with a write (set the serving
@@ -211,7 +212,7 @@ func (e *Engine) Subscribe(view string, opts SubscribeOptions) (*Subscription, e
 	defer e.mu.Unlock()
 	e.enterServeLocked()
 	if view == "" {
-		view = e.prog.ResultMap
+		view, _ = e.prog.ResultMapFor("") // none: the lookup below reports it
 	}
 	v, ok := e.views[view]
 	if !ok {

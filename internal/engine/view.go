@@ -21,8 +21,8 @@ type View struct {
 	capture *gmr.GMR
 }
 
-// NewView creates an empty view with the given key variable names.
-func NewView(name string, keys []string) *View {
+// newView creates an empty view with the given key variable names.
+func newView(name string, keys []string) *View {
 	return &View{
 		name: name,
 		keys: append([]string(nil), keys...),

@@ -210,29 +210,21 @@ func (c *compiler) compile(e agca.Expr, bound agca.VarSet, next node) node {
 	}
 }
 
-// cmpMaskFor folds a comparison operator into a 3-bit outcome mask: bit
-// (Compare(l, r) + 1) is set when the outcome satisfies the operator. The
-// per-row check is then one Compare plus a shift — no operator switch, no
-// extra call level.
+// cmpMaskFor folds a comparison operator into a 3-bit outcome mask, read
+// from CmpOp.Holds at compile time: bit (Compare(l, r) + 1) is set when the
+// outcome satisfies the operator. The per-row check is then one Compare plus
+// a shift — no operator switch, no extra call level.
 func cmpMaskFor(op agca.CmpOp) uint8 {
-	const lt, eq, gt = 1 << 0, 1 << 1, 1 << 2
-	switch op {
-	case agca.OpEq:
-		return eq
-	case agca.OpNe:
-		return lt | gt
-	case agca.OpLt:
-		return lt
-	case agca.OpLe:
-		return lt | eq
-	case agca.OpGt:
-		return gt
-	case agca.OpGe:
-		return eq | gt
-	default:
-		compilePanic("unknown comparison operator %v", op)
-		return 0
+	var mask uint8
+	for c := -1; c <= 1; c++ {
+		if op.Holds(c) {
+			mask |= 1 << uint(c+1)
+		}
 	}
+	if mask == 0 {
+		compilePanic("unknown comparison operator %v", op)
+	}
+	return mask
 }
 
 // compileCmpNode lowers a comparison in relational position. The dominant

@@ -31,13 +31,13 @@ func simplifyNode(e agca.Expr) agca.Expr {
 	case agca.Cmp:
 		if l, ok := n.L.(agca.Const); ok {
 			if r, ok := n.R.(agca.Const); ok {
-				return boolExpr(cmpConst(n.Op, l.V, r.V))
+				return boolExpr(n.Op.Holds(types.Compare(l.V, r.V)))
 			}
 		}
 		if sameOperand(n.L, n.R) {
 			// types.Compare(v, v) == 0 for every value, NaN and null
 			// included, so {t op t} holds exactly when op admits equality.
-			return boolExpr(cmpOutcome(n.Op, 0))
+			return boolExpr(n.Op.Holds(0))
 		}
 		return n
 	case agca.AggSum:
@@ -67,30 +67,6 @@ func sameOperand(l, r agca.Expr) bool {
 		return false
 	}
 	return agca.String(l) == agca.String(r)
-}
-
-func cmpConst(op agca.CmpOp, l, r types.Value) bool {
-	return cmpOutcome(op, types.Compare(l, r))
-}
-
-// cmpOutcome reports whether a comparison whose operands compare as c
-// (types.Compare's sign) holds under op.
-func cmpOutcome(op agca.CmpOp, c int) bool {
-	switch op {
-	case agca.OpEq:
-		return c == 0
-	case agca.OpNe:
-		return c != 0
-	case agca.OpLt:
-		return c < 0
-	case agca.OpLe:
-		return c <= 0
-	case agca.OpGt:
-		return c > 0
-	case agca.OpGe:
-		return c >= 0
-	}
-	return false
 }
 
 func simplifyProd(n agca.Prod) agca.Expr {

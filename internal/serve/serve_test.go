@@ -5,6 +5,9 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -13,6 +16,7 @@ import (
 	"dbtoaster/internal/compiler"
 	"dbtoaster/internal/engine"
 	"dbtoaster/internal/gmr"
+	"dbtoaster/internal/trigger"
 	"dbtoaster/internal/types"
 	"dbtoaster/internal/workload"
 )
@@ -93,7 +97,7 @@ func TestServeFanoutEquivalence(t *testing.T) {
 			}
 			defer shutdownServer(t, srv)
 
-			view := eng.Program().ResultMap
+			view := eng.Program().Queries[0].ResultMap
 			ref, err := eng.Subscribe(view, engine.SubscribeOptions{Buffer: 4096})
 			if err != nil {
 				t.Fatalf("subscribe: %v", err)
@@ -258,7 +262,7 @@ func TestSlowClient(t *testing.T) {
 		t.Fatalf("serve: %v", err)
 	}
 	defer shutdownServer(t, srv)
-	view := eng.Program().ResultMap
+	view := eng.Program().Queries[0].ResultMap
 	keys := eng.View(view).Keys()
 
 	fast, err := Dial(srv.StreamAddr(), "", ClientOptions{Buffer: 64})
@@ -400,7 +404,7 @@ func TestHubCoalesced(t *testing.T) {
 		t.Fatal("no Q1")
 	}
 	eng := newServedEngine(t, spec)
-	view := eng.Program().ResultMap
+	view := eng.Program().Queries[0].ResultMap
 	h, err := newHub(eng, view, Options{ClientBuffer: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +479,7 @@ func TestQuietWriterConverges(t *testing.T) {
 			}()
 
 			windows := workload.Batches(spec.Stream(1.0, 1)[20:], 4)[:400]
-			h := srv.hubs[eng.Program().ResultMap]
+			h := srv.hubs[eng.Program().Queries[0].ResultMap]
 			var applyErr error
 			backed := 0
 			h.do(func(h *hub) {
@@ -527,7 +531,7 @@ func TestServeResumeModes(t *testing.T) {
 		t.Fatalf("serve: %v", err)
 	}
 	defer shutdownServer(t, srv)
-	view := eng.Program().ResultMap
+	view := eng.Program().Queries[0].ResultMap
 	keys := eng.View(view).Keys()
 
 	// Record every publication's position and the exact state it leads to
@@ -715,7 +719,7 @@ func TestServeSnapshotHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("queries: %v", err)
 	}
-	if len(qs) != 1 || qs[0].View != eng.Program().ResultMap {
+	if len(qs) != 1 || qs[0].View != eng.Program().Queries[0].ResultMap {
 		t.Fatalf("queries: %+v", qs)
 	}
 
@@ -752,6 +756,90 @@ func TestServeSnapshotHTTP(t *testing.T) {
 	}
 	if st.Events != eng.Events() || st.Draining {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestServedQueriesAreProgramQueries holds the server's query table to
+// Program.Queries, its one registry, for a Compile and a CompileSet program:
+// /queries and /stats list exactly those queries, sorted by name, and the
+// empty name resolves to Queries[0] through /snapshot and through Dial. The
+// set registers Q3 first, so its primary is not the first name in sort order.
+// A program without queries is refused.
+func TestServedQueriesAreProgramQueries(t *testing.T) {
+	spec, ok := workload.Get("Q3")
+	if !ok {
+		t.Fatal("no Q3 workload")
+	}
+	ms, err := workload.Combine([]string{"Q3", "Q1", "Q12"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _, err := compiler.CompileSet(ms.Queries, ms.Catalog, compiler.OptionsFor(compiler.ModeDBToaster))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := engine.New(prog)
+	for name, data := range ms.Statics() {
+		shared.LoadStatic(name, data)
+	}
+	if err := shared.Init(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		eng  *engine.Engine
+	}{{"Compile", newServedEngine(t, spec)}, {"CompileSet", shared}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(tc.eng, Options{})
+			if err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+			defer shutdownServer(t, srv)
+			queries := tc.eng.Program().Queries
+			var want []QueryInfo
+			for _, q := range queries {
+				want = append(want, QueryInfo{Query: q.Name, View: q.ResultMap, Keys: q.ResultKeys})
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].Query < want[j].Query })
+
+			qs, err := fetchQueries(srv.SnapshotAddr())
+			if err != nil {
+				t.Fatalf("queries: %v", err)
+			}
+			if !reflect.DeepEqual(qs, want) {
+				t.Errorf("/queries = %+v, want %+v", qs, want)
+			}
+			st, err := FetchStats(srv.SnapshotAddr())
+			if err != nil {
+				t.Fatalf("stats: %v", err)
+			}
+			if !reflect.DeepEqual(st.Queries, want) {
+				t.Errorf("/stats queries = %+v, want %+v", st.Queries, want)
+			}
+
+			primary := queries[0]
+			snap, err := FetchSnapshot(srv.SnapshotAddr(), "")
+			if err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			if snap.Query != primary.Name || snap.View != primary.ResultMap {
+				t.Errorf("snapshot of \"\" served %s (view %s), want %s (view %s)",
+					snap.Query, snap.View, primary.Name, primary.ResultMap)
+			}
+			c, err := Dial(srv.StreamAddr(), "", ClientOptions{})
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer c.Close()
+			if c.View() != primary.ResultMap || !slices.Equal(c.Keys(), primary.ResultKeys) {
+				t.Errorf("Dial of \"\" streams %s%v, want %s%v", c.View(), c.Keys(), primary.ResultMap, primary.ResultKeys)
+			}
+		})
+	}
+
+	if srv, err := New(engine.New(&trigger.Program{}), Options{}); err == nil {
+		shutdownServer(t, srv)
+		t.Fatal("serve.New accepted a program without queries")
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dbtoaster/internal/engine"
+	"dbtoaster/internal/trigger"
 	"dbtoaster/internal/types"
 )
 
@@ -66,11 +67,9 @@ type QueryInfo struct {
 // serving mode and must not race with a write. After New returns, the writer
 // may run freely; Shutdown drains gracefully.
 type Server struct {
-	eng     *engine.Engine
-	queries map[string]QueryInfo // query name -> info ("" aliases primary)
-	order   []string             // registered query names, sorted
-	hubs    map[string]*hub      // result view -> fan-out hub
-	opts    Options
+	eng  *engine.Engine
+	hubs map[string]*hub // result view -> fan-out hub
+	opts Options
 
 	httpLn  net.Listener
 	httpSrv *http.Server
@@ -82,48 +81,29 @@ type Server struct {
 	conns    map[net.Conn]bool
 }
 
-// New builds and starts a server for the engine. Every query recorded in the
-// compiled program (compiler.Compile registers one, CompileSet all of them)
-// is served; programs without query metadata serve their primary result map
-// under the program's query name. New subscribes the hubs and pins the first
-// snapshot, so it must run before concurrent writes begin (the engine's
-// serving-mode contract).
+// New builds and starts a server for the engine. Every query in the
+// program's Queries (compiler.Compile registers one, CompileSet all of them)
+// is served; a program without queries is an error. New subscribes the hubs
+// and pins the first snapshot, so it must run before concurrent writes begin
+// (the engine's serving-mode contract).
 func New(eng *engine.Engine, opts Options) (*Server, error) {
+	if len(eng.Program().Queries) == 0 {
+		return nil, fmt.Errorf("serve: program has no queries")
+	}
 	s := &Server{
-		eng:     eng,
-		queries: map[string]QueryInfo{},
-		hubs:    map[string]*hub{},
-		opts:    opts,
-		conns:   map[net.Conn]bool{},
+		eng:   eng,
+		hubs:  map[string]*hub{},
+		opts:  opts,
+		conns: map[net.Conn]bool{},
 	}
-	prog := eng.Program()
-	if len(prog.Queries) > 0 {
-		for _, q := range prog.Queries {
-			s.queries[q.Name] = QueryInfo{Query: q.Name, View: q.ResultMap, Keys: q.ResultKeys}
-		}
-	} else {
-		s.queries[prog.QueryName] = QueryInfo{
-			Query: prog.QueryName,
-			View:  prog.ResultMap,
-			Keys:  eng.View(prog.ResultMap).Keys(),
-		}
-	}
-	for name, qi := range s.queries {
-		if qi.Keys == nil {
-			qi.Keys = eng.View(qi.View).Keys()
-			s.queries[name] = qi
-		}
-		s.order = append(s.order, name)
-	}
-	sort.Strings(s.order)
 
 	// Flip the engine into serving mode up front, whether or not any hub
 	// subscribes: snapshot requests may arrive from any goroutine later.
 	eng.Acquire()
 
 	if opts.StreamAddr != "-" {
-		for _, name := range s.order {
-			view := s.queries[name].View
+		for _, q := range eng.Program().Queries {
+			view := q.ResultMap
 			if _, ok := s.hubs[view]; ok {
 				continue // shared result view (multi-query programs): one hub
 			}
@@ -189,16 +169,24 @@ func (s *Server) StreamAddr() string {
 	return s.tcpLn.Addr().String()
 }
 
-// resolve maps a query name to its info; "" means the primary query.
-func (s *Server) resolve(query string) (QueryInfo, error) {
-	if query == "" {
-		query = s.eng.Program().QueryName
+// resolve looks a query up in the program's registry; "" means the primary
+// query.
+func (s *Server) resolve(query string) (trigger.QueryDef, error) {
+	q, err := s.eng.Program().Query(query)
+	if err != nil {
+		return q, fmt.Errorf("serve: unknown query %q", query)
 	}
-	qi, ok := s.queries[query]
-	if !ok {
-		return QueryInfo{}, fmt.Errorf("serve: unknown query %q", query)
+	return q, nil
+}
+
+// queryInfos lists the program's queries sorted by name.
+func (s *Server) queryInfos() []QueryInfo {
+	var out []QueryInfo
+	for _, q := range s.eng.Program().Queries {
+		out = append(out, QueryInfo{Query: q.Name, View: q.ResultMap, Keys: q.ResultKeys})
 	}
-	return qi, nil
+	sort.Slice(out, func(i, j int) bool { return out[i].Query < out[j].Query })
+	return out
 }
 
 // StreamStats snapshots every hub's fan-out counters, sorted by view.
@@ -280,14 +268,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		sendError(fmt.Sprintf("serve: unsupported protocol version %d (want %d)", hello.Version, ProtocolVersion))
 		return
 	}
-	qi, err := s.resolve(hello.Query)
+	q, err := s.resolve(hello.Query)
 	if err != nil {
 		sendError(err.Error())
 		return
 	}
-	h, ok := s.hubs[qi.View]
+	h, ok := s.hubs[q.ResultMap]
 	if !ok {
-		sendError(fmt.Sprintf("serve: no stream hub for view %q", qi.View))
+		sendError(fmt.Sprintf("serve: no stream hub for view %q", q.ResultMap))
 		return
 	}
 	var resume *uint64
@@ -318,8 +306,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		Version: ProtocolVersion,
 		Mode:    resp.mode,
 		Events:  resp.events,
-		View:    qi.View,
-		Keys:    qi.Keys,
+		View:    q.ResultMap,
+		Keys:    q.ResultKeys,
 	})
 	if _, err := bw.Write(scratch); err != nil {
 		return
@@ -439,11 +427,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // handleQueries lists the registered queries with their views and schemas.
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
-	out := make([]QueryInfo, 0, len(s.order))
-	for _, name := range s.order {
-		out = append(out, s.queries[name])
-	}
-	writeJSON(w, out)
+	writeJSON(w, s.queryInfos())
 }
 
 // handleSnapshot serves one query's result pinned to one Acquire() epoch:
@@ -451,7 +435,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 // frozen stores, so the payload is transactionally consistent no matter how
 // many events the writer applies while it streams out.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	qi, err := s.resolve(r.URL.Query().Get("query"))
+	q, err := s.resolve(r.URL.Query().Get("query"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -465,19 +449,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	snap := s.eng.Acquire()
-	g, err := snap.ResultFor(qi.Query)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
 	res := SnapshotResult{
-		Query:   qi.Query,
-		View:    qi.View,
+		Query:   q.Name,
+		View:    q.ResultMap,
 		Events:  snap.Events(),
 		Version: snap.Version(),
-		Keys:    qi.Keys,
+		Keys:    q.ResultKeys,
 	}
-	entries := g.Entries()
+	entries := snap.Relation(q.ResultMap).Entries()
 	if limit > 0 && len(entries) > limit {
 		entries = entries[:limit]
 		res.Truncated = true
@@ -516,10 +495,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	res := StatsResult{
 		Events:   s.eng.Events(),
 		Draining: s.draining.Load(),
+		Queries:  s.queryInfos(),
 		Streams:  s.StreamStats(),
-	}
-	for _, name := range s.order {
-		res.Queries = append(res.Queries, s.queries[name])
 	}
 	if s.opts.Status != nil {
 		res.Extra = s.opts.Status()

@@ -28,8 +28,7 @@ func vwapProgram() *Program {
 		}
 	}
 	return &Program{
-		QueryName: "vwapish",
-		ResultMap: "VWAP",
+		Queries: []QueryDef{{Name: "vwapish", ResultMap: "VWAP"}},
 		Maps: []MapDef{
 			{Name: "VWAP"}, {Name: "SUMPV"}, {Name: "SUMV"},
 		},

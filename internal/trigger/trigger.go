@@ -127,38 +127,35 @@ type QueryDef struct {
 	Maps []string
 }
 
-// Program is a compiled trigger program.
+// Program is a compiled trigger program. Queries is its one registry of
+// served queries: every result lookup by name resolves through Query, and
+// the first entry is the primary query that the empty name means.
 type Program struct {
-	QueryName  string
-	ResultMap  string
-	ResultKeys []string
-	Maps       []MapDef
-	Triggers   []Trigger
+	Maps     []MapDef
+	Triggers []Trigger
 	// Relations maps every dynamic base relation to its column names.
 	Relations map[string][]string
-	// StaticRelations lists relations treated as static (loaded once, never
-	// updated by triggers), as the paper does for Nation/Region.
-	StaticRelations []string
 	// Queries lists every query compiled into the program, in registration
-	// order. Single-query programs carry one entry mirroring
-	// QueryName/ResultMap/ResultKeys; multi-query (hash-consed) programs carry
-	// one entry per registered query.
+	// order: one for compiler.Compile, one per registered query for
+	// CompileSet (hash-consed programs).
 	Queries []QueryDef
 }
 
-// ResultMapFor resolves a query name to its result map. The empty name means
-// the program's primary query. Programs without query metadata (hand-built in
-// tests) accept the empty name or the program's QueryName.
-func (p *Program) ResultMapFor(query string) (string, error) {
-	if query == "" || query == p.QueryName {
-		return p.ResultMap, nil
-	}
+// Query resolves a query name to its definition. The empty name means the
+// primary query, Queries[0]. A program without queries resolves nothing.
+func (p *Program) Query(name string) (QueryDef, error) {
 	for _, q := range p.Queries {
-		if q.Name == query {
-			return q.ResultMap, nil
+		if q.Name == name || name == "" {
+			return q, nil
 		}
 	}
-	return "", fmt.Errorf("trigger: unknown query %q", query)
+	return QueryDef{}, fmt.Errorf("trigger: unknown query %q", name)
+}
+
+// ResultMapFor resolves a query name to its result map, as Query does.
+func (p *Program) ResultMapFor(query string) (string, error) {
+	q, err := p.Query(query)
+	return q.ResultMap, err
 }
 
 // MapQueryCounts returns, for every map in the program, how many queries
@@ -308,7 +305,8 @@ func stmtClass(s Statement, baseRels map[string]bool) int {
 // of the paper's Figure 3/4 listings.
 func (p *Program) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "-- program %s (result %s[%s])\n", p.QueryName, p.ResultMap, strings.Join(p.ResultKeys, ","))
+	q, _ := p.Query("") // a program without queries gets an empty header
+	fmt.Fprintf(&b, "-- program %s (result %s[%s])\n", q.Name, q.ResultMap, strings.Join(q.ResultKeys, ","))
 	b.WriteString("-- maps:\n")
 	for _, m := range p.Maps {
 		fmt.Fprintf(&b, "  %s[%s] := %s\n", m.Name, strings.Join(m.Keys, ","), agca.String(m.Definition))

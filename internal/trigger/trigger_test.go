@@ -12,8 +12,7 @@ import (
 // relation's own statements commute within a window of its events.
 func testProgram() *Program {
 	return &Program{
-		QueryName: "t",
-		ResultMap: "Q",
+		Queries: []QueryDef{{Name: "t", ResultMap: "Q"}},
 		Maps: []MapDef{
 			{Name: "Q", Keys: []string{"a"}},
 			{Name: "MS", Keys: []string{"a"}},

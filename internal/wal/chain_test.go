@@ -172,7 +172,7 @@ func TestChainGCRetention(t *testing.T) {
 	}
 	f.Close()
 
-	oldest, err := GC(fs, "d")
+	oldest, err := gc(fs, "d")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,16 +12,16 @@ import (
 // it.
 const keepCheckpoints = 2
 
-// GC removes checkpoint files unreachable from the chains rooted at the
+// gc removes checkpoint files unreachable from the chains rooted at the
 // newest keepCheckpoints head LSNs, plus the stale temp files of interrupted
 // checkpoint writes. Reachability follows the parent links encoded in delta
 // file names, so a retained delta head keeps its whole chain back to its
 // base. Segment retention is the log's job (Log.RemoveSegmentsBelow with the
-// oldest retained head's LSN, which GC returns — replay from that head needs
+// oldest retained head's LSN, which gc returns — replay from that head needs
 // no earlier segment, however old its chain's base is). Best-effort: removal
 // errors are returned but the state is usable regardless — recovery tolerates
 // extra files.
-func GC(fs FS, dir string) (oldestRetained uint64, err error) {
+func gc(fs FS, dir string) (oldestRetained uint64, err error) {
 	if fs == nil {
 		fs = DiskFS()
 	}

@@ -162,7 +162,7 @@ func TestGCRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustWriteChain(t, fs, "d", testCheckpoint(uint64(ckptAt)))
-		oldest, err := GC(fs, "d")
+		oldest, err := gc(fs, "d")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -423,7 +423,7 @@ func (l *Log) removeSegmentsBelowLocked(lsn uint64) error {
 	return nil
 }
 
-// GC garbage-collects the log's directory as one serialized unit: checkpoint
+// gc garbage-collects the log's directory as one serialized unit: checkpoint
 // files unreachable from the newest retained chains (the package GC), then
 // the segments wholly covered by the oldest retained head. Holding dirMu
 // across both steps means a concurrent Rotate cannot interleave a segment
@@ -431,7 +431,7 @@ func (l *Log) removeSegmentsBelowLocked(lsn uint64) error {
 func (l *Log) GC() (oldestRetained uint64, err error) {
 	l.dirMu.Lock()
 	defer l.dirMu.Unlock()
-	oldestRetained, err = GC(l.fs, l.dir)
+	oldestRetained, err = gc(l.fs, l.dir)
 	if serr := l.removeSegmentsBelowLocked(oldestRetained); err == nil {
 		err = serr
 	}

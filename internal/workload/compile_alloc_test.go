@@ -28,8 +28,9 @@ func compileInputs(tb testing.TB) (Spec, *MultiSpec) {
 // TestCompileAllocs pins the compiler's allocations: CompileSet of the 18
 // workload queries and Compile of Q3, in DBToaster mode. The variable
 // analysis builds no set per node and each map's canonical key is computed
-// once from its normalized definition; an analysis that starts copying sets
-// again, or a key that re-normalizes, fails it. The race detector's
+// once from its normalized definition, and each expression is simplified
+// once; an analysis that starts copying sets again, or a key or a
+// materialization that re-simplifies, fails it. The race detector's
 // instrumentation allocates on its own, so the pin holds only without it.
 func TestCompileAllocs(t *testing.T) {
 	if raceDetector {
@@ -48,11 +49,11 @@ func TestCompileAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("CompileSet(18): %.0f allocs, Compile(Q3): %.0f allocs", set, one)
-	if set > 170000 {
-		t.Errorf("CompileSet of the 18 queries allocates %.0f times, want <= 170000", set)
+	if set > 150000 {
+		t.Errorf("CompileSet of the 18 queries allocates %.0f times, want <= 150000", set)
 	}
-	if one > 11000 {
-		t.Errorf("Compile of Q3 allocates %.0f times, want <= 11000", one)
+	if one > 9500 {
+		t.Errorf("Compile of Q3 allocates %.0f times, want <= 9500", one)
 	}
 }
 

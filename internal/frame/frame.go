@@ -18,11 +18,14 @@
 // error names the field and the offset it stopped at.
 //
 // AppendValue and Reader.Value are the kind-exact value codec: a tag byte
-// plus a kind-specific payload that round-trips a value's exact runtime kind,
-// unlike the canonical key encoding, which collapses kinds that Compare
+// plus a compact kind-specific payload (an int as a zigzag varint, a string
+// as a uvarint length and its bytes) that round-trips a value's exact runtime
+// kind, unlike the canonical key encoding, which collapses kinds that Compare
 // equal. Replay must re-execute triggers with bit-identical inputs, and a
 // remote subscriber must reassemble the tuples an in-process one sees, so
-// both the log and the wire carry values this way.
+// both the log and the wire carry values this way. The codec is canonical:
+// Reader accepts only the bytes AppendValue writes (minimal varints, a bool
+// byte of 0 or 1), so whatever it accepts re-encodes byte-equal.
 //
 // Decoding never panics and never allocates from a count it has not checked
 // against the bytes that remain.
@@ -114,6 +117,28 @@ func AppendStr16(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// AppendUvarint appends x as a uvarint (encoding/binary's: seven bits a
+// byte, low group first, the high bit set on every byte but the last), so a
+// value below 128 takes one byte. Up to four bytes are written in one append.
+func AppendUvarint(dst []byte, x uint64) []byte {
+	switch {
+	case x < 1<<7:
+		return append(dst, byte(x))
+	case x < 1<<14:
+		return append(dst, byte(x)|0x80, byte(x>>7))
+	case x < 1<<21:
+		return append(dst, byte(x)|0x80, byte(x>>7)|0x80, byte(x>>14))
+	case x < 1<<28:
+		return append(dst, byte(x)|0x80, byte(x>>7)|0x80, byte(x>>14)|0x80, byte(x>>21))
+	}
+	return binary.AppendUvarint(dst, x)
+}
+
+// AppendStr appends s as a uvarint length and its bytes.
+func AppendStr(dst []byte, s string) []byte {
+	return append(AppendUvarint(dst, uint64(len(s))), s...)
+}
+
 // Value tags of the kind-exact codec.
 const (
 	valNull   = 0
@@ -123,22 +148,23 @@ const (
 	valBool   = 4
 )
 
-// AppendValue appends the kind-exact encoding of v: a tag byte, then 8
-// little-endian bytes for an int or float (the float's IEEE bits), a u32
-// length and the bytes for a string, one byte for a bool, nothing for null.
+// AppendValue appends the kind-exact encoding of v: a tag byte, then
+//
+//	int     zigzag varint (small magnitudes of either sign take few bytes)
+//	float   8 little-endian bytes of the IEEE bits
+//	string  uvarint length and the bytes
+//	bool    one byte, 0 or 1
+//	null    nothing
 func AppendValue(dst []byte, v types.Value) []byte {
 	switch v.Kind() {
 	case types.KindInt:
-		dst = append(dst, valInt)
-		return binary.LittleEndian.AppendUint64(dst, uint64(v.AsInt()))
+		x := v.AsInt()
+		return AppendUvarint(append(dst, valInt), uint64(x<<1)^uint64(x>>63))
 	case types.KindFloat:
 		dst = append(dst, valFloat)
 		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.AsFloat()))
 	case types.KindString:
-		s := v.AsString()
-		dst = append(dst, valString)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
-		return append(dst, s...)
+		return AppendStr(append(dst, valString), v.AsString())
 	case types.KindBool:
 		if v.AsBool() {
 			return append(dst, valBool, 1)
@@ -248,22 +274,135 @@ func (r *Reader) Str16(what string) string {
 	return string(r.Bytes(int(n), what))
 }
 
+// Uvarint reads a uvarint written by AppendUvarint. Longer than one byte,
+// it must be minimal (no redundant zero high group) and fit 64 bits.
+func (r *Reader) Uvarint(what string) uint64 {
+	if x, ok := r.uvarint1(); ok {
+		return x
+	}
+	return r.uvarintSlow(what)
+}
+
+// uvarint1 reads the next byte if it is a whole uvarint (below 128), the
+// common case, which callers on hot paths take without a call.
+func (r *Reader) uvarint1() (uint64, bool) {
+	if off := r.off; off < len(r.b) && r.b[off] < 0x80 {
+		r.off = off + 1
+		return uint64(r.b[off]), true
+	}
+	return 0, false
+}
+
+// uvarintSlow reads a uvarint that uvarint1 did not: one of two or more
+// bytes, or a failure (truncated, past 64 bits, or non-minimal).
+func (r *Reader) uvarintSlow(what string) uint64 {
+	b := r.b[r.off:]
+	if len(b) >= 4 {
+		// Two to four bytes, unrolled. A zero last byte is non-minimal and
+		// left to the loop below to report.
+		x := uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7
+		switch {
+		case b[1] < 0x80:
+			if b[1] != 0 {
+				r.off += 2
+				return x
+			}
+		case b[2] < 0x80:
+			if b[2] != 0 {
+				r.off += 3
+				return x | uint64(b[2])<<14
+			}
+		case b[3] < 0x80:
+			if b[3] != 0 {
+				r.off += 4
+				return x | uint64(b[2]&0x7f)<<14 | uint64(b[3])<<21
+			}
+		}
+	}
+	var x uint64
+	for i := 0; i < len(b); i++ {
+		c := b[i]
+		if c < 0x80 {
+			switch {
+			case i == binary.MaxVarintLen64-1 && c > 1:
+				r.failf("overlong %s at offset %d (varint exceeds 64 bits)", what, r.off)
+			case c == 0 && i > 0:
+				r.failf("non-minimal %s at offset %d (varint ends in a zero group)", what, r.off)
+			default:
+				r.off += i + 1
+				return x | uint64(c)<<(7*i)
+			}
+			return 0
+		}
+		if i == binary.MaxVarintLen64-1 {
+			r.failf("overlong %s at offset %d (varint exceeds 64 bits)", what, r.off)
+			return 0
+		}
+		x |= uint64(c&0x7f) << (7 * i)
+	}
+	r.failf("truncated %s at offset %d (varint runs past the %d bytes left)", what, r.off, len(b))
+	return 0
+}
+
+// StrBytes reads the bytes of a string written by AppendStr (sharing the
+// payload's storage).
+func (r *Reader) StrBytes(what string) []byte {
+	n := r.Uvarint(what)
+	if n > uint64(len(r.b)-r.off) {
+		r.failf("truncated %s at offset %d (need %d bytes, have %d)", what, r.off, n, len(r.b)-r.off)
+		return nil
+	}
+	return r.Bytes(int(n), what)
+}
+
 // Value reads one value written by AppendValue, keeping its exact kind.
 func (r *Reader) Value(what string) types.Value {
-	switch tag := r.U8(what); tag {
-	case valNull:
-		return types.Null()
-	case valInt:
-		return types.Int(int64(r.U64(what)))
-	case valFloat:
-		return types.Float(math.Float64frombits(r.U64(what)))
-	case valString:
-		n := r.U32(what)
-		return types.Str(string(r.Bytes(int(n), what)))
-	case valBool:
-		return types.Bool(r.U8(what) != 0)
-	default:
-		r.failf("unknown tag %d of %s at offset %d", tag, what, r.off-1)
-		return types.Value{}
+	var one [1]types.Value
+	return r.AppendValues(one[:0], 1, what, nil)[0]
+}
+
+// AppendValues reads n values written by AppendValue, keeping their exact
+// kinds, and appends them to dst. A string's bytes go through str when it
+// is non-nil, which returns the string to keep (an interned copy, say); the
+// bytes are the payload's and must not be kept. After a failure the
+// remaining values read as zero values, and Err names the first failure.
+func (r *Reader) AppendValues(dst []types.Value, n int, what string, str func([]byte) string) []types.Value {
+	for ; n > 0; n-- {
+		if r.off >= len(r.b) {
+			r.short(1, what)
+			dst = append(dst, types.Value{})
+			continue
+		}
+		tag := r.b[r.off]
+		r.off++
+		switch tag {
+		case valNull:
+			dst = append(dst, types.Null())
+		case valInt:
+			u, ok := r.uvarint1()
+			if !ok {
+				u = r.uvarintSlow(what)
+			}
+			dst = append(dst, types.Int(int64(u>>1)^-int64(u&1)))
+		case valFloat:
+			dst = append(dst, types.Float(math.Float64frombits(r.U64(what))))
+		case valString:
+			b := r.StrBytes(what)
+			if str != nil {
+				dst = append(dst, types.Str(str(b)))
+			} else {
+				dst = append(dst, types.Str(string(b)))
+			}
+		case valBool:
+			b := r.U8(what)
+			if b > 1 {
+				r.failf("bad bool byte %d of %s at offset %d", b, what, r.off-1)
+			}
+			dst = append(dst, types.Bool(b == 1))
+		default:
+			r.failf("unknown tag %d of %s at offset %d", tag, what, r.off-1)
+			dst = append(dst, types.Value{})
+		}
 	}
+	return dst
 }

@@ -202,3 +202,101 @@ func FuzzFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestValueCodecRefusesNonCanonical: Reader.Value accepts only the bytes
+// AppendValue writes, naming what it refuses.
+func TestValueCodecRefusesNonCanonical(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+		want string
+	}{
+		{"non-minimal int", []byte{valInt, 0x80, 0x00}, "non-minimal value at offset 1"},
+		{"non-minimal string length", []byte{valString, 0x81, 0x00, 'x'}, "non-minimal value at offset 1"},
+		{"non-minimal int before more values", []byte{valInt, 0x81, 0x80, 0x00, valNull, valNull}, "non-minimal value at offset 1"},
+		{"overlong int", []byte{valInt, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, "overlong value at offset 1"},
+		{"eleven-byte int", append(append([]byte{valInt}, bytes.Repeat([]byte{0x80}, 10)...), 0x01), "overlong value at offset 1"},
+		{"truncated int", []byte{valInt, 0x80}, "truncated value at offset 1"},
+		{"string past the end", []byte{valString, 5, 'a'}, "truncated value at offset 2 (need 5 bytes, have 1)"},
+		{"bool byte 2", []byte{valBool, 2}, "bad bool byte 2 of value at offset 1"},
+	} {
+		r := NewReader(tc.enc)
+		r.Value("value")
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// The compact sizes: small ints of either sign and short strings take
+	// one byte past the tag.
+	for _, tc := range []struct {
+		v    types.Value
+		size int
+	}{
+		{types.Int(0), 2}, {types.Int(-64), 2}, {types.Int(63), 2}, {types.Int(64), 3},
+		{types.Int(math.MinInt64), 11}, {types.Str("abc"), 5}, {types.Float(1), 9}, {types.Bool(true), 2},
+	} {
+		if got := len(AppendValue(nil, tc.v)); got != tc.size {
+			t.Errorf("%v encodes to %d bytes, want %d", tc.v, got, tc.size)
+		}
+	}
+}
+
+// FuzzValueCodec holds the value codec to its two promises. Every value comes
+// back with its kind and bits exact — the fuzzed int, float bits (NaN
+// payloads, -0), string (empty, non-UTF-8) and bool, and null — read in
+// sequence from one buffer. And any bytes Reader.Value accepts re-encode
+// byte-equal, so the reader takes no second spelling of a value (a
+// non-minimal varint, a bool byte other than 0 or 1).
+func FuzzValueCodec(f *testing.F) {
+	f.Add([]byte{}, int64(0), uint64(0), "", false)
+	f.Add([]byte{valInt, 0x80, 0x00}, int64(math.MinInt64), uint64(0x7ff8dead_beef0001), "\xff\xfe", true)
+	f.Add([]byte{valBool, 2}, int64(math.MaxInt64), math.Float64bits(math.Copysign(0, -1)), "ünï", false)
+	f.Add(AppendValue(AppendValue(nil, types.Str("héllo")), types.Int(-1)), int64(-64), math.Float64bits(math.Inf(-1)), strings.Repeat("s", 200), true)
+	f.Fuzz(func(t *testing.T, raw []byte, i int64, fbits uint64, s string, b bool) {
+		vals := []types.Value{types.Int(i), types.Float(math.Float64frombits(fbits)), types.Str(s), types.Bool(b), types.Null()}
+		var enc []byte
+		for _, v := range vals {
+			enc = AppendValue(enc, v)
+		}
+		r := NewReader(enc)
+		for _, v := range vals {
+			got := r.Value("value")
+			if r.Err() != nil || got.Kind() != v.Kind() {
+				t.Fatalf("%v (%v) read back as %v (%v): %v", v, v.Kind(), got, got.Kind(), r.Err())
+			}
+			switch v.Kind() {
+			case types.KindInt:
+				if got.AsInt() != i {
+					t.Fatalf("int %d read back as %d", i, got.AsInt())
+				}
+			case types.KindFloat:
+				if math.Float64bits(got.AsFloat()) != fbits {
+					t.Fatalf("float bits %#x read back as %#x", fbits, math.Float64bits(got.AsFloat()))
+				}
+			case types.KindString:
+				if got.AsString() != s {
+					t.Fatalf("string %q read back as %q", s, got.AsString())
+				}
+			case types.KindBool:
+				if got.AsBool() != b {
+					t.Fatalf("bool %v read back as %v", b, got.AsBool())
+				}
+			}
+		}
+		if err := r.Done("values"); err != nil {
+			t.Fatal(err)
+		}
+
+		r = NewReader(raw)
+		for r.Remaining() > 0 {
+			start := r.off
+			v := r.Value("value")
+			if r.Err() != nil {
+				break
+			}
+			if again := AppendValue(nil, v); !bytes.Equal(again, raw[start:r.off]) {
+				t.Fatalf("%x was read as %v, which encodes as %x", raw[start:r.off], v, again)
+			}
+		}
+	})
+}

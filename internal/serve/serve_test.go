@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"slices"
@@ -840,6 +841,48 @@ func TestServedQueriesAreProgramQueries(t *testing.T) {
 	if srv, err := New(engine.New(&trigger.Program{}), Options{}); err == nil {
 		shutdownServer(t, srv)
 		t.Fatal("serve.New accepted a program without queries")
+	}
+}
+
+// TestHelloVersionMismatch: a hello of a protocol version other than
+// ProtocolVersion — the fixed-width version 1 among them — is answered with
+// an error frame naming both versions, and the server closes the connection.
+func TestHelloVersionMismatch(t *testing.T) {
+	spec, ok := workload.Get("Q1")
+	if !ok {
+		t.Fatal("no Q1 workload")
+	}
+	srv, err := New(newServedEngine(t, spec), Options{})
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	defer shutdownServer(t, srv)
+	for _, v := range []byte{1, ProtocolVersion + 1} {
+		conn, err := net.DialTimeout("tcp", srv.StreamAddr(), 5*time.Second)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		if _, err := conn.Write(AppendHello(nil, Hello{Version: v, Query: "Q1"})); err != nil {
+			t.Fatalf("hello: %v", err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		br := bufio.NewReader(conn)
+		fr, err := ReadFrame(br, nil)
+		if err != nil {
+			t.Fatalf("version %d: read: %v", v, err)
+		}
+		msg, _, err := DecodeFrame(fr)
+		if err != nil {
+			t.Fatalf("version %d: decode: %v", v, err)
+		}
+		want := fmt.Sprintf("serve: unsupported protocol version %d (want %d)", v, ProtocolVersion)
+		if ef, ok := msg.(*ErrorFrame); !ok || ef.Msg != want {
+			t.Errorf("version %d: got %#v, want an error frame %q", v, msg, want)
+		}
+		if _, err := ReadFrame(br, nil); err != io.EOF {
+			t.Errorf("version %d: read after the error frame: %v, want EOF", v, err)
+		}
+		conn.Close()
 	}
 }
 

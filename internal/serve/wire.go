@@ -42,7 +42,9 @@ import (
 //	batch  (server → client)  u64 events, u8 flags (reset|initial|resumed),
 //	                          u32 coalesced, u32 entry count, per entry
 //	                          u16 arity, arity kind-exact values
-//	                          (frame.AppendValue), f64 multiplicity bits
+//	                          (frame.AppendValue: an int as a zigzag
+//	                          varint, a string as a uvarint length and its
+//	                          bytes), f64 multiplicity bits
 //	error  (server → client)  u16 message length + message
 //	bye    (server → client)  u8 reason
 //
@@ -56,7 +58,11 @@ import (
 // never panics, and never allocations sized by an unvalidated count.
 
 // ProtocolVersion is the wire protocol version spoken by this package.
-const ProtocolVersion = 1
+// Version 2 carries values in the compact codec (varint ints, uvarint string
+// lengths); version 1 carried 8-byte ints and u32 string lengths. A hello of
+// any other version is answered with an error frame and the connection
+// closed.
+const ProtocolVersion = 2
 
 const (
 	frameHello = 1

@@ -169,6 +169,8 @@ func TestDecodeFrameAdversarial(t *testing.T) {
 		{"batch lying entry count", reframe(cat([]byte{frameBatch}, u64(0), []byte{0}, u32(0), u32(0xffffffff))), "entry count 4294967295 exceeds payload"},
 		{"batch lying arity", reframe(cat([]byte{frameBatch}, u64(0), []byte{0}, u32(0), u32(1), u16(0xffff), u64(0))), "arity 65535 exceeds payload"},
 		{"batch bad value tag", reframe(cat([]byte{frameBatch}, u64(0), []byte{0}, u32(0), u32(1), u16(1), []byte{0xee}, u64(0))), "entry 0 value 0"},
+		{"batch non-minimal int", reframe(cat([]byte{frameBatch}, u64(0), []byte{0}, u32(0), u32(1), u16(1), []byte{1, 0x80, 0}, u64(0))), "non-minimal value"},
+		{"batch bool byte 2", reframe(cat([]byte{frameBatch}, u64(0), []byte{0}, u32(0), u32(1), u16(1), []byte{4, 2}, u64(0))), "bad bool byte 2"},
 		// arity 1 + a null value + 7 bytes: passes the 10-byte minimum-entry
 		// check, then runs out inside the multiplicity.
 		{"batch truncated mult", reframe(cat([]byte{frameBatch}, u64(0), []byte{0}, u32(0), u32(1), u16(1), []byte{0}, u64(0)[:7])), "truncated entry multiplicity"},
@@ -220,6 +222,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(make([]byte, frame.HeaderBytes))
 	f.Add(encodeMessage(f, sampleMessages()[4])[:11])
 	f.Add(reframe([]byte{frameBatch, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}))
+	// One-entry batches whose value is a second spelling the decoder
+	// refuses: a non-minimal varint int, and a bool byte of 2.
+	for _, val := range [][]byte{{1, 0x80, 0x00}, {4, 2}} {
+		p := append([]byte{frameBatch, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0}, val...)
+		f.Add(reframe(append(p, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, n, err := DecodeFrame(data)
 		if err != nil {

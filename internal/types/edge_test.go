@@ -11,10 +11,12 @@ import (
 )
 
 // edgeRows are the values at the edges of every payload a Value carries. The
-// expected frame encodings, renderings and coercions were recorded with the
-// earlier four-field layout (separate int and float words), so the table
-// holds the one-word payload to exactly the old behaviour. The key column is
-// the binary key codec's; which rows share a key is pinned by edgeKeyEqual.
+// expected renderings and coercions were recorded with the earlier
+// four-field layout (separate int and float words), so the table holds the
+// one-word payload to exactly the old behaviour. The key column is the
+// binary key codec's; which rows share a key is pinned by edgeKeyEqual. The
+// frame column is the compact kind-exact codec's (zigzag varint ints, uvarint
+// string lengths), so an int or string frames as its key does.
 var edgeRows = []struct {
 	name   string
 	v      types.Value
@@ -34,14 +36,14 @@ var edgeRows = []struct {
 	{"0.0", types.Float(0), types.KindFloat, "0100", "020000000000000000", "0", "0", false, 0, 0},
 	{"MaxFloat64", types.Float(math.MaxFloat64), types.KindFloat, "02ffffffffffffef7f", "02ffffffffffffef7f", "1.7976931348623157e+308", "1.7976931348623157e+308", true, 0x7fefffffffffffff, 0},
 	{"SmallestNonzeroFloat64", types.Float(math.SmallestNonzeroFloat64), types.KindFloat, "020100000000000000", "020100000000000000", "5e-324", "5e-324", true, 1, 0},
-	{"MaxInt64", types.Int(math.MaxInt64), types.KindInt, "01feffffffffffffffff01", "01ffffffffffffff7f", "9223372036854775807", "9223372036854775807", true, 0x43e0000000000000, math.MaxInt64},
-	{"MinInt64", types.Int(math.MinInt64), types.KindInt, "01ffffffffffffffffff01", "010000000000000080", "-9223372036854775808", "-9223372036854775808", true, 0xc3e0000000000000, math.MinInt64},
-	{"2^53+1", types.Int(1<<53 + 1), types.KindInt, "018280808080808020", "010100000000002000", "9007199254740993", "9007199254740993", true, 0x4340000000000000, 1<<53 + 1},
+	{"MaxInt64", types.Int(math.MaxInt64), types.KindInt, "01feffffffffffffffff01", "01feffffffffffffffff01", "9223372036854775807", "9223372036854775807", true, 0x43e0000000000000, math.MaxInt64},
+	{"MinInt64", types.Int(math.MinInt64), types.KindInt, "01ffffffffffffffffff01", "01ffffffffffffffffff01", "-9223372036854775808", "-9223372036854775808", true, 0xc3e0000000000000, math.MinInt64},
+	{"2^53+1", types.Int(1<<53 + 1), types.KindInt, "018280808080808020", "018280808080808020", "9007199254740993", "9007199254740993", true, 0x4340000000000000, 1<<53 + 1},
 	{"true", types.Bool(true), types.KindBool, "0102", "0401", "true", "true", true, 0x3ff0000000000000, 1},
 	{"false", types.Bool(false), types.KindBool, "0100", "0400", "false", "false", false, 0, 0},
 	{"null", types.Null(), types.KindNull, "00", "00", "NULL", "", false, 0, 0},
-	{"empty", types.Str(""), types.KindString, "0300", "0300000000", `""`, "", false, 0, 0},
-	{"multibyte", types.Str("héllo, 世界"), types.KindString, "030e68c3a96c6c6f2c20e4b896e7958c", "030e00000068c3a96c6c6f2c20e4b896e7958c", `"héllo, 世界"`, "héllo, 世界", true, 0, 0},
+	{"empty", types.Str(""), types.KindString, "0300", "0300", `""`, "", false, 0, 0},
+	{"multibyte", types.Str("héllo, 世界"), types.KindString, "030e68c3a96c6c6f2c20e4b896e7958c", "030e68c3a96c6c6f2c20e4b896e7958c", `"héllo, 世界"`, "héllo, 世界", true, 0, 0},
 }
 
 // edgeOrder[i][j] is Compare(edgeRows[i], edgeRows[j]) as '<', '=' or '>'.
@@ -92,7 +94,7 @@ var edgeKeyEqual = []string{
 // edgeRows and Neg over every row, each result framed by frame.AppendValue
 // (kind and exact payload bits; NaN payloads are architecture-specific, so a
 // NaN result is written as "NaN").
-const edgeArithDigest = "66cef8a5fc3592b86879788e19adb64b0035b8d2baca6fcc270259149b941530"
+const edgeArithDigest = "90ca0fc1b625d25f89cb98bd8d66b467c683ffcb02ac551fca1740c368539a15"
 
 func TestEdgeValueRoundTrip(t *testing.T) {
 	for _, r := range edgeRows {

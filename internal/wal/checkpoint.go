@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 
 	"dbtoaster/internal/frame"
@@ -103,8 +104,9 @@ func (r *Recovered) Replay(fn func(*Record) error) error {
 // plus the contiguous committed record tail after the chain head. A record
 // that fails validation with valid records after it means corruption and
 // fails the scan; a failure with nothing but garbage after it is a torn tail
-// and is dropped cleanly. An empty or absent directory recovers to an empty
-// state.
+// and is dropped cleanly. A whole record of an earlier layout (kind 1 or 2)
+// fails the scan wherever it sits. An empty or absent directory recovers to
+// an empty state.
 //
 // Scan validates the whole tail before it returns: every record's frame CRC,
 // its full payload (decoded through one reused decoder) and its LSN
@@ -156,6 +158,11 @@ func Scan(fs FS, dir string) (*Recovered, error) {
 		for pos < len(data) {
 			rec, n, derr := d.decodeRecord(data[pos:])
 			if derr != nil {
+				if errors.Is(derr, errOldFormat) {
+					// A whole, checksummed record of an earlier layout: a log
+					// from an earlier version, not a torn append.
+					return nil, fmt.Errorf("wal: segment %s offset %d: %w", seg.name, pos, derr)
+				}
 				if !last {
 					return nil, fmt.Errorf("wal: segment %s offset %d: corrupt record mid-log: %v", seg.name, pos, derr)
 				}

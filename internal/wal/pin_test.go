@@ -54,7 +54,7 @@ func TestSegmentBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinDigest(t, "log segment", data, "7f6c2810b4e62d19e667d0b9f3312743b8db6018dd87b6b322a40997f95a3fa0")
+	pinDigest(t, "log segment", data, "f7ecfd730feb24ec14ea9ce245b08c8236eb5ccbae7389daded167dc351f813c")
 }
 
 func TestChainLinkBytesPinned(t *testing.T) {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"dbtoaster/internal/frame"
@@ -15,12 +16,19 @@ import (
 //
 // with the payload
 //
-//	u8  kind          (recEvent | recBatch)
-//	u64 first LSN     (LSNs number logged events, so a batch record covers
-//	                   [first, first+n))
-//	u32 event count
-//	per event: u16 relation length, relation bytes, u8 insert flag,
-//	           u16 arity, values
+//	u8      kind       (recEvent | recBatch)
+//	u64     first LSN  (LSNs number logged events, so a record of n events
+//	                    covers [first, first+n))
+//	uvarint run count
+//	per run:   uvarint relation length, relation bytes, uvarint arity,
+//	           uvarint event count
+//	per event: u8 insert flag (0 or 1), arity values
+//
+// A run is a maximal stretch of consecutive events of one relation and
+// arity. The engine logs a window in grouped order, so a window is one run
+// per relation and the relation name is written once per run, not once per
+// event. The decoder accepts exactly what appendRecord writes: no empty run,
+// no run that continues the one before it, no insert flag but 0 or 1.
 //
 // Values keep their exact runtime kind (frame.AppendValue), not the canonical
 // key encoding: replay must re-execute triggers with bit-identical inputs for
@@ -31,6 +39,11 @@ import (
 // and events applied as a batch take different execution paths (and different
 // float accumulation orders), so recovery must replay each record the way it
 // was originally committed.
+//
+// Kinds 1 and 2 were the fixed-width layout of earlier versions (a u32 event
+// count, and per event a u16-prefixed relation name, a u16 arity and values
+// with 8-byte ints and u32 string lengths). They are refused by name
+// (errOldFormat), wherever in the log they sit; there is no decoder for them.
 
 // Event is one single-tuple update of the input stream (engine.Event).
 type Event struct {
@@ -51,11 +64,20 @@ type Record struct {
 }
 
 const (
-	recEvent = 1
-	recBatch = 2
+	recEvent = 3
+	recBatch = 4
 
 	maxRecordBytes = 1 << 30 // sanity cap on a single record's payload
 )
+
+// errOldFormat marks a record in a layout this version does not read. Scan
+// refuses the log whole on it, instead of truncating it as a torn tail.
+var errOldFormat = errors.New("unsupported log format")
+
+// sameRun reports whether b continues a run that a is in.
+func sameRun(a, b *Event) bool {
+	return len(a.Tuple) == len(b.Tuple) && a.Relation == b.Relation
+}
 
 // appendRecord frames events as one record and appends it to dst.
 func appendRecord(dst []byte, batch bool, first uint64, events []Event) []byte {
@@ -66,18 +88,32 @@ func appendRecord(dst []byte, batch bool, first uint64, events []Event) []byte {
 	}
 	dst = append(dst, kind)
 	dst = binary.LittleEndian.AppendUint64(dst, first)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(events)))
+	runs := 0
 	for i := range events {
-		ev := &events[i]
-		dst = frame.AppendStr16(dst, ev.Relation)
-		if ev.Insert {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
+		if i == 0 || !sameRun(&events[i-1], &events[i]) {
+			runs++
 		}
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ev.Tuple)))
-		for _, v := range ev.Tuple {
-			dst = frame.AppendValue(dst, v)
+	}
+	dst = frame.AppendUvarint(dst, uint64(runs))
+	for i := 0; i < len(events); {
+		head := &events[i]
+		end := i + 1
+		for end < len(events) && sameRun(head, &events[end]) {
+			end++
+		}
+		dst = frame.AppendStr(dst, head.Relation)
+		dst = frame.AppendUvarint(dst, uint64(len(head.Tuple)))
+		dst = frame.AppendUvarint(dst, uint64(end-i))
+		for ; i < end; i++ {
+			ev := &events[i]
+			if ev.Insert {
+				dst = append(dst, 1)
+			} else {
+				dst = append(dst, 0)
+			}
+			for _, v := range ev.Tuple {
+				dst = frame.AppendValue(dst, v)
+			}
 		}
 	}
 	return frame.End(dst, start)
@@ -95,8 +131,9 @@ type decoder struct {
 	vals   []types.Value
 	// rels interns relation names and strs string values, each up to
 	// maxInterned entries; past that, a new string is allocated per value.
-	// rel is the last relation name, which a run of one relation's events
-	// reuses without a lookup.
+	// rel is the relation name of the last run decoded, which the next run,
+	// in this record or the next, reuses without a lookup when it names the
+	// same relation.
 	rels, strs interner
 	rel        string
 }
@@ -123,23 +160,6 @@ func (t *interner) intern(b []byte) string {
 	return s
 }
 
-// strTag is the value codec's tag byte for a string, taken from the codec
-// itself: the decoder reads string values through its intern table and
-// every other value through frame.Reader.Value.
-var strTag = frame.AppendValue(nil, types.Str(""))[0]
-
-// value reads one value of payload p from r, interning a string's bytes. It
-// reads a string's fields as frame.Reader.Value does, under the same name,
-// so a malformed value fails with the same error.
-func (d *decoder) value(r *frame.Reader, p []byte) types.Value {
-	if n := r.Remaining(); n == 0 || p[len(p)-n] != strTag {
-		return r.Value("value")
-	}
-	r.U8("value")
-	b := r.Bytes(int(r.U32("value")), "value")
-	return types.Str(d.strs.intern(b))
-}
-
 // decodeRecord parses the record at the start of b into d's reused record
 // and returns it with the total framed size. Any mismatch — short frame, CRC
 // failure, malformed payload — is an error; the caller decides whether that
@@ -164,46 +184,65 @@ func (d *decoder) decodeRecord(b []byte) (*Record, int, error) {
 func (d *decoder) decodePayload(p []byte) (*Record, error) {
 	r := frame.NewReader(p)
 	kind := r.U8("record kind")
+	if kind == 1 || kind == 2 {
+		return nil, fmt.Errorf("%w: record kind %d is the fixed-width layout of an earlier version", errOldFormat, kind)
+	}
 	rec := &d.rec
 	*rec = Record{Batch: kind == recBatch, First: r.U64("first LSN")}
-	nEvents := r.U32("event count")
+	nRuns := r.Uvarint("run count")
 	switch {
 	case r.Err() != nil:
 		return nil, r.Err()
 	case kind != recEvent && kind != recBatch:
 		return nil, fmt.Errorf("unknown record kind %d", kind)
-	case !rec.Batch && nEvents != 1:
-		return nil, fmt.Errorf("event record carries %d events", nEvents)
-	case int64(nEvents) > int64(r.Remaining()):
-		return nil, fmt.Errorf("implausible event count %d", nEvents)
+	case nRuns > uint64(r.Remaining()):
+		return nil, fmt.Errorf("implausible run count %d", nRuns)
 	}
 	d.events, d.vals = d.events[:0], d.vals[:0]
-	for i := 0; i < int(nEvents); i++ {
-		if rel := r.Bytes(int(r.U16("relation")), "relation"); string(rel) != d.rel {
+	prevArity := uint64(0)
+	for i := uint64(0); i < nRuns; i++ {
+		rel := r.StrBytes("relation")
+		arity := r.Uvarint("arity")
+		count := r.Uvarint("event count")
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("run %d: %w", i, err)
+		}
+		// An event is at least its flag byte and a value at least its tag.
+		left := uint64(r.Remaining())
+		switch {
+		case count == 0:
+			return nil, fmt.Errorf("run %d is empty", i)
+		case arity > left || count > left || count*(arity+1) > left:
+			return nil, fmt.Errorf("run %d: %d events of arity %d exceed the record", i, count, arity)
+		case i > 0 && arity == prevArity && string(rel) == d.rel:
+			return nil, fmt.Errorf("run %d continues the run before it", i)
+		}
+		if string(rel) != d.rel {
 			d.rel = d.rels.intern(rel)
 		}
-		ev := Event{Relation: d.rel, Insert: r.U8("insert flag") != 0}
-		arity := int(r.U16("arity"))
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		if arity > r.Remaining() {
-			return nil, fmt.Errorf("event %d: arity %d exceeds the record", i, arity)
-		}
-		if arity > 0 {
-			start := len(d.vals)
-			for j := 0; j < arity; j++ {
-				d.vals = append(d.vals, d.value(&r, p))
-				if err := r.Err(); err != nil {
-					return nil, fmt.Errorf("event %d value %d: %w", i, j, err)
-				}
+		prevArity = arity
+		for k := uint64(0); k < count; k++ {
+			flag := r.U8("insert flag")
+			if flag > 1 {
+				return nil, fmt.Errorf("event %d: bad insert flag %d", len(d.events), flag)
 			}
-			// A window capped at its own length: appending to one tuple
-			// cannot overwrite the next. A tuple taken before the arena grew
-			// keeps the old array, which stays valid.
-			ev.Tuple = d.vals[start:len(d.vals):len(d.vals)]
+			ev := Event{Relation: d.rel, Insert: flag == 1}
+			if arity > 0 {
+				start := len(d.vals)
+				d.vals = r.AppendValues(d.vals, int(arity), "value", d.strs.intern)
+				// A window capped at its own length: appending to one tuple
+				// cannot overwrite the next. A tuple taken before the arena
+				// grew keeps the old array, which stays valid.
+				ev.Tuple = d.vals[start:len(d.vals):len(d.vals)]
+			}
+			if err := r.Err(); err != nil {
+				return nil, fmt.Errorf("event %d: %w", len(d.events), err)
+			}
+			d.events = append(d.events, ev)
 		}
-		d.events = append(d.events, ev)
+	}
+	if !rec.Batch && len(d.events) != 1 {
+		return nil, fmt.Errorf("event record carries %d events", len(d.events))
 	}
 	if len(d.events) > 0 {
 		rec.Events = d.events

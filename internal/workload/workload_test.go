@@ -187,7 +187,10 @@ func TestBatchesPartitionTheStream(t *testing.T) {
 // correctness gates all depend on the streams, so a generator change must not
 // move a single event. Events are hashed through the kind-exact frame value
 // codec, so the pin also catches a value changing kind (Float(3) for Int(3)),
-// which the canonical key would hide.
+// which the canonical key would hide. A change of that codec re-records the
+// digests; when it became compact, each stream was hashed through both the
+// fixed-width and the compact codec in one run, and the first still gave the
+// earlier digest.
 func TestStreamsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		query  string
@@ -195,17 +198,17 @@ func TestStreamsPinned(t *testing.T) {
 		seed   int64
 		sha256 string
 	}{
-		{"Q1", 0.1, 1, "94046536c64c6b251ca165eac504fa1de80681787751bf108f771f004ed9d5ee"},
-		{"Q1", 1, 1, "6c40dea91cae26c85ba23007d692f22d0fd024f1f1b2d6032fbab07a81881d08"},
-		{"Q1", 4, 7, "a7c0209283f96bb58d224b3615a4962159b990ae3c86971322e66bd139370775"},
-		{"Q1", 16, 3, "9d9f0c2c488bd036ff11e1e3d949569859b60fd84d3e7055dfaf60ee89300e06"},
-		{"VWAP", 0.1, 1, "3deb7d57ece19c70c241672689c5f9fa70a4dbf23c3db7c8d722e9e236dc6d46"},
-		{"VWAP", 1, 1, "3ef43384b05f8bea7c9a087d476fe87c0cedfddfcc8aea25d4cf06915f763831"},
-		{"VWAP", 4, 7, "8abccea443fae5fa73d855b2b88e5d7cf1f9c8f5c92044511f9a02338dbacc80"},
-		{"VWAP", 16, 3, "ac0356634e119c907b4e3ff60cf2865607c8af55de13fe86a2a06a698cbb06f8"},
-		{"MDDB1", 0.1, 1, "86ef1879fad8fde7baa9545ccc75fe49405adeda090e86ec6c4d4dc03b920e46"},
-		{"MDDB1", 1, 1, "bb2529a4700ad58c3146c9482952a80c467a87c3f4c40705f0474332b2aa1e7c"},
-		{"MDDB1", 4, 7, "f0f786ae3d8ffb8acc0d5e2231f9dad29287ff6f851462e756c8de13f57a61f1"},
+		{"Q1", 0.1, 1, "70f7842e36c53eb2571ac8302efdcdd1778f2a41d25c6773f6ff36e566d3678f"},
+		{"Q1", 1, 1, "70955b8e0cd27f74bd9fdca7abcea3ffd3dbffd562ef9202589d04ff66dc17f4"},
+		{"Q1", 4, 7, "b749cd05d8d99e3517f041d2e7736bd4bcb7f18a745bd997feaf0660a5265dd2"},
+		{"Q1", 16, 3, "dcd1cb045d6e2f539842e0a8af416225a0fac6adad7573c58aa792bb7fe7c350"},
+		{"VWAP", 0.1, 1, "18b8b0ad36c4dd5c153b43896ddadb47024788a029f274c7225c98ed34c0c9cd"},
+		{"VWAP", 1, 1, "d5da6bd30e2d0f13b7442f427f8ef1ee59ac14a57a66d85fed1f6ecae8501f85"},
+		{"VWAP", 4, 7, "f33cc3509384de3ad2f4f92af6a704452f51d4d0b46c3db39574637bdc676c20"},
+		{"VWAP", 16, 3, "70559a59318958fd9b8d7efbe6ec6ea526dbad1046facb0527b4d7de992b5351"},
+		{"MDDB1", 0.1, 1, "bf4b49c0da6c07859d2f4849f9fd4b12ac63ae4dac93de71913c5fa128de1d1c"},
+		{"MDDB1", 1, 1, "789b5da1550faa6304a3eec1a0086559e899823aeaa6102c30358479de995625"},
+		{"MDDB1", 4, 7, "9f8436dced328a485e1ce343a62a6d0f6f91d0016d3ed9ea01daff16501afa28"},
 	} {
 		spec, ok := Get(tc.query)
 		if !ok {
